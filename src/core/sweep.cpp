@@ -490,9 +490,9 @@ SweepResult run_sweep(const SweepOptions& options) {
   }
 
   // Determinism check: serially re-tune every ILP job and compare. The
-  // re-solves hit the shared cache (same canonical model), so this is
-  // cheap — and it is what proves a parallel sweep computed exactly what
-  // the serial path would have.
+  // re-solves hit the shared cache (same canonical model) and skip branch
+  // & bound; the check is what proves a parallel sweep computed exactly
+  // what the serial path would have.
   if (options.check_determinism) {
     obs::TraceSpan phase("sweep.determinism_check", "sweep");
     int mismatches = 0;

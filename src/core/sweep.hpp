@@ -13,10 +13,12 @@
 // a fixed (kernel-major) order, so the output is identical no matter how
 // the pool schedules jobs. With `check_determinism` the driver re-runs
 // every ILP job's tuning serially after the parallel phase and compares
-// status, objective bits, and the serialized assignment; the re-solves
-// hit the solver cache, which is what makes the check cheap — and is the
-// sweep's organic source of cache hits, since the grid's 360 models are
-// pairwise distinct.
+// status, objective bits, and the serialized assignment. The re-solves
+// hit the solver cache and skip branch & bound, but every job is still
+// re-parsed, re-analyzed and its model rebuilt and keyed, so the check is
+// not cheap: about a fifth of a serial sweep (docs/SWEEP.md). It is also
+// the sweep's organic source of cache hits, since the grid's 360 models
+// are pairwise distinct.
 #pragma once
 
 #include <string>

@@ -180,8 +180,11 @@ Solution solve_milp(const Model& model, const BranchAndBoundOptions& opt) {
   });
   obs::metrics().counter("ilp.solves").inc();
   if (!opt.cache) return solve_milp_uncached(model, opt);
+  obs::TraceSpan cache_span("ilp.cache", "ilp");
   const std::string key = canonical_model_key(model, opt);
-  if (std::optional<Solution> hit = opt.cache->lookup(key)) return *hit;
+  std::optional<Solution> hit = opt.cache->lookup(key);
+  cache_span.end();
+  if (hit) return *hit;
   Solution sol = solve_milp_uncached(model, opt);
   opt.cache->insert(key, sol);
   return sol;

@@ -1,6 +1,6 @@
 #include "ilp/solver_cache.hpp"
 
-#include <cstdio>
+#include <charconv>
 
 #include "ilp/branch_and_bound.hpp"
 #include "obs/metrics.hpp"
@@ -8,17 +8,24 @@
 namespace luis::ilp {
 namespace {
 
+// Numbers go through std::to_chars: the shortest string that parses back
+// to the same value, so distinct values (-0 and 0, ±inf included) always
+// render differently. Only NaN payloads merge, into "nan" / "-nan".
+template <typename T>
+void append_number(std::string& out, T v) {
+  char buf[32]; // longest double is 24 chars ("-2.2250738585072014e-308")
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
 void append_double(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
+  append_number(out, v);
   out += ';';
 }
 
 void append_expr(std::string& out, const LinearExpr& expr) {
   append_double(out, expr.constant());
   for (const auto& [var, coeff] : expr.terms()) {
-    out += std::to_string(var);
+    append_number(out, var);
     out += ':';
     append_double(out, coeff);
   }
@@ -56,7 +63,7 @@ std::string canonical_model_key(const Model& model,
   // Result-affecting solver options: the same model under different limits
   // or tolerances can legitimately produce different incumbents/bounds.
   out += "|o|";
-  out += std::to_string(options.max_nodes);
+  append_number(out, options.max_nodes);
   out += ';';
   append_double(out, options.integrality_tolerance);
   append_double(out, options.relative_gap);
@@ -67,12 +74,12 @@ std::string canonical_model_key(const Model& model,
   out += options.share_basis ? '1' : '0';
   out += options.presolve ? '1' : '0';
   out += ';';
-  out += std::to_string(options.lp.max_iterations);
+  append_number(out, options.lp.max_iterations);
   out += ';';
   append_double(out, options.lp.tolerance);
   out += to_string(options.lp.core);
   out += ';';
-  out += std::to_string(options.lp.refactor_interval);
+  append_number(out, options.lp.refactor_interval);
   return out;
 }
 

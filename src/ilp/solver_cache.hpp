@@ -27,8 +27,9 @@ namespace luis::ilp {
 struct BranchAndBoundOptions;
 
 /// Serializes the model plus the result-affecting solver options into a
-/// canonical string: name-free, order-preserving, doubles at full
-/// round-trip precision. Equal strings imply identical solves.
+/// canonical string: name-free, order-preserving, every number in its
+/// shortest round-trip form (std::to_chars), so distinct values render
+/// distinctly. Equal strings imply identical solves.
 std::string canonical_model_key(const Model& model,
                                 const BranchAndBoundOptions& options);
 

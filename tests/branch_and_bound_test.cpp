@@ -260,6 +260,36 @@ TEST(BranchAndBound, CacheKeySeparatesModelsAndOptions) {
   c.set_objective(Direction::Maximize, LinearExpr().add(xc, 1));
   EXPECT_EQ(canonical_model_key(a, opt), canonical_model_key(c, opt));
 
+  // Every number reaches the key exactly: one-ulp neighbours, the two
+  // zeros and the two infinities all split, and a model rebuilt from the
+  // same numbers keeps its key.
+  struct Numbers {
+    double coeff = 3.0, x_lower = 0.0, x_upper = 4.0, y_lower = -kInfinity;
+    double rhs = 10.0, constant = 0.5;
+  };
+  const auto build = [](const Numbers& n) {
+    Model m;
+    const VarId x = m.add_integer("x", n.x_lower, n.x_upper);
+    const VarId y = m.add_continuous("y", n.y_lower, kInfinity);
+    m.add_le(LinearExpr().add(x, n.coeff).add(y, 1.0), n.rhs);
+    m.set_objective(Direction::Maximize,
+                    LinearExpr().add(x, 1.0).add_constant(n.constant));
+    return m;
+  };
+  const std::string base = canonical_model_key(build({}), opt);
+  EXPECT_EQ(base, canonical_model_key(build({}), opt));
+  EXPECT_EQ(structural_model_key(build({})), structural_model_key(build({})));
+  std::vector<Numbers> variants(7);
+  variants[0].coeff = std::nextafter(3.0, kInfinity);
+  variants[1].x_upper = std::nextafter(4.0, 0.0);
+  variants[2].rhs = std::nextafter(10.0, kInfinity);
+  variants[3].constant = std::nextafter(0.5, 0.0);
+  variants[4].x_lower = -0.0;
+  variants[5].y_lower = kInfinity;
+  variants[6].y_lower = std::nextafter(-kInfinity, 0.0); // -DBL_MAX
+  for (std::size_t i = 0; i < variants.size(); ++i)
+    EXPECT_NE(base, canonical_model_key(build(variants[i]), opt)) << "variant " << i;
+
   SolverCache cache;
   BranchAndBoundOptions cached = opt;
   cached.cache = &cache;
@@ -423,8 +453,14 @@ TEST(SolverCache, StructuralKeyIgnoresObjective) {
   c.add_le(LinearExpr().add(xc, 1), 1);
   c.set_objective(Direction::Minimize, LinearExpr().add(xc, 2.0));
 
+  Model d; // c with its upper bound one ulp higher
+  const VarId xd = d.add_integer("x", 0, std::nextafter(2.0, 3.0));
+  d.add_le(LinearExpr().add(xd, 1), 1);
+  d.set_objective(Direction::Minimize, LinearExpr().add(xd, 2.0));
+
   EXPECT_EQ(structural_model_key(a), structural_model_key(b));
   EXPECT_NE(structural_model_key(a), structural_model_key(c));
+  EXPECT_NE(structural_model_key(c), structural_model_key(d));
 }
 
 TEST(SolverCache, BasisPoolRoundTrips) {
