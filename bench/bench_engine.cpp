@@ -1,19 +1,20 @@
-// Sweep interpretation throughput: batched lane execution vs. the scalar
-// VM, on the exact workload the sweep driver hands the engine.
+// Sweep interpretation throughput: the per-job scalar VM loop vs. the
+// sweep's deduplicated execution, on the exact workload the sweep driver
+// hands the engine.
 //
 // Setup (untimed): every kernel's (config x platform) grid — the Multi
 // preset plus the three Table III presets over all four platforms — is
 // tuned via core::run_sweep, and each job's tuned assignment is reloaded
 // through assignment_io. That reproduces the sweep's interpretation
 // workload faithfully, duplicates included: distinct (config, platform)
-// jobs frequently tune to the same assignment, and exploiting that is
-// part of the batched path's design (core/sweep.cpp dedups lanes the
-// same way).
+// jobs frequently tune to the same assignment, and core/sweep.cpp runs
+// each distinct assignment only once.
 //
 // Timed, per kernel:
-//   scalar  one engine.run() per grid job — the pre-batching sweep loop;
-//   batch   dedup the job assignments into unique lanes, then one
-//           engine.run_batch() — what the sweep's batch path executes.
+//   scalar  one engine.run() per grid job, duplicates included;
+//   dedup   dedup the job assignments into unique lanes, then one
+//           engine.run() per unique lane (through run_batch, as the sweep
+//           does).
 //
 // Before timing, every unique lane is checked bit-for-bit against the
 // tree-walking ReferenceEngine — verdict, error text, step count, cost
@@ -26,8 +27,8 @@
 //                [--json PATH]
 //
 // Prints one line per kernel and an aggregate; the aggregate speedup is
-// the number quoted in docs/INTERP.md ("Batched execution") and recorded
-// in BENCH_engine.json by the bench-engine-smoke CI job via --json.
+// recorded in BENCH_engine.json by the bench-engine-smoke CI job via
+// --json (docs/INTERP.md, "Deduplicated execution").
 #include <bit>
 #include <chrono>
 #include <cstdint>
@@ -97,7 +98,7 @@ std::vector<Lane> tuned_grid_lanes(const std::string& kernel,
 }
 
 /// Indices of the first occurrence of each distinct assignment text — the
-/// same dedup the sweep's batch path performs before run_batch().
+/// same dedup the sweep performs before run_batch().
 std::vector<std::size_t> unique_lane_indices(const std::vector<Lane>& lanes) {
   std::vector<std::size_t> unique;
   for (std::size_t i = 0; i < lanes.size(); ++i) {
@@ -122,7 +123,7 @@ bool buffers_bit_equal(const std::vector<double>& a,
   return true;
 }
 
-/// One batched run over the unique lanes, checked bit-for-bit against a
+/// One run_batch over the unique lanes, checked bit-for-bit against a
 /// reference run per lane. Returns false (after printing the mismatch) on
 /// any divergence. Also the warm-up that fills the program cache.
 bool verify_lanes(const interp::VmEngine& vm, const ir::Function& f,
@@ -156,7 +157,7 @@ bool verify_lanes(const interp::VmEngine& vm, const ir::Function& f,
         }
     if (field != nullptr) {
       std::fprintf(stderr,
-                   "bench_engine: %s lane %s: batch disagrees with the "
+                   "bench_engine: %s lane %s: vm disagrees with the "
                    "reference engine on %s\n",
                    f.name().c_str(), lane.label.c_str(), field);
       return false;
@@ -165,8 +166,8 @@ bool verify_lanes(const interp::VmEngine& vm, const ir::Function& f,
   return true;
 }
 
-/// `reps` scalar executions of every grid job: the pre-batching sweep
-/// loop interprets each job separately, duplicate assignments included.
+/// `reps` scalar executions of every grid job: each job interpreted
+/// separately, duplicate assignments included.
 double time_scalar(const interp::VmEngine& vm, const ir::Function& f,
                    const std::vector<Lane>& lanes,
                    const interp::ArrayStore& inputs, int reps) {
@@ -179,9 +180,9 @@ double time_scalar(const interp::VmEngine& vm, const ir::Function& f,
   return now_seconds() - t0;
 }
 
-/// `reps` batched executions of the same workload: dedup (timed — the
-/// sweep pays for it too) plus one run_batch over the unique lanes.
-double time_batch(const interp::VmEngine& vm, const ir::Function& f,
+/// `reps` deduplicated executions of the same workload: dedup (timed —
+/// the sweep pays for it too) plus one run_batch over the unique lanes.
+double time_dedup(const interp::VmEngine& vm, const ir::Function& f,
                   const std::vector<Lane>& lanes,
                   const interp::ArrayStore& inputs, int reps) {
   const double t0 = now_seconds();
@@ -201,7 +202,7 @@ struct KernelRow {
   std::size_t jobs = 0;
   std::size_t unique = 0;
   double scalar_seconds = 0.0;
-  double batch_seconds = 0.0;
+  double dedup_seconds = 0.0;
 };
 
 } // namespace
@@ -233,9 +234,9 @@ int main(int argc, char** argv) {
   const interp::VmEngine vm(&cache);
 
   std::printf("%-14s %6s %8s %12s %12s %9s\n", "kernel", "jobs", "unique",
-              "scalar[ms]", "batch[ms]", "speedup");
+              "scalar[ms]", "dedup[ms]", "speedup");
   std::vector<KernelRow> rows;
-  double scalar_total = 0.0, batch_total = 0.0;
+  double scalar_total = 0.0, dedup_total = 0.0;
   for (const std::string& name : kernels) {
     ir::Module module;
     const polybench::BuiltKernel kernel = polybench::build_kernel(name, module);
@@ -246,26 +247,26 @@ int main(int argc, char** argv) {
       return 1;
     const double t_scalar =
         time_scalar(vm, *kernel.function, lanes, kernel.inputs, reps);
-    const double t_batch =
-        time_batch(vm, *kernel.function, lanes, kernel.inputs, reps);
+    const double t_dedup =
+        time_dedup(vm, *kernel.function, lanes, kernel.inputs, reps);
     scalar_total += t_scalar;
-    batch_total += t_batch;
-    rows.push_back({name, lanes.size(), unique.size(), t_scalar, t_batch});
+    dedup_total += t_dedup;
+    rows.push_back({name, lanes.size(), unique.size(), t_scalar, t_dedup});
     std::printf("%-14s %6zu %8zu %12.2f %12.2f %8.2fx\n", name.c_str(),
-                lanes.size(), unique.size(), t_scalar * 1e3, t_batch * 1e3,
-                t_scalar / t_batch);
+                lanes.size(), unique.size(), t_scalar * 1e3, t_dedup * 1e3,
+                t_scalar / t_dedup);
   }
   const interp::ProgramCache::Stats stats = cache.stats();
   std::printf("\nprogram cache: %ld lookups, %ld hits, %ld insertions\n",
               stats.lookups, stats.hits, stats.insertions);
-  std::printf("aggregate: scalar %.2f s, batch %.2f s, speedup %.2fx "
+  std::printf("aggregate: scalar %.2f s, dedup %.2f s, speedup %.2fx "
               "(all lanes verified against the reference engine)\n",
-              scalar_total, batch_total, scalar_total / batch_total);
+              scalar_total, dedup_total, scalar_total / dedup_total);
 
   if (!json_path.empty()) {
     JsonWriter w;
     w.begin_object();
-    w.key("benchmark"), w.value("engine_batch");
+    w.key("benchmark"), w.value("engine_dedup");
     w.key("configs");
     w.begin_array();
     for (const std::string& c : configs) w.value(c);
@@ -281,8 +282,8 @@ int main(int argc, char** argv) {
       w.key("jobs"), w.value(row.jobs);
       w.key("unique_lanes"), w.value(row.unique);
       w.key("scalar_seconds"), w.value(row.scalar_seconds, "%.6g");
-      w.key("batch_seconds"), w.value(row.batch_seconds, "%.6g");
-      w.key("speedup"), w.value(row.scalar_seconds / row.batch_seconds,
+      w.key("dedup_seconds"), w.value(row.dedup_seconds, "%.6g");
+      w.key("speedup"), w.value(row.scalar_seconds / row.dedup_seconds,
                                 "%.4g");
       w.end_object();
     }
@@ -292,8 +293,8 @@ int main(int argc, char** argv) {
     w.key("aggregate");
     w.begin_object();
     w.key("scalar_seconds"), w.value(scalar_total, "%.6g");
-    w.key("batch_seconds"), w.value(batch_total, "%.6g");
-    w.key("speedup"), w.value(scalar_total / batch_total, "%.4g");
+    w.key("dedup_seconds"), w.value(dedup_total, "%.6g");
+    w.key("speedup"), w.value(scalar_total / dedup_total, "%.4g");
     w.key("verified"), w.value(true);
     w.end_object();
     w.end_object();

@@ -97,11 +97,9 @@ void BM_VmRunTraced(benchmark::State& state) { run_kernel_once(true, state); }
 BENCHMARK(BM_VmRunTraced);
 
 /// Shadow-execution overhead: the same kernel with the binary64 shadow
-/// and per-line error accumulators off vs. on, scalar and batched. The
-/// off/on pairs side by side are the overhead numbers quoted in
-/// docs/OBSERVABILITY.md ("Numerical-error profiling"); note the shadow
-/// also disables SWAR packing in the batch engine, so the batched pair
-/// prices both effects together.
+/// and per-line error accumulators off vs. on. The off/on pair side by
+/// side is the overhead number quoted in docs/OBSERVABILITY.md
+/// ("Numerical-error profiling").
 void run_kernel_shadow(bool errors, benchmark::State& state) {
   ir::Module module;
   polybench::BuiltKernel built = polybench::build_kernel("trisolv", module);
@@ -127,34 +125,6 @@ void BM_VmRunShadowOn(benchmark::State& state) {
   run_kernel_shadow(true, state);
 }
 BENCHMARK(BM_VmRunShadowOn);
-
-void run_batch_shadow(bool errors, benchmark::State& state) {
-  ir::Module module;
-  polybench::BuiltKernel built = polybench::build_kernel("trisolv", module);
-  const std::vector<interp::TypeAssignment> lanes(
-      8, interp::TypeAssignment::uniform(*built.function,
-                                         {numrep::kBinary32, 0}));
-  const interp::VmEngine vm;
-  for (auto _ : state) {
-    std::vector<interp::ArrayStore> stores(lanes.size(), built.inputs);
-    std::vector<interp::ErrorProfile> eps(lanes.size());
-    std::vector<interp::BatchRequest> reqs(lanes.size());
-    for (std::size_t i = 0; i < lanes.size(); ++i)
-      reqs[i] = {&lanes[i], &stores[i], nullptr,
-                 errors ? &eps[i] : nullptr};
-    benchmark::DoNotOptimize(vm.run_batch(*built.function, reqs, {}));
-  }
-}
-
-void BM_BatchRunShadowOff(benchmark::State& state) {
-  run_batch_shadow(false, state);
-}
-BENCHMARK(BM_BatchRunShadowOff);
-
-void BM_BatchRunShadowOn(benchmark::State& state) {
-  run_batch_shadow(true, state);
-}
-BENCHMARK(BM_BatchRunShadowOn);
 
 } // namespace
 

@@ -151,12 +151,9 @@ void fold_error_profile(const interp::ErrorProfile& ep, SweepJobResult& out) {
 }
 
 /// Tunes one (kernel, config, platform) job on a private clone of the
-/// kernel. With `execute` the tuned kernel is also interpreted for the
-/// speedup/MPE metrics; the determinism re-check skips that (the
-/// assignment fully determines the execution).
+/// kernel. Execution happens later, once per distinct assignment.
 void run_ilp_job(const KernelContext& ctx, const platform::OpTimeTable& table,
                  const SweepOptions& opt, ilp::SolverCache* cache,
-                 const interp::ExecutionEngine& engine, bool execute,
                  SweepJobResult& out) {
   ir::Module module;
   const ir::ParseResult parsed = ir::parse_function(module, ctx.ir_text);
@@ -178,26 +175,6 @@ void run_ilp_job(const KernelContext& ctx, const platform::OpTimeTable& table,
   out.timings = tuned.timings;
   out.stats = tuned.allocation.stats;
   out.assignment_text = assignment_to_text(f, tuned.allocation.assignment);
-
-  if (execute) {
-    interp::ArrayStore store = ctx.inputs;
-    interp::ErrorProfile errors;
-    interp::RunOptions ropt;
-    if (opt.errors) ropt.error_profile = &errors;
-    const interp::RunResult run =
-        engine.run(f, tuned.allocation.assignment, store, ropt);
-    out.timings.interp_compile_seconds = run.compile_seconds;
-    out.timings.interp_execute_seconds = run.execute_seconds;
-    if (!run.ok) {
-      out.error = ctx.name + "/" + out.config + " run failed: " + run.error;
-      return;
-    }
-    const double t_base = platform::simulated_time(ctx.base_counters, table);
-    out.speedup_percent = platform::speedup_percent(
-        t_base, platform::simulated_time(run.counters, table));
-    out.mpe = kernel_mpe(ctx.outputs, ctx.reference, store);
-    if (opt.errors && errors.finalized) fold_error_profile(errors, out);
-  }
   out.ok = true;
 }
 
@@ -353,8 +330,7 @@ SweepResult run_sweep(const SweepOptions& options) {
   }
 
   // Phase 2: the ILP jobs, parallel over (kernel x platform x config).
-  // With batching on, jobs only tune here; the interpretation runs in the
-  // batched phase below.
+  // Jobs only tune here; the interpretation runs in the phase below.
   {
     obs::TraceSpan phase("sweep.jobs", "sweep", [&] {
       return obs::Args().num("jobs", ilp_jobs.size()).done();
@@ -374,22 +350,20 @@ SweepResult run_sweep(const SweepOptions& options) {
             .str("platform", job.platform)
             .done();
       });
-      run_ilp_job(ctx, *table_of[j], options, cache_ptr, *engine,
-                  /*execute=*/!options.batch, job);
+      run_ilp_job(ctx, *table_of[j], options, cache_ptr, job);
       LUIS_LOG(progress_level, "[sweep] " + job.kernel + "/" + job.config +
                                    "/" + job.platform +
                                    (job.ok ? " ok" : " FAILED"));
     });
   }
 
-  // Phase 2b (batch mode): execute each kernel's tuned assignments as
-  // lanes of one batched engine run. Duplicate assignments — presets that
-  // converged to the same allocation, or the same preset across platforms
-  // (tuning is platform-specific but often agrees) — collapse into one
-  // lane; every job sharing a lane reads that lane's counters and store.
-  // Speedup/MPE come out bit-identical to the scalar path because the
-  // batched VM is bit-identical per lane.
-  if (options.batch) {
+  // Phase 3: execute each kernel's tuned assignments, one engine run per
+  // distinct assignment. Duplicates — presets that converged to the same
+  // allocation, or the same preset across platforms (tuning is
+  // platform-specific but often agrees) — collapse into one lane; every
+  // job sharing a lane reads that lane's counters and store, which is
+  // exact because the assignment fully determines the execution.
+  {
     obs::TraceSpan phase("sweep.batch_execute", "sweep", [&] {
       return obs::Args().num("kernels", kernels.size()).done();
     });
@@ -478,7 +452,7 @@ SweepResult run_sweep(const SweepOptions& options) {
           fold_error_profile(lane_errors[lane_of[k]], job);
       }
       LUIS_LOG(progress_level,
-               "[sweep] " + ctx.name + " batch-executed " +
+               "[sweep] " + ctx.name + " executed " +
                    std::to_string(lane_types.size()) + " lanes for " +
                    std::to_string(kernel_jobs.size()) + " jobs");
     });
@@ -504,8 +478,7 @@ SweepResult run_sweep(const SweepOptions& options) {
       redo.kernel = job.kernel;
       redo.config = job.config;
       redo.platform = job.platform;
-      run_ilp_job(ctx, *table_of[j], options, cache_ptr, *engine,
-                  /*execute=*/false, redo);
+      run_ilp_job(ctx, *table_of[j], options, cache_ptr, redo);
       const bool same = redo.assignment_text == job.assignment_text &&
                         redo.stats.objective == job.stats.objective &&
                         redo.stats.status == job.stats.status;
@@ -581,8 +554,8 @@ std::string sweep_summary_text(const SweepResult& result) {
                        s.engine.c_str(), t.interp_compile_seconds,
                        t.interp_execute_seconds);
   if (s.batch_runs > 0)
-    out += format_string("batched execution: %ld kernel batches served %ld "
-                         "job lanes (%ld unique assignments)\n",
+    out += format_string("deduplicated execution: %ld kernels, %ld jobs run "
+                         "as %ld unique assignments\n",
                          s.batch_runs, s.batch_lanes, s.batch_unique_lanes);
   out += format_string("solver: %ld nodes, %ld simplex iterations\n",
                        s.solver_nodes, s.solver_iterations);

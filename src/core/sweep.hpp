@@ -46,21 +46,14 @@ struct SweepOptions {
   /// bytecode engine, default) or "ref" (the tree-walking reference).
   /// Results are bit-identical either way.
   std::string engine = "vm";
-  /// Execute the tuned assignments of each kernel as parallel lanes of
-  /// one batched engine run (ExecutionEngine::run_batch) instead of one
-  /// scalar run per job: the kernel is parsed once, duplicate assignments
-  /// collapse into a single lane, and the VM walks the shared control
-  /// skeleton once per lane group. Per-job speedup/MPE are bit-identical
-  /// to the scalar path; only the timing split differs.
-  bool batch = true;
   /// After the (possibly parallel) sweep, serially re-tune every ILP job
   /// and verify it reproduces the same assignment and objective.
   bool check_determinism = true;
-  /// Shadow-execute every tuned job (scalar and batched paths alike): the
-  /// VM carries a lockstep binary64 shadow and each job's row gains the
-  /// in-engine MPE, max abs/rel deviation, and control-divergence count
-  /// (see docs/OBSERVABILITY.md, "Numerical-error profiling"). Quantized
-  /// outputs are bit-identical with this on.
+  /// Shadow-execute every tuned job: the VM carries a lockstep binary64
+  /// shadow and each job's row gains the in-engine MPE, max abs/rel
+  /// deviation, and control-divergence count (see docs/OBSERVABILITY.md,
+  /// "Numerical-error profiling"). Quantized outputs are bit-identical
+  /// with this on.
   bool errors = false;
   /// VRA fixpoint knobs, applied to every job's pipeline and recorded in
   /// the JSON report (so a sweep is reproducible from its own artifact).
@@ -109,11 +102,9 @@ struct SweepStats {
   /// -1 when the check is disabled; otherwise the number of jobs whose
   /// serial re-tune disagreed with the sweep result (0 = proven).
   int determinism_mismatches = -1;
-  /// Batched-execution stats (all zero with SweepOptions::batch off): one
-  /// "run" per kernel whose tuned jobs executed as lanes of a single
-  /// batched engine call; `lanes` counts the job executions served that
-  /// way and `unique_lanes` the deduplicated assignments actually
-  /// interpreted.
+  /// Deduplicated-execution stats: one "run" per kernel whose tuned jobs
+  /// were executed, `lanes` the jobs served and `unique_lanes` the
+  /// distinct assignments actually interpreted.
   long batch_runs = 0;
   long batch_lanes = 0;
   long batch_unique_lanes = 0;

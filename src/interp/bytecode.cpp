@@ -50,128 +50,83 @@ double const_real_value(const ir::Value* v) {
   return static_cast<const ir::ConstReal*>(v)->value();
 }
 
-/// Lowers one Function against N type assignments ("lanes") in a single
-/// IR walk. Everything structural — register numbering, pc layout, block
-/// entries, branch targets, edge/move ids, trap placement — is computed
-/// once and is identical across lanes by construction; the per-lane loop
-/// only re-resolves the type-dependent bindings (kernels, specs,
-/// immediates, conversions, cast counters). The batched executor depends
-/// on that skeleton identity.
+/// Lowers one Function under one TypeAssignment into a CompiledProgram.
 class Compiler {
 public:
-  Compiler(const ir::Function& f, std::span<const TypeAssignment* const> lanes,
+  Compiler(const ir::Function& f, const TypeAssignment& types,
            const CompileOptions& options)
-      : f_(f), opt_(options), lanes_(lanes.size()) {
-    LUIS_ASSERT(!lanes.empty(), "compile_programs needs at least one lane");
-    for (std::size_t i = 0; i < lanes.size(); ++i) lanes_[i].types = lanes[i];
-  }
+      : f_(f), types_(types), opt_(options) {}
 
-  std::vector<CompiledProgram> compile() {
+  CompiledProgram compile() {
     // Dense register slots: one per instruction, in block order (the same
     // ordinal the reference interpreter's slot map uses).
     std::int32_t n = 0;
     for (const auto& bb : f_.blocks())
       for (const auto& inst : bb->instructions()) reg_[inst.get()] = n++;
 
-    for (Lane& L : lanes_) {
-      L.p.function_name = f_.name();
-      L.p.options = opt_;
-      L.p.num_regs = n;
-      L.p.source_instruction_count = static_cast<std::size_t>(n);
-    }
+    p_.function_name = f_.name();
+    p_.options = opt_;
+    p_.num_regs = n;
+    p_.source_instruction_count = static_cast<std::size_t>(n);
 
     for (const auto& arr : f_.arrays()) {
-      array_id_[arr.get()] =
-          static_cast<std::int32_t>(lanes_[0].p.arrays.size());
-      for (Lane& L : lanes_) {
-        ArrayBinding ab;
-        ab.name = arr->name();
-        ab.dims.assign(arr->dims().begin(), arr->dims().end());
-        ab.element_count = arr->element_count();
-        const ConcreteType at = L.types->of(arr.get());
-        ab.spec = spec_id(L, at);
-        ab.init_conv = numrep::bind_quantizer(at);
-        L.p.arrays.push_back(std::move(ab));
-      }
+      array_id_[arr.get()] = static_cast<std::int32_t>(p_.arrays.size());
+      ArrayBinding ab;
+      ab.name = arr->name();
+      ab.dims.assign(arr->dims().begin(), arr->dims().end());
+      ab.element_count = arr->element_count();
+      const ConcreteType at = types_.of(arr.get());
+      ab.spec = spec_id(at);
+      ab.init_conv = numrep::bind_quantizer(at);
+      p_.arrays.push_back(std::move(ab));
     }
 
     for (std::size_t i = 0; i < f_.blocks().size(); ++i)
       block_id_[f_.blocks()[i].get()] = static_cast<std::int32_t>(i);
-    for (Lane& L : lanes_) L.p.blocks.resize(f_.blocks().size());
+    p_.blocks.resize(f_.blocks().size());
 
     for (std::size_t i = 0; i < f_.blocks().size(); ++i)
       compile_block(static_cast<std::int32_t>(i), *f_.blocks()[i]);
 
-    if (!f_.blocks().empty()) {
-      const std::int32_t entry = edge_id(f_.entry(), nullptr);
-      for (Lane& L : lanes_) L.p.entry_edge = entry;
-    }
-    std::vector<CompiledProgram> out;
-    out.reserve(lanes_.size());
-    for (Lane& L : lanes_) out.push_back(std::move(L.p));
-    return out;
+    if (!f_.blocks().empty()) p_.entry_edge = edge_id(f_.entry(), nullptr);
+    return std::move(p_);
   }
 
 private:
-  /// Per-lane compilation state: the program under construction plus the
-  /// lane-local interning tables (counter slots, quant specs, exact binds
-  /// depend on the lane's types, so their ids are lane-private).
-  struct Lane {
-    const TypeAssignment* types = nullptr;
-    CompiledProgram p;
-    std::map<std::pair<std::string, std::string>, std::int32_t> counter_ids;
-    std::vector<ConcreteType> spec_types; ///< parallel to p.specs
-  };
-
   std::int32_t reg(const ir::Value* v) const { return reg_.at(v); }
 
-  std::int32_t counter_id(Lane& L, const std::string& op,
-                          const std::string& type) {
+  std::int32_t counter_id(const std::string& op, const std::string& type) {
     const auto key = std::make_pair(op, type);
-    const auto it = L.counter_ids.find(key);
-    if (it != L.counter_ids.end()) return it->second;
-    const auto id = static_cast<std::int32_t>(L.p.counter_keys.size());
-    L.p.counter_keys.push_back(key);
-    L.counter_ids.emplace(key, id);
+    const auto it = counter_ids_.find(key);
+    if (it != counter_ids_.end()) return it->second;
+    const auto id = static_cast<std::int32_t>(p_.counter_keys.size());
+    p_.counter_keys.push_back(key);
+    counter_ids_.emplace(key, id);
     return id;
   }
 
-  std::int32_t spec_id(Lane& L, const ConcreteType& type) {
-    for (std::size_t i = 0; i < L.spec_types.size(); ++i)
-      if (L.spec_types[i] == type) return static_cast<std::int32_t>(i);
-    L.spec_types.push_back(type);
-    L.p.specs.push_back(numrep::make_quant_spec(type));
-    return static_cast<std::int32_t>(L.p.specs.size() - 1);
+  std::int32_t spec_id(const ConcreteType& type) {
+    for (std::size_t i = 0; i < spec_types_.size(); ++i)
+      if (spec_types_[i] == type) return static_cast<std::int32_t>(i);
+    spec_types_.push_back(type);
+    p_.specs.push_back(numrep::make_quant_spec(type));
+    return static_cast<std::int32_t>(p_.specs.size() - 1);
   }
 
-  /// Messages are emitted at structurally determined points, so the id is
-  /// the same in every lane; intern into all of them and return it.
   std::int32_t message_id(const std::string& message) {
-    std::int32_t id = -1;
-    for (Lane& L : lanes_) {
-      std::int32_t lane_id = -1;
-      for (std::size_t i = 0; i < L.p.messages.size(); ++i)
-        if (L.p.messages[i] == message) {
-          lane_id = static_cast<std::int32_t>(i);
-          break;
-        }
-      if (lane_id < 0) {
-        lane_id = static_cast<std::int32_t>(L.p.messages.size());
-        L.p.messages.push_back(message);
-      }
-      LUIS_ASSERT(id < 0 || id == lane_id, "message ids diverged across lanes");
-      id = lane_id;
-    }
-    return id;
+    for (std::size_t i = 0; i < p_.messages.size(); ++i)
+      if (p_.messages[i] == message) return static_cast<std::int32_t>(i);
+    p_.messages.push_back(message);
+    return static_cast<std::int32_t>(p_.messages.size() - 1);
   }
 
-  std::int32_t exact_bind_id(Lane& L, const numrep::ExactFixedBind& bind) {
-    for (std::size_t i = 0; i < L.p.exact_binds.size(); ++i)
-      if (L.p.exact_binds[i].a == bind.a && L.p.exact_binds[i].b == bind.b &&
-          L.p.exact_binds[i].out == bind.out)
+  std::int32_t exact_bind_id(const numrep::ExactFixedBind& bind) {
+    for (std::size_t i = 0; i < p_.exact_binds.size(); ++i)
+      if (p_.exact_binds[i].a == bind.a && p_.exact_binds[i].b == bind.b &&
+          p_.exact_binds[i].out == bind.out)
         return static_cast<std::int32_t>(i);
-    L.p.exact_binds.push_back(bind);
-    return static_cast<std::int32_t>(L.p.exact_binds.size() - 1);
+    p_.exact_binds.push_back(bind);
+    return static_cast<std::int32_t>(p_.exact_binds.size() - 1);
   }
 
   IntArg int_arg(const ir::Value* v) {
@@ -189,7 +144,7 @@ private:
   /// cast when the formats differ — except the fixed->fixed realignment of
   /// a non-aligning op, which is folded into the op's own rescale — and
   /// are numerically converted only when aligned.
-  RealArg real_arg(Lane& L, const ir::Value* v, const ConcreteType& target,
+  RealArg real_arg(const ir::Value* v, const ConcreteType& target,
                    bool align) {
     RealArg a;
     if (v->is_constant()) {
@@ -199,16 +154,16 @@ private:
       return a;
     }
     a.reg = reg(v);
-    const ConcreteType& from = L.types->of(v);
+    const ConcreteType& from = types_.of(v);
     if (from == target) return a;
     const bool folded_shift =
         !align && from.format.is_fixed() && target.format.is_fixed();
     if (!folded_shift)
       a.cast_counter =
-          counter_id(L, "cast_" + cost_class(from), cost_class(target));
+          counter_id("cast_" + cost_class(from), cost_class(target));
     if (align) {
       a.conv = numrep::bind_quantizer(target);
-      a.spec = spec_id(L, target);
+      a.spec = spec_id(target);
     }
     return a;
   }
@@ -225,9 +180,7 @@ private:
   /// The phi moves for entering `to` from `from` (nullptr = function
   /// entry), deduplicated per edge. A phi with no matching incoming edge
   /// turns the whole edge into a trap, exactly like the reference
-  /// interpreter erroring before it commits the batch. Whether an edge
-  /// traps and how many moves it has are type-independent, so the edge id
-  /// and move slice layout are shared across lanes.
+  /// interpreter erroring before it commits the batch.
   std::int32_t edge_id(const ir::BasicBlock* to, const ir::BasicBlock* from) {
     const auto key = std::make_pair(to, from);
     const auto it = edge_ids_.find(key);
@@ -249,56 +202,47 @@ private:
       phis.emplace_back(phi, incoming);
     }
 
-    std::int32_t trap_id = -1;
-    if (trap) trap_id = message_id("phi has no incoming edge for predecessor");
-
-    std::int32_t id = -1;
-    for (Lane& L : lanes_) {
-      EdgeMoves e;
-      e.start = static_cast<std::int32_t>(L.p.moves.size());
-      e.trap_msg = trap_id;
-      if (!trap) {
-        for (const auto& [phi, incoming] : phis) {
-          PhiMove m;
-          m.dst = reg(phi);
-          const ir::Value* in =
-              phi->operand(static_cast<std::size_t>(incoming));
-          if (phi->type() == ScalarType::Int) {
-            m.isrc = int_arg(in);
+    EdgeMoves e;
+    e.start = static_cast<std::int32_t>(p_.moves.size());
+    if (trap) {
+      e.trap_msg = message_id("phi has no incoming edge for predecessor");
+    } else {
+      for (const auto& [phi, incoming] : phis) {
+        PhiMove m;
+        m.dst = reg(phi);
+        const ir::Value* in = phi->operand(static_cast<std::size_t>(incoming));
+        if (phi->type() == ScalarType::Int) {
+          m.isrc = int_arg(in);
+        } else {
+          m.is_real = true;
+          const ConcreteType to_ty = types_.of(phi);
+          if (in->is_constant()) {
+            m.rsrc.imm = numrep::quantize(to_ty, const_real_value(in));
+            m.rsrc.shadow_imm = const_real_value(in);
           } else {
-            m.is_real = true;
-            const ConcreteType to_ty = L.types->of(phi);
-            if (in->is_constant()) {
-              m.rsrc.imm = numrep::quantize(to_ty, const_real_value(in));
-              m.rsrc.shadow_imm = const_real_value(in);
-            } else {
-              m.rsrc.reg = reg(in);
-              const ConcreteType& from_ty = L.types->of(in);
-              if (!(from_ty == to_ty)) {
-                m.rsrc.cast_counter = counter_id(
-                    L, "cast_" + cost_class(from_ty), cost_class(to_ty));
-                m.rsrc.conv = numrep::bind_quantizer(to_ty);
-                m.rsrc.spec = spec_id(L, to_ty);
-              }
+            m.rsrc.reg = reg(in);
+            const ConcreteType& from_ty = types_.of(in);
+            if (!(from_ty == to_ty)) {
+              m.rsrc.cast_counter =
+                  counter_id("cast_" + cost_class(from_ty), cost_class(to_ty));
+              m.rsrc.conv = numrep::bind_quantizer(to_ty);
+              m.rsrc.spec = spec_id(to_ty);
             }
           }
-          L.p.moves.push_back(m);
-          ++e.count;
         }
+        p_.moves.push_back(m);
+        ++e.count;
       }
-      const auto lane_id = static_cast<std::int32_t>(L.p.edges.size());
-      L.p.edges.push_back(e);
-      LUIS_ASSERT(id < 0 || id == lane_id, "edge ids diverged across lanes");
-      id = lane_id;
     }
+    const auto id = static_cast<std::int32_t>(p_.edges.size());
+    p_.edges.push_back(e);
     edge_ids_.emplace(key, id);
     return id;
   }
 
   void compile_block(std::int32_t id, const ir::BasicBlock& bb) {
-    for (Lane& L : lanes_)
-      L.p.blocks[static_cast<std::size_t>(id)].entry =
-          static_cast<std::int32_t>(L.p.code.size());
+    p_.blocks[static_cast<std::size_t>(id)].entry =
+        static_cast<std::int32_t>(p_.code.size());
     const auto& insts = bb.instructions();
     std::size_t i = 0;
     while (i < insts.size() && insts[i]->is_phi()) ++i; // edges carry these
@@ -311,13 +255,13 @@ private:
         terminated = true;
         break;
       }
-      for (Lane& L : lanes_) compile_instruction(L, inst);
+      compile_instruction(inst);
     }
     if (!terminated) {
       BInst bi;
       bi.kind = BInst::Kind::Trap;
       bi.trap_msg = message_id("block fell through without a terminator");
-      for (Lane& L : lanes_) L.p.code.push_back(bi);
+      p_.code.push_back(bi);
     }
   }
 
@@ -344,16 +288,15 @@ private:
       break;
     default: LUIS_UNREACHABLE("not a terminator");
     }
-    // Terminators carry no type-dependent state: one BInst for every lane.
-    for (Lane& L : lanes_) L.p.code.push_back(bi);
+    p_.code.push_back(bi);
   }
 
-  void compile_instruction(Lane& L, const Instruction* inst) {
+  void compile_instruction(const Instruction* inst) {
     BInst bi;
     bi.op = inst->opcode();
     bi.dst = reg(inst);
     bi.src = bi.dst;
-    const ConcreteType ty = L.types->of(inst);
+    const ConcreteType ty = types_.of(inst);
     switch (inst->opcode()) {
     case Opcode::Add: case Opcode::Sub: case Opcode::Mul: case Opcode::Div:
     case Opcode::Rem: case Opcode::Pow: case Opcode::Min: case Opcode::Max: {
@@ -363,14 +306,14 @@ private:
                          inst->opcode() == Opcode::Sub ||
                          inst->opcode() == Opcode::Min ||
                          inst->opcode() == Opcode::Max;
-      bi.a = real_arg(L, inst->operand(0), ty, align);
-      bi.b = real_arg(L, inst->operand(1), ty, align);
+      bi.a = real_arg(inst->operand(0), ty, align);
+      bi.b = real_arg(inst->operand(1), ty, align);
       bi.op_counter =
-          counter_id(L, ir::opcode_name(inst->opcode()), cost_class(ty));
+          counter_id(ir::opcode_name(inst->opcode()), cost_class(ty));
       bool exact = false;
       if (opt_.exact_fixed_arithmetic && ty.format.is_fixed()) {
         const auto operand_type = [&](const ir::Value* v) {
-          return v->is_constant() ? ty : L.types->of(v);
+          return v->is_constant() ? ty : types_.of(v);
         };
         const ConcreteType ta = operand_type(inst->operand(0));
         const ConcreteType tb = operand_type(inst->operand(1));
@@ -379,10 +322,9 @@ private:
         if (kernel && ta.format.is_fixed() && tb.format.is_fixed()) {
           bi.kind = BInst::Kind::ExactFixed2;
           bi.exact = kernel;
-          bi.exact_bind =
-              exact_bind_id(L, {numrep::FixedSpec::from(ta),
-                                numrep::FixedSpec::from(tb),
-                                numrep::FixedSpec::from(ty)});
+          bi.exact_bind = exact_bind_id({numrep::FixedSpec::from(ta),
+                                         numrep::FixedSpec::from(tb),
+                                         numrep::FixedSpec::from(ty)});
           make_raw(bi.a, inst->operand(0));
           make_raw(bi.b, inst->operand(1));
           exact = true;
@@ -391,42 +333,42 @@ private:
       if (!exact) {
         bi.kind = BInst::Kind::Arith2;
         bi.kernel2 = numrep::bind_kernel2(kernel_op2(inst->opcode()), ty);
-        bi.spec = spec_id(L, ty);
+        bi.spec = spec_id(ty);
       }
       break;
     }
     case Opcode::Neg: case Opcode::Abs: case Opcode::Sqrt: case Opcode::Exp:
       bi.kind = BInst::Kind::Arith1;
-      bi.a = real_arg(L, inst->operand(0), ty, /*align=*/false);
+      bi.a = real_arg(inst->operand(0), ty, /*align=*/false);
       bi.kernel1 = numrep::bind_kernel1(kernel_op1(inst->opcode()), ty);
-      bi.spec = spec_id(L, ty);
+      bi.spec = spec_id(ty);
       bi.op_counter =
-          counter_id(L, ir::opcode_name(inst->opcode()), cost_class(ty));
+          counter_id(ir::opcode_name(inst->opcode()), cost_class(ty));
       break;
     case Opcode::Cast:
       // Explicit representation change: the conversion cost is carried by
       // the operand fetch.
       bi.kind = BInst::Kind::CastReal;
-      bi.a = real_arg(L, inst->operand(0), ty, /*align=*/true);
+      bi.a = real_arg(inst->operand(0), ty, /*align=*/true);
       break;
     case Opcode::IntToReal:
       bi.kind = BInst::Kind::IntToReal;
       bi.ia = int_arg(inst->operand(0));
       bi.a.conv = numrep::bind_quantizer(ty);
-      bi.a.spec = spec_id(L, ty);
-      bi.op_counter = counter_id(L, "cast_fix", cost_class(ty));
+      bi.a.spec = spec_id(ty);
+      bi.op_counter = counter_id("cast_fix", cost_class(ty));
       break;
     case Opcode::Load: {
       const auto* arr = static_cast<const ir::Array*>(inst->operand(0));
       bi.kind = BInst::Kind::Load;
       bi.array = array_id_.at(arr);
-      compile_indices(L, bi, inst, 1, arr);
-      const ConcreteType at = L.types->of(arr);
+      compile_indices(bi, inst, 1, arr);
+      const ConcreteType at = types_.of(arr);
       if (!(at == ty)) {
         bi.a.cast_counter =
-            counter_id(L, "cast_" + cost_class(at), cost_class(ty));
+            counter_id("cast_" + cost_class(at), cost_class(ty));
         bi.a.conv = numrep::bind_quantizer(ty);
-        bi.a.spec = spec_id(L, ty);
+        bi.a.spec = spec_id(ty);
       }
       break;
     }
@@ -434,8 +376,8 @@ private:
       const auto* arr = static_cast<const ir::Array*>(inst->operand(1));
       bi.kind = BInst::Kind::Store;
       bi.array = array_id_.at(arr);
-      bi.a = real_arg(L, inst->operand(0), L.types->of(arr), /*align=*/true);
-      compile_indices(L, bi, inst, 2, arr);
+      bi.a = real_arg(inst->operand(0), types_.of(arr), /*align=*/true);
+      compile_indices(bi, inst, 2, arr);
       break;
     }
     case Opcode::IAdd: case Opcode::ISub: case Opcode::IMul:
@@ -455,8 +397,8 @@ private:
       // Comparison happens on the stored representations directly.
       bi.kind = BInst::Kind::RealCmp;
       bi.pred = inst->predicate();
-      bi.a = real_arg(L, inst->operand(0), ty, /*align=*/false);
-      bi.b = real_arg(L, inst->operand(1), ty, /*align=*/false);
+      bi.a = real_arg(inst->operand(0), ty, /*align=*/false);
+      bi.b = real_arg(inst->operand(1), ty, /*align=*/false);
       bi.a.cast_counter = bi.b.cast_counter = -1; // raw reads, never billed
       break;
     case Opcode::Select:
@@ -467,27 +409,30 @@ private:
         bi.ib = int_arg(inst->operand(2));
       } else {
         bi.kind = BInst::Kind::SelectReal;
-        bi.a = real_arg(L, inst->operand(1), ty, /*align=*/true);
-        bi.b = real_arg(L, inst->operand(2), ty, /*align=*/true);
+        bi.a = real_arg(inst->operand(1), ty, /*align=*/true);
+        bi.b = real_arg(inst->operand(2), ty, /*align=*/true);
       }
       break;
     case Opcode::Phi: case Opcode::Br: case Opcode::CondBr: case Opcode::Ret:
       LUIS_UNREACHABLE("handled by the block walk");
     }
-    L.p.code.push_back(std::move(bi));
+    p_.code.push_back(std::move(bi));
   }
 
-  void compile_indices(Lane& L, BInst& bi, const Instruction* inst,
+  void compile_indices(BInst& bi, const Instruction* inst,
                        std::size_t first_operand, const ir::Array* arr) {
-    bi.index_start = static_cast<std::int32_t>(L.p.index_args.size());
+    bi.index_start = static_cast<std::int32_t>(p_.index_args.size());
     bi.index_count = static_cast<std::int32_t>(arr->dims().size());
     for (std::size_t d = 0; d < arr->dims().size(); ++d)
-      L.p.index_args.push_back(int_arg(inst->operand(first_operand + d)));
+      p_.index_args.push_back(int_arg(inst->operand(first_operand + d)));
   }
 
   const ir::Function& f_;
+  const TypeAssignment& types_;
   const CompileOptions opt_;
-  std::vector<Lane> lanes_;
+  CompiledProgram p_;
+  std::map<std::pair<std::string, std::string>, std::int32_t> counter_ids_;
+  std::vector<ConcreteType> spec_types_; ///< parallel to p_.specs
   std::map<const ir::Value*, std::int32_t> reg_;
   std::map<const ir::BasicBlock*, std::int32_t> block_id_;
   std::map<const ir::Array*, std::int32_t> array_id_;
@@ -521,15 +466,7 @@ template <typename T> bool compare(ir::CmpPred pred, T a, T b) {
 CompiledProgram compile_program(const ir::Function& f,
                                 const TypeAssignment& types,
                                 const CompileOptions& options) {
-  const TypeAssignment* const one[] = {&types};
-  return std::move(Compiler(f, one, options).compile().front());
-}
-
-std::vector<CompiledProgram>
-compile_programs(const ir::Function& f,
-                 std::span<const TypeAssignment* const> lanes,
-                 const CompileOptions& options) {
-  return Compiler(f, lanes, options).compile();
+  return Compiler(f, types, options).compile();
 }
 
 void finalize_error_profile(

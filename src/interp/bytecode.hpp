@@ -158,20 +158,6 @@ CompiledProgram compile_program(const ir::Function& f,
                                 const TypeAssignment& types,
                                 const CompileOptions& options = {});
 
-/// Batched lowering: walks `f` once and emits one program per type
-/// assignment ("lane"). All resulting programs share the same structural
-/// skeleton — identical pc layout, register numbering, block entries,
-/// edge/move counts, branch targets, and trap placement — because none of
-/// those depend on the type assignment; only the numeric bindings
-/// (kernels, quant specs, immediates, conversions, cast counters, array
-/// init quantizers) differ per lane. That invariant is what the batched
-/// executor (interp/batch.hpp) relies on to run all lanes in lockstep off
-/// lane 0's control flow. compile_program() is the one-lane special case.
-std::vector<CompiledProgram>
-compile_programs(const ir::Function& f,
-                 std::span<const TypeAssignment* const> lanes,
-                 const CompileOptions& options = {});
-
 /// Executes a compiled program. `f` must have the same printed IR as the
 /// compile-time function (asserted by shape); it is consulted only to
 /// attribute register ranges back to Instruction pointers when
@@ -182,8 +168,8 @@ RunResult run_program(const CompiledProgram& program, const ir::Function& f,
 /// Fills an ErrorProfile's per-array stats, whole-program MPE, and shadow
 /// array snapshots from the final buffer contents of a successful run.
 /// `quantized` and `shadow` hold one buffer per ArrayBinding, in binding
-/// order. Shared by the scalar and batched executors; exposed so the fuzz
-/// oracle can recompute the same reduction independently.
+/// order. Exposed so the fuzz oracle can recompute the same reduction
+/// independently.
 void finalize_error_profile(ErrorProfile& ep, const CompiledProgram& program,
                             std::span<const std::vector<double>* const> quantized,
                             std::span<const std::vector<double>* const> shadow);

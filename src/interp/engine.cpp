@@ -73,11 +73,11 @@ void ProgramCache::clear() {
 std::vector<RunResult>
 ExecutionEngine::run_batch(const ir::Function& f,
                            std::span<const BatchRequest> lanes,
-                           const BatchRunOptions& options) const {
+                           const RunOptions& options) const {
   std::vector<RunResult> results;
   results.reserve(lanes.size());
   for (const BatchRequest& lane : lanes) {
-    RunOptions ro = options.run;
+    RunOptions ro = options;
     ro.vm_profile = lane.profile;
     ro.error_profile = lane.errors;
     results.push_back(run(f, *lane.types, *lane.store, ro));
@@ -146,86 +146,6 @@ RunResult VmEngine::run(const ir::Function& f, const TypeAssignment& types,
   obs::metrics().histogram("engine.vm.execute_seconds")
       .observe(result.execute_seconds);
   return result;
-}
-
-std::vector<RunResult>
-VmEngine::run_batch(const ir::Function& f, std::span<const BatchRequest> lanes,
-                    const BatchRunOptions& options) const {
-  if (lanes.empty()) return {};
-  CompileOptions copt;
-  copt.exact_fixed_arithmetic = options.run.exact_fixed_arithmetic;
-  const auto n = lanes.size();
-
-  // Resolve every lane against the cache, then lower all missing lanes in
-  // one compile_programs() walk over the function. Mixing cached and
-  // freshly compiled programs is sound: the structural skeleton depends
-  // only on the printed IR and the compile options, never on the type
-  // assignment.
-  const auto t0 = std::chrono::steady_clock::now();
-  std::vector<std::shared_ptr<const CompiledProgram>> programs(n);
-  long cache_hits = 0;
-  {
-    obs::TraceSpan span("vm.batch_compile", "engine", [&] {
-      return obs::Args().str("function", f.name()).num("lanes", n).done();
-    });
-    std::vector<std::string> keys(n);
-    std::vector<std::size_t> missing;
-    if (cache_) {
-      for (std::size_t i = 0; i < n; ++i) {
-        keys[i] = program_cache_key(f, *lanes[i].types, copt);
-        programs[i] = cache_->lookup(keys[i]);
-        if (programs[i])
-          ++cache_hits;
-        else
-          missing.push_back(i);
-      }
-    } else {
-      for (std::size_t i = 0; i < n; ++i) missing.push_back(i);
-    }
-    if (!missing.empty()) {
-      std::vector<const TypeAssignment*> types;
-      types.reserve(missing.size());
-      for (const std::size_t i : missing) types.push_back(lanes[i].types);
-      std::vector<CompiledProgram> compiled = compile_programs(f, types, copt);
-      for (std::size_t k = 0; k < missing.size(); ++k) {
-        const std::size_t i = missing[k];
-        programs[i] = std::make_shared<const CompiledProgram>(
-            std::move(compiled[k]));
-        if (cache_) cache_->insert(keys[i], programs[i]);
-      }
-    }
-  }
-  const double compile_seconds = seconds_since(t0);
-
-  const auto t1 = std::chrono::steady_clock::now();
-  std::vector<RunResult> results;
-  {
-    obs::TraceSpan span("vm.batch_execute", "engine", [&] {
-      return obs::Args()
-          .str("function", f.name())
-          .num("lanes", n)
-          .num("cache_hits", cache_hits)
-          .done();
-    });
-    std::vector<BatchLane> bl(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      bl[i].program = programs[i].get();
-      bl[i].store = lanes[i].store;
-      bl[i].profile = lanes[i].profile;
-      bl[i].errors = lanes[i].errors;
-    }
-    results = run_batch_programs(bl, f, options);
-  }
-  const double execute_seconds = seconds_since(t1);
-  for (RunResult& r : results) {
-    r.compile_seconds = compile_seconds / static_cast<double>(n);
-    r.execute_seconds = execute_seconds / static_cast<double>(n);
-  }
-  obs::metrics().counter("engine.vm.batch_runs").inc();
-  obs::metrics().counter("engine.vm.batch_lanes").inc(static_cast<long>(n));
-  obs::metrics().histogram("engine.vm.compile_seconds").observe(compile_seconds);
-  obs::metrics().histogram("engine.vm.execute_seconds").observe(execute_seconds);
-  return results;
 }
 
 std::unique_ptr<ExecutionEngine> make_engine(EngineKind kind,

@@ -11,11 +11,12 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
-#include "interp/batch.hpp"
 #include "interp/bytecode.hpp"
 #include "interp/interpreter.hpp"
 
@@ -58,9 +59,9 @@ private:
   Stats stats_;
 };
 
-/// One lane of a batched run: a type assignment plus its private array
-/// store (and optional per-lane VM profile). Stores must be distinct
-/// objects per lane.
+/// One lane of a run_batch() call: a type assignment plus its private
+/// array store and optional per-lane VM and shadow-error profiles. Stores
+/// must be distinct objects per lane.
 struct BatchRequest {
   const TypeAssignment* types = nullptr;
   ArrayStore* store = nullptr;
@@ -84,17 +85,14 @@ public:
                         ArrayStore& store,
                         const RunOptions& options = {}) const = 0;
 
-  /// Runs `f` once per lane and returns one RunResult per lane,
-  /// bit-identical (outputs, steps, counters, ranges, trap diagnostics)
-  /// to calling run() per lane. The base implementation is exactly that
-  /// scalar loop; VmEngine overrides it with the multi-lane executor
-  /// (interp/batch.hpp), which compiles the function once for all
-  /// cache-missing lanes and interprets the shared control skeleton once
-  /// per lane group. Per-lane compile/execute seconds are the batch
-  /// totals split evenly.
-  virtual std::vector<RunResult>
-  run_batch(const ir::Function& f, std::span<const BatchRequest> lanes,
-            const BatchRunOptions& options = {}) const;
+  /// Runs `f` under every lane in order, one run() each, and returns the
+  /// results in lane order. `options` applies to every lane, except that
+  /// each lane's own `profile` and `errors` replace
+  /// RunOptions::vm_profile and ::error_profile. A lane that traps only
+  /// fails its own result.
+  std::vector<RunResult> run_batch(const ir::Function& f,
+                                   std::span<const BatchRequest> lanes,
+                                   const RunOptions& options = {}) const;
 };
 
 /// The tree-walking interpreter behind the interface.
@@ -115,9 +113,6 @@ public:
   RunResult run(const ir::Function& f, const TypeAssignment& types,
                 ArrayStore& store,
                 const RunOptions& options = {}) const override;
-  std::vector<RunResult>
-  run_batch(const ir::Function& f, std::span<const BatchRequest> lanes,
-            const BatchRunOptions& options = {}) const override;
 
 private:
   ProgramCache* cache_;

@@ -8,7 +8,7 @@
 // Value-level rounding stays in soft_float.cpp (round_to_format is the
 // single rounding routine every kernel shares); this codec exists for
 // encode/decode — the bit patterns the exhaustive <=8-bit enumeration
-// suite walks, and that the SWAR lanes of ROADMAP item 4 will pack.
+// suite walks.
 #pragma once
 
 #include <cstdint>

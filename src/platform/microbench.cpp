@@ -39,15 +39,19 @@ OpTimeTable run_microbenchmark(const MicrobenchOptions& opt) {
   OpTimeTable table("host");
 
   // Arithmetic. Operand values keep every chain numerically stable so the
-  // loop cannot hit inf/NaN slow paths.
-  table.set("add", "fix", time_blocks<std::int32_t>(opt, 1, [](std::int32_t x) {
-              return x + 12345;
+  // loop cannot hit inf/NaN slow paths. The add/sub/mul chains wrap around,
+  // so they run unsigned, where wraparound is defined.
+  table.set("add", "fix",
+            time_blocks<std::uint32_t>(opt, 1, [](std::uint32_t x) {
+              return x + 12345u;
             }));
-  table.set("sub", "fix", time_blocks<std::int32_t>(opt, 1, [](std::int32_t x) {
-              return x - 12345;
+  table.set("sub", "fix",
+            time_blocks<std::uint32_t>(opt, 1, [](std::uint32_t x) {
+              return x - 12345u;
             }));
-  table.set("mul", "fix", time_blocks<std::int32_t>(opt, 3, [](std::int32_t x) {
-              return x * 3;
+  table.set("mul", "fix",
+            time_blocks<std::uint32_t>(opt, 3, [](std::uint32_t x) {
+              return x * 3u;
             }));
   table.set("div", "fix", time_blocks<std::int32_t>(opt, 1 << 30,
                                                     [](std::int32_t x) {

@@ -254,41 +254,6 @@ CheckResult check_ir_instance(const ir::Function& f,
     return CheckResult::fail(
         "vm and reference engines disagree in cost counters");
 
-  // 7. Lane-vs-reference equivalence of the batched VM: a random lane set
-  // (binary64, the assignment above, and two more random assignments)
-  // through VmEngine::run_batch must match per-assignment reference runs
-  // bit for bit — per-lane outputs, verdicts, steps, and cost counters.
-  const std::vector<interp::TypeAssignment> lane_types = {
-      binary64, assignment, random_type_assignment(f, type_rng),
-      random_type_assignment(f, type_rng)};
-  std::vector<interp::ArrayStore> lane_stores(lane_types.size(), inputs);
-  std::vector<interp::BatchRequest> requests(lane_types.size());
-  for (std::size_t i = 0; i < lane_types.size(); ++i)
-    requests[i] = {&lane_types[i], &lane_stores[i], nullptr};
-  const std::vector<interp::RunResult> batch =
-      vm_engine.run_batch(f, requests, {});
-  for (std::size_t i = 0; i < lane_types.size(); ++i) {
-    interp::ArrayStore lane_ref = inputs;
-    const interp::RunResult want =
-        reference_engine.run(f, lane_types[i], lane_ref);
-    const interp::RunResult& got = batch[i];
-    const std::string lane = "lane " + std::to_string(i);
-    if (got.ok != want.ok || got.error != want.error)
-      return CheckResult::fail("batched vm disagrees with reference on the " +
-                               lane + " verdict: \"" + want.error + "\" vs \"" +
-                               got.error + "\"");
-    if (got.steps != want.steps)
-      return CheckResult::fail("batched vm disagrees with reference on " +
-                               lane + " steps");
-    if (got.counters.ops != want.counters.ops ||
-        got.counters.non_real_ops != want.counters.non_real_ops)
-      return CheckResult::fail("batched vm disagrees with reference in " +
-                               lane + " cost counters");
-    if (!stores_bit_equal(lane_ref, lane_stores[i], &where))
-      return CheckResult::fail("batched vm disagrees with reference on " +
-                               lane + " at @" + where);
-  }
-
   return CheckResult::pass();
 }
 

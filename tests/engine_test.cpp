@@ -330,12 +330,52 @@ entry:
   EXPECT_EQ(cache.stats().insertions, 1);
 }
 
-// ---- Batched execution (interp/batch.hpp, VmEngine::run_batch) ----------
+TEST(Engine, PhiEdgeReadsSourcesSimultaneously) {
+  // A swap loop: both phis of an edge must read their sources before
+  // either destination is written, under every assignment. An odd trip
+  // count leaves the values exchanged; each assignment quantizes the pair
+  // differently.
+  const char* text = R"(func @swap {
+  array @A[2] range [0.0, 4.0]
+entry:
+  %0 = load @A[0]
+  %1 = load @A[1]
+  br loop
+loop:
+  %2 = phi int [ 0, entry ], [ %5, loop ]
+  %3 = phi real [ %0, entry ], [ %4, loop ]
+  %4 = phi real [ %1, entry ], [ %3, loop ]
+  %5 = iadd %2, 1
+  %6 = icmp lt %5, 6
+  condbr %6, loop, done
+done:
+  store %3, @A[0]
+  store %4, @A[1]
+  ret
+})";
+  ir::Module m;
+  const ir::ParseResult parsed = ir::parse_function(m, text);
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  const ir::Function& f = *parsed.function;
+  ArrayStore inputs;
+  inputs["A"] = {0.625, 2.75};
+  for (const TypeAssignment& types : assignment_grid(f))
+    expect_engines_agree(f, types, inputs);
 
-/// Runs the lane set through VmEngine::run_batch — once with SWAR packing
-/// and once without — and asserts every lane is bit-identical to a scalar
+  // The swap actually happened (odd number of exchanges).
+  const VmEngine vm;
+  ArrayStore store = inputs;
+  ASSERT_TRUE(vm.run(f, TypeAssignment(), store).ok);
+  EXPECT_EQ(store.at("A")[0], 2.75);
+  EXPECT_EQ(store.at("A")[1], 0.625);
+}
+
+// ---- ExecutionEngine::run_batch: one run() per lane -----------------------
+
+/// Runs the lane set through run_batch on both engines (the VM with a
+/// program cache) and asserts every lane is bit-identical to a scalar
 /// ReferenceEngine run of that assignment: outputs, steps, counters,
-/// ranges, and trap diagnostics.
+/// ranges, and trap diagnostics, in lane order.
 void expect_batch_matches_reference(const ir::Function& f,
                                     const std::vector<TypeAssignment>& lanes,
                                     const ArrayStore& inputs,
@@ -343,32 +383,33 @@ void expect_batch_matches_reference(const ir::Function& f,
   const ReferenceEngine ref;
   ProgramCache cache;
   const VmEngine vm(&cache);
-  for (const bool swar : {true, false}) {
+  const ExecutionEngine* const engines[] = {&ref, &vm};
+  for (const ExecutionEngine* engine : engines) {
     std::vector<ArrayStore> stores(lanes.size(), inputs);
     std::vector<BatchRequest> reqs(lanes.size());
     for (std::size_t i = 0; i < lanes.size(); ++i)
       reqs[i] = {&lanes[i], &stores[i], nullptr};
-    BatchRunOptions bopt;
-    bopt.run = options;
-    bopt.swar = swar;
-    const std::vector<RunResult> got = vm.run_batch(f, reqs, bopt);
+    const std::vector<RunResult> got = engine->run_batch(f, reqs, options);
     ASSERT_EQ(got.size(), lanes.size());
     for (std::size_t i = 0; i < lanes.size(); ++i) {
       ArrayStore ref_store = inputs;
       const RunResult want = ref.run(f, lanes[i], ref_store, options);
       EXPECT_EQ(want.ok, got[i].ok)
-          << "lane " << i << " swar=" << swar << " ref: " << want.error
+          << engine->name() << " lane " << i << " ref: " << want.error
           << " batch: " << got[i].error;
-      EXPECT_EQ(want.error, got[i].error) << "lane " << i;
-      EXPECT_EQ(want.steps, got[i].steps) << "lane " << i;
-      EXPECT_EQ(want.counters.ops, got[i].counters.ops) << "lane " << i;
+      EXPECT_EQ(want.error, got[i].error) << engine->name() << " lane " << i;
+      EXPECT_EQ(want.steps, got[i].steps) << engine->name() << " lane " << i;
+      EXPECT_EQ(want.counters.ops, got[i].counters.ops)
+          << engine->name() << " lane " << i;
       EXPECT_EQ(want.counters.non_real_ops, got[i].counters.non_real_ops)
-          << "lane " << i;
-      EXPECT_EQ(want.array_ranges, got[i].array_ranges) << "lane " << i;
-      EXPECT_EQ(want.register_ranges, got[i].register_ranges) << "lane " << i;
+          << engine->name() << " lane " << i;
+      EXPECT_EQ(want.array_ranges, got[i].array_ranges)
+          << engine->name() << " lane " << i;
+      EXPECT_EQ(want.register_ranges, got[i].register_ranges)
+          << engine->name() << " lane " << i;
       for (const auto& [name, buf] : ref_store)
         EXPECT_TRUE(buffers_bit_equal(buf, stores[i].at(name)))
-            << "lane " << i << " swar=" << swar << " array " << name;
+            << engine->name() << " lane " << i << " array " << name;
     }
   }
 }
@@ -429,9 +470,9 @@ TEST(EngineBatch, LaneCountOneBitIdenticalWithScalarVm) {
 TEST(EngineBatch, TrapRetiresOneLaneWhileOthersFinish) {
   // acc += 0.001 until acc >= 1.0. In a coarse fixed format the increment
   // quantizes to zero, so that lane spins until the step limit while the
-  // float lanes terminate normally — the trapped lane must retire with
-  // the scalar VM's exact diagnostics and step count without disturbing
-  // the survivors.
+  // float lanes terminate normally — the trapped lane must fail with a
+  // scalar run's exact diagnostics and step count without disturbing the
+  // other lanes.
   const char* text = R"(func @stall {
   array @A[1] range [0.0, 4.0]
 entry:
@@ -461,67 +502,28 @@ done:
   expect_batch_matches_reference(f, lanes, inputs, opt);
 
   // And the expected shape, explicitly: lane 1 trapped, lanes 0/2 ran on.
+  const ReferenceEngine ref;
   const VmEngine vm;
-  std::vector<ArrayStore> stores(lanes.size(), inputs);
-  std::vector<BatchRequest> reqs(lanes.size());
-  for (std::size_t i = 0; i < lanes.size(); ++i)
-    reqs[i] = {&lanes[i], &stores[i], nullptr};
-  BatchRunOptions bopt;
-  bopt.run = opt;
-  const std::vector<RunResult> got = vm.run_batch(f, reqs, bopt);
-  EXPECT_TRUE(got[0].ok);
-  EXPECT_FALSE(got[1].ok);
-  EXPECT_NE(got[1].error.find("step limit"), std::string::npos);
-  EXPECT_EQ(got[1].steps, opt.max_steps + 1);
-  EXPECT_TRUE(got[2].ok);
-  EXPECT_LT(got[0].steps, opt.max_steps);
+  const ExecutionEngine* const engines[] = {&ref, &vm};
+  for (const ExecutionEngine* engine : engines) {
+    std::vector<ArrayStore> stores(lanes.size(), inputs);
+    std::vector<BatchRequest> reqs(lanes.size());
+    for (std::size_t i = 0; i < lanes.size(); ++i)
+      reqs[i] = {&lanes[i], &stores[i], nullptr};
+    const std::vector<RunResult> got = engine->run_batch(f, reqs, opt);
+    EXPECT_TRUE(got[0].ok) << engine->name();
+    EXPECT_FALSE(got[1].ok) << engine->name();
+    EXPECT_NE(got[1].error.find("step limit"), std::string::npos);
+    EXPECT_EQ(got[1].steps, opt.max_steps + 1) << engine->name();
+    EXPECT_TRUE(got[2].ok) << engine->name();
+    EXPECT_LT(got[0].steps, opt.max_steps) << engine->name();
+  }
 }
 
-TEST(EngineBatch, PhiBatchSimultaneousReadAcrossLanes) {
-  // A swap loop: both phis of an edge must read their sources before
-  // either destination is written, in every lane. An odd trip count
-  // leaves the values exchanged; per-lane quantization makes each lane's
-  // pair distinct.
-  const char* text = R"(func @swap {
-  array @A[2] range [0.0, 4.0]
-entry:
-  %0 = load @A[0]
-  %1 = load @A[1]
-  br loop
-loop:
-  %2 = phi int [ 0, entry ], [ %5, loop ]
-  %3 = phi real [ %0, entry ], [ %4, loop ]
-  %4 = phi real [ %1, entry ], [ %3, loop ]
-  %5 = iadd %2, 1
-  %6 = icmp lt %5, 6
-  condbr %6, loop, done
-done:
-  store %3, @A[0]
-  store %4, @A[1]
-  ret
-})";
-  ir::Module m;
-  const ir::ParseResult parsed = ir::parse_function(m, text);
-  ASSERT_TRUE(parsed.ok()) << parsed.error;
-  const ir::Function& f = *parsed.function;
-  ArrayStore inputs;
-  inputs["A"] = {0.625, 2.75};
-  expect_batch_matches_reference(f, assignment_grid(f), inputs);
-
-  // The swap actually happened (odd number of exchanges).
-  const VmEngine vm;
-  ArrayStore store = inputs;
-  TypeAssignment none;
-  const std::vector<BatchRequest> reqs = {{&none, &store, nullptr}};
-  ASSERT_TRUE(vm.run_batch(f, reqs, {}).at(0).ok);
-  EXPECT_EQ(store.at("A")[0], 2.75);
-  EXPECT_EQ(store.at("A")[1], 0.625);
-}
-
-TEST(EngineBatch, MixedSwarAndScalarLaneSets) {
-  // Lane set mixing every SWAR field width (8 lanes/word at w<=6, 4 at
-  // w<=14, 2 at w<=16) with float and posit lanes that can never pack,
-  // plus repeated specs so maximal runs form and split mid-set.
+TEST(EngineBatch, MixedFormatLaneSetsMatchReference) {
+  // Lane set mixing narrow and wide fixed formats with float and posit
+  // lanes, with repeated assignments in and out of runs — the shape of a
+  // sweep kernel's lanes before deduplication.
   ir::Module m;
   KernelBuilder kb(m, "mixed");
   Array* A = kb.array("A", {16}, 0.0, 1.0);
@@ -543,20 +545,36 @@ TEST(EngineBatch, MixedSwarAndScalarLaneSets) {
   const std::vector<TypeAssignment> lanes = {
       TypeAssignment::uniform(*f, {fix6, 3}),
       TypeAssignment::uniform(*f, {fix6, 3}),
-      TypeAssignment::uniform(*f, {fix6, 3}), // run of three 8-per-word lanes
+      TypeAssignment::uniform(*f, {fix6, 3}),
       TypeAssignment::uniform(*f, {fix12, 7}),
-      TypeAssignment::uniform(*f, {fix12, 7}), // 4-per-word pair
-      TypeAssignment::uniform(*f, {numrep::kBinary32, 0}), // splits the runs
+      TypeAssignment::uniform(*f, {fix12, 7}),
+      TypeAssignment::uniform(*f, {numrep::kBinary32, 0}),
       TypeAssignment::uniform(*f, {numrep::kFixed16, 8}),
-      TypeAssignment::uniform(*f, {numrep::kFixed16, 8}), // 2-per-word pair
+      TypeAssignment::uniform(*f, {numrep::kFixed16, 8}),
       TypeAssignment::uniform(*f, {numrep::kPosit16, 0}),
-      TypeAssignment::uniform(*f, {numrep::kFixed16, 9}), // lone: stays scalar
+      TypeAssignment::uniform(*f, {numrep::kFixed16, 9}),
       {},
+      TypeAssignment::uniform(*f, {fix6, 3}), // repeats lane 0 out of its run
   };
   RunOptions opt;
   opt.track_array_ranges = true;
   opt.track_register_ranges = true;
-  expect_batch_matches_reference(*f, lanes, synth_inputs(*f, 13), opt);
+  const ArrayStore inputs = synth_inputs(*f, 13);
+  expect_batch_matches_reference(*f, lanes, inputs, opt);
+
+  // Repeated assignments compile once: 7 distinct programs for 12 lanes.
+  ProgramCache cache;
+  const VmEngine vm(&cache);
+  std::vector<ArrayStore> stores(lanes.size(), inputs);
+  std::vector<BatchRequest> reqs(lanes.size());
+  for (std::size_t i = 0; i < lanes.size(); ++i)
+    reqs[i] = {&lanes[i], &stores[i], nullptr};
+  for (const RunResult& r : vm.run_batch(*f, reqs, opt)) EXPECT_TRUE(r.ok);
+  EXPECT_EQ(cache.stats().insertions, 7);
+  EXPECT_EQ(cache.stats().hits, 5);
+  // Equal assignments leave equal, independent stores.
+  EXPECT_TRUE(buffers_bit_equal(stores[0].at("B"), stores[11].at("B")));
+  EXPECT_FALSE(buffers_bit_equal(stores[0].at("B"), stores[5].at("B")));
 }
 
 TEST(EngineBatch, PerLaneProfilesMatchScalarVm) {
@@ -716,7 +734,7 @@ TEST(EngineBatch, PerLaneErrorProfilesMatchScalarVm) {
 
 TEST(EngineBatch, TrapRetiredLaneErrorProfileMatchesScalarVm) {
   // The stall kernel again: the coarse fixed lane spins to the step
-  // limit and is trap-retired mid-batch. Its profile must freeze exactly
+  // limit and traps mid-batch. Its profile must freeze exactly
   // where the scalar VM's does — same cell counts, not finalized, no
   // per-array stats — while the surviving lanes finalize normally.
   const char* text = R"(func @stall_err {
@@ -751,9 +769,7 @@ done:
   std::vector<BatchRequest> reqs(lanes.size());
   for (std::size_t i = 0; i < lanes.size(); ++i)
     reqs[i] = {&lanes[i], &stores[i], nullptr, &errors[i]};
-  BatchRunOptions bopt;
-  bopt.run = opt;
-  const std::vector<RunResult> got = vm.run_batch(f, reqs, bopt);
+  const std::vector<RunResult> got = vm.run_batch(f, reqs, opt);
   ASSERT_FALSE(got[1].ok);
   EXPECT_FALSE(errors[1].finalized);
   EXPECT_TRUE(errors[0].finalized && errors[2].finalized);

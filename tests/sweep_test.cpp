@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <fstream>
 #include <iterator>
@@ -7,10 +8,14 @@
 #include <utility>
 #include <vector>
 
+#include "core/assignment_io.hpp"
 #include "core/sweep.hpp"
 #include "ir/clone.hpp"
+#include "ir/parser.hpp"
 #include "ir/printer.hpp"
+#include "platform/cost_model.hpp"
 #include "polybench/polybench.hpp"
+#include "support/statistics.hpp"
 #include "support/thread_pool.hpp"
 
 namespace luis::core {
@@ -124,44 +129,94 @@ std::string json_shape(const std::string& json) {
   return out;
 }
 
-TEST(Sweep, BatchedExecutionMatchesScalarBitIdentical) {
-  // Batching only changes how tuned assignments are interpreted (lanes of
-  // one run_batch per kernel vs one scalar run per job); every reported
-  // metric must be bit-identical, and the batch stats must account for
-  // every ILP job.
-  SweepOptions batched = small_grid();
-  batched.threads = 2;
-  const SweepResult a = run_sweep(batched);
+TEST(Sweep, DedupedExecutionMatchesStandaloneRuns) {
+  // The sweep executes each kernel's distinct tuned assignments once and
+  // shares every run among the jobs that tuned to it. Each ILP job's
+  // speedup, MPE and shadow-error fields must equal a standalone run of
+  // its own reloaded assignment, and the dedup stats must account for
+  // every job.
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    SweepOptions opt = small_grid();
+    opt.threads = threads;
+    opt.errors = true;
+    const SweepResult r = run_sweep(opt);
 
-  SweepOptions scalar = small_grid();
-  scalar.threads = 2;
-  scalar.batch = false;
-  const SweepResult b = run_sweep(scalar);
+    long ilp_jobs = 0, unique = 0;
+    for (const std::string& kernel : opt.kernels) {
+      ir::Module module;
+      const polybench::BuiltKernel built =
+          polybench::build_kernel(kernel, module);
+      interp::ArrayStore reference = built.inputs;
+      const interp::VmEngine engine;
+      const interp::RunResult base =
+          engine.run(*built.function, interp::TypeAssignment(), reference);
+      ASSERT_TRUE(base.ok) << base.error;
+      ir::Module reparsed_module;
+      const ir::ParseResult reparsed = ir::parse_function(
+          reparsed_module, ir::print_function(*built.function));
+      ASSERT_TRUE(reparsed.ok()) << reparsed.error;
+      const ir::Function& f = *reparsed.function;
 
-  const long ilp_jobs =
-      static_cast<long>(batched.kernels.size() * batched.configs.size() *
-                        batched.platforms.size());
-  EXPECT_EQ(a.stats.batch_runs, static_cast<long>(batched.kernels.size()));
-  EXPECT_EQ(a.stats.batch_lanes, ilp_jobs);
-  EXPECT_GT(a.stats.batch_unique_lanes, 0);
-  EXPECT_LE(a.stats.batch_unique_lanes, a.stats.batch_lanes);
-  EXPECT_EQ(b.stats.batch_runs, 0);
-  EXPECT_EQ(b.stats.batch_lanes, 0);
+      std::vector<std::string> seen;
+      for (const SweepJobResult& job : r.jobs) {
+        if (job.kernel != kernel || job.config == "TAFFO") continue;
+        SCOPED_TRACE(job.kernel + "/" + job.config + "/" + job.platform);
+        ASSERT_TRUE(job.ok) << job.error;
+        ++ilp_jobs;
+        if (std::find(seen.begin(), seen.end(), job.assignment_text) ==
+            seen.end())
+          seen.push_back(job.assignment_text);
 
-  ASSERT_EQ(a.jobs.size(), b.jobs.size());
-  for (std::size_t i = 0; i < a.jobs.size(); ++i) {
-    const SweepJobResult& ja = a.jobs[i];
-    const SweepJobResult& jb = b.jobs[i];
-    ASSERT_EQ(ja.kernel, jb.kernel);
-    ASSERT_EQ(ja.config, jb.config);
-    ASSERT_EQ(ja.platform, jb.platform);
-    EXPECT_TRUE(ja.ok) << ja.error;
-    EXPECT_TRUE(jb.ok) << jb.error;
-    EXPECT_EQ(ja.assignment_text, jb.assignment_text);
-    EXPECT_EQ(ja.speedup_percent, jb.speedup_percent)
-        << ja.kernel << "/" << ja.config << "/" << ja.platform;
-    EXPECT_EQ(ja.mpe, jb.mpe)
-        << ja.kernel << "/" << ja.config << "/" << ja.platform;
+        const AssignmentParseResult reloaded =
+            assignment_from_text(f, job.assignment_text);
+        ASSERT_TRUE(reloaded.ok()) << reloaded.error;
+        interp::ArrayStore store = built.inputs;
+        interp::ErrorProfile errors;
+        interp::RunOptions ropt;
+        ropt.error_profile = &errors;
+        const interp::RunResult run =
+            engine.run(f, reloaded.assignment, store, ropt);
+        ASSERT_TRUE(run.ok) << run.error;
+
+        const platform::OpTimeTable& table =
+            *platform::platform_by_name(job.platform);
+        EXPECT_EQ(job.speedup_percent,
+                  platform::speedup_percent(
+                      platform::simulated_time(base.counters, table),
+                      platform::simulated_time(run.counters, table)));
+        std::vector<double> want_ref, want_out;
+        for (const std::string& name : built.outputs) {
+          want_ref.insert(want_ref.end(), reference.at(name).begin(),
+                          reference.at(name).end());
+          want_out.insert(want_out.end(), store.at(name).begin(),
+                          store.at(name).end());
+        }
+        EXPECT_EQ(job.mpe, mean_percentage_error(want_ref, want_out));
+
+        ASSERT_TRUE(errors.finalized);
+        EXPECT_TRUE(job.errors_profiled);
+        EXPECT_EQ(job.shadow_mpe, errors.program_mpe);
+        EXPECT_EQ(job.control_divergences, errors.control_divergences);
+        double max_abs = 0.0, max_rel = 0.0;
+        for (const auto* cells : {&errors.instr, &errors.moves})
+          for (const interp::ErrorCell& c : *cells) {
+            max_abs = std::max(max_abs, c.max_abs);
+            max_rel = std::max(max_rel, c.max_rel);
+          }
+        EXPECT_EQ(job.max_abs_error, max_abs);
+        EXPECT_EQ(job.max_rel_error, max_rel);
+      }
+      unique += static_cast<long>(seen.size());
+    }
+
+    EXPECT_EQ(ilp_jobs, static_cast<long>(opt.kernels.size() *
+                                          opt.configs.size() *
+                                          opt.platforms.size()));
+    EXPECT_EQ(r.stats.batch_runs, static_cast<long>(opt.kernels.size()));
+    EXPECT_EQ(r.stats.batch_lanes, ilp_jobs);
+    EXPECT_EQ(r.stats.batch_unique_lanes, unique);
+    EXPECT_LT(r.stats.batch_unique_lanes, r.stats.batch_lanes);
   }
 }
 

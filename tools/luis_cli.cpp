@@ -98,8 +98,6 @@
 //                         1 = serial reference path, same results)
 //   --max-nodes N         branch & bound node limit per solve (default 3000)
 //   --no-taffo            skip the greedy TAFFO baseline rows
-//   --no-batch            one scalar engine run per job instead of batched
-//                         per-kernel lane execution (results identical)
 //   --errors              shadow-execute every tuned job: per-job rows
 //                         (text, JSON, metrics registry) gain the
 //                         in-engine shadow MPE, max abs/rel deviation,
@@ -1094,8 +1092,6 @@ int cmd_sweep(const std::vector<std::string>& args) {
       opt.use_cache = false;
     } else if (a == "--no-check") {
       opt.check_determinism = false;
-    } else if (a == "--no-batch") {
-      opt.batch = false;
     } else if (a == "--errors") {
       opt.errors = true;
     } else if (a == "--json" && has_value) {
