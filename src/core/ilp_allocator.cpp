@@ -11,6 +11,7 @@
 #include "numrep/posit.hpp"
 #include "numrep/registry.hpp"
 #include "numrep/soft_float.hpp"
+#include "obs/trace.hpp"
 #include "support/diag.hpp"
 
 namespace luis::core {
@@ -62,6 +63,7 @@ AllocationResult allocate_ilp(const ir::Function& f, const vra::RangeMap& ranges
                               const TuningConfig& config) {
   AllocationResult out;
   const auto t_build = std::chrono::steady_clock::now();
+  obs::TraceSpan build_span("ilp.build_model", "ilp");
   const TypeClasses classes = compute_type_classes(f);
   const auto& types = config.types;
   const int ntypes = static_cast<int>(types.size());
@@ -328,6 +330,7 @@ AllocationResult allocate_ilp(const ir::Function& f, const vra::RangeMap& ranges
   for (const auto& [var, coeff] : fix_cost.terms()) objective.add(var, fn * coeff);
   for (const auto& [var, coeff] : err.terms()) objective.add(var, -en * coeff);
   model.set_objective(ilp::Direction::Minimize, std::move(objective));
+  build_span.end();
 
   out.stats.model_variables = model.num_variables();
   out.stats.model_constraints = model.num_constraints();

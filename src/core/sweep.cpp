@@ -8,6 +8,7 @@
 #include <optional>
 #include <thread>
 
+#include "analysis/dataflow.hpp"
 #include "core/assignment_io.hpp"
 #include "interp/interpreter.hpp"
 #include "ir/parser.hpp"
@@ -26,20 +27,12 @@
 namespace luis::core {
 namespace {
 
-TuningConfig config_by_name(const std::string& name, long max_nodes) {
-  TuningConfig c;
-  if (name == "Precise")
-    c = TuningConfig::precise();
-  else if (name == "Balanced")
-    c = TuningConfig::balanced();
-  else if (name == "Fast")
-    c = TuningConfig::fast();
-  else if (name == "Multi")
-    c = TuningConfig::multi();
-  else
-    LUIS_FATAL("unknown sweep config " + name);
-  c.solver.max_nodes = max_nodes;
-  return c;
+std::optional<TuningConfig> preset_by_name(const std::string& name) {
+  if (name == "Precise") return TuningConfig::precise();
+  if (name == "Balanced") return TuningConfig::balanced();
+  if (name == "Fast") return TuningConfig::fast();
+  if (name == "Multi") return TuningConfig::multi();
+  return std::nullopt;
 }
 
 /// MPE across all output arrays (concatenated, as PolyBench dumps them).
@@ -56,15 +49,50 @@ double kernel_mpe(const std::vector<std::string>& outputs,
   return mean_percentage_error(ref, out);
 }
 
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+/// A kernel's IR parsed from its rendered text, and the value ranges of
+/// that Function. Read-only once built: every ILP job of the kernel tunes
+/// on it (allocate_ilp, assignment_to_text and the engines take a const
+/// Function), so one analysis serves them all.
+struct KernelAnalysis {
+  ir::Module module;
+  const ir::Function* function = nullptr;
+  vra::RangeMap ranges;
+  double vra_seconds = 0.0;
+};
+
+KernelAnalysis analyze_kernel(const std::string& name,
+                              const std::string& ir_text,
+                              const vra::VraOptions& vra_options) {
+  obs::TraceSpan span("sweep.analyze_kernel", "sweep", [&] {
+    return obs::Args().str("kernel", name).done();
+  });
+  KernelAnalysis a;
+  const ir::ParseResult parsed = ir::parse_function(a.module, ir_text);
+  LUIS_ASSERT(parsed.ok(),
+              ("sweep: kernel IR re-parse failed: " + parsed.error).c_str());
+  a.function = parsed.function;
+  const auto t_vra = std::chrono::steady_clock::now();
+  analysis::DataflowStats vra_stats;
+  a.ranges = vra::analyze_ranges(*a.function, vra_options, &vra_stats);
+  a.vra_seconds = seconds_since(t_vra);
+  obs::metrics().counter("vra.fixpoint_passes").inc(vra_stats.passes);
+  obs::metrics().counter("vra.widenings").inc(vra_stats.widenings);
+  return a;
+}
+
 /// Everything a tuning job needs from its kernel, produced once per
-/// kernel and read-only afterwards. Jobs re-parse `ir_text` into a
-/// private Module instead of sharing the Function (the pipeline interns
-/// constants on it).
+/// kernel and read-only afterwards.
 struct KernelContext {
   std::string name;
   bool ok = false;
   std::string error;
   std::string ir_text;
+  KernelAnalysis analysis; ///< `ir_text` parsed and range-analyzed
   interp::ArrayStore inputs;
   std::vector<std::string> outputs;
   interp::ArrayStore reference;       ///< all-binary64 outputs
@@ -104,6 +132,7 @@ void prepare_kernel(KernelContext& ctx, bool include_taffo,
   }
   ctx.base_counters = base.counters;
   ctx.ir_text = ir::print_function(*kernel.function);
+  ctx.analysis = analyze_kernel(ctx.name, ctx.ir_text, vra_options);
 
   if (include_taffo) {
     PipelineOptions popt;
@@ -150,18 +179,14 @@ void fold_error_profile(const interp::ErrorProfile& ep, SweepJobResult& out) {
   for (const interp::ErrorCell& c : ep.moves) fold(c);
 }
 
-/// Tunes one (kernel, config, platform) job on a private clone of the
-/// kernel. Execution happens later, once per distinct assignment.
-void run_ilp_job(const KernelContext& ctx, const platform::OpTimeTable& table,
-                 const SweepOptions& opt, ilp::SolverCache* cache,
-                 SweepJobResult& out) {
-  ir::Module module;
-  const ir::ParseResult parsed = ir::parse_function(module, ctx.ir_text);
-  LUIS_ASSERT(parsed.ok(),
-              ("sweep: kernel IR re-parse failed: " + parsed.error).c_str());
-  ir::Function& f = *parsed.function;
-
-  TuningConfig config = config_by_name(out.config, opt.solver_max_nodes);
+/// Tunes one (kernel, config, platform) job on its kernel's shared
+/// analysis; `vra_share` is the part of the kernel's VRA time this job is
+/// charged. Execution happens later, once per distinct assignment.
+void run_ilp_job(const KernelAnalysis& kernel, double vra_share,
+                 const platform::OpTimeTable& table, const SweepOptions& opt,
+                 ilp::SolverCache* cache, SweepJobResult& out) {
+  TuningConfig config = *preset_by_name(out.config); // validated by run_sweep
+  config.solver.max_nodes = opt.solver_max_nodes;
   config.solver.cache = cache;
   // Neighboring presets (same kernel/platform structure, different
   // objective weights) reuse each other's root bases — but only when the
@@ -169,12 +194,17 @@ void run_ilp_job(const KernelContext& ctx, const platform::OpTimeTable& table,
   // parallelism the pool's contents depend on job completion order, which
   // would break the parallel == serial bit-identity guarantee.
   config.solver.share_basis = cache != nullptr && opt.threads == 1;
-  PipelineOptions popt;
-  popt.vra = opt.vra;
-  const PipelineResult tuned = tune_kernel(f, table, config, popt);
-  out.timings = tuned.timings;
-  out.stats = tuned.allocation.stats;
-  out.assignment_text = assignment_to_text(f, tuned.allocation.assignment);
+  const auto t_alloc = std::chrono::steady_clock::now();
+  const AllocationResult allocation =
+      allocate_ilp(*kernel.function, kernel.ranges, table, config);
+  out.timings.vra_seconds = vra_share;
+  out.timings.allocation_seconds = seconds_since(t_alloc);
+  out.timings.model_build_seconds = allocation.stats.model_build_seconds;
+  out.timings.solve_seconds = allocation.stats.solve_seconds;
+  out.timings.total_seconds = vra_share + out.timings.allocation_seconds;
+  out.stats = allocation.stats;
+  out.assignment_text =
+      assignment_to_text(*kernel.function, allocation.assignment);
   out.ok = true;
 }
 
@@ -221,31 +251,39 @@ void write_cache_stats(JsonWriter& w, long lookups, long hits, long insertions,
 
 } // namespace
 
+std::string sweep_options_error(const SweepOptions& options) {
+  const auto names = polybench::kernel_names();
+  for (const std::string& k : options.kernels)
+    if (std::find(names.begin(), names.end(), k) == names.end())
+      return "unknown kernel '" + k + "' (see `luis kernels`)";
+  for (const std::string& c : options.configs)
+    if (!preset_by_name(c))
+      return "unknown config '" + c + "' (want Precise|Balanced|Fast|Multi)";
+  for (const std::string& p : options.platforms)
+    if (!platform::platform_by_name(p))
+      return "unknown platform '" + p + "' (want Stm32|Raspberry|Intel|AMD)";
+  if (!interp::parse_engine(options.engine))
+    return "unknown engine '" + options.engine + "' (want vm or ref)";
+  return {};
+}
+
 SweepResult run_sweep(const SweepOptions& options) {
   obs::TraceSpan sweep_span("sweep.run", "sweep");
   const auto t0 = std::chrono::steady_clock::now();
 
+  const std::string invalid = sweep_options_error(options);
+  if (!invalid.empty()) LUIS_FATAL("sweep: " + invalid);
   std::vector<std::string> kernels = options.kernels;
   if (kernels.empty())
     kernels.assign(polybench::kernel_names().begin(),
                    polybench::kernel_names().end());
-  for (const std::string& k : kernels) {
-    const auto names = polybench::kernel_names();
-    if (std::find(names.begin(), names.end(), k) == names.end())
-      LUIS_FATAL("unknown kernel " + k);
-  }
   std::vector<std::string> configs = options.configs;
   if (configs.empty()) configs = {"Precise", "Balanced", "Fast"};
-  for (const std::string& c : configs)
-    (void)config_by_name(c, 1); // validates the name
   std::vector<std::string> platforms = options.platforms;
   if (platforms.empty()) platforms = {"Stm32", "Raspberry", "Intel", "AMD"};
   std::vector<const platform::OpTimeTable*> tables;
-  for (const std::string& p : platforms) {
-    const platform::OpTimeTable* table = platform::platform_by_name(p);
-    LUIS_ASSERT(table != nullptr, ("unknown platform " + p).c_str());
-    tables.push_back(table);
-  }
+  for (const std::string& p : platforms)
+    tables.push_back(platform::platform_by_name(p));
 
   int threads = options.threads;
   if (threads <= 0)
@@ -254,17 +292,16 @@ SweepResult run_sweep(const SweepOptions& options) {
   ilp::SolverCache cache;
   ilp::SolverCache* cache_ptr = options.use_cache ? &cache : nullptr;
 
-  const std::optional<interp::EngineKind> engine_kind =
-      interp::parse_engine(options.engine);
-  if (!engine_kind) LUIS_FATAL("unknown engine " + options.engine);
-  // The program cache rides the same switch as the solver cache:
-  // use_cache=false must mean no shared state between jobs at all.
+  // The program cache rides the same switch as the solver cache: with
+  // use_cache=false jobs share only read-only inputs (each kernel's
+  // analysis), no mutable state.
   interp::ProgramCache program_cache;
-  const std::unique_ptr<interp::ExecutionEngine> engine = interp::make_engine(
-      *engine_kind, options.use_cache ? &program_cache : nullptr);
+  const std::unique_ptr<interp::ExecutionEngine> engine =
+      interp::make_engine(*interp::parse_engine(options.engine),
+                          options.use_cache ? &program_cache : nullptr);
 
   // Phase 1: per-kernel setup (build, binary64 reference, IR rendering,
-  // TAFFO baseline), parallel over kernels.
+  // the shared parse + VRA, TAFFO baseline), parallel over kernels.
   const LogLevel progress_level =
       options.verbose ? LogLevel::Info : LogLevel::Debug;
   std::vector<KernelContext> contexts(kernels.size());
@@ -284,8 +321,9 @@ SweepResult run_sweep(const SweepOptions& options) {
 
   // Job slots in their fixed kernel-major order.
   SweepResult result;
-  std::vector<std::size_t> ilp_jobs;      // indices into result.jobs
-  std::vector<const KernelContext*> ctx_of; // parallel to result.jobs
+  std::vector<std::size_t> ilp_jobs; // indices into result.jobs
+  std::vector<std::vector<std::size_t>> kernel_ilp_jobs(kernels.size());
+  std::vector<std::size_t> kernel_of; // parallel to result.jobs
   std::vector<const platform::OpTimeTable*> table_of;
   for (std::size_t ki = 0; ki < kernels.size(); ++ki) {
     for (std::size_t pi = 0; pi < platforms.size(); ++pi) {
@@ -296,8 +334,9 @@ SweepResult run_sweep(const SweepOptions& options) {
         job.platform = platforms[pi];
         job.engine = engine->name();
         ilp_jobs.push_back(result.jobs.size());
+        kernel_ilp_jobs[ki].push_back(result.jobs.size());
         result.jobs.push_back(std::move(job));
-        ctx_of.push_back(&contexts[ki]);
+        kernel_of.push_back(ki);
         table_of.push_back(tables[pi]);
       }
       if (options.include_taffo) {
@@ -323,14 +362,16 @@ SweepResult run_sweep(const SweepOptions& options) {
           job.mpe = ctx.taffo_mpe;
         }
         result.jobs.push_back(std::move(job));
-        ctx_of.push_back(&contexts[ki]);
+        kernel_of.push_back(ki);
         table_of.push_back(tables[pi]);
       }
     }
   }
 
-  // Phase 2: the ILP jobs, parallel over (kernel x platform x config).
-  // Jobs only tune here; the interpretation runs in the phase below.
+  // Phase 2: the ILP jobs, parallel over (kernel x platform x config),
+  // each on its kernel's shared analysis. A job is charged an equal share
+  // of its kernel's VRA time, so the stage totals still sum to the time
+  // spent. Jobs only tune here; the interpretation runs in the phase below.
   {
     obs::TraceSpan phase("sweep.jobs", "sweep", [&] {
       return obs::Args().num("jobs", ilp_jobs.size()).done();
@@ -338,7 +379,8 @@ SweepResult run_sweep(const SweepOptions& options) {
     support::parallel_for(ilp_jobs.size(), threads, [&](std::size_t i) {
       const std::size_t j = ilp_jobs[i];
       SweepJobResult& job = result.jobs[j];
-      const KernelContext& ctx = *ctx_of[j];
+      const std::size_t ki = kernel_of[j];
+      const KernelContext& ctx = contexts[ki];
       if (!ctx.ok) {
         job.error = ctx.error;
         return;
@@ -350,7 +392,11 @@ SweepResult run_sweep(const SweepOptions& options) {
             .str("platform", job.platform)
             .done();
       });
-      run_ilp_job(ctx, *table_of[j], options, cache_ptr, job);
+      const double vra_share =
+          ctx.analysis.vra_seconds /
+          static_cast<double>(kernel_ilp_jobs[ki].size());
+      run_ilp_job(ctx.analysis, vra_share, *table_of[j], options, cache_ptr,
+                  job);
       LUIS_LOG(progress_level, "[sweep] " + job.kernel + "/" + job.config +
                                    "/" + job.platform +
                                    (job.ok ? " ok" : " FAILED"));
@@ -373,16 +419,10 @@ SweepResult run_sweep(const SweepOptions& options) {
       const KernelContext& ctx = contexts[ki];
       if (!ctx.ok) return;
       std::vector<std::size_t> kernel_jobs;
-      for (const std::size_t j : ilp_jobs)
-        if (ctx_of[j] == &contexts[ki] && result.jobs[j].ok)
-          kernel_jobs.push_back(j);
+      for (const std::size_t j : kernel_ilp_jobs[ki])
+        if (result.jobs[j].ok) kernel_jobs.push_back(j);
       if (kernel_jobs.empty()) return;
-
-      ir::Module module;
-      const ir::ParseResult parsed = ir::parse_function(module, ctx.ir_text);
-      LUIS_ASSERT(parsed.ok(),
-                  ("sweep: kernel IR re-parse failed: " + parsed.error).c_str());
-      ir::Function& f = *parsed.function;
+      const ir::Function& f = *ctx.analysis.function;
 
       // Dedup the tuned assignments into unique lanes.
       std::vector<std::string> lane_texts;
@@ -463,30 +503,36 @@ SweepResult run_sweep(const SweepOptions& options) {
     }
   }
 
-  // Determinism check: serially re-tune every ILP job and compare. The
-  // re-solves hit the shared cache (same canonical model) and skip branch
-  // & bound; the check is what proves a parallel sweep computed exactly
-  // what the serial path would have.
+  // Determinism check: serially re-tune every ILP job and compare. Each
+  // kernel's parse and ranges are re-derived from its IR text once, then
+  // every job's model is rebuilt and re-solved; the re-solves hit the
+  // shared cache (same canonical model) and skip branch & bound. The
+  // check is what proves a parallel sweep computed exactly what the
+  // serial path would have.
   if (options.check_determinism) {
     obs::TraceSpan phase("sweep.determinism_check", "sweep");
     int mismatches = 0;
-    for (const std::size_t j : ilp_jobs) {
-      const SweepJobResult& job = result.jobs[j];
-      const KernelContext& ctx = *ctx_of[j];
+    for (std::size_t ki = 0; ki < kernels.size(); ++ki) {
+      const KernelContext& ctx = contexts[ki];
       if (!ctx.ok) continue;
-      SweepJobResult redo;
-      redo.kernel = job.kernel;
-      redo.config = job.config;
-      redo.platform = job.platform;
-      run_ilp_job(ctx, *table_of[j], options, cache_ptr, redo);
-      const bool same = redo.assignment_text == job.assignment_text &&
-                        redo.stats.objective == job.stats.objective &&
-                        redo.stats.status == job.stats.status;
-      if (!same) {
-        ++mismatches;
-        // A mismatch is a real defect, not progress chatter: always warn.
-        LUIS_LOG_WARN("[sweep] determinism MISMATCH " + job.kernel + "/" +
-                      job.config + "/" + job.platform);
+      const KernelAnalysis redo_kernel =
+          analyze_kernel(ctx.name, ctx.ir_text, options.vra);
+      for (const std::size_t j : kernel_ilp_jobs[ki]) {
+        const SweepJobResult& job = result.jobs[j];
+        SweepJobResult redo;
+        redo.kernel = job.kernel;
+        redo.config = job.config;
+        redo.platform = job.platform;
+        run_ilp_job(redo_kernel, 0.0, *table_of[j], options, cache_ptr, redo);
+        const bool same = redo.assignment_text == job.assignment_text &&
+                          redo.stats.objective == job.stats.objective &&
+                          redo.stats.status == job.stats.status;
+        if (!same) {
+          ++mismatches;
+          // A mismatch is a real defect, not progress chatter: always warn.
+          LUIS_LOG_WARN("[sweep] determinism MISMATCH " + job.kernel + "/" +
+                        job.config + "/" + job.platform);
+        }
       }
     }
     result.stats.determinism_mismatches = mismatches;

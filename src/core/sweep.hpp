@@ -1,24 +1,27 @@
 // Multithreaded batch tuning driver: the paper's full evaluation grid
 // (PolyBench kernel x preset x platform) fanned across a thread pool.
 //
-// Isolation model. Every job tunes its own clone of the kernel (parsed
-// from IR text pre-rendered once per kernel), so no job ever touches
-// another job's Function — the pipeline interns constants on the Function
-// and is therefore not shareable across threads. The only mutable shared
-// state is the solver result cache, which is internally locked and, by
-// construction of its canonical key, cannot change what any job computes
-// (see ilp/solver_cache.hpp).
+// Isolation model. Each kernel is analyzed once per sweep phase: its IR is
+// rendered to text, parsed into one Function, and range-analyzed once, and
+// every ILP job of the kernel tunes on that Function and RangeMap. Sharing
+// them is safe because the sweep runs only the read-only stages of the
+// pipeline (no IR cleanup, no cast materialization, no lint):
+// allocate_ilp, assignment_to_text and the engines all take a const
+// Function. The only mutable shared state is the solver result cache and
+// the VM's compiled-program cache, both internally locked; by construction
+// of their keys neither can change what any job computes (see
+// ilp/solver_cache.hpp and interp/engine.hpp).
 //
 // Determinism. Job results are written into a preallocated slot vector in
 // a fixed (kernel-major) order, so the output is identical no matter how
 // the pool schedules jobs. With `check_determinism` the driver re-runs
 // every ILP job's tuning serially after the parallel phase and compares
-// status, objective bits, and the serialized assignment. The re-solves
-// hit the solver cache and skip branch & bound, but every job is still
-// re-parsed, re-analyzed and its model rebuilt and keyed, so the check is
-// not cheap: about a fifth of a serial sweep (docs/SWEEP.md). It is also
-// the sweep's organic source of cache hits, since the grid's 360 models
-// are pairwise distinct.
+// status, objective bits, and the serialized assignment. The re-check
+// re-derives each kernel's parse and ranges from its IR text once, then
+// rebuilds and re-keys every job's model; the re-solves hit the solver
+// cache and skip branch & bound (cost: docs/SWEEP.md). It is also the
+// sweep's organic source of cache hits, since the grid's 360 models are
+// pairwise distinct.
 #pragma once
 
 #include <string>
@@ -40,7 +43,8 @@ struct SweepOptions {
   /// Worker threads; 0 = hardware concurrency, 1 = serial reference path.
   int threads = 0;
   /// Share one solver result cache across all jobs. Also controls the
-  /// VM engine's shared compiled-program cache (off = no shared state).
+  /// VM engine's shared compiled-program cache (off = jobs share only
+  /// read-only inputs: their kernel's parsed IR and ranges).
   bool use_cache = true;
   /// Execution engine for every interpretation in the sweep: "vm" (the
   /// bytecode engine, default) or "ref" (the tree-walking reference).
@@ -55,8 +59,9 @@ struct SweepOptions {
   /// "Numerical-error profiling"). Quantized outputs are bit-identical
   /// with this on.
   bool errors = false;
-  /// VRA fixpoint knobs, applied to every job's pipeline and recorded in
-  /// the JSON report (so a sweep is reproducible from its own artifact).
+  /// VRA fixpoint knobs, applied to every kernel's range analysis and
+  /// recorded in the JSON report (so a sweep is reproducible from its own
+  /// artifact).
   vra::VraOptions vra;
   bool verbose = false; ///< per-kernel progress lines on stderr
 };
@@ -120,8 +125,12 @@ struct SweepResult {
   SweepStats stats;
 };
 
-/// Runs the sweep. Aborts (LUIS_FATAL) on unknown kernel/config/platform
-/// names; per-job execution failures are reported in the job result.
+/// Empty when every kernel, config, platform and engine name in `options`
+/// is known; otherwise a diagnostic naming the first unknown one.
+std::string sweep_options_error(const SweepOptions& options);
+
+/// Runs the sweep. Aborts (LUIS_FATAL) on the names sweep_options_error
+/// rejects; per-job execution failures are reported in the job result.
 SweepResult run_sweep(const SweepOptions& options = {});
 
 /// Human-readable stats block (stage totals, solver work, cache hit rate,

@@ -31,8 +31,9 @@ std::optional<EngineKind> parse_engine(std::string_view name);
 
 /// Thread-safe cache of compiled programs, keyed by program_cache_key()
 /// (printed IR + positional type serialization). Keys are pointer-free,
-/// so jobs that re-parse the same kernel text into private modules share
-/// entries. First insert wins, like the solver cache.
+/// so distinct Functions with the same printed IR share entries (the
+/// sweep's built kernel and its parsed copy do). First insert wins, like
+/// the solver cache.
 class ProgramCache {
 public:
   struct Stats {

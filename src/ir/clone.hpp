@@ -3,9 +3,10 @@
 // The clone goes through the textual IR (print -> parse): the printer and
 // parser already round-trip every construct exactly — including
 // full-precision real literals and array range annotations — and this
-// keeps the copy independent of internal ownership details. The per-job
-// isolation of the sweep driver depends on clones being exact: tuning a
-// clone must produce the same allocation as tuning the original.
+// keeps the copy independent of internal ownership details. The sweep
+// driver relies on the same round trip: it tunes every kernel on a
+// Function parsed from the kernel's printed IR, which must produce the
+// same allocation as tuning the original.
 #pragma once
 
 #include "ir/function.hpp"

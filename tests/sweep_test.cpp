@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -263,14 +266,84 @@ TEST(Sweep, StageTimingsAggregateAndStayBounded) {
   opt.include_taffo = false;
   const SweepResult r = run_sweep(opt);
   StageTimings sum;
+  std::map<std::string, double> vra_share; // by kernel
   for (const SweepJobResult& job : r.jobs) {
     EXPECT_LE(job.timings.stage_sum(), job.timings.total_seconds + 1e-9);
+    // Each kernel's one VRA run is charged in equal shares to its jobs.
+    EXPECT_GT(job.timings.vra_seconds, 0.0);
+    const auto it =
+        vra_share.emplace(job.kernel, job.timings.vra_seconds).first;
+    EXPECT_EQ(job.timings.vra_seconds, it->second) << job.kernel;
     sum += job.timings;
   }
   EXPECT_DOUBLE_EQ(r.stats.stage_totals.allocation_seconds,
                    sum.allocation_seconds);
+  EXPECT_GT(r.stats.stage_totals.vra_seconds, 0.0);
   EXPECT_GT(r.stats.stage_totals.solve_seconds, 0.0);
   EXPECT_GT(r.stats.solver_iterations, 0);
+}
+
+TEST(Sweep, SharedKernelAnalysisMatchesStandaloneTune) {
+  // Every ILP job of a kernel tunes on one shared parse and RangeMap. Each
+  // job must equal the standalone pipeline — tune_kernel on a fresh parse
+  // of the kernel's printed IR, without a cache — in its assignment text,
+  // objective bits, status and node count, at any thread count, cache on
+  // or off.
+  struct Standalone {
+    std::string assignment_text;
+    std::uint64_t objective_bits;
+    ilp::SolveStatus status;
+    long nodes;
+  };
+  const SweepOptions grid = small_grid();
+  std::map<std::string, Standalone> want; // by kernel/config/platform
+  for (const std::string& kernel : grid.kernels) {
+    ir::Module built_module;
+    const polybench::BuiltKernel built =
+        polybench::build_kernel(kernel, built_module);
+    const std::string ir_text = ir::print_function(*built.function);
+    for (const std::string& config_name : grid.configs)
+      for (const std::string& platform : grid.platforms) {
+        ir::Module module;
+        const ir::ParseResult parsed = ir::parse_function(module, ir_text);
+        ASSERT_TRUE(parsed.ok()) << parsed.error;
+        TuningConfig config = config_name == "Fast" ? TuningConfig::fast()
+                                                    : TuningConfig::precise();
+        config.solver.max_nodes = grid.solver_max_nodes;
+        const PipelineResult tuned = tune_kernel(
+            *parsed.function, *platform::platform_by_name(platform), config);
+        want[kernel + "/" + config_name + "/" + platform] = {
+            assignment_to_text(*parsed.function, tuned.allocation.assignment),
+            std::bit_cast<std::uint64_t>(tuned.allocation.stats.objective),
+            tuned.allocation.stats.status, tuned.allocation.stats.nodes};
+      }
+  }
+
+  for (const int threads : {1, 4})
+    for (const bool use_cache : {false, true}) {
+      SCOPED_TRACE(testing::Message() << threads << " threads, cache "
+                                      << (use_cache ? "on" : "off"));
+      SweepOptions opt = grid;
+      opt.threads = threads;
+      opt.use_cache = use_cache;
+      const SweepResult r = run_sweep(opt);
+      std::size_t checked = 0;
+      for (const SweepJobResult& job : r.jobs) {
+        if (job.config == "TAFFO") continue;
+        const std::string cell =
+            job.kernel + "/" + job.config + "/" + job.platform;
+        SCOPED_TRACE(cell);
+        ASSERT_TRUE(job.ok) << job.error;
+        const Standalone& w = want.at(cell);
+        EXPECT_EQ(job.assignment_text, w.assignment_text);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(job.stats.objective),
+                  w.objective_bits);
+        EXPECT_EQ(job.stats.status, w.status);
+        EXPECT_EQ(job.stats.nodes, w.nodes);
+        ++checked;
+      }
+      EXPECT_EQ(checked, want.size());
+    }
 }
 
 TEST(Sweep, ReportsRenderTextAndJson) {
@@ -292,7 +365,8 @@ TEST(Sweep, ReportsRenderTextAndJson) {
 }
 
 TEST(Sweep, CloneFunctionIsExact) {
-  // Per-job isolation rests on clones being exact — including
+  // The sweep tunes each kernel on a Function parsed from its printed IR,
+  // which rests on the print/parse round trip being exact — including
   // full-precision range annotations, which used to be printed at default
   // (6-digit) precision and silently shifted VRA ranges on re-parse.
   ir::Module m;

@@ -111,7 +111,8 @@
 //   --json <path>         also write the full per-job report as JSON
 //   --quiet               suppress per-kernel progress on stderr
 // Exits non-zero if any job fails or the determinism check finds a
-// mismatch.
+// mismatch, and 2 (before any work) on an unknown kernel/config/platform/
+// engine name or a numeric value that is not a whole number in range.
 //
 // tune also accepts --platform-file <t.optime> to tune against a saved
 // characterization (the paper's cross-compilation workflow).
@@ -166,6 +167,7 @@
 // Every verb that parses IR verifies it and exits non-zero on verifier
 // errors, so the tool is usable as a pre-commit check.
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -320,6 +322,53 @@ bool apply_config_preset(const std::string& config_name,
   config.literal_model = literal;
   config.types = types;
   return true;
+}
+
+/// Strict numeric flag value: the whole token must be a number of type T
+/// (no whitespace, sign prefix or trailing junk) within [lo, hi]; NaN
+/// never is. Otherwise prints "luis: FLAG wants WANT, got 'TEXT'" and
+/// returns nullopt, and the caller exits 2.
+template <typename T>
+std::optional<T> parse_number_flag(const std::string& flag,
+                                   const std::string& text, T lo, T hi,
+                                   const char* want) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec == std::errc() && ptr == end && value >= lo && value <= hi)
+    return value;
+  std::fprintf(stderr, "luis: %s wants %s, got '%s'\n", flag.c_str(), want,
+               text.c_str());
+  return std::nullopt;
+}
+
+/// The VRA fixpoint knobs that tune, lint, check and sweep share.
+bool is_vra_flag(const std::string& flag) {
+  return flag == "--vra-max-passes" || flag == "--vra-widen-after" ||
+         flag == "--vra-clamp";
+}
+
+/// Sets the VRA knob `flag` from `value`; false (diagnostic printed) when
+/// the value is not a number in the knob's range.
+bool set_vra_flag(const std::string& flag, const std::string& value,
+                  vra::VraOptions& vra) {
+  constexpr int kIntMax = std::numeric_limits<int>::max();
+  if (flag == "--vra-max-passes") {
+    const auto v = parse_number_flag(flag, value, 1, kIntMax, "an integer >= 1");
+    if (v) vra.max_passes = *v;
+    return v.has_value();
+  }
+  if (flag == "--vra-widen-after") {
+    const auto v = parse_number_flag(flag, value, 0, kIntMax, "an integer >= 0");
+    if (v) vra.widen_after = *v;
+    return v.has_value();
+  }
+  const auto v = parse_number_flag(flag, value,
+                                   std::numeric_limits<double>::denorm_min(),
+                                   std::numeric_limits<double>::max(),
+                                   "a finite number > 0");
+  if (v) vra.clamp = *v;
+  return v.has_value();
 }
 
 /// Parses a --types list into `config.types`; false on unknown formats
@@ -505,12 +554,8 @@ int cmd_tune(const std::vector<std::string>& args) {
       options.lint = core::LintMode::Error;
     } else if (a == "--types") {
       if (!parse_types_list(next(), config)) return 2;
-    } else if (a == "--vra-max-passes") {
-      options.vra.max_passes = std::atoi(next().c_str());
-    } else if (a == "--vra-widen-after") {
-      options.vra.widen_after = std::atoi(next().c_str());
-    } else if (a == "--vra-clamp") {
-      options.vra.clamp = std::atof(next().c_str());
+    } else if (is_vra_flag(a)) {
+      if (!set_vra_flag(a, next(), options.vra)) return 2;
     } else if (a == "--join-stores") {
       options.vra.join_stores = true;
     } else {
@@ -608,12 +653,8 @@ int cmd_lint(const std::vector<std::string>& args) {
       werror = true;
     } else if (a == "--types") {
       if (!parse_types_list(next(), config)) return 2;
-    } else if (a == "--vra-max-passes") {
-      options.vra.max_passes = std::atoi(next().c_str());
-    } else if (a == "--vra-widen-after") {
-      options.vra.widen_after = std::atoi(next().c_str());
-    } else if (a == "--vra-clamp") {
-      options.vra.clamp = std::atof(next().c_str());
+    } else if (is_vra_flag(a)) {
+      if (!set_vra_flag(a, next(), options.vra)) return 2;
     } else if (a == "--join-stores") {
       options.vra.join_stores = true;
     } else {
@@ -709,12 +750,8 @@ int cmd_check(const std::vector<std::string>& args) {
       json_path = next();
     } else if (a == "--types") {
       if (!parse_types_list(next(), config)) return 2;
-    } else if (a == "--vra-max-passes") {
-      options.vra.max_passes = std::atoi(next().c_str());
-    } else if (a == "--vra-widen-after") {
-      options.vra.widen_after = std::atoi(next().c_str());
-    } else if (a == "--vra-clamp") {
-      options.vra.clamp = std::atof(next().c_str());
+    } else if (is_vra_flag(a)) {
+      if (!set_vra_flag(a, next(), options.vra)) return 2;
     } else if (a == "--join-stores") {
       options.vra.join_stores = true;
     } else {
@@ -1080,9 +1117,17 @@ int cmd_sweep(const std::vector<std::string>& args) {
     } else if (a == "--platforms" && has_value) {
       opt.platforms = split_fields(args[++i], ',');
     } else if (a == "--threads" && has_value) {
-      opt.threads = std::atoi(args[++i].c_str());
+      const auto v = parse_number_flag(a, args[++i], 0,
+                                       std::numeric_limits<int>::max(),
+                                       "an integer >= 0");
+      if (!v) return 2;
+      opt.threads = *v;
     } else if (a == "--max-nodes" && has_value) {
-      opt.solver_max_nodes = std::atol(args[++i].c_str());
+      const auto v = parse_number_flag(a, args[++i], 1L,
+                                       std::numeric_limits<long>::max(),
+                                       "an integer >= 1");
+      if (!v) return 2;
+      opt.solver_max_nodes = *v;
     } else if (a == "--no-taffo") {
       opt.include_taffo = false;
     } else if (a == "--engine" && has_value) {
@@ -1096,12 +1141,8 @@ int cmd_sweep(const std::vector<std::string>& args) {
       opt.errors = true;
     } else if (a == "--json" && has_value) {
       json_path = args[++i];
-    } else if (a == "--vra-max-passes" && has_value) {
-      opt.vra.max_passes = std::atoi(args[++i].c_str());
-    } else if (a == "--vra-widen-after" && has_value) {
-      opt.vra.widen_after = std::atoi(args[++i].c_str());
-    } else if (a == "--vra-clamp" && has_value) {
-      opt.vra.clamp = std::atof(args[++i].c_str());
+    } else if (is_vra_flag(a) && has_value) {
+      if (!set_vra_flag(a, args[++i], opt.vra)) return 2;
     } else if (a == "--join-stores") {
       opt.vra.join_stores = true;
     } else if (a == "--quiet") {
@@ -1110,6 +1151,11 @@ int cmd_sweep(const std::vector<std::string>& args) {
       std::fprintf(stderr, "luis sweep: unknown option %s\n", a.c_str());
       return usage();
     }
+  }
+  const std::string invalid = core::sweep_options_error(opt);
+  if (!invalid.empty()) {
+    std::fprintf(stderr, "luis sweep: %s\n", invalid.c_str());
+    return 2;
   }
   const core::SweepResult result = core::run_sweep(opt);
 
