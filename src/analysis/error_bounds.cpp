@@ -70,6 +70,11 @@ double quantization_bound(const ConcreteType& type, double max_magnitude) {
   return bound;
 }
 
+double representation_cap(const ConcreteType& type,
+                          const vra::Interval& range) {
+  return numrep::format_ops(type).max_value(type) + range.max_magnitude();
+}
+
 double ErrorAnalysisResult::relative(const ir::Value* value,
                                      const vra::RangeMap& ranges) const {
   const double abs = errors.of(value);
@@ -646,9 +651,7 @@ private:
     for (const auto& arr : f_.arrays()) {
       const Interval r = ranges_.of(arr.get());
       if (!trusted(r)) continue;
-      const ConcreteType t = types_.of(arr.get());
-      const double rep = numrep::format_ops(t).max_value(t);
-      const double cap = rep + r.max_magnitude();
+      const double cap = representation_cap(types_.of(arr.get()), r);
       if (std::isfinite(cap)) caps_[arr.get()] = cap;
     }
   }

@@ -135,6 +135,12 @@ struct ErrorAnalysisResult {
 double quantization_bound(const numrep::ConcreteType& type,
                           double max_magnitude);
 
+/// The largest error a stored array cell can carry whatever the run
+/// computes: the format's largest representable magnitude plus the
+/// reference range's magnitude. Array bounds saturate at this cap.
+double representation_cap(const numrep::ConcreteType& type,
+                          const vra::Interval& range);
+
 /// Runs the analysis. `ranges` must come from analyze_ranges over the same
 /// function (its clamp magnitude marks untrusted top ranges).
 ErrorAnalysisResult analyze_errors(const ir::Function& f,

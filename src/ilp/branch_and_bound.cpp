@@ -1,6 +1,5 @@
 #include "ilp/branch_and_bound.hpp"
 
-#include "ilp/presolve.hpp"
 #include "ilp/revised_simplex.hpp"
 #include "ilp/solver_cache.hpp"
 
@@ -124,50 +123,8 @@ int select_pseudo_cost(const Model& model, const std::vector<double>& values,
   return best;
 }
 
-} // namespace
-
-namespace {
 Solution solve_milp_impl(const Model& model, const BranchAndBoundOptions& opt);
 
-Solution solve_milp_uncached(const Model& model,
-                             const BranchAndBoundOptions& opt) {
-  if (!opt.presolve) return solve_milp_impl(model, opt);
-
-  obs::TraceSpan presolve_span("ilp.presolve", "ilp", [&] {
-    return obs::Args()
-        .num("variables", model.num_variables())
-        .num("constraints", model.constraints().size())
-        .done();
-  });
-  const PresolvedModel pre = presolve(model);
-  presolve_span.end();
-  if (pre.infeasible) {
-    Solution sol;
-    sol.status = SolveStatus::Infeasible;
-    return sol;
-  }
-  Solution sol = solve_milp_impl(pre.reduced, opt);
-  // The reduced objective omits the fixed-variable contribution; lift the
-  // proven bound back into full-model terms so bound and objective are
-  // comparable whenever presolve fixed a variable with a nonzero
-  // objective coefficient.
-  sol.best_bound += pre.objective_offset;
-  if (!sol.values.empty()) {
-    sol.values = pre.restore(sol.values);
-    sol.objective = model.objective_value(sol.values);
-  } else if (sol.status == SolveStatus::Optimal ||
-             pre.reduced.num_variables() == 0) {
-    // Fully presolved model: the fixed assignment is the solution, if it
-    // satisfies the (already verified) constraints.
-    sol.values = pre.restore({});
-    if (model.is_feasible(sol.values)) {
-      sol.status = SolveStatus::Optimal;
-      sol.objective = model.objective_value(sol.values);
-      sol.best_bound = sol.objective;
-    }
-  }
-  return sol;
-}
 } // namespace
 
 Solution solve_milp(const Model& model, const BranchAndBoundOptions& opt) {
@@ -179,13 +136,13 @@ Solution solve_milp(const Model& model, const BranchAndBoundOptions& opt) {
         .done();
   });
   obs::metrics().counter("ilp.solves").inc();
-  if (!opt.cache) return solve_milp_uncached(model, opt);
+  if (!opt.cache) return solve_milp_impl(model, opt);
   obs::TraceSpan cache_span("ilp.cache", "ilp");
   const std::string key = canonical_model_key(model, opt);
   std::optional<Solution> hit = opt.cache->lookup(key);
   cache_span.end();
   if (hit) return *hit;
-  Solution sol = solve_milp_uncached(model, opt);
+  Solution sol = solve_milp_impl(model, opt);
   opt.cache->insert(key, sol);
   return sol;
 }

@@ -46,8 +46,6 @@ struct BranchAndBoundOptions {
   /// bases. Off by default: pool contents depend on solve order, so only
   /// drivers with a deterministic solve order (serial sweeps) enable it.
   bool share_basis = false;
-  /// Run the presolve reductions before the search (see presolve.hpp).
-  bool presolve = true;
   SimplexOptions lp;
   /// Optional shared memoization of whole-model solves (see
   /// solver_cache.hpp). Not owned; may be shared across threads.

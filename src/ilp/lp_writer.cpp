@@ -35,9 +35,9 @@ std::string to_lp_format(const Model& model) {
                                                             : "Maximize\n");
   os << " obj: ";
   write_expr(os, model, model.objective());
-  // The objective's constant term is part of the reported optimum (and of
-  // presolve-lifted bounds); dropping it would silently shift objectives
-  // on a write/read round-trip.
+  // The objective's constant term is part of the reported optimum and
+  // bound; dropping it would silently shift objectives on a write/read
+  // round-trip.
   const double c0 = model.objective().constant();
   if (c0 > 0.0) os << " + " << c0;
   if (c0 < 0.0) os << " - " << -c0;

@@ -1,7 +1,6 @@
 #include "ilp/simplex.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <vector>
 
@@ -135,7 +134,7 @@ PivotResult run_pivots(Tableau& t, std::vector<int>& basis,
 }
 
 /// The original dense two-phase tableau simplex, kept verbatim as the
-/// differential-testing baseline for the revised core (`--lp-core=dense`).
+/// differential-testing reference for the revised core.
 Solution solve_lp_dense(const Model& model, const SimplexOptions& opt,
                         std::span<const BoundsOverride> overrides) {
   Solution sol;
@@ -414,20 +413,10 @@ Solution solve_lp_dense(const Model& model, const SimplexOptions& opt,
   return sol;
 }
 
-std::atomic<LpCore> g_default_core{LpCore::Revised};
-
 } // namespace
 
 const char* to_string(LpCore core) {
   return core == LpCore::Dense ? "dense" : "revised";
-}
-
-LpCore default_lp_core() {
-  return g_default_core.load(std::memory_order_relaxed);
-}
-
-void set_default_lp_core(LpCore core) {
-  g_default_core.store(core, std::memory_order_relaxed);
 }
 
 Solution solve_lp(const Model& model, const SimplexOptions& opt,

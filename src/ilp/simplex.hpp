@@ -8,7 +8,8 @@
 //    a dual-simplex re-optimization path for warm starts (see
 //    revised_simplex.hpp and docs/SOLVER.md).
 //  - LpCore::Dense: the original dense two-phase tableau simplex, kept as
-//    the differential-testing baseline behind `--lp-core=dense`.
+//    the reference the tests, the ILP fuzz oracle and bench_ilp check the
+//    revised core against (selected through SimplexOptions::core).
 //
 // Both handle general variable bounds, detect infeasibility and
 // unboundedness, and guard against cycling by falling back to Bland's rule
@@ -33,16 +34,10 @@ enum class LpCore { Revised, Dense };
 
 const char* to_string(LpCore core);
 
-/// Process-wide default core for newly constructed SimplexOptions. The CLI
-/// sets this from the global `--lp-core` flag before building any solver
-/// options; tests and the differential fuzz oracle set the field directly.
-LpCore default_lp_core();
-void set_default_lp_core(LpCore core);
-
 struct SimplexOptions {
   long max_iterations = 500000;
   double tolerance = 1e-7;
-  LpCore core = default_lp_core();
+  LpCore core = LpCore::Revised;
   /// Revised core: pivots between basis refactorizations. Each pivot
   /// appends one eta vector; refactorizing resets the eta file and
   /// recomputes the basic solution from scratch, which bounds drift.

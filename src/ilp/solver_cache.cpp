@@ -72,7 +72,6 @@ std::string canonical_model_key(const Model& model,
   out += options.branching == Branching::PseudoCost ? 'p' : 'f';
   out += options.warm_start ? '1' : '0';
   out += options.share_basis ? '1' : '0';
-  out += options.presolve ? '1' : '0';
   out += ';';
   append_number(out, options.lp.max_iterations);
   out += ';';

@@ -53,9 +53,8 @@ double const_real_value(const ir::Value* v) {
 /// Lowers one Function under one TypeAssignment into a CompiledProgram.
 class Compiler {
 public:
-  Compiler(const ir::Function& f, const TypeAssignment& types,
-           const CompileOptions& options)
-      : f_(f), types_(types), opt_(options) {}
+  Compiler(const ir::Function& f, const TypeAssignment& types)
+      : f_(f), types_(types) {}
 
   CompiledProgram compile() {
     // Dense register slots: one per instruction, in block order (the same
@@ -65,7 +64,6 @@ public:
       for (const auto& inst : bb->instructions()) reg_[inst.get()] = n++;
 
     p_.function_name = f_.name();
-    p_.options = opt_;
     p_.num_regs = n;
     p_.source_instruction_count = static_cast<std::size_t>(n);
 
@@ -120,15 +118,6 @@ private:
     return static_cast<std::int32_t>(p_.messages.size() - 1);
   }
 
-  std::int32_t exact_bind_id(const numrep::ExactFixedBind& bind) {
-    for (std::size_t i = 0; i < p_.exact_binds.size(); ++i)
-      if (p_.exact_binds[i].a == bind.a && p_.exact_binds[i].b == bind.b &&
-          p_.exact_binds[i].out == bind.out)
-        return static_cast<std::int32_t>(i);
-    p_.exact_binds.push_back(bind);
-    return static_cast<std::int32_t>(p_.exact_binds.size() - 1);
-  }
-
   IntArg int_arg(const ir::Value* v) {
     IntArg a;
     if (v->kind() == ir::Value::Kind::ConstInt)
@@ -166,15 +155,6 @@ private:
       a.spec = spec_id(target);
     }
     return a;
-  }
-
-  /// Rewrites an already-billed operand for the exact fixed point path,
-  /// which reads raw stored values: alignment conversion dropped,
-  /// constants kept unquantized.
-  void make_raw(RealArg& a, const ir::Value* v) {
-    a.conv = nullptr;
-    a.spec = -1;
-    if (v->is_constant()) a.imm = const_real_value(v);
   }
 
   /// The phi moves for entering `to` from `from` (nullptr = function
@@ -310,31 +290,9 @@ private:
       bi.b = real_arg(inst->operand(1), ty, align);
       bi.op_counter =
           counter_id(ir::opcode_name(inst->opcode()), cost_class(ty));
-      bool exact = false;
-      if (opt_.exact_fixed_arithmetic && ty.format.is_fixed()) {
-        const auto operand_type = [&](const ir::Value* v) {
-          return v->is_constant() ? ty : types_.of(v);
-        };
-        const ConcreteType ta = operand_type(inst->operand(0));
-        const ConcreteType tb = operand_type(inst->operand(1));
-        const numrep::ExactKernel kernel =
-            numrep::bind_exact_fixed(kernel_op2(inst->opcode()));
-        if (kernel && ta.format.is_fixed() && tb.format.is_fixed()) {
-          bi.kind = BInst::Kind::ExactFixed2;
-          bi.exact = kernel;
-          bi.exact_bind = exact_bind_id({numrep::FixedSpec::from(ta),
-                                         numrep::FixedSpec::from(tb),
-                                         numrep::FixedSpec::from(ty)});
-          make_raw(bi.a, inst->operand(0));
-          make_raw(bi.b, inst->operand(1));
-          exact = true;
-        }
-      }
-      if (!exact) {
-        bi.kind = BInst::Kind::Arith2;
-        bi.kernel2 = numrep::bind_kernel2(kernel_op2(inst->opcode()), ty);
-        bi.spec = spec_id(ty);
-      }
+      bi.kind = BInst::Kind::Arith2;
+      bi.kernel2 = numrep::bind_kernel2(kernel_op2(inst->opcode()), ty);
+      bi.spec = spec_id(ty);
       break;
     }
     case Opcode::Neg: case Opcode::Abs: case Opcode::Sqrt: case Opcode::Exp:
@@ -429,7 +387,6 @@ private:
 
   const ir::Function& f_;
   const TypeAssignment& types_;
-  const CompileOptions opt_;
   CompiledProgram p_;
   std::map<std::pair<std::string, std::string>, std::int32_t> counter_ids_;
   std::vector<ConcreteType> spec_types_; ///< parallel to p_.specs
@@ -465,8 +422,8 @@ template <typename T> bool compare(ir::CmpPred pred, T a, T b) {
 
 CompiledProgram compile_program(const ir::Function& f,
                                 const TypeAssignment& types,
-                                const CompileOptions& options) {
-  return Compiler(f, types, options).compile();
+                                const CompileOptions&) {
+  return Compiler(f, types).compile();
 }
 
 void finalize_error_profile(
@@ -619,10 +576,6 @@ RunResult run_program(const CompiledProgram& p, const ir::Function& f,
     if (a.conv) v = a.conv(p.specs[static_cast<std::size_t>(a.spec)], v);
     return v;
   };
-  const auto fetch_exact = [&](const RealArg& a) {
-    if (a.cast_counter >= 0) ++counts[static_cast<std::size_t>(a.cast_counter)];
-    return a.reg >= 0 ? regs[static_cast<std::size_t>(a.reg)].real : a.imm;
-  };
   const auto fetch_int = [&](const IntArg& a) {
     return a.reg >= 0 ? regs[static_cast<std::size_t>(a.reg)].integer : a.imm;
   };
@@ -743,23 +696,6 @@ RunResult run_program(const CompiledProgram& p, const ir::Function& f,
       const double a = fetch_real(bi.a);
       const double b = fetch_real(bi.b);
       const double r = bi.kernel2(p.specs[static_cast<std::size_t>(bi.spec)], a, b);
-      regs[static_cast<std::size_t>(bi.dst)].real = r;
-      ++counts[static_cast<std::size_t>(bi.op_counter)];
-      if (ep) {
-        const double s =
-            shadow_op2(bi.op, fetch_shadow(bi.a), fetch_shadow(bi.b));
-        shadow[static_cast<std::size_t>(bi.dst)] = s;
-        record(ep->instr[static_cast<std::size_t>(pc)], r, s, pc, bi.src);
-      }
-      if (track_regs) observe_reg(bi.dst, r);
-      ++pc;
-      break;
-    }
-    case BInst::Kind::ExactFixed2: {
-      const double a = fetch_exact(bi.a);
-      const double b = fetch_exact(bi.b);
-      const double r =
-          bi.exact(p.exact_binds[static_cast<std::size_t>(bi.exact_bind)], a, b);
       regs[static_cast<std::size_t>(bi.dst)].real = r;
       ++counts[static_cast<std::size_t>(bi.op_counter)];
       if (ep) {
@@ -976,10 +912,7 @@ std::string disassemble(const CompiledProgram& p) {
       out += format_string("  %4d: ", pc);
       switch (bi.kind) {
       case BInst::Kind::Arith2:
-      case BInst::Kind::ExactFixed2:
-        out += format_string("r%d = %s%s %s, %s", bi.dst,
-                             ir::opcode_name(bi.op),
-                             bi.kind == BInst::Kind::ExactFixed2 ? ".exact" : "",
+        out += format_string("r%d = %s %s, %s", bi.dst, ir::opcode_name(bi.op),
                              real_arg_text(bi.a).c_str(),
                              real_arg_text(bi.b).c_str());
         break;
@@ -1063,10 +996,8 @@ std::string disassemble(const CompiledProgram& p) {
 }
 
 std::string program_cache_key(const ir::Function& f,
-                              const TypeAssignment& types,
-                              const CompileOptions& options) {
-  std::string key = options.exact_fixed_arithmetic ? "exact_fixed\n" : "model\n";
-  key += ir::print_function(f);
+                              const TypeAssignment& types) {
+  std::string key = ir::print_function(f);
   key += "#types\n";
   for (const auto& arr : f.arrays()) {
     key += types.of(arr.get()).name();

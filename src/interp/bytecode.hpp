@@ -32,11 +32,8 @@
 
 namespace luis::interp {
 
-struct CompileOptions {
-  /// Mirrors RunOptions::exact_fixed_arithmetic: route all-fixed
-  /// add/sub/mul/div through the exact integer kernels.
-  bool exact_fixed_arithmetic = false;
-};
+/// Empty: kept only because perfbench's certify workload passes `{}`.
+struct CompileOptions {};
 
 /// A real operand resolved at compile time. Fetch order matches the
 /// reference interpreter's real_operand(): read raw value (register or
@@ -76,7 +73,6 @@ struct EdgeMoves {
 struct BInst {
   enum class Kind : std::uint8_t {
     Arith2,      ///< kernel2(a, b) -> dst
-    ExactFixed2, ///< exact integer fixed point a op b -> dst
     Arith1,      ///< kernel1(a) -> dst
     CastReal,    ///< fetch(a) -> dst (conversion folded into the fetch)
     IntToReal,   ///< conv(int ia) -> dst
@@ -102,9 +98,7 @@ struct BInst {
   std::int32_t cond = -1;                ///< boolean register (CondBr, selects)
   numrep::Kernel2 kernel2 = nullptr;
   numrep::Kernel1 kernel1 = nullptr;
-  numrep::ExactKernel exact = nullptr;
   std::int32_t spec = -1;                ///< result QuantSpec (Arith*, IntToReal)
-  std::int32_t exact_bind = -1;          ///< index into exact_binds
   std::int32_t op_counter = -1;          ///< counter slot for the operation
   std::int32_t array = -1;               ///< index into arrays (Load/Store)
   std::int32_t index_start = 0;          ///< slice into index_args
@@ -135,7 +129,6 @@ struct ArrayBinding {
 
 struct CompiledProgram {
   std::string function_name;
-  CompileOptions options;
   std::vector<BInst> code;
   std::vector<BlockInfo> blocks;       ///< empty = function had no entry block
   std::vector<PhiMove> moves;
@@ -143,7 +136,6 @@ struct CompiledProgram {
   std::int32_t entry_edge = -1;        ///< edge applied before the entry block
   std::vector<IntArg> index_args;
   std::vector<numrep::QuantSpec> specs;
-  std::vector<numrep::ExactFixedBind> exact_binds;
   std::vector<ArrayBinding> arrays;
   /// Dense cost counters: slot i accumulates counter_keys[i]. Only nonzero
   /// slots are materialized into CostCounters at the end of a run.
@@ -177,12 +169,10 @@ void finalize_error_profile(ErrorProfile& ep, const CompiledProgram& program,
 /// Human-readable listing of the program (opcodes via ir::opcode_name).
 std::string disassemble(const CompiledProgram& program);
 
-/// Canonical cache key for (f, types, options): the printed IR plus a
-/// positional serialization of every array's and Real instruction's
-/// concrete type. Pointer-free, so re-parsed identical-text kernels map to
-/// the same key.
+/// Canonical cache key for (f, types): the printed IR plus a positional
+/// serialization of every array's and Real instruction's concrete type.
+/// Pointer-free, so re-parsed identical-text kernels map to the same key.
 std::string program_cache_key(const ir::Function& f,
-                              const TypeAssignment& types,
-                              const CompileOptions& options = {});
+                              const TypeAssignment& types);
 
 } // namespace luis::interp

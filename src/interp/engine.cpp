@@ -102,9 +102,6 @@ RunResult ReferenceEngine::run(const ir::Function& f,
 
 RunResult VmEngine::run(const ir::Function& f, const TypeAssignment& types,
                         ArrayStore& store, const RunOptions& options) const {
-  CompileOptions copt;
-  copt.exact_fixed_arithmetic = options.exact_fixed_arithmetic;
-
   const auto t0 = std::chrono::steady_clock::now();
   std::shared_ptr<const CompiledProgram> program;
   bool cache_hit = false;
@@ -113,17 +110,17 @@ RunResult VmEngine::run(const ir::Function& f, const TypeAssignment& types,
       return obs::Args().str("function", f.name()).done();
     });
     if (cache_) {
-      const std::string key = program_cache_key(f, types, copt);
+      const std::string key = program_cache_key(f, types);
       program = cache_->lookup(key);
       cache_hit = program != nullptr;
       if (!program) {
         program = std::make_shared<const CompiledProgram>(
-            compile_program(f, types, copt));
+            compile_program(f, types));
         cache_->insert(key, program);
       }
     } else {
       program = std::make_shared<const CompiledProgram>(
-          compile_program(f, types, copt));
+          compile_program(f, types));
     }
   }
   const double compile_seconds = seconds_since(t0);

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "numrep/fixed_point.hpp"
 #include "numrep/quantize.hpp"
 #include "numrep/registry.hpp"
 #include "support/diag.hpp"
@@ -257,42 +256,6 @@ private:
     if (opt_.count_costs) ++counters_.non_real_ops;
   }
 
-  /// Exact integer execution of a fixed point binary op. Returns false for
-  /// opcodes or operand formats the exact path does not cover (the caller
-  /// falls through to the compute-in-double model).
-  bool execute_exact_fixed(const Instruction* inst, const ConcreteType& ty,
-                           Slot& out) {
-    const Opcode op = inst->opcode();
-    if (op != Opcode::Add && op != Opcode::Sub && op != Opcode::Mul &&
-        op != Opcode::Div)
-      return false;
-    auto operand_type = [&](const ir::Value* v) {
-      return v->is_constant() ? ty : types_.of(v);
-    };
-    const ConcreteType ta = operand_type(inst->operand(0));
-    const ConcreteType tb = operand_type(inst->operand(1));
-    if (!ta.format.is_fixed() || !tb.format.is_fixed()) return false;
-
-    using numrep::FixedSpec;
-    using numrep::FixedValue;
-    const FixedValue fa =
-        FixedValue::from_double(FixedSpec::from(ta), real_of(inst->operand(0)));
-    const FixedValue fb =
-        FixedValue::from_double(FixedSpec::from(tb), real_of(inst->operand(1)));
-    const FixedSpec spec = FixedSpec::from(ty);
-    FixedValue r{spec, 0};
-    switch (op) {
-    case Opcode::Add: r = numrep::fixed_add_mixed(fa, fb, spec); break;
-    case Opcode::Sub: r = numrep::fixed_sub_mixed(fa, fb, spec); break;
-    case Opcode::Mul: r = numrep::fixed_mul_mixed(fa, fb, spec); break;
-    case Opcode::Div: r = numrep::fixed_div_mixed(fa, fb, spec); break;
-    default: LUIS_UNREACHABLE("covered above");
-    }
-    out.real = r.to_double();
-    if (opt_.count_costs) counters_.count_op(ir::opcode_name(op), cost_class(ty));
-    return true;
-  }
-
   void observe(const ir::Array* arr, double v) {
     if (std::isnan(v)) return;
     auto [it, fresh] = observed_.try_emplace(arr->name(), v, v);
@@ -325,9 +288,6 @@ private:
                          inst->opcode() == Opcode::Max;
       const double a = real_operand(inst, 0, ty, align);
       const double b = real_operand(inst, 1, ty, align);
-      if (opt_.exact_fixed_arithmetic && ty.format.is_fixed() &&
-          execute_exact_fixed(inst, ty, out))
-        break;
       double r = 0.0;
       switch (inst->opcode()) {
       case Opcode::Add: r = a + b; break;

@@ -159,12 +159,6 @@ struct RunOptions {
   bool count_costs = true;
   bool track_array_ranges = false;
   bool track_register_ranges = false;
-  /// Execute fixed point add/sub/mul/div through exact integer arithmetic
-  /// (numrep's mixed-format FixedValue ops) instead of the default
-  /// compute-in-binary64-then-quantize model. The two paths agree to one
-  /// unit in the last place; the exact path is bit-faithful to what
-  /// TAFFO-generated integer code computes.
-  bool exact_fixed_arithmetic = false;
   /// When set, the VM engine records per-pc execution counts here (the
   /// vectors are sized and zeroed by run_program). Ignored by the
   /// reference engine.

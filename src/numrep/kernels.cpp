@@ -87,14 +87,6 @@ constexpr Kernel1 row1(int cls) {
                     : &fused1<Op, round_generic>;
 }
 
-template <FixedValue (*OpFn)(const FixedValue&, const FixedValue&,
-                             const FixedSpec&)>
-double exact2(const ExactFixedBind& b, double x, double y) {
-  const FixedValue fa = FixedValue::from_double(b.a, x);
-  const FixedValue fb = FixedValue::from_double(b.b, y);
-  return OpFn(fa, fb, b.out).to_double();
-}
-
 } // namespace
 
 QuantSpec make_quant_spec(const ConcreteType& type) {
@@ -141,16 +133,6 @@ Kernel1 bind_kernel1(KernelOp1 op, const ConcreteType& result) {
   case KernelOp1::Exp: return row1<OpExp>(cls);
   }
   LUIS_UNREACHABLE("unknown unary kernel op");
-}
-
-ExactKernel bind_exact_fixed(KernelOp2 op) {
-  switch (op) {
-  case KernelOp2::Add: return &exact2<fixed_add_mixed>;
-  case KernelOp2::Sub: return &exact2<fixed_sub_mixed>;
-  case KernelOp2::Mul: return &exact2<fixed_mul_mixed>;
-  case KernelOp2::Div: return &exact2<fixed_div_mixed>;
-  default: return nullptr;
-  }
 }
 
 } // namespace luis::numrep

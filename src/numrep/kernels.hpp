@@ -51,18 +51,4 @@ using Kernel1 = double (*)(const QuantSpec&, double);
 Kernel2 bind_kernel2(KernelOp2 op, const ConcreteType& result);
 Kernel1 bind_kernel1(KernelOp1 op, const ConcreteType& result);
 
-/// Pre-resolved operand/result layouts for the exact integer fixed point
-/// path (RunOptions::exact_fixed_arithmetic).
-struct ExactFixedBind {
-  FixedSpec a{};
-  FixedSpec b{};
-  FixedSpec out{};
-};
-
-using ExactKernel = double (*)(const ExactFixedBind&, double, double);
-
-/// Exact mixed-format fixed point kernel for Add/Sub/Mul/Div; other ops
-/// return nullptr (the caller falls back to the compute-in-double table).
-ExactKernel bind_exact_fixed(KernelOp2 op);
-
 } // namespace luis::numrep

@@ -71,7 +71,6 @@ HotSpotReport build_hotspot_report(const interp::CompiledProgram& p,
     double extra = 0.0; // data-dependent (select side)
     switch (bi.kind) {
     case Kind::Arith2:
-    case Kind::ExactFixed2:
       per = billed(bi.op_counter) + billed(bi.a.cast_counter) +
             billed(bi.b.cast_counter);
       break;

@@ -173,45 +173,37 @@ CheckResult check_ilp_instance(const ilp::Model& model,
 
   // Oracle 1: exhaustive enumeration is ground truth.
   const EnumerationResult truth = enumerate_optimum(model);
-  const Solution with_presolve = solve(model, base);
-  if (with_presolve.status == SolveStatus::NodeLimit ||
-      with_presolve.status == SolveStatus::IterationLimit)
+  const Solution solved = solve(model, base);
+  if (solved.status == SolveStatus::NodeLimit ||
+      solved.status == SolveStatus::IterationLimit)
     return CheckResult::fail(format_string(
         "solver hit its %s on a %zu-variable instance",
-        ilp::to_string(with_presolve.status), model.num_variables()));
+        ilp::to_string(solved.status), model.num_variables()));
   if (!truth.feasible) {
-    if (with_presolve.status != SolveStatus::Infeasible)
+    if (solved.status != SolveStatus::Infeasible)
       return CheckResult::fail(format_string(
           "enumeration proves infeasibility but solver returned %s "
           "(objective %.17g)",
-          ilp::to_string(with_presolve.status), with_presolve.objective));
+          ilp::to_string(solved.status), solved.objective));
   } else {
-    if (with_presolve.status != SolveStatus::Optimal)
+    if (solved.status != SolveStatus::Optimal)
       return CheckResult::fail(format_string(
           "enumeration found optimum %.17g but solver returned %s",
-          truth.objective, ilp::to_string(with_presolve.status)));
-    if (std::abs(with_presolve.objective - truth.objective) > 1e-6)
+          truth.objective, ilp::to_string(solved.status)));
+    if (std::abs(solved.objective - truth.objective) > 1e-6)
       return CheckResult::fail(format_string(
           "optimum mismatch: enumeration %.17g, solver %.17g",
-          truth.objective, with_presolve.objective));
-    if (!model.is_feasible(with_presolve.values))
+          truth.objective, solved.objective));
+    if (!model.is_feasible(solved.values))
       return CheckResult::fail("solver's claimed solution is infeasible");
-    if (std::abs(model.objective_value(with_presolve.values) -
-                 with_presolve.objective) > 1e-6)
+    if (std::abs(model.objective_value(solved.values) - solved.objective) >
+        1e-6)
       return CheckResult::fail(format_string(
           "solver's objective %.17g does not match its own solution (%.17g)",
-          with_presolve.objective,
-          model.objective_value(with_presolve.values)));
+          solved.objective, model.objective_value(solved.values)));
   }
 
-  // Oracle 2: presolve must not change the answer.
-  BranchAndBoundOptions no_presolve = base;
-  no_presolve.presolve = false;
-  const CheckResult presolve_check = compare_solves(
-      "presolve on vs off", with_presolve, solve(model, no_presolve));
-  if (!presolve_check.ok) return presolve_check;
-
-  // Oracle 3: the LP text round trip is the same optimization problem.
+  // Oracle 2: the LP text round trip is the same optimization problem.
   // Variable order can change (the reader numbers by first use), so the
   // comparison is status + optimum, not values.
   const std::string lp_text = ilp::to_lp_format(model);
@@ -220,10 +212,10 @@ CheckResult check_ilp_instance(const ilp::Model& model,
     return CheckResult::fail("lp_writer output does not re-parse: " +
                              reparsed.error);
   const CheckResult roundtrip_check = compare_solves(
-      "LP round trip", with_presolve, solve(reparsed.model, base));
+      "LP round trip", solved, solve(reparsed.model, base));
   if (!roundtrip_check.ok) return roundtrip_check;
 
-  // Oracle 4: a cache hit returns the fresh solution bit-identically.
+  // Oracle 3: a cache hit returns the fresh solution bit-identically.
   ilp::SolverCache cache;
   BranchAndBoundOptions cached = base;
   cached.cache = &cache;
@@ -240,17 +232,15 @@ CheckResult check_ilp_instance(const ilp::Model& model,
   if (!options.solve && cache.stats().hits < 1)
     return CheckResult::fail("second cached solve did not hit the cache");
 
-  // Oracle 5: the dense tableau core and the sparse revised core solve the
+  // Oracle 4: the dense tableau core and the sparse revised core solve the
   // same problem — a status, optimum, or proven-bound disagreement is a
-  // bug in one of them. (`base` runs under the session default core, so
-  // the differential also covers whichever core oracle 1 just validated.)
+  // bug in one of them. `base` runs the revised core (the SimplexOptions
+  // default), which oracle 1 just checked against enumeration, so this
+  // keeps the dense reference checked too.
   BranchAndBoundOptions dense = base;
   dense.lp.core = ilp::LpCore::Dense;
-  BranchAndBoundOptions revised = base;
-  revised.lp.core = ilp::LpCore::Revised;
   const CheckResult core_check =
-      compare_solves("revised vs dense core", solve(model, revised),
-                     solve(model, dense));
+      compare_solves("revised vs dense core", solved, solve(model, dense));
   if (!core_check.ok) return core_check;
 
   return CheckResult::pass();

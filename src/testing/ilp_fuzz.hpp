@@ -5,8 +5,8 @@
 // feasible set can be enumerated outright — the independent ground truth
 // every solver configuration is checked against. One instance is then
 // required to agree with itself across every code path that must not
-// change the answer: presolve on vs off, an lp_writer -> lp_reader round
-// trip, and a solver-cache hit vs the fresh solve.
+// change the answer: an lp_writer -> lp_reader round trip, a solver-cache
+// hit vs the fresh solve, and the dense vs the revised LP core.
 #pragma once
 
 #include <functional>
@@ -61,12 +61,12 @@ struct IlpCheckOptions {
 };
 
 /// The four-oracle differential property. Passes iff:
-///   1. solve (presolve on) matches exhaustive enumeration in status and
-///      optimum, and its claimed solution is feasible and consistent;
-///   2. presolve off agrees with presolve on;
-///   3. the lp_writer -> lp_reader round trip solves to the same optimum;
-///   4. re-solving through a SolverCache returns the first solution
-///      bit-identically.
+///   1. solve (revised LP core) matches exhaustive enumeration in status
+///      and optimum, and its claimed solution is feasible and consistent;
+///   2. the lp_writer -> lp_reader round trip solves to the same optimum;
+///   3. re-solving through a SolverCache returns the first solution
+///      bit-identically;
+///   4. the dense LP core agrees with the revised one.
 CheckResult check_ilp_instance(const ilp::Model& model,
                                const IlpCheckOptions& options = {});
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "ilp/branch_and_bound.hpp"
@@ -198,7 +199,6 @@ TEST(BranchAndBound, IterationLimitKeepsBoundSound) {
   ASSERT_EQ(exact.status, SolveStatus::Optimal);
 
   BranchAndBoundOptions starved;
-  starved.presolve = false; // keep the full model at the starved LP
   starved.lp.max_iterations = 1;
   const Solution s = solve_milp(m, starved);
   EXPECT_EQ(s.status, SolveStatus::NodeLimit);
@@ -432,6 +432,144 @@ TEST(BranchAndBound, BranchingRulesAgreeOnOptimum) {
   ASSERT_EQ(sp.status, SolveStatus::Optimal);
   ASSERT_EQ(sf.status, SolveStatus::Optimal);
   EXPECT_NEAR(sp.objective, sf.objective, 1e-6);
+}
+
+// Models with fixed variables, singleton rows and empty-after-fixing rows:
+// branch & bound must get their status, objective and bound right on the
+// model as given, on both LP cores.
+constexpr LpCore kCores[] = {LpCore::Revised, LpCore::Dense};
+
+Solution solve_on(const Model& m, LpCore core) {
+  BranchAndBoundOptions opt;
+  opt.lp.core = core;
+  return solve_milp(m, opt);
+}
+
+TEST(BranchAndBound, FixedVariableCountsInObjectiveAndBound) {
+  Model m;
+  const VarId x = m.add_continuous("x", 2.0, 2.0);
+  const VarId y = m.add_continuous("y", 0.0, 4.0);
+  m.set_objective(Direction::Maximize, LinearExpr().add(x, 10).add(y, 1));
+  for (const LpCore core : kCores) {
+    SCOPED_TRACE(to_string(core));
+    const Solution s = solve_on(m, core);
+    ASSERT_EQ(s.status, SolveStatus::Optimal);
+    EXPECT_DOUBLE_EQ(s.objective, 24.0);
+    EXPECT_DOUBLE_EQ(s.best_bound, 24.0);
+  }
+}
+
+TEST(BranchAndBound, FixedIntegerKeepsBoundAboveObjective) {
+  Model m;
+  const VarId f = m.add_integer("f", 7, 7);
+  const VarId x = m.add_integer("x", 0, 5);
+  const VarId y = m.add_integer("y", 0, 5);
+  m.add_le(LinearExpr().add(x, 2.0).add(y, 3.0), 12.0);
+  m.set_objective(Direction::Maximize,
+                  LinearExpr().add(f, 100).add(x, 4).add(y, 5));
+  for (const LpCore core : kCores) {
+    SCOPED_TRACE(to_string(core));
+    const Solution s = solve_on(m, core);
+    ASSERT_EQ(s.status, SolveStatus::Optimal);
+    EXPECT_GT(s.objective, 700.0);
+    EXPECT_GE(s.best_bound, s.objective - 1e-9);
+    EXPECT_NEAR(s.best_bound, s.objective, 1e-6);
+  }
+}
+
+TEST(BranchAndBound, InfeasibleThroughRowsAndBounds) {
+  Model contradictory; // x <= 3 and x >= 7
+  const VarId a = contradictory.add_integer("x", 0, 10);
+  contradictory.add_le(LinearExpr().add(a, 1.0), 3.0);
+  contradictory.add_ge(LinearExpr().add(a, 1.0), 7.0);
+  contradictory.set_objective(Direction::Minimize, LinearExpr().add(a, 1));
+
+  Model window; // 2.2 <= x <= 2.8 holds no integer
+  const VarId b = window.add_integer("x", 0, 10);
+  window.add_ge(LinearExpr().add(b, 1.0), 2.2);
+  window.add_le(LinearExpr().add(b, 1.0), 2.8);
+  window.set_objective(Direction::Minimize, LinearExpr().add(b, 1));
+
+  Model fixed; // x = 1 under x <= 0.5
+  const VarId c = fixed.add_continuous("x", 1.0, 1.0);
+  fixed.add_le(LinearExpr().add(c, 1.0), 0.5);
+  fixed.set_objective(Direction::Minimize, LinearExpr().add(c, 1));
+
+  for (const LpCore core : kCores) {
+    SCOPED_TRACE(to_string(core));
+    EXPECT_EQ(solve_on(contradictory, core).status, SolveStatus::Infeasible);
+    EXPECT_EQ(solve_on(window, core).status, SolveStatus::Infeasible);
+    EXPECT_EQ(solve_on(fixed, core).status, SolveStatus::Infeasible);
+  }
+}
+
+TEST(BranchAndBound, CascadingEqualitiesFixEveryVariable) {
+  Model m;
+  const VarId x = m.add_integer("x", 0, 10);
+  const VarId y = m.add_integer("y", 0, 10);
+  m.add_eq(LinearExpr().add(x, 1.0), 4.0);              // x = 4
+  m.add_eq(LinearExpr().add(x, 1.0).add(y, 1.0), 10.0); // then y = 6
+  m.set_objective(Direction::Minimize, LinearExpr().add(y, 1));
+  for (const LpCore core : kCores) {
+    SCOPED_TRACE(to_string(core));
+    const Solution s = solve_on(m, core);
+    ASSERT_EQ(s.status, SolveStatus::Optimal);
+    EXPECT_DOUBLE_EQ(s.values[static_cast<std::size_t>(x)], 4.0);
+    EXPECT_DOUBLE_EQ(s.values[static_cast<std::size_t>(y)], 6.0);
+  }
+}
+
+TEST(BranchAndBound, SingletonRowCapsIntegerMaximum) {
+  Model m;
+  const VarId x = m.add_integer("x", 0, 10);
+  m.add_le(LinearExpr().add(x, 2.0), 9.0); // x <= 4.5
+  m.set_objective(Direction::Maximize, LinearExpr().add(x, 1));
+  for (const LpCore core : kCores) {
+    SCOPED_TRACE(to_string(core));
+    const Solution s = solve_on(m, core);
+    ASSERT_EQ(s.status, SolveStatus::Optimal);
+    EXPECT_DOUBLE_EQ(s.objective, 4.0);
+  }
+}
+
+// Random integer models mixing fixed variables, narrow boxes and singleton
+// rows under one dense row: both cores reach the same status and optimum,
+// and the incumbent is feasible for the model as given.
+TEST(BranchAndBound, CoresAgreeOnFixedVariablesAndSingletonRows) {
+  Rng rng(99);
+  for (int trial = 0; trial < 10; ++trial) {
+    Model m;
+    const int n = 8;
+    std::vector<VarId> xs;
+    for (int i = 0; i < n; ++i) {
+      const double lo = static_cast<double>(rng.next_int(0, 2));
+      const double hi = lo + static_cast<double>(rng.next_int(0, 3));
+      xs.push_back(m.add_integer("x" + std::to_string(i), lo, hi));
+    }
+    LinearExpr total;
+    for (int i = 0; i < n; ++i) {
+      if (rng.next_bool(0.4))
+        m.add_le(LinearExpr().add(xs[static_cast<std::size_t>(i)], 1.0),
+                 static_cast<double>(rng.next_int(1, 4)));
+      total.add(xs[static_cast<std::size_t>(i)],
+                static_cast<double>(rng.next_int(-3, 3)));
+    }
+    m.add_le(std::move(total), static_cast<double>(rng.next_int(2, 12)));
+    LinearExpr obj;
+    for (int i = 0; i < n; ++i)
+      obj.add(xs[static_cast<std::size_t>(i)],
+              static_cast<double>(rng.next_int(-5, 5)));
+    m.set_objective(Direction::Maximize, std::move(obj));
+
+    const Solution revised = solve_on(m, LpCore::Revised);
+    const Solution dense = solve_on(m, LpCore::Dense);
+    ASSERT_EQ(revised.status, dense.status) << "trial " << trial;
+    if (revised.status == SolveStatus::Optimal) {
+      EXPECT_NEAR(revised.objective, dense.objective, 1e-6) << "trial " << trial;
+      EXPECT_TRUE(m.is_feasible(revised.values)) << "trial " << trial;
+      EXPECT_TRUE(m.is_feasible(dense.values)) << "trial " << trial;
+    }
+  }
 }
 
 TEST(SolverCache, StructuralKeyIgnoresObjective) {

@@ -245,25 +245,6 @@ TEST(Engine, StepLimitTrapAgrees) {
   EXPECT_TRUE(r.counters.ops.empty());
 }
 
-TEST(Engine, ExactFixedArithmeticAgrees) {
-  ir::Module m;
-  KernelBuilder kb(m, "exactfix");
-  Array* A = kb.array("A", {8}, 0.25, 4.0);
-  Array* B = kb.array("B", {8}, -32.0, 32.0);
-  kb.for_loop("i", 0, 8, [&](IVal i) {
-    RVal x = kb.load(A, {i});
-    kb.store(kb.div(kb.mul(x, x) + x - kb.real(0.5), kb.real(3.0)), B, {i});
-  });
-  ir::Function* f = kb.finish();
-  ASSERT_TRUE(ir::verify(*f).ok());
-  RunOptions opt;
-  opt.exact_fixed_arithmetic = true;
-  const ArrayStore inputs = synth_inputs(*f, 6);
-  const TypeAssignment fix = TypeAssignment::uniform(*f, {numrep::kFixed32, 12});
-  const RunResult r = expect_engines_agree(*f, fix, inputs, opt);
-  ASSERT_TRUE(r.ok) << r.error;
-}
-
 TEST(Engine, ProgramCacheHitsOnSecondRun) {
   ir::Module m;
   KernelBuilder kb(m, "cached");

@@ -1,14 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "analysis/error_bounds.hpp"
 #include "analysis/lint.hpp"
+#include "core/pipeline.hpp"
 #include "interp/engine.hpp"
 #include "ir/kernel_builder.hpp"
 #include "ir/parser.hpp"
 #include "numrep/quantize.hpp"
+#include "polybench/polybench.hpp"
 #include "support/rng.hpp"
 #include "vra/range_analysis.hpp"
 
@@ -227,6 +231,44 @@ TEST(ErrorBounds, DivergentControlChargesRepresentationCap) {
   EXPECT_TRUE(std::isfinite(flt.errors.of(B)));
 }
 
+// C = A * B in fix32.20: a sound bound covers each operand's storage
+// error scaled by the co-operand's magnitude, plus the product's rounding.
+TEST(ErrorBounds, MulScalesOperandErrorsByCoOperand) {
+  ir::Module m;
+  KernelBuilder kb(m, "mul1");
+  Array* A = kb.array("A", {1}, 0.0, 2.0);
+  Array* B = kb.array("B", {1}, 0.0, 3.0);
+  Array* C = kb.array("C", {1}, 0.0, 6.0);
+  kb.store(kb.load(A, {kb.idx(0)}) * kb.load(B, {kb.idx(0)}), C, {kb.idx(0)});
+  ir::Function* f = kb.finish();
+
+  const ErrorAnalysisResult r =
+      analyze(*f, assign_all_except(*f, {numrep::kFixed32, 20}));
+  EXPECT_TRUE(r.stats.converged);
+  const double half_step = std::ldexp(1.0, -21);
+  // maxA * err(B) + maxB * err(A) + the product's own rounding.
+  EXPECT_GE(r.errors.of(C), 2.0 * half_step + 3.0 * half_step + half_step);
+  EXPECT_TRUE(std::isfinite(r.errors.of(C)));
+}
+
+// A divisor whose range straddles zero bounds nothing: the quotient
+// register is unbounded, and the saturating fixed point store falls back
+// to its representation cap.
+TEST(ErrorBounds, DivisionByZeroStraddlingRangeIsUnbounded) {
+  ir::Module m;
+  KernelBuilder kb(m, "div0");
+  Array* A = kb.array("A", {1}, -1.0, 1.0);
+  Array* B = kb.array("B", {1}, 1.0, 2.0);
+  kb.store(kb.load(B, {kb.idx(0)}) / kb.load(A, {kb.idx(0)}), B, {kb.idx(0)});
+  ir::Function* f = kb.finish();
+
+  const ErrorAnalysisResult r =
+      analyze(*f, assign_all_except(*f, {numrep::kFixed32, 16}));
+  EXPECT_FALSE(std::isfinite(r.errors.of(find_real_inst(*f, Opcode::Div))));
+  EXPECT_GT(r.capped_bounds, 0);
+  EXPECT_TRUE(std::isfinite(r.errors.of(B)));
+}
+
 TEST(ErrorBounds, RelativeNormalizesByRangeScale) {
   ir::Module m;
   ir::Function* f = build_add(m);
@@ -238,6 +280,58 @@ TEST(ErrorBounds, RelativeNormalizesByRangeScale) {
   ASSERT_GT(scale, 0.0);
   EXPECT_NEAR(r.relative(C, ranges), r.errors.of(C) / scale, 1e-18);
 }
+
+// Soundness on the product path: tune each PolyBench kernel with the Fast
+// preset on Stm32, then hold the measured worst absolute output deviation
+// of the tuned run from the binary64 run to the composed certificate (the
+// tuned bound plus the binary64 run's own bound), on the VRA ranges the
+// allocator used. Divergent control charges the representation cap, so
+// every kernel is covered, not only those with straightforward data flow.
+class ErrorSoundness : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ErrorSoundness, PredictedBoundCoversMeasuredError) {
+  ir::Module m;
+  polybench::BuiltKernel kernel = polybench::build_kernel(GetParam(), m);
+  const ir::Function& f = *kernel.function;
+  const vra::RangeMap ranges = vra::analyze_ranges(f);
+  const core::AllocationResult alloc = core::allocate_ilp(
+      f, ranges, platform::stm32_table(), core::TuningConfig::fast());
+
+  const TypeAssignment binary64;
+  const ErrorAnalysisResult tuned_err =
+      analyze_errors(f, alloc.assignment, ranges);
+  const ErrorAnalysisResult reference_err = analyze_errors(f, binary64, ranges);
+
+  interp::ArrayStore ref = kernel.inputs;
+  ASSERT_TRUE(interp::run_function(f, binary64, ref).ok);
+  interp::ArrayStore tuned = kernel.inputs;
+  ASSERT_TRUE(interp::run_function(f, alloc.assignment, tuned).ok);
+
+  for (const std::string& out : kernel.outputs) {
+    const ir::Array* arr = nullptr;
+    for (const auto& a : f.arrays())
+      if (a->name() == out) arr = a.get();
+    ASSERT_NE(arr, nullptr) << out;
+    double measured = 0.0;
+    for (std::size_t i = 0; i < ref.at(out).size(); ++i) {
+      const double d = std::abs(ref.at(out)[i] - tuned.at(out)[i]);
+      measured = std::isnan(d) ? std::numeric_limits<double>::infinity()
+                               : std::max(measured, d);
+    }
+    EXPECT_LE(measured,
+              tuned_err.errors.of(arr) + reference_err.errors.of(arr))
+        << GetParam() << "/" << out;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernels, ErrorSoundness,
+                         ::testing::ValuesIn(polybench::kernel_names()),
+                         [](const auto& info) {
+                           std::string name = info.param;
+                           for (char& c : name)
+                             if (c == '-') c = '_';
+                           return name;
+                         });
 
 // ---------------------------------------------------------------------------
 // Error-aware lint rules (L008-L011): each fires on a dedicated negative

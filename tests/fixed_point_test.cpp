@@ -164,5 +164,74 @@ INSTANTIATE_TEST_SUITE_P(Layouts, FixedCastSweep,
                          ::testing::Combine(::testing::Values(4, 8, 16, 24),
                                             ::testing::Values(4, 8, 16, 24)));
 
+// Mixed-format integer fixed point ops: the integer reference showing
+// that the executed model (compute in binary64, then quantize) stays
+// within one output ulp of integer arithmetic.
+TEST(MixedFixed, AddAlignsOperands) {
+  const FixedSpec a_spec{32, 20, true}, b_spec{32, 8, true}, out{32, 12, true};
+  const auto a = FixedValue::from_double(a_spec, 1.25);
+  const auto b = FixedValue::from_double(b_spec, 100.5);
+  EXPECT_DOUBLE_EQ(fixed_add_mixed(a, b, out).to_double(), 101.75);
+  EXPECT_DOUBLE_EQ(fixed_sub_mixed(b, a, out).to_double(), 99.25);
+}
+
+TEST(MixedFixed, MulFoldsRescale) {
+  const FixedSpec a_spec{32, 16, true}, b_spec{32, 10, true}, out{32, 12, true};
+  const auto a = FixedValue::from_double(a_spec, 3.5);
+  const auto b = FixedValue::from_double(b_spec, -2.25);
+  EXPECT_DOUBLE_EQ(fixed_mul_mixed(a, b, out).to_double(), -7.875);
+}
+
+TEST(MixedFixed, DivScalesDividend) {
+  const FixedSpec a_spec{32, 16, true}, b_spec{32, 8, true}, out{32, 16, true};
+  const auto a = FixedValue::from_double(a_spec, 7.5);
+  const auto b = FixedValue::from_double(b_spec, 2.5);
+  EXPECT_DOUBLE_EQ(fixed_div_mixed(a, b, out).to_double(), 3.0);
+  // Division by zero saturates by dividend sign.
+  const auto zero = FixedValue::from_double(b_spec, 0.0);
+  EXPECT_DOUBLE_EQ(fixed_div_mixed(a, zero, out).to_double(), out.max_value());
+}
+
+TEST(MixedFixed, SaturatesAtOutputRange) {
+  const FixedSpec wide{32, 4, true}, narrow{16, 8, true};
+  const auto big = FixedValue::from_double(wide, 1000.0);
+  EXPECT_DOUBLE_EQ(fixed_add_mixed(big, big, narrow).to_double(),
+                   narrow.max_value());
+  EXPECT_DOUBLE_EQ(fixed_mul_mixed(big, big, narrow).to_double(),
+                   narrow.max_value());
+}
+
+// Property: the exact mixed ops agree with compute-in-double-then-quantize
+// to within one output ULP (the double path's extra rounding).
+class MixedFixedSweep : public ::testing::TestWithParam<int> {};
+
+TEST_P(MixedFixedSweep, AgreesWithDoubleModel) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()));
+  for (int trial = 0; trial < 2000; ++trial) {
+    const FixedSpec sa{32, static_cast<int>(rng.next_int(4, 24)), true};
+    const FixedSpec sb{32, static_cast<int>(rng.next_int(4, 24)), true};
+    const FixedSpec so{32, static_cast<int>(rng.next_int(4, 24)), true};
+    const double av = quantize_fixed(sa, rng.next_double(-30, 30));
+    const double bv = quantize_fixed(sb, rng.next_double(-30, 30));
+    const auto a = FixedValue::from_double(sa, av);
+    const auto b = FixedValue::from_double(sb, bv);
+
+    const double ulp = so.resolution();
+    EXPECT_NEAR(fixed_add_mixed(a, b, so).to_double(),
+                quantize_fixed(so, av + bv), ulp);
+    EXPECT_NEAR(fixed_sub_mixed(a, b, so).to_double(),
+                quantize_fixed(so, av - bv), ulp);
+    EXPECT_NEAR(fixed_mul_mixed(a, b, so).to_double(),
+                quantize_fixed(so, av * bv), ulp);
+    if (std::abs(bv) > 0.5) {
+      EXPECT_NEAR(fixed_div_mixed(a, b, so).to_double(),
+                  quantize_fixed(so, av / bv), ulp)
+          << av << " / " << bv;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MixedFixedSweep, ::testing::Values(1, 2, 3));
+
 } // namespace
 } // namespace luis::numrep

@@ -110,9 +110,9 @@ End
 }
 
 TEST(LpReader, ObjectiveConstantSurvivesWriteReadRoundTrip) {
-  // The objective's constant term is part of the reported optimum (and of
-  // presolve-lifted bounds); the writer must emit it or a dump/reload
-  // cycle silently shifts every objective.
+  // The objective's constant term is part of the reported optimum and
+  // bound; the writer must emit it or a dump/reload cycle silently shifts
+  // every objective.
   Model m;
   const VarId x = m.add_integer("x", 0.0, 4.0);
   LinearExpr obj;

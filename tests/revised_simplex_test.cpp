@@ -229,11 +229,6 @@ TEST(RevisedSimplex, RandomDifferentialAgainstDenseCore) {
 }
 
 TEST(RevisedSimplex, LpCoreDefaultRoundTrips) {
-  const LpCore before = default_lp_core();
-  set_default_lp_core(LpCore::Dense);
-  EXPECT_EQ(default_lp_core(), LpCore::Dense);
-  EXPECT_EQ(SimplexOptions{}.core, LpCore::Dense);
-  set_default_lp_core(before);
   EXPECT_STREQ(to_string(LpCore::Revised), "revised");
   EXPECT_STREQ(to_string(LpCore::Dense), "dense");
 }

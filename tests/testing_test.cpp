@@ -64,8 +64,8 @@ TEST(IlpGenerator, KeepsTheEnumerableInvariants) {
 }
 
 // Acceptance bar: a large random campaign in the smoke suite, with every
-// instance agreeing across all four oracles (enumeration, presolve
-// on/off, LP-text round trip, cache hit vs fresh solve).
+// instance agreeing across all four oracles (enumeration, LP-text round
+// trip, cache hit vs fresh solve, dense vs revised LP core).
 TEST(IlpOracles, TenThousandInstancesAgreeAcrossAllFourOracles) {
   for (long trial = 0; trial < 10000; ++trial) {
     Rng rng(derive_seed(0xACCE5501, static_cast<std::uint64_t>(trial)));

@@ -45,9 +45,6 @@
 //                         JSON file (open in Perfetto / chrome://tracing)
 //   --metrics-out FILE    write the process metrics registry as JSON
 //   --log-level L         error|warn|info|debug (default info)
-//   --lp-core C           LP engine under every MILP solve: revised (the
-//                         sparse revised simplex, default) or dense (the
-//                         original tableau baseline; see docs/SOLVER.md)
 //
 // profile options:
 //   --platform P          op-time table pricing the report (as in tune)
@@ -76,7 +73,7 @@
 //                         deviation against the static certified bound
 //   --trials N            random trials per target (default 200)
 //   --seconds N           unbounded mode: fuzz for N wall-clock seconds
-//   --seed S              campaign base seed (default 1)
+//   --seed S              campaign base seed, decimal (default 1)
 //   --artifacts DIR       write minimized failing inputs here
 //                         (default fuzz-artifacts)
 //   --corpus DIR          also replay every .lp/.ir seed file in DIR
@@ -187,7 +184,6 @@
 #include "core/cast_materializer.hpp"
 #include "frontend/parser.hpp"
 #include "core/pipeline.hpp"
-#include "ilp/simplex.hpp"
 #include "core/sweep.hpp"
 #include "interp/engine.hpp"
 #include "ir/parser.hpp"
@@ -216,7 +212,6 @@ namespace {
 int usage() {
   std::fprintf(stderr,
                "usage: luis [--trace-out F] [--metrics-out F] [--log-level L] "
-               "[--lp-core revised|dense] "
                "<kernels|formats|emit|compile|print|verify|ranges|tune|"
                "lint|check|run|disasm|characterize|sweep|fuzz|profile|version> "
                "[args]\n(see the "
@@ -342,6 +337,15 @@ std::optional<T> parse_number_flag(const std::string& flag,
   return std::nullopt;
 }
 
+/// A finite number > 0: --vra-clamp and the --max-rel-error budget.
+std::optional<double> parse_positive_flag(const std::string& flag,
+                                          const std::string& text) {
+  return parse_number_flag(flag, text,
+                           std::numeric_limits<double>::denorm_min(),
+                           std::numeric_limits<double>::max(),
+                           "a finite number > 0");
+}
+
 /// The VRA fixpoint knobs that tune, lint, check and sweep share.
 bool is_vra_flag(const std::string& flag) {
   return flag == "--vra-max-passes" || flag == "--vra-widen-after" ||
@@ -363,10 +367,7 @@ bool set_vra_flag(const std::string& flag, const std::string& value,
     if (v) vra.widen_after = *v;
     return v.has_value();
   }
-  const auto v = parse_number_flag(flag, value,
-                                   std::numeric_limits<double>::denorm_min(),
-                                   std::numeric_limits<double>::max(),
-                                   "a finite number > 0");
+  const auto v = parse_positive_flag(flag, value);
   if (v) vra.clamp = *v;
   return v.has_value();
 }
@@ -646,9 +647,15 @@ int cmd_lint(const std::vector<std::string>& args) {
     } else if (a == "--format") {
       format = next();
     } else if (a == "--threshold") {
-      lint_options.precision_loss_threshold = std::atoi(next().c_str());
+      const auto v = parse_number_flag(a, next(), 0,
+                                       std::numeric_limits<int>::max(),
+                                       "an integer >= 0");
+      if (!v) return 2;
+      lint_options.precision_loss_threshold = *v;
     } else if (a == "--max-rel-error") {
-      lint_options.max_rel_error = std::atof(next().c_str());
+      const auto v = parse_positive_flag(a, next());
+      if (!v) return 2;
+      lint_options.max_rel_error = *v;
     } else if (a == "--werror") {
       werror = true;
     } else if (a == "--types") {
@@ -743,7 +750,9 @@ int cmd_check(const std::vector<std::string>& args) {
     } else if (a == "--assignment") {
       assignment_path = next();
     } else if (a == "--max-rel-error") {
-      max_rel_error = std::atof(next().c_str());
+      const auto v = parse_positive_flag(a, next());
+      if (!v) return 2;
+      max_rel_error = *v;
     } else if (a == "--format") {
       format = next();
     } else if (a == "--json") {
@@ -1217,11 +1226,23 @@ int cmd_fuzz(const std::vector<std::string>& args) {
         return 2;
       }
     } else if (a == "--trials" && has_value) {
-      opt.trials = std::atol(args[++i].c_str());
+      const auto v = parse_number_flag(a, args[++i], 0L,
+                                       std::numeric_limits<long>::max(),
+                                       "an integer >= 0");
+      if (!v) return 2;
+      opt.trials = *v;
     } else if (a == "--seconds" && has_value) {
-      opt.seconds = std::atof(args[++i].c_str());
+      const auto v = parse_number_flag(a, args[++i], 0.0,
+                                       std::numeric_limits<double>::max(),
+                                       "a finite number >= 0");
+      if (!v) return 2;
+      opt.seconds = *v;
     } else if (a == "--seed" && has_value) {
-      opt.seed = std::strtoull(args[++i].c_str(), nullptr, 0);
+      const auto v = parse_number_flag(
+          a, args[++i], std::uint64_t{0},
+          std::numeric_limits<std::uint64_t>::max(), "a decimal integer >= 0");
+      if (!v) return 2;
+      opt.seed = *v;
     } else if (a == "--artifacts" && has_value) {
       opt.artifacts_dir = args[++i];
     } else if (a == "--corpus" && has_value) {
@@ -1296,7 +1317,11 @@ int cmd_profile(const std::vector<std::string>& args) {
     } else if (a == "--assignment") {
       assignment_path = next();
     } else if (a == "--top") {
-      top = static_cast<std::size_t>(std::atol(next().c_str()));
+      const auto v = parse_number_flag(a, next(), std::size_t{0},
+                                       std::numeric_limits<std::size_t>::max(),
+                                       "an integer >= 0");
+      if (!v) return 2;
+      top = *v;
     } else if (a == "--json") {
       json_path = next();
     } else if (a == "--errors") {
@@ -1425,22 +1450,9 @@ bool extract_global_flags(const std::vector<std::string>& all,
       }
       return false;
     };
-    std::string level, core;
+    std::string level;
     if (value_of("--trace-out", trace_path)) continue;
     if (value_of("--metrics-out", metrics_path)) continue;
-    if (value_of("--lp-core", core)) {
-      if (core == "revised") {
-        ilp::set_default_lp_core(ilp::LpCore::Revised);
-      } else if (core == "dense") {
-        ilp::set_default_lp_core(ilp::LpCore::Dense);
-      } else {
-        std::fprintf(stderr,
-                     "luis: unknown LP core '%s' (want revised|dense)\n",
-                     core.c_str());
-        return false;
-      }
-      continue;
-    }
     if (value_of("--log-level", level)) {
       const auto parsed = parse_log_level(level);
       if (!parsed) {
