@@ -33,7 +33,6 @@ std::vector<KernelResult> run_grid(const GridOptions& opt) {
   sweep.solver_max_nodes = opt.solver_max_nodes;
   sweep.threads = opt.threads;
   sweep.verbose = opt.verbose;
-  sweep.engine = opt.engine;
   // The benches only consume the cell values; the determinism self-check
   // is covered by the sweep tests and `luis sweep`.
   sweep.check_determinism = false;
@@ -50,8 +49,6 @@ std::vector<KernelResult> run_grid(const GridOptions& opt) {
     Cell cell;
     cell.speedup_percent = job.speedup_percent;
     cell.mpe = job.mpe;
-    cell.tune_seconds = job.timings.allocation_seconds;
-    cell.vra_seconds = job.timings.vra_seconds;
     cell.stats = job.stats;
     results.back().cells[job.platform][job.config] = cell;
   }

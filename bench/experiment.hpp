@@ -3,7 +3,7 @@
 //
 // For every cell it reports the paper's two metrics — Speedup% against the
 // unmodified (all-binary64) kernel and MPE against its outputs — plus the
-// allocator statistics and tuning time used by the secondary tables.
+// allocator statistics used by the secondary tables.
 #pragma once
 
 #include <map>
@@ -17,8 +17,6 @@ namespace luis::bench {
 struct Cell {
   double speedup_percent = 0.0;
   double mpe = 0.0;
-  double tune_seconds = 0.0;      ///< allocation stage (model build + solve)
-  double vra_seconds = 0.0;
   core::AllocationStats stats;
 };
 
@@ -38,9 +36,6 @@ struct GridOptions {
   /// Worker threads for the underlying sweep driver (0 = hardware
   /// concurrency, 1 = serial). Results are identical at any setting.
   int threads = 0;
-  /// Execution engine for every interpretation in the grid ("vm" or
-  /// "ref"); results are bit-identical either way.
-  std::string engine = "vm";
 };
 
 /// Runs the grid on the parallel sweep driver (core::run_sweep) and

@@ -950,11 +950,11 @@ ErrorAnalysisResult analyze_errors(const ir::Function& f,
                                    const interp::TypeAssignment& assignment,
                                    const vra::RangeMap& ranges,
                                    const ErrorBoundsOptions& options) {
-  obs::TraceSpan span("analysis.error_bounds", "analysis", [&] {
-    return obs::Args().str("function", f.name()).done();
-  });
-
   ErrorAnalysisResult out;
+  obs::TraceSpan span(
+      "analysis.error_bounds", "analysis",
+      [&] { return obs::Args().str("function", f.name()).done(); },
+      obs::TimeSink{&out.seconds});
   ErrorDomain domain(f, assignment, ranges, options);
   DataflowOptions df;
   df.max_passes = options.max_passes;
@@ -973,6 +973,7 @@ ErrorAnalysisResult analyze_errors(const ir::Function& f,
     for (const auto& [value, err] : out.errors.entries())
       out.errors.set(value, ErrorMap::kUnbounded);
   }
+  span.end();
 
   obs::metrics().counter("analysis.error.runs").inc();
   obs::metrics().counter("analysis.error.fixpoint_passes").inc(out.stats.passes);

@@ -121,6 +121,8 @@ struct ErrorAnalysisResult {
   /// capped bound certifies only executions whose quantized run stays
   /// finite. Saturating formats (fixed, posit) cap unconditionally.
   bool assumes_finite_run = false;
+  /// Wall-clock seconds of the analysis (its `analysis.error_bounds` span).
+  double seconds = 0.0;
 
   /// Certified relative bound for `value`: abs bound normalized by the
   /// largest magnitude of its VRA range (the scale of the data flowing

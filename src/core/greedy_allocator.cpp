@@ -1,11 +1,11 @@
 #include "core/greedy_allocator.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 #include "core/type_classes.hpp"
 #include "interp/interpreter.hpp"
 #include "numrep/iebw.hpp"
+#include "obs/trace.hpp"
 
 namespace luis::core {
 
@@ -16,7 +16,9 @@ AllocationResult allocate_greedy(const ir::Function& f,
                                  const vra::RangeMap& ranges,
                                  const TuningConfig& config) {
   AllocationResult out;
-  const auto t_start = std::chrono::steady_clock::now();
+  // No model/solve split to report: the whole greedy scan is the "solve".
+  obs::TraceSpan span("greedy.scan", "greedy",
+                      obs::TimeSink{&out.stats.solve_seconds});
 
   // The fixed point word the conversion targets: the first fixed type in
   // the candidate set (TAFFO's default is a 32-bit word).
@@ -59,11 +61,7 @@ AllocationResult allocate_greedy(const ir::Function& f,
       if (inst->is_tunable_arithmetic())
         ++out.stats.instruction_mix[interp::cost_class(
             out.assignment.of(inst.get()))];
-
-  // No model/solve split to report: the whole greedy scan is the "solve".
-  out.stats.solve_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t_start)
-          .count();
+  span.end();
   return out;
 }
 

@@ -1,7 +1,6 @@
 #include "core/ilp_allocator.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 
 #include "core/type_classes.hpp"
@@ -62,8 +61,8 @@ AllocationResult allocate_ilp(const ir::Function& f, const vra::RangeMap& ranges
                               const platform::OpTimeTable& table,
                               const TuningConfig& config) {
   AllocationResult out;
-  const auto t_build = std::chrono::steady_clock::now();
-  obs::TraceSpan build_span("ilp.build_model", "ilp");
+  obs::TraceSpan build_span("ilp.build_model", "ilp",
+                            obs::TimeSink{&out.stats.model_build_seconds});
   const TypeClasses classes = compute_type_classes(f);
   const auto& types = config.types;
   const int ntypes = static_cast<int>(types.size());
@@ -334,15 +333,20 @@ AllocationResult allocate_ilp(const ir::Function& f, const vra::RangeMap& ranges
 
   out.stats.model_variables = model.num_variables();
   out.stats.model_constraints = model.num_constraints();
-  const auto t_solve = std::chrono::steady_clock::now();
-  out.stats.model_build_seconds =
-      std::chrono::duration<double>(t_solve - t_build).count();
 
-  // ---- Solve. ----
+  // ---- Solve (result-cache probe, then branch & bound on a miss). ----
+  obs::TraceSpan solve_span(
+      "ilp.solve", "ilp",
+      [&] {
+        return obs::Args()
+            .num("variables", model.num_variables())
+            .num("constraints", model.constraints().size())
+            .boolean("cached", config.solver.cache != nullptr)
+            .done();
+      },
+      obs::TimeSink{&out.stats.solve_seconds});
   const ilp::Solution solution = ilp::solve_milp(model, config.solver);
-  out.stats.solve_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t_solve)
-          .count();
+  solve_span.end();
   out.stats.status = solution.status;
   out.stats.nodes = solution.nodes;
   out.stats.iterations = solution.iterations;

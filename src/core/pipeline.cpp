@@ -1,75 +1,64 @@
 #include "core/pipeline.hpp"
 
-#include <chrono>
-
 #include "core/cast_materializer.hpp"
 #include "ir/passes.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace luis::core {
-namespace {
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-} // namespace
 
 PipelineResult tune_kernel(ir::Function& f, const platform::OpTimeTable& table,
                            const TuningConfig& config,
                            const PipelineOptions& options) {
   PipelineResult result;
-  obs::TraceSpan pipeline_span("pipeline.tune", "pipeline", [&] {
-    return obs::Args()
-        .str("function", f.name())
-        .str("platform", table.machine())
-        .done();
-  });
-  const auto t0 = std::chrono::steady_clock::now();
+  StageTimings& t = result.timings;
+  obs::TraceSpan pipeline_span(
+      "pipeline.tune", "pipeline",
+      [&] {
+        return obs::Args()
+            .str("function", f.name())
+            .str("platform", table.machine())
+            .done();
+      },
+      obs::TimeSink{&t.total_seconds,
+                    &obs::metrics().histogram("pipeline.tune_seconds")});
 
   {
-    obs::TraceSpan span("pipeline.ir_passes", "pipeline");
+    obs::TraceSpan span("pipeline.ir_passes", "pipeline",
+                        obs::TimeSink{&t.ir_seconds});
     if (options.optimize_ir) result.ir_changes = ir::run_default_pipeline(f);
   }
-  // Stamp the IR pass before VRA starts: vra_seconds must cover only the
-  // range analysis, not the optional IR cleanup that precedes it.
-  const auto t_vra = std::chrono::steady_clock::now();
-  result.timings.ir_seconds =
-      std::chrono::duration<double>(t_vra - t0).count();
 
   {
-    obs::TraceSpan span("pipeline.vra", "pipeline");
+    obs::TraceSpan span("pipeline.vra", "pipeline",
+                        obs::TimeSink{&t.vra_seconds});
     analysis::DataflowStats vra_stats;
     result.ranges = vra::analyze_ranges(f, options.vra, &vra_stats);
     obs::metrics().counter("vra.fixpoint_passes").inc(vra_stats.passes);
     obs::metrics().counter("vra.widenings").inc(vra_stats.widenings);
   }
-  result.timings.vra_seconds = seconds_since(t_vra);
 
-  const auto t_alloc = std::chrono::steady_clock::now();
   {
-    obs::TraceSpan span("pipeline.allocate", "pipeline", [&] {
-      return obs::Args()
-          .str("allocator",
-               options.allocator == AllocatorKind::Ilp ? "ilp" : "greedy")
-          .done();
-    });
+    obs::TraceSpan span(
+        "pipeline.allocate", "pipeline",
+        [&] {
+          return obs::Args()
+              .str("allocator",
+                   options.allocator == AllocatorKind::Ilp ? "ilp" : "greedy")
+              .done();
+        },
+        obs::TimeSink{&t.allocation_seconds});
     result.allocation = options.allocator == AllocatorKind::Ilp
                             ? allocate_ilp(f, result.ranges, table, config)
                             : allocate_greedy(f, result.ranges, config);
   }
-  result.timings.allocation_seconds = seconds_since(t_alloc);
-  result.timings.model_build_seconds =
-      result.allocation.stats.model_build_seconds;
-  result.timings.solve_seconds = result.allocation.stats.solve_seconds;
+  t.model_build_seconds = result.allocation.stats.model_build_seconds;
+  t.solve_seconds = result.allocation.stats.solve_seconds;
 
   if (options.materialize_casts) {
-    const auto t_mat = std::chrono::steady_clock::now();
-    obs::TraceSpan span("pipeline.materialize_casts", "pipeline");
+    obs::TraceSpan span("pipeline.materialize_casts", "pipeline",
+                        obs::TimeSink{&t.materialize_seconds});
     result.casts_inserted = materialize_casts(f, result.allocation.assignment);
-    result.timings.materialize_seconds = seconds_since(t_mat);
   }
 
   // Materialized casts postdate the VRA pass; refresh the ranges so the
@@ -80,16 +69,15 @@ PipelineResult tune_kernel(ir::Function& f, const platform::OpTimeTable& table,
     result.ranges = vra::analyze_ranges(f, options.vra);
 
   if (options.analyze_errors) {
-    const auto t_err = std::chrono::steady_clock::now();
     result.errors = analysis::analyze_errors(f, result.allocation.assignment,
                                              result.ranges,
                                              options.error_options);
-    result.timings.error_seconds = seconds_since(t_err);
+    t.error_seconds = result.errors.seconds;
   }
 
   if (options.lint != LintMode::Off) {
-    const auto t_lint = std::chrono::steady_clock::now();
-    obs::TraceSpan span("pipeline.lint", "pipeline");
+    obs::TraceSpan span("pipeline.lint", "pipeline",
+                        obs::TimeSink{&t.lint_seconds});
     analysis::LintOptions lint_options = options.lint_options;
     lint_options.casts_materialized = options.materialize_casts;
     // Deliberately lints the allocator's raw output: a load whose entry
@@ -98,15 +86,12 @@ PipelineResult tune_kernel(ir::Function& f, const platform::OpTimeTable& table,
     result.lint = analysis::run_lint(
         f, result.allocation.assignment, result.ranges, lint_options,
         options.analyze_errors ? &result.errors.errors : nullptr);
-    result.timings.lint_seconds = seconds_since(t_lint);
     if (options.lint == LintMode::Error && result.lint.has_errors())
       result.lint_ok = false;
   }
 
-  result.timings.total_seconds = seconds_since(t0);
   obs::metrics().counter("pipeline.tunes").inc();
-  obs::metrics().histogram("pipeline.tune_seconds")
-      .observe(result.timings.total_seconds);
+  pipeline_span.end();
   return result;
 }
 

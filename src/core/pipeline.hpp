@@ -7,6 +7,8 @@
 // compilation-overhead experiment (Section V-B) consumes.
 #pragma once
 
+#include <utility>
+
 #include "analysis/error_bounds.hpp"
 #include "analysis/lint.hpp"
 #include "core/config.hpp"
@@ -46,17 +48,18 @@ struct PipelineOptions {
   analysis::ErrorBoundsOptions error_options;
 };
 
-/// Wall-clock seconds per pipeline stage. Each stage is measured from the
-/// end of the previous one, so the stages are disjoint and their sum is
-/// bounded by `total_seconds` (the sum can be slightly below the total —
-/// bookkeeping between stages is not attributed to any of them).
+/// Wall-clock seconds per pipeline stage. Each field is the interval of
+/// one timed trace span (docs/OBSERVABILITY.md, "Timing"); the stage spans
+/// are disjoint children of `pipeline.tune`, so their sum is bounded by
+/// `total_seconds` (slightly below it: bookkeeping between stages, such as
+/// the range refresh after cast materialization, belongs to no stage).
 struct StageTimings {
   double ir_seconds = 0.0;          ///< optional IR cleanup passes
   double vra_seconds = 0.0;         ///< value range analysis only
   double allocation_seconds = 0.0;  ///< model build + solve (or greedy scan)
   double materialize_seconds = 0.0; ///< cast materialization
   double error_seconds = 0.0;       ///< static error-bound analysis
-  double lint_seconds = 0.0;        ///< precision lint (incl. range refresh)
+  double lint_seconds = 0.0;        ///< precision lint
   double total_seconds = 0.0;       ///< whole tune_kernel call
   /// Sub-stages of allocation, sourced from AllocationStats: ILP model
   /// construction vs. branch & bound solve. Greedy reports its scan as
@@ -77,21 +80,37 @@ struct StageTimings {
            materialize_seconds + error_seconds + lint_seconds;
   }
 
-  StageTimings& operator+=(const StageTimings& o) {
-    ir_seconds += o.ir_seconds;
-    vra_seconds += o.vra_seconds;
-    allocation_seconds += o.allocation_seconds;
-    materialize_seconds += o.materialize_seconds;
-    error_seconds += o.error_seconds;
-    lint_seconds += o.lint_seconds;
-    total_seconds += o.total_seconds;
-    model_build_seconds += o.model_build_seconds;
-    solve_seconds += o.solve_seconds;
-    interp_compile_seconds += o.interp_compile_seconds;
-    interp_execute_seconds += o.interp_execute_seconds;
-    return *this;
-  }
+  StageTimings& operator+=(const StageTimings& o);
+  /// Divides every field by `n`: one row's share of stages measured once
+  /// on behalf of `n` rows.
+  StageTimings& operator/=(double n);
 };
+
+/// Every StageTimings field with its report key, in report order.
+inline constexpr std::pair<const char*, double StageTimings::*>
+    kStageTimingFields[] = {
+        {"ir_seconds", &StageTimings::ir_seconds},
+        {"vra_seconds", &StageTimings::vra_seconds},
+        {"allocation_seconds", &StageTimings::allocation_seconds},
+        {"model_build_seconds", &StageTimings::model_build_seconds},
+        {"solve_seconds", &StageTimings::solve_seconds},
+        {"materialize_seconds", &StageTimings::materialize_seconds},
+        {"error_seconds", &StageTimings::error_seconds},
+        {"lint_seconds", &StageTimings::lint_seconds},
+        {"interp_compile_seconds", &StageTimings::interp_compile_seconds},
+        {"interp_execute_seconds", &StageTimings::interp_execute_seconds},
+        {"total_seconds", &StageTimings::total_seconds},
+};
+
+inline StageTimings& StageTimings::operator+=(const StageTimings& o) {
+  for (const auto& [key, field] : kStageTimingFields) this->*field += o.*field;
+  return *this;
+}
+
+inline StageTimings& StageTimings::operator/=(double n) {
+  for (const auto& [key, field] : kStageTimingFields) this->*field /= n;
+  return *this;
+}
 
 struct PipelineResult {
   AllocationResult allocation;

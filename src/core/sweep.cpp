@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <chrono>
-#include <cstdio>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -49,11 +47,6 @@ double kernel_mpe(const std::vector<std::string>& outputs,
   return mean_percentage_error(ref, out);
 }
 
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-      .count();
-}
-
 /// A kernel's IR parsed from its rendered text, and the value ranges of
 /// that Function. Read-only once built: every ILP job of the kernel tunes
 /// on it (allocate_ilp, assignment_to_text and the engines take a const
@@ -76,10 +69,12 @@ KernelAnalysis analyze_kernel(const std::string& name,
   LUIS_ASSERT(parsed.ok(),
               ("sweep: kernel IR re-parse failed: " + parsed.error).c_str());
   a.function = parsed.function;
-  const auto t_vra = std::chrono::steady_clock::now();
   analysis::DataflowStats vra_stats;
-  a.ranges = vra::analyze_ranges(*a.function, vra_options, &vra_stats);
-  a.vra_seconds = seconds_since(t_vra);
+  {
+    obs::TraceSpan vra_span("sweep.vra", "sweep",
+                            obs::TimeSink{&a.vra_seconds});
+    a.ranges = vra::analyze_ranges(*a.function, vra_options, &vra_stats);
+  }
   obs::metrics().counter("vra.fixpoint_passes").inc(vra_stats.passes);
   obs::metrics().counter("vra.widenings").inc(vra_stats.widenings);
   return a;
@@ -97,10 +92,9 @@ struct KernelContext {
   std::vector<std::string> outputs;
   interp::ArrayStore reference;       ///< all-binary64 outputs
   interp::CostCounters base_counters; ///< all-binary64 execution profile
-  // Interpretation time of the baseline run (not attached to any job row;
-  // folded into the sweep's stage totals).
-  double base_compile_seconds = 0.0;
-  double base_execute_seconds = 0.0;
+  /// Interpretation time of the baseline run: attached to no job row, only
+  /// to the sweep's stage totals.
+  StageTimings base_timings;
   // TAFFO greedy baseline — platform-blind, so computed once and priced
   // per platform when the job slots are filled.
   bool taffo_ok = false;
@@ -124,8 +118,8 @@ void prepare_kernel(KernelContext& ctx, bool include_taffo,
   interp::TypeAssignment binary64;
   const interp::RunResult base =
       engine.run(*kernel.function, binary64, ctx.reference);
-  ctx.base_compile_seconds = base.compile_seconds;
-  ctx.base_execute_seconds = base.execute_seconds;
+  ctx.base_timings.interp_compile_seconds = base.compile_seconds;
+  ctx.base_timings.interp_execute_seconds = base.execute_seconds;
   if (!base.ok) {
     ctx.error = ctx.name + " baseline failed: " + base.error;
     return;
@@ -194,11 +188,13 @@ void run_ilp_job(const KernelAnalysis& kernel, double vra_share,
   // parallelism the pool's contents depend on job completion order, which
   // would break the parallel == serial bit-identity guarantee.
   config.solver.share_basis = cache != nullptr && opt.threads == 1;
-  const auto t_alloc = std::chrono::steady_clock::now();
-  const AllocationResult allocation =
-      allocate_ilp(*kernel.function, kernel.ranges, table, config);
+  AllocationResult allocation;
+  {
+    obs::TraceSpan span("sweep.allocate", "sweep",
+                        obs::TimeSink{&out.timings.allocation_seconds});
+    allocation = allocate_ilp(*kernel.function, kernel.ranges, table, config);
+  }
   out.timings.vra_seconds = vra_share;
-  out.timings.allocation_seconds = seconds_since(t_alloc);
   out.timings.model_build_seconds = allocation.stats.model_build_seconds;
   out.timings.solve_seconds = allocation.stats.solve_seconds;
   out.timings.total_seconds = vra_share + out.timings.allocation_seconds;
@@ -210,28 +206,10 @@ void run_ilp_job(const KernelAnalysis& kernel, double vra_share,
 
 void write_timings(JsonWriter& w, const StageTimings& t) {
   w.begin_object();
-  w.key("ir_seconds");
-  w.value(t.ir_seconds, "%.6g");
-  w.key("vra_seconds");
-  w.value(t.vra_seconds, "%.6g");
-  w.key("allocation_seconds");
-  w.value(t.allocation_seconds, "%.6g");
-  w.key("model_build_seconds");
-  w.value(t.model_build_seconds, "%.6g");
-  w.key("solve_seconds");
-  w.value(t.solve_seconds, "%.6g");
-  w.key("materialize_seconds");
-  w.value(t.materialize_seconds, "%.6g");
-  w.key("error_seconds");
-  w.value(t.error_seconds, "%.6g");
-  w.key("lint_seconds");
-  w.value(t.lint_seconds, "%.6g");
-  w.key("interp_compile_seconds");
-  w.value(t.interp_compile_seconds, "%.6g");
-  w.key("interp_execute_seconds");
-  w.value(t.interp_execute_seconds, "%.6g");
-  w.key("total_seconds");
-  w.value(t.total_seconds, "%.6g");
+  for (const auto& [key, field] : kStageTimingFields) {
+    w.key(key);
+    w.value(t.*field, "%.6g");
+  }
   w.end_object();
 }
 
@@ -268,8 +246,9 @@ std::string sweep_options_error(const SweepOptions& options) {
 }
 
 SweepResult run_sweep(const SweepOptions& options) {
-  obs::TraceSpan sweep_span("sweep.run", "sweep");
-  const auto t0 = std::chrono::steady_clock::now();
+  SweepResult result;
+  obs::TraceSpan sweep_span("sweep.run", "sweep",
+                            obs::TimeSink{&result.stats.wall_seconds});
 
   const std::string invalid = sweep_options_error(options);
   if (!invalid.empty()) LUIS_FATAL("sweep: " + invalid);
@@ -319,8 +298,8 @@ SweepResult run_sweep(const SweepOptions& options) {
     });
   }
 
-  // Job slots in their fixed kernel-major order.
-  SweepResult result;
+  // Job slots in their fixed kernel-major order. A TAFFO row is charged
+  // 1/|platforms| of every stage its kernel's one baseline run measured.
   std::vector<std::size_t> ilp_jobs; // indices into result.jobs
   std::vector<std::vector<std::size_t>> kernel_ilp_jobs(kernels.size());
   std::vector<std::size_t> kernel_of; // parallel to result.jobs
@@ -353,6 +332,7 @@ SweepResult run_sweep(const SweepOptions& options) {
         } else {
           job.ok = true;
           job.timings = ctx.taffo_timings;
+          job.timings /= static_cast<double>(platforms.size());
           job.stats = ctx.taffo_stats;
           job.assignment_text = ctx.taffo_assignment;
           const double t_base =
@@ -546,19 +526,13 @@ SweepResult run_sweep(const SweepOptions& options) {
     result.stats.solver_nodes += job.stats.nodes;
     result.stats.solver_iterations += job.stats.iterations;
   }
-  // Baseline (binary64 reference) interpretation time belongs to the sweep
-  // but to no job row; fold it into the totals here.
-  for (const KernelContext& ctx : contexts) {
-    result.stats.stage_totals.interp_compile_seconds += ctx.base_compile_seconds;
-    result.stats.stage_totals.interp_execute_seconds += ctx.base_execute_seconds;
-  }
+  for (const KernelContext& ctx : contexts)
+    result.stats.stage_totals += ctx.base_timings;
   result.stats.engine = engine->name();
   result.stats.vra = options.vra;
   if (cache_ptr) result.stats.cache = cache_ptr->stats();
   result.stats.program_cache = program_cache.stats();
-  result.stats.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  sweep_span.end();
   obs::metrics().counter("sweep.runs").inc();
   obs::metrics().counter("sweep.jobs").inc(result.stats.jobs);
   obs::metrics().counter("sweep.failed_jobs").inc(result.stats.failed);

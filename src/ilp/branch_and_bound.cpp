@@ -128,13 +128,6 @@ Solution solve_milp_impl(const Model& model, const BranchAndBoundOptions& opt);
 } // namespace
 
 Solution solve_milp(const Model& model, const BranchAndBoundOptions& opt) {
-  obs::TraceSpan span("ilp.solve", "ilp", [&] {
-    return obs::Args()
-        .num("variables", model.num_variables())
-        .num("constraints", model.constraints().size())
-        .boolean("cached", opt.cache != nullptr)
-        .done();
-  });
   obs::metrics().counter("ilp.solves").inc();
   if (!opt.cache) return solve_milp_impl(model, opt);
   obs::TraceSpan cache_span("ilp.cache", "ilp");

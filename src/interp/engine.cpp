@@ -1,21 +1,10 @@
 #include "interp/engine.hpp"
 
-#include <chrono>
-
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "support/diag.hpp"
 
 namespace luis::interp {
-
-namespace {
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-} // namespace
 
 const char* to_string(EngineKind kind) {
   switch (kind) {
@@ -88,27 +77,29 @@ ExecutionEngine::run_batch(const ir::Function& f,
 RunResult ReferenceEngine::run(const ir::Function& f,
                                const TypeAssignment& types, ArrayStore& store,
                                const RunOptions& options) const {
-  obs::TraceSpan span("ref.execute", "engine", [&] {
-    return obs::Args().str("function", f.name()).done();
-  });
-  const auto t0 = std::chrono::steady_clock::now();
-  RunResult result = run_function(f, types, store, options);
-  result.execute_seconds = seconds_since(t0);
+  RunResult result;
+  obs::TraceSpan span(
+      "ref.execute", "engine",
+      [&] { return obs::Args().str("function", f.name()).done(); },
+      obs::TimeSink{&result.execute_seconds,
+                    &obs::metrics().histogram("engine.ref.execute_seconds")});
+  result = run_function(f, types, store, options);
+  span.end();
   obs::metrics().counter("engine.ref.runs").inc();
-  obs::metrics().histogram("engine.ref.execute_seconds")
-      .observe(result.execute_seconds);
   return result;
 }
 
 RunResult VmEngine::run(const ir::Function& f, const TypeAssignment& types,
                         ArrayStore& store, const RunOptions& options) const {
-  const auto t0 = std::chrono::steady_clock::now();
   std::shared_ptr<const CompiledProgram> program;
   bool cache_hit = false;
+  double compile_seconds = 0.0;
   {
-    obs::TraceSpan span("vm.compile", "engine", [&] {
-      return obs::Args().str("function", f.name()).done();
-    });
+    obs::TraceSpan span(
+        "vm.compile", "engine",
+        [&] { return obs::Args().str("function", f.name()).done(); },
+        obs::TimeSink{&compile_seconds,
+                      &obs::metrics().histogram("engine.vm.compile_seconds")});
     if (cache_) {
       const std::string key = program_cache_key(f, types);
       program = cache_->lookup(key);
@@ -123,25 +114,22 @@ RunResult VmEngine::run(const ir::Function& f, const TypeAssignment& types,
           compile_program(f, types));
     }
   }
-  const double compile_seconds = seconds_since(t0);
 
-  const auto t1 = std::chrono::steady_clock::now();
   RunResult result;
-  {
-    obs::TraceSpan span("vm.execute", "engine", [&] {
-      return obs::Args()
-          .str("function", f.name())
-          .boolean("cache_hit", cache_hit)
-          .done();
-    });
-    result = run_program(*program, f, store, options);
-  }
-  result.execute_seconds = seconds_since(t1);
+  obs::TraceSpan span(
+      "vm.execute", "engine",
+      [&] {
+        return obs::Args()
+            .str("function", f.name())
+            .boolean("cache_hit", cache_hit)
+            .done();
+      },
+      obs::TimeSink{&result.execute_seconds,
+                    &obs::metrics().histogram("engine.vm.execute_seconds")});
+  result = run_program(*program, f, store, options);
+  span.end();
   result.compile_seconds = compile_seconds;
   obs::metrics().counter("engine.vm.runs").inc();
-  obs::metrics().histogram("engine.vm.compile_seconds").observe(compile_seconds);
-  obs::metrics().histogram("engine.vm.execute_seconds")
-      .observe(result.execute_seconds);
   return result;
 }
 

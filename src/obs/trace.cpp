@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "obs/build_info.hpp"
+#include "obs/metrics.hpp"
 #include "support/json.hpp"
 #include "support/string_utils.hpp"
 
@@ -33,7 +34,7 @@ TraceSink::ThreadBuffer& TraceSink::local_buffer() {
 
 void TraceSink::start() {
   clear();
-  origin_ = std::chrono::steady_clock::now();
+  origin_ = Clock::now();
   g_tracing_enabled.store(true, std::memory_order_release);
 }
 
@@ -41,15 +42,10 @@ void TraceSink::stop() {
   g_tracing_enabled.store(false, std::memory_order_relaxed);
 }
 
-bool TraceSink::recording() const {
-  return g_tracing_enabled.load(std::memory_order_relaxed);
-}
-
-void TraceSink::emit(char phase, std::string name, std::string cat,
-                     std::string args_json) {
-  const double ts = std::chrono::duration<double, std::micro>(
-                        std::chrono::steady_clock::now() - origin_)
-                        .count();
+void TraceSink::emit(char phase, Clock::time_point at, std::string name,
+                     std::string cat, std::string args_json) {
+  const double ts =
+      std::chrono::duration<double, std::micro>(at - origin_).count();
   ThreadBuffer& buf = local_buffer();
   TraceEvent ev;
   ev.phase = phase;
@@ -207,7 +203,7 @@ std::string Args::done() {
 
 void instant(const char* name, const char* cat, std::string args_json) {
   if (!tracing_enabled()) return;
-  trace().emit('i', name, cat, std::move(args_json));
+  trace().emit('i', Clock::now(), name, cat, std::move(args_json));
 }
 
 void TraceSpan::begin(const char* name, const char* cat,
@@ -215,14 +211,20 @@ void TraceSpan::begin(const char* name, const char* cat,
   live_ = true;
   name_ = name;
   cat_ = cat;
-  trace().emit('B', name_, cat_, std::move(args_json));
+  start_ = Clock::now();
+  trace().emit('B', start_, name_, cat_, std::move(args_json));
 }
 
-void TraceSpan::end() {
-  if (!live_) return;
-  live_ = false;
+void TraceSpan::finish() {
+  const Clock::time_point stop = Clock::now();
   // Emitted even if tracing stopped meanwhile, so B/E pairs stay balanced.
-  trace().emit('E', std::move(name_), std::move(cat_), {});
+  if (live_) trace().emit('E', stop, name_, cat_, {});
+  if (timed_) {
+    const double seconds = std::chrono::duration<double>(stop - start_).count();
+    if (sink_.seconds) *sink_.seconds = seconds;
+    if (sink_.histogram) sink_.histogram->observe(seconds);
+  }
+  live_ = timed_ = false;
 }
 
 } // namespace luis::obs

@@ -12,6 +12,12 @@
 // lazy-args overload never invokes its argument builder. Instrumentation
 // is therefore safe to leave in hot paths.
 //
+// Timing. A span given a TimeSink is also LUIS's one stopwatch: it reads
+// the clock once on entry and once on exit, traced or not, and from those
+// two reads it writes the caller's seconds slot, feeds an optional
+// histogram and stamps its B/E events. A reported duration and its span
+// are thus the same interval, so stage totals reconcile with the trace.
+//
 // Event model. Spans are B/E ("duration") pairs on the recording thread's
 // timeline; instant events ("i", thread-scoped) mark points like branch &
 // bound incumbents. Timestamps are steady-clock microseconds relative to
@@ -30,6 +36,10 @@
 #include <vector>
 
 namespace luis::obs {
+
+using Clock = std::chrono::steady_clock;
+
+class Histogram; // obs/metrics.hpp
 
 /// Fast global tracing switch. Mirrors TraceSink::start()/stop().
 extern std::atomic<bool> g_tracing_enabled;
@@ -56,11 +66,11 @@ public:
   /// Stops recording. Spans already open still emit their E event so the
   /// written trace stays balanced.
   void stop();
-  bool recording() const;
 
-  /// Appends an event on the calling thread's buffer. `phase` 'B'/'E'/'i'.
-  void emit(char phase, std::string name, std::string cat,
-            std::string args_json);
+  /// Appends an event stamped `at` on the calling thread's buffer.
+  /// `phase` 'B'/'E'/'i'.
+  void emit(char phase, Clock::time_point at, std::string name,
+            std::string cat, std::string args_json);
 
   /// Snapshot of every recorded event, ordered by (tid, record order).
   std::vector<TraceEvent> snapshot() const;
@@ -84,7 +94,7 @@ private:
   mutable std::mutex registry_mutex_;
   std::vector<std::shared_ptr<ThreadBuffer>> buffers_;
   std::atomic<std::uint32_t> next_tid_{1};
-  std::chrono::steady_clock::time_point origin_{};
+  Clock::time_point origin_{};
 };
 
 /// The process-global sink behind tracing_enabled().
@@ -113,23 +123,34 @@ private:
 /// Thread-scoped instant event (no-op when tracing is disabled).
 void instant(const char* name, const char* cat, std::string args_json = {});
 
-/// RAII duration span: emits B at construction, E at destruction. All
-/// constructors are no-ops when tracing is disabled.
+/// Where a timed span reports its interval besides the trace: the caller's
+/// seconds slot, and optionally a histogram that observes the same value.
+struct TimeSink {
+  double* seconds = nullptr;
+  Histogram* histogram = nullptr;
+};
+
+/// RAII duration span: emits B at construction, E at destruction. Without a
+/// TimeSink, all constructors are no-ops when tracing is disabled. With
+/// one, the span times its interval whether or not tracing is on, and end()
+/// writes the duration to the sink.
 class TraceSpan {
 public:
   TraceSpan() = default;
-  TraceSpan(const char* name, const char* cat) {
+  TraceSpan(const char* name, const char* cat, TimeSink sink = {})
+      : timed_(sink.seconds || sink.histogram), sink_(sink) {
     if (tracing_enabled()) begin(name, cat, {});
-  }
-  TraceSpan(const char* name, const char* cat, std::string args_json) {
-    if (tracing_enabled()) begin(name, cat, std::move(args_json));
+    else if (timed_) start_ = Clock::now();
   }
   /// Lazy args: `make_args` (returning the rendered args object) only runs
   /// when tracing is enabled, so hot paths never pay for string building.
   template <typename F,
             typename = decltype(std::declval<F&>()())>
-  TraceSpan(const char* name, const char* cat, F&& make_args) {
+  TraceSpan(const char* name, const char* cat, F&& make_args,
+            TimeSink sink = {})
+      : timed_(sink.seconds || sink.histogram), sink_(sink) {
     if (tracing_enabled()) begin(name, cat, make_args());
+    else if (timed_) start_ = Clock::now();
   }
 
   TraceSpan(const TraceSpan&) = delete;
@@ -137,16 +158,23 @@ public:
 
   ~TraceSpan() { end(); }
 
-  /// Closes the span early (idempotent).
-  void end();
+  /// Closes the span early (idempotent). Call it before returning a value
+  /// that owns the sink's seconds slot.
+  void end() {
+    if (live_ || timed_) finish();
+  }
   bool live() const { return live_; }
 
 private:
   void begin(const char* name, const char* cat, std::string args_json);
+  void finish();
 
-  bool live_ = false;
-  std::string name_;
-  std::string cat_;
+  bool live_ = false;  ///< B emitted, E owed
+  bool timed_ = false; ///< the sink is still owed the duration
+  const char* name_ = nullptr;
+  const char* cat_ = nullptr;
+  TimeSink sink_;
+  Clock::time_point start_{};
 };
 
 } // namespace luis::obs

@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 
+#include "obs/trace.hpp"
 #include "polybench/kernels.hpp"
 #include "support/diag.hpp"
 
@@ -76,6 +77,9 @@ BuiltKernel build_kernel(const std::string& name, ir::Module& module,
 
 void annotate_from_profile(BuiltKernel& kernel, double margin) {
   LUIS_ASSERT(kernel.function != nullptr, "kernel has no function");
+  obs::TraceSpan span("polybench.profile", "polybench", [&] {
+    return obs::Args().str("kernel", kernel.name).done();
+  });
   interp::ArrayStore store = kernel.inputs; // copy: the profile run mutates
   interp::TypeAssignment binary64;          // reference representation
   interp::RunOptions opt;

@@ -8,7 +8,10 @@
 #include "core/type_classes.hpp"
 #include "ir/kernel_builder.hpp"
 #include "ir/verifier.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "platform/cost_model.hpp"
+#include "span_seconds.hpp"
 #include "support/rng.hpp"
 #include "support/statistics.hpp"
 
@@ -377,6 +380,44 @@ TEST(Pipeline, StageSecondsSumToAtMostTotal) {
   EXPECT_GE(r.timings.materialize_seconds, 0.0);
   EXPECT_GE(r.timings.lint_seconds, 0.0);
   EXPECT_LE(r.timings.stage_sum(), r.timings.total_seconds + 1e-9);
+}
+
+TEST(Pipeline, StageTimingsAreTheirSpans) {
+  // One timing mechanism: every stage field is the interval of the span
+  // that bracketed the stage, from the same two clock reads, and the
+  // tune-time histogram observes the same total.
+  ir::Module m;
+  ir::Function* f = build_small_gemm(m);
+  PipelineOptions opt;
+  opt.optimize_ir = true;
+  opt.materialize_casts = true;
+  opt.analyze_errors = true;
+  opt.lint = LintMode::Warn;
+  obs::Histogram& tune_hist = obs::metrics().histogram("pipeline.tune_seconds");
+  const double hist_before = tune_hist.snapshot().sum;
+  obs::trace().start();
+  const PipelineResult r =
+      tune_kernel(*f, platform::stm32_table(), TuningConfig::balanced(), opt);
+  obs::trace().stop();
+  const test::SpanSeconds spans(obs::trace().snapshot());
+  obs::trace().clear();
+
+  const StageTimings& t = r.timings;
+  for (const auto& [seconds, name] :
+       {std::pair{t.ir_seconds, "pipeline.ir_passes"},
+        std::pair{t.vra_seconds, "pipeline.vra"},
+        std::pair{t.allocation_seconds, "pipeline.allocate"},
+        std::pair{t.model_build_seconds, "ilp.build_model"},
+        std::pair{t.solve_seconds, "ilp.solve"},
+        std::pair{t.materialize_seconds, "pipeline.materialize_casts"},
+        std::pair{t.error_seconds, "analysis.error_bounds"},
+        std::pair{t.lint_seconds, "pipeline.lint"},
+        std::pair{t.total_seconds, "pipeline.tune"}}) {
+    EXPECT_EQ(spans.count(name), 1) << name;
+    EXPECT_GT(seconds, 0.0) << name;
+    EXPECT_NEAR(seconds, spans({name}), 1e-9) << name;
+  }
+  EXPECT_NEAR(tune_hist.snapshot().sum - hist_before, t.total_seconds, 1e-9);
 }
 
 TEST(Pipeline, GreedyIsCheaperToRunThanIlp) {

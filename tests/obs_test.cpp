@@ -222,8 +222,9 @@ TEST(Trace, DisabledByDefaultAndSpansAreNoOps) {
 TEST(Trace, SpansNestAndBalanceAndDocumentParses) {
   TraceGuard guard;
   {
-    TraceSpan outer("outer", "test",
-                    Args().str("kernel", "tri\"solv\\").num("jobs", 3L).done());
+    TraceSpan outer("outer", "test", [] {
+      return Args().str("kernel", "tri\"solv\\").num("jobs", 3L).done();
+    });
     TraceSpan inner("inner", "test");
     instant("tick", "test", Args().num("n", 1L).boolean("ok", true).done());
   }

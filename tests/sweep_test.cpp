@@ -16,8 +16,11 @@
 #include "ir/clone.hpp"
 #include "ir/parser.hpp"
 #include "ir/printer.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "platform/cost_model.hpp"
 #include "polybench/polybench.hpp"
+#include "span_seconds.hpp"
 #include "support/statistics.hpp"
 #include "support/thread_pool.hpp"
 
@@ -263,17 +266,21 @@ TEST(Sweep, JobOrderIsKernelMajorAndComplete) {
 TEST(Sweep, StageTimingsAggregateAndStayBounded) {
   SweepOptions opt = small_grid();
   opt.threads = 2;
-  opt.include_taffo = false;
+  ASSERT_TRUE(opt.include_taffo);
   const SweepResult r = run_sweep(opt);
   StageTimings sum;
-  std::map<std::string, double> vra_share; // by kernel
+  // Each kernel's one sweep VRA run is charged in equal shares to its ILP
+  // jobs, and its one TAFFO baseline in equal shares to its TAFFO rows.
+  std::map<std::pair<std::string, bool>, double> vra_share;
   for (const SweepJobResult& job : r.jobs) {
     EXPECT_LE(job.timings.stage_sum(), job.timings.total_seconds + 1e-9);
-    // Each kernel's one VRA run is charged in equal shares to its jobs.
     EXPECT_GT(job.timings.vra_seconds, 0.0);
-    const auto it =
-        vra_share.emplace(job.kernel, job.timings.vra_seconds).first;
-    EXPECT_EQ(job.timings.vra_seconds, it->second) << job.kernel;
+    const auto it = vra_share
+                        .emplace(std::pair{job.kernel, job.config == "TAFFO"},
+                                 job.timings.vra_seconds)
+                        .first;
+    EXPECT_EQ(job.timings.vra_seconds, it->second)
+        << job.kernel << "/" << job.config;
     sum += job.timings;
   }
   EXPECT_DOUBLE_EQ(r.stats.stage_totals.allocation_seconds,
@@ -281,6 +288,44 @@ TEST(Sweep, StageTimingsAggregateAndStayBounded) {
   EXPECT_GT(r.stats.stage_totals.vra_seconds, 0.0);
   EXPECT_GT(r.stats.stage_totals.solve_seconds, 0.0);
   EXPECT_GT(r.stats.solver_iterations, 0);
+}
+
+TEST(Sweep, StageTotalsReconcileWithTrace) {
+  // Every stage total is the summed interval of the spans that timed it
+  // (docs/OBSERVABILITY.md, "Timing"), so each measured interval is charged
+  // exactly once: shared work is split into shares that add back up, and
+  // the TAFFO baseline, priced once per platform, counts once.
+  SweepOptions opt = small_grid();
+  opt.threads = 2;
+  ASSERT_TRUE(opt.include_taffo);
+  ASSERT_FALSE(opt.check_determinism);
+  obs::Histogram& execute_hist =
+      obs::metrics().histogram("engine.vm.execute_seconds");
+  const double hist_before = execute_hist.snapshot().sum;
+  obs::trace().start();
+  const SweepResult r = run_sweep(opt);
+  obs::trace().stop();
+  const test::SpanSeconds spans(obs::trace().snapshot());
+  obs::trace().clear();
+
+  const StageTimings& t = r.stats.stage_totals;
+  for (const auto& [seconds, span_total] :
+       {std::pair{t.vra_seconds, spans({"sweep.vra", "pipeline.vra"})},
+        std::pair{t.allocation_seconds,
+                  spans({"sweep.allocate", "pipeline.allocate"})},
+        std::pair{t.model_build_seconds, spans({"ilp.build_model"})},
+        std::pair{t.solve_seconds, spans({"ilp.solve", "greedy.scan"})},
+        std::pair{t.interp_compile_seconds, spans({"vm.compile"})},
+        std::pair{t.interp_execute_seconds,
+                  spans({"vm.execute", "ref.execute"})},
+        std::pair{t.total_seconds,
+                  spans({"pipeline.tune", "sweep.vra", "sweep.allocate"})},
+        std::pair{r.stats.wall_seconds, spans({"sweep.run"})}}) {
+    EXPECT_GT(seconds, 0.0);
+    EXPECT_NEAR(seconds, span_total, 1e-9);
+  }
+  EXPECT_NEAR(execute_hist.snapshot().sum - hist_before,
+              spans({"vm.execute"}), 1e-9);
 }
 
 TEST(Sweep, SharedKernelAnalysisMatchesStandaloneTune) {

@@ -162,7 +162,9 @@
 // ones.
 //
 // Every verb that parses IR verifies it and exits non-zero on verifier
-// errors, so the tool is usable as a pre-commit check.
+// errors, so the tool is usable as a pre-commit check. Every verb exits 2
+// on an unknown option, a flag missing its value or a wrong number of
+// operands, and 1 when an output file cannot be written.
 #include <algorithm>
 #include <charconv>
 #include <cmath>
@@ -175,6 +177,8 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "analysis/certificate_check.hpp"
@@ -217,6 +221,82 @@ int usage() {
                "[args]\n(see the "
                "header of tools/luis_cli.cpp for the full option list)\n");
   return 2;
+}
+
+using Flags = std::vector<std::string_view>;
+
+Flags operator+(Flags a, const Flags& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  return a;
+}
+
+/// One verb's arguments: its operands, and its options in command-line
+/// order as (flag, value) pairs; a switch carries an empty value.
+struct CommandLine {
+  std::vector<std::string> operands;
+  std::vector<std::pair<std::string, std::string>> options;
+};
+
+/// Splits `args` for `verb`, which takes exactly `operands` operands, the
+/// flags in `with_value` (each followed by its value) and the switches in
+/// `switches`. Every verb parses through this, so all of them refuse bad
+/// input the same way: on an unknown option, a flag missing its value or a
+/// wrong operand count it prints a diagnostic and returns nullopt, and the
+/// verb exits 2.
+std::optional<CommandLine> parse_command_line(
+    const char* verb, const std::vector<std::string>& args,
+    std::size_t operands, const Flags& with_value = {},
+    const Flags& switches = {}) {
+  const auto among = [](const Flags& flags, const std::string& a) {
+    return std::find(flags.begin(), flags.end(), a) != flags.end();
+  };
+  CommandLine cl;
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    const std::string& a = args[i];
+    if (among(with_value, a)) {
+      if (i + 1 == args.size()) {
+        std::fprintf(stderr, "luis %s: %s wants a value\n", verb, a.c_str());
+        return std::nullopt;
+      }
+      cl.options.emplace_back(a, args[++i]);
+    } else if (among(switches, a)) {
+      cl.options.emplace_back(a, std::string());
+    } else if (a.size() > 1 && a[0] == '-') {
+      std::fprintf(stderr, "luis %s: unknown option '%s'\n", verb, a.c_str());
+      return std::nullopt;
+    } else {
+      cl.operands.push_back(a);
+    }
+  }
+  if (cl.operands.size() != operands) {
+    std::fprintf(stderr, "luis %s: wants %zu operand(s), got %zu\n", verb,
+                 operands, cl.operands.size());
+    return std::nullopt;
+  }
+  return cl;
+}
+
+/// Writes `text` to `path`. On failure, including a failed flush, prints
+/// "luis VERB: cannot write PATH" and returns false; the verb exits 1.
+bool write_output(const char* verb, const std::string& path,
+                  const std::string& text) {
+  std::ofstream os(path);
+  os << text;
+  os.close();
+  if (os) return true;
+  std::fprintf(stderr, "luis %s: cannot write %s\n", verb, path.c_str());
+  return false;
+}
+
+/// Parses a --type value: a registry format name, fixed point with its
+/// word split in half; reports and returns nullopt on junk.
+std::optional<numrep::ConcreteType> type_or_die(const std::string& name) {
+  const auto fmt = numrep::parse_format(name);
+  if (!fmt) {
+    std::fprintf(stderr, "luis: unknown format '%s'\n", name.c_str());
+    return std::nullopt;
+  }
+  return numrep::ConcreteType{*fmt, fmt->is_fixed() ? fmt->width() / 2 : 0};
 }
 
 /// Parses an --engine value; reports and returns nullopt on junk.
@@ -347,13 +427,11 @@ std::optional<double> parse_positive_flag(const std::string& flag,
 }
 
 /// The VRA fixpoint knobs that tune, lint, check and sweep share.
-bool is_vra_flag(const std::string& flag) {
-  return flag == "--vra-max-passes" || flag == "--vra-widen-after" ||
-         flag == "--vra-clamp";
-}
+const Flags kVraFlags = {"--vra-max-passes", "--vra-widen-after",
+                         "--vra-clamp"};
 
-/// Sets the VRA knob `flag` from `value`; false (diagnostic printed) when
-/// the value is not a number in the knob's range.
+/// Sets the VRA knob `flag` (one of kVraFlags) from `value`; false
+/// (diagnostic printed) when the value is not a number in the knob's range.
 bool set_vra_flag(const std::string& flag, const std::string& value,
                   vra::VraOptions& vra) {
   constexpr int kIntMax = std::numeric_limits<int>::max();
@@ -374,7 +452,7 @@ bool set_vra_flag(const std::string& flag, const std::string& value,
 
 /// Parses a --types list into `config.types`; false on unknown formats
 /// (the registry's parser diagnostics name the offending token and point
-/// at `luis formats`).
+/// at `luis formats`) and on an empty list.
 bool parse_types_list(const std::string& list, core::TuningConfig& config) {
   config.types.clear();
   for (const std::string& tok : split_fields(list, ',')) {
@@ -386,8 +464,44 @@ bool parse_types_list(const std::string& list, core::TuningConfig& config) {
     }
     config.types.push_back(*fmt);
   }
+  if (config.types.empty()) {
+    std::fprintf(stderr, "luis: --types wants at least one format\n");
+    return false;
+  }
   return true;
 }
+
+/// The flags tune, lint and check share, and what they set: the target
+/// platform, the Table III preset, the candidate set, the model shape, IR
+/// cleanup and the VRA knobs.
+struct TuningFlags {
+  static Flags with_value() {
+    return kVraFlags +
+           Flags{"--platform", "--platform-file", "--config", "--types"};
+  }
+  static Flags switches() {
+    return {"--literal", "--optimize", "--join-stores"};
+  }
+
+  std::string platform = "Stm32"; ///< a name, or "@path" (--platform-file)
+  std::string config_name = "Balanced";
+  core::TuningConfig config = core::TuningConfig::balanced();
+  core::PipelineOptions options;
+
+  /// Applies one of the shared flags; false (diagnostic printed) on a bad
+  /// value.
+  bool set(const std::string& flag, const std::string& value) {
+    if (flag == "--platform") platform = value;
+    else if (flag == "--platform-file") platform = "@" + value;
+    else if (flag == "--config") config_name = value;
+    else if (flag == "--types") return parse_types_list(value, config);
+    else if (flag == "--literal") config.literal_model = true;
+    else if (flag == "--optimize") options.optimize_ir = true;
+    else if (flag == "--join-stores") options.vra.join_stores = true;
+    else return set_vra_flag(flag, value, options.vra);
+    return true;
+  }
+};
 
 /// Deterministic inputs for `run`: every array is filled from its range
 /// annotation with a fixed-seed generator, so runs are reproducible.
@@ -420,7 +534,8 @@ void print_array_summary(const interp::ArrayStore& store) {
   }
 }
 
-int cmd_kernels() {
+int cmd_kernels(const std::vector<std::string>& args) {
+  if (!parse_command_line("kernels", args, 0)) return 2;
   for (const std::string& name : polybench::kernel_names())
     std::printf("%s\n", name.c_str());
   return 0;
@@ -436,7 +551,8 @@ const char* format_class_label(numrep::FormatClass cls) {
   }
 }
 
-int cmd_formats() {
+int cmd_formats(const std::vector<std::string>& args) {
+  if (!parse_command_line("formats", args, 0)) return 2;
   const numrep::FormatRegistry& reg = numrep::FormatRegistry::instance();
   std::printf("%-16s %-11s %5s %4s %-8s %13s %13s\n", "name", "class", "width",
               "exec", "cost", "max", "minpos");
@@ -454,18 +570,25 @@ int cmd_formats() {
 }
 
 int cmd_emit(const std::vector<std::string>& args) {
-  if (args.empty()) return usage();
+  const auto cl = parse_command_line("emit", args, 1, {"-o"});
+  if (!cl) return 2;
+  const std::string& name = cl->operands[0];
+  const auto names = polybench::kernel_names();
+  if (std::find(names.begin(), names.end(), name) == names.end()) {
+    std::fprintf(stderr,
+                 "luis emit: unknown kernel '%s' (see `luis kernels`)\n",
+                 name.c_str());
+    return 2;
+  }
   std::string out_path;
-  for (std::size_t i = 1; i + 1 < args.size() + 1; ++i)
-    if (args[i - 1] == "-o" && i < args.size()) out_path = args[i];
+  for (const auto& [flag, value] : cl->options) out_path = value;
   ir::Module module;
-  polybench::BuiltKernel kernel = polybench::build_kernel(args[0], module);
+  polybench::BuiltKernel kernel = polybench::build_kernel(name, module);
   const std::string text = ir::print_function(*kernel.function);
   if (out_path.empty()) {
     std::fputs(text.c_str(), stdout);
   } else {
-    std::ofstream os(out_path);
-    os << text;
+    if (!write_output("emit", out_path, text)) return 1;
     std::printf("wrote %s (%zu instructions)\n", out_path.c_str(),
                 kernel.function->instruction_count());
   }
@@ -473,7 +596,7 @@ int cmd_emit(const std::vector<std::string>& args) {
 }
 
 int cmd_print(const std::vector<std::string>& args) {
-  if (args.empty()) return usage();
+  if (!parse_command_line("print", args, 1)) return 2;
   ir::Module module;
   ir::Function* f = parse_or_die(module, args[0]);
   if (!f) return 1;
@@ -489,7 +612,7 @@ int cmd_print(const std::vector<std::string>& args) {
 }
 
 int cmd_verify(const std::vector<std::string>& args) {
-  if (args.empty()) return usage();
+  if (!parse_command_line("verify", args, 1)) return 2;
   ir::Module module;
   ir::Function* f = parse_or_die(module, args[0]);
   if (!f) return 1;
@@ -505,7 +628,7 @@ int cmd_verify(const std::vector<std::string>& args) {
 }
 
 int cmd_ranges(const std::vector<std::string>& args) {
-  if (args.empty()) return usage();
+  if (!parse_command_line("ranges", args, 1)) return 2;
   ir::Module module;
   ir::Function* f = parse_and_verify_or_die(module, args[0]);
   if (!f) return 1;
@@ -523,58 +646,42 @@ int cmd_ranges(const std::vector<std::string>& args) {
 }
 
 int cmd_tune(const std::vector<std::string>& args) {
-  if (args.empty()) return usage();
-  const std::string path = args[0];
-  std::string platform_name = "Stm32", config_name = "Balanced", out_path;
-  std::string assignment_path;
-  core::TuningConfig config = core::TuningConfig::balanced();
-  core::PipelineOptions options;
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    auto next = [&]() -> std::string {
-      return ++i < args.size() ? args[i] : std::string();
-    };
-    if (a == "--platform") {
-      platform_name = next();
-    } else if (a == "--platform-file") {
-      platform_name = "@" + next();
-    } else if (a == "--config") {
-      config_name = next();
-    } else if (a == "--literal") {
-      config.literal_model = true;
-    } else if (a == "--optimize") {
-      options.optimize_ir = true;
-    } else if (a == "-o") {
-      out_path = next();
+  const auto cl = parse_command_line(
+      "tune", args, 1,
+      TuningFlags::with_value() + Flags{"-o", "--save-assignment"},
+      TuningFlags::switches() + Flags{"--lint=warn", "--lint=error"});
+  if (!cl) return 2;
+  std::string out_path, assignment_path;
+  TuningFlags tuning;
+  core::TuningConfig& config = tuning.config;
+  core::PipelineOptions& options = tuning.options;
+  for (const auto& [flag, value] : cl->options) {
+    if (flag == "-o") {
+      out_path = value;
       options.materialize_casts = true;
-    } else if (a == "--save-assignment") {
-      assignment_path = next();
-    } else if (a == "--lint=warn") {
+    } else if (flag == "--save-assignment") {
+      assignment_path = value;
+    } else if (flag == "--lint=warn") {
       options.lint = core::LintMode::Warn;
-    } else if (a == "--lint=error") {
+    } else if (flag == "--lint=error") {
       options.lint = core::LintMode::Error;
-    } else if (a == "--types") {
-      if (!parse_types_list(next(), config)) return 2;
-    } else if (is_vra_flag(a)) {
-      if (!set_vra_flag(a, next(), options.vra)) return 2;
-    } else if (a == "--join-stores") {
-      options.vra.join_stores = true;
-    } else {
-      std::fprintf(stderr, "luis: unknown option '%s'\n", a.c_str());
+    } else if (!tuning.set(flag, value)) {
       return 2;
     }
   }
-  if (!apply_config_preset(config_name, config)) return 2;
+  if (!apply_config_preset(tuning.config_name, config)) return 2;
 
   platform::OpTimeTable storage;
-  const platform::OpTimeTable* table = resolve_platform(platform_name, storage);
+  const platform::OpTimeTable* table =
+      resolve_platform(tuning.platform, storage);
   if (!table) return 2;
 
   ir::Module module;
-  ir::Function* f = parse_and_verify_or_die(module, path);
+  ir::Function* f = parse_and_verify_or_die(module, cl->operands[0]);
   if (!f) return 1;
 
-  const core::PipelineResult tuned = core::tune_kernel(*f, *table, config, options);
+  const core::PipelineResult tuned =
+      core::tune_kernel(*f, *table, config, options);
   std::printf("pipeline: %d IR rewrites, VRA %.2f ms, allocation %.2f ms "
               "(%zu vars x %zu rows, %ld nodes, %s)\n",
               tuned.ir_changes, tuned.timings.vra_seconds * 1e3,
@@ -596,13 +703,13 @@ int cmd_tune(const std::vector<std::string>& args) {
                 tuned.allocation.assignment.of(arr.get()).name().c_str());
 
   if (!assignment_path.empty()) {
-    std::ofstream os(assignment_path);
-    os << core::assignment_to_text(*f, tuned.allocation.assignment);
+    const std::string text =
+        core::assignment_to_text(*f, tuned.allocation.assignment);
+    if (!write_output("tune", assignment_path, text)) return 1;
     std::printf("wrote type assignment to %s\n", assignment_path.c_str());
   }
   if (!out_path.empty()) {
-    std::ofstream os(out_path);
-    os << ir::print_function(*f);
+    if (!write_output("tune", out_path, ir::print_function(*f))) return 1;
     std::printf("wrote tuned IR (explicit casts) to %s\n", out_path.c_str());
   }
   if (options.lint != core::LintMode::Off) {
@@ -617,55 +724,37 @@ int cmd_tune(const std::vector<std::string>& args) {
 }
 
 int cmd_lint(const std::vector<std::string>& args) {
-  if (args.empty()) return usage();
-  const std::string path = args[0];
-  std::string platform_name = "Stm32", config_name = "Balanced";
+  const auto cl = parse_command_line(
+      "lint", args, 1,
+      TuningFlags::with_value() +
+          Flags{"--assignment", "--format", "--threshold", "--max-rel-error"},
+      TuningFlags::switches() + Flags{"--materialize", "--werror"});
+  if (!cl) return 2;
   std::string assignment_path, format = "text";
   bool materialize = false, werror = false;
-  core::TuningConfig config = core::TuningConfig::balanced();
+  TuningFlags tuning;
+  core::PipelineOptions& options = tuning.options;
   analysis::LintOptions lint_options;
-  core::PipelineOptions options;
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    auto next = [&]() -> std::string {
-      return ++i < args.size() ? args[i] : std::string();
-    };
-    if (a == "--platform") {
-      platform_name = next();
-    } else if (a == "--platform-file") {
-      platform_name = "@" + next();
-    } else if (a == "--config") {
-      config_name = next();
-    } else if (a == "--literal") {
-      config.literal_model = true;
-    } else if (a == "--optimize") {
-      options.optimize_ir = true;
-    } else if (a == "--materialize") {
+  for (const auto& [flag, value] : cl->options) {
+    if (flag == "--materialize") {
       materialize = true;
-    } else if (a == "--assignment") {
-      assignment_path = next();
-    } else if (a == "--format") {
-      format = next();
-    } else if (a == "--threshold") {
-      const auto v = parse_number_flag(a, next(), 0,
+    } else if (flag == "--assignment") {
+      assignment_path = value;
+    } else if (flag == "--format") {
+      format = value;
+    } else if (flag == "--threshold") {
+      const auto v = parse_number_flag(flag, value, 0,
                                        std::numeric_limits<int>::max(),
                                        "an integer >= 0");
       if (!v) return 2;
       lint_options.precision_loss_threshold = *v;
-    } else if (a == "--max-rel-error") {
-      const auto v = parse_positive_flag(a, next());
+    } else if (flag == "--max-rel-error") {
+      const auto v = parse_positive_flag(flag, value);
       if (!v) return 2;
       lint_options.max_rel_error = *v;
-    } else if (a == "--werror") {
+    } else if (flag == "--werror") {
       werror = true;
-    } else if (a == "--types") {
-      if (!parse_types_list(next(), config)) return 2;
-    } else if (is_vra_flag(a)) {
-      if (!set_vra_flag(a, next(), options.vra)) return 2;
-    } else if (a == "--join-stores") {
-      options.vra.join_stores = true;
-    } else {
-      std::fprintf(stderr, "luis: unknown option '%s'\n", a.c_str());
+    } else if (!tuning.set(flag, value)) {
       return 2;
     }
   }
@@ -673,10 +762,10 @@ int cmd_lint(const std::vector<std::string>& args) {
     std::fprintf(stderr, "luis: unknown lint format '%s'\n", format.c_str());
     return 2;
   }
-  if (!apply_config_preset(config_name, config)) return 2;
+  if (!apply_config_preset(tuning.config_name, tuning.config)) return 2;
 
   ir::Module module;
-  ir::Function* f = parse_and_verify_or_die(module, path);
+  ir::Function* f = parse_and_verify_or_die(module, cl->operands[0]);
   if (!f) return 1;
 
   analysis::DiagnosticEngine engine;
@@ -702,14 +791,14 @@ int cmd_lint(const std::vector<std::string>& args) {
   } else {
     platform::OpTimeTable storage;
     const platform::OpTimeTable* table =
-        resolve_platform(platform_name, storage);
+        resolve_platform(tuning.platform, storage);
     if (!table) return 2;
     options.materialize_casts = materialize;
     options.lint = core::LintMode::Error;
     options.lint_options = lint_options;
     options.analyze_errors = true;
     const core::PipelineResult tuned =
-        core::tune_kernel(*f, *table, config, options);
+        core::tune_kernel(*f, *table, tuning.config, options);
     engine = tuned.lint;
   }
 
@@ -725,46 +814,29 @@ int cmd_lint(const std::vector<std::string>& args) {
 /// reports a certified worst-case absolute/relative bound per array. With
 /// --max-rel-error the exit status enforces the budget on output arrays.
 int cmd_check(const std::vector<std::string>& args) {
-  if (args.empty()) return usage();
-  const std::string path = args[0];
-  std::string platform_name = "Stm32", config_name = "Balanced";
+  const auto cl = parse_command_line(
+      "check", args, 1,
+      TuningFlags::with_value() +
+          Flags{"--assignment", "--max-rel-error", "--format", "--json"},
+      TuningFlags::switches());
+  if (!cl) return 2;
   std::string assignment_path, json_path, format = "text";
   double max_rel_error = std::numeric_limits<double>::infinity();
-  core::TuningConfig config = core::TuningConfig::balanced();
-  core::PipelineOptions options;
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    auto next = [&]() -> std::string {
-      return ++i < args.size() ? args[i] : std::string();
-    };
-    if (a == "--platform") {
-      platform_name = next();
-    } else if (a == "--platform-file") {
-      platform_name = "@" + next();
-    } else if (a == "--config") {
-      config_name = next();
-    } else if (a == "--literal") {
-      config.literal_model = true;
-    } else if (a == "--optimize") {
-      options.optimize_ir = true;
-    } else if (a == "--assignment") {
-      assignment_path = next();
-    } else if (a == "--max-rel-error") {
-      const auto v = parse_positive_flag(a, next());
+  TuningFlags tuning;
+  const core::TuningConfig& config = tuning.config;
+  core::PipelineOptions& options = tuning.options;
+  for (const auto& [flag, value] : cl->options) {
+    if (flag == "--assignment") {
+      assignment_path = value;
+    } else if (flag == "--max-rel-error") {
+      const auto v = parse_positive_flag(flag, value);
       if (!v) return 2;
       max_rel_error = *v;
-    } else if (a == "--format") {
-      format = next();
-    } else if (a == "--json") {
-      json_path = next();
-    } else if (a == "--types") {
-      if (!parse_types_list(next(), config)) return 2;
-    } else if (is_vra_flag(a)) {
-      if (!set_vra_flag(a, next(), options.vra)) return 2;
-    } else if (a == "--join-stores") {
-      options.vra.join_stores = true;
-    } else {
-      std::fprintf(stderr, "luis: unknown option '%s'\n", a.c_str());
+    } else if (flag == "--format") {
+      format = value;
+    } else if (flag == "--json") {
+      json_path = value;
+    } else if (!tuning.set(flag, value)) {
       return 2;
     }
   }
@@ -772,10 +844,10 @@ int cmd_check(const std::vector<std::string>& args) {
     std::fprintf(stderr, "luis: unknown check format '%s'\n", format.c_str());
     return 2;
   }
-  if (!apply_config_preset(config_name, config)) return 2;
+  if (!apply_config_preset(tuning.config_name, tuning.config)) return 2;
 
   ir::Module module;
-  ir::Function* f = parse_and_verify_or_die(module, path);
+  ir::Function* f = parse_and_verify_or_die(module, cl->operands[0]);
   if (!f) return 1;
 
   interp::TypeAssignment assignment;
@@ -802,7 +874,7 @@ int cmd_check(const std::vector<std::string>& args) {
   } else {
     platform::OpTimeTable storage;
     const platform::OpTimeTable* table =
-        resolve_platform(platform_name, storage);
+        resolve_platform(tuning.platform, storage);
     if (!table) return 2;
     options.analyze_errors = true;
     const core::PipelineResult tuned =
@@ -946,12 +1018,7 @@ int cmd_check(const std::vector<std::string>& args) {
   }
 
   if (!json_path.empty()) {
-    std::ofstream os(json_path);
-    if (!os) {
-      std::fprintf(stderr, "luis check: cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    os << w.str();
+    if (!write_output("check", json_path, w.str())) return 1;
     if (format != "json") std::printf("wrote %s\n", json_path.c_str());
   }
 
@@ -965,27 +1032,27 @@ int cmd_check(const std::vector<std::string>& args) {
 }
 
 int cmd_apply(const std::vector<std::string>& args) {
-  if (args.size() < 2) return usage();
+  const auto cl = parse_command_line("apply", args, 2, {"--engine"});
+  if (!cl) return 2;
+  const std::string& types_path = cl->operands[1];
   interp::EngineKind engine_kind = interp::EngineKind::Vm;
-  for (std::size_t i = 2; i < args.size(); ++i) {
-    if (args[i] == "--engine" && i + 1 < args.size()) {
-      const auto kind = engine_or_die(args[++i]);
-      if (!kind) return 2;
-      engine_kind = *kind;
-    }
+  for (const auto& [flag, value] : cl->options) {
+    const auto kind = engine_or_die(value);
+    if (!kind) return 2;
+    engine_kind = *kind;
   }
   ir::Module module;
-  ir::Function* f = parse_and_verify_or_die(module, args[0]);
+  ir::Function* f = parse_and_verify_or_die(module, cl->operands[0]);
   if (!f) return 1;
-  const auto text = read_file(args[1]);
+  const auto text = read_file(types_path);
   if (!text) {
-    std::fprintf(stderr, "luis: cannot read %s\n", args[1].c_str());
+    std::fprintf(stderr, "luis: cannot read %s\n", types_path.c_str());
     return 1;
   }
   const core::AssignmentParseResult parsed =
       core::assignment_from_text(*f, *text);
   if (!parsed.ok()) {
-    std::fprintf(stderr, "luis: %s: %s\n", args[1].c_str(),
+    std::fprintf(stderr, "luis: %s: %s\n", types_path.c_str(),
                  parsed.error.c_str());
     return 1;
   }
@@ -1002,26 +1069,23 @@ int cmd_apply(const std::vector<std::string>& args) {
 }
 
 int cmd_run(const std::vector<std::string>& args) {
-  if (args.empty()) return usage();
+  const auto cl = parse_command_line("run", args, 1, {"--type", "--engine"});
+  if (!cl) return 2;
   numrep::ConcreteType type{numrep::kBinary64, 0};
   interp::EngineKind engine_kind = interp::EngineKind::Vm;
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    if (args[i] == "--type" && i + 1 < args.size()) {
-      const auto fmt = numrep::parse_format(args[++i]);
-      if (!fmt) {
-        std::fprintf(stderr, "luis: unknown format '%s'\n", args[i].c_str());
-        return 2;
-      }
-      type.format = *fmt;
-      if (fmt->is_fixed()) type.frac_bits = fmt->width() / 2;
-    } else if (args[i] == "--engine" && i + 1 < args.size()) {
-      const auto kind = engine_or_die(args[++i]);
+  for (const auto& [flag, value] : cl->options) {
+    if (flag == "--type") {
+      const auto t = type_or_die(value);
+      if (!t) return 2;
+      type = *t;
+    } else {
+      const auto kind = engine_or_die(value);
       if (!kind) return 2;
       engine_kind = *kind;
     }
   }
   ir::Module module;
-  ir::Function* f = parse_and_verify_or_die(module, args[0]);
+  ir::Function* f = parse_and_verify_or_die(module, cl->operands[0]);
   if (!f) return 1;
   interp::ArrayStore store = synth_inputs(*f);
   const interp::TypeAssignment types = interp::TypeAssignment::uniform(*f, type);
@@ -1038,21 +1102,16 @@ int cmd_run(const std::vector<std::string>& args) {
 }
 
 int cmd_disasm(const std::vector<std::string>& args) {
-  if (args.empty()) return usage();
+  const auto cl = parse_command_line("disasm", args, 1, {"--type"});
+  if (!cl) return 2;
   numrep::ConcreteType type{numrep::kBinary64, 0};
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    if (args[i] == "--type" && i + 1 < args.size()) {
-      const auto fmt = numrep::parse_format(args[++i]);
-      if (!fmt) {
-        std::fprintf(stderr, "luis: unknown format '%s'\n", args[i].c_str());
-        return 2;
-      }
-      type.format = *fmt;
-      if (fmt->is_fixed()) type.frac_bits = fmt->width() / 2;
-    }
+  for (const auto& [flag, value] : cl->options) {
+    const auto t = type_or_die(value);
+    if (!t) return 2;
+    type = *t;
   }
   ir::Module module;
-  ir::Function* f = parse_and_verify_or_die(module, args[0]);
+  ir::Function* f = parse_and_verify_or_die(module, cl->operands[0]);
   if (!f) return 1;
   const interp::TypeAssignment types = interp::TypeAssignment::uniform(*f, type);
   const interp::CompiledProgram program =
@@ -1062,19 +1121,20 @@ int cmd_disasm(const std::vector<std::string>& args) {
 }
 
 int cmd_compile(const std::vector<std::string>& args) {
-  if (args.empty()) return usage();
+  const auto cl = parse_command_line("compile", args, 1, {"-o"});
+  if (!cl) return 2;
+  const std::string& path = cl->operands[0];
   std::string out_path;
-  for (std::size_t i = 1; i + 1 < args.size() + 1; ++i)
-    if (args[i - 1] == "-o" && i < args.size()) out_path = args[i];
-  const auto source = read_file(args[0]);
+  for (const auto& [flag, value] : cl->options) out_path = value;
+  const auto source = read_file(path);
   if (!source) {
-    std::fprintf(stderr, "luis: cannot read %s\n", args[0].c_str());
+    std::fprintf(stderr, "luis: cannot read %s\n", path.c_str());
     return 1;
   }
   ir::Module module;
   const frontend::CompileResult r = frontend::compile_kernel(module, *source);
   if (!r.ok()) {
-    std::fprintf(stderr, "luis: %s:%d:%d: %s\n", args[0].c_str(), r.line,
+    std::fprintf(stderr, "luis: %s:%d:%d: %s\n", path.c_str(), r.line,
                  r.column, r.error.c_str());
     return 1;
   }
@@ -1087,22 +1147,21 @@ int cmd_compile(const std::vector<std::string>& args) {
   if (out_path.empty()) {
     std::fputs(text.c_str(), stdout);
   } else {
-    std::ofstream os(out_path);
-    os << text;
-    std::printf("compiled %s -> %s (%zu instructions)\n", args[0].c_str(),
+    if (!write_output("compile", out_path, text)) return 1;
+    std::printf("compiled %s -> %s (%zu instructions)\n", path.c_str(),
                 out_path.c_str(), r.function->instruction_count());
   }
   return 0;
 }
 
 int cmd_characterize(const std::vector<std::string>& args) {
+  const auto cl = parse_command_line("characterize", args, 0, {"-o"});
+  if (!cl) return 2;
   std::string out_path;
-  for (std::size_t i = 1; i + 1 < args.size() + 1; ++i)
-    if (args[i - 1] == "-o" && i < args.size()) out_path = args[i];
+  for (const auto& [flag, value] : cl->options) out_path = value;
   const platform::OpTimeTable host = platform::run_microbenchmark();
   if (!out_path.empty()) {
-    std::ofstream os(out_path);
-    os << host.to_text();
+    if (!write_output("characterize", out_path, host.to_text())) return 1;
     std::printf("wrote characterization to %s\n", out_path.c_str());
     return 0;
   }
@@ -1115,32 +1174,37 @@ int cmd_characterize(const std::vector<std::string>& args) {
 int cmd_sweep(const std::vector<std::string>& args) {
   core::SweepOptions opt;
   opt.verbose = true; // --quiet turns the progress lines off
+  const auto cl = parse_command_line(
+      "sweep", args, 0,
+      kVraFlags + Flags{"--kernels", "--configs", "--platforms", "--threads",
+                        "--max-nodes", "--engine", "--json"},
+      {"--no-taffo", "--no-cache", "--no-check", "--errors", "--join-stores",
+       "--quiet"});
+  if (!cl) return 2;
   std::string json_path;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    const bool has_value = i + 1 < args.size();
-    if (a == "--kernels" && has_value) {
-      opt.kernels = split_fields(args[++i], ',');
-    } else if (a == "--configs" && has_value) {
-      opt.configs = split_fields(args[++i], ',');
-    } else if (a == "--platforms" && has_value) {
-      opt.platforms = split_fields(args[++i], ',');
-    } else if (a == "--threads" && has_value) {
-      const auto v = parse_number_flag(a, args[++i], 0,
+  for (const auto& [a, value] : cl->options) {
+    if (a == "--kernels") {
+      opt.kernels = split_fields(value, ',');
+    } else if (a == "--configs") {
+      opt.configs = split_fields(value, ',');
+    } else if (a == "--platforms") {
+      opt.platforms = split_fields(value, ',');
+    } else if (a == "--threads") {
+      const auto v = parse_number_flag(a, value, 0,
                                        std::numeric_limits<int>::max(),
                                        "an integer >= 0");
       if (!v) return 2;
       opt.threads = *v;
-    } else if (a == "--max-nodes" && has_value) {
-      const auto v = parse_number_flag(a, args[++i], 1L,
+    } else if (a == "--max-nodes") {
+      const auto v = parse_number_flag(a, value, 1L,
                                        std::numeric_limits<long>::max(),
                                        "an integer >= 1");
       if (!v) return 2;
       opt.solver_max_nodes = *v;
     } else if (a == "--no-taffo") {
       opt.include_taffo = false;
-    } else if (a == "--engine" && has_value) {
-      opt.engine = args[++i];
+    } else if (a == "--engine") {
+      opt.engine = value;
       if (!engine_or_die(opt.engine)) return 2;
     } else if (a == "--no-cache") {
       opt.use_cache = false;
@@ -1148,17 +1212,14 @@ int cmd_sweep(const std::vector<std::string>& args) {
       opt.check_determinism = false;
     } else if (a == "--errors") {
       opt.errors = true;
-    } else if (a == "--json" && has_value) {
-      json_path = args[++i];
-    } else if (is_vra_flag(a) && has_value) {
-      if (!set_vra_flag(a, args[++i], opt.vra)) return 2;
+    } else if (a == "--json") {
+      json_path = value;
     } else if (a == "--join-stores") {
       opt.vra.join_stores = true;
     } else if (a == "--quiet") {
       opt.verbose = false;
-    } else {
-      std::fprintf(stderr, "luis sweep: unknown option %s\n", a.c_str());
-      return usage();
+    } else if (!set_vra_flag(a, value, opt.vra)) {
+      return 2;
     }
   }
   const std::string invalid = core::sweep_options_error(opt);
@@ -1189,12 +1250,8 @@ int cmd_sweep(const std::vector<std::string>& args) {
   std::printf("\n%s", core::sweep_summary_text(result).c_str());
 
   if (!json_path.empty()) {
-    std::ofstream os(json_path);
-    if (!os) {
-      std::fprintf(stderr, "luis sweep: cannot write %s\n", json_path.c_str());
+    if (!write_output("sweep", json_path, core::sweep_report_json(result)))
       return 1;
-    }
-    os << core::sweep_report_json(result);
     std::printf("wrote %s\n", json_path.c_str());
   }
 
@@ -1208,11 +1265,15 @@ int cmd_fuzz(const std::vector<std::string>& args) {
   opt.artifacts_dir = "fuzz-artifacts";
   opt.verbose = true;
   std::string corpus_dir;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    const bool has_value = i + 1 < args.size();
-    if (a == "--target" && has_value) {
-      const std::string target = args[++i];
+  const auto cl = parse_command_line(
+      "fuzz", args, 0,
+      {"--target", "--trials", "--seconds", "--seed", "--artifacts",
+       "--corpus", "--engine"},
+      {"--quiet"});
+  if (!cl) return 2;
+  for (const auto& [a, value] : cl->options) {
+    if (a == "--target") {
+      const std::string& target = value;
       if (target == "ilp") {
         opt.targets = {testing::FuzzTarget::Ilp};
       } else if (target == "ir") {
@@ -1225,37 +1286,34 @@ int cmd_fuzz(const std::vector<std::string>& args) {
         std::fprintf(stderr, "luis fuzz: unknown target '%s'\n", target.c_str());
         return 2;
       }
-    } else if (a == "--trials" && has_value) {
-      const auto v = parse_number_flag(a, args[++i], 0L,
+    } else if (a == "--trials") {
+      const auto v = parse_number_flag(a, value, 0L,
                                        std::numeric_limits<long>::max(),
                                        "an integer >= 0");
       if (!v) return 2;
       opt.trials = *v;
-    } else if (a == "--seconds" && has_value) {
-      const auto v = parse_number_flag(a, args[++i], 0.0,
+    } else if (a == "--seconds") {
+      const auto v = parse_number_flag(a, value, 0.0,
                                        std::numeric_limits<double>::max(),
                                        "a finite number >= 0");
       if (!v) return 2;
       opt.seconds = *v;
-    } else if (a == "--seed" && has_value) {
+    } else if (a == "--seed") {
       const auto v = parse_number_flag(
-          a, args[++i], std::uint64_t{0},
+          a, value, std::uint64_t{0},
           std::numeric_limits<std::uint64_t>::max(), "a decimal integer >= 0");
       if (!v) return 2;
       opt.seed = *v;
-    } else if (a == "--artifacts" && has_value) {
-      opt.artifacts_dir = args[++i];
-    } else if (a == "--corpus" && has_value) {
-      corpus_dir = args[++i];
-    } else if (a == "--engine" && has_value) {
-      const auto kind = engine_or_die(args[++i]);
+    } else if (a == "--artifacts") {
+      opt.artifacts_dir = value;
+    } else if (a == "--corpus") {
+      corpus_dir = value;
+    } else if (a == "--engine") {
+      const auto kind = engine_or_die(value);
       if (!kind) return 2;
       opt.engine = *kind;
-    } else if (a == "--quiet") {
-      opt.verbose = false;
     } else {
-      std::fprintf(stderr, "luis fuzz: unknown option %s\n", a.c_str());
-      return usage();
+      opt.verbose = false; // --quiet
     }
   }
 
@@ -1290,45 +1348,37 @@ int cmd_fuzz(const std::vector<std::string>& args) {
 }
 
 int cmd_profile(const std::vector<std::string>& args) {
-  if (args.empty()) return usage();
-  const std::string path = args[0];
+  const auto cl = parse_command_line(
+      "profile", args, 1,
+      {"--platform", "--platform-file", "--type", "--assignment", "--top",
+       "--json"},
+      {"--errors"});
+  if (!cl) return 2;
   std::string platform_name = "Stm32", assignment_path, json_path;
   numrep::ConcreteType type{numrep::kBinary64, 0};
   std::size_t top = 20;
   bool with_errors = false;
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    auto next = [&]() -> std::string {
-      return ++i < args.size() ? args[i] : std::string();
-    };
+  for (const auto& [a, value] : cl->options) {
     if (a == "--platform") {
-      platform_name = next();
+      platform_name = value;
     } else if (a == "--platform-file") {
-      platform_name = "@" + next();
+      platform_name = "@" + value;
     } else if (a == "--type") {
-      const std::string name = next();
-      const auto fmt = numrep::parse_format(name);
-      if (!fmt) {
-        std::fprintf(stderr, "luis: unknown format '%s'\n", name.c_str());
-        return 2;
-      }
-      type.format = *fmt;
-      if (fmt->is_fixed()) type.frac_bits = fmt->width() / 2;
+      const auto t = type_or_die(value);
+      if (!t) return 2;
+      type = *t;
     } else if (a == "--assignment") {
-      assignment_path = next();
+      assignment_path = value;
     } else if (a == "--top") {
-      const auto v = parse_number_flag(a, next(), std::size_t{0},
+      const auto v = parse_number_flag(a, value, std::size_t{0},
                                        std::numeric_limits<std::size_t>::max(),
                                        "an integer >= 0");
       if (!v) return 2;
       top = *v;
     } else if (a == "--json") {
-      json_path = next();
-    } else if (a == "--errors") {
-      with_errors = true;
+      json_path = value;
     } else {
-      std::fprintf(stderr, "luis profile: unknown option %s\n", a.c_str());
-      return usage();
+      with_errors = true; // --errors
     }
   }
 
@@ -1337,7 +1387,7 @@ int cmd_profile(const std::vector<std::string>& args) {
   if (!table) return 2;
 
   ir::Module module;
-  ir::Function* f = parse_and_verify_or_die(module, path);
+  ir::Function* f = parse_and_verify_or_die(module, cl->operands[0]);
   if (!f) return 1;
 
   interp::TypeAssignment types = interp::TypeAssignment::uniform(*f, type);
@@ -1414,18 +1464,14 @@ int cmd_profile(const std::vector<std::string>& args) {
   }
 
   if (!json_path.empty()) {
-    std::ofstream os(json_path);
-    if (!os) {
-      std::fprintf(stderr, "luis profile: cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    os << json_doc;
+    if (!write_output("profile", json_path, json_doc)) return 1;
     std::printf("wrote %s\n", json_path.c_str());
   }
   return exit_code;
 }
 
-int cmd_version() {
+int cmd_version(const std::vector<std::string>& args) {
+  if (!parse_command_line("version", args, 0)) return 2;
   std::printf("%s\n", obs::version_string().c_str());
   return 0;
 }
@@ -1471,8 +1517,8 @@ bool extract_global_flags(const std::vector<std::string>& all,
 }
 
 int run_command(const std::string& cmd, const std::vector<std::string>& args) {
-  if (cmd == "kernels") return cmd_kernels();
-  if (cmd == "formats") return cmd_formats();
+  if (cmd == "kernels") return cmd_kernels(args);
+  if (cmd == "formats") return cmd_formats(args);
   if (cmd == "emit") return cmd_emit(args);
   if (cmd == "print") return cmd_print(args);
   if (cmd == "verify") return cmd_verify(args);
@@ -1488,7 +1534,7 @@ int run_command(const std::string& cmd, const std::vector<std::string>& args) {
   if (cmd == "sweep") return cmd_sweep(args);
   if (cmd == "fuzz") return cmd_fuzz(args);
   if (cmd == "profile") return cmd_profile(args);
-  if (cmd == "version") return cmd_version();
+  if (cmd == "version") return cmd_version(args);
   return usage();
 }
 
@@ -1517,15 +1563,9 @@ int main(int argc, char** argv) {
                  obs::trace().event_count(), trace_path.c_str());
   }
   if (!metrics_path.empty()) {
-    std::ofstream os(metrics_path);
-    if (os) {
-      os << obs::metrics().to_json();
-      std::fprintf(stderr, "luis: wrote metrics to %s\n", metrics_path.c_str());
-    } else {
-      std::fprintf(stderr, "luis: cannot write metrics to %s\n",
-                   metrics_path.c_str());
+    if (!write_output("--metrics-out", metrics_path, obs::metrics().to_json()))
       return rc != 0 ? rc : 1;
-    }
+    std::fprintf(stderr, "luis: wrote metrics to %s\n", metrics_path.c_str());
   }
   return rc;
 }
