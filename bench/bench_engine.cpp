@@ -21,7 +21,7 @@
 // counters, and every output buffer. A mismatch aborts with exit 1: a
 // wrong engine must not report a throughput number. Both timed modes run
 // against the same warm ProgramCache (the verify pass fills it), so the
-// numbers isolate interpretation, exactly like a cached sweep.
+// numbers isolate interpretation from compilation.
 //
 //   bench_engine [--kernels a,b,c] [--configs c1,c2] [--reps N]
 //                [--json PATH]

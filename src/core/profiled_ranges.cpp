@@ -1,29 +1,22 @@
 #include "core/profiled_ranges.hpp"
 
-#include <algorithm>
-#include <cmath>
+#include <tuple>
 
 namespace luis::core {
-namespace {
-
-vra::Interval widened(double lo, double hi, double margin) {
-  const double mag = std::max({std::abs(lo), std::abs(hi), 1e-6});
-  return {lo - margin * mag, hi + margin * mag};
-}
-
-} // namespace
 
 vra::RangeMap ranges_from_profile(const ir::Function& f,
                                   const interp::RunResult& profile,
                                   double margin) {
   vra::RangeMap map;
+  const auto set = [&](const ir::Value* value, std::pair<double, double> seen) {
+    map.set(value, std::make_from_tuple<vra::Interval>(
+                       interp::widen_observed_range(seen, margin)));
+  };
   for (const auto& arr : f.arrays()) {
     const auto it = profile.array_ranges.find(arr->name());
-    if (it != profile.array_ranges.end())
-      map.set(arr.get(), widened(it->second.first, it->second.second, margin));
+    if (it != profile.array_ranges.end()) set(arr.get(), it->second);
   }
-  for (const auto& [inst, range] : profile.register_ranges)
-    map.set(inst, widened(range.first, range.second, margin));
+  for (const auto& [inst, range] : profile.register_ranges) set(inst, range);
   return map;
 }
 

@@ -8,7 +8,7 @@
 
 #include "analysis/dataflow.hpp"
 #include "core/assignment_io.hpp"
-#include "interp/interpreter.hpp"
+#include "interp/engine.hpp"
 #include "ir/parser.hpp"
 #include "ir/printer.hpp"
 #include "obs/build_info.hpp"
@@ -80,8 +80,8 @@ KernelAnalysis analyze_kernel(const std::string& name,
   return a;
 }
 
-/// Everything a tuning job needs from its kernel, produced once per
-/// kernel and read-only afterwards.
+/// Everything a kernel's rows need, produced once per kernel and
+/// read-only afterwards.
 struct KernelContext {
   std::string name;
   bool ok = false;
@@ -90,68 +90,54 @@ struct KernelContext {
   KernelAnalysis analysis; ///< `ir_text` parsed and range-analyzed
   interp::ArrayStore inputs;
   std::vector<std::string> outputs;
-  interp::ArrayStore reference;       ///< all-binary64 outputs
-  interp::CostCounters base_counters; ///< all-binary64 execution profile
-  /// Interpretation time of the baseline run: attached to no job row, only
-  /// to the sweep's stage totals.
-  StageTimings base_timings;
-  // TAFFO greedy baseline — platform-blind, so computed once and priced
-  // per platform when the job slots are filled.
-  bool taffo_ok = false;
-  std::string taffo_error;
+  /// The kernel's one binary64 run, lane 0 of the execution phase: its
+  /// observed array ranges annotate the kernel, its outputs and counters
+  /// are every row's reference, and its time goes to the stage totals only.
+  interp::RunResult base;
+  interp::ArrayStore reference;     ///< its outputs
+  interp::ErrorProfile base_errors; ///< its shadow profile (with `errors`)
+  // The TAFFO greedy allocation: platform-blind, so made once and shared
+  // by the kernel's TAFFO rows.
   StageTimings taffo_timings;
   AllocationStats taffo_stats;
   std::string taffo_assignment;
-  interp::CostCounters taffo_counters;
-  double taffo_mpe = 0.0;
 };
 
-void prepare_kernel(KernelContext& ctx, bool include_taffo,
-                    const vra::VraOptions& vra_options,
+void prepare_kernel(KernelContext& ctx, const SweepOptions& opt,
                     const interp::ExecutionEngine& engine) {
   ir::Module module;
-  polybench::BuiltKernel kernel = polybench::build_kernel(ctx.name, module);
+  polybench::BuiltKernel kernel =
+      polybench::build_kernel(ctx.name, module, /*annotate=*/false);
   ctx.inputs = kernel.inputs;
   ctx.outputs = kernel.outputs;
 
   ctx.reference = kernel.inputs;
-  interp::TypeAssignment binary64;
-  const interp::RunResult base =
-      engine.run(*kernel.function, binary64, ctx.reference);
-  ctx.base_timings.interp_compile_seconds = base.compile_seconds;
-  ctx.base_timings.interp_execute_seconds = base.execute_seconds;
-  if (!base.ok) {
-    ctx.error = ctx.name + " baseline failed: " + base.error;
+  interp::RunOptions run_options;
+  run_options.track_array_ranges = true;
+  if (opt.errors) run_options.error_profile = &ctx.base_errors;
+  ctx.base = engine.run(*kernel.function, interp::TypeAssignment(),
+                        ctx.reference, run_options);
+  if (!ctx.base.ok) {
+    ctx.error = ctx.name + " baseline failed: " + ctx.base.error;
     return;
   }
-  ctx.base_counters = base.counters;
+  polybench::annotate_from_run(kernel, ctx.base);
   ctx.ir_text = ir::print_function(*kernel.function);
-  ctx.analysis = analyze_kernel(ctx.name, ctx.ir_text, vra_options);
+  ctx.analysis = analyze_kernel(ctx.name, ctx.ir_text, opt.vra);
 
-  if (include_taffo) {
-    PipelineOptions popt;
-    popt.allocator = AllocatorKind::Greedy;
-    popt.vra = vra_options;
-    const PipelineResult tuned =
-        tune_kernel(*kernel.function,
-                    platform::stm32_table(), // unused by greedy
-                    TuningConfig::balanced(), popt);
-    ctx.taffo_timings = tuned.timings;
-    ctx.taffo_stats = tuned.allocation.stats;
-    ctx.taffo_assignment =
-        assignment_to_text(*kernel.function, tuned.allocation.assignment);
-    interp::ArrayStore out = kernel.inputs;
-    const interp::RunResult run =
-        engine.run(*kernel.function, tuned.allocation.assignment, out);
-    ctx.taffo_timings.interp_compile_seconds += run.compile_seconds;
-    ctx.taffo_timings.interp_execute_seconds += run.execute_seconds;
-    if (!run.ok) {
-      ctx.taffo_error = ctx.name + " TAFFO run failed: " + run.error;
-    } else {
-      ctx.taffo_ok = true;
-      ctx.taffo_counters = run.counters;
-      ctx.taffo_mpe = kernel_mpe(ctx.outputs, ctx.reference, out);
+  if (opt.include_taffo) {
+    AllocationResult taffo;
+    {
+      obs::TraceSpan span("sweep.allocate", "sweep",
+                          obs::TimeSink{&ctx.taffo_timings.allocation_seconds});
+      taffo = allocate_greedy(*ctx.analysis.function, ctx.analysis.ranges,
+                              TuningConfig::balanced());
     }
+    ctx.taffo_timings.model_build_seconds = taffo.stats.model_build_seconds;
+    ctx.taffo_timings.solve_seconds = taffo.stats.solve_seconds;
+    ctx.taffo_stats = taffo.stats;
+    ctx.taffo_assignment =
+        assignment_to_text(*ctx.analysis.function, taffo.assignment);
   }
   ctx.ok = true;
 }
@@ -174,9 +160,10 @@ void fold_error_profile(const interp::ErrorProfile& ep, SweepJobResult& out) {
 }
 
 /// Tunes one (kernel, config, platform) job on its kernel's shared
-/// analysis; `vra_share` is the part of the kernel's VRA time this job is
-/// charged. Execution happens later, once per distinct assignment.
-void run_ilp_job(const KernelAnalysis& kernel, double vra_share,
+/// analysis; `out.timings.vra_seconds` holds the part of the kernel's VRA
+/// time this job is charged. Execution happens later, once per distinct
+/// assignment.
+void run_ilp_job(const KernelAnalysis& kernel,
                  const platform::OpTimeTable& table, const SweepOptions& opt,
                  ilp::SolverCache* cache, SweepJobResult& out) {
   TuningConfig config = *preset_by_name(out.config); // validated by run_sweep
@@ -194,10 +181,10 @@ void run_ilp_job(const KernelAnalysis& kernel, double vra_share,
                         obs::TimeSink{&out.timings.allocation_seconds});
     allocation = allocate_ilp(*kernel.function, kernel.ranges, table, config);
   }
-  out.timings.vra_seconds = vra_share;
   out.timings.model_build_seconds = allocation.stats.model_build_seconds;
   out.timings.solve_seconds = allocation.stats.solve_seconds;
-  out.timings.total_seconds = vra_share + out.timings.allocation_seconds;
+  out.timings.total_seconds =
+      out.timings.vra_seconds + out.timings.allocation_seconds;
   out.stats = allocation.stats;
   out.assignment_text =
       assignment_to_text(*kernel.function, allocation.assignment);
@@ -210,20 +197,6 @@ void write_timings(JsonWriter& w, const StageTimings& t) {
     w.key(key);
     w.value(t.*field, "%.6g");
   }
-  w.end_object();
-}
-
-void write_cache_stats(JsonWriter& w, long lookups, long hits, long insertions,
-                       double hit_rate) {
-  w.begin_object();
-  w.key("lookups");
-  w.value(lookups);
-  w.key("hits");
-  w.value(hits);
-  w.key("insertions");
-  w.value(insertions);
-  w.key("hit_rate");
-  w.value(hit_rate, "%.4f");
   w.end_object();
 }
 
@@ -270,17 +243,12 @@ SweepResult run_sweep(const SweepOptions& options) {
 
   ilp::SolverCache cache;
   ilp::SolverCache* cache_ptr = options.use_cache ? &cache : nullptr;
-
-  // The program cache rides the same switch as the solver cache: with
-  // use_cache=false jobs share only read-only inputs (each kernel's
-  // analysis), no mutable state.
-  interp::ProgramCache program_cache;
   const std::unique_ptr<interp::ExecutionEngine> engine =
-      interp::make_engine(*interp::parse_engine(options.engine),
-                          options.use_cache ? &program_cache : nullptr);
+      interp::make_engine(*interp::parse_engine(options.engine));
 
-  // Phase 1: per-kernel setup (build, binary64 reference, IR rendering,
-  // the shared parse + VRA, TAFFO baseline), parallel over kernels.
+  // Phase 1: per-kernel setup (build, the binary64 run that annotates it,
+  // IR rendering, the shared parse + VRA, the TAFFO allocation), parallel
+  // over kernels.
   const LogLevel progress_level =
       options.verbose ? LogLevel::Info : LogLevel::Debug;
   std::vector<KernelContext> contexts(kernels.size());
@@ -293,65 +261,58 @@ SweepResult run_sweep(const SweepOptions& options) {
       obs::TraceSpan span("sweep.prepare_kernel", "sweep", [&] {
         return obs::Args().str("kernel", contexts[i].name).done();
       });
-      prepare_kernel(contexts[i], options.include_taffo, options.vra, *engine);
+      prepare_kernel(contexts[i], options, *engine);
       LUIS_LOG(progress_level, "[sweep] " + contexts[i].name + " prepared");
     });
   }
 
-  // Job slots in their fixed kernel-major order. A TAFFO row is charged
-  // 1/|platforms| of every stage its kernel's one baseline run measured.
+  // Job slots in their fixed kernel-major order. Every row of a kernel is
+  // charged an equal share of its one VRA run, and a TAFFO row also
+  // 1/|platforms| of its kernel's one greedy allocation.
+  const std::size_t rows_per_kernel =
+      platforms.size() * (configs.size() + (options.include_taffo ? 1 : 0));
   std::vector<std::size_t> ilp_jobs; // indices into result.jobs
-  std::vector<std::vector<std::size_t>> kernel_ilp_jobs(kernels.size());
+  std::vector<std::vector<std::size_t>> kernel_rows(kernels.size());
   std::vector<std::size_t> kernel_of; // parallel to result.jobs
   std::vector<const platform::OpTimeTable*> table_of;
   for (std::size_t ki = 0; ki < kernels.size(); ++ki) {
+    const KernelContext& ctx = contexts[ki];
     for (std::size_t pi = 0; pi < platforms.size(); ++pi) {
-      for (const std::string& config : configs) {
-        SweepJobResult job;
+      const auto add_row = [&](const std::string& config) -> SweepJobResult& {
+        kernel_rows[ki].push_back(result.jobs.size());
+        kernel_of.push_back(ki);
+        table_of.push_back(tables[pi]);
+        SweepJobResult& job = result.jobs.emplace_back();
         job.kernel = kernels[ki];
         job.config = config;
         job.platform = platforms[pi];
         job.engine = engine->name();
+        job.error = ctx.error;
+        job.timings.vra_seconds =
+            ctx.analysis.vra_seconds / static_cast<double>(rows_per_kernel);
+        return job;
+      };
+      for (const std::string& config : configs) {
         ilp_jobs.push_back(result.jobs.size());
-        kernel_ilp_jobs[ki].push_back(result.jobs.size());
-        result.jobs.push_back(std::move(job));
-        kernel_of.push_back(ki);
-        table_of.push_back(tables[pi]);
+        add_row(config);
       }
-      if (options.include_taffo) {
-        SweepJobResult job;
-        job.kernel = kernels[ki];
-        job.config = "TAFFO";
-        job.platform = platforms[pi];
-        job.engine = engine->name();
-        const KernelContext& ctx = contexts[ki];
-        if (!ctx.ok) {
-          job.error = ctx.error;
-        } else if (!ctx.taffo_ok) {
-          job.error = ctx.taffo_error;
-        } else {
-          job.ok = true;
-          job.timings = ctx.taffo_timings;
-          job.timings /= static_cast<double>(platforms.size());
-          job.stats = ctx.taffo_stats;
-          job.assignment_text = ctx.taffo_assignment;
-          const double t_base =
-              platform::simulated_time(ctx.base_counters, *tables[pi]);
-          job.speedup_percent = platform::speedup_percent(
-              t_base, platform::simulated_time(ctx.taffo_counters, *tables[pi]));
-          job.mpe = ctx.taffo_mpe;
-        }
-        result.jobs.push_back(std::move(job));
-        kernel_of.push_back(ki);
-        table_of.push_back(tables[pi]);
-      }
+      if (!options.include_taffo) continue;
+      SweepJobResult& job = add_row("TAFFO");
+      if (!ctx.ok) continue;
+      job.ok = true;
+      StageTimings allocation = ctx.taffo_timings;
+      allocation /= static_cast<double>(platforms.size());
+      job.timings += allocation;
+      job.timings.total_seconds =
+          job.timings.vra_seconds + job.timings.allocation_seconds;
+      job.stats = ctx.taffo_stats;
+      job.assignment_text = ctx.taffo_assignment;
     }
   }
 
   // Phase 2: the ILP jobs, parallel over (kernel x platform x config),
-  // each on its kernel's shared analysis. A job is charged an equal share
-  // of its kernel's VRA time, so the stage totals still sum to the time
-  // spent. Jobs only tune here; the interpretation runs in the phase below.
+  // each on its kernel's shared analysis. Jobs only tune here; the
+  // interpretation runs in the phase below.
   {
     obs::TraceSpan phase("sweep.jobs", "sweep", [&] {
       return obs::Args().num("jobs", ilp_jobs.size()).done();
@@ -359,12 +320,8 @@ SweepResult run_sweep(const SweepOptions& options) {
     support::parallel_for(ilp_jobs.size(), threads, [&](std::size_t i) {
       const std::size_t j = ilp_jobs[i];
       SweepJobResult& job = result.jobs[j];
-      const std::size_t ki = kernel_of[j];
-      const KernelContext& ctx = contexts[ki];
-      if (!ctx.ok) {
-        job.error = ctx.error;
-        return;
-      }
+      const KernelContext& ctx = contexts[kernel_of[j]];
+      if (!ctx.ok) return; // the row already carries the kernel's error
       obs::TraceSpan span("sweep.job", "sweep", [&] {
         return obs::Args()
             .str("kernel", job.kernel)
@@ -372,23 +329,20 @@ SweepResult run_sweep(const SweepOptions& options) {
             .str("platform", job.platform)
             .done();
       });
-      const double vra_share =
-          ctx.analysis.vra_seconds /
-          static_cast<double>(kernel_ilp_jobs[ki].size());
-      run_ilp_job(ctx.analysis, vra_share, *table_of[j], options, cache_ptr,
-                  job);
+      run_ilp_job(ctx.analysis, *table_of[j], options, cache_ptr, job);
       LUIS_LOG(progress_level, "[sweep] " + job.kernel + "/" + job.config +
                                    "/" + job.platform +
                                    (job.ok ? " ok" : " FAILED"));
     });
   }
 
-  // Phase 3: execute each kernel's tuned assignments, one engine run per
-  // distinct assignment. Duplicates — presets that converged to the same
-  // allocation, or the same preset across platforms (tuning is
-  // platform-specific but often agrees) — collapse into one lane; every
-  // job sharing a lane reads that lane's counters and store, which is
-  // exact because the assignment fully determines the execution.
+  // Phase 3: execute each kernel's rows, ILP and TAFFO alike, one engine
+  // run per distinct assignment. Duplicates (presets that converged to the
+  // same allocation, the same preset across platforms, TAFFO agreeing with
+  // a preset) collapse into one lane; every row sharing a lane reads that
+  // lane's counters, store and shadow profile, which is exact because the
+  // assignment fully determines the execution. Lane 0 is the all-binary64
+  // assignment, served by the kernel's prepare run and never run again.
   {
     obs::TraceSpan phase("sweep.batch_execute", "sweep", [&] {
       return obs::Args().num("kernels", kernels.size()).done();
@@ -398,83 +352,85 @@ SweepResult run_sweep(const SweepOptions& options) {
     support::parallel_for(kernels.size(), threads, [&](std::size_t ki) {
       const KernelContext& ctx = contexts[ki];
       if (!ctx.ok) return;
-      std::vector<std::size_t> kernel_jobs;
-      for (const std::size_t j : kernel_ilp_jobs[ki])
-        if (result.jobs[j].ok) kernel_jobs.push_back(j);
-      if (kernel_jobs.empty()) return;
       const ir::Function& f = *ctx.analysis.function;
 
-      // Dedup the tuned assignments into unique lanes.
-      std::vector<std::string> lane_texts;
-      std::vector<interp::TypeAssignment> lane_types;
-      std::vector<int> lane_shares;
-      std::vector<std::size_t> lane_of(kernel_jobs.size());
-      for (std::size_t k = 0; k < kernel_jobs.size(); ++k) {
-        const std::string& text =
-            result.jobs[kernel_jobs[k]].assignment_text;
-        const auto it =
-            std::find(lane_texts.begin(), lane_texts.end(), text);
-        if (it != lane_texts.end()) {
-          lane_of[k] = static_cast<std::size_t>(it - lane_texts.begin());
-          ++lane_shares[lane_of[k]];
-          continue;
+      // Dedup the rows' assignments into lanes. Lane 0 reads the prepare
+      // run; every other lane runs once below.
+      struct Lane {
+        std::string text;
+        int rows = 0;
+        const interp::RunResult* run = nullptr;
+        const interp::ArrayStore* store = nullptr;
+        const interp::ErrorProfile* errors = nullptr;
+      };
+      std::vector<Lane> lanes = {
+          {assignment_to_text(f, interp::TypeAssignment()), 0, &ctx.base,
+           &ctx.reference, &ctx.base_errors}};
+      std::vector<interp::TypeAssignment> types; // of lanes 1, 2, ...
+      std::vector<std::size_t> rows, lane_of;
+      for (const std::size_t j : kernel_rows[ki]) {
+        if (!result.jobs[j].ok) continue;
+        rows.push_back(j);
+        const std::string& text = result.jobs[j].assignment_text;
+        const auto it = std::find_if(
+            lanes.begin(), lanes.end(),
+            [&](const Lane& lane) { return lane.text == text; });
+        lane_of.push_back(static_cast<std::size_t>(it - lanes.begin()));
+        if (it == lanes.end()) {
+          const AssignmentParseResult reloaded = assignment_from_text(f, text);
+          LUIS_ASSERT(reloaded.ok(),
+                      ("sweep: tuned assignment does not reload: " +
+                       reloaded.error)
+                          .c_str());
+          lanes.push_back({text});
+          types.push_back(reloaded.assignment);
         }
-        const AssignmentParseResult reloaded = assignment_from_text(f, text);
-        LUIS_ASSERT(reloaded.ok(),
-                    ("sweep: tuned assignment does not reload: " +
-                     reloaded.error)
-                        .c_str());
-        lane_of[k] = lane_texts.size();
-        lane_texts.push_back(text);
-        lane_types.push_back(reloaded.assignment);
-        lane_shares.push_back(1);
+        ++lanes[lane_of.back()].rows;
       }
 
-      std::vector<interp::ArrayStore> lane_stores(lane_types.size(),
-                                                  ctx.inputs);
-      std::vector<interp::ErrorProfile> lane_errors(
-          options.errors ? lane_types.size() : 0);
-      std::vector<interp::BatchRequest> requests(lane_types.size());
-      for (std::size_t l = 0; l < lane_types.size(); ++l)
-        requests[l] = {&lane_types[l], &lane_stores[l], nullptr,
-                       options.errors ? &lane_errors[l] : nullptr};
+      std::vector<interp::ArrayStore> stores(types.size(), ctx.inputs);
+      std::vector<interp::ErrorProfile> profiles(types.size());
+      std::vector<interp::BatchRequest> requests(types.size());
+      for (std::size_t i = 0; i < types.size(); ++i)
+        requests[i] = {&types[i], &stores[i], nullptr,
+                       options.errors ? &profiles[i] : nullptr};
       const std::vector<interp::RunResult> runs =
           engine->run_batch(f, requests, {});
-      per_kernel[ki] = {1, static_cast<long>(kernel_jobs.size()),
-                        static_cast<long>(lane_types.size())};
+      for (std::size_t i = 0; i < runs.size(); ++i) {
+        lanes[i + 1].run = &runs[i];
+        lanes[i + 1].store = &stores[i];
+        lanes[i + 1].errors = &profiles[i];
+      }
+      per_kernel[ki] = {1, static_cast<long>(rows.size()),
+                        static_cast<long>(lanes.size())};
 
-      for (std::size_t k = 0; k < kernel_jobs.size(); ++k) {
-        SweepJobResult& job = result.jobs[kernel_jobs[k]];
-        const interp::RunResult& run = runs[lane_of[k]];
-        // Lane costs are shared by every job the lane serves, so the
-        // stage totals still sum to the wall-clock actually spent.
-        const double share =
-            static_cast<double>(lane_shares[lane_of[k]]);
-        job.timings.interp_compile_seconds = run.compile_seconds / share;
-        job.timings.interp_execute_seconds = run.execute_seconds / share;
+      for (std::size_t k = 0; k < rows.size(); ++k) {
+        SweepJobResult& job = result.jobs[rows[k]];
+        const Lane& lane = lanes[lane_of[k]];
+        const interp::RunResult& run = *lane.run;
+        if (lane_of[k] > 0) {
+          // A lane's cost is shared by every row it serves, so the stage
+          // totals still sum to the wall-clock actually spent.
+          job.timings.interp_compile_seconds = run.compile_seconds / lane.rows;
+          job.timings.interp_execute_seconds = run.execute_seconds / lane.rows;
+        }
         if (!run.ok) {
           job.ok = false;
           job.error =
               ctx.name + "/" + job.config + " run failed: " + run.error;
           continue;
         }
-        const double t_base = platform::simulated_time(
-            ctx.base_counters, *table_of[kernel_jobs[k]]);
+        const platform::OpTimeTable& table = *table_of[rows[k]];
         job.speedup_percent = platform::speedup_percent(
-            t_base,
-            platform::simulated_time(run.counters,
-                                     *table_of[kernel_jobs[k]]));
-        job.mpe = kernel_mpe(ctx.outputs, ctx.reference,
-                             lane_stores[lane_of[k]]);
-        // Jobs sharing a lane share that lane's shadow profile — the
-        // assignment fully determines the deviations.
-        if (options.errors && lane_errors[lane_of[k]].finalized)
-          fold_error_profile(lane_errors[lane_of[k]], job);
+            platform::simulated_time(ctx.base.counters, table),
+            platform::simulated_time(run.counters, table));
+        job.mpe = kernel_mpe(ctx.outputs, ctx.reference, *lane.store);
+        if (lane.errors->finalized) fold_error_profile(*lane.errors, job);
       }
       LUIS_LOG(progress_level,
                "[sweep] " + ctx.name + " executed " +
-                   std::to_string(lane_types.size()) + " lanes for " +
-                   std::to_string(kernel_jobs.size()) + " jobs");
+                   std::to_string(types.size()) + " lanes for " +
+                   std::to_string(rows.size()) + " rows");
     });
     for (const auto& [r, l, u] : per_kernel) {
       result.stats.batch_runs += r;
@@ -492,27 +448,29 @@ SweepResult run_sweep(const SweepOptions& options) {
   if (options.check_determinism) {
     obs::TraceSpan phase("sweep.determinism_check", "sweep");
     int mismatches = 0;
-    for (std::size_t ki = 0; ki < kernels.size(); ++ki) {
-      const KernelContext& ctx = contexts[ki];
+    KernelAnalysis redo_kernel;
+    std::size_t redo_of = kernels.size(); // the kernel redo_kernel holds
+    for (const std::size_t j : ilp_jobs) {
+      const KernelContext& ctx = contexts[kernel_of[j]];
       if (!ctx.ok) continue;
-      const KernelAnalysis redo_kernel =
-          analyze_kernel(ctx.name, ctx.ir_text, options.vra);
-      for (const std::size_t j : kernel_ilp_jobs[ki]) {
-        const SweepJobResult& job = result.jobs[j];
-        SweepJobResult redo;
-        redo.kernel = job.kernel;
-        redo.config = job.config;
-        redo.platform = job.platform;
-        run_ilp_job(redo_kernel, 0.0, *table_of[j], options, cache_ptr, redo);
-        const bool same = redo.assignment_text == job.assignment_text &&
-                          redo.stats.objective == job.stats.objective &&
-                          redo.stats.status == job.stats.status;
-        if (!same) {
-          ++mismatches;
-          // A mismatch is a real defect, not progress chatter: always warn.
-          LUIS_LOG_WARN("[sweep] determinism MISMATCH " + job.kernel + "/" +
-                        job.config + "/" + job.platform);
-        }
+      if (kernel_of[j] != redo_of) { // ilp_jobs is kernel-major
+        redo_kernel = analyze_kernel(ctx.name, ctx.ir_text, options.vra);
+        redo_of = kernel_of[j];
+      }
+      const SweepJobResult& job = result.jobs[j];
+      SweepJobResult redo;
+      redo.kernel = job.kernel;
+      redo.config = job.config;
+      redo.platform = job.platform;
+      run_ilp_job(redo_kernel, *table_of[j], options, cache_ptr, redo);
+      const bool same = redo.assignment_text == job.assignment_text &&
+                        redo.stats.objective == job.stats.objective &&
+                        redo.stats.status == job.stats.status;
+      if (!same) {
+        ++mismatches;
+        // A mismatch is a real defect, not progress chatter: always warn.
+        LUIS_LOG_WARN("[sweep] determinism MISMATCH " + job.kernel + "/" +
+                      job.config + "/" + job.platform);
       }
     }
     result.stats.determinism_mismatches = mismatches;
@@ -526,12 +484,14 @@ SweepResult run_sweep(const SweepOptions& options) {
     result.stats.solver_nodes += job.stats.nodes;
     result.stats.solver_iterations += job.stats.iterations;
   }
-  for (const KernelContext& ctx : contexts)
-    result.stats.stage_totals += ctx.base_timings;
+  // The binary64 runs serve lane 0 but are charged to no row.
+  for (const KernelContext& ctx : contexts) {
+    result.stats.stage_totals.interp_compile_seconds += ctx.base.compile_seconds;
+    result.stats.stage_totals.interp_execute_seconds += ctx.base.execute_seconds;
+  }
   result.stats.engine = engine->name();
   result.stats.vra = options.vra;
   if (cache_ptr) result.stats.cache = cache_ptr->stats();
-  result.stats.program_cache = program_cache.stats();
   sweep_span.end();
   obs::metrics().counter("sweep.runs").inc();
   obs::metrics().counter("sweep.jobs").inc(result.stats.jobs);
@@ -582,9 +542,6 @@ std::string sweep_summary_text(const SweepResult& result) {
   out += format_string("cache: %ld lookups, %ld hits (%.1f%%)\n",
                        s.cache.lookups, s.cache.hits,
                        100.0 * s.cache.hit_rate());
-  out += format_string("program cache: %ld lookups, %ld hits (%.1f%%)\n",
-                       s.program_cache.lookups, s.program_cache.hits,
-                       100.0 * s.program_cache.hit_rate());
   {
     long profiled = 0, divergences = 0;
     double worst_rel = 0.0;
@@ -681,8 +638,16 @@ std::string sweep_report_json(const SweepResult& result) {
   w.key("solver_iterations");
   w.value(s.solver_iterations);
   w.key("cache");
-  write_cache_stats(w, s.cache.lookups, s.cache.hits, s.cache.insertions,
-                    s.cache.hit_rate());
+  w.begin_object();
+  w.key("lookups");
+  w.value(s.cache.lookups);
+  w.key("hits");
+  w.value(s.cache.hits);
+  w.key("insertions");
+  w.value(s.cache.insertions);
+  w.key("hit_rate");
+  w.value(s.cache.hit_rate(), "%.4f");
+  w.end_object();
   w.key("engine");
   w.value(s.engine);
   w.key("vra");
@@ -696,9 +661,6 @@ std::string sweep_report_json(const SweepResult& result) {
   w.key("join_stores");
   w.value(s.vra.join_stores);
   w.end_object();
-  w.key("program_cache");
-  write_cache_stats(w, s.program_cache.lookups, s.program_cache.hits,
-                    s.program_cache.insertions, s.program_cache.hit_rate());
   w.key("batch");
   w.begin_object();
   w.key("runs");

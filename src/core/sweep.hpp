@@ -1,16 +1,23 @@
 // Multithreaded batch tuning driver: the paper's full evaluation grid
 // (PolyBench kernel x preset x platform) fanned across a thread pool.
 //
-// Isolation model. Each kernel is analyzed once per sweep phase: its IR is
-// rendered to text, parsed into one Function, and range-analyzed once, and
-// every ILP job of the kernel tunes on that Function and RangeMap. Sharing
-// them is safe because the sweep runs only the read-only stages of the
-// pipeline (no IR cleanup, no cast materialization, no lint):
-// allocate_ilp, assignment_to_text and the engines all take a const
-// Function. The only mutable shared state is the solver result cache and
-// the VM's compiled-program cache, both internally locked; by construction
-// of their keys neither can change what any job computes (see
-// ilp/solver_cache.hpp and interp/engine.hpp).
+// One execution per distinct (kernel, assignment). Each kernel is built
+// unannotated and run once in binary64 with array-range tracking: that
+// run annotates the kernel, and its outputs and counters are the
+// reference of every row. The annotated kernel is rendered to text,
+// parsed into one Function, and range-analyzed once; every ILP job of the
+// kernel tunes on that Function and RangeMap, and the TAFFO greedy
+// allocation is made once on them. The execution phase then runs each
+// kernel's distinct row assignments once, ILP and TAFFO alike; the
+// all-binary64 assignment is served by the reference run.
+//
+// Isolation model. Sharing a kernel's analysis is safe because the sweep
+// runs only the read-only stages of the pipeline (no IR cleanup, no cast
+// materialization, no lint): allocate_ilp, allocate_greedy,
+// assignment_to_text and the engines all take a const Function. The only
+// mutable shared state is the solver result cache, internally locked; by
+// construction of its keys it cannot change what any job computes (see
+// ilp/solver_cache.hpp).
 //
 // Determinism. Job results are written into a preallocated slot vector in
 // a fixed (kernel-major) order, so the output is identical no matter how
@@ -29,7 +36,6 @@
 
 #include "core/pipeline.hpp"
 #include "ilp/solver_cache.hpp"
-#include "interp/engine.hpp"
 
 namespace luis::core {
 
@@ -37,13 +43,13 @@ struct SweepOptions {
   std::vector<std::string> kernels;   ///< empty = all 30 PolyBench kernels
   std::vector<std::string> configs;   ///< empty = Precise, Balanced, Fast
   std::vector<std::string> platforms; ///< empty = Stm32/Raspberry/Intel/AMD
-  /// Also run the platform-blind TAFFO greedy baseline (once per kernel).
+  /// Also run the platform-blind TAFFO greedy baseline (allocated once per
+  /// kernel, one row per platform).
   bool include_taffo = true;
   long solver_max_nodes = 3000;
   /// Worker threads; 0 = hardware concurrency, 1 = serial reference path.
   int threads = 0;
-  /// Share one solver result cache across all jobs. Also controls the
-  /// VM engine's shared compiled-program cache (off = jobs share only
+  /// Share one solver result cache across all jobs (off = jobs share only
   /// read-only inputs: their kernel's parsed IR and ranges).
   bool use_cache = true;
   /// Execution engine for every interpretation in the sweep: "vm" (the
@@ -101,15 +107,12 @@ struct SweepStats {
   long solver_iterations = 0;
   ilp::SolverCache::Stats cache; ///< zeros when the cache is disabled
   std::string engine; ///< resolved engine name ("vm" or "ref")
-  /// Compiled-program cache of the VM engine; zeros on the reference
-  /// engine or with use_cache off.
-  interp::ProgramCache::Stats program_cache;
   /// -1 when the check is disabled; otherwise the number of jobs whose
   /// serial re-tune disagreed with the sweep result (0 = proven).
   int determinism_mismatches = -1;
-  /// Deduplicated-execution stats: one "run" per kernel whose tuned jobs
-  /// were executed, `lanes` the jobs served and `unique_lanes` the
-  /// distinct assignments actually interpreted.
+  /// Deduplicated-execution stats: one "run" per prepared kernel, `lanes`
+  /// the rows served and `unique_lanes` the distinct assignments
+  /// interpreted, each kernel's binary64 reference run included.
   long batch_runs = 0;
   long batch_lanes = 0;
   long batch_unique_lanes = 0;

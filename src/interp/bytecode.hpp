@@ -12,8 +12,8 @@
 // refers to registers by dense index, arrays by position (bound by name at
 // run time), and blocks by id. A program compiled from one Function
 // therefore runs against any Function with identical printed IR — which is
-// what lets the sweep's program cache serve the kernel's parsed copy from
-// entries compiled on the built kernel, and the other way round.
+// what lets a ProgramCache serve one Function's runs from entries compiled
+// on another.
 //
 // Semantics are bit-identical to run_function(): same quantization entry
 // points, same cast/operation cost accounting, same step counting

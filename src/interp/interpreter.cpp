@@ -25,6 +25,13 @@ std::string cost_class(const ConcreteType& type) {
   return numrep::format_ops(type).cost_class(type.format);
 }
 
+std::pair<double, double> widen_observed_range(std::pair<double, double> observed,
+                                               double margin) {
+  const auto [lo, hi] = observed;
+  const double mag = std::max({std::abs(lo), std::abs(hi), 1e-6});
+  return {lo - margin * mag, hi + margin * mag};
+}
+
 int ErrorCell::bucket(double v) {
   if (std::isnan(v)) return kBuckets - 1;
   if (!(v > 1e-30)) return 0;

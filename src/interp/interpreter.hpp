@@ -58,6 +58,12 @@ struct RunResult {
   double execute_seconds = 0.0;
 };
 
+/// An observed value range widened on each side by `margin` times its
+/// magnitude (at least 1e-6): the safety margin of every range a binary64
+/// profiling run yields, whether a RangeMap entry or an array annotation.
+std::pair<double, double> widen_observed_range(std::pair<double, double> observed,
+                                               double margin);
+
 /// Array contents, indexed by array name. Input and output of a run.
 using ArrayStore = std::map<std::string, std::vector<double>>;
 

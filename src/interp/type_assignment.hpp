@@ -13,9 +13,11 @@ namespace luis::interp {
 
 class TypeAssignment {
 public:
+  /// Every value binary64, the reference representation. Not explicit, so
+  /// `{}` converts to it.
+  TypeAssignment() = default;
   /// Default representation for values with no explicit entry.
-  explicit TypeAssignment(numrep::ConcreteType fallback = {numrep::kBinary64, 0})
-      : fallback_(fallback) {}
+  explicit TypeAssignment(numrep::ConcreteType fallback) : fallback_(fallback) {}
 
   void set(const ir::Value* value, numrep::ConcreteType type) {
     types_[value] = type;
@@ -37,7 +39,7 @@ public:
   static TypeAssignment uniform(const ir::Function& f, numrep::ConcreteType type);
 
 private:
-  numrep::ConcreteType fallback_;
+  numrep::ConcreteType fallback_; ///< binary64 unless constructed with one
   std::map<const ir::Value*, numrep::ConcreteType> types_;
 };
 

@@ -2,7 +2,7 @@
 //
 // Each builder mirrors the loop structure of the PolyBench/C 4.2.1 source
 // and uses the original init_array formulas. Array range annotations are
-// placeholders here; annotate_from_profile replaces them after a binary64
+// placeholders here; annotate_from_run replaces them after a binary64
 // profiling run.
 #include "polybench/kernels.hpp"
 

@@ -1,9 +1,8 @@
 #include "polybench/polybench.hpp"
 
-#include <algorithm>
 #include <array>
-#include <cmath>
 
+#include "interp/engine.hpp"
 #include "obs/trace.hpp"
 #include "polybench/kernels.hpp"
 #include "support/diag.hpp"
@@ -52,6 +51,25 @@ constexpr std::array<Entry, 30> kKernels = {{
     {"trmm", detail::build_trmm},
 }};
 
+/// Relative safety margin on every profiled array range.
+constexpr double kAnnotationMargin = 0.05;
+
+/// Profiles the kernel in binary64 on the VM and annotates it from that run.
+void annotate_from_profile(BuiltKernel& kernel) {
+  LUIS_ASSERT(kernel.function != nullptr, "kernel has no function");
+  obs::TraceSpan span("polybench.profile", "polybench", [&] {
+    return obs::Args().str("kernel", kernel.name).done();
+  });
+  interp::ArrayStore store = kernel.inputs; // copy: the profile run mutates
+  interp::RunOptions opt;
+  opt.track_array_ranges = true;
+  opt.count_costs = false;
+  const interp::RunResult run = interp::VmEngine().run(
+      *kernel.function, interp::TypeAssignment(), store, opt);
+  LUIS_ASSERT(run.ok, "profiling run failed for " + kernel.name + ": " + run.error);
+  annotate_from_run(kernel, run);
+}
+
 } // namespace
 
 std::span<const std::string> kernel_names() {
@@ -75,28 +93,12 @@ BuiltKernel build_kernel(const std::string& name, ir::Module& module,
   LUIS_FATAL("unknown PolyBench kernel: " + name);
 }
 
-void annotate_from_profile(BuiltKernel& kernel, double margin) {
-  LUIS_ASSERT(kernel.function != nullptr, "kernel has no function");
-  obs::TraceSpan span("polybench.profile", "polybench", [&] {
-    return obs::Args().str("kernel", kernel.name).done();
-  });
-  interp::ArrayStore store = kernel.inputs; // copy: the profile run mutates
-  interp::TypeAssignment binary64;          // reference representation
-  interp::RunOptions opt;
-  opt.track_array_ranges = true;
-  opt.count_costs = false;
-  const interp::RunResult run =
-      run_function(*kernel.function, binary64, store, opt);
-  LUIS_ASSERT(run.ok, "profiling run failed for " + kernel.name + ": " + run.error);
-
+void annotate_from_run(BuiltKernel& kernel, const interp::RunResult& run) {
   for (const auto& arr : kernel.function->arrays()) {
     const auto it = run.array_ranges.find(arr->name());
     if (it == run.array_ranges.end()) continue;
-    double lo = it->second.first;
-    double hi = it->second.second;
-    const double mag = std::max({std::abs(lo), std::abs(hi), 1e-6});
-    lo -= margin * mag;
-    hi += margin * mag;
+    const auto [lo, hi] =
+        interp::widen_observed_range(it->second, kAnnotationMargin);
     arr->annotate_range(lo, hi);
   }
 }

@@ -8,7 +8,7 @@
 // init formulas.
 //
 // Range annotations are produced by a binary64 profiling run with a
-// safety margin (annotate_from_profile) — the "data pre-processing
+// safety margin (annotate_from_run) — the "data pre-processing
 // routine" route the paper explicitly allows as an alternative to manual
 // annotations.
 #pragma once
@@ -44,8 +44,10 @@ BuiltKernel build_kernel(const std::string& name, ir::Module& module,
                          bool annotate = true,
                          DatasetSize size = DatasetSize::Mini);
 
-/// Profiles the kernel in binary64 and rewrites every array annotation to
-/// the observed range plus a relative safety margin.
-void annotate_from_profile(BuiltKernel& kernel, double margin = 0.05);
+/// Rewrites every array annotation of `kernel` to the range that `run`, a
+/// binary64 run with RunOptions::track_array_ranges, observed, widened on
+/// each side by 5% of its magnitude (interp::widen_observed_range). The
+/// one annotation rule: build_kernel's profiling run goes through it too.
+void annotate_from_run(BuiltKernel& kernel, const interp::RunResult& run);
 
 } // namespace luis::polybench

@@ -38,7 +38,6 @@ def main():
             ("solver_iterations", summary["solver_iterations"]),
             ("batch.lanes", summary["batch"]["lanes"]),
             ("batch.unique_lanes", summary["batch"]["unique_lanes"]),
-            ("program_cache.lookups", summary["program_cache"]["lookups"]),
             ("cache.lookups", summary["cache"]["lookups"]),
             ("cache.hits", summary["cache"]["hits"])):
         print("summary %s %d" % (key, value))

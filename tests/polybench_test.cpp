@@ -54,7 +54,9 @@ TEST_P(KernelSweep, BuildsVerifiesAndRuns) {
 TEST_P(KernelSweep, ProfiledAnnotationsCoverExecution) {
   ir::Module m;
   BuiltKernel kernel = build_kernel(GetParam(), m);
-  // Re-profile and check the stored annotations contain the observation.
+  // Re-profile on the tree-walker and check the stored annotations, which
+  // build_kernel derived from a VM run, contain the observation: a
+  // cross-engine check of the observed ranges.
   ArrayStore store = kernel.inputs;
   TypeAssignment binary64;
   interp::RunOptions opt;

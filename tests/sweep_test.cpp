@@ -13,6 +13,7 @@
 
 #include "core/assignment_io.hpp"
 #include "core/sweep.hpp"
+#include "interp/engine.hpp"
 #include "ir/clone.hpp"
 #include "ir/parser.hpp"
 #include "ir/printer.hpp"
@@ -136,19 +137,25 @@ std::string json_shape(const std::string& json) {
 }
 
 TEST(Sweep, DedupedExecutionMatchesStandaloneRuns) {
-  // The sweep executes each kernel's distinct tuned assignments once and
-  // shares every run among the jobs that tuned to it. Each ILP job's
-  // speedup, MPE and shadow-error fields must equal a standalone run of
-  // its own reloaded assignment, and the dedup stats must account for
-  // every job.
+  // The sweep executes each kernel's distinct row assignments once, ILP and
+  // TAFFO rows alike, and shares every run among the rows that tuned to
+  // it; the all-binary64 assignment is served by the kernel's reference
+  // run. Each row's speedup, MPE and shadow-error fields must equal a
+  // standalone run of its own reloaded assignment, each TAFFO row must
+  // carry the standalone greedy pipeline's assignment, and the dedup stats
+  // and the trace must show one execution per distinct assignment.
   for (const int threads : {1, 4}) {
     SCOPED_TRACE(testing::Message() << threads << " threads");
     SweepOptions opt = small_grid();
     opt.threads = threads;
     opt.errors = true;
+    obs::trace().start();
     const SweepResult r = run_sweep(opt);
+    obs::trace().stop();
+    const test::SpanSeconds spans(obs::trace().snapshot());
+    obs::trace().clear();
 
-    long ilp_jobs = 0, unique = 0;
+    long rows = 0, taffo_rows = 0, binary64_rows = 0, unique = 0;
     for (const std::string& kernel : opt.kernels) {
       ir::Module module;
       const polybench::BuiltKernel built =
@@ -156,20 +163,42 @@ TEST(Sweep, DedupedExecutionMatchesStandaloneRuns) {
       interp::ArrayStore reference = built.inputs;
       const interp::VmEngine engine;
       const interp::RunResult base =
-          engine.run(*built.function, interp::TypeAssignment(), reference);
+          engine.run(*built.function, {}, reference);
       ASSERT_TRUE(base.ok) << base.error;
+      const std::string ir_text = ir::print_function(*built.function);
       ir::Module reparsed_module;
-      const ir::ParseResult reparsed = ir::parse_function(
-          reparsed_module, ir::print_function(*built.function));
+      const ir::ParseResult reparsed =
+          ir::parse_function(reparsed_module, ir_text);
       ASSERT_TRUE(reparsed.ok()) << reparsed.error;
       const ir::Function& f = *reparsed.function;
 
-      std::vector<std::string> seen;
+      // The standalone TAFFO pipeline on a fresh parse of the same IR.
+      ir::Module taffo_module;
+      const ir::ParseResult taffo_parsed =
+          ir::parse_function(taffo_module, ir_text);
+      ASSERT_TRUE(taffo_parsed.ok()) << taffo_parsed.error;
+      PipelineOptions greedy;
+      greedy.allocator = AllocatorKind::Greedy;
+      const PipelineResult taffo =
+          tune_kernel(*taffo_parsed.function, platform::stm32_table(),
+                      TuningConfig::balanced(), greedy);
+      const std::string taffo_text = assignment_to_text(
+          *taffo_parsed.function, taffo.allocation.assignment);
+
+      const std::string binary64_text = assignment_to_text(f, {});
+      std::vector<std::string> seen = {binary64_text};
       for (const SweepJobResult& job : r.jobs) {
-        if (job.kernel != kernel || job.config == "TAFFO") continue;
+        if (job.kernel != kernel) continue;
         SCOPED_TRACE(job.kernel + "/" + job.config + "/" + job.platform);
         ASSERT_TRUE(job.ok) << job.error;
-        ++ilp_jobs;
+        ++rows;
+        if (job.config == "TAFFO") {
+          ++taffo_rows;
+          EXPECT_EQ(job.assignment_text, taffo_text);
+          EXPECT_EQ(job.stats.status, taffo.allocation.stats.status);
+          EXPECT_EQ(job.stats.objective, taffo.allocation.stats.objective);
+        }
+        if (job.assignment_text == binary64_text) ++binary64_rows;
         if (std::find(seen.begin(), seen.end(), job.assignment_text) ==
             seen.end())
           seen.push_back(job.assignment_text);
@@ -216,13 +245,16 @@ TEST(Sweep, DedupedExecutionMatchesStandaloneRuns) {
       unique += static_cast<long>(seen.size());
     }
 
-    EXPECT_EQ(ilp_jobs, static_cast<long>(opt.kernels.size() *
-                                          opt.configs.size() *
-                                          opt.platforms.size()));
+    EXPECT_EQ(rows, static_cast<long>(r.jobs.size()));
+    EXPECT_EQ(taffo_rows, static_cast<long>(opt.kernels.size() *
+                                            opt.platforms.size()));
+    EXPECT_GT(binary64_rows, 0); // lane 0 serves rows, not only the reference
     EXPECT_EQ(r.stats.batch_runs, static_cast<long>(opt.kernels.size()));
-    EXPECT_EQ(r.stats.batch_lanes, ilp_jobs);
+    EXPECT_EQ(r.stats.batch_lanes, rows);
     EXPECT_EQ(r.stats.batch_unique_lanes, unique);
     EXPECT_LT(r.stats.batch_unique_lanes, r.stats.batch_lanes);
+    // One execution per distinct (kernel, assignment), binary64 included.
+    EXPECT_EQ(spans.count("vm.execute"), r.stats.batch_unique_lanes);
   }
 }
 
@@ -269,20 +301,27 @@ TEST(Sweep, StageTimingsAggregateAndStayBounded) {
   ASSERT_TRUE(opt.include_taffo);
   const SweepResult r = run_sweep(opt);
   StageTimings sum;
-  // Each kernel's one sweep VRA run is charged in equal shares to its ILP
-  // jobs, and its one TAFFO baseline in equal shares to its TAFFO rows.
-  std::map<std::pair<std::string, bool>, double> vra_share;
+  // Each kernel's one sweep VRA run is charged in equal shares to all its
+  // rows, and its one greedy allocation in equal shares to its TAFFO rows.
+  std::map<std::string, double> vra_share, taffo_share;
   for (const SweepJobResult& job : r.jobs) {
     EXPECT_LE(job.timings.stage_sum(), job.timings.total_seconds + 1e-9);
     EXPECT_GT(job.timings.vra_seconds, 0.0);
-    const auto it = vra_share
-                        .emplace(std::pair{job.kernel, job.config == "TAFFO"},
-                                 job.timings.vra_seconds)
-                        .first;
+    const auto it =
+        vra_share.emplace(job.kernel, job.timings.vra_seconds).first;
     EXPECT_EQ(job.timings.vra_seconds, it->second)
         << job.kernel << "/" << job.config;
+    if (job.config == "TAFFO") {
+      EXPECT_GT(job.timings.allocation_seconds, 0.0);
+      const auto taffo =
+          taffo_share.emplace(job.kernel, job.timings.allocation_seconds)
+              .first;
+      EXPECT_EQ(job.timings.allocation_seconds, taffo->second)
+          << job.kernel << "/" << job.platform;
+    }
     sum += job.timings;
   }
+  EXPECT_EQ(taffo_share.size(), opt.kernels.size());
   EXPECT_DOUBLE_EQ(r.stats.stage_totals.allocation_seconds,
                    sum.allocation_seconds);
   EXPECT_GT(r.stats.stage_totals.vra_seconds, 0.0);
@@ -293,8 +332,9 @@ TEST(Sweep, StageTimingsAggregateAndStayBounded) {
 TEST(Sweep, StageTotalsReconcileWithTrace) {
   // Every stage total is the summed interval of the spans that timed it
   // (docs/OBSERVABILITY.md, "Timing"), so each measured interval is charged
-  // exactly once: shared work is split into shares that add back up, and
-  // the TAFFO baseline, priced once per platform, counts once.
+  // exactly once: shared work (a kernel's VRA, its TAFFO allocation, a
+  // lane's run) is split into shares that add back up, and each kernel's
+  // binary64 run counts once, in the totals only.
   SweepOptions opt = small_grid();
   opt.threads = 2;
   ASSERT_TRUE(opt.include_taffo);
@@ -310,20 +350,21 @@ TEST(Sweep, StageTotalsReconcileWithTrace) {
 
   const StageTimings& t = r.stats.stage_totals;
   for (const auto& [seconds, span_total] :
-       {std::pair{t.vra_seconds, spans({"sweep.vra", "pipeline.vra"})},
-        std::pair{t.allocation_seconds,
-                  spans({"sweep.allocate", "pipeline.allocate"})},
+       {std::pair{t.vra_seconds, spans({"sweep.vra"})},
+        std::pair{t.allocation_seconds, spans({"sweep.allocate"})},
         std::pair{t.model_build_seconds, spans({"ilp.build_model"})},
         std::pair{t.solve_seconds, spans({"ilp.solve", "greedy.scan"})},
         std::pair{t.interp_compile_seconds, spans({"vm.compile"})},
         std::pair{t.interp_execute_seconds,
                   spans({"vm.execute", "ref.execute"})},
-        std::pair{t.total_seconds,
-                  spans({"pipeline.tune", "sweep.vra", "sweep.allocate"})},
+        std::pair{t.total_seconds, spans({"sweep.vra", "sweep.allocate"})},
         std::pair{r.stats.wall_seconds, spans({"sweep.run"})}}) {
     EXPECT_GT(seconds, 0.0);
     EXPECT_NEAR(seconds, span_total, 1e-9);
   }
+  // A sweep runs no pipeline and no separate profiling run.
+  EXPECT_EQ(spans.count("pipeline.tune"), 0);
+  EXPECT_EQ(spans.count("polybench.profile"), 0);
   EXPECT_NEAR(execute_hist.snapshot().sum - hist_before,
               spans({"vm.execute"}), 1e-9);
 }

@@ -100,10 +100,9 @@
 //                         in-engine shadow MPE, max abs/rel deviation,
 //                         and control-divergence count
 //   --engine vm|ref       execution engine for every interpretation
-//                         (default vm: compile once per (kernel,
-//                         assignment), cache the program)
-//   --no-cache            disable the shared solver result cache and the
-//                         vm engine's compiled-program cache
+//                         (default vm); either way each distinct
+//                         (kernel, assignment) runs once
+//   --no-cache            disable the shared solver result cache
 //   --no-check            skip the serial determinism re-check
 //   --json <path>         also write the full per-job report as JSON
 //   --quiet               suppress per-kernel progress on stderr
