@@ -13,8 +13,7 @@ CertificateCrossCheck
 cross_check_certificates(const ir::Function& f,
                          const interp::TypeAssignment& assignment,
                          std::span<const interp::ArrayErrorStats> measured,
-                         long control_divergences,
-                         const ErrorBoundsOptions& options) {
+                         long control_divergences) {
   // join_stores makes the certificate self-contained: the only trusted
   // inputs are the array range annotations (same setup as the fuzz
   // oracle and `luis check`).
@@ -22,10 +21,10 @@ cross_check_certificates(const ir::Function& f,
   vra_options.join_stores = true;
   const vra::RangeMap ranges = vra::analyze_ranges(f, vra_options);
   const ErrorAnalysisResult certified =
-      analyze_errors(f, assignment, ranges, options);
+      analyze_errors(f, assignment, ranges);
   const interp::TypeAssignment binary64;
   const ErrorAnalysisResult reference_err =
-      analyze_errors(f, binary64, ranges, options);
+      analyze_errors(f, binary64, ranges);
 
   CertificateCrossCheck out;
   out.shadow_is_reference = control_divergences == 0;

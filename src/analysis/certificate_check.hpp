@@ -60,8 +60,7 @@ CertificateCrossCheck
 cross_check_certificates(const ir::Function& f,
                          const interp::TypeAssignment& assignment,
                          std::span<const interp::ArrayErrorStats> measured,
-                         long control_divergences,
-                         const ErrorBoundsOptions& options = {});
+                         long control_divergences);
 
 /// Human-readable table (one row per array) plus the verdict line.
 std::string certificate_check_text(const CertificateCrossCheck& check);

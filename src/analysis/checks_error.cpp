@@ -18,6 +18,16 @@ using ir::ScalarType;
 
 namespace {
 
+/// L009: an output array whose certified absolute error reaches this
+/// fraction of its value scale carries no trustworthy bits.
+constexpr double kErrorDominatedRatio = 1.0;
+/// L010 trips when a subtraction cancels at least this many leading
+/// magnitude bits of error-carrying operands.
+constexpr int kCancellationBits = 16;
+/// L011 trips when two non-constant phi inputs' certified errors differ by
+/// at least this many bits.
+constexpr int kImbalanceBits = 20;
+
 std::string fmt_error(double e) {
   if (e == ErrorMap::kUnbounded) return "unbounded";
   std::ostringstream os;
@@ -75,7 +85,7 @@ void check_error_dominated(const LintContext& ctx, DiagnosticEngine& engine) {
     const double scale = ctx.ranges.of(arr.get()).max_magnitude();
     const double rel =
         (scale > 0.0 && std::isfinite(scale)) ? abs / scale : abs;
-    if (!(rel >= ctx.options.error_dominated_ratio)) continue;
+    if (!(rel >= kErrorDominatedRatio)) continue;
     std::ostringstream msg;
     msg << "certified error " << fmt_error(abs)
         << " dominates the value scale " << scale
@@ -95,7 +105,7 @@ void check_error_dominated(const LintContext& ctx, DiagnosticEngine& engine) {
 // ---------------------------------------------------------------------------
 void check_cancellation(const LintContext& ctx, DiagnosticEngine& engine) {
   if (ctx.errors == nullptr) return;
-  const double ratio = std::ldexp(1.0, ctx.options.cancellation_bits);
+  const double ratio = std::ldexp(1.0, kCancellationBits);
   for (const auto& bb : ctx.function.blocks()) {
     for (const auto& inst : bb->instructions()) {
       if (inst->opcode() != Opcode::Sub || inst->type() != ScalarType::Real)
@@ -129,7 +139,7 @@ void check_cancellation(const LintContext& ctx, DiagnosticEngine& engine) {
 // ---------------------------------------------------------------------------
 void check_phi_imbalance(const LintContext& ctx, DiagnosticEngine& engine) {
   if (ctx.errors == nullptr) return;
-  const double ratio = std::ldexp(1.0, ctx.options.imbalance_bits);
+  const double ratio = std::ldexp(1.0, kImbalanceBits);
   for (const auto& bb : ctx.function.blocks()) {
     for (const auto& inst : bb->instructions()) {
       if (!inst->is_phi() || inst->type() != ScalarType::Real) continue;
@@ -150,7 +160,7 @@ void check_phi_imbalance(const LintContext& ctx, DiagnosticEngine& engine) {
       if (!(hi / lo >= ratio)) continue;
       std::ostringstream msg;
       msg << "incoming certified errors span " << fmt_error(lo) << " to "
-          << fmt_error(hi) << " (>= " << ctx.options.imbalance_bits
+          << fmt_error(hi) << " (>= " << kImbalanceBits
           << " bits apart)";
       engine.report({"L011", Severity::Warning, "phi-error-imbalance",
                      ctx.describe(inst.get()), msg.str(),

@@ -24,6 +24,21 @@ namespace {
 
 constexpr double kInf = ErrorMap::kUnbounded;
 
+/// Fixpoint sweep cap. A run that exhausts it reports every join target
+/// (arrays, loop phis) as unbounded rather than trusting a truncated
+/// iteration.
+constexpr int kMaxPasses = 200;
+/// Sweeps before trip-count widening engages on growing join targets.
+constexpr int kWidenAfter = 8;
+/// Multiplicative inflation applied to every computed bound, absorbing
+/// the analysis's own rounding.
+constexpr double kInflate = 1.0 + 0x1p-20;
+/// Widening multiplies the observed per-iteration increment by this
+/// headroom before extrapolating over the trip count.
+constexpr double kWidenHeadroom = 2.0;
+/// Trip-count products beyond this are treated as unbounded.
+constexpr double kMaxTripProduct = 1e18;
+
 /// Slack multipliers, in units of binary64 half-ulps at the result
 /// magnitude, for the interpreter's compute-in-double step. Add/sub/mul/
 /// div and IEEE sqrt are correctly rounded (one half-ulp); fmod and
@@ -95,8 +110,8 @@ public:
   using Reader = ForwardDataflow<ErrorDomain>::Reader;
 
   ErrorDomain(const ir::Function& f, const interp::TypeAssignment& assignment,
-              const vra::RangeMap& ranges, const ErrorBoundsOptions& opt)
-      : f_(f), types_(assignment), ranges_(ranges), opt_(opt) {
+              const vra::RangeMap& ranges)
+      : f_(f), types_(assignment), ranges_(ranges) {
     precompute();
   }
 
@@ -177,7 +192,7 @@ public:
       if (st.prev_delta > 0.0 && st.pass_delta > 0.0)
         st.ratio = st.pass_delta / st.prev_delta;
     }
-    if (pass < opt_.widen_after + kObservePasses) return capped(grown, target);
+    if (pass < kWidenAfter + kObservePasses) return capped(grown, target);
 
     if (st.extrapolations >= kMaxExtrapolations) return capped(kInf, target);
     const double n = execution_bound(target);
@@ -186,7 +201,7 @@ public:
     st.widened = true;
     last_extrap_pass_ = pass;
     last_extrap_target_ = target;
-    const double d = std::max(st.pass_delta, delta) * opt_.widen_headroom;
+    const double d = std::max(st.pass_delta, delta) * kWidenHeadroom;
     double tail = d * n;
     if (st.ratio < 1.0) {
       // Contracting increments (stencil-style feedback with gain < 1): the
@@ -520,7 +535,7 @@ private:
     double allowance = 0.0;
   };
 
-  double inflate(double e) const { return e * opt_.inflate; }
+  double inflate(double e) const { return e * kInflate; }
 
   /// Saturate an array bound at its representation cap: no matter what the
   /// quantized run computes, a stored cell holds a representable value, so
@@ -905,7 +920,7 @@ private:
     double n = 1.0;
     for (const std::size_t li : loops_.containing(bb)) {
       n *= loop_trips_[li];
-      if (!std::isfinite(n) || n > opt_.max_trip_product) return kInf;
+      if (!std::isfinite(n) || n > kMaxTripProduct) return kInf;
     }
     return n;
   }
@@ -916,7 +931,7 @@ private:
     if (target->is_array()) {
       const auto it = store_bounds_.find(target);
       if (it == store_bounds_.end()) return 1.0;
-      return it->second > opt_.max_trip_product ? kInf : it->second;
+      return it->second > kMaxTripProduct ? kInf : it->second;
     }
     if (target->is_instruction()) {
       const auto* inst = static_cast<const Instruction*>(target);
@@ -931,7 +946,6 @@ private:
   const ir::Function& f_;
   const interp::TypeAssignment& types_;
   const vra::RangeMap& ranges_;
-  const ErrorBoundsOptions& opt_;
   bool divergent_ = false;
   LoopInfo loops_;
   std::vector<double> loop_trips_;
@@ -948,17 +962,16 @@ private:
 
 ErrorAnalysisResult analyze_errors(const ir::Function& f,
                                    const interp::TypeAssignment& assignment,
-                                   const vra::RangeMap& ranges,
-                                   const ErrorBoundsOptions& options) {
+                                   const vra::RangeMap& ranges) {
   ErrorAnalysisResult out;
   obs::TraceSpan span(
       "analysis.error_bounds", "analysis",
       [&] { return obs::Args().str("function", f.name()).done(); },
       obs::TimeSink{&out.seconds});
-  ErrorDomain domain(f, assignment, ranges, options);
+  ErrorDomain domain(f, assignment, ranges);
   DataflowOptions df;
-  df.max_passes = options.max_passes;
-  df.widen_after = options.widen_after;
+  df.max_passes = kMaxPasses;
+  df.widen_after = kWidenAfter;
   ForwardDataflow<ErrorDomain> engine(f, domain, df);
   out.stats = engine.run();
   out.divergent_control = domain.divergent();

@@ -67,23 +67,6 @@
 
 namespace luis::analysis {
 
-struct ErrorBoundsOptions {
-  /// Fixpoint sweep cap. A run that exhausts it reports every join target
-  /// (arrays, loop phis) as unbounded rather than trusting a truncated
-  /// iteration.
-  int max_passes = 200;
-  /// Sweeps before trip-count widening engages on growing join targets.
-  int widen_after = 8;
-  /// Multiplicative inflation applied to every computed bound, absorbing
-  /// the analysis's own rounding.
-  double inflate = 1.0 + 0x1p-20;
-  /// Widening multiplies the observed per-iteration increment by this
-  /// headroom before extrapolating over the trip count.
-  double widen_headroom = 2.0;
-  /// Trip-count products beyond this are treated as unbounded.
-  double max_trip_product = 1e18;
-};
-
 /// Certified absolute error per value. Real registers and arrays have
 /// entries; constants are exact (their quantization is charged at the
 /// consuming instruction); anything unknown is unbounded.
@@ -147,7 +130,6 @@ double representation_cap(const numrep::ConcreteType& type,
 /// function (its clamp magnitude marks untrusted top ranges).
 ErrorAnalysisResult analyze_errors(const ir::Function& f,
                                    const interp::TypeAssignment& assignment,
-                                   const vra::RangeMap& ranges,
-                                   const ErrorBoundsOptions& options = {});
+                                   const vra::RangeMap& ranges);
 
 } // namespace luis::analysis

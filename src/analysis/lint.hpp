@@ -62,15 +62,6 @@ struct LintOptions {
   /// default (infinity) disables the check; `luis check --max-rel-error`
   /// and the CLI lint flag set it.
   double max_rel_error = std::numeric_limits<double>::infinity();
-  /// L009: an output array whose certified absolute error reaches this
-  /// fraction of its value scale carries no trustworthy bits.
-  double error_dominated_ratio = 1.0;
-  /// L010 trips when a subtraction cancels at least this many leading
-  /// magnitude bits of error-carrying operands.
-  int cancellation_bits = 16;
-  /// L011 trips when two non-constant phi inputs' certified errors differ
-  /// by at least this many bits.
-  int imbalance_bits = 20;
   /// Codes to suppress entirely (e.g. {"L006"}).
   std::vector<std::string> disabled_codes;
 };

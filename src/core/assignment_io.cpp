@@ -1,6 +1,5 @@
 #include "core/assignment_io.hpp"
 
-#include <cstdlib>
 #include <map>
 #include <sstream>
 
@@ -18,9 +17,12 @@ bool parse_concrete(const std::string& token, numrep::ConcreteType& out) {
   const auto fmt = numrep::parse_format(fmt_name);
   if (!fmt) return false;
   out.format = *fmt;
-  out.frac_bits = dot == std::string::npos
-                      ? 0
-                      : std::atoi(token.c_str() + dot + 1);
+  out.frac_bits = 0;
+  if (dot != std::string::npos) {
+    const auto frac = parse_number<int>(std::string_view(token).substr(dot + 1));
+    if (!frac) return false;
+    out.frac_bits = *frac;
+  }
   if (out.format.is_fixed() &&
       (out.frac_bits < 0 || out.frac_bits >= out.format.width()))
     return false;
@@ -89,8 +91,8 @@ AssignmentParseResult assignment_from_text(const ir::Function& f,
       continue;
     }
     if (target.size() > 1 && target[0] == '%') {
-      const int id = std::atoi(target.c_str() + 1);
-      const auto it = by_id.find(id);
+      const auto id = parse_number<int>(std::string_view(target).substr(1));
+      const auto it = id ? by_id.find(*id) : by_id.end();
       if (it == by_id.end() ||
           it->second->type() != ir::ScalarType::Real) {
         out.error = "line " + std::to_string(line_no) +

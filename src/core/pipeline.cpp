@@ -70,8 +70,7 @@ PipelineResult tune_kernel(ir::Function& f, const platform::OpTimeTable& table,
 
   if (options.analyze_errors) {
     result.errors = analysis::analyze_errors(f, result.allocation.assignment,
-                                             result.ranges,
-                                             options.error_options);
+                                             result.ranges);
     t.error_seconds = result.errors.seconds;
   }
 

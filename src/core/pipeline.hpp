@@ -45,7 +45,6 @@ struct PipelineOptions {
   /// PipelineResult::errors and feed the error-aware lint rules
   /// (L008–L011) when the lint stage is also enabled.
   bool analyze_errors = false;
-  analysis::ErrorBoundsOptions error_options;
 };
 
 /// Wall-clock seconds per pipeline stage. Each field is the interval of

@@ -22,16 +22,14 @@ vra::RangeMap ranges_from_profile(const ir::Function& f,
 
 vra::RangeMap profile_ranges(const ir::Function& f,
                              const interp::ArrayStore& inputs, double margin,
-                             std::string* error,
-                             const interp::ExecutionEngine* engine) {
+                             std::string* error) {
   interp::ArrayStore store = inputs;
   interp::TypeAssignment binary64;
   interp::RunOptions opt;
   opt.track_array_ranges = true;
   opt.track_register_ranges = true;
   opt.count_costs = false;
-  const interp::RunResult run = engine ? engine->run(f, binary64, store, opt)
-                                       : run_function(f, binary64, store, opt);
+  const interp::RunResult run = run_function(f, binary64, store, opt);
   if (!run.ok) {
     if (error) *error = run.error;
     return {};

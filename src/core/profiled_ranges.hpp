@@ -11,21 +11,18 @@
 // to the profiled ones.
 #pragma once
 
-#include "interp/engine.hpp"
 #include "interp/interpreter.hpp"
 #include "vra/range_analysis.hpp"
 
 namespace luis::core {
 
-/// Profiles `f` on `inputs` (binary64, range tracking on) and builds the
-/// RangeMap. Returns an empty map (and sets *error if given) if the
-/// profiling run fails. With `engine` the profiling run goes through that
-/// engine; by default it uses the reference interpreter.
+/// Profiles `f` on `inputs` (binary64, range tracking on, on the reference
+/// interpreter) and builds the RangeMap. Returns an empty map (and sets
+/// *error if given) if the profiling run fails.
 vra::RangeMap profile_ranges(const ir::Function& f,
                              const interp::ArrayStore& inputs,
                              double margin = 0.05,
-                             std::string* error = nullptr,
-                             const interp::ExecutionEngine* engine = nullptr);
+                             std::string* error = nullptr);
 
 /// Converts an already-collected profile into a RangeMap.
 vra::RangeMap ranges_from_profile(const ir::Function& f,

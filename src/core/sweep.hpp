@@ -1,5 +1,5 @@
 // Multithreaded batch tuning driver: the paper's full evaluation grid
-// (PolyBench kernel x preset x platform) fanned across a thread pool.
+// (PolyBench kernel x preset x platform) fanned across worker threads.
 //
 // One execution per distinct (kernel, assignment). Each kernel is built
 // unannotated and run once in binary64 with array-range tracking: that
@@ -20,8 +20,8 @@
 // ilp/solver_cache.hpp).
 //
 // Determinism. Job results are written into a preallocated slot vector in
-// a fixed (kernel-major) order, so the output is identical no matter how
-// the pool schedules jobs. With `check_determinism` the driver re-runs
+// a fixed (kernel-major) order, so the output is identical no matter which
+// thread runs which job. With `check_determinism` the driver re-runs
 // every ILP job's tuning serially after the parallel phase and compares
 // status, objective bits, and the serialized assignment. The re-check
 // re-derives each kernel's parse and ranges from its IR text once, then

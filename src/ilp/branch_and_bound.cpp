@@ -22,10 +22,6 @@ struct Node {
   /// Parent's final LP basis (revised core): the child re-solve starts
   /// dual feasible and typically finishes in a handful of pivots.
   Basis basis;
-  // Branching bookkeeping for pseudo-cost updates.
-  int branch_var = -1;        ///< variable branched on to create this node
-  bool branch_up = false;     ///< true: x >= ceil(v); false: x <= floor(v)
-  double branch_frac = 0.0;   ///< fractional distance moved by the branch
 };
 
 struct NodeOrder {
@@ -35,89 +31,22 @@ struct NodeOrder {
   }
 };
 
-/// Per-variable pseudo-costs: average objective degradation per unit of
-/// fractional distance, kept separately for the up and down branches.
-struct PseudoCosts {
-  std::vector<double> up_sum, down_sum;
-  std::vector<long> up_count, down_count;
+/// An LP value within this distance of an integer counts as integral.
+constexpr double kIntegralityTolerance = 1e-6;
 
-  explicit PseudoCosts(std::size_t n)
-      : up_sum(n, 0.0), down_sum(n, 0.0), up_count(n, 0), down_count(n, 0) {}
-
-  void record(const Node& node, double child_cost) {
-    if (node.branch_var < 0) return;
-    const auto j = static_cast<std::size_t>(node.branch_var);
-    const double degrade = std::max(0.0, child_cost - node.bound) /
-                           std::max(node.branch_frac, 1e-6);
-    if (node.branch_up) {
-      up_sum[j] += degrade;
-      ++up_count[j];
-    } else {
-      down_sum[j] += degrade;
-      ++down_count[j];
-    }
-  }
-
-  /// Estimated per-unit degradation in a direction; variables without
-  /// history borrow `fallback` (the global average).
-  double estimate(std::size_t j, bool up, double fallback) const {
-    const long n = up ? up_count[j] : down_count[j];
-    if (n == 0) return fallback;
-    return (up ? up_sum[j] : down_sum[j]) / static_cast<double>(n);
-  }
-
-  double global_average() const {
-    double sum = 0.0;
-    long n = 0;
-    for (std::size_t j = 0; j < up_sum.size(); ++j) {
-      sum += up_sum[j] + down_sum[j];
-      n += up_count[j] + down_count[j];
-    }
-    return n > 0 ? sum / static_cast<double>(n) : 1.0;
-  }
-};
-
-/// Finds the integer variable with the most fractional LP value.
-int most_fractional(const Model& model, const std::vector<double>& values,
-                    double tol) {
+/// Finds the integer variable with the most fractional LP value, or -1
+/// when every integer variable is integral.
+int most_fractional(const Model& model, const std::vector<double>& values) {
   int best = -1;
-  double best_dist = tol;
+  double best_dist = kIntegralityTolerance;
   for (std::size_t j = 0; j < model.num_variables(); ++j) {
     if (model.variables()[j].kind == VarKind::Continuous) continue;
     const double v = values[j];
     const double dist = std::abs(v - std::round(v));
     const double frac_dist = std::min(v - std::floor(v), std::ceil(v) - v);
-    if (dist > tol && frac_dist > best_dist) {
+    if (dist > kIntegralityTolerance && frac_dist > best_dist) {
       best = static_cast<int>(j);
       best_dist = frac_dist;
-    }
-  }
-  return best;
-}
-
-/// Pseudo-cost selection: maximize the product of the estimated up and
-/// down degradations (the classic reliability-branching score). Variables
-/// without history effectively score by fractionality via the fallback.
-int select_pseudo_cost(const Model& model, const std::vector<double>& values,
-                       double tol, const PseudoCosts& pc) {
-  const double fallback = pc.global_average();
-  int best = -1;
-  double best_score = -1.0;
-  double best_frac = 0.0;
-  for (std::size_t j = 0; j < model.num_variables(); ++j) {
-    if (model.variables()[j].kind == VarKind::Continuous) continue;
-    const double v = values[j];
-    if (std::abs(v - std::round(v)) <= tol) continue;
-    const double f_down = v - std::floor(v);
-    const double f_up = std::ceil(v) - v;
-    const double score = std::max(f_down * pc.estimate(j, false, fallback), 1e-12) *
-                         std::max(f_up * pc.estimate(j, true, fallback), 1e-12);
-    const double frac = std::min(f_down, f_up);
-    if (score > best_score + 1e-15 ||
-        (score > best_score - 1e-15 && frac > best_frac + 1e-12)) {
-      best = static_cast<int>(j);
-      best_score = score;
-      best_frac = frac;
     }
   }
   return best;
@@ -152,15 +81,14 @@ Solution solve_milp_impl(const Model& model, const BranchAndBoundOptions& opt) {
   // Work in minimization sign internally.
   const double sign = model.objective_direction() == Direction::Minimize ? 1.0 : -1.0;
 
-  // Derived tolerances (see the option docs): everything that compares a
-  // bound against the incumbent uses prune_tol; everything that checks a
-  // branch against variable bounds uses child_tol. Both default to the LP
-  // core's own accuracy instead of unrelated hardcoded constants.
+  // Derived tolerances: everything that compares a bound against the
+  // incumbent uses prune_tol (see the option docs); the child-creation
+  // checks (can floor(v) / ceil(v) still fit the variable's bounds?) use
+  // child_tol. Both follow the LP core's own accuracy instead of unrelated
+  // hardcoded constants.
   const double prune_tol =
       opt.prune_tolerance >= 0.0 ? opt.prune_tolerance : opt.lp.tolerance;
-  const double child_tol = opt.child_bound_tolerance >= 0.0
-                               ? opt.child_bound_tolerance
-                               : std::max(1e-9, opt.lp.tolerance);
+  const double child_tol = std::max(1e-9, opt.lp.tolerance);
 
   const bool revised = opt.lp.core == LpCore::Revised;
   SparseColumns cols;
@@ -184,8 +112,6 @@ Solution solve_milp_impl(const Model& model, const BranchAndBoundOptions& opt) {
   // their parent bounds must stay in the proven-bound computation or
   // best_bound (and the reported gap) overstate what the search proved.
   double dropped_open_bound = kInfinity;
-
-  PseudoCosts pseudo(model.num_variables());
 
   std::priority_queue<std::shared_ptr<Node>, std::vector<std::shared_ptr<Node>>,
                       NodeOrder>
@@ -252,14 +178,9 @@ Solution solve_milp_impl(const Model& model, const BranchAndBoundOptions& opt) {
       continue;
     }
     const double cost = sign * lp.objective;
-    pseudo.record(*node, cost);
     if (cost >= incumbent_cost - prune_tol) continue; // bound prune
 
-    const int branch_var =
-        opt.branching == Branching::PseudoCost
-            ? select_pseudo_cost(model, lp.values, opt.integrality_tolerance,
-                                 pseudo)
-            : most_fractional(model, lp.values, opt.integrality_tolerance);
+    const int branch_var = most_fractional(model, lp.values);
     if (branch_var < 0) {
       // Integral: new incumbent.
       incumbent.values = lp.values;
@@ -298,9 +219,6 @@ Solution solve_milp_impl(const Model& model, const BranchAndBoundOptions& opt) {
       down->overrides.push_back({branch_var, cur_lo, floor_v});
       down->bound = cost;
       down->basis = node->basis;
-      down->branch_var = branch_var;
-      down->branch_up = false;
-      down->branch_frac = v - floor_v;
       open.push(std::move(down));
     }
     // Up child: x >= ceil(v).
@@ -310,9 +228,6 @@ Solution solve_milp_impl(const Model& model, const BranchAndBoundOptions& opt) {
       up->overrides.push_back({branch_var, floor_v + 1.0, cur_hi});
       up->bound = cost;
       up->basis = std::move(node->basis);
-      up->branch_var = branch_var;
-      up->branch_up = true;
-      up->branch_frac = floor_v + 1.0 - v;
       open.push(std::move(up));
     }
   }

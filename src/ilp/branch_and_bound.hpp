@@ -1,13 +1,11 @@
 // Branch & bound MILP driver on top of the simplex LP solver.
 //
 // Best-first search over LP relaxations with bound overrides (no model
-// copies). Branching uses pseudo-costs (per-variable average objective
-// degradation observed per unit of fractionality, falling back to most
-// fractional until history accumulates). With the revised LP core each
-// child node warm-starts from its parent's basis, so a node re-solve is
-// typically one dual-simplex pivot instead of a full cold solve. The
-// search is exact when it terminates with Optimal; node and iteration
-// limits degrade gracefully to the best incumbent found.
+// copies). Branching picks the most fractional integer variable. With the
+// revised LP core each child node warm-starts from its parent's basis, so
+// a node re-solve is typically one dual-simplex pivot instead of a full
+// cold solve. The search is exact when it terminates with Optimal; node
+// and iteration limits degrade gracefully to the best incumbent found.
 #pragma once
 
 #include "ilp/model.hpp"
@@ -17,14 +15,8 @@ namespace luis::ilp {
 
 class SolverCache;
 
-enum class Branching {
-  PseudoCost,     ///< history-driven; most fractional until history exists
-  MostFractional, ///< always the variable closest to x.5
-};
-
 struct BranchAndBoundOptions {
   long max_nodes = 50000;
-  double integrality_tolerance = 1e-6;
   /// Relative optimality gap at which the search stops early.
   double relative_gap = 1e-9;
   /// Slack used when pruning nodes and LP relaxations against the
@@ -33,11 +25,6 @@ struct BranchAndBoundOptions {
   /// lp.tolerance — pruning more finely than the LP's own accuracy just
   /// expands nodes chasing noise.
   double prune_tolerance = -1.0;
-  /// Slack for the child-creation bound checks (can floor(v) / ceil(v)
-  /// still fit the variable's bounds?). Negative derives
-  /// max(1e-9, lp.tolerance).
-  double child_bound_tolerance = -1.0;
-  Branching branching = Branching::PseudoCost;
   /// Revised core only: child nodes warm-start from the parent's basis.
   bool warm_start = true;
   /// Reuse/store root bases in the SolverCache basis pool, keyed by the

@@ -65,11 +65,8 @@ std::string canonical_model_key(const Model& model,
   out += "|o|";
   append_number(out, options.max_nodes);
   out += ';';
-  append_double(out, options.integrality_tolerance);
   append_double(out, options.relative_gap);
   append_double(out, options.prune_tolerance);
-  append_double(out, options.child_bound_tolerance);
-  out += options.branching == Branching::PseudoCost ? 'p' : 'f';
   out += options.warm_start ? '1' : '0';
   out += options.share_basis ? '1' : '0';
   out += ';';

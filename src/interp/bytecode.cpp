@@ -418,6 +418,16 @@ template <typename T> bool compare(ir::CmpPred pred, T a, T b) {
   LUIS_UNREACHABLE("unknown predicate");
 }
 
+/// flat_index's result for a load/store whose index is out of bounds.
+constexpr std::size_t kOutOfBounds = std::numeric_limits<std::size_t>::max();
+
+/// Records the out-of-bounds trap. Out of line and cold, so the dispatch
+/// loop keeps only the bounds test.
+[[gnu::cold, gnu::noinline]] void trap_out_of_bounds(RunResult& result,
+                                                     const std::string& array) {
+  result.error = "array index out of bounds on " + array;
+}
+
 } // namespace
 
 CompiledProgram compile_program(const ir::Function& f,
@@ -614,14 +624,18 @@ RunResult run_program(const CompiledProgram& p, const ir::Function& f,
                                                .done());
     }
   };
+  // Row-major cell of a load/store, or kOutOfBounds (with result.error
+  // set) when an index is out of bounds.
   const auto flat_index = [&](const BInst& bi) {
     const ArrayBinding& ab = p.arrays[static_cast<std::size_t>(bi.array)];
     std::size_t flat = 0;
     for (std::int32_t d = 0; d < bi.index_count; ++d) {
       const std::int64_t idx =
           fetch_int(p.index_args[static_cast<std::size_t>(bi.index_start + d)]);
-      LUIS_ASSERT(idx >= 0 && idx < ab.dims[static_cast<std::size_t>(d)],
-                  "array index out of bounds on " + ab.name);
+      if (idx < 0 || idx >= ab.dims[static_cast<std::size_t>(d)]) [[unlikely]] {
+        trap_out_of_bounds(result, ab.name);
+        return kOutOfBounds;
+      }
       flat = flat * static_cast<std::size_t>(ab.dims[static_cast<std::size_t>(d)]) +
              static_cast<std::size_t>(idx);
     }
@@ -752,6 +766,7 @@ RunResult run_program(const CompiledProgram& p, const ir::Function& f,
     }
     case BInst::Kind::Load: {
       const std::size_t ix = flat_index(bi);
+      if (ix == kOutOfBounds) [[unlikely]] return result;
       double v = (*buffers[static_cast<std::size_t>(bi.array)])[ix];
       if (bi.a.cast_counter >= 0)
         ++counts[static_cast<std::size_t>(bi.a.cast_counter)];
@@ -769,6 +784,7 @@ RunResult run_program(const CompiledProgram& p, const ir::Function& f,
     }
     case BInst::Kind::Store: {
       const std::size_t ix = flat_index(bi);
+      if (ix == kOutOfBounds) [[unlikely]] return result;
       const double v = fetch_real(bi.a);
       (*buffers[static_cast<std::size_t>(bi.array)])[ix] = v;
       if (ep) {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
+#include <string>
 
 #include "numrep/quantize.hpp"
 #include "numrep/registry.hpp"
@@ -190,7 +192,10 @@ public:
           count_non_real();
           break;
         }
-        execute(inst);
+        if (!execute(inst)) {
+          result.error = std::move(trap_);
+          return result;
+        }
         if (opt_.track_register_ranges && inst->type() == ScalarType::Real)
           observe_register(inst, slots_[slot_index_.at(inst)].real);
       }
@@ -281,7 +286,9 @@ private:
     }
   }
 
-  void execute(const Instruction* inst) {
+  /// Runs one non-terminator. Returns false when it traps, with the
+  /// message in trap_.
+  bool execute(const Instruction* inst) {
     Slot& out = slots_[slot_index_.at(inst)];
     const ConcreteType ty = types_.of(inst);
     switch (inst->opcode()) {
@@ -341,16 +348,19 @@ private:
     }
     case Opcode::Load: {
       const auto* arr = static_cast<const ir::Array*>(inst->operand(0));
-      out.real = convert((*buffers_.at(arr))[flat_index(inst, arr, 1)],
-                         types_.of(arr), ty);
+      const std::optional<std::size_t> at = flat_index(inst, arr, 1);
+      if (!at) return false;
+      out.real = convert((*buffers_.at(arr))[*at], types_.of(arr), ty);
       count_non_real();
       break;
     }
     case Opcode::Store: {
       const auto* arr = static_cast<const ir::Array*>(inst->operand(1));
+      const std::optional<std::size_t> cell = flat_index(inst, arr, 2);
+      if (!cell) return false;
       const ConcreteType at = types_.of(arr);
       const double v = real_operand(inst, 0, at);
-      (*buffers_.at(arr))[flat_index(inst, arr, 2)] = v;
+      (*buffers_.at(arr))[*cell] = v;
       if (opt_.track_array_ranges) observe(arr, v);
       count_non_real();
       break;
@@ -403,6 +413,7 @@ private:
     case Opcode::Ret:
       LUIS_UNREACHABLE("handled by the block driver");
     }
+    return true;
   }
 
   template <typename T> static bool compare(ir::CmpPred pred, T a, T b) {
@@ -417,14 +428,19 @@ private:
     LUIS_UNREACHABLE("unknown predicate");
   }
 
-  std::size_t flat_index(const Instruction* inst, const ir::Array* arr,
-                         std::size_t first_idx_operand) {
+  /// Row-major cell of a load/store, or nullopt (with trap_ set) when an
+  /// index is out of bounds.
+  std::optional<std::size_t> flat_index(const Instruction* inst,
+                                        const ir::Array* arr,
+                                        std::size_t first_idx_operand) {
     std::size_t flat = 0;
     const auto& dims = arr->dims();
     for (std::size_t d = 0; d < dims.size(); ++d) {
       std::int64_t idx = int_of(inst->operand(first_idx_operand + d));
-      LUIS_ASSERT(idx >= 0 && idx < dims[d],
-                  "array index out of bounds on " + arr->name());
+      if (idx < 0 || idx >= dims[d]) {
+        trap_ = "array index out of bounds on " + arr->name();
+        return std::nullopt;
+      }
       flat = flat * static_cast<std::size_t>(dims[d]) + static_cast<std::size_t>(idx);
     }
     return flat;
@@ -440,6 +456,7 @@ private:
   CostCounters counters_;
   std::map<std::string, std::pair<double, double>> observed_;
   std::map<const Instruction*, std::pair<double, double>> observed_registers_;
+  std::string trap_; ///< message of the trapping instruction
 };
 
 } // namespace

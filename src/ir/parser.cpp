@@ -1,6 +1,5 @@
 #include "ir/parser.hpp"
 
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <optional>
@@ -155,37 +154,52 @@ private:
     while (cursor < line.size() && line[cursor] == '[') {
       const std::size_t close = line.find(']', cursor);
       if (close == std::string::npos) return false;
-      dims.push_back(std::atoll(line.substr(cursor + 1, close - cursor - 1).c_str()));
+      const auto dim = parse_number<std::int64_t>(
+          std::string_view(line).substr(cursor + 1, close - cursor - 1));
+      if (!dim) return false;
+      dims.push_back(*dim);
       cursor = close + 1;
-      if (cursor < line.size() && line[cursor] == ' ') break;
     }
     Array* arr = function_->add_array(name, std::move(dims));
-    const std::size_t range_at = line.find("range [", cursor);
-    if (range_at != std::string::npos) {
-      const std::size_t open = range_at + 7;
-      const std::size_t comma = line.find(',', open);
-      const std::size_t close = line.find(']', open);
-      if (comma == std::string::npos || close == std::string::npos) return false;
-      arr->annotate_range(std::strtod(line.substr(open, comma - open).c_str(), nullptr),
-                          std::strtod(line.substr(comma + 1, close - comma - 1).c_str(),
-                                      nullptr));
-    }
+    const std::string_view rest = trim(std::string_view(line).substr(cursor));
+    if (rest.empty()) return true;
+    constexpr std::string_view kRange = "range [";
+    const std::size_t comma = rest.find(',');
+    if (!starts_with(rest, kRange) || rest.back() != ']' ||
+        comma == std::string_view::npos)
+      return false;
+    const auto lo = parse_number<double>(
+        trim(rest.substr(kRange.size(), comma - kRange.size())));
+    const auto hi = parse_number<double>(
+        trim(rest.substr(comma + 1, rest.size() - comma - 2)));
+    if (!lo || !hi) return false;
+    arr->annotate_range(*lo, *hi);
     return true;
   }
 
-  /// Resolves an operand token to a value, or nullptr if it names an
-  /// instruction id that has not been defined (caller defers it).
+  /// Resolves an operand token to a value. Returns nullptr for an
+  /// instruction id that has not been defined (caller defers it), and
+  /// also, after recording it in bad_token_, for a malformed token.
   Value* resolve(const std::string& token) {
     if (token.empty()) return nullptr;
     if (token[0] == '%') {
-      const int id = std::atoi(token.c_str() + 1);
-      const auto it = by_id_.find(id);
+      const auto id = parse_number<int>(std::string_view(token).substr(1));
+      if (!id) {
+        bad_token_ = token;
+        return nullptr;
+      }
+      const auto it = by_id_.find(*id);
       return it == by_id_.end() ? nullptr : it->second;
     }
     if (token[0] == '@') return function_->array_by_name(token.substr(1));
-    if (is_real_literal(token))
-      return function_->const_real(std::strtod(token.c_str(), nullptr));
-    return function_->const_int(std::atoll(token.c_str()));
+    if (is_real_literal(token)) {
+      if (const auto v = parse_number<double>(token))
+        return function_->const_real(*v);
+    } else if (const auto v = parse_number<std::int64_t>(token)) {
+      return function_->const_int(*v);
+    }
+    bad_token_ = token;
+    return nullptr;
   }
 
   /// Adds `token` as operand `slot` of `inst`, deferring forward refs.
@@ -205,7 +219,10 @@ private:
     if (body[0] == '%') {
       const std::size_t eq = body.find('=');
       if (eq == std::string::npos) return "missing '='";
-      result_id = std::atoi(body.c_str() + 1);
+      const auto id =
+          parse_number<int>(trim(std::string_view(body).substr(1, eq - 1)));
+      if (!id) return "bad result id";
+      result_id = *id;
       has_result = true;
       body = std::string(trim(body.substr(eq + 1)));
     }
@@ -364,6 +381,7 @@ private:
     }
     }
 
+    if (!bad_token_.empty()) return "bad operand '" + bad_token_ + "'";
     if (has_result) by_id_[result_id] = inst;
     return "";
   }
@@ -372,6 +390,7 @@ private:
   std::string_view text_;
   Function* function_ = nullptr;
   std::map<int, Instruction*> by_id_;
+  std::string bad_token_; ///< first malformed operand token, if any
   std::vector<std::tuple<Instruction*, std::size_t, std::string>> pending_;
 };
 

@@ -107,6 +107,31 @@ VerifyResult verify(const Function& f) {
   VerifyResult result;
   auto fail = [&](const std::string& msg) { result.errors.push_back(msg); };
 
+  // Array headers. Dimensions are checked one at a time against the
+  // element cap, so the running product never overflows.
+  for (const auto& arr : f.arrays()) {
+    std::int64_t elements = 1;
+    for (const std::int64_t d : arr->dims()) {
+      if (d < 1) {
+        fail("array @" + arr->name() + " has dimension " + std::to_string(d) +
+             " (must be >= 1)");
+        break;
+      }
+      if (d > kMaxArrayElements / elements) {
+        fail("array @" + arr->name() + " has more than " +
+             std::to_string(kMaxArrayElements) + " elements");
+        break;
+      }
+      elements *= d;
+    }
+    if (const auto& range = arr->range_annotation()) {
+      const auto [lo, hi] = *range;
+      if (!(lo <= hi))
+        fail("array @" + arr->name() + " has range [" + format_string("%g", lo) +
+             ", " + format_string("%g", hi) + "] (needs lo <= hi, no NaN)");
+    }
+  }
+
   if (!f.entry()) {
     fail("function has no entry block");
     return result;

@@ -1,11 +1,14 @@
 // IR structural verifier.
 //
 // Checks the SSA well-formedness invariants the rest of the stack relies
-// on: block termination, phi/predecessor agreement, operand typing, and
-// def-dominates-use (via an iterative dominator computation). Returns all
-// violations found rather than stopping at the first one.
+// on: array headers (positive dimensions, a bounded element count, an
+// ordered range annotation), block termination, phi/predecessor
+// agreement, operand typing, and def-dominates-use (via an iterative
+// dominator computation). Returns all violations found rather than
+// stopping at the first one.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -13,6 +16,12 @@
 #include "ir/function.hpp"
 
 namespace luis::ir {
+
+/// The largest element count an array may declare: far above every
+/// bundled kernel (the largest, heat-3d's @A at DatasetSize::Medium, has
+/// 64,000 elements), yet small enough that running a verified function
+/// never asks for more than 128 MiB per array.
+constexpr std::int64_t kMaxArrayElements = std::int64_t{1} << 24;
 
 struct VerifyResult {
   std::vector<std::string> errors;

@@ -14,10 +14,13 @@ double now_seconds() {
   return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
 }
 
-/// Times `iters` executions of `step` on a dependent value chain, taking
-/// the minimum over `blocks` runs. The dependent chain defeats both
-/// dead-code elimination and out-of-order overlap, which is what an
-/// instruction-latency characterization wants.
+/// Iterations per timed block, as in the paper.
+constexpr int kIterationsPerBlock = 128;
+
+/// Times kIterationsPerBlock executions of `step` on a dependent value
+/// chain, taking the minimum over `blocks` runs. The dependent chain
+/// defeats both dead-code elimination and out-of-order overlap, which is
+/// what an instruction-latency characterization wants.
 template <typename T, typename Step>
 double time_blocks(const MicrobenchOptions& opt, T seed, Step step) {
   volatile T sink = seed; // defeat constant folding across blocks
@@ -25,7 +28,7 @@ double time_blocks(const MicrobenchOptions& opt, T seed, Step step) {
   for (int b = 0; b < opt.blocks; ++b) {
     T x = sink;
     const double start = now_seconds();
-    for (int i = 0; i < opt.iterations_per_block; ++i) x = step(x);
+    for (int i = 0; i < kIterationsPerBlock; ++i) x = step(x);
     const double elapsed = now_seconds() - start;
     sink = x;
     if (elapsed > 0.0 && elapsed < best) best = elapsed;

@@ -14,10 +14,9 @@
 namespace luis::platform {
 
 struct MicrobenchOptions {
-  /// Iterations per timed block (the paper uses 128).
-  int iterations_per_block = 128;
-  /// Timed blocks per operation; the minimum over blocks is used, which
-  /// rejects scheduler noise.
+  /// Timed blocks of 128 iterations (the paper's block size) per
+  /// operation; the minimum over blocks is used, which rejects scheduler
+  /// noise.
   int blocks = 2000;
 };
 

@@ -1,57 +1,11 @@
 #include "support/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <thread>
+#include <vector>
 
 namespace luis::support {
-
-ThreadPool::ThreadPool(int threads) {
-  const int n = std::max(1, threads);
-  workers_.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i)
-    workers_.emplace_back([this] { worker_loop(); });
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stopping_ = true;
-  }
-  work_ready_.notify_all();
-  for (std::thread& w : workers_) w.join();
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    queue_.push_back(std::move(task));
-  }
-  work_ready_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  idle_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
-}
-
-void ThreadPool::worker_loop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      work_ready_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return; // stopping, queue drained
-      task = std::move(queue_.front());
-      queue_.pop_front();
-      ++in_flight_;
-    }
-    task();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      --in_flight_;
-      if (queue_.empty() && in_flight_ == 0) idle_.notify_all();
-    }
-  }
-}
 
 void parallel_for(std::size_t n, int threads,
                   const std::function<void(std::size_t)>& fn) {
@@ -59,11 +13,15 @@ void parallel_for(std::size_t n, int threads,
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  ThreadPool pool(static_cast<int>(
-      std::min<std::size_t>(static_cast<std::size_t>(threads), n)));
-  for (std::size_t i = 0; i < n; ++i)
-    pool.submit([&fn, i] { fn(i); });
-  pool.wait_idle();
+  std::atomic<std::size_t> next{0};
+  const auto worker = [&] {
+    for (std::size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1))
+      fn(i);
+  };
+  std::vector<std::thread> workers(
+      std::min(static_cast<std::size_t>(threads), n));
+  for (std::thread& w : workers) w = std::thread(worker);
+  for (std::thread& w : workers) w.join();
 }
 
 } // namespace luis::support

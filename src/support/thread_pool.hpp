@@ -1,56 +1,22 @@
-// Fixed-size worker pool for CPU-bound batch jobs (the sweep driver).
+// Parallel loop for CPU-bound batch jobs (the sweep driver).
 //
-// Deliberately minimal: submit() enqueues a task, wait_idle() blocks until
-// every queued and running task has finished. Tasks must not throw — the
+// Deliberately minimal: each call spawns its workers, hands out indices
+// from one atomic counter and joins them. The body must not throw — the
 // LUIS failure path is LUIS_FATAL/abort, and sweep jobs record their own
 // error state instead of unwinding across threads.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace luis::support {
 
-class ThreadPool {
-public:
-  /// Spawns `threads` workers (clamped to >= 1).
-  explicit ThreadPool(int threads);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  int thread_count() const { return static_cast<int>(workers_.size()); }
-
-  /// Enqueues a task for execution on some worker.
-  void submit(std::function<void()> task);
-
-  /// Blocks until the queue is empty and no task is running.
-  void wait_idle();
-
-private:
-  void worker_loop();
-
-  std::mutex mutex_;
-  std::condition_variable work_ready_;
-  std::condition_variable idle_;
-  std::deque<std::function<void()>> queue_;
-  std::size_t in_flight_ = 0;
-  bool stopping_ = false;
-  std::vector<std::thread> workers_;
-};
-
 /// Runs `fn(i)` for i in [0, n). With `threads` <= 1 the loop runs inline
 /// on the calling thread in index order — the bit-exact serial reference
-/// path the sweep determinism check compares against. Otherwise the
-/// iterations are distributed over a pool and may run in any order, so
-/// `fn` must only touch state owned by its own index (or thread-safe
-/// shared state).
+/// path the sweep determinism check compares against. Otherwise
+/// min(threads, n) threads claim the indices in increasing order, each
+/// running whichever index it claims next, so `fn` must only touch state
+/// owned by its own index (or thread-safe shared state).
 void parallel_for(std::size_t n, int threads,
                   const std::function<void(std::size_t)>& fn);
 

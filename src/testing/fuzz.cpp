@@ -45,6 +45,9 @@ namespace {
 /// shrinking the program recipe does not perturb the assignment draw.
 constexpr std::uint64_t kTypeSeedSalt = 0x7E57AB1E5EEDull;
 
+/// A campaign stops a target after this many distinct failures.
+constexpr int kMaxFailuresPerTarget = 5;
+
 /// True if every variable is integer with finite bounds — what the
 /// enumeration oracle requires and random_ilp_model guarantees. Corpus
 /// files are validated with this before being replayed.
@@ -162,7 +165,7 @@ CampaignResult run_campaign(const CampaignOptions& options) {
     ++out.trials;
     const std::uint64_t seed = derive_seed(options.seed, static_cast<std::uint64_t>(trial));
     for (const FuzzTarget target : options.targets) {
-      if (failures_per_target[static_cast<int>(target)] >= options.max_failures)
+      if (failures_per_target[static_cast<int>(target)] >= kMaxFailuresPerTarget)
         continue;
       std::string repro;
       CheckResult result;

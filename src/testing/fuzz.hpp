@@ -49,8 +49,6 @@ struct CampaignOptions {
   std::uint64_t seed = 1;
   /// Directory for minimized failing-input files; empty = don't write.
   std::string artifacts_dir;
-  /// Stop a target after this many distinct failures.
-  int max_failures = 5;
   /// Engine executing the IR oracle's runs. Either way the oracle also
   /// runs the other engine differentially; flipping this exercises the VM
   /// as the primary (e.g. on the round-tripped assignment path).

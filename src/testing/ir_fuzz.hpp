@@ -60,17 +60,17 @@ interp::TypeAssignment random_type_assignment(const ir::Function& f, Rng& rng);
 
 /// The IR property set:
 ///   1. the function verifies;
-///   2. print -> parse -> print is a fixpoint;
-///   3. clone_function is print-exact;
-///   4. the binary64 reference run succeeds with finite outputs;
-///   5. a random quantized assignment runs deterministically (two runs are
+///   2. print -> parse -> print is a fixpoint (a copy through the text is
+///      print-exact);
+///   3. the binary64 reference run succeeds with finite outputs;
+///   4. a random quantized assignment runs deterministically (two runs are
 ///      bit-identical in outputs and cost counters), and re-running it on
 ///      the parsed-back text under the assignment_io round trip reproduces
 ///      the same outputs bit-for-bit;
-///   6. the VM and reference engines agree bit for bit on that assignment:
+///   5. the VM and reference engines agree bit for bit on that assignment:
 ///      outputs, ok/error, step count, and cost counters.
-/// `type_rng` drives property 5's assignment. `engine` selects which
-/// engine executes properties 4-5 (the other side of property 6 always
+/// `type_rng` drives property 4's assignment. `engine` selects which
+/// engine executes properties 3-4 (the other side of property 5 always
 /// runs too, so either choice keeps the differential).
 CheckResult check_ir_instance(
     const ir::Function& f, const interp::ArrayStore& inputs, Rng& type_rng,

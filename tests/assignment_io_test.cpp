@@ -103,5 +103,39 @@ TEST(AssignmentIo, RejectsBadInput) {
   EXPECT_FALSE(assignment_from_text(*kernel.function, "L binary32").ok());
 }
 
+TEST(AssignmentIo, ReadsRegisterIdsAndFracBitsWhole) {
+  ir::Module m;
+  polybench::BuiltKernel kernel = polybench::build_kernel("trisolv", m);
+  const ir::Instruction* real = nullptr;
+  int real_id = 0;
+  for (const auto& [inst, id] : ir::number_instructions(*kernel.function))
+    if (inst->type() == ir::ScalarType::Real && (!real || id < real_id)) {
+      real = inst;
+      real_id = id;
+    }
+  ASSERT_NE(real, nullptr);
+  const std::string reg = "%" + std::to_string(real_id);
+
+  const AssignmentParseResult good =
+      assignment_from_text(*kernel.function, reg + " fix32.7");
+  ASSERT_TRUE(good.ok()) << good.error;
+  EXPECT_EQ(good.assignment.of(real).name(), "fix32.7");
+
+  // Trailing junk on the register id or the fractional bits is refused
+  // with the line and the token, instead of reading the leading digits.
+  const AssignmentParseResult junk_reg =
+      assignment_from_text(*kernel.function, reg + "xyz binary32");
+  EXPECT_FALSE(junk_reg.ok());
+  EXPECT_EQ(junk_reg.error,
+            "line 1: unknown or non-Real register " + reg + "xyz");
+  for (const std::string frac :
+       {"fix32.7x", "fix32.", "fix32.+7", "fix32.7.0"}) {
+    const AssignmentParseResult junk_frac = assignment_from_text(
+        *kernel.function, "# comment\n" + reg + " " + frac);
+    EXPECT_FALSE(junk_frac.ok()) << frac;
+    EXPECT_EQ(junk_frac.error, "line 2: bad type '" + frac + "'");
+  }
+}
+
 } // namespace
 } // namespace luis::core

@@ -412,28 +412,6 @@ TEST(BranchAndBound, WarmStartOnAndOffAgreeOnOptimum) {
   }
 }
 
-TEST(BranchAndBound, BranchingRulesAgreeOnOptimum) {
-  Model m;
-  LinearExpr wsum, vsum;
-  for (int i = 0; i < 12; ++i) {
-    const VarId x = m.add_binary("x" + std::to_string(i));
-    wsum.add(x, static_cast<double>(2 + (i * 5) % 9));
-    vsum.add(x, static_cast<double>(1 + (i * 11) % 17));
-  }
-  m.add_le(std::move(wsum), 28.0);
-  m.set_objective(Direction::Maximize, std::move(vsum));
-
-  BranchAndBoundOptions pseudo;
-  pseudo.branching = Branching::PseudoCost;
-  BranchAndBoundOptions frac;
-  frac.branching = Branching::MostFractional;
-  const Solution sp = solve_milp(m, pseudo);
-  const Solution sf = solve_milp(m, frac);
-  ASSERT_EQ(sp.status, SolveStatus::Optimal);
-  ASSERT_EQ(sf.status, SolveStatus::Optimal);
-  EXPECT_NEAR(sp.objective, sf.objective, 1e-6);
-}
-
 // Models with fixed variables, singleton rows and empty-after-fixing rows:
 // branch & bound must get their status, objective and bound right on the
 // model as given, on both LP cores.

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "core/pipeline.hpp"
+#include "interp/engine.hpp"
 #include "interp/interpreter.hpp"
 #include "ir/kernel_builder.hpp"
 #include "ir/passes.hpp"
@@ -25,15 +26,40 @@ using ir::IVal;
 using ir::KernelBuilder;
 using ir::RVal;
 
-TEST(InterpreterEdge, OutOfBoundsIndexAborts) {
-  ir::Module m;
-  KernelBuilder kb(m, "oob");
-  Array* A = kb.array("A", {4}, 0.0, 1.0);
-  kb.store(kb.real(1.0), A, {kb.idx(7)}); // statically out of bounds
-  ir::Function* f = kb.finish();
-  ArrayStore store;
-  TypeAssignment binary64;
-  EXPECT_DEATH(run_function(*f, binary64, store), "out of bounds");
+TEST(InterpreterEdge, OutOfBoundsIndexTrapsOnBothEngines) {
+  // A store past the end, then a load before the start, each behind a
+  // loop that runs a few in-bounds iterations first: verified IR whose
+  // run must trap (ok = false), never abort, with the same message, step
+  // count and array contents on both engines.
+  for (const bool load : {false, true}) {
+    ir::Module m;
+    KernelBuilder kb(m, "oob");
+    Array* A = kb.array("A", {4}, 0.0, 1.0);
+    Array* B = kb.array("B", {2, 3}, 0.0, 1.0);
+    kb.for_loop("i", 0, 3, [&](IVal i) { kb.store(kb.real(2.0), A, {i}); });
+    if (load)
+      kb.store(kb.load(B, {kb.idx(1), kb.idx(-1)}), A, {kb.idx(0)});
+    else
+      kb.store(kb.real(1.0), A, {kb.idx(7)});
+    ir::Function* f = kb.finish();
+    ASSERT_TRUE(ir::verify(*f).ok()) << ir::verify(*f).message();
+
+    const interp::ReferenceEngine ref;
+    const interp::VmEngine vm;
+    ArrayStore ref_store, vm_store;
+    const RunResult a = ref.run(*f, TypeAssignment(), ref_store);
+    const RunResult b = vm.run(*f, TypeAssignment(), vm_store);
+    const std::string want =
+        std::string("array index out of bounds on ") + (load ? "B" : "A");
+    EXPECT_FALSE(a.ok);
+    EXPECT_FALSE(b.ok);
+    EXPECT_EQ(a.error, want);
+    EXPECT_EQ(b.error, want);
+    EXPECT_EQ(a.steps, b.steps);
+    EXPECT_GT(a.steps, 3);
+    EXPECT_EQ(ref_store, vm_store);
+    EXPECT_EQ(ref_store["A"], (std::vector<double>{2.0, 2.0, 2.0, 0.0}));
+  }
 }
 
 TEST(InterpreterEdge, DivisionByZeroProducesInfNotCrash) {

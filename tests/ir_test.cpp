@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "ir/kernel_builder.hpp"
 #include "ir/parser.hpp"
 #include "ir/printer.hpp"
@@ -156,6 +161,46 @@ TEST(Verifier, CatchesUnreachableBlock) {
   EXPECT_NE(vr.message().find("unreachable"), std::string::npos);
 }
 
+TEST(Verifier, CatchesBadArrayHeaders) {
+  struct Case {
+    std::vector<std::int64_t> dims;
+    double lo, hi;
+    const char* want; ///< nullptr: the header is valid
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::int64_t big = std::int64_t{1} << 32;
+  const Case cases[] = {
+      {{4}, 1.0, 1.0, nullptr},
+      {{kMaxArrayElements}, 0.0, 1.0, nullptr},
+      {{2, kMaxArrayElements / 2}, 0.0, 1.0, nullptr},
+      {{0}, 0.0, 1.0, "has dimension 0"},
+      {{4, -3}, 0.0, 1.0, "has dimension -3"},
+      {{kMaxArrayElements + 1}, 0.0, 1.0, "elements"},
+      {{4, kMaxArrayElements / 2}, 0.0, 1.0, "elements"},
+      {{big, big}, 0.0, 1.0, "elements"}, // the product overflows int64
+      {{4}, 1.0, 0.0, "needs lo <= hi"},
+      {{4}, nan, 1.0, "needs lo <= hi"},
+      {{4}, 0.0, nan, "needs lo <= hi"},
+  };
+  for (const Case& c : cases) {
+    Module m;
+    Function* f = m.add_function("f");
+    IRBuilder b(f);
+    b.set_insertion_block(f->add_block("entry"));
+    b.ret();
+    f->add_array("a", c.dims)->annotate_range(c.lo, c.hi);
+    const VerifyResult vr = verify(*f);
+    if (!c.want) {
+      EXPECT_TRUE(vr.ok()) << vr.message();
+      continue;
+    }
+    ASSERT_FALSE(vr.ok()) << c.want;
+    EXPECT_NE(vr.message().find("array @a"), std::string::npos)
+        << vr.message();
+    EXPECT_NE(vr.message().find(c.want), std::string::npos) << vr.message();
+  }
+}
+
 TEST(Dominators, LoopNestStructure) {
   Module m;
   Function* f = build_axpy_kernel(m);
@@ -242,6 +287,56 @@ TEST(Parser, RejectsMalformedInput) {
   EXPECT_FALSE(parse_function(m, "not a function").ok());
   EXPECT_FALSE(parse_function(m, "func @f {\nentry:\n  %0 = bogus 1, 2\n}").ok());
   EXPECT_FALSE(parse_function(m, "func @f {\nentry:\n  br nowhere\n}").ok());
+}
+
+TEST(Parser, RejectsNumbersWithTrailingJunk) {
+  const std::string base = R"(func @k {
+  array @a[4] range [0, 1]
+  array @b[2][3]
+entry:
+  %0 = load @b[1][2]
+  %1 = mul 2.5, %0
+  %2 = iadd 1, 2
+  store %1, @a[%2]
+  ret
+})";
+  {
+    Module m;
+    const ParseResult parsed = parse_function(m, base);
+    ASSERT_TRUE(parsed.ok()) << parsed.error;
+    EXPECT_TRUE(verify(*parsed.function).ok())
+        << verify(*parsed.function).message();
+  }
+  // Each mutation appends junk to one numeric token; the parse must fail
+  // with `want` in its message instead of reading the leading digits.
+  const struct {
+    const char* from;
+    const char* to;
+    const char* want;
+  } mutations[] = {
+      {"@a[4]", "@a[4x]", "bad array declaration"},
+      {"@b[2][3]", "@b[2][abc]", "bad array declaration"},
+      {"@b[2][3]", "@b[2][]", "bad array declaration"},
+      {"range [0, 1]", "range [0, 1x]", "bad array declaration"},
+      {"range [0, 1]", "range [0junk, 1]", "bad array declaration"},
+      {"range [0, 1]", "range [0, 1] extra", "bad array declaration"},
+      {"load @b[1][2]", "load @b[1][2junk]", "bad operand '2junk'"},
+      {"mul 2.5, %0", "mul 2.5x, %0", "bad operand '2.5x'"},
+      {"mul 2.5, %0", "mul 2.5, %0junk", "bad operand '%0junk'"},
+      {"iadd 1, 2", "iadd 1, 24abc", "bad operand '24abc'"},
+      {"%1 = mul", "%1x = mul", "bad result id"},
+  };
+  for (const auto& mu : mutations) {
+    std::string text = base;
+    const std::size_t at = text.find(mu.from);
+    ASSERT_NE(at, std::string::npos) << mu.from;
+    text.replace(at, std::string(mu.from).size(), mu.to);
+    Module m;
+    const ParseResult parsed = parse_function(m, text);
+    ASSERT_FALSE(parsed.ok()) << mu.to;
+    EXPECT_NE(parsed.error.find(mu.want), std::string::npos)
+        << mu.to << ": " << parsed.error;
+  }
 }
 
 TEST(Function, ConstantInterning) {

@@ -559,9 +559,9 @@ TEST(SweepTracing, ParallelSweepEmitsBalancedSpansFromWorkerThreads) {
   const std::vector<TraceEvent> evs = trace().snapshot();
   check_event_stream(evs);
 
-  // The pool's shared queue makes the job->thread distribution timing-
-  // dependent (one worker can drain a short queue before the other
-  // wakes), so only the deterministic facts are pinned here; the
+  // The shared index counter makes the job->thread distribution timing-
+  // dependent (one worker can claim every index before the other
+  // starts), so only the deterministic facts are pinned here; the
   // guaranteed two-thread case is ThreadPoolTracing below.
   std::size_t job_spans = 0, vm_spans = 0;
   for (const TraceEvent& e : evs) {
@@ -579,8 +579,8 @@ TEST(SweepTracing, ParallelSweepEmitsBalancedSpansFromWorkerThreads) {
   EXPECT_TRUE(is_valid_json(metrics().to_json()));
 }
 
-// Two pool workers record concurrently, held at a barrier until both are
-// running, so two distinct thread timelines are guaranteed — the
+// Two parallel_for workers record concurrently, held at a barrier until
+// both are running, so two distinct thread timelines are guaranteed — the
 // deterministic version of the multi-thread claim, and the hot loop TSan
 // checks for races in the per-thread buffers and tid assignment.
 TEST(ThreadPoolTracing, ConcurrentWorkersRecordOnDistinctThreads) {
@@ -589,27 +589,21 @@ TEST(ThreadPoolTracing, ConcurrentWorkersRecordOnDistinctThreads) {
   std::mutex m;
   std::condition_variable cv;
   int arrived = 0;
-  {
-    support::ThreadPool pool(kWorkers);
-    for (int w = 0; w < kWorkers; ++w) {
-      pool.submit([&, w] {
-        {
-          std::unique_lock<std::mutex> lock(m);
-          ++arrived;
-          cv.notify_all();
-          cv.wait(lock, [&] { return arrived == kWorkers; });
-        }
-        for (int i = 0; i < 200; ++i) {
-          TraceSpan span("pool.task", "test", [&] {
-            return Args().num("worker", w).num("i", i).done();
-          });
-          if (i % 50 == 0)
-            instant("pool.tick", "test", Args().num("i", i).done());
-        }
-      });
+  support::parallel_for(kWorkers, kWorkers, [&](std::size_t w) {
+    {
+      std::unique_lock<std::mutex> lock(m);
+      ++arrived;
+      cv.notify_all();
+      cv.wait(lock, [&] { return arrived == kWorkers; });
     }
-    pool.wait_idle();
-  }
+    for (int i = 0; i < 200; ++i) {
+      TraceSpan span("pool.task", "test", [&] {
+        return Args().num("worker", w).num("i", i).done();
+      });
+      if (i % 50 == 0)
+        instant("pool.tick", "test", Args().num("i", i).done());
+    }
+  });
   trace().stop();
 
   const std::vector<TraceEvent> evs = trace().snapshot();

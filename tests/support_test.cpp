@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "support/json.hpp"
@@ -153,6 +154,37 @@ TEST(StringUtils, FormatAndPad) {
   EXPECT_EQ(pad_left("ab", 4), "  ab");
   EXPECT_EQ(pad_right("ab", 4), "ab  ");
   EXPECT_EQ(pad_left("abcd", 2), "abcd");
+}
+
+TEST(StringUtils, ParseNumberReadsWholeTokensOnly) {
+  EXPECT_EQ(parse_number<int>("42"), 42);
+  EXPECT_EQ(parse_number<int>("-3"), -3);
+  EXPECT_EQ(parse_number<std::int64_t>("99999999999"), 99999999999);
+  EXPECT_EQ(parse_number<double>("-2.5e3"), -2500.0);
+  EXPECT_TRUE(std::isnan(*parse_number<double>("nan")));
+  EXPECT_EQ(parse_number<double>("-inf"),
+            -std::numeric_limits<double>::infinity());
+
+  // Trailing junk, surrounding whitespace, a '+' sign, an empty token and
+  // a value outside the type are all refused, never truncated.
+  EXPECT_EQ(parse_number<int>("24abc"), std::nullopt);
+  EXPECT_EQ(parse_number<int>("0junk"), std::nullopt);
+  EXPECT_EQ(parse_number<int>("4.5"), std::nullopt);
+  EXPECT_EQ(parse_number<int>(" 4"), std::nullopt);
+  EXPECT_EQ(parse_number<int>("4 "), std::nullopt);
+  EXPECT_EQ(parse_number<int>("+4"), std::nullopt);
+  EXPECT_EQ(parse_number<int>(""), std::nullopt);
+  EXPECT_EQ(parse_number<int>("abc"), std::nullopt);
+  EXPECT_EQ(parse_number<int>("4294967296"), std::nullopt);
+  EXPECT_EQ(parse_number<std::int64_t>("99999999999999999999"), std::nullopt);
+  EXPECT_EQ(parse_number<double>("2.5x"), std::nullopt);
+  EXPECT_EQ(parse_number<double>("1x"), std::nullopt);
+  EXPECT_EQ(parse_number<double>("1e999"), std::nullopt);
+
+  // Only the given view is read, not the string around it.
+  const std::string_view dims = "[12][34]";
+  EXPECT_EQ(parse_number<int>(dims.substr(1, 2)), 12);
+  EXPECT_EQ(parse_number<int>(dims.substr(5, 2)), 34);
 }
 
 TEST(Json, EscapeHandlesQuotesBackslashesAndControls) {

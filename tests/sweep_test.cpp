@@ -14,7 +14,6 @@
 #include "core/assignment_io.hpp"
 #include "core/sweep.hpp"
 #include "interp/engine.hpp"
-#include "ir/clone.hpp"
 #include "ir/parser.hpp"
 #include "ir/printer.hpp"
 #include "obs/metrics.hpp"
@@ -465,10 +464,11 @@ TEST(Sweep, CloneFunctionIsExact) {
       break;
     }
   }
+  const std::string text = ir::print_function(*kernel.function);
   ir::Module dest;
-  ir::Function* clone = ir::clone_function(*kernel.function, dest);
-  ASSERT_NE(clone, nullptr);
-  EXPECT_EQ(ir::print_function(*kernel.function), ir::print_function(*clone));
+  const ir::ParseResult clone = ir::parse_function(dest, text);
+  ASSERT_TRUE(clone.ok()) << clone.error;
+  EXPECT_EQ(text, ir::print_function(*clone.function));
 }
 
 TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
@@ -485,17 +485,19 @@ TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
   EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
 }
 
-TEST(ThreadPool, WaitIdleDrainsQueue) {
-  support::ThreadPool pool(3);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 100; ++i)
-    pool.submit([&done] { done.fetch_add(1, std::memory_order_relaxed); });
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), 100);
-  // The pool stays usable after an idle wait.
-  pool.submit([&done] { done.fetch_add(1, std::memory_order_relaxed); });
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), 101);
+TEST(ThreadPool, MoreThreadsThanIndicesRunsEachOnce) {
+  // Each call spawns and joins its own workers, so repeated calls, an
+  // empty range and a thread count above the index count all stay exact:
+  // every index runs once and the call returns only after all have run.
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{3}})
+    for (int call = 0; call < 3; ++call) {
+      std::vector<std::atomic<int>> counts(n);
+      support::parallel_for(n, 8, [&](std::size_t i) {
+        counts[i].fetch_add(1, std::memory_order_relaxed);
+      });
+      for (std::size_t i = 0; i < n; ++i)
+        EXPECT_EQ(counts[i].load(), 1) << "n=" << n << " i=" << i;
+    }
 }
 
 } // namespace

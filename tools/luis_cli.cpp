@@ -27,7 +27,7 @@
 //   luis apply <file.ir> <types.txt>      execute under a saved assignment
 //   luis characterize [-o t.optime]       measure this machine's op-times
 //   luis sweep [options]                  batch-tune kernel x config x
-//                                         platform jobs on a thread pool
+//                                         platform jobs on worker threads
 //                                         and report per-stage statistics
 //   luis fuzz [options]                   property-based differential
 //                                         fuzzing of the solver, IR, and
@@ -165,7 +165,6 @@
 // on an unknown option, a flag missing its value or a wrong number of
 // operands, and 1 when an output file cannot be written.
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -406,11 +405,8 @@ template <typename T>
 std::optional<T> parse_number_flag(const std::string& flag,
                                    const std::string& text, T lo, T hi,
                                    const char* want) {
-  T value{};
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec == std::errc() && ptr == end && value >= lo && value <= hi)
-    return value;
+  const std::optional<T> value = parse_number<T>(text);
+  if (value && *value >= lo && *value <= hi) return value;
   std::fprintf(stderr, "luis: %s wants %s, got '%s'\n", flag.c_str(), want,
                text.c_str());
   return std::nullopt;
