@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 
 #include "core/type_classes.hpp"
 #include "ilp/branch_and_bound.hpp"
@@ -55,23 +56,186 @@ bool format_feasible(const NumericFormat& fmt, const vra::Interval& range) {
   return numrep::format_ops(fmt).feasible(fmt, range.lo, range.hi);
 }
 
-} // namespace
+/// The op-time (or op-energy) of one `IlpStructure::prices` entry.
+double price_of(const std::pair<std::string, std::string>& key,
+                const platform::OpTimeTable& table,
+                const TuningConfig& config) {
+  return config.metric == CostMetric::Time
+             ? table.op_time(key.first, key.second)
+             : platform::op_energy(table, key.first, key.second, config.power);
+}
 
-AllocationResult allocate_ilp(const ir::Function& f, const vra::RangeMap& ranges,
-                              const platform::OpTimeTable& table,
-                              const TuningConfig& config) {
+/// Prices and solves `s`. The priced model starts from `*rows` when given
+/// (a single-use structure's own model, taken over rather than copied) and
+/// from a copy of `s.model` otherwise.
+AllocationResult price_and_solve(const IlpStructure& s, ilp::Model* rows,
+                                 const platform::OpTimeTable& table,
+                                 const TuningConfig& config) {
+  LUIS_ASSERT(config.types == s.types &&
+                  config.literal_model == s.literal_model &&
+                  config.err_zero_floor == s.err_zero_floor,
+              "allocate_ilp: config builds a different structure");
   AllocationResult out;
   obs::TraceSpan build_span("ilp.build_model", "ilp",
                             obs::TimeSink{&out.stats.model_build_seconds});
+  ilp::Model model;
+  if (rows)
+    model = std::move(*rows);
+  else
+    model = s.model;
+  const auto& types = s.types;
+  const int ntypes = static_cast<int>(types.size());
+  const int num_units = static_cast<int>(s.x.size());
+  out.stats.num_registers = static_cast<int>(s.registers.size());
+  out.stats.num_classes = s.num_classes;
+  out.stats.num_uses = s.num_uses;
+
+  // One lookup per distinct (op, type class); the sums below replay the
+  // structure's terms in build order, so each coefficient adds the same
+  // values in the same order as a model built and priced in one pass.
+  std::vector<double> price(s.prices.size());
+  for (std::size_t k = 0; k < price.size(); ++k)
+    price[k] = price_of(s.prices[k], table, config);
+
+  double ex_max = 0.0;
+  std::size_t term = 0;
+  for (const std::size_t end : s.ex_ends) {
+    double worst = 0.0;
+    for (; term < end; ++term)
+      worst = std::max(worst, price[s.ex[term].price]);
+    ex_max += worst;
+  }
+  double cast_max = 0.0;
+  term = 0;
+  for (const auto& [count, end] : s.cast_pairs) {
+    double worst = 0.0;
+    for (; term < end; ++term)
+      worst = std::max(worst, price[s.cast[term].price]);
+    cast_max += static_cast<double>(count) * worst;
+  }
+  double fix_max = 0.0;
+  for (const IlpStructure::Shift& shift : s.shifts)
+    fix_max += 2.0 * price[shift.price];
+
+  // ---- Objective: min W1 (Ex^ + C^ + Cfix^) - W2 Err^. ----
+  const double exn = config.w1 / std::max(ex_max, 1.0);
+  const double cn = config.w1 / std::max(cast_max, 1.0);
+  const double fn = config.w1 / std::max(fix_max, 1.0);
+  const double en = config.w2 / std::max(s.err_max, 1.0);
+  ilp::LinearExpr objective;
+  for (const IlpStructure::Term& t : s.ex)
+    objective.add(t.var, exn * price[t.price]);
+  term = 0;
+  for (const auto& [count, end] : s.cast_pairs)
+    for (; term < end; ++term)
+      objective.add(s.cast[term].var, cn * (static_cast<double>(count) *
+                                            price[s.cast[term].price]));
+  for (const IlpStructure::Shift& shift : s.shifts) {
+    objective.add(shift.up, fn * price[shift.price]);
+    objective.add(shift.down, fn * price[shift.price]);
+  }
+  for (const auto& [var, coeff] : s.err.terms())
+    objective.add(var, -en * coeff);
+  model.set_objective(ilp::Direction::Minimize, std::move(objective));
+  build_span.end();
+
+  out.stats.model_variables = model.num_variables();
+  out.stats.model_constraints = model.num_constraints();
+
+  // ---- Solve (result-cache probe, then branch & bound on a miss). ----
+  obs::TraceSpan solve_span(
+      "ilp.solve", "ilp",
+      [&] {
+        return obs::Args()
+            .num("variables", model.num_variables())
+            .num("constraints", model.constraints().size())
+            .boolean("cached", config.solver.cache != nullptr)
+            .done();
+      },
+      obs::TimeSink{&out.stats.solve_seconds});
+  const ilp::Solution solution = ilp::solve_milp(model, config.solver);
+  solve_span.end();
+  out.stats.status = solution.status;
+  out.stats.nodes = solution.nodes;
+  out.stats.iterations = solution.iterations;
+  out.stats.objective = solution.objective;
+
+  const bool have_solution = solution.status == ilp::SolveStatus::Optimal ||
+                             (solution.status == ilp::SolveStatus::NodeLimit &&
+                              !solution.values.empty());
+
+  // ---- Extract the assignment. ----
+  std::vector<int> chosen(static_cast<std::size_t>(num_units), -1);
+  for (int u = 0; u < num_units; ++u) {
+    const std::vector<ilp::VarId>& xu = s.x[static_cast<std::size_t>(u)];
+    if (have_solution) {
+      for (int ti = 0; ti < ntypes; ++ti) {
+        const ilp::VarId xv = xu[static_cast<std::size_t>(ti)];
+        if (xv >= 0 && solution.value(xv) > 0.5)
+          chosen[static_cast<std::size_t>(u)] = ti;
+      }
+    }
+    if (chosen[static_cast<std::size_t>(u)] < 0) {
+      // Defensive fallback: binary64 (or the last feasible type).
+      for (int ti = 0; ti < ntypes; ++ti)
+        if (xu[static_cast<std::size_t>(ti)] >= 0 &&
+            (chosen[static_cast<std::size_t>(u)] < 0 ||
+             types[static_cast<std::size_t>(ti)] == numrep::kBinary64))
+          chosen[static_cast<std::size_t>(u)] = ti;
+    }
+  }
+
+  for (std::size_t r = 0; r < s.registers.size(); ++r) {
+    const int ti = chosen[static_cast<std::size_t>(s.unit_of[r])];
+    const NumericFormat& fmt = types[static_cast<std::size_t>(ti)];
+    ConcreteType ct{fmt, 0};
+    if (fmt.is_fixed()) {
+      const ilp::VarId zv = s.z[r][static_cast<std::size_t>(ti)];
+      int frac = 0;
+      if (zv >= 0 && have_solution)
+        frac = static_cast<int>(std::floor(solution.value(zv) + 1e-6));
+      else if (zv >= 0)
+        frac = static_cast<int>(model.variables()[static_cast<std::size_t>(zv)].upper);
+      ct.frac_bits = std::clamp(frac, 0, fmt.width() - 1);
+    }
+    out.assignment.set(s.registers[r], ct);
+  }
+
+  // ---- Instruction mix (Table V metric). ----
+  for (const auto& bb : s.function->blocks())
+    for (const auto& inst : bb->instructions())
+      if (inst->is_tunable_arithmetic())
+        ++out.stats.instruction_mix[cost_class(out.assignment.of(inst.get()))];
+
+  return out;
+}
+
+} // namespace
+
+bool same_ilp_structure(const TuningConfig& a, const TuningConfig& b) {
+  return a.types == b.types && a.literal_model == b.literal_model &&
+         a.err_zero_floor == b.err_zero_floor;
+}
+
+IlpStructure build_ilp_structure(const ir::Function& f,
+                                 const vra::RangeMap& ranges,
+                                 const TuningConfig& config) {
+  IlpStructure s;
+  obs::TraceSpan span("ilp.build_structure", "ilp",
+                      obs::TimeSink{&s.build_seconds});
+  s.types = config.types;
+  s.literal_model = config.literal_model;
+  s.err_zero_floor = config.err_zero_floor;
+  s.function = &f;
   const TypeClasses classes = compute_type_classes(f);
-  const auto& types = config.types;
+  const auto& types = s.types;
   const int ntypes = static_cast<int>(types.size());
   LUIS_ASSERT(ntypes > 0, "empty candidate type set");
-  const bool literal = config.literal_model;
+  const bool literal = s.literal_model;
 
-  out.stats.num_registers = static_cast<int>(classes.registers.size());
-  out.stats.num_classes = classes.num_classes();
-  out.stats.num_uses = static_cast<int>(classes.uses.size());
+  s.registers = classes.registers;
+  s.num_classes = classes.num_classes();
+  s.num_uses = static_cast<int>(classes.uses.size());
 
   // A model *unit* carries one set of x variables: a type class in the
   // merged formulation, an individual virtual register in the literal one.
@@ -83,17 +247,20 @@ AllocationResult allocate_ilp(const ir::Function& f, const vra::RangeMap& ranges
   auto unit_of = [&](const ir::Value* v) {
     return literal ? reg_index.at(v) : classes.class_of.at(v);
   };
+  for (const ir::Value* v : s.registers) s.unit_of.push_back(unit_of(v));
 
-  // Cost pricing: op-time for the paper's model, op-energy for the
-  // Section VI extension.
-  auto priced = [&](const std::string& op, const std::string& type_class) {
-    return config.metric == CostMetric::Time
-               ? table.op_time(op, type_class)
-               : platform::op_energy(table, op, type_class, config.power);
+  // Each distinct op-time lookup gets one slot in `s.prices`.
+  std::map<std::pair<std::string, std::string>, std::size_t> price_slot;
+  auto price = [&](std::string op, std::string type_class) {
+    const auto [it, added] = price_slot.try_emplace(
+        {std::move(op), std::move(type_class)}, s.prices.size());
+    if (added) s.prices.push_back(it->first);
+    return it->second;
   };
-  auto priced_cast = [&](const std::string& from, const std::string& to) {
-    return priced("cast_" + from, to);
-  };
+  std::vector<std::string> type_class(static_cast<std::size_t>(ntypes));
+  for (int ti = 0; ti < ntypes; ++ti)
+    type_class[static_cast<std::size_t>(ti)] =
+        class_of_format(types[static_cast<std::size_t>(ti)]);
 
   // ---- Type feasibility (always judged class-wide so that same-type
   // webs agree on the candidate set). ----
@@ -131,10 +298,10 @@ AllocationResult allocate_ilp(const ir::Function& f, const vra::RangeMap& ranges
   };
 
   // ---- x variables and one-hot rows. ----
-  ilp::Model model;
-  std::vector<std::vector<ilp::VarId>> x(
-      static_cast<std::size_t>(num_units),
-      std::vector<ilp::VarId>(static_cast<std::size_t>(ntypes), -1));
+  ilp::Model& model = s.model;
+  auto& x = s.x;
+  x.assign(static_cast<std::size_t>(num_units),
+           std::vector<ilp::VarId>(static_cast<std::size_t>(ntypes), -1));
   for (int u = 0; u < num_units; ++u) {
     ilp::LinearExpr one_hot;
     for (int ti = 0; ti < ntypes; ++ti) {
@@ -167,9 +334,9 @@ AllocationResult allocate_ilp(const ir::Function& f, const vra::RangeMap& ranges
   }
 
   // ---- z variables: fractional bits per (register, fixed type). ----
-  std::vector<std::vector<ilp::VarId>> z(
-      classes.registers.size(),
-      std::vector<ilp::VarId>(static_cast<std::size_t>(ntypes), -1));
+  auto& z = s.z;
+  z.assign(classes.registers.size(),
+           std::vector<ilp::VarId>(static_cast<std::size_t>(ntypes), -1));
   for (std::size_t r = 0; r < classes.registers.size(); ++r) {
     const ir::Value* v = classes.registers[r];
     const int u = unit_of(v);
@@ -194,25 +361,21 @@ AllocationResult allocate_ilp(const ir::Function& f, const vra::RangeMap& ranges
     }
   }
 
-  // ---- Ex: execution time of tunable arithmetic. ----
-  ilp::LinearExpr ex;
-  double ex_max = 0.0;
+  // ---- Ex: execution time of tunable arithmetic, one term per feasible
+  // type of each instruction. ----
   for (const auto& bb : f.blocks()) {
     for (const auto& inst : bb->instructions()) {
       if (!inst->is_tunable_arithmetic()) continue;
       const int u = unit_of(inst.get());
       const char* op = model_op_name(inst->opcode());
-      double worst = 0.0;
       for (int ti = 0; ti < ntypes; ++ti) {
         const ilp::VarId xv =
             x[static_cast<std::size_t>(u)][static_cast<std::size_t>(ti)];
         if (xv < 0) continue;
-        const double t =
-            priced(op, class_of_format(types[static_cast<std::size_t>(ti)]));
-        ex.add(xv, t);
-        worst = std::max(worst, t);
+        s.ex.push_back(
+            {xv, price(op, type_class[static_cast<std::size_t>(ti)])});
       }
-      ex_max += worst;
+      s.ex_ends.push_back(s.ex.size());
     }
   }
 
@@ -228,11 +391,8 @@ AllocationResult allocate_ilp(const ir::Function& f, const vra::RangeMap& ranges
     if (classes.class_of.at(use.used) == classes.class_of.at(use.user)) continue;
     ++pair_count[{unit_of(use.used), unit_of(use.user)}];
   }
-  ilp::LinearExpr cast_cost;
-  double cast_max = 0.0;
   for (const auto& [pair, count] : pair_count) {
     const auto [ua, ub] = pair;
-    double worst = 0.0;
     for (int ta = 0; ta < ntypes; ++ta) {
       const ilp::VarId xa =
           x[static_cast<std::size_t>(ua)][static_cast<std::size_t>(ta)];
@@ -244,9 +404,6 @@ AllocationResult allocate_ilp(const ir::Function& f, const vra::RangeMap& ranges
         if (types[static_cast<std::size_t>(ta)] ==
             types[static_cast<std::size_t>(tb)])
           continue; // same format: at most a shift realignment (Cfix)
-        const double t =
-            priced_cast(class_of_format(types[static_cast<std::size_t>(ta)]),
-                        class_of_format(types[static_cast<std::size_t>(tb)]));
         const ilp::VarId y = model.add_continuous(
             "y_u" + std::to_string(ua) + "t" + std::to_string(ta) + "_u" +
                 std::to_string(ub) + "t" + std::to_string(tb),
@@ -254,16 +411,15 @@ AllocationResult allocate_ilp(const ir::Function& f, const vra::RangeMap& ranges
         // x_a + x_b <= y + 1
         model.add_le(ilp::LinearExpr().add(xa, 1.0).add(xb, 1.0).add(y, -1.0),
                      1.0);
-        cast_cost.add(y, static_cast<double>(count) * t);
-        worst = std::max(worst, t);
+        s.cast.push_back(
+            {y, price("cast_" + type_class[static_cast<std::size_t>(ta)],
+                      type_class[static_cast<std::size_t>(tb)])});
       }
     }
-    cast_max += static_cast<double>(count) * worst;
+    s.cast_pairs.emplace_back(count, s.cast.size());
   }
 
   // ---- Cfix: fixed point realignment (shift) casts per use. ----
-  ilp::LinearExpr fix_cost;
-  double fix_max = 0.0;
   for (const UseEdge& use : classes.uses) {
     const int ra = reg_index.at(use.used);
     const int rb = reg_index.at(use.user);
@@ -273,20 +429,15 @@ AllocationResult allocate_ilp(const ir::Function& f, const vra::RangeMap& ranges
       const ilp::VarId za = z[static_cast<std::size_t>(ra)][static_cast<std::size_t>(ti)];
       const ilp::VarId zb = z[static_cast<std::size_t>(rb)][static_cast<std::size_t>(ti)];
       if (za < 0 || zb < 0) continue;
-      const double t = priced_cast("fix", "fix");
       const ilp::VarId y1 = model.add_continuous("yfix1", 0.0, 1.0);
       const ilp::VarId y2 = model.add_continuous("yfix2", 0.0, 1.0);
       model.add_le(ilp::LinearExpr().add(za, 1.0).add(zb, -1.0).add(y1, -kBigM), 0.0);
       model.add_le(ilp::LinearExpr().add(zb, 1.0).add(za, -1.0).add(y2, -kBigM), 0.0);
-      fix_cost.add(y1, t);
-      fix_cost.add(y2, t);
-      fix_max += 2.0 * t;
+      s.shifts.push_back({y1, y2, price("cast_fix", "fix")});
     }
   }
 
   // ---- Err: total IEBW (maximized). ----
-  ilp::LinearExpr err;
-  double err_max = 0.0;
   for (std::size_t r = 0; r < classes.registers.size(); ++r) {
     const ir::Value* v = classes.registers[r];
     const int u = unit_of(v);
@@ -300,7 +451,7 @@ AllocationResult allocate_ilp(const ir::Function& f, const vra::RangeMap& ranges
       if (fmt.is_fixed()) {
         const ilp::VarId zv = z[r][static_cast<std::size_t>(ti)];
         if (zv >= 0) {
-          err.add(zv, 1.0);
+          s.err.add(zv, 1.0);
           best = std::max(best, model.variables()[static_cast<std::size_t>(zv)].upper);
         }
       } else {
@@ -310,96 +461,30 @@ AllocationResult allocate_ilp(const ir::Function& f, const vra::RangeMap& ranges
         // approach zero — and what reproduces the paper's Balanced
         // behaviour (Table V: mostly binary64 at W1 = W2).
         const double iebw = static_cast<double>(numrep::iebw_of_range_best_case(
-            fmt, range.lo, range.hi, 0, config.err_zero_floor));
-        err.add(xv, iebw);
+            fmt, range.lo, range.hi, 0, s.err_zero_floor));
+        s.err.add(xv, iebw);
         best = std::max(best, std::abs(iebw));
       }
     }
-    err_max += best;
+    s.err_max += best;
   }
+  span.end();
+  return s;
+}
 
-  // ---- Objective: min W1 (Ex^ + C^ + Cfix^) - W2 Err^. ----
-  const double exn = config.w1 / std::max(ex_max, 1.0);
-  const double cn = config.w1 / std::max(cast_max, 1.0);
-  const double fn = config.w1 / std::max(fix_max, 1.0);
-  const double en = config.w2 / std::max(err_max, 1.0);
-  ilp::LinearExpr objective;
-  for (const auto& [var, coeff] : ex.terms()) objective.add(var, exn * coeff);
-  for (const auto& [var, coeff] : cast_cost.terms()) objective.add(var, cn * coeff);
-  for (const auto& [var, coeff] : fix_cost.terms()) objective.add(var, fn * coeff);
-  for (const auto& [var, coeff] : err.terms()) objective.add(var, -en * coeff);
-  model.set_objective(ilp::Direction::Minimize, std::move(objective));
-  build_span.end();
+AllocationResult allocate_ilp(const IlpStructure& structure,
+                              const platform::OpTimeTable& table,
+                              const TuningConfig& config) {
+  return price_and_solve(structure, nullptr, table, config);
+}
 
-  out.stats.model_variables = model.num_variables();
-  out.stats.model_constraints = model.num_constraints();
-
-  // ---- Solve (result-cache probe, then branch & bound on a miss). ----
-  obs::TraceSpan solve_span(
-      "ilp.solve", "ilp",
-      [&] {
-        return obs::Args()
-            .num("variables", model.num_variables())
-            .num("constraints", model.constraints().size())
-            .boolean("cached", config.solver.cache != nullptr)
-            .done();
-      },
-      obs::TimeSink{&out.stats.solve_seconds});
-  const ilp::Solution solution = ilp::solve_milp(model, config.solver);
-  solve_span.end();
-  out.stats.status = solution.status;
-  out.stats.nodes = solution.nodes;
-  out.stats.iterations = solution.iterations;
-  out.stats.objective = solution.objective;
-
-  const bool have_solution = solution.status == ilp::SolveStatus::Optimal ||
-                             (solution.status == ilp::SolveStatus::NodeLimit &&
-                              !solution.values.empty());
-
-  // ---- Extract the assignment. ----
-  std::vector<int> chosen(static_cast<std::size_t>(num_units), -1);
-  for (int u = 0; u < num_units; ++u) {
-    if (have_solution) {
-      for (int ti = 0; ti < ntypes; ++ti) {
-        const ilp::VarId xv =
-            x[static_cast<std::size_t>(u)][static_cast<std::size_t>(ti)];
-        if (xv >= 0 && solution.value(xv) > 0.5)
-          chosen[static_cast<std::size_t>(u)] = ti;
-      }
-    }
-    if (chosen[static_cast<std::size_t>(u)] < 0) {
-      // Defensive fallback: binary64 (or the last feasible type).
-      for (int ti = 0; ti < ntypes; ++ti)
-        if (unit_feasible(u, ti) &&
-            (chosen[static_cast<std::size_t>(u)] < 0 ||
-             types[static_cast<std::size_t>(ti)] == numrep::kBinary64))
-          chosen[static_cast<std::size_t>(u)] = ti;
-    }
-  }
-
-  for (std::size_t r = 0; r < classes.registers.size(); ++r) {
-    const ir::Value* v = classes.registers[r];
-    const int ti = chosen[static_cast<std::size_t>(unit_of(v))];
-    const NumericFormat& fmt = types[static_cast<std::size_t>(ti)];
-    ConcreteType ct{fmt, 0};
-    if (fmt.is_fixed()) {
-      const ilp::VarId zv = z[r][static_cast<std::size_t>(ti)];
-      int frac = 0;
-      if (zv >= 0 && have_solution)
-        frac = static_cast<int>(std::floor(solution.value(zv) + 1e-6));
-      else if (zv >= 0)
-        frac = static_cast<int>(model.variables()[static_cast<std::size_t>(zv)].upper);
-      ct.frac_bits = std::clamp(frac, 0, fmt.width() - 1);
-    }
-    out.assignment.set(v, ct);
-  }
-
-  // ---- Instruction mix (Table V metric). ----
-  for (const auto& bb : f.blocks())
-    for (const auto& inst : bb->instructions())
-      if (inst->is_tunable_arithmetic())
-        ++out.stats.instruction_mix[cost_class(out.assignment.of(inst.get()))];
-
+AllocationResult allocate_ilp(const ir::Function& f, const vra::RangeMap& ranges,
+                              const platform::OpTimeTable& table,
+                              const TuningConfig& config) {
+  IlpStructure structure = build_ilp_structure(f, ranges, config);
+  AllocationResult out =
+      price_and_solve(structure, &structure.model, table, config);
+  out.stats.model_build_seconds += structure.build_seconds;
   return out;
 }
 

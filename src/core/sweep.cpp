@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -47,20 +48,24 @@ double kernel_mpe(const std::vector<std::string>& outputs,
   return mean_percentage_error(ref, out);
 }
 
-/// A kernel's IR parsed from its rendered text, and the value ranges of
-/// that Function. Read-only once built: every ILP job of the kernel tunes
-/// on it (allocate_ilp, assignment_to_text and the engines take a const
-/// Function), so one analysis serves them all.
+/// A kernel's IR parsed from its rendered text, the value ranges of that
+/// Function, and its ILP structure per distinct candidate set. Read-only
+/// once built: every ILP job of the kernel prices one of the structures
+/// (allocate_ilp, assignment_to_text and the engines take const inputs),
+/// so one analysis serves them all.
 struct KernelAnalysis {
   ir::Module module;
   const ir::Function* function = nullptr;
   vra::RangeMap ranges;
   double vra_seconds = 0.0;
+  /// One per entry of the sweep's structure inputs, in their order.
+  std::vector<IlpStructure> structures;
 };
 
-KernelAnalysis analyze_kernel(const std::string& name,
-                              const std::string& ir_text,
-                              const vra::VraOptions& vra_options) {
+KernelAnalysis
+analyze_kernel(const std::string& name, const std::string& ir_text,
+               const vra::VraOptions& vra_options,
+               const std::vector<TuningConfig>& structure_inputs) {
   obs::TraceSpan span("sweep.analyze_kernel", "sweep", [&] {
     return obs::Args().str("kernel", name).done();
   });
@@ -77,6 +82,8 @@ KernelAnalysis analyze_kernel(const std::string& name,
   }
   obs::metrics().counter("vra.fixpoint_passes").inc(vra_stats.passes);
   obs::metrics().counter("vra.widenings").inc(vra_stats.widenings);
+  for (const TuningConfig& inputs : structure_inputs)
+    a.structures.push_back(build_ilp_structure(*a.function, a.ranges, inputs));
   return a;
 }
 
@@ -104,6 +111,7 @@ struct KernelContext {
 };
 
 void prepare_kernel(KernelContext& ctx, const SweepOptions& opt,
+                    const std::vector<TuningConfig>& structure_inputs,
                     const interp::ExecutionEngine& engine) {
   ir::Module module;
   polybench::BuiltKernel kernel =
@@ -123,7 +131,8 @@ void prepare_kernel(KernelContext& ctx, const SweepOptions& opt,
   }
   polybench::annotate_from_run(kernel, ctx.base);
   ctx.ir_text = ir::print_function(*kernel.function);
-  ctx.analysis = analyze_kernel(ctx.name, ctx.ir_text, opt.vra);
+  ctx.analysis =
+      analyze_kernel(ctx.name, ctx.ir_text, opt.vra, structure_inputs);
 
   if (opt.include_taffo) {
     AllocationResult taffo;
@@ -159,14 +168,16 @@ void fold_error_profile(const interp::ErrorProfile& ep, SweepJobResult& out) {
   for (const interp::ErrorCell& c : ep.moves) fold(c);
 }
 
-/// Tunes one (kernel, config, platform) job on its kernel's shared
-/// analysis; `out.timings.vra_seconds` holds the part of the kernel's VRA
-/// time this job is charged. Execution happens later, once per distinct
+/// Tunes one (kernel, config, platform) job by pricing its kernel's
+/// structure for `preset`; `out.timings.vra_seconds` holds the part of the
+/// kernel's VRA time this job is charged, and `structure_share` is its part
+/// of the structure's build. Execution happens later, once per distinct
 /// assignment.
-void run_ilp_job(const KernelAnalysis& kernel,
-                 const platform::OpTimeTable& table, const SweepOptions& opt,
-                 ilp::SolverCache* cache, SweepJobResult& out) {
-  TuningConfig config = *preset_by_name(out.config); // validated by run_sweep
+void run_ilp_job(const IlpStructure& structure, double structure_share,
+                 const platform::OpTimeTable& table, const TuningConfig& preset,
+                 const SweepOptions& opt, ilp::SolverCache* cache,
+                 SweepJobResult& out) {
+  TuningConfig config = preset;
   config.solver.max_nodes = opt.solver_max_nodes;
   config.solver.cache = cache;
   // Neighboring presets (same kernel/platform structure, different
@@ -179,15 +190,17 @@ void run_ilp_job(const KernelAnalysis& kernel,
   {
     obs::TraceSpan span("sweep.allocate", "sweep",
                         obs::TimeSink{&out.timings.allocation_seconds});
-    allocation = allocate_ilp(*kernel.function, kernel.ranges, table, config);
+    allocation = allocate_ilp(structure, table, config);
   }
-  out.timings.model_build_seconds = allocation.stats.model_build_seconds;
+  out.timings.allocation_seconds += structure_share;
+  out.timings.model_build_seconds =
+      allocation.stats.model_build_seconds + structure_share;
   out.timings.solve_seconds = allocation.stats.solve_seconds;
   out.timings.total_seconds =
       out.timings.vra_seconds + out.timings.allocation_seconds;
   out.stats = allocation.stats;
   out.assignment_text =
-      assignment_to_text(*kernel.function, allocation.assignment);
+      assignment_to_text(*structure.function, allocation.assignment);
   out.ok = true;
 }
 
@@ -237,6 +250,26 @@ SweepResult run_sweep(const SweepOptions& options) {
   for (const std::string& p : platforms)
     tables.push_back(platform::platform_by_name(p));
 
+  // One ILP structure per distinct candidate set among the presets: every
+  // kernel analysis builds them, and each job only prices its preset's.
+  std::vector<TuningConfig> presets;
+  std::vector<TuningConfig> structure_inputs;
+  std::vector<std::size_t> structure_of;   // per preset
+  std::vector<std::size_t> structure_rows; // ILP rows per structure
+  for (const std::string& name : configs) {
+    const TuningConfig& preset = presets.emplace_back(*preset_by_name(name));
+    const auto it = std::find_if(
+        structure_inputs.begin(), structure_inputs.end(),
+        [&](const TuningConfig& s) { return same_ilp_structure(s, preset); });
+    structure_of.push_back(
+        static_cast<std::size_t>(it - structure_inputs.begin()));
+    if (it == structure_inputs.end()) {
+      structure_inputs.push_back(preset);
+      structure_rows.push_back(0);
+    }
+    structure_rows[structure_of.back()] += platforms.size();
+  }
+
   int threads = options.threads;
   if (threads <= 0)
     threads = std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
@@ -247,8 +280,8 @@ SweepResult run_sweep(const SweepOptions& options) {
       interp::make_engine(*interp::parse_engine(options.engine));
 
   // Phase 1: per-kernel setup (build, the binary64 run that annotates it,
-  // IR rendering, the shared parse + VRA, the TAFFO allocation), parallel
-  // over kernels.
+  // IR rendering, the shared parse + VRA + ILP structures, the TAFFO
+  // allocation), parallel over kernels.
   const LogLevel progress_level =
       options.verbose ? LogLevel::Info : LogLevel::Debug;
   std::vector<KernelContext> contexts(kernels.size());
@@ -261,17 +294,22 @@ SweepResult run_sweep(const SweepOptions& options) {
       obs::TraceSpan span("sweep.prepare_kernel", "sweep", [&] {
         return obs::Args().str("kernel", contexts[i].name).done();
       });
-      prepare_kernel(contexts[i], options, *engine);
+      prepare_kernel(contexts[i], options, structure_inputs, *engine);
       LUIS_LOG(progress_level, "[sweep] " + contexts[i].name + " prepared");
     });
   }
 
   // Job slots in their fixed kernel-major order. Every row of a kernel is
-  // charged an equal share of its one VRA run, and a TAFFO row also
-  // 1/|platforms| of its kernel's one greedy allocation.
+  // charged an equal share of its one VRA run, an ILP row also an equal
+  // share of its structure's build (charged when the job runs), and a
+  // TAFFO row 1/|platforms| of its kernel's one greedy allocation.
   const std::size_t rows_per_kernel =
       platforms.size() * (configs.size() + (options.include_taffo ? 1 : 0));
-  std::vector<std::size_t> ilp_jobs; // indices into result.jobs
+  struct IlpJob {
+    std::size_t row;    ///< index into result.jobs
+    std::size_t preset; ///< index into presets
+  };
+  std::vector<IlpJob> ilp_jobs;
   std::vector<std::vector<std::size_t>> kernel_rows(kernels.size());
   std::vector<std::size_t> kernel_of; // parallel to result.jobs
   std::vector<const platform::OpTimeTable*> table_of;
@@ -292,9 +330,9 @@ SweepResult run_sweep(const SweepOptions& options) {
             ctx.analysis.vra_seconds / static_cast<double>(rows_per_kernel);
         return job;
       };
-      for (const std::string& config : configs) {
-        ilp_jobs.push_back(result.jobs.size());
-        add_row(config);
+      for (std::size_t p = 0; p < configs.size(); ++p) {
+        ilp_jobs.push_back({result.jobs.size(), p});
+        add_row(configs[p]);
       }
       if (!options.include_taffo) continue;
       SweepJobResult& job = add_row("TAFFO");
@@ -311,16 +349,20 @@ SweepResult run_sweep(const SweepOptions& options) {
   }
 
   // Phase 2: the ILP jobs, parallel over (kernel x platform x config),
-  // each on its kernel's shared analysis. Jobs only tune here; the
-  // interpretation runs in the phase below.
+  // each pricing its kernel's shared structure. Jobs only tune here; the
+  // interpretation runs in the phase below. A kernel's last job to finish
+  // releases its structures, so they do not all stay resident.
   {
     obs::TraceSpan phase("sweep.jobs", "sweep", [&] {
       return obs::Args().num("jobs", ilp_jobs.size()).done();
     });
+    std::vector<std::atomic<int>> jobs_left(kernels.size());
+    for (std::atomic<int>& left : jobs_left)
+      left = static_cast<int>(platforms.size() * configs.size());
     support::parallel_for(ilp_jobs.size(), threads, [&](std::size_t i) {
-      const std::size_t j = ilp_jobs[i];
+      const auto [j, p] = ilp_jobs[i];
       SweepJobResult& job = result.jobs[j];
-      const KernelContext& ctx = contexts[kernel_of[j]];
+      KernelContext& ctx = contexts[kernel_of[j]];
       if (!ctx.ok) return; // the row already carries the kernel's error
       obs::TraceSpan span("sweep.job", "sweep", [&] {
         return obs::Args()
@@ -329,7 +371,13 @@ SweepResult run_sweep(const SweepOptions& options) {
             .str("platform", job.platform)
             .done();
       });
-      run_ilp_job(ctx.analysis, *table_of[j], options, cache_ptr, job);
+      const std::size_t si = structure_of[p];
+      const IlpStructure& structure = ctx.analysis.structures[si];
+      run_ilp_job(structure,
+                  structure.build_seconds /
+                      static_cast<double>(structure_rows[si]),
+                  *table_of[j], presets[p], options, cache_ptr, job);
+      if (--jobs_left[kernel_of[j]] == 0) ctx.analysis.structures = {};
       LUIS_LOG(progress_level, "[sweep] " + job.kernel + "/" + job.config +
                                    "/" + job.platform +
                                    (job.ok ? " ok" : " FAILED"));
@@ -440,21 +488,22 @@ SweepResult run_sweep(const SweepOptions& options) {
   }
 
   // Determinism check: serially re-tune every ILP job and compare. Each
-  // kernel's parse and ranges are re-derived from its IR text once, then
-  // every job's model is rebuilt and re-solved; the re-solves hit the
-  // shared cache (same canonical model) and skip branch & bound. The
-  // check is what proves a parallel sweep computed exactly what the
+  // kernel's parse, ranges and structures are re-derived from its IR text
+  // once, then every job's model is re-priced and re-solved; the re-solves
+  // hit the shared cache (same canonical model) and skip branch & bound.
+  // The check is what proves a parallel sweep computed exactly what the
   // serial path would have.
   if (options.check_determinism) {
     obs::TraceSpan phase("sweep.determinism_check", "sweep");
     int mismatches = 0;
     KernelAnalysis redo_kernel;
     std::size_t redo_of = kernels.size(); // the kernel redo_kernel holds
-    for (const std::size_t j : ilp_jobs) {
+    for (const auto& [j, p] : ilp_jobs) {
       const KernelContext& ctx = contexts[kernel_of[j]];
       if (!ctx.ok) continue;
       if (kernel_of[j] != redo_of) { // ilp_jobs is kernel-major
-        redo_kernel = analyze_kernel(ctx.name, ctx.ir_text, options.vra);
+        redo_kernel = analyze_kernel(ctx.name, ctx.ir_text, options.vra,
+                                     structure_inputs);
         redo_of = kernel_of[j];
       }
       const SweepJobResult& job = result.jobs[j];
@@ -462,7 +511,8 @@ SweepResult run_sweep(const SweepOptions& options) {
       redo.kernel = job.kernel;
       redo.config = job.config;
       redo.platform = job.platform;
-      run_ilp_job(redo_kernel, *table_of[j], options, cache_ptr, redo);
+      run_ilp_job(redo_kernel.structures[structure_of[p]], 0.0, *table_of[j],
+                  presets[p], options, cache_ptr, redo);
       const bool same = redo.assignment_text == job.assignment_text &&
                         redo.stats.objective == job.stats.objective &&
                         redo.stats.status == job.stats.status;

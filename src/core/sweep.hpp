@@ -5,30 +5,33 @@
 // unannotated and run once in binary64 with array-range tracking: that
 // run annotates the kernel, and its outputs and counters are the
 // reference of every row. The annotated kernel is rendered to text,
-// parsed into one Function, and range-analyzed once; every ILP job of the
-// kernel tunes on that Function and RangeMap, and the TAFFO greedy
-// allocation is made once on them. The execution phase then runs each
+// parsed into one Function, and range-analyzed once, and its ILP
+// structure is built once per distinct candidate set among the presets
+// (core::build_ilp_structure). Every ILP job of the kernel only prices
+// its preset's structure for its platform, and the TAFFO greedy
+// allocation is made once on the same analysis. A kernel's structures are
+// released after its last ILP job. The execution phase then runs each
 // kernel's distinct row assignments once, ILP and TAFFO alike; the
 // all-binary64 assignment is served by the reference run.
 //
 // Isolation model. Sharing a kernel's analysis is safe because the sweep
 // runs only the read-only stages of the pipeline (no IR cleanup, no cast
-// materialization, no lint): allocate_ilp, allocate_greedy,
-// assignment_to_text and the engines all take a const Function. The only
-// mutable shared state is the solver result cache, internally locked; by
-// construction of its keys it cannot change what any job computes (see
-// ilp/solver_cache.hpp).
+// materialization, no lint): allocate_ilp only reads its structure, and
+// allocate_greedy, assignment_to_text and the engines take a const
+// Function. The only mutable shared state is the solver result cache,
+// internally locked; by construction of its keys it cannot change what any
+// job computes (see ilp/solver_cache.hpp).
 //
 // Determinism. Job results are written into a preallocated slot vector in
 // a fixed (kernel-major) order, so the output is identical no matter which
 // thread runs which job. With `check_determinism` the driver re-runs
 // every ILP job's tuning serially after the parallel phase and compares
 // status, objective bits, and the serialized assignment. The re-check
-// re-derives each kernel's parse and ranges from its IR text once, then
-// rebuilds and re-keys every job's model; the re-solves hit the solver
-// cache and skip branch & bound (cost: docs/SWEEP.md). It is also the
-// sweep's organic source of cache hits, since the grid's 360 models are
-// pairwise distinct.
+// re-derives each kernel's parse, ranges and structures from its IR text
+// once, then re-prices and re-keys every job's model; the re-solves hit
+// the solver cache and skip branch & bound (cost: docs/SWEEP.md). It is
+// also the sweep's organic source of cache hits, since the grid's 360
+// models are pairwise distinct.
 #pragma once
 
 #include <string>
@@ -50,7 +53,7 @@ struct SweepOptions {
   /// Worker threads; 0 = hardware concurrency, 1 = serial reference path.
   int threads = 0;
   /// Share one solver result cache across all jobs (off = jobs share only
-  /// read-only inputs: their kernel's parsed IR and ranges).
+  /// read-only inputs: their kernel's parsed IR, ranges and structures).
   bool use_cache = true;
   /// Execution engine for every interpretation in the sweep: "vm" (the
   /// bytecode engine, default) or "ref" (the tree-walking reference).

@@ -1,8 +1,10 @@
 #include "frontend/lexer.hpp"
 
 #include <cctype>
-#include <cstdlib>
 #include <map>
+#include <optional>
+
+#include "support/string_utils.hpp"
 
 namespace luis::frontend {
 
@@ -129,10 +131,21 @@ std::vector<Token> tokenize(std::string_view source) {
       t.text = text;
       t.line = line;
       t.column = column;
-      if (is_real)
-        t.real_value = std::strtod(text.c_str(), nullptr);
-      else
-        t.int_value = std::atoll(text.c_str());
+      // Read whole: an exponent without digits leaves junk behind, and a
+      // value beyond double or int64 is out of range.
+      bool read = false;
+      if (is_real) {
+        const std::optional<double> value = parse_number<double>(text);
+        if ((read = value.has_value())) t.real_value = *value;
+      } else {
+        const std::optional<std::int64_t> value =
+            parse_number<std::int64_t>(text);
+        if ((read = value.has_value())) t.int_value = *value;
+      }
+      if (!read) {
+        error("malformed or out-of-range number '" + text + "'");
+        return out;
+      }
       out.push_back(std::move(t));
       column += static_cast<int>(text.size());
       continue;

@@ -1,16 +1,24 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <tuple>
+#include <vector>
 
+#include "core/assignment_io.hpp"
 #include "core/cast_materializer.hpp"
 #include "numrep/iebw.hpp"
 #include "core/pipeline.hpp"
 #include "core/type_classes.hpp"
 #include "ir/kernel_builder.hpp"
+#include "ir/parser.hpp"
+#include "ir/printer.hpp"
 #include "ir/verifier.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "platform/cost_model.hpp"
+#include "polybench/polybench.hpp"
 #include "span_seconds.hpp"
 #include "support/rng.hpp"
 #include "support/statistics.hpp"
@@ -180,6 +188,70 @@ TEST(IlpAllocator, HugeRangesExcludeNarrowFixed) {
       if (inst->is_tunable_arithmetic()) {
         EXPECT_TRUE(r.assignment.of(inst.get()).format.is_float());
       }
+}
+
+TEST(IlpStructure, PricingMatchesTheOneShotBuild) {
+  // The structure depends only on the kernel, its ranges and the candidate
+  // set. One structure priced for every platform and preset, in reverse
+  // grid order, must give what the one-shot allocate_ilp gives on a fresh
+  // parse and VRA of the kernel, down to the objective bits and the
+  // solver's work. Pricing only reads the structure: the job priced first
+  // prices the same again after all the others.
+  using Outcome = std::tuple<std::string, std::uint64_t, ilp::SolveStatus,
+                             long, long, std::size_t, std::size_t>;
+  const auto outcome = [](const ir::Function& f, const AllocationResult& r) {
+    return Outcome{assignment_to_text(f, r.assignment),
+                   std::bit_cast<std::uint64_t>(r.stats.objective),
+                   r.stats.status,
+                   r.stats.nodes,
+                   r.stats.iterations,
+                   r.stats.model_variables,
+                   r.stats.model_constraints};
+  };
+  std::vector<std::pair<const platform::OpTimeTable*, TuningConfig>> jobs;
+  for (const platform::OpTimeTable* table :
+       {&platform::stm32_table(), &platform::raspberry_table(),
+        &platform::intel_table(), &platform::amd_table()})
+    for (const TuningConfig& preset :
+         {TuningConfig::precise(), TuningConfig::balanced(),
+          TuningConfig::fast()})
+      jobs.emplace_back(table, preset);
+  EXPECT_FALSE(same_ilp_structure(TuningConfig::balanced(),
+                                  TuningConfig::multi()));
+
+  for (const char* kernel : {"trisolv", "atax", "gemm"}) {
+    SCOPED_TRACE(kernel);
+    ir::Module built_module;
+    const std::string ir_text = ir::print_function(
+        *polybench::build_kernel(kernel, built_module).function);
+    ir::Module module;
+    const ir::ParseResult parsed = ir::parse_function(module, ir_text);
+    ASSERT_TRUE(parsed.ok()) << parsed.error;
+    const vra::RangeMap ranges = vra::analyze_ranges(*parsed.function);
+    const IlpStructure structure =
+        build_ilp_structure(*parsed.function, ranges, TuningConfig::balanced());
+
+    std::vector<Outcome> priced;
+    for (auto job = jobs.rbegin(); job != jobs.rend(); ++job) {
+      const auto& [table, preset] = *job;
+      SCOPED_TRACE(table->machine() + "/" + preset.name);
+      ASSERT_TRUE(same_ilp_structure(preset, TuningConfig::balanced()));
+      ir::Module fresh_module;
+      const ir::ParseResult fresh = ir::parse_function(fresh_module, ir_text);
+      ASSERT_TRUE(fresh.ok()) << fresh.error;
+      const AllocationResult one_shot =
+          allocate_ilp(*fresh.function, vra::analyze_ranges(*fresh.function),
+                       *table, preset);
+      priced.push_back(outcome(*parsed.function,
+                               allocate_ilp(structure, *table, preset)));
+      EXPECT_EQ(priced.back(), outcome(*fresh.function, one_shot));
+      EXPECT_EQ(std::get<2>(priced.back()), ilp::SolveStatus::Optimal);
+    }
+    EXPECT_EQ(outcome(*parsed.function,
+                      allocate_ilp(structure, *jobs.back().first,
+                                   jobs.back().second)),
+              priced.front());
+  }
 }
 
 TEST(GreedyAllocator, PrivilegesFixedPoint) {
@@ -407,7 +479,6 @@ TEST(Pipeline, StageTimingsAreTheirSpans) {
        {std::pair{t.ir_seconds, "pipeline.ir_passes"},
         std::pair{t.vra_seconds, "pipeline.vra"},
         std::pair{t.allocation_seconds, "pipeline.allocate"},
-        std::pair{t.model_build_seconds, "ilp.build_model"},
         std::pair{t.solve_seconds, "ilp.solve"},
         std::pair{t.materialize_seconds, "pipeline.materialize_casts"},
         std::pair{t.error_seconds, "analysis.error_bounds"},
@@ -417,6 +488,13 @@ TEST(Pipeline, StageTimingsAreTheirSpans) {
     EXPECT_GT(seconds, 0.0) << name;
     EXPECT_NEAR(seconds, spans({name}), 1e-9) << name;
   }
+  // allocate_ilp builds its one structure, then prices it: the model build
+  // is both intervals.
+  EXPECT_EQ(spans.count("ilp.build_structure"), 1);
+  EXPECT_EQ(spans.count("ilp.build_model"), 1);
+  EXPECT_GT(t.model_build_seconds, 0.0);
+  EXPECT_NEAR(t.model_build_seconds,
+              spans({"ilp.build_structure", "ilp.build_model"}), 1e-9);
   EXPECT_NEAR(tune_hist.snapshot().sum - hist_before, t.total_seconds, 1e-9);
 }
 

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <utility>
 
 #include "frontend/lexer.hpp"
 #include "frontend/parser.hpp"
@@ -47,6 +50,44 @@ TEST(Lexer, ReportsErrorsWithPosition) {
   ASSERT_FALSE(tokens.empty());
   EXPECT_EQ(tokens.back().kind, TokenKind::Error);
   EXPECT_EQ(tokens.back().line, 2);
+}
+
+TEST(Lexer, ReadsNumbersWholeAndInRange) {
+  // An exponent without digits leaves junk after the number, and a value
+  // beyond double or int64 is out of range: each is an error at the
+  // literal's line and column, not 1.0, 2.5, inf or a clamped index.
+  for (const auto& [source, column] :
+       {std::pair{"x = 1e;", 5}, std::pair{"x = 2.5e+;", 5},
+        std::pair{"x = 1e999;", 5}, std::pair{"A[99999999999999999999]", 3},
+        std::pair{"A[9223372036854775808]", 3}}) {
+    SCOPED_TRACE(source);
+    const auto tokens = tokenize(std::string("kernel k {\n") + source);
+    ASSERT_FALSE(tokens.empty());
+    EXPECT_EQ(tokens.back().kind, TokenKind::Error);
+    EXPECT_EQ(tokens.back().line, 2);
+    EXPECT_EQ(tokens.back().column, column);
+    EXPECT_NE(tokens.back().text.find("number"), std::string::npos)
+        << tokens.back().text;
+  }
+  // The edges of the ranges still read, exponent signs included.
+  const auto tokens =
+      tokenize("9223372036854775807 1e308 1.5e+3 2E-2 4.9e-324 007");
+  ASSERT_EQ(tokens.size(), 7u);
+  EXPECT_EQ(tokens[0].int_value, INT64_MAX);
+  EXPECT_EQ(tokens[1].real_value, 1e308);
+  EXPECT_EQ(tokens[2].real_value, 1500.0);
+  EXPECT_EQ(tokens[3].real_value, 0.02);
+  EXPECT_EQ(tokens[4].real_value, 4.9e-324);
+  EXPECT_EQ(tokens[5].int_value, 7);
+  EXPECT_EQ(tokens[6].kind, TokenKind::End);
+
+  // The compiler reports the lexer's position.
+  ir::Module m;
+  const CompileResult r =
+      compile_kernel(m, "kernel k {\n  array A[4];\n  A[0] = 1e999;\n}\n");
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.line, 3);
+  EXPECT_EQ(r.column, 10);
 }
 
 constexpr const char* kSaxpySource = R"(

@@ -1,7 +1,8 @@
 #!/bin/sh
-# Malformed IR and assignment text must be refused, not misread or crashed
-# on: every case below exits 1 with a diagnostic on stderr. An abort (134),
-# any other status, an empty stderr or a missing expected message fails.
+# Malformed IR, kernel-language and assignment text must be refused, not
+# misread or crashed on: every case below exits 1 with a diagnostic on
+# stderr. An abort (134), any other status, an empty stderr or a missing
+# expected message fails.
 #
 #   sh tests/hostile_inputs.sh path/to/luis
 #
@@ -111,5 +112,36 @@ expect_refusal "non-Real register %2xyz" apply hostile_base.ir hostile_junk_regi
 
 printf '%%3 fix32.7x\n' > hostile_junk_frac.types
 expect_refusal "bad type 'fix32.7x'" apply hostile_base.ir hostile_junk_frac.types
+
+# Kernel language: number literals are read whole and in range, and a bad
+# one is reported at its file:line:col.
+cat > hostile_base.lk <<'EOF'
+kernel k {
+  array a[4] range [0.0, 1.0];
+  scalar s range [0.0, 1.0];
+  s = 0.5;
+  a[0] = s;
+}
+EOF
+"$L" compile hostile_base.lk > /dev/null ||
+  { echo "hostile_base.lk does not compile"; failed=1; }
+
+# mutate_lk NAME SED-SCRIPT: hostile_NAME.lk is the base with one edit.
+mutate_lk() {
+  sed "$2" hostile_base.lk > "hostile_$1.lk"
+  cmp -s hostile_base.lk "hostile_$1.lk" && { echo "mutation $1 changed nothing"; failed=1; }
+}
+
+mutate_lk bare_exponent 's/s = 0.5;/s = 1e;/'
+expect_refusal "hostile_bare_exponent.lk:4:7: malformed or out-of-range number '1e'" compile hostile_bare_exponent.lk
+
+mutate_lk signed_bare_exponent 's/s = 0.5;/s = 2.5e+;/'
+expect_refusal "hostile_signed_bare_exponent.lk:4:7: malformed or out-of-range number '2.5e+'" compile hostile_signed_bare_exponent.lk
+
+mutate_lk huge_real 's/s = 0.5;/s = 1e999;/'
+expect_refusal "hostile_huge_real.lk:4:7: malformed or out-of-range number '1e999'" compile hostile_huge_real.lk
+
+mutate_lk huge_index 's/a\[0\] = s;/a[99999999999999999999] = s;/'
+expect_refusal "hostile_huge_index.lk:5:5: malformed or out-of-range number '99999999999999999999'" compile hostile_huge_index.lk
 
 exit $failed

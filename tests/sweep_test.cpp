@@ -331,9 +331,9 @@ TEST(Sweep, StageTimingsAggregateAndStayBounded) {
 TEST(Sweep, StageTotalsReconcileWithTrace) {
   // Every stage total is the summed interval of the spans that timed it
   // (docs/OBSERVABILITY.md, "Timing"), so each measured interval is charged
-  // exactly once: shared work (a kernel's VRA, its TAFFO allocation, a
-  // lane's run) is split into shares that add back up, and each kernel's
-  // binary64 run counts once, in the totals only.
+  // exactly once: shared work (a kernel's VRA, its ILP structure, its TAFFO
+  // allocation, a lane's run) is split into shares that add back up, and
+  // each kernel's binary64 run counts once, in the totals only.
   SweepOptions opt = small_grid();
   opt.threads = 2;
   ASSERT_TRUE(opt.include_taffo);
@@ -350,13 +350,16 @@ TEST(Sweep, StageTotalsReconcileWithTrace) {
   const StageTimings& t = r.stats.stage_totals;
   for (const auto& [seconds, span_total] :
        {std::pair{t.vra_seconds, spans({"sweep.vra"})},
-        std::pair{t.allocation_seconds, spans({"sweep.allocate"})},
-        std::pair{t.model_build_seconds, spans({"ilp.build_model"})},
+        std::pair{t.allocation_seconds,
+                  spans({"sweep.allocate", "ilp.build_structure"})},
+        std::pair{t.model_build_seconds,
+                  spans({"ilp.build_model", "ilp.build_structure"})},
         std::pair{t.solve_seconds, spans({"ilp.solve", "greedy.scan"})},
         std::pair{t.interp_compile_seconds, spans({"vm.compile"})},
         std::pair{t.interp_execute_seconds,
                   spans({"vm.execute", "ref.execute"})},
-        std::pair{t.total_seconds, spans({"sweep.vra", "sweep.allocate"})},
+        std::pair{t.total_seconds,
+                  spans({"sweep.vra", "sweep.allocate", "ilp.build_structure"})},
         std::pair{r.stats.wall_seconds, spans({"sweep.run"})}}) {
     EXPECT_GT(seconds, 0.0);
     EXPECT_NEAR(seconds, span_total, 1e-9);
@@ -369,9 +372,11 @@ TEST(Sweep, StageTotalsReconcileWithTrace) {
 }
 
 TEST(Sweep, SharedKernelAnalysisMatchesStandaloneTune) {
-  // Every ILP job of a kernel tunes on one shared parse and RangeMap. Each
-  // job must equal the standalone pipeline — tune_kernel on a fresh parse
-  // of the kernel's printed IR, without a cache — in its assignment text,
+  // Every ILP job of a kernel prices one shared structure, built on one
+  // shared parse and RangeMap; with Multi beside the paper's presets a
+  // kernel carries two structures (two candidate sets). Each job must
+  // equal the standalone pipeline — tune_kernel on a fresh parse of the
+  // kernel's printed IR, without a cache — in its assignment text,
   // objective bits, status and node count, at any thread count, cache on
   // or off.
   struct Standalone {
@@ -380,7 +385,8 @@ TEST(Sweep, SharedKernelAnalysisMatchesStandaloneTune) {
     ilp::SolveStatus status;
     long nodes;
   };
-  const SweepOptions grid = small_grid();
+  SweepOptions grid = small_grid();
+  grid.configs.push_back("Multi");
   std::map<std::string, Standalone> want; // by kernel/config/platform
   for (const std::string& kernel : grid.kernels) {
     ir::Module built_module;
@@ -392,8 +398,9 @@ TEST(Sweep, SharedKernelAnalysisMatchesStandaloneTune) {
         ir::Module module;
         const ir::ParseResult parsed = ir::parse_function(module, ir_text);
         ASSERT_TRUE(parsed.ok()) << parsed.error;
-        TuningConfig config = config_name == "Fast" ? TuningConfig::fast()
-                                                    : TuningConfig::precise();
+        TuningConfig config = config_name == "Fast"    ? TuningConfig::fast()
+                              : config_name == "Multi" ? TuningConfig::multi()
+                                                       : TuningConfig::precise();
         config.solver.max_nodes = grid.solver_max_nodes;
         const PipelineResult tuned = tune_kernel(
             *parsed.function, *platform::platform_by_name(platform), config);
