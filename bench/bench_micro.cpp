@@ -144,14 +144,14 @@ void BM_SimplexKnapsackLp(benchmark::State& state) {
   ilp::Model m;
   ilp::LinearExpr wsum, vsum;
   for (int i = 0; i < n; ++i) {
-    const ilp::VarId x = m.add_continuous("x" + std::to_string(i), 0.0, 1.0);
+    const ilp::VarId x = m.add_continuous(0.0, 1.0);
     wsum.add(x, static_cast<double>(rng.next_int(1, 20)));
     vsum.add(x, static_cast<double>(rng.next_int(1, 30)));
   }
   m.add_le(std::move(wsum), 5.0 * n);
-  m.set_objective(ilp::Direction::Maximize, std::move(vsum));
+  const ilp::Objective objective(ilp::Direction::Maximize, std::move(vsum));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ilp::solve_lp(m));
+    benchmark::DoNotOptimize(ilp::solve_lp(m, objective));
   }
 }
 BENCHMARK(BM_SimplexKnapsackLp)->Arg(16)->Arg(64)->Arg(256);
@@ -162,14 +162,14 @@ void BM_BranchAndBoundKnapsack(benchmark::State& state) {
   ilp::Model m;
   ilp::LinearExpr wsum, vsum;
   for (int i = 0; i < n; ++i) {
-    const ilp::VarId x = m.add_binary("x" + std::to_string(i));
+    const ilp::VarId x = m.add_binary();
     wsum.add(x, static_cast<double>(rng.next_int(1, 20)));
     vsum.add(x, static_cast<double>(rng.next_int(1, 30)));
   }
   m.add_le(std::move(wsum), 5.0 * n);
-  m.set_objective(ilp::Direction::Maximize, std::move(vsum));
+  const ilp::Objective objective(ilp::Direction::Maximize, std::move(vsum));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ilp::solve_milp(m));
+    benchmark::DoNotOptimize(ilp::solve_milp(m, objective));
   }
 }
 BENCHMARK(BM_BranchAndBoundKnapsack)->Arg(12)->Arg(24);

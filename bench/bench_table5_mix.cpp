@@ -18,7 +18,7 @@ int main() {
               "benchmarks ===\n\n");
   std::printf("%-10s %12s %12s %12s\n", "", "Fixed Point", "binary32",
               "binary64");
-  for (const std::string& config : {"Precise", "Balanced", "Fast"}) {
+  for (const std::string config : {"Precise", "Balanced", "Fast"}) {
     double fix = 0, f32 = 0, f64 = 0;
     for (const KernelResult& kr : grid) {
       const auto& mix = kr.cells.at("Stm32").at(config).stats.instruction_mix;

@@ -9,6 +9,7 @@
 // mix, and the Speedup / MPE metrics of the tuned kernel.
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "core/cast_materializer.hpp"
@@ -36,18 +37,14 @@ int main(int argc, char** argv) {
                  platform_name.c_str());
     return 1;
   }
-  core::TuningConfig config;
-  if (config_name == "Fast")
-    config = core::TuningConfig::fast();
-  else if (config_name == "Balanced")
-    config = core::TuningConfig::balanced();
-  else if (config_name == "Precise")
-    config = core::TuningConfig::precise();
-  else {
-    std::fprintf(stderr, "unknown config '%s' (Fast/Balanced/Precise)\n",
+  const std::optional<core::TuningConfig> preset =
+      core::preset_by_name(config_name);
+  if (!preset) {
+    std::fprintf(stderr, "unknown config '%s' (Precise/Balanced/Fast/Multi)\n",
                  config_name.c_str());
     return 1;
   }
+  const core::TuningConfig& config = *preset;
 
   ir::Module module;
   polybench::BuiltKernel kernel = polybench::build_kernel(kernel_name, module);

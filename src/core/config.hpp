@@ -2,7 +2,9 @@
 // of the cost function (Section IV-B, Table III).
 #pragma once
 
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ilp/branch_and_bound.hpp"
@@ -89,5 +91,14 @@ struct TuningConfig {
     return c;
   }
 };
+
+/// The Table III preset called `name`: Precise, Balanced, Fast or Multi.
+inline std::optional<TuningConfig> preset_by_name(std::string_view name) {
+  if (name == "Precise") return TuningConfig::precise();
+  if (name == "Balanced") return TuningConfig::balanced();
+  if (name == "Fast") return TuningConfig::fast();
+  if (name == "Multi") return TuningConfig::multi();
+  return std::nullopt;
+}
 
 } // namespace luis::core

@@ -65,12 +65,16 @@ double price_of(const std::pair<std::string, std::string>& key,
              : platform::op_energy(table, key.first, key.second, config.power);
 }
 
-/// Prices and solves `s`. The priced model starts from `*rows` when given
-/// (a single-use structure's own model, taken over rather than copied) and
-/// from a copy of `s.model` otherwise.
-AllocationResult price_and_solve(const IlpStructure& s, ilp::Model* rows,
-                                 const platform::OpTimeTable& table,
-                                 const TuningConfig& config) {
+} // namespace
+
+bool same_ilp_structure(const TuningConfig& a, const TuningConfig& b) {
+  return a.types == b.types && a.literal_model == b.literal_model &&
+         a.err_zero_floor == b.err_zero_floor;
+}
+
+AllocationResult allocate_ilp(const IlpStructure& s,
+                              const platform::OpTimeTable& table,
+                              const TuningConfig& config) {
   LUIS_ASSERT(config.types == s.types &&
                   config.literal_model == s.literal_model &&
                   config.err_zero_floor == s.err_zero_floor,
@@ -78,11 +82,7 @@ AllocationResult price_and_solve(const IlpStructure& s, ilp::Model* rows,
   AllocationResult out;
   obs::TraceSpan build_span("ilp.build_model", "ilp",
                             obs::TimeSink{&out.stats.model_build_seconds});
-  ilp::Model model;
-  if (rows)
-    model = std::move(*rows);
-  else
-    model = s.model;
+  const ilp::Model& model = s.model;
   const auto& types = s.types;
   const int ntypes = static_cast<int>(types.size());
   const int num_units = static_cast<int>(s.x.size());
@@ -92,7 +92,7 @@ AllocationResult price_and_solve(const IlpStructure& s, ilp::Model* rows,
 
   // One lookup per distinct (op, type class); the sums below replay the
   // structure's terms in build order, so each coefficient adds the same
-  // values in the same order as a model built and priced in one pass.
+  // values in the same order as a one-pass build.
   std::vector<double> price(s.prices.size());
   for (std::size_t k = 0; k < price.size(); ++k)
     price[k] = price_of(s.prices[k], table, config);
@@ -117,26 +117,31 @@ AllocationResult price_and_solve(const IlpStructure& s, ilp::Model* rows,
   for (const IlpStructure::Shift& shift : s.shifts)
     fix_max += 2.0 * price[shift.price];
 
-  // ---- Objective: min W1 (Ex^ + C^ + Cfix^) - W2 Err^. ----
+  // ---- Objective: min W1 (Ex^ + C^ + Cfix^) - W2 Err^. Each variable's
+  // terms are summed in replay order and the variables taken in ascending
+  // order, dropping exact zeros: the normalized form, bit for bit. ----
   const double exn = config.w1 / std::max(ex_max, 1.0);
   const double cn = config.w1 / std::max(cast_max, 1.0);
   const double fn = config.w1 / std::max(fix_max, 1.0);
   const double en = config.w2 / std::max(s.err_max, 1.0);
-  ilp::LinearExpr objective;
-  for (const IlpStructure::Term& t : s.ex)
-    objective.add(t.var, exn * price[t.price]);
+  std::vector<double> coeff(model.num_variables(), 0.0);
+  auto add = [&](ilp::VarId var, double c) {
+    coeff[static_cast<std::size_t>(var)] += c;
+  };
+  for (const IlpStructure::Term& t : s.ex) add(t.var, exn * price[t.price]);
   term = 0;
   for (const auto& [count, end] : s.cast_pairs)
     for (; term < end; ++term)
-      objective.add(s.cast[term].var, cn * (static_cast<double>(count) *
-                                            price[s.cast[term].price]));
+      add(s.cast[term].var,
+          cn * (static_cast<double>(count) * price[s.cast[term].price]));
   for (const IlpStructure::Shift& shift : s.shifts) {
-    objective.add(shift.up, fn * price[shift.price]);
-    objective.add(shift.down, fn * price[shift.price]);
+    add(shift.up, fn * price[shift.price]);
+    add(shift.down, fn * price[shift.price]);
   }
-  for (const auto& [var, coeff] : s.err.terms())
-    objective.add(var, -en * coeff);
-  model.set_objective(ilp::Direction::Minimize, std::move(objective));
+  for (const auto& [var, c] : s.err.terms()) add(var, -en * c);
+  ilp::Objective objective;
+  for (std::size_t j = 0; j < coeff.size(); ++j)
+    objective.expr.add(static_cast<ilp::VarId>(j), coeff[j]);
   build_span.end();
 
   out.stats.model_variables = model.num_variables();
@@ -153,7 +158,8 @@ AllocationResult price_and_solve(const IlpStructure& s, ilp::Model* rows,
             .done();
       },
       obs::TimeSink{&out.stats.solve_seconds});
-  const ilp::Solution solution = ilp::solve_milp(model, config.solver);
+  const ilp::Solution solution =
+      ilp::solve_milp(model, objective, config.solver);
   solve_span.end();
   out.stats.status = solution.status;
   out.stats.nodes = solution.nodes;
@@ -208,13 +214,6 @@ AllocationResult price_and_solve(const IlpStructure& s, ilp::Model* rows,
         ++out.stats.instruction_mix[cost_class(out.assignment.of(inst.get()))];
 
   return out;
-}
-
-} // namespace
-
-bool same_ilp_structure(const TuningConfig& a, const TuningConfig& b) {
-  return a.types == b.types && a.literal_model == b.literal_model &&
-         a.err_zero_floor == b.err_zero_floor;
 }
 
 IlpStructure build_ilp_structure(const ir::Function& f,
@@ -306,13 +305,11 @@ IlpStructure build_ilp_structure(const ir::Function& f,
     ilp::LinearExpr one_hot;
     for (int ti = 0; ti < ntypes; ++ti) {
       if (!unit_feasible(u, ti)) continue;
-      const ilp::VarId var = model.add_binary(
-          "x_u" + std::to_string(u) + "_" +
-          types[static_cast<std::size_t>(ti)].name());
+      const ilp::VarId var = model.add_binary();
       x[static_cast<std::size_t>(u)][static_cast<std::size_t>(ti)] = var;
       one_hot.add(var, 1.0);
     }
-    model.add_eq(std::move(one_hot), 1.0, "onehot_u" + std::to_string(u));
+    model.add_eq(std::move(one_hot), 1.0);
   }
 
   // Literal formulation: the hard x_{a,t} = x_{b,t} rows the merged
@@ -352,9 +349,8 @@ IlpStructure build_ilp_structure(const ir::Function& f,
                                        range.hi),
           fmt.width() - 1);
       if (fixmax < 0) continue; // this member forbids the type class-wide
-      const ilp::VarId zv = model.add_continuous(
-          "z_r" + std::to_string(r) + "_" + fmt.name(), 0.0,
-          static_cast<double>(fixmax));
+      const ilp::VarId zv =
+          model.add_continuous(0.0, static_cast<double>(fixmax));
       z[r][static_cast<std::size_t>(ti)] = zv;
       // z <= M * x : no fractional bits unless the type is chosen.
       model.add_le(ilp::LinearExpr().add(zv, 1.0).add(xv, -kBigM), 0.0);
@@ -404,10 +400,7 @@ IlpStructure build_ilp_structure(const ir::Function& f,
         if (types[static_cast<std::size_t>(ta)] ==
             types[static_cast<std::size_t>(tb)])
           continue; // same format: at most a shift realignment (Cfix)
-        const ilp::VarId y = model.add_continuous(
-            "y_u" + std::to_string(ua) + "t" + std::to_string(ta) + "_u" +
-                std::to_string(ub) + "t" + std::to_string(tb),
-            0.0, 1.0);
+        const ilp::VarId y = model.add_continuous(0.0, 1.0);
         // x_a + x_b <= y + 1
         model.add_le(ilp::LinearExpr().add(xa, 1.0).add(xb, 1.0).add(y, -1.0),
                      1.0);
@@ -429,8 +422,8 @@ IlpStructure build_ilp_structure(const ir::Function& f,
       const ilp::VarId za = z[static_cast<std::size_t>(ra)][static_cast<std::size_t>(ti)];
       const ilp::VarId zb = z[static_cast<std::size_t>(rb)][static_cast<std::size_t>(ti)];
       if (za < 0 || zb < 0) continue;
-      const ilp::VarId y1 = model.add_continuous("yfix1", 0.0, 1.0);
-      const ilp::VarId y2 = model.add_continuous("yfix2", 0.0, 1.0);
+      const ilp::VarId y1 = model.add_continuous(0.0, 1.0);
+      const ilp::VarId y2 = model.add_continuous(0.0, 1.0);
       model.add_le(ilp::LinearExpr().add(za, 1.0).add(zb, -1.0).add(y1, -kBigM), 0.0);
       model.add_le(ilp::LinearExpr().add(zb, 1.0).add(za, -1.0).add(y2, -kBigM), 0.0);
       s.shifts.push_back({y1, y2, price("cast_fix", "fix")});
@@ -472,18 +465,11 @@ IlpStructure build_ilp_structure(const ir::Function& f,
   return s;
 }
 
-AllocationResult allocate_ilp(const IlpStructure& structure,
-                              const platform::OpTimeTable& table,
-                              const TuningConfig& config) {
-  return price_and_solve(structure, nullptr, table, config);
-}
-
 AllocationResult allocate_ilp(const ir::Function& f, const vra::RangeMap& ranges,
                               const platform::OpTimeTable& table,
                               const TuningConfig& config) {
-  IlpStructure structure = build_ilp_structure(f, ranges, config);
-  AllocationResult out =
-      price_and_solve(structure, &structure.model, table, config);
+  const IlpStructure structure = build_ilp_structure(f, ranges, config);
+  AllocationResult out = allocate_ilp(structure, table, config);
   out.stats.model_build_seconds += structure.build_seconds;
   return out;
 }

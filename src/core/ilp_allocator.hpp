@@ -68,7 +68,8 @@ struct IlpStructure {
   /// x[unit][type] and z[register][type]; -1 where the type is infeasible.
   std::vector<std::vector<ilp::VarId>> x;
   std::vector<std::vector<ilp::VarId>> z;
-  /// Every variable and row; the objective is set by pricing.
+  /// Every variable and row: the feasible region each job solves its
+  /// priced objective over, in place.
   ilp::Model model;
 
   /// The distinct (op, type class) op-time lookups the cost sums need.
@@ -100,10 +101,10 @@ IlpStructure build_ilp_structure(const ir::Function& f,
                                  const vra::RangeMap& ranges,
                                  const TuningConfig& config);
 
-/// Prices `structure` for `table` and `config`'s weights and metric,
-/// solves it and extracts the assignment. `config` must build the same
-/// structure (same_ilp_structure). `model_build_seconds` is the pricing
-/// only.
+/// Prices an objective for `table` and `config`'s weights and metric,
+/// solves it over `structure.model` and extracts the assignment. `config`
+/// must build the same structure (same_ilp_structure).
+/// `model_build_seconds` is the pricing only.
 AllocationResult allocate_ilp(const IlpStructure& structure,
                               const platform::OpTimeTable& table,
                               const TuningConfig& config);

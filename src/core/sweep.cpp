@@ -26,14 +26,6 @@
 namespace luis::core {
 namespace {
 
-std::optional<TuningConfig> preset_by_name(const std::string& name) {
-  if (name == "Precise") return TuningConfig::precise();
-  if (name == "Balanced") return TuningConfig::balanced();
-  if (name == "Fast") return TuningConfig::fast();
-  if (name == "Multi") return TuningConfig::multi();
-  return std::nullopt;
-}
-
 /// MPE across all output arrays (concatenated, as PolyBench dumps them).
 double kernel_mpe(const std::vector<std::string>& outputs,
                   const interp::ArrayStore& reference,

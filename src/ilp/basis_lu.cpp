@@ -16,7 +16,6 @@ bool BasisLu::factorize(const SparseColumns& cols, const std::vector<int>& basic
   const int m = static_cast<int>(basic.size());
   m_ = m;
   etas_.clear();
-  ++refactorizations_;
   row_of_pos_.assign(static_cast<std::size_t>(m), -1);
   pos_of_row_.assign(static_cast<std::size_t>(m), -1);
   col_of_pos_.assign(static_cast<std::size_t>(m), -1);

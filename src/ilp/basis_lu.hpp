@@ -50,7 +50,6 @@ public:
   bool update(int row, const std::vector<double>& w);
 
   int eta_count() const { return static_cast<int>(etas_.size()); }
-  long refactorizations() const { return refactorizations_; }
   bool valid() const { return m_ >= 0; }
   void reset() { m_ = -1; }
 
@@ -75,7 +74,6 @@ private:
   std::vector<std::vector<std::pair<int, double>>> lcol_, ucol_;
 
   std::vector<Eta> etas_;
-  long refactorizations_ = 0;
   mutable std::vector<double> scratch_;
 };
 

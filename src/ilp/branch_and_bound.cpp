@@ -52,26 +52,8 @@ int most_fractional(const Model& model, const std::vector<double>& values) {
   return best;
 }
 
-Solution solve_milp_impl(const Model& model, const BranchAndBoundOptions& opt);
-
-} // namespace
-
-Solution solve_milp(const Model& model, const BranchAndBoundOptions& opt) {
-  obs::metrics().counter("ilp.solves").inc();
-  if (!opt.cache) return solve_milp_impl(model, opt);
-  obs::TraceSpan cache_span("ilp.cache", "ilp");
-  const std::string key = canonical_model_key(model, opt);
-  std::optional<Solution> hit = opt.cache->lookup(key);
-  cache_span.end();
-  if (hit) return *hit;
-  Solution sol = solve_milp_impl(model, opt);
-  opt.cache->insert(key, sol);
-  return sol;
-}
-
-namespace {
-
-Solution solve_milp_impl(const Model& model, const BranchAndBoundOptions& opt) {
+Solution solve_milp_impl(const Model& model, const Objective& objective,
+                         const BranchAndBoundOptions& opt) {
   obs::TraceSpan bnb_span("ilp.bnb", "ilp", [&] {
     return obs::Args()
         .num("variables", model.num_variables())
@@ -79,7 +61,7 @@ Solution solve_milp_impl(const Model& model, const BranchAndBoundOptions& opt) {
         .done();
   });
   // Work in minimization sign internally.
-  const double sign = model.objective_direction() == Direction::Minimize ? 1.0 : -1.0;
+  const double sign = objective.direction == Direction::Minimize ? 1.0 : -1.0;
 
   // Derived tolerances: everything that compares a bound against the
   // incumbent uses prune_tol (see the option docs); the child-creation
@@ -158,10 +140,10 @@ Solution solve_milp_impl(const Model& model, const BranchAndBoundOptions& opt) {
 
     Solution lp;
     if (revised)
-      lp = solve_lp_revised(model, cols, opt.lp, node->overrides,
+      lp = solve_lp_revised(model, cols, objective, opt.lp, node->overrides,
                             opt.warm_start ? &node->basis : nullptr);
     else
-      lp = solve_lp(model, opt.lp, node->overrides);
+      lp = solve_lp(model, objective, opt.lp, node->overrides);
     iterations += lp.iterations;
     if (nodes == 1 && !basis_key.empty() && lp.status == SolveStatus::Optimal)
       opt.cache->store_basis(basis_key, node->basis);
@@ -250,7 +232,7 @@ Solution solve_milp_impl(const Model& model, const BranchAndBoundOptions& opt) {
       if (model.variables()[j].kind == VarKind::Continuous) continue;
       incumbent.values[j] = std::round(incumbent.values[j]);
     }
-    incumbent.objective = model.objective_value(incumbent.values);
+    incumbent.objective = objective.value(incumbent.values);
     if (hit_limit) incumbent.status = SolveStatus::NodeLimit;
     return incumbent;
   }
@@ -263,5 +245,19 @@ Solution solve_milp_impl(const Model& model, const BranchAndBoundOptions& opt) {
 }
 
 } // namespace
+
+Solution solve_milp(const Model& model, const Objective& objective,
+                    const BranchAndBoundOptions& opt) {
+  obs::metrics().counter("ilp.solves").inc();
+  if (!opt.cache) return solve_milp_impl(model, objective, opt);
+  obs::TraceSpan cache_span("ilp.cache", "ilp");
+  const std::string key = canonical_model_key(model, objective, opt);
+  std::optional<Solution> hit = opt.cache->lookup(key);
+  cache_span.end();
+  if (hit) return *hit;
+  Solution sol = solve_milp_impl(model, objective, opt);
+  opt.cache->insert(key, sol);
+  return sol;
+}
 
 } // namespace luis::ilp

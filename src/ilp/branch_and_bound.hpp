@@ -39,9 +39,12 @@ struct BranchAndBoundOptions {
   SolverCache* cache = nullptr;
 };
 
-/// Solves `model` to integer optimality (within the configured limits).
-/// Continuous variables are left to the LP. Returns the incumbent and the
-/// proven bound; status NodeLimit means the incumbent may be suboptimal.
-Solution solve_milp(const Model& model, const BranchAndBoundOptions& options = {});
+/// Solves `model` under `objective` to integer optimality (within the
+/// configured limits). Continuous variables are left to the LP. Returns
+/// the incumbent and the proven bound; status NodeLimit means the
+/// incumbent may be suboptimal. The model is only read, so concurrent
+/// solves may share it.
+Solution solve_milp(const Model& model, const Objective& objective,
+                    const BranchAndBoundOptions& options = {});
 
 } // namespace luis::ilp

@@ -123,17 +123,12 @@ public:
       LinearExpr expr;
       Sense sense;
       double rhs;
-      std::string name;
     };
     std::vector<Row> rows;
     for (const SrcLine& l : constraint_lines) {
       std::string body{trim(l.text)};
-      std::string name;
       const std::size_t colon = body.find(':');
-      if (colon != std::string::npos) {
-        name = std::string(trim(body.substr(0, colon)));
-        body = body.substr(colon + 1);
-      }
+      if (colon != std::string::npos) body = body.substr(colon + 1);
       Sense sense;
       std::size_t rel_at, rel_len;
       if ((rel_at = body.find("<=")) != std::string::npos) {
@@ -151,7 +146,6 @@ public:
       }
       Row row;
       row.sense = sense;
-      row.name = std::move(name);
       if (!parse_expr(body.substr(0, rel_at), row.expr, {l})) {
         out.error = error_;
         return out;
@@ -189,7 +183,7 @@ public:
     for (const std::string& name : integer_names) integers_.insert(var(name));
 
     // Assemble the model (variables in first-use order).
-    for (std::size_t j = 0; j < names_.size(); ++j) {
+    for (std::size_t j = 0; j < ids_.size(); ++j) {
       double lo = 0.0, hi = kInfinity;
       const auto b = bounds_.find(static_cast<VarId>(j));
       if (b != bounds_.end()) {
@@ -199,12 +193,11 @@ public:
       VarKind kind = VarKind::Continuous;
       if (integers_.count(static_cast<VarId>(j)))
         kind = lo == 0.0 && hi == 1.0 ? VarKind::Binary : VarKind::Integer;
-      out.model.add_variable(names_[j], kind, lo, hi);
+      out.model.add_variable(kind, lo, hi);
     }
     for (Row& row : rows)
-      out.model.add_constraint(std::move(row.expr), row.sense, row.rhs,
-                               std::move(row.name));
-    out.model.set_objective(direction, std::move(objective));
+      out.model.add_constraint(std::move(row.expr), row.sense, row.rhs);
+    out.objective = Objective(direction, std::move(objective));
     return out;
   }
 
@@ -250,12 +243,7 @@ private:
   }
 
   VarId var(const std::string& name) {
-    const auto it = ids_.find(name);
-    if (it != ids_.end()) return it->second;
-    const auto id = static_cast<VarId>(names_.size());
-    ids_[name] = id;
-    names_.push_back(name);
-    return id;
+    return ids_.try_emplace(name, static_cast<VarId>(ids_.size())).first->second;
   }
 
   /// Parses "2 x + 3.5 y - z + 4" into a LinearExpr (trailing constants
@@ -309,8 +297,7 @@ private:
   }
 
   std::string_view text_;
-  std::map<std::string, VarId> ids_;
-  std::vector<std::string> names_;
+  std::map<std::string, VarId> ids_; ///< the file's names, by first use
   std::map<VarId, std::pair<double, double>> bounds_;
   std::set<VarId> integers_;
   std::string error_;

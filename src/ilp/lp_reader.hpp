@@ -13,6 +13,7 @@ namespace luis::ilp {
 
 struct LpParseResult {
   Model model;
+  Objective objective;
   std::string error; ///< empty on success
   bool ok() const { return error.empty(); }
 };
@@ -20,7 +21,8 @@ struct LpParseResult {
 /// Parses the subset of the CPLEX LP format that to_lp_format emits:
 /// Minimize/Maximize, Subject To, Bounds (with -inf/+inf), General
 /// (integer) and Binary sections, End. Variables are created in first-use
-/// order; unlisted bounds default to [0, +inf).
+/// order; unlisted bounds default to [0, +inf). The file's names only
+/// resolve references while reading.
 LpParseResult parse_lp(std::string_view text);
 
 } // namespace luis::ilp

@@ -6,13 +6,9 @@
 namespace luis::ilp {
 namespace {
 
-std::string var_name(const Model& model, VarId id) {
-  const std::string& n = model.variables()[static_cast<std::size_t>(id)].name;
-  if (!n.empty()) return n;
-  return "x" + std::to_string(id);
-}
+std::string var_name(VarId id) { return "x" + std::to_string(id); }
 
-void write_expr(std::ostream& os, const Model& model, const LinearExpr& expr) {
+void write_expr(std::ostream& os, const LinearExpr& expr) {
   os.precision(17);
   bool first = true;
   for (const auto& [var, coeff] : expr.terms()) {
@@ -20,7 +16,7 @@ void write_expr(std::ostream& os, const Model& model, const LinearExpr& expr) {
     if (coeff < 0.0) os << (first ? "- " : " - ");
     const double mag = std::abs(coeff);
     if (mag != 1.0) os << mag << " ";
-    os << var_name(model, var);
+    os << var_name(var);
     first = false;
   }
   if (first) os << "0";
@@ -28,24 +24,24 @@ void write_expr(std::ostream& os, const Model& model, const LinearExpr& expr) {
 
 } // namespace
 
-std::string to_lp_format(const Model& model) {
+std::string to_lp_format(const Model& model, const Objective& objective) {
   std::ostringstream os;
   os.precision(17); // round-trip exact through parse_lp
-  os << (model.objective_direction() == Direction::Minimize ? "Minimize\n"
-                                                            : "Maximize\n");
+  os << (objective.direction == Direction::Minimize ? "Minimize\n"
+                                                    : "Maximize\n");
   os << " obj: ";
-  write_expr(os, model, model.objective());
+  write_expr(os, objective.expr);
   // The objective's constant term is part of the reported optimum and
   // bound; dropping it would silently shift objectives on a write/read
   // round-trip.
-  const double c0 = model.objective().constant();
+  const double c0 = objective.expr.constant();
   if (c0 > 0.0) os << " + " << c0;
   if (c0 < 0.0) os << " - " << -c0;
   os << "\nSubject To\n";
   int idx = 0;
   for (const Constraint& c : model.constraints()) {
-    os << " " << (c.name.empty() ? "c" + std::to_string(idx) : c.name) << ": ";
-    write_expr(os, model, c.expr);
+    os << " c" << idx << ": ";
+    write_expr(os, c.expr);
     switch (c.sense) {
     case Sense::LE: os << " <= "; break;
     case Sense::GE: os << " >= "; break;
@@ -62,7 +58,7 @@ std::string to_lp_format(const Model& model) {
       os << "-inf";
     else
       os << v.lower;
-    os << " <= " << var_name(model, static_cast<VarId>(j)) << " <= ";
+    os << " <= " << var_name(static_cast<VarId>(j)) << " <= ";
     if (std::isinf(v.upper))
       os << "+inf";
     else
@@ -76,7 +72,7 @@ std::string to_lp_format(const Model& model) {
       os << "General\n";
       have_int = true;
     }
-    os << " " << var_name(model, static_cast<VarId>(j)) << "\n";
+    os << " " << var_name(static_cast<VarId>(j)) << "\n";
   }
   os << "End\n";
   return os.str();

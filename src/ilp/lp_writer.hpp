@@ -7,7 +7,8 @@
 
 namespace luis::ilp {
 
-/// Renders the model in CPLEX LP text format.
-std::string to_lp_format(const Model& model);
+/// Renders `objective` over `model` in CPLEX LP text format, naming
+/// variables x<j> and rows c<i> by position.
+std::string to_lp_format(const Model& model, const Objective& objective);
 
 } // namespace luis::ilp

@@ -1,6 +1,5 @@
 #include "ilp/model.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <map>
 
@@ -27,18 +26,28 @@ void LinearExpr::normalize() {
     if (coeff != 0.0) terms_.emplace_back(var, coeff);
 }
 
-VarId Model::add_variable(std::string name, VarKind kind, double lower,
-                          double upper) {
-  LUIS_ASSERT(lower <= upper, "variable bounds crossed: " + name);
+Objective::Objective(Direction direction, LinearExpr expr)
+    : direction(direction), expr(std::move(expr)) {
+  this->expr.normalize();
+}
+
+double Objective::value(const std::vector<double>& values) const {
+  double acc = expr.constant();
+  for (const auto& [var, coeff] : expr.terms())
+    acc += coeff * values[static_cast<std::size_t>(var)];
+  return acc;
+}
+
+VarId Model::add_variable(VarKind kind, double lower, double upper) {
+  LUIS_ASSERT(lower <= upper, "variable bounds crossed");
   if (kind == VarKind::Binary) {
     LUIS_ASSERT(lower >= 0.0 && upper <= 1.0, "binary bounds must be in [0,1]");
   }
-  variables_.push_back(Variable{std::move(name), kind, lower, upper});
+  variables_.push_back(Variable{kind, lower, upper});
   return static_cast<VarId>(variables_.size()) - 1;
 }
 
-void Model::add_constraint(LinearExpr expr, Sense sense, double rhs,
-                           std::string name) {
+void Model::add_constraint(LinearExpr expr, Sense sense, double rhs) {
   expr.normalize();
   for (const auto& [var, coeff] : expr.terms()) {
     (void)coeff;
@@ -47,21 +56,7 @@ void Model::add_constraint(LinearExpr expr, Sense sense, double rhs,
   }
   // Fold the expression constant into the right-hand side.
   const double folded_rhs = rhs - expr.constant();
-  constraints_.push_back(
-      Constraint{std::move(expr), sense, folded_rhs, std::move(name)});
-}
-
-void Model::set_objective(Direction direction, LinearExpr expr) {
-  expr.normalize();
-  direction_ = direction;
-  objective_ = std::move(expr);
-}
-
-std::size_t Model::num_integer_variables() const {
-  return static_cast<std::size_t>(
-      std::count_if(variables_.begin(), variables_.end(), [](const Variable& v) {
-        return v.kind != VarKind::Continuous;
-      }));
+  constraints_.push_back(Constraint{std::move(expr), sense, folded_rhs});
 }
 
 SparseColumns Model::sparse_columns() const {
@@ -92,13 +87,6 @@ SparseColumns Model::sparse_columns() const {
     }
   }
   return out;
-}
-
-double Model::objective_value(const std::vector<double>& values) const {
-  double acc = objective_.constant();
-  for (const auto& [var, coeff] : objective_.terms())
-    acc += coeff * values[static_cast<std::size_t>(var)];
-  return acc;
 }
 
 bool Model::is_feasible(const std::vector<double>& values, double tol) const {

@@ -3,10 +3,13 @@
 // This is the in-memory problem description consumed by the simplex LP
 // solver and the branch & bound MILP driver. It plays the role that the
 // Google OR-Tools modeling layer plays in the paper's implementation.
+// A Model is the feasible region only (variables and rows, numbered, not
+// named); every solve takes an Objective beside it, so one read-only model
+// serves any number of objectives, concurrently too.
 #pragma once
 
 #include <limits>
-#include <string>
+#include <utility>
 #include <vector>
 
 namespace luis::ilp {
@@ -18,7 +21,6 @@ inline constexpr double kInfinity = std::numeric_limits<double>::infinity();
 enum class VarKind { Continuous, Integer, Binary };
 
 struct Variable {
-  std::string name;
   VarKind kind = VarKind::Continuous;
   double lower = 0.0;
   double upper = kInfinity;
@@ -26,7 +28,7 @@ struct Variable {
 
 /// A linear expression: sum of coeff * var terms plus a constant offset.
 /// Duplicate variables are allowed while building; they are combined when
-/// the expression is attached to the model.
+/// the expression becomes a model row or an Objective.
 class LinearExpr {
 public:
   LinearExpr() = default;
@@ -57,10 +59,23 @@ struct Constraint {
   LinearExpr expr;
   Sense sense = Sense::LE;
   double rhs = 0.0;
-  std::string name;
 };
 
 enum class Direction { Minimize, Maximize };
+
+/// What one solve optimizes: a direction and a normalized expression (one
+/// nonzero term per variable, ascending) with its constant.
+struct Objective {
+  Direction direction = Direction::Minimize;
+  LinearExpr expr;
+
+  Objective() = default;
+  /// Normalizes `expr`.
+  Objective(Direction direction, LinearExpr expr);
+
+  /// Evaluates the objective on an assignment.
+  double value(const std::vector<double>& values) const;
+};
 
 enum class SolveStatus { Optimal, Infeasible, Unbounded, IterationLimit, NodeLimit };
 
@@ -89,8 +104,6 @@ struct SparseColumns {
   std::vector<int> row;      ///< row index per entry
   std::vector<double> value; ///< coefficient per entry
 
-  std::size_t nonzeros() const { return value.size(); }
-
   /// Calls fn(row, value) for every entry of column j.
   template <typename Fn> void for_entries(int j, Fn&& fn) const {
     for (int k = start[static_cast<std::size_t>(j)];
@@ -101,45 +114,35 @@ struct SparseColumns {
 
 class Model {
 public:
-  VarId add_variable(std::string name, VarKind kind, double lower, double upper);
-  VarId add_continuous(std::string name, double lower = 0.0, double upper = kInfinity) {
-    return add_variable(std::move(name), VarKind::Continuous, lower, upper);
+  VarId add_variable(VarKind kind, double lower, double upper);
+  VarId add_continuous(double lower = 0.0, double upper = kInfinity) {
+    return add_variable(VarKind::Continuous, lower, upper);
   }
-  VarId add_integer(std::string name, double lower, double upper) {
-    return add_variable(std::move(name), VarKind::Integer, lower, upper);
+  VarId add_integer(double lower, double upper) {
+    return add_variable(VarKind::Integer, lower, upper);
   }
-  VarId add_binary(std::string name) {
-    return add_variable(std::move(name), VarKind::Binary, 0.0, 1.0);
-  }
+  VarId add_binary() { return add_variable(VarKind::Binary, 0.0, 1.0); }
 
-  void add_constraint(LinearExpr expr, Sense sense, double rhs, std::string name = {});
-  void add_le(LinearExpr expr, double rhs, std::string name = {}) {
-    add_constraint(std::move(expr), Sense::LE, rhs, std::move(name));
+  void add_constraint(LinearExpr expr, Sense sense, double rhs);
+  void add_le(LinearExpr expr, double rhs) {
+    add_constraint(std::move(expr), Sense::LE, rhs);
   }
-  void add_ge(LinearExpr expr, double rhs, std::string name = {}) {
-    add_constraint(std::move(expr), Sense::GE, rhs, std::move(name));
+  void add_ge(LinearExpr expr, double rhs) {
+    add_constraint(std::move(expr), Sense::GE, rhs);
   }
-  void add_eq(LinearExpr expr, double rhs, std::string name = {}) {
-    add_constraint(std::move(expr), Sense::EQ, rhs, std::move(name));
+  void add_eq(LinearExpr expr, double rhs) {
+    add_constraint(std::move(expr), Sense::EQ, rhs);
   }
-
-  void set_objective(Direction direction, LinearExpr expr);
 
   std::size_t num_variables() const { return variables_.size(); }
   std::size_t num_constraints() const { return constraints_.size(); }
-  std::size_t num_integer_variables() const;
 
   const std::vector<Variable>& variables() const { return variables_; }
   const std::vector<Constraint>& constraints() const { return constraints_; }
-  Direction objective_direction() const { return direction_; }
-  const LinearExpr& objective() const { return objective_; }
 
   /// Builds the column-wise sparse form of the constraint matrix.
   /// Duplicate terms are already combined by add_constraint's normalize.
   SparseColumns sparse_columns() const;
-
-  /// Evaluates the objective expression on an assignment.
-  double objective_value(const std::vector<double>& values) const;
 
   /// True if `values` satisfies every constraint and bound within `tol`,
   /// including integrality of integer/binary variables.
@@ -148,8 +151,6 @@ public:
 private:
   std::vector<Variable> variables_;
   std::vector<Constraint> constraints_;
-  LinearExpr objective_;
-  Direction direction_ = Direction::Minimize;
 };
 
 } // namespace luis::ilp

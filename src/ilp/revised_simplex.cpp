@@ -17,8 +17,8 @@ constexpr long kStallLimit = 500;   ///< non-improving pivots before Bland
 class RevisedSolver {
 public:
   RevisedSolver(const Model& model, const SparseColumns& cols,
-                const SimplexOptions& opt)
-      : model_(model), cols_(cols), opt_(opt),
+                const Objective& objective, const SimplexOptions& opt)
+      : model_(model), cols_(cols), objective_(objective), opt_(opt),
         m_(static_cast<int>(model.num_constraints())),
         n_(static_cast<int>(model.num_variables())), ncols_(n_ + m_) {}
 
@@ -29,6 +29,7 @@ private:
 
   const Model& model_;
   const SparseColumns& cols_;
+  const Objective& objective_;
   SimplexOptions opt_;
   int m_, n_, ncols_;
 
@@ -122,8 +123,8 @@ bool RevisedSolver::build(std::span<const BoundsOverride> overrides) {
   }
   cost_.assign(sz(ncols_), 0.0);
   const double sign =
-      model_.objective_direction() == Direction::Minimize ? 1.0 : -1.0;
-  for (const auto& [var, coeff] : model_.objective().terms())
+      objective_.direction == Direction::Minimize ? 1.0 : -1.0;
+  for (const auto& [var, coeff] : objective_.expr.terms())
     cost_[sz(var)] = sign * coeff;
   banned_.assign(sz(ncols_), 0);
   return true;
@@ -578,7 +579,7 @@ Solution RevisedSolver::run(std::span<const BoundsOverride> overrides,
   for (int i = 0; i < m_; ++i)
     if (basic_[sz(i)] < n_) sol.values[sz(basic_[sz(i)])] = xb_[sz(i)];
   sol.status = SolveStatus::Optimal;
-  sol.objective = model_.objective_value(sol.values);
+  sol.objective = objective_.value(sol.values);
   sol.best_bound = sol.objective;
   return sol;
 }
@@ -586,10 +587,11 @@ Solution RevisedSolver::run(std::span<const BoundsOverride> overrides,
 } // namespace
 
 Solution solve_lp_revised(const Model& model, const SparseColumns& cols,
+                          const Objective& objective,
                           const SimplexOptions& options,
                           std::span<const BoundsOverride> overrides,
                           Basis* basis) {
-  RevisedSolver solver(model, cols, options);
+  RevisedSolver solver(model, cols, objective, options);
   return solver.run(overrides, basis);
 }
 

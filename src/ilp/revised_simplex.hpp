@@ -31,6 +31,7 @@ namespace luis::ilp {
 /// final basis on any return, making child / neighbor re-solves start one
 /// pivot away instead of from scratch.
 Solution solve_lp_revised(const Model& model, const SparseColumns& cols,
+                          const Objective& objective,
                           const SimplexOptions& options,
                           std::span<const BoundsOverride> overrides,
                           Basis* basis);

@@ -135,7 +135,8 @@ PivotResult run_pivots(Tableau& t, std::vector<int>& basis,
 
 /// The original dense two-phase tableau simplex, kept verbatim as the
 /// differential-testing reference for the revised core.
-Solution solve_lp_dense(const Model& model, const SimplexOptions& opt,
+Solution solve_lp_dense(const Model& model, const Objective& objective,
+                        const SimplexOptions& opt,
                         std::span<const BoundsOverride> overrides) {
   Solution sol;
   const std::size_t nvars = model.num_variables();
@@ -333,23 +334,20 @@ Solution solve_lp_dense(const Model& model, const SimplexOptions& opt,
   }
 
   // ---- Phase 2: the real objective (always minimized internally). ----
-  const double sign = model.objective_direction() == Direction::Minimize ? 1.0 : -1.0;
+  const double sign = objective.direction == Direction::Minimize ? 1.0 : -1.0;
+  // Column costs only: the reported objective, constant and fixed
+  // variables included, is recomputed from the extracted values.
   std::vector<double> cost(total_cols, 0.0);
-  double const_cost = sign * model.objective().constant();
-  for (const auto& [var, coeff] : model.objective().terms()) {
+  for (const auto& [var, coeff] : objective.expr.terms()) {
     const ColumnMap& cm = map[static_cast<std::size_t>(var)];
     const double c = sign * coeff;
     switch (cm.kind) {
-    case ColumnMap::Kind::Fixed:
-      const_cost += c * cm.offset;
-      break;
+    case ColumnMap::Kind::Fixed: break;
     case ColumnMap::Kind::Shifted:
       cost[static_cast<std::size_t>(cm.column)] += c;
-      const_cost += c * cm.offset;
       break;
     case ColumnMap::Kind::Mirrored:
       cost[static_cast<std::size_t>(cm.column)] -= c;
-      const_cost += c * cm.offset;
       break;
     case ColumnMap::Kind::Split:
       cost[static_cast<std::size_t>(cm.column)] += c;
@@ -407,9 +405,8 @@ Solution solve_lp_dense(const Model& model, const SimplexOptions& opt,
     }
   }
   sol.status = SolveStatus::Optimal;
-  sol.objective = model.objective_value(sol.values);
+  sol.objective = objective.value(sol.values);
   sol.best_bound = sol.objective;
-  (void)const_cost; // objective recomputed from values; kept for clarity
   return sol;
 }
 
@@ -419,11 +416,13 @@ const char* to_string(LpCore core) {
   return core == LpCore::Dense ? "dense" : "revised";
 }
 
-Solution solve_lp(const Model& model, const SimplexOptions& opt,
+Solution solve_lp(const Model& model, const Objective& objective,
+                  const SimplexOptions& opt,
                   std::span<const BoundsOverride> overrides) {
-  if (opt.core == LpCore::Dense) return solve_lp_dense(model, opt, overrides);
+  if (opt.core == LpCore::Dense)
+    return solve_lp_dense(model, objective, opt, overrides);
   const SparseColumns cols = model.sparse_columns();
-  return solve_lp_revised(model, cols, opt, overrides, nullptr);
+  return solve_lp_revised(model, cols, objective, opt, overrides, nullptr);
 }
 
 } // namespace luis::ilp

@@ -65,10 +65,11 @@ struct Basis {
   }
 };
 
-/// Solves the LP relaxation of `model` (integrality is ignored).
-/// `overrides` replaces the bounds of selected variables, which is how the
-/// branch & bound driver explores subproblems without copying the model.
-Solution solve_lp(const Model& model, const SimplexOptions& options = {},
+/// Solves the LP relaxation of `model` under `objective`. `overrides`
+/// replaces the bounds of selected variables, which is how branch & bound
+/// explores subproblems without copying the model.
+Solution solve_lp(const Model& model, const Objective& objective,
+                  const SimplexOptions& options = {},
                   std::span<const BoundsOverride> overrides = {});
 
 } // namespace luis::ilp

@@ -51,13 +51,13 @@ void append_structure(std::string& out, const Model& model) {
 
 } // namespace
 
-std::string canonical_model_key(const Model& model,
+std::string canonical_model_key(const Model& model, const Objective& objective,
                                 const BranchAndBoundOptions& options) {
   std::string out;
   out.reserve(64 * (model.num_variables() + model.num_constraints()));
 
-  out += model.objective_direction() == Direction::Minimize ? "min|" : "max|";
-  append_expr(out, model.objective());
+  out += objective.direction == Direction::Minimize ? "min|" : "max|";
+  append_expr(out, objective.expr);
   append_structure(out, model);
 
   // Result-affecting solver options: the same model under different limits

@@ -1,11 +1,11 @@
-// Thread-safe memoization of MILP solves keyed by the canonical model.
+// Thread-safe memoization of MILP solves keyed by the canonical problem.
 //
 // The cache lets a batch driver (the sweep orchestrator, repeated
 // determinism checks, preset re-runs) skip branch & bound entirely when it
-// meets a model it has already solved. Correctness rests on the key being
-// a faithful canonicalization: two models share a key only if they are the
-// same optimization problem solved under the same result-affecting solver
-// options. The canonical form strips names and formatting but deliberately
+// meets a problem it has already solved. Correctness rests on the key being
+// a faithful canonicalization: two (model, objective) pairs share a key
+// only if they are the same optimization problem solved under the same
+// result-affecting solver options. The canonical form deliberately
 // preserves variable and constraint order — the solver is deterministic,
 // so order-identical models produce bit-identical solutions, and a cache
 // hit can never change what a sweep computes (it only skips recomputing
@@ -26,18 +26,18 @@ namespace luis::ilp {
 
 struct BranchAndBoundOptions;
 
-/// Serializes the model plus the result-affecting solver options into a
-/// canonical string: name-free, order-preserving, every number in its
+/// Serializes the objective, the model and the result-affecting solver
+/// options into a canonical string: order-preserving, every number in its
 /// shortest round-trip form (std::to_chars), so distinct values render
 /// distinctly. Equal strings imply identical solves.
-std::string canonical_model_key(const Model& model,
+std::string canonical_model_key(const Model& model, const Objective& objective,
                                 const BranchAndBoundOptions& options);
 
-/// Objective-free canonicalization: variables, bounds and constraints
-/// only. Two models share a structural key exactly when they describe the
-/// same feasible region in the same variable/constraint order — which is
-/// when a simplex basis from one warm-starts the other (sweep presets
-/// differ only in objective weights). Keys the SolverCache basis pool.
+/// The model alone: variables, bounds and constraints. Two models share a
+/// structural key exactly when they describe the same feasible region in
+/// the same variable/constraint order — which is when a simplex basis from
+/// one warm-starts the other (sweep presets solve one model under
+/// different objectives). Keys the SolverCache basis pool.
 std::string structural_model_key(const Model& model);
 
 /// FNV-1a 64-bit hash of `key` (stable across platforms and runs).

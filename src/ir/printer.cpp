@@ -149,10 +149,4 @@ std::map<const Instruction*, int> number_instructions(const Function& f) {
 
 std::string print_function(const Function& f) { return FunctionPrinter(f).run(); }
 
-std::string print_module(const Module& m) {
-  std::string out;
-  for (const auto& f : m.functions()) out += print_function(*f);
-  return out;
-}
-
 } // namespace luis::ir

@@ -9,7 +9,6 @@
 namespace luis::ir {
 
 std::string print_function(const Function& function);
-std::string print_module(const Module& module);
 
 /// Stable textual ids (%0, %1, ...) for every result-producing instruction,
 /// in program order. Shared by the printer and diagnostics.

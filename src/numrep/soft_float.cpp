@@ -105,11 +105,5 @@ double soft_sub(const NumericFormat& f, double a, double b) {
 double soft_mul(const NumericFormat& f, double a, double b) {
   return round_to_format(f, a * b);
 }
-double soft_div(const NumericFormat& f, double a, double b) {
-  return round_to_format(f, a / b);
-}
-double soft_rem(const NumericFormat& f, double a, double b) {
-  return round_to_format(f, std::fmod(a, b));
-}
 
 } // namespace luis::numrep

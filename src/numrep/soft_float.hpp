@@ -45,7 +45,5 @@ double float_min_subnormal(const NumericFormat& format);
 double soft_add(const NumericFormat& f, double a, double b);
 double soft_sub(const NumericFormat& f, double a, double b);
 double soft_mul(const NumericFormat& f, double a, double b);
-double soft_div(const NumericFormat& f, double a, double b);
-double soft_rem(const NumericFormat& f, double a, double b);
 
 } // namespace luis::numrep

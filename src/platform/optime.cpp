@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdio>
+#include <optional>
+#include <vector>
 
 #include "support/diag.hpp"
+#include "support/string_utils.hpp"
 
 namespace luis::platform {
 namespace {
@@ -79,31 +83,6 @@ std::string OpTimeTable::to_text() const {
     out += buf;
   }
   return out;
-}
-
-std::optional<OpTimeTable> parse_optime_table(std::string_view text) {
-  OpTimeTable table;
-  bool have_machine = false;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    std::size_t end = text.find('\n', start);
-    if (end == std::string_view::npos) end = text.size();
-    const std::string line{text.substr(start, end - start)};
-    start = end + 1;
-    if (line.empty()) continue;
-    char op[64], type[64];
-    double value;
-    if (std::sscanf(line.c_str(), "machine %63s", op) == 1) {
-      table = OpTimeTable(op);
-      have_machine = true;
-      continue;
-    }
-    if (std::sscanf(line.c_str(), "%63s %63s %lf", op, type, &value) != 3)
-      return std::nullopt;
-    table.set(op, type, value);
-  }
-  if (!have_machine || table.entries().empty()) return std::nullopt;
-  return table;
 }
 
 namespace {
@@ -181,6 +160,65 @@ OpTimeTable make_table(const std::string& name, double Row::*column) {
 }
 
 } // namespace
+
+OpTimeParseResult parse_optime_table(std::string_view text) {
+  OpTimeParseResult out;
+  bool have_machine = false;
+  int line_no = 0;
+  std::size_t start = 0;
+  // Records an error at 1-based (line, column) and returns the result.
+  const auto fail = [&](int line, std::size_t column, std::string message) {
+    out.error = std::move(message);
+    out.line = line;
+    out.column = static_cast<int>(column);
+    return out;
+  };
+  while (start < text.size()) {
+    std::size_t end = text.find('\n', start);
+    if (end == std::string_view::npos) end = text.size();
+    const std::string_view line = text.substr(start, end - start);
+    start = end + 1;
+    ++line_no;
+    // Whitespace-separated tokens, each with its 1-based column.
+    std::vector<std::pair<std::string_view, std::size_t>> tokens;
+    for (std::size_t at = 0; at < line.size();) {
+      const std::size_t from = line.find_first_not_of(" \t\r", at);
+      if (from == std::string_view::npos) break;
+      at = std::min(line.find_first_of(" \t\r", from), line.size());
+      tokens.emplace_back(line.substr(from, at - from), from + 1);
+    }
+    if (tokens.empty()) continue;
+    const auto& [first, first_col] = tokens.front();
+    if (!have_machine) {
+      if (tokens.size() != 2 || first != "machine")
+        return fail(line_no, first_col, "want 'machine NAME' first");
+      out.table = OpTimeTable(std::string(tokens[1].first));
+      have_machine = true;
+      continue;
+    }
+    if (tokens.size() != 3)
+      return fail(line_no, tokens.size() > 3 ? tokens[3].second : first_col,
+                  "want 'OP TYPE VALUE'");
+    const std::string op(first), type(tokens[1].first);
+    const auto [value_text, value_col] = tokens[2];
+    const std::optional<double> value = parse_number<double>(value_text);
+    if (!value || !std::isfinite(*value) || *value <= 0.0)
+      return fail(line_no, value_col,
+                  "op-time must be a finite number > 0, got '" +
+                      std::string(value_text) + "'");
+    if (out.table.has(op, type))
+      return fail(line_no, first_col,
+                  "repeated entry '" + op + " " + type + "'");
+    out.table.set(op, type, *value);
+  }
+  if (!have_machine) return fail(line_no + 1, 1, "want 'machine NAME' first");
+  for (const Row& row : kTable2)
+    if (!out.table.has(row.op, row.type))
+      return fail(line_no + 1, 1,
+                  std::string("missing entry '") + row.op + " " + row.type +
+                      "' (every Table II op-time is required)");
+  return out;
+}
 
 const OpTimeTable& stm32_table() {
   static const OpTimeTable t = make_table("Stm32", &Row::stm32);

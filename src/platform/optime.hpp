@@ -9,7 +9,6 @@
 #pragma once
 
 #include <map>
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -83,11 +82,19 @@ std::span<const OpTimeTable* const> standard_platforms();
 /// "AMD"; case-insensitive). Returns nullptr if unknown.
 const OpTimeTable* platform_by_name(const std::string& name);
 
-/// Parses the text form produced by OpTimeTable::to_text. Returns nullopt
-/// on malformed input. This is how a characterization measured once on a
-/// target machine ("luis characterize -o target.optime") is carried to the
-/// machine doing the compilation — the paper's cross-compilation workflow
-/// (all kernels were compiled on the AMD machine for every target).
-std::optional<OpTimeTable> parse_optime_table(std::string_view text);
+struct OpTimeParseResult {
+  OpTimeTable table;
+  std::string error; ///< empty on success
+  int line = 0;      ///< 1-based position of the error
+  int column = 0;
+  bool ok() const { return error.empty(); }
+};
+
+/// Parses OpTimeTable::to_text: `machine NAME`, then `OP TYPE VALUE` lines
+/// (values finite, > 0, read whole; each key once; every Table II key, the
+/// ones op_time's fallbacks reduce to). This carries a characterization
+/// measured on a target machine ("luis characterize -o target.optime") to
+/// the compiling one, the paper's cross-compilation workflow.
+OpTimeParseResult parse_optime_table(std::string_view text);
 
 } // namespace luis::platform

@@ -55,10 +55,6 @@ void set_log_level(LogLevel level) {
   g_log_level.store(static_cast<int>(level), std::memory_order_relaxed);
 }
 
-LogLevel log_level() {
-  return static_cast<LogLevel>(g_log_level.load(std::memory_order_relaxed));
-}
-
 bool log_enabled(LogLevel level) {
   return static_cast<int>(level) <=
          g_log_level.load(std::memory_order_relaxed);

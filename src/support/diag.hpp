@@ -33,9 +33,8 @@ const char* to_string(LogLevel level);
 /// Parses "error"/"warn"/"info"/"debug"; nullopt for anything else.
 std::optional<LogLevel> parse_log_level(std::string_view name);
 
-/// Sets / reads the global log threshold (default Info). Thread-safe.
+/// Sets the global log threshold (default Info). Thread-safe.
 void set_log_level(LogLevel level);
-LogLevel log_level();
 
 /// True when `level` passes the global threshold.
 bool log_enabled(LogLevel level);

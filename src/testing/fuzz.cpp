@@ -49,7 +49,7 @@ constexpr std::uint64_t kTypeSeedSalt = 0x7E57AB1E5EEDull;
 constexpr int kMaxFailuresPerTarget = 5;
 
 /// True if every variable is integer with finite bounds — what the
-/// enumeration oracle requires and random_ilp_model guarantees. Corpus
+/// enumeration oracle requires and random_ilp_instance guarantees. Corpus
 /// files are validated with this before being replayed.
 bool is_enumerable(const ilp::Model& model) {
   for (const ilp::Variable& v : model.variables()) {
@@ -62,13 +62,15 @@ bool is_enumerable(const ilp::Model& model) {
 
 CheckResult run_ilp_trial(std::uint64_t seed, std::string* repro) {
   Rng rng(seed);
-  const ilp::Model model = random_ilp_model(rng);
-  const CheckResult result = check_ilp_instance(model);
+  const IlpInstance instance = random_ilp_instance(rng);
+  const CheckResult result = check_ilp_instance(instance);
   if (!result.ok && repro) {
-    const auto still_fails = [](const ilp::Model& candidate) {
+    const auto still_fails = [](const IlpInstance& candidate) {
       return !check_ilp_instance(candidate).ok;
     };
-    *repro = ilp::to_lp_format(shrink_ilp_model(model, still_fails).model);
+    const IlpInstance shrunk =
+        shrink_ilp_instance(instance, still_fails).instance;
+    *repro = ilp::to_lp_format(shrunk.model, shrunk.objective);
   }
   return result;
 }
@@ -236,7 +238,7 @@ CorpusResult replay_corpus(const std::string& dir,
             "corpus model is not enumerable (needs small finite integer "
             "boxes)");
       } else {
-        entry.result = check_ilp_instance(parsed.model);
+        entry.result = check_ilp_instance({parsed.model, parsed.objective});
       }
     } else {
       ir::Module module;

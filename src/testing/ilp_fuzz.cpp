@@ -30,16 +30,17 @@ double random_coeff(Rng& rng, const IlpGenOptions& opt) {
 
 } // namespace
 
-ilp::Model random_ilp_model(Rng& rng, const IlpGenOptions& opt) {
-  Model model;
+IlpInstance random_ilp_instance(Rng& rng, const IlpGenOptions& opt) {
+  IlpInstance out;
+  Model& model = out.model;
   const int nvars = static_cast<int>(rng.next_int(1, opt.max_variables));
   for (int j = 0; j < nvars; ++j) {
     const double lo = static_cast<double>(rng.next_int(-2, 1));
     const double hi = lo + static_cast<double>(rng.next_int(0, opt.max_bound_span));
     if (lo == 0.0 && hi == 1.0 && rng.next_bool(0.5)) {
-      model.add_binary("");
+      model.add_binary();
     } else {
-      model.add_integer("", lo, hi);
+      model.add_integer(lo, hi);
     }
   }
 
@@ -75,13 +76,14 @@ ilp::Model random_ilp_model(Rng& rng, const IlpGenOptions& opt) {
   if (rng.next_bool(0.3))
     objective.add_constant(static_cast<double>(rng.next_int(-3, 3)) +
                            (rng.next_bool(0.3) ? 0.5 : 0.0));
-  model.set_objective(
+  out.objective = ilp::Objective(
       rng.next_bool(0.5) ? ilp::Direction::Minimize : ilp::Direction::Maximize,
       std::move(objective));
-  return model;
+  return out;
 }
 
-EnumerationResult enumerate_optimum(const ilp::Model& model) {
+EnumerationResult enumerate_optimum(const IlpInstance& instance) {
+  const Model& model = instance.model;
   const std::size_t n = model.num_variables();
   std::vector<std::int64_t> lo(n), hi(n), cur(n);
   long points_total = 1;
@@ -102,7 +104,7 @@ EnumerationResult enumerate_optimum(const ilp::Model& model) {
 
   EnumerationResult out;
   const double sign =
-      model.objective_direction() == ilp::Direction::Minimize ? 1.0 : -1.0;
+      instance.objective.direction == ilp::Direction::Minimize ? 1.0 : -1.0;
   std::vector<double> point(n);
   for (;;) {
     ++out.points;
@@ -120,7 +122,7 @@ EnumerationResult enumerate_optimum(const ilp::Model& model) {
       if (!feasible) break;
     }
     if (feasible) {
-      const double obj = model.objective_value(point);
+      const double obj = instance.objective.value(point);
       if (!out.feasible || sign * obj < sign * out.objective - 1e-12) {
         out.feasible = true;
         out.objective = obj;
@@ -161,19 +163,17 @@ CheckResult compare_solves(const char* what, const Solution& a,
 
 } // namespace
 
-CheckResult check_ilp_instance(const ilp::Model& model,
+CheckResult check_ilp_instance(const IlpInstance& instance,
                                const IlpCheckOptions& options) {
-  const MilpSolver solve =
-      options.solve ? options.solve
-                    : [](const Model& m, const BranchAndBoundOptions& o) {
-                        return ilp::solve_milp(m, o);
-                      };
+  const MilpSolver solve = options.solve ? options.solve : ilp::solve_milp;
+  const Model& model = instance.model;
+  const ilp::Objective& objective = instance.objective;
   BranchAndBoundOptions base;
   base.max_nodes = options.max_nodes;
 
   // Oracle 1: exhaustive enumeration is ground truth.
-  const EnumerationResult truth = enumerate_optimum(model);
-  const Solution solved = solve(model, base);
+  const EnumerationResult truth = enumerate_optimum(instance);
+  const Solution solved = solve(model, objective, base);
   if (solved.status == SolveStatus::NodeLimit ||
       solved.status == SolveStatus::IterationLimit)
     return CheckResult::fail(format_string(
@@ -196,31 +196,30 @@ CheckResult check_ilp_instance(const ilp::Model& model,
           truth.objective, solved.objective));
     if (!model.is_feasible(solved.values))
       return CheckResult::fail("solver's claimed solution is infeasible");
-    if (std::abs(model.objective_value(solved.values) - solved.objective) >
-        1e-6)
+    if (std::abs(objective.value(solved.values) - solved.objective) > 1e-6)
       return CheckResult::fail(format_string(
           "solver's objective %.17g does not match its own solution (%.17g)",
-          solved.objective, model.objective_value(solved.values)));
+          solved.objective, objective.value(solved.values)));
   }
 
   // Oracle 2: the LP text round trip is the same optimization problem.
   // Variable order can change (the reader numbers by first use), so the
   // comparison is status + optimum, not values.
-  const std::string lp_text = ilp::to_lp_format(model);
+  const std::string lp_text = ilp::to_lp_format(model, objective);
   const ilp::LpParseResult reparsed = ilp::parse_lp(lp_text);
   if (!reparsed.ok())
     return CheckResult::fail("lp_writer output does not re-parse: " +
                              reparsed.error);
   const CheckResult roundtrip_check = compare_solves(
-      "LP round trip", solved, solve(reparsed.model, base));
+      "LP round trip", solved, solve(reparsed.model, reparsed.objective, base));
   if (!roundtrip_check.ok) return roundtrip_check;
 
   // Oracle 3: a cache hit returns the fresh solution bit-identically.
   ilp::SolverCache cache;
   BranchAndBoundOptions cached = base;
   cached.cache = &cache;
-  const Solution fresh = solve(model, cached);
-  const Solution hit = solve(model, cached);
+  const Solution fresh = solve(model, objective, cached);
+  const Solution hit = solve(model, objective, cached);
   if (fresh.status != hit.status || !bits_equal(fresh.objective, hit.objective) ||
       !bits_equal(fresh.best_bound, hit.best_bound) ||
       fresh.values.size() != hit.values.size())
@@ -239,8 +238,8 @@ CheckResult check_ilp_instance(const ilp::Model& model,
   // keeps the dense reference checked too.
   BranchAndBoundOptions dense = base;
   dense.lp.core = ilp::LpCore::Dense;
-  const CheckResult core_check =
-      compare_solves("revised vs dense core", solved, solve(model, dense));
+  const CheckResult core_check = compare_solves(
+      "revised vs dense core", solved, solve(model, objective, dense));
   if (!core_check.ok) return core_check;
 
   return CheckResult::pass();
@@ -250,7 +249,7 @@ CheckResult check_ilp_instance(const ilp::Model& model,
 
 namespace {
 
-/// Editable mirror of a Model (the Model API is append-only by design).
+/// Editable mirror of an instance (the Model API is append-only by design).
 struct ModelParts {
   struct Row {
     std::vector<std::pair<int, double>> terms;
@@ -263,7 +262,8 @@ struct ModelParts {
   double objective_constant = 0.0;
   ilp::Direction direction = ilp::Direction::Minimize;
 
-  static ModelParts of(const Model& model) {
+  static ModelParts of(const IlpInstance& instance) {
+    const Model& model = instance.model;
     ModelParts p;
     p.variables = model.variables();
     for (const ilp::Constraint& c : model.constraints()) {
@@ -274,17 +274,18 @@ struct ModelParts {
       row.rhs = c.rhs;
       p.rows.push_back(std::move(row));
     }
-    for (const auto& [var, coeff] : model.objective().terms())
+    for (const auto& [var, coeff] : instance.objective.expr.terms())
       p.objective.emplace_back(static_cast<int>(var), coeff);
-    p.objective_constant = model.objective().constant();
-    p.direction = model.objective_direction();
+    p.objective_constant = instance.objective.expr.constant();
+    p.direction = instance.objective.direction;
     return p;
   }
 
-  Model build() const {
-    Model model;
+  IlpInstance build() const {
+    IlpInstance out;
+    Model& model = out.model;
     for (const ilp::Variable& v : variables)
-      model.add_variable(v.name, v.kind, v.lower, v.upper);
+      model.add_variable(v.kind, v.lower, v.upper);
     for (const Row& row : rows) {
       ilp::LinearExpr expr;
       for (const auto& [var, coeff] : row.terms) expr.add(var, coeff);
@@ -293,8 +294,8 @@ struct ModelParts {
     ilp::LinearExpr obj;
     for (const auto& [var, coeff] : objective) obj.add(var, coeff);
     obj.add_constant(objective_constant);
-    model.set_objective(direction, std::move(obj));
-    return model;
+    out.objective = ilp::Objective(direction, std::move(obj));
+    return out;
   }
 
   /// Deletes variable `j`, dropping its terms and renumbering the rest.
@@ -315,11 +316,11 @@ struct ModelParts {
 
 } // namespace
 
-IlpShrinkResult shrink_ilp_model(
-    const ilp::Model& model,
-    const std::function<bool(const ilp::Model&)>& still_fails) {
+IlpShrinkResult shrink_ilp_instance(
+    const IlpInstance& instance,
+    const std::function<bool(const IlpInstance&)>& still_fails) {
   IlpShrinkResult out;
-  ModelParts best = ModelParts::of(model);
+  ModelParts best = ModelParts::of(instance);
 
   // Each accepted candidate strictly shrinks (rows + variables + terms +
   // total bound span + nonzero constant count), so the loop terminates.
@@ -391,7 +392,7 @@ IlpShrinkResult shrink_ilp_model(
     }
   }
 
-  out.model = best.build();
+  out.instance = best.build();
   return out;
 }
 

@@ -33,11 +33,17 @@ struct IlpGenOptions {
   double fractional_coeff_p = 0.25;
 };
 
-/// Generates a random model under `options`: every variable integer (or
+/// One optimization problem: a model and the objective solved over it.
+struct IlpInstance {
+  ilp::Model model;
+  ilp::Objective objective;
+};
+
+/// Generates a random instance under `options`: every variable integer (or
 /// binary) with finite bounds, constraints with mixed senses, a random
 /// objective direction and optional objective constant. Roughly half the
 /// instances are feasible.
-ilp::Model random_ilp_model(Rng& rng, const IlpGenOptions& options = {});
+IlpInstance random_ilp_instance(Rng& rng, const IlpGenOptions& options = {});
 
 struct EnumerationResult {
   bool feasible = false;
@@ -47,13 +53,13 @@ struct EnumerationResult {
 };
 
 /// Brute-force oracle: walks the full integer box. Every variable must be
-/// integer/binary with finite bounds (what random_ilp_model generates).
-EnumerationResult enumerate_optimum(const ilp::Model& model);
+/// integer/binary with finite bounds (what random_ilp_instance generates).
+EnumerationResult enumerate_optimum(const IlpInstance& instance);
 
 /// Solver under test. Tests substitute a deliberately broken solver to
 /// exercise the shrinker; the campaign uses ilp::solve_milp.
 using MilpSolver = std::function<ilp::Solution(
-    const ilp::Model&, const ilp::BranchAndBoundOptions&)>;
+    const ilp::Model&, const ilp::Objective&, const ilp::BranchAndBoundOptions&)>;
 
 struct IlpCheckOptions {
   MilpSolver solve;        ///< defaults to ilp::solve_milp
@@ -67,11 +73,11 @@ struct IlpCheckOptions {
 ///   3. re-solving through a SolverCache returns the first solution
 ///      bit-identically;
 ///   4. the dense LP core agrees with the revised one.
-CheckResult check_ilp_instance(const ilp::Model& model,
+CheckResult check_ilp_instance(const IlpInstance& instance,
                                const IlpCheckOptions& options = {});
 
 struct IlpShrinkResult {
-  ilp::Model model;
+  IlpInstance instance;
   int rounds = 0;   ///< full passes over the mutation list
   int attempts = 0; ///< candidate models evaluated
 };
@@ -80,8 +86,8 @@ struct IlpShrinkResult {
 /// variables, deleting coefficients, and narrowing bounds toward zero,
 /// keeping every mutation for which `still_fails` returns true. The result
 /// is 1-minimal: no single listed mutation keeps it failing.
-IlpShrinkResult shrink_ilp_model(
-    const ilp::Model& model,
-    const std::function<bool(const ilp::Model&)>& still_fails);
+IlpShrinkResult shrink_ilp_instance(
+    const IlpInstance& instance,
+    const std::function<bool(const IlpInstance&)>& still_fails);
 
 } // namespace luis::testing

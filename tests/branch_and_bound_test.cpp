@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <optional>
 #include <string>
 #include <vector>
@@ -16,11 +18,12 @@ namespace {
 TEST(BranchAndBound, SimpleIntegerRounding) {
   // max x + y s.t. 2x + 2y <= 7, integer -> x + y = 3 (not 3.5).
   Model m;
-  const VarId x = m.add_integer("x", 0, 10);
-  const VarId y = m.add_integer("y", 0, 10);
+  const VarId x = m.add_integer(0, 10);
+  const VarId y = m.add_integer(0, 10);
   m.add_le(LinearExpr().add(x, 2).add(y, 2), 7);
-  m.set_objective(Direction::Maximize, LinearExpr().add(x, 1).add(y, 1));
-  const Solution s = solve_milp(m);
+  const Objective objective(Direction::Maximize,
+                            LinearExpr().add(x, 1).add(y, 1));
+  const Solution s = solve_milp(m, objective);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
   EXPECT_NEAR(s.objective, 3.0, 1e-6);
   EXPECT_TRUE(m.is_feasible(s.values));
@@ -41,14 +44,14 @@ TEST(BranchAndBound, KnapsackAgainstBruteForce) {
     LinearExpr wsum, vsum;
     std::vector<VarId> xs;
     for (int i = 0; i < n; ++i) {
-      xs.push_back(m.add_binary("x" + std::to_string(i)));
+      xs.push_back(m.add_binary());
       wsum.add(xs.back(), weight[static_cast<std::size_t>(i)]);
       vsum.add(xs.back(), value[static_cast<std::size_t>(i)]);
     }
     m.add_le(std::move(wsum), cap);
-    m.set_objective(Direction::Maximize, std::move(vsum));
+    const Objective objective(Direction::Maximize, std::move(vsum));
 
-    const Solution s = solve_milp(m);
+    const Solution s = solve_milp(m, objective);
     ASSERT_EQ(s.status, SolveStatus::Optimal) << "trial " << trial;
     EXPECT_TRUE(m.is_feasible(s.values)) << "trial " << trial;
 
@@ -77,7 +80,7 @@ TEST(BranchAndBound, AssignmentProblemIsIntegralAtRoot) {
   VarId x[4][4];
   for (int i = 0; i < 4; ++i)
     for (int j = 0; j < 4; ++j)
-      x[i][j] = m.add_binary("x" + std::to_string(i) + std::to_string(j));
+      x[i][j] = m.add_binary();
   for (int i = 0; i < 4; ++i) {
     LinearExpr row, col;
     for (int j = 0; j < 4; ++j) {
@@ -90,9 +93,9 @@ TEST(BranchAndBound, AssignmentProblemIsIntegralAtRoot) {
   LinearExpr obj;
   for (int i = 0; i < 4; ++i)
     for (int j = 0; j < 4; ++j) obj.add(x[i][j], cost[i][j]);
-  m.set_objective(Direction::Minimize, std::move(obj));
+  const Objective objective(Direction::Minimize, std::move(obj));
 
-  const Solution s = solve_milp(m);
+  const Solution s = solve_milp(m, objective);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
   EXPECT_NEAR(s.objective, 13.0, 1e-6); // 2 + 3 + 5 + 4 (hand-checked best)
   EXPECT_LE(s.nodes, 10);
@@ -101,12 +104,13 @@ TEST(BranchAndBound, AssignmentProblemIsIntegralAtRoot) {
 TEST(BranchAndBound, MixedIntegerContinuous) {
   // max 3x + 2y, x integer, y continuous; x + y <= 4.5, x <= 2.3.
   Model m;
-  const VarId x = m.add_integer("x", 0, 10);
-  const VarId y = m.add_continuous("y", 0.0, kInfinity);
+  const VarId x = m.add_integer(0, 10);
+  const VarId y = m.add_continuous(0.0, kInfinity);
   m.add_le(LinearExpr().add(x, 1).add(y, 1), 4.5);
   m.add_le(LinearExpr().add(x, 1), 2.3);
-  m.set_objective(Direction::Maximize, LinearExpr().add(x, 3).add(y, 2));
-  const Solution s = solve_milp(m);
+  const Objective objective(Direction::Maximize,
+                            LinearExpr().add(x, 3).add(y, 2));
+  const Solution s = solve_milp(m, objective);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
   EXPECT_NEAR(s.value(x), 2.0, 1e-6);
   EXPECT_NEAR(s.value(y), 2.5, 1e-6);
@@ -116,25 +120,25 @@ TEST(BranchAndBound, MixedIntegerContinuous) {
 TEST(BranchAndBound, InfeasibleIntegerProblem) {
   // 2x = 3 has no integer solution.
   Model m;
-  const VarId x = m.add_integer("x", 0, 10);
+  const VarId x = m.add_integer(0, 10);
   m.add_eq(LinearExpr().add(x, 2), 3);
-  m.set_objective(Direction::Minimize, LinearExpr().add(x, 1));
-  EXPECT_EQ(solve_milp(m).status, SolveStatus::Infeasible);
+  const Objective objective(Direction::Minimize, LinearExpr().add(x, 1));
+  EXPECT_EQ(solve_milp(m, objective).status, SolveStatus::Infeasible);
 }
 
 TEST(BranchAndBound, BigMIndicatorConstraints) {
   // The exact constraint shape the LUIS model uses: y >= x_a + x_b - 1.
   // Choosing types t for a and t' for b must force the cast indicator.
   Model m;
-  const VarId xa = m.add_binary("xa_t");
-  const VarId xb = m.add_binary("xb_u");
-  const VarId cast = m.add_binary("y_cast");
+  const VarId xa = m.add_binary();
+  const VarId xb = m.add_binary();
+  const VarId cast = m.add_binary();
   // xa + xb <= y + 1
   m.add_le(LinearExpr().add(xa, 1).add(xb, 1).add(cast, -1), 1);
   m.add_eq(LinearExpr().add(xa, 1), 1);
   m.add_eq(LinearExpr().add(xb, 1), 1);
-  m.set_objective(Direction::Minimize, LinearExpr().add(cast, 5));
-  const Solution s = solve_milp(m);
+  const Objective objective(Direction::Minimize, LinearExpr().add(cast, 5));
+  const Solution s = solve_milp(m, objective);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
   EXPECT_NEAR(s.value(cast), 1.0, 1e-6);
   EXPECT_NEAR(s.objective, 5.0, 1e-6);
@@ -145,13 +149,14 @@ TEST(BranchAndBound, NodeLimitReportsIncumbent) {
   // search stops; either no incumbent (Infeasible->NodeLimit) or a found
   // one is reported with NodeLimit status.
   Model m;
-  const VarId x = m.add_integer("x", 0, 10);
-  const VarId y = m.add_integer("y", 0, 10);
+  const VarId x = m.add_integer(0, 10);
+  const VarId y = m.add_integer(0, 10);
   m.add_le(LinearExpr().add(x, 2).add(y, 2), 7);
-  m.set_objective(Direction::Maximize, LinearExpr().add(x, 1).add(y, 1));
+  const Objective objective(Direction::Maximize,
+                            LinearExpr().add(x, 1).add(y, 1));
   BranchAndBoundOptions opt;
   opt.max_nodes = 1;
-  const Solution s = solve_milp(m, opt);
+  const Solution s = solve_milp(m, objective, opt);
   EXPECT_EQ(s.status, SolveStatus::NodeLimit);
 }
 
@@ -164,16 +169,16 @@ TEST(BranchAndBound, NodeLimitBoundStaysBelowIncumbentObjective) {
     Model m;
     LinearExpr cover, obj;
     for (int i = 0; i < n; ++i) {
-      const VarId x = m.add_binary("x" + std::to_string(i));
+      const VarId x = m.add_binary();
       cover.add(x, static_cast<double>(rng.next_int(1, 6)));
       obj.add(x, static_cast<double>(rng.next_int(1, 9)) + 0.5);
     }
     m.add_ge(std::move(cover), 12.0);
-    m.set_objective(Direction::Minimize, std::move(obj));
+    const Objective objective(Direction::Minimize, std::move(obj));
 
     BranchAndBoundOptions opt;
     opt.max_nodes = 3; // forces an early stop on most trials
-    const Solution s = solve_milp(m, opt);
+    const Solution s = solve_milp(m, objective, opt);
     if (s.values.empty()) continue; // no incumbent: nothing to compare
     EXPECT_LE(s.best_bound, s.objective + 1e-9) << "trial " << trial;
   }
@@ -187,20 +192,20 @@ TEST(BranchAndBound, IterationLimitKeepsBoundSound) {
   Model m;
   LinearExpr cover, obj;
   for (int i = 0; i < 8; ++i) {
-    const VarId x = m.add_binary("x" + std::to_string(i));
+    const VarId x = m.add_binary();
     cover.add(x, static_cast<double>(1 + (i * 3) % 5));
     obj.add(x, static_cast<double>(2 + (i * 7) % 9));
   }
   m.add_ge(cover, 10.0);
-  m.set_objective(Direction::Minimize, obj);
+  const Objective objective(Direction::Minimize, obj);
 
   // Reference optimum with generous limits.
-  const Solution exact = solve_milp(m);
+  const Solution exact = solve_milp(m, objective);
   ASSERT_EQ(exact.status, SolveStatus::Optimal);
 
   BranchAndBoundOptions starved;
   starved.lp.max_iterations = 1;
-  const Solution s = solve_milp(m, starved);
+  const Solution s = solve_milp(m, objective, starved);
   EXPECT_EQ(s.status, SolveStatus::NodeLimit);
   // Nothing was proven, so the bound may be -inf — but it must not exceed
   // the true optimum (a bound above it would falsely tighten the gap).
@@ -211,21 +216,22 @@ TEST(BranchAndBound, CachedSolutionEqualsFreshSolve) {
   Model m;
   LinearExpr wsum, vsum;
   for (int i = 0; i < 10; ++i) {
-    const VarId x = m.add_binary("x" + std::to_string(i));
+    const VarId x = m.add_binary();
     wsum.add(x, static_cast<double>(3 + (i * 5) % 11));
     vsum.add(x, static_cast<double>(1 + (i * 7) % 13));
   }
   m.add_le(std::move(wsum), 30.0);
-  m.set_objective(Direction::Maximize, std::move(vsum));
+  const Objective objective(Direction::Maximize, std::move(vsum));
 
-  const Solution fresh = solve_milp(m);
+  const Solution fresh = solve_milp(m, objective);
   ASSERT_EQ(fresh.status, SolveStatus::Optimal);
 
   SolverCache cache;
   BranchAndBoundOptions opt;
   opt.cache = &cache;
-  const Solution miss = solve_milp(m, opt); // computes and fills the cache
-  const Solution hit = solve_milp(m, opt);  // must come from the cache
+  // The first solve computes and fills the cache; the second must hit it.
+  const Solution miss = solve_milp(m, objective, opt);
+  const Solution hit = solve_milp(m, objective, opt);
 
   const SolverCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.lookups, 2);
@@ -243,22 +249,25 @@ TEST(BranchAndBound, CachedSolutionEqualsFreshSolve) {
 
 TEST(BranchAndBound, CacheKeySeparatesModelsAndOptions) {
   Model a, b;
-  const VarId xa = a.add_integer("x", 0, 5);
-  a.set_objective(Direction::Maximize, LinearExpr().add(xa, 1));
-  const VarId xb = b.add_integer("x", 0, 6); // differs only in one bound
-  b.set_objective(Direction::Maximize, LinearExpr().add(xb, 1));
+  const VarId xa = a.add_integer(0, 5);
+  const Objective a_objective(Direction::Maximize, LinearExpr().add(xa, 1));
+  const VarId xb = b.add_integer(0, 6); // differs only in one bound
+  const Objective b_objective(Direction::Maximize, LinearExpr().add(xb, 1));
 
   BranchAndBoundOptions opt;
-  EXPECT_NE(canonical_model_key(a, opt), canonical_model_key(b, opt));
+  EXPECT_NE(canonical_model_key(a, a_objective, opt),
+            canonical_model_key(b, b_objective, opt));
   BranchAndBoundOptions other = opt;
   other.max_nodes = opt.max_nodes + 1;
-  EXPECT_NE(canonical_model_key(a, opt), canonical_model_key(a, other));
+  EXPECT_NE(canonical_model_key(a, a_objective, opt),
+            canonical_model_key(a, a_objective, other));
 
-  // Names must NOT separate: the canonical form is name-free.
+  // A separately built copy of the same problem shares the key.
   Model c;
-  const VarId xc = c.add_integer("renamed", 0, 5);
-  c.set_objective(Direction::Maximize, LinearExpr().add(xc, 1));
-  EXPECT_EQ(canonical_model_key(a, opt), canonical_model_key(c, opt));
+  const VarId xc = c.add_integer(0, 5);
+  const Objective c_objective(Direction::Maximize, LinearExpr().add(xc, 1));
+  EXPECT_EQ(canonical_model_key(a, a_objective, opt),
+            canonical_model_key(c, c_objective, opt));
 
   // Every number reaches the key exactly: one-ulp neighbours, the two
   // zeros and the two infinities all split, and a model rebuilt from the
@@ -269,16 +278,21 @@ TEST(BranchAndBound, CacheKeySeparatesModelsAndOptions) {
   };
   const auto build = [](const Numbers& n) {
     Model m;
-    const VarId x = m.add_integer("x", n.x_lower, n.x_upper);
-    const VarId y = m.add_continuous("y", n.y_lower, kInfinity);
+    const VarId x = m.add_integer(n.x_lower, n.x_upper);
+    const VarId y = m.add_continuous(n.y_lower, kInfinity);
     m.add_le(LinearExpr().add(x, n.coeff).add(y, 1.0), n.rhs);
-    m.set_objective(Direction::Maximize,
-                    LinearExpr().add(x, 1.0).add_constant(n.constant));
-    return m;
+    Objective objective(Direction::Maximize,
+                        LinearExpr().add(x, 1.0).add_constant(n.constant));
+    return std::pair{std::move(m), std::move(objective)};
   };
-  const std::string base = canonical_model_key(build({}), opt);
-  EXPECT_EQ(base, canonical_model_key(build({}), opt));
-  EXPECT_EQ(structural_model_key(build({})), structural_model_key(build({})));
+  const auto key = [&](const Numbers& n) {
+    const auto [m, objective] = build(n);
+    return canonical_model_key(m, objective, opt);
+  };
+  const std::string base = key({});
+  EXPECT_EQ(base, key({}));
+  EXPECT_EQ(structural_model_key(build({}).first),
+            structural_model_key(build({}).first));
   std::vector<Numbers> variants(7);
   variants[0].coeff = std::nextafter(3.0, kInfinity);
   variants[1].x_upper = std::nextafter(4.0, 0.0);
@@ -288,13 +302,13 @@ TEST(BranchAndBound, CacheKeySeparatesModelsAndOptions) {
   variants[5].y_lower = kInfinity;
   variants[6].y_lower = std::nextafter(-kInfinity, 0.0); // -DBL_MAX
   for (std::size_t i = 0; i < variants.size(); ++i)
-    EXPECT_NE(base, canonical_model_key(build(variants[i]), opt)) << "variant " << i;
+    EXPECT_NE(base, key(variants[i])) << "variant " << i;
 
   SolverCache cache;
   BranchAndBoundOptions cached = opt;
   cached.cache = &cache;
-  const Solution sa = solve_milp(a, cached);
-  const Solution sb = solve_milp(b, cached);
+  const Solution sa = solve_milp(a, a_objective, cached);
+  const Solution sb = solve_milp(b, b_objective, cached);
   EXPECT_EQ(cache.stats().hits, 0); // distinct models, no false sharing
   EXPECT_NEAR(sa.objective, 5.0, 1e-9);
   EXPECT_NEAR(sb.objective, 6.0, 1e-9);
@@ -306,7 +320,7 @@ TEST(BranchAndBound, RandomMilpsMatchBruteForce) {
     const int n = 8;
     Model m;
     std::vector<VarId> xs;
-    for (int i = 0; i < n; ++i) xs.push_back(m.add_binary("b" + std::to_string(i)));
+    for (int i = 0; i < n; ++i) xs.push_back(m.add_binary());
     std::vector<std::vector<double>> rows;
     std::vector<double> rhs;
     for (int r = 0; r < 5; ++r) {
@@ -327,9 +341,9 @@ TEST(BranchAndBound, RandomMilpsMatchBruteForce) {
       c[static_cast<std::size_t>(i)] = static_cast<double>(rng.next_int(-10, 10));
       obj.add(xs[static_cast<std::size_t>(i)], c[static_cast<std::size_t>(i)]);
     }
-    m.set_objective(Direction::Maximize, std::move(obj));
+    const Objective objective(Direction::Maximize, std::move(obj));
 
-    const Solution s = solve_milp(m);
+    const Solution s = solve_milp(m, objective);
 
     double best = -1e300;
     for (unsigned mask = 0; mask < (1u << n); ++mask) {
@@ -364,23 +378,23 @@ TEST(BranchAndBound, NearTiePruningRespectsConfiguredTolerance) {
   // settle for either, but must never return something worse than that
   // slack allows.
   Model m;
-  const VarId a = m.add_binary("a");
-  const VarId b = m.add_binary("b");
+  const VarId a = m.add_binary();
+  const VarId b = m.add_binary();
   m.add_eq(LinearExpr().add(a, 1).add(b, 1), 1); // pick exactly one
-  m.set_objective(Direction::Minimize,
-                  LinearExpr().add(a, 1.0).add(b, 1.0 + 5e-8));
+  const Objective objective(Direction::Minimize,
+                            LinearExpr().add(a, 1.0).add(b, 1.0 + 5e-8));
 
   BranchAndBoundOptions tight;
   tight.prune_tolerance = 1e-12;
   tight.relative_gap = 0.0;
-  const Solution s = solve_milp(m, tight);
+  const Solution s = solve_milp(m, objective, tight);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
   EXPECT_NEAR(s.value(a), 1.0, 1e-6); // the strictly better point
   EXPECT_NEAR(s.objective, 1.0, 1e-9);
 
   BranchAndBoundOptions loose;
   loose.prune_tolerance = 1e-3;
-  const Solution sl = solve_milp(m, loose);
+  const Solution sl = solve_milp(m, objective, loose);
   ASSERT_EQ(sl.status, SolveStatus::Optimal);
   EXPECT_LE(sl.objective, 1.0 + 1e-3);
 }
@@ -392,19 +406,19 @@ TEST(BranchAndBound, WarmStartOnAndOffAgreeOnOptimum) {
     Model m;
     LinearExpr wsum, vsum;
     for (int i = 0; i < n; ++i) {
-      const VarId x = m.add_binary("x" + std::to_string(i));
+      const VarId x = m.add_binary();
       wsum.add(x, static_cast<double>(rng.next_int(1, 12)));
       vsum.add(x, static_cast<double>(rng.next_int(1, 20)));
     }
     m.add_le(std::move(wsum), 25.0);
-    m.set_objective(Direction::Maximize, std::move(vsum));
+    const Objective objective(Direction::Maximize, std::move(vsum));
 
     BranchAndBoundOptions warm;
     warm.warm_start = true;
     BranchAndBoundOptions cold;
     cold.warm_start = false;
-    const Solution sw = solve_milp(m, warm);
-    const Solution sc = solve_milp(m, cold);
+    const Solution sw = solve_milp(m, objective, warm);
+    const Solution sc = solve_milp(m, objective, cold);
     ASSERT_EQ(sw.status, SolveStatus::Optimal) << "trial " << trial;
     ASSERT_EQ(sc.status, SolveStatus::Optimal) << "trial " << trial;
     EXPECT_NEAR(sw.objective, sc.objective, 1e-6) << "trial " << trial;
@@ -417,20 +431,21 @@ TEST(BranchAndBound, WarmStartOnAndOffAgreeOnOptimum) {
 // model as given, on both LP cores.
 constexpr LpCore kCores[] = {LpCore::Revised, LpCore::Dense};
 
-Solution solve_on(const Model& m, LpCore core) {
+Solution solve_on(const Model& m, const Objective& objective, LpCore core) {
   BranchAndBoundOptions opt;
   opt.lp.core = core;
-  return solve_milp(m, opt);
+  return solve_milp(m, objective, opt);
 }
 
 TEST(BranchAndBound, FixedVariableCountsInObjectiveAndBound) {
   Model m;
-  const VarId x = m.add_continuous("x", 2.0, 2.0);
-  const VarId y = m.add_continuous("y", 0.0, 4.0);
-  m.set_objective(Direction::Maximize, LinearExpr().add(x, 10).add(y, 1));
+  const VarId x = m.add_continuous(2.0, 2.0);
+  const VarId y = m.add_continuous(0.0, 4.0);
+  const Objective objective(Direction::Maximize,
+                            LinearExpr().add(x, 10).add(y, 1));
   for (const LpCore core : kCores) {
     SCOPED_TRACE(to_string(core));
-    const Solution s = solve_on(m, core);
+    const Solution s = solve_on(m, objective, core);
     ASSERT_EQ(s.status, SolveStatus::Optimal);
     EXPECT_DOUBLE_EQ(s.objective, 24.0);
     EXPECT_DOUBLE_EQ(s.best_bound, 24.0);
@@ -439,15 +454,15 @@ TEST(BranchAndBound, FixedVariableCountsInObjectiveAndBound) {
 
 TEST(BranchAndBound, FixedIntegerKeepsBoundAboveObjective) {
   Model m;
-  const VarId f = m.add_integer("f", 7, 7);
-  const VarId x = m.add_integer("x", 0, 5);
-  const VarId y = m.add_integer("y", 0, 5);
+  const VarId f = m.add_integer(7, 7);
+  const VarId x = m.add_integer(0, 5);
+  const VarId y = m.add_integer(0, 5);
   m.add_le(LinearExpr().add(x, 2.0).add(y, 3.0), 12.0);
-  m.set_objective(Direction::Maximize,
-                  LinearExpr().add(f, 100).add(x, 4).add(y, 5));
+  const Objective objective(Direction::Maximize,
+                            LinearExpr().add(f, 100).add(x, 4).add(y, 5));
   for (const LpCore core : kCores) {
     SCOPED_TRACE(to_string(core));
-    const Solution s = solve_on(m, core);
+    const Solution s = solve_on(m, objective, core);
     ASSERT_EQ(s.status, SolveStatus::Optimal);
     EXPECT_GT(s.objective, 700.0);
     EXPECT_GE(s.best_bound, s.objective - 1e-9);
@@ -457,40 +472,44 @@ TEST(BranchAndBound, FixedIntegerKeepsBoundAboveObjective) {
 
 TEST(BranchAndBound, InfeasibleThroughRowsAndBounds) {
   Model contradictory; // x <= 3 and x >= 7
-  const VarId a = contradictory.add_integer("x", 0, 10);
+  const VarId a = contradictory.add_integer(0, 10);
   contradictory.add_le(LinearExpr().add(a, 1.0), 3.0);
   contradictory.add_ge(LinearExpr().add(a, 1.0), 7.0);
-  contradictory.set_objective(Direction::Minimize, LinearExpr().add(a, 1));
+  const Objective contradictory_objective(Direction::Minimize,
+                                          LinearExpr().add(a, 1));
 
   Model window; // 2.2 <= x <= 2.8 holds no integer
-  const VarId b = window.add_integer("x", 0, 10);
+  const VarId b = window.add_integer(0, 10);
   window.add_ge(LinearExpr().add(b, 1.0), 2.2);
   window.add_le(LinearExpr().add(b, 1.0), 2.8);
-  window.set_objective(Direction::Minimize, LinearExpr().add(b, 1));
+  const Objective window_objective(Direction::Minimize, LinearExpr().add(b, 1));
 
   Model fixed; // x = 1 under x <= 0.5
-  const VarId c = fixed.add_continuous("x", 1.0, 1.0);
+  const VarId c = fixed.add_continuous(1.0, 1.0);
   fixed.add_le(LinearExpr().add(c, 1.0), 0.5);
-  fixed.set_objective(Direction::Minimize, LinearExpr().add(c, 1));
+  const Objective fixed_objective(Direction::Minimize, LinearExpr().add(c, 1));
 
   for (const LpCore core : kCores) {
     SCOPED_TRACE(to_string(core));
-    EXPECT_EQ(solve_on(contradictory, core).status, SolveStatus::Infeasible);
-    EXPECT_EQ(solve_on(window, core).status, SolveStatus::Infeasible);
-    EXPECT_EQ(solve_on(fixed, core).status, SolveStatus::Infeasible);
+    EXPECT_EQ(solve_on(contradictory, contradictory_objective, core).status,
+              SolveStatus::Infeasible);
+    EXPECT_EQ(solve_on(window, window_objective, core).status,
+              SolveStatus::Infeasible);
+    EXPECT_EQ(solve_on(fixed, fixed_objective, core).status,
+              SolveStatus::Infeasible);
   }
 }
 
 TEST(BranchAndBound, CascadingEqualitiesFixEveryVariable) {
   Model m;
-  const VarId x = m.add_integer("x", 0, 10);
-  const VarId y = m.add_integer("y", 0, 10);
+  const VarId x = m.add_integer(0, 10);
+  const VarId y = m.add_integer(0, 10);
   m.add_eq(LinearExpr().add(x, 1.0), 4.0);              // x = 4
   m.add_eq(LinearExpr().add(x, 1.0).add(y, 1.0), 10.0); // then y = 6
-  m.set_objective(Direction::Minimize, LinearExpr().add(y, 1));
+  const Objective objective(Direction::Minimize, LinearExpr().add(y, 1));
   for (const LpCore core : kCores) {
     SCOPED_TRACE(to_string(core));
-    const Solution s = solve_on(m, core);
+    const Solution s = solve_on(m, objective, core);
     ASSERT_EQ(s.status, SolveStatus::Optimal);
     EXPECT_DOUBLE_EQ(s.values[static_cast<std::size_t>(x)], 4.0);
     EXPECT_DOUBLE_EQ(s.values[static_cast<std::size_t>(y)], 6.0);
@@ -499,12 +518,12 @@ TEST(BranchAndBound, CascadingEqualitiesFixEveryVariable) {
 
 TEST(BranchAndBound, SingletonRowCapsIntegerMaximum) {
   Model m;
-  const VarId x = m.add_integer("x", 0, 10);
+  const VarId x = m.add_integer(0, 10);
   m.add_le(LinearExpr().add(x, 2.0), 9.0); // x <= 4.5
-  m.set_objective(Direction::Maximize, LinearExpr().add(x, 1));
+  const Objective objective(Direction::Maximize, LinearExpr().add(x, 1));
   for (const LpCore core : kCores) {
     SCOPED_TRACE(to_string(core));
-    const Solution s = solve_on(m, core);
+    const Solution s = solve_on(m, objective, core);
     ASSERT_EQ(s.status, SolveStatus::Optimal);
     EXPECT_DOUBLE_EQ(s.objective, 4.0);
   }
@@ -522,7 +541,7 @@ TEST(BranchAndBound, CoresAgreeOnFixedVariablesAndSingletonRows) {
     for (int i = 0; i < n; ++i) {
       const double lo = static_cast<double>(rng.next_int(0, 2));
       const double hi = lo + static_cast<double>(rng.next_int(0, 3));
-      xs.push_back(m.add_integer("x" + std::to_string(i), lo, hi));
+      xs.push_back(m.add_integer(lo, hi));
     }
     LinearExpr total;
     for (int i = 0; i < n; ++i) {
@@ -537,10 +556,10 @@ TEST(BranchAndBound, CoresAgreeOnFixedVariablesAndSingletonRows) {
     for (int i = 0; i < n; ++i)
       obj.add(xs[static_cast<std::size_t>(i)],
               static_cast<double>(rng.next_int(-5, 5)));
-    m.set_objective(Direction::Maximize, std::move(obj));
+    const Objective objective(Direction::Maximize, std::move(obj));
 
-    const Solution revised = solve_on(m, LpCore::Revised);
-    const Solution dense = solve_on(m, LpCore::Dense);
+    const Solution revised = solve_on(m, objective, LpCore::Revised);
+    const Solution dense = solve_on(m, objective, LpCore::Dense);
     ASSERT_EQ(revised.status, dense.status) << "trial " << trial;
     if (revised.status == SolveStatus::Optimal) {
       EXPECT_NEAR(revised.objective, dense.objective, 1e-6) << "trial " << trial;
@@ -555,26 +574,29 @@ TEST(SolverCache, StructuralKeyIgnoresObjective) {
   // in objective weights share warm starts, but any structural change
   // (bounds, rows) must split them.
   Model a;
-  const VarId xa = a.add_binary("x");
+  const VarId xa = a.add_binary();
   a.add_le(LinearExpr().add(xa, 1), 1);
-  a.set_objective(Direction::Minimize, LinearExpr().add(xa, 2.0));
+  const Objective a_objective(Direction::Minimize, LinearExpr().add(xa, 2.0));
 
   Model b;
-  const VarId xb = b.add_binary("x");
+  const VarId xb = b.add_binary();
   b.add_le(LinearExpr().add(xb, 1), 1);
-  b.set_objective(Direction::Minimize, LinearExpr().add(xb, 7.5));
+  const Objective b_objective(Direction::Minimize, LinearExpr().add(xb, 7.5));
 
   Model c; // different bound: structurally distinct
-  const VarId xc = c.add_integer("x", 0, 2);
+  const VarId xc = c.add_integer(0, 2);
   c.add_le(LinearExpr().add(xc, 1), 1);
-  c.set_objective(Direction::Minimize, LinearExpr().add(xc, 2.0));
+  const Objective c_objective(Direction::Minimize, LinearExpr().add(xc, 2.0));
 
   Model d; // c with its upper bound one ulp higher
-  const VarId xd = d.add_integer("x", 0, std::nextafter(2.0, 3.0));
+  const VarId xd = d.add_integer(0, std::nextafter(2.0, 3.0));
   d.add_le(LinearExpr().add(xd, 1), 1);
-  d.set_objective(Direction::Minimize, LinearExpr().add(xd, 2.0));
+  const Objective d_objective(Direction::Minimize, LinearExpr().add(xd, 2.0));
 
   EXPECT_EQ(structural_model_key(a), structural_model_key(b));
+  const BranchAndBoundOptions opt;
+  EXPECT_NE(canonical_model_key(a, a_objective, opt),
+            canonical_model_key(b, b_objective, opt));
   EXPECT_NE(structural_model_key(a), structural_model_key(c));
   EXPECT_NE(structural_model_key(c), structural_model_key(d));
 }
@@ -607,57 +629,111 @@ TEST(SolverCache, BasisPoolRoundTrips) {
 }
 
 TEST(BranchAndBound, SharedBasisAcrossPresetsKeepsAnswersExact) {
-  // Same structure, different objectives — the second solve warm starts
+  // Same model, different objectives — the second solve warm starts
   // from the first's root basis and must land on the same optimum as a
   // solve without any cache.
-  auto build = [](double w0, double w1) {
-    Model m;
-    LinearExpr wsum;
-    std::vector<VarId> xs;
-    for (int i = 0; i < 8; ++i) {
-      xs.push_back(m.add_binary("x" + std::to_string(i)));
-      wsum.add(xs.back(), static_cast<double>(1 + (i * 3) % 7));
-    }
-    m.add_le(std::move(wsum), 14.0);
+  Model m;
+  LinearExpr wsum;
+  std::vector<VarId> xs;
+  for (int i = 0; i < 8; ++i) {
+    xs.push_back(m.add_binary());
+    wsum.add(xs.back(), static_cast<double>(1 + (i * 3) % 7));
+  }
+  m.add_le(std::move(wsum), 14.0);
+  auto preset = [&](double w0, double w1) {
     LinearExpr obj;
     for (int i = 0; i < 8; ++i)
       obj.add(xs[static_cast<std::size_t>(i)], (i % 2 == 0 ? w0 : w1) + i);
-    m.set_objective(Direction::Maximize, std::move(obj));
-    return m;
+    return Objective(Direction::Maximize, std::move(obj));
   };
 
   SolverCache cache;
   BranchAndBoundOptions shared;
   shared.cache = &cache;
   shared.share_basis = true;
-  for (const auto [w0, w1] : {std::pair{3.0, 5.0}, {4.0, 2.0}, {1.0, 9.0}}) {
-    const Model m = build(w0, w1);
-    const Solution s = solve_milp(m, shared);
-    const Solution plain = solve_milp(m);
+  for (const auto& [w0, w1] : {std::pair{3.0, 5.0}, {4.0, 2.0}, {1.0, 9.0}}) {
+    const Objective objective = preset(w0, w1);
+    const Solution s = solve_milp(m, objective, shared);
+    const Solution plain = solve_milp(m, objective);
     ASSERT_EQ(s.status, SolveStatus::Optimal);
     EXPECT_NEAR(s.objective, plain.objective, 1e-6);
     EXPECT_TRUE(m.is_feasible(s.values));
   }
 }
 
+// One model, many objectives: the sweep solves every job of a kernel over
+// its one shared model, so a solve must never write to the model it reads.
+// A, then B (the other direction), then A again on one model: the second A
+// repeats the first bit for bit, and each solve equals a solve of a freshly
+// built copy.
+TEST(BranchAndBound, ObjectivesShareOneModelWithoutTouchingIt) {
+  const auto build = [] {
+    Model m;
+    LinearExpr weight, volume;
+    for (int i = 0; i < 10; ++i) {
+      const VarId x = m.add_integer(0, 3);
+      weight.add(x, static_cast<double>(3 + (i * 5) % 7));
+      volume.add(x, static_cast<double>(2 + (i * 3) % 5));
+    }
+    m.add_le(std::move(weight), 23.5);
+    m.add_ge(std::move(volume), 7.5);
+    return m;
+  };
+  const Model m = build();
+  LinearExpr value, cost;
+  for (VarId j = 0; j < 10; ++j) {
+    value.add(j, 1.5 + (j * 7) % 5);
+    cost.add(j, 2.0 + (j * 2) % 3);
+  }
+  const Objective a(Direction::Maximize, std::move(value));
+  const Objective b(Direction::Minimize, std::move(cost));
+
+  const auto same_bits = [](const Solution& x, const Solution& y) {
+    const auto bits = [](double v) {
+      std::uint64_t u = 0;
+      std::memcpy(&u, &v, sizeof u);
+      return u;
+    };
+    EXPECT_EQ(x.status, y.status);
+    EXPECT_EQ(bits(x.objective), bits(y.objective));
+    EXPECT_EQ(bits(x.best_bound), bits(y.best_bound));
+    EXPECT_EQ(x.nodes, y.nodes);
+    EXPECT_EQ(x.iterations, y.iterations);
+    ASSERT_EQ(x.values.size(), y.values.size());
+    for (std::size_t j = 0; j < x.values.size(); ++j)
+      EXPECT_EQ(bits(x.values[j]), bits(y.values[j])) << "value " << j;
+  };
+  const Solution first_a = solve_milp(m, a);
+  const Solution first_b = solve_milp(m, b);
+  const Solution second_a = solve_milp(m, a);
+  ASSERT_EQ(first_a.status, SolveStatus::Optimal);
+  ASSERT_EQ(first_b.status, SolveStatus::Optimal);
+  EXPECT_GT(first_a.nodes, 1); // the search really branched
+  EXPECT_NE(first_a.values, first_b.values);
+  same_bits(second_a, first_a);
+  same_bits(first_a, solve_milp(build(), a));
+  same_bits(first_b, solve_milp(build(), b));
+}
+
 TEST(LpWriter, ProducesParsableText) {
   Model m;
-  const VarId x = m.add_integer("x", 0, 5);
-  const VarId y = m.add_continuous("y", -kInfinity, 2.0);
-  m.add_le(LinearExpr().add(x, 2).add(y, -1), 4, "cap");
-  m.set_objective(Direction::Minimize, LinearExpr().add(x, 1).add(y, 3));
-  const std::string text = to_lp_format(m);
+  const VarId x = m.add_integer(0, 5);
+  const VarId y = m.add_continuous(-kInfinity, 2.0);
+  m.add_le(LinearExpr().add(x, 2).add(y, -1), 4);
+  const Objective objective(Direction::Minimize,
+                            LinearExpr().add(x, 1).add(y, 3));
+  const std::string text = to_lp_format(m, objective);
   EXPECT_NE(text.find("Minimize"), std::string::npos);
-  EXPECT_NE(text.find("cap:"), std::string::npos);
+  // Variables and rows are named by position.
+  EXPECT_NE(text.find(" c0: 2 x0 - x1 <= 4\n"), std::string::npos) << text;
   EXPECT_NE(text.find("General"), std::string::npos);
   EXPECT_NE(text.find("End"), std::string::npos);
 }
 
 TEST(Model, FeasibilityChecker) {
   Model m;
-  const VarId x = m.add_integer("x", 0, 5);
+  const VarId x = m.add_integer(0, 5);
   m.add_le(LinearExpr().add(x, 1), 3);
-  m.set_objective(Direction::Minimize, LinearExpr().add(x, 1));
   EXPECT_TRUE(m.is_feasible({2.0}));
   EXPECT_FALSE(m.is_feasible({2.5})); // fractional integer
   EXPECT_FALSE(m.is_feasible({4.0})); // violates constraint

@@ -213,8 +213,9 @@ TEST(ErrorProfile, ReportAlignsWithTheHotSpotTable) {
     EXPECT_LE(ln.p90_rel, ln.p99_rel) << ln.text;
     EXPECT_LE(ln.max_rel, rep.max_rel) << ln.text;
     const auto it = hot_text.find(ln.ordinal);
-    if (it != hot_text.end())
+    if (it != hot_text.end()) {
       EXPECT_EQ(it->second, ln.text) << "ordinal " << ln.ordinal;
+    }
   }
   EXPECT_EQ(observations, rep.total_observations);
 

@@ -1,8 +1,8 @@
 #!/bin/sh
-# Malformed IR, kernel-language and assignment text must be refused, not
-# misread or crashed on: every case below exits 1 with a diagnostic on
-# stderr. An abort (134), any other status, an empty stderr or a missing
-# expected message fails.
+# Malformed IR, kernel-language, assignment and op-time text must be
+# refused, not misread or crashed on: every case below exits 1 with a
+# diagnostic on stderr. An abort (134), any other status, an empty stderr
+# or a missing expected message fails.
 #
 #   sh tests/hostile_inputs.sh path/to/luis
 #
@@ -143,5 +143,67 @@ expect_refusal "hostile_huge_real.lk:4:7: malformed or out-of-range number '1e99
 
 mutate_lk huge_index 's/a\[0\] = s;/a[99999999999999999999] = s;/'
 expect_refusal "hostile_huge_index.lk:5:5: malformed or out-of-range number '99999999999999999999'" compile hostile_huge_index.lk
+
+# Op-time tables (--platform-file): each line is exactly `machine NAME` or
+# `OP TYPE VALUE` with a finite value > 0, and every Table II entry must be
+# there; a refusal names FILE:LINE:COL. The base is Table II's Stm32 column.
+cat > hostile_base.optime <<'EOF'
+machine Stm32
+add fix 1.24
+add float 2.33
+add double 2.72
+sub fix 1.24
+sub float 2.33
+sub double 2.72
+mul fix 1.62
+mul float 2.65
+mul double 4.02
+div fix 5.30
+div float 5.60
+div double 18.33
+rem fix 1.39
+rem float 27.01
+rem double 152.35
+cast_fix fix 1.00
+cast_fix float 7.63
+cast_fix double 20.89
+cast_float fix 4.28
+cast_float double 1.63
+cast_double fix 5.65
+cast_double float 1.79
+EOF
+"$L" tune hostile_base.ir --platform-file hostile_base.optime > /dev/null ||
+  { echo "hostile_base.optime does not load"; failed=1; }
+
+# mutate_optime NAME SED-SCRIPT: hostile_NAME.optime is the base with one edit.
+mutate_optime() {
+  sed "$2" hostile_base.optime > "hostile_$1.optime"
+  cmp -s hostile_base.optime "hostile_$1.optime" && { echo "mutation $1 changed nothing"; failed=1; }
+}
+
+mutate_optime junk_value 's/^add fix 1.24$/add fix 1.2junk/'
+for verb in tune lint check profile; do
+  expect_refusal "hostile_junk_value.optime:2:9: op-time must be a finite number > 0, got '1.2junk'" $verb hostile_base.ir --platform-file hostile_junk_value.optime
+done
+
+mutate_optime nan_value 's/^add fix 1.24$/add fix nan/'
+expect_refusal "hostile_nan_value.optime:2:9: op-time must be a finite number > 0, got 'nan'" tune hostile_base.ir --platform-file hostile_nan_value.optime
+
+mutate_optime negative_value 's/^add fix 1.24$/add fix -5/'
+expect_refusal "hostile_negative_value.optime:2:9: op-time must be a finite number > 0, got '-5'" tune hostile_base.ir --platform-file hostile_negative_value.optime
+
+mutate_optime repeated_entry 's/^add float 2.33$/add fix 2.33/'
+expect_refusal "hostile_repeated_entry.optime:3:1: repeated entry 'add fix'" tune hostile_base.ir --platform-file hostile_repeated_entry.optime
+
+mutate_optime no_div_float '/^div float /d'
+expect_refusal "hostile_no_div_float.optime:23:1: missing entry 'div float'" tune hostile_base.ir --platform-file hostile_no_div_float.optime
+
+mutate_optime no_cast_fix_double '/^cast_fix double /d'
+expect_refusal "hostile_no_cast_fix_double.optime:23:1: missing entry 'cast_fix double'" tune hostile_base.ir --platform-file hostile_no_cast_fix_double.optime
+
+# An unknown platform name is a usage error (2), not a malformed file.
+"$L" tune hostile_base.ir --platform Nowhere > /dev/null 2>&1
+status=$?
+[ "$status" -eq 2 ] || { echo "unknown platform exited $status (want 2)"; failed=1; }
 
 exit $failed

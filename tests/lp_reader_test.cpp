@@ -26,11 +26,11 @@ End
   ASSERT_TRUE(r.ok()) << r.error;
   EXPECT_EQ(r.model.num_variables(), 3u);
   EXPECT_EQ(r.model.num_constraints(), 3u);
-  EXPECT_EQ(r.model.objective_direction(), Direction::Minimize);
+  EXPECT_EQ(r.objective.direction, Direction::Minimize);
   EXPECT_EQ(r.model.variables()[1].upper, 2.0);
   EXPECT_EQ(r.model.variables()[2].kind, VarKind::Integer);
 
-  const Solution s = solve_milp(r.model);
+  const Solution s = solve_milp(r.model, r.objective);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
   // x = 1.5 fixed; minimize 3y - z: y can go to -inf? y >= z - 1 >= -1,
   // y bounded below by floor with z = 0 -> y = -1, z maximal z <= y+1 = 9?
@@ -49,10 +49,10 @@ TEST(LpReader, RoundTripsThroughWriter) {
     for (int j = 0; j < n; ++j) {
       const bool integer = rng.next_bool(0.5);
       if (integer)
-        xs.push_back(m.add_integer("v" + std::to_string(j), 0,
+        xs.push_back(m.add_integer(0,
                                    static_cast<double>(rng.next_int(1, 5))));
       else
-        xs.push_back(m.add_continuous("v" + std::to_string(j), 0.0,
+        xs.push_back(m.add_continuous(0.0,
                                       rng.next_double(1.0, 8.0)));
     }
     for (int r = 0; r < 4; ++r) {
@@ -66,28 +66,29 @@ TEST(LpReader, RoundTripsThroughWriter) {
     for (int j = 0; j < n; ++j)
       obj.add(xs[static_cast<std::size_t>(j)],
               static_cast<double>(rng.next_int(-4, 4)));
-    m.set_objective(Direction::Maximize, std::move(obj));
+    const Objective objective(Direction::Maximize, std::move(obj));
 
-    const std::string text = to_lp_format(m);
+    const std::string text = to_lp_format(m, objective);
     const LpParseResult parsed = parse_lp(text);
     ASSERT_TRUE(parsed.ok()) << parsed.error << "\n" << text;
     ASSERT_EQ(parsed.model.num_variables(), m.num_variables());
     ASSERT_EQ(parsed.model.num_constraints(), m.num_constraints());
 
     // Same optimum through the round trip.
-    const Solution a = solve_milp(m);
-    const Solution b = solve_milp(parsed.model);
+    const Solution a = solve_milp(m, objective);
+    const Solution b = solve_milp(parsed.model, parsed.objective);
     ASSERT_EQ(a.status, b.status) << text;
-    if (a.status == SolveStatus::Optimal)
+    if (a.status == SolveStatus::Optimal) {
       EXPECT_NEAR(a.objective, b.objective, 1e-6) << text;
+    }
 
     // The LP format has no declaration section, so the parser's first-use
     // variable order may differ from the writer's id order; after one
     // round trip the order is canonical and printing is a fixed point.
-    const std::string text2 = to_lp_format(parsed.model);
+    const std::string text2 = to_lp_format(parsed.model, parsed.objective);
     const LpParseResult reparsed = parse_lp(text2);
     ASSERT_TRUE(reparsed.ok()) << reparsed.error;
-    EXPECT_EQ(to_lp_format(reparsed.model), text2);
+    EXPECT_EQ(to_lp_format(reparsed.model, reparsed.objective), text2);
   }
 }
 
@@ -102,7 +103,7 @@ Bounds
 End
 )");
   ASSERT_TRUE(r.ok()) << r.error;
-  const Solution s = solve_lp(r.model);
+  const Solution s = solve_lp(r.model, r.objective);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
   // b = min(1, a + 0.75); maximize 1.25 b - 0.5 a -> a = 0.25, b = 1.
   EXPECT_NEAR(s.value(0), 0.25, 1e-6);
@@ -114,18 +115,18 @@ TEST(LpReader, ObjectiveConstantSurvivesWriteReadRoundTrip) {
   // bound; the writer must emit it or a dump/reload cycle silently shifts
   // every objective.
   Model m;
-  const VarId x = m.add_integer("x", 0.0, 4.0);
+  const VarId x = m.add_integer(0.0, 4.0);
   LinearExpr obj;
   obj.add(x, 2.0);
   obj.add_constant(7.5);
-  m.set_objective(Direction::Maximize, std::move(obj));
+  const Objective objective(Direction::Maximize, std::move(obj));
 
-  const LpParseResult r = parse_lp(to_lp_format(m));
+  const LpParseResult r = parse_lp(to_lp_format(m, objective));
   ASSERT_TRUE(r.ok()) << r.error;
-  EXPECT_DOUBLE_EQ(r.model.objective().constant(), 7.5);
+  EXPECT_DOUBLE_EQ(r.objective.expr.constant(), 7.5);
 
-  const Solution original = solve_milp(m);
-  const Solution reloaded = solve_milp(r.model);
+  const Solution original = solve_milp(m, objective);
+  const Solution reloaded = solve_milp(r.model, r.objective);
   ASSERT_EQ(original.status, SolveStatus::Optimal);
   ASSERT_EQ(reloaded.status, SolveStatus::Optimal);
   EXPECT_DOUBLE_EQ(original.objective, 15.5);
@@ -133,12 +134,12 @@ TEST(LpReader, ObjectiveConstantSurvivesWriteReadRoundTrip) {
 
   // Negative constants round-trip through the "- c" spelling.
   Model neg;
-  const VarId y = neg.add_continuous("y", 0.0, 1.0);
-  neg.set_objective(Direction::Minimize,
-                    LinearExpr().add(y, 1.0).add_constant(-3.25));
-  const LpParseResult rn = parse_lp(to_lp_format(neg));
+  const VarId y = neg.add_continuous(0.0, 1.0);
+  const Objective neg_objective(Direction::Minimize,
+                                LinearExpr().add(y, 1.0).add_constant(-3.25));
+  const LpParseResult rn = parse_lp(to_lp_format(neg, neg_objective));
   ASSERT_TRUE(rn.ok()) << rn.error;
-  EXPECT_DOUBLE_EQ(rn.model.objective().constant(), -3.25);
+  EXPECT_DOUBLE_EQ(rn.objective.expr.constant(), -3.25);
 }
 
 TEST(LpReader, RejectsMalformedInput) {

@@ -168,7 +168,9 @@ std::set<std::uint32_t> check_event_stream(const std::vector<TraceEvent>& evs) {
   for (const TraceEvent& e : evs) {
     EXPECT_GE(e.ts_micros, 0.0);
     const auto it = last_ts.find(e.tid);
-    if (it != last_ts.end()) EXPECT_GE(e.ts_micros, it->second);
+    if (it != last_ts.end()) {
+      EXPECT_GE(e.ts_micros, it->second);
+    }
     last_ts[e.tid] = e.ts_micros;
     if (e.phase == 'B') {
       stacks[e.tid].push_back(e.name);
@@ -184,7 +186,9 @@ std::set<std::uint32_t> check_event_stream(const std::vector<TraceEvent>& evs) {
     } else {
       EXPECT_EQ(e.phase, 'i');
     }
-    if (!e.args_json.empty()) EXPECT_TRUE(is_valid_json(e.args_json));
+    if (!e.args_json.empty()) {
+      EXPECT_TRUE(is_valid_json(e.args_json));
+    }
   }
   for (const auto& [tid, stack] : stacks)
     EXPECT_TRUE(stack.empty()) << "unclosed span on tid " << tid;
@@ -461,7 +465,9 @@ void expect_exact_attribution(const std::string& kernel,
   }
   EXPECT_NEAR(entry_sum, report.total_cost,
               1e-9 * std::max(1.0, report.total_cost));
-  if (report.total_cost > 0) EXPECT_NEAR(share_sum, 1.0, 1e-9);
+  if (report.total_cost > 0) {
+    EXPECT_NEAR(share_sum, 1.0, 1e-9);
+  }
   for (std::size_t i = 1; i < report.entries.size(); ++i)
     EXPECT_GE(report.entries[i - 1].cost, report.entries[i].cost)
         << "ranking must be cost-descending";

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "interp/interpreter.hpp"
 #include "platform/cost_model.hpp"
 #include "platform/microbench.hpp"
@@ -134,23 +137,76 @@ TEST(Microbench, ProducesCompleteNormalizedTable) {
     }
   // Normalization anchors the fastest entry at 1.0.
   EXPECT_DOUBLE_EQ(min_entry, 1.0);
+  // What `luis characterize -o` writes loads back as a --platform-file.
+  const OpTimeParseResult parsed = parse_optime_table(host.to_text());
+  ASSERT_TRUE(parsed.ok()) << parsed.line << ":" << parsed.column << ": "
+                           << parsed.error;
+  EXPECT_EQ(parsed.table.entries(), host.entries());
 }
 
 TEST(OpTimeTableIo, TextRoundTrip) {
   const OpTimeTable& original = raspberry_table();
   const std::string text = original.to_text();
-  const auto parsed = parse_optime_table(text);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->machine(), "Raspberry");
-  EXPECT_EQ(parsed->entries(), original.entries());
+  const OpTimeParseResult parsed = parse_optime_table(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  EXPECT_EQ(parsed.table.machine(), "Raspberry");
+  EXPECT_EQ(parsed.table.entries(), original.entries());
   // And the round trip is a fixed point of serialization.
-  EXPECT_EQ(parsed->to_text(), text);
+  EXPECT_EQ(parsed.table.to_text(), text);
 }
 
 TEST(OpTimeTableIo, RejectsMalformedText) {
-  EXPECT_FALSE(parse_optime_table("").has_value());
-  EXPECT_FALSE(parse_optime_table("machine m\nadd fix\n").has_value());
-  EXPECT_FALSE(parse_optime_table("add fix 1.0\n").has_value()); // no header
+  // table(x): a complete table whose line 2 is x; without(k): the complete
+  // table less its entry k, whose absence is reported past the last line.
+  std::string rest;
+  for (const auto& [key, time] : stm32_table().entries())
+    if (key.first + " " + key.second != "add fix")
+      rest += key.first + " " + key.second + " 2\n";
+  const auto table = [&rest](const std::string& line2) {
+    return "machine m\n" + line2 + "\n" + rest;
+  };
+  const auto without = [&](const std::string& key) {
+    std::string text = table("add fix 1.5");
+    const std::size_t at = text.find("\n" + key + " 2\n");
+    EXPECT_NE(at, std::string::npos) << key;
+    return text.erase(at + 1, key.size() + 3);
+  };
+  const auto past_end = [](const std::string& text) {
+    return static_cast<int>(std::count(text.begin(), text.end(), '\n')) + 1;
+  };
+  ASSERT_TRUE(parse_optime_table(table("add fix 1.5")).ok());
+
+  struct Case {
+    std::string text;
+    int line, column; ///< where the error is reported
+    const char* message;
+  };
+  const Case cases[] = {
+      {"", 1, 1, "want 'machine NAME' first"},
+      {"machine m\nadd fix\n", 2, 1, "want 'OP TYPE VALUE'"},
+      {"add fix 1.0\n", 1, 1, "want 'machine NAME' first"},
+      {"machine m\nmachine n\n", 2, 1, "want 'OP TYPE VALUE'"},
+      {"machine\n", 1, 1, "want 'machine NAME' first"},
+      {table("add fix 1.0 junk"), 2, 13, "want 'OP TYPE VALUE'"},
+      {table("add fix 1.2junk"), 2, 9, "got '1.2junk'"},
+      {table("add fix nan"), 2, 9, "got 'nan'"},
+      {table("add fix inf"), 2, 9, "got 'inf'"},
+      {table("add fix -5"), 2, 9, "got '-5'"},
+      {table("add fix 0"), 2, 9, "got '0'"},
+      {table("add fix +1.5"), 2, 9, "got '+1.5'"},
+      {table("add fix 1.5\n  add\tfix 2"), 3, 3, "repeated entry 'add fix'"},
+      {without("div float"), past_end(without("div float")), 1,
+       "missing entry 'div float'"},
+      {without("cast_fix double"), past_end(without("cast_fix double")), 1,
+       "missing entry 'cast_fix double'"},
+  };
+  for (const Case& c : cases) {
+    const OpTimeParseResult r = parse_optime_table(c.text);
+    EXPECT_FALSE(r.ok()) << c.text;
+    EXPECT_EQ(r.line, c.line) << c.text << "\n" << r.error;
+    EXPECT_EQ(r.column, c.column) << c.text << "\n" << r.error;
+    EXPECT_NE(r.error.find(c.message), std::string::npos) << r.error;
+  }
 }
 
 } // namespace

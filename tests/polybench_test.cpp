@@ -96,7 +96,9 @@ TEST_P(KernelSweep, BinaryThirtyTwoErrorIsModerate) {
   for (const std::string& out : kernel.outputs) {
     const double mpe = mean_percentage_error(ref.at(out), tuned.at(out));
     EXPECT_TRUE(std::isfinite(mpe)) << out;
-    if (!outlier) EXPECT_LT(mpe, 5.0) << out;
+    if (!outlier) {
+      EXPECT_LT(mpe, 5.0) << out;
+    }
   }
 }
 

@@ -11,14 +11,15 @@ namespace {
 TEST(Simplex, TextbookTwoVariableMax) {
   // max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18  -> (2, 6), obj 36.
   Model m;
-  const VarId x = m.add_continuous("x");
-  const VarId y = m.add_continuous("y");
+  const VarId x = m.add_continuous();
+  const VarId y = m.add_continuous();
   m.add_le(LinearExpr().add(x, 1), 4);
   m.add_le(LinearExpr().add(y, 2), 12);
   m.add_le(LinearExpr().add(x, 3).add(y, 2), 18);
-  m.set_objective(Direction::Maximize, LinearExpr().add(x, 3).add(y, 5));
+  const Objective objective(Direction::Maximize,
+                            LinearExpr().add(x, 3).add(y, 5));
 
-  const Solution s = solve_lp(m);
+  const Solution s = solve_lp(m, objective);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
   EXPECT_NEAR(s.objective, 36.0, 1e-6);
   EXPECT_NEAR(s.value(x), 2.0, 1e-6);
@@ -28,12 +29,13 @@ TEST(Simplex, TextbookTwoVariableMax) {
 TEST(Simplex, MinimizationWithGeConstraints) {
   // min 2x + 3y s.t. x + y >= 10, x >= 2, y >= 3 -> x=7, y=3, obj 23.
   Model m;
-  const VarId x = m.add_continuous("x", 2.0);
-  const VarId y = m.add_continuous("y", 3.0);
+  const VarId x = m.add_continuous(2.0);
+  const VarId y = m.add_continuous(3.0);
   m.add_ge(LinearExpr().add(x, 1).add(y, 1), 10);
-  m.set_objective(Direction::Minimize, LinearExpr().add(x, 2).add(y, 3));
+  const Objective objective(Direction::Minimize,
+                            LinearExpr().add(x, 2).add(y, 3));
 
-  const Solution s = solve_lp(m);
+  const Solution s = solve_lp(m, objective);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
   EXPECT_NEAR(s.objective, 23.0, 1e-6);
   EXPECT_NEAR(s.value(x), 7.0, 1e-6);
@@ -43,15 +45,15 @@ TEST(Simplex, MinimizationWithGeConstraints) {
 TEST(Simplex, EqualityConstraints) {
   // min x + 2y + 3z s.t. x+y+z = 6, x - y = 1, z >= 1.
   Model m;
-  const VarId x = m.add_continuous("x");
-  const VarId y = m.add_continuous("y");
-  const VarId z = m.add_continuous("z", 1.0);
+  const VarId x = m.add_continuous();
+  const VarId y = m.add_continuous();
+  const VarId z = m.add_continuous(1.0);
   m.add_eq(LinearExpr().add(x, 1).add(y, 1).add(z, 1), 6);
   m.add_eq(LinearExpr().add(x, 1).add(y, -1), 1);
-  m.set_objective(Direction::Minimize,
-                  LinearExpr().add(x, 1).add(y, 2).add(z, 3));
+  const Objective objective(Direction::Minimize,
+                            LinearExpr().add(x, 1).add(y, 2).add(z, 3));
 
-  const Solution s = solve_lp(m);
+  const Solution s = solve_lp(m, objective);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
   // x - y = 1 and x + y = 6 - z; cost favours small z ... z=1, x=3, y=2.
   EXPECT_NEAR(s.value(z), 1.0, 1e-6);
@@ -62,26 +64,26 @@ TEST(Simplex, EqualityConstraints) {
 
 TEST(Simplex, DetectsInfeasible) {
   Model m;
-  const VarId x = m.add_continuous("x");
+  const VarId x = m.add_continuous();
   m.add_le(LinearExpr().add(x, 1), 1);
   m.add_ge(LinearExpr().add(x, 1), 2);
-  m.set_objective(Direction::Minimize, LinearExpr().add(x, 1));
-  EXPECT_EQ(solve_lp(m).status, SolveStatus::Infeasible);
+  const Objective objective(Direction::Minimize, LinearExpr().add(x, 1));
+  EXPECT_EQ(solve_lp(m, objective).status, SolveStatus::Infeasible);
 }
 
 TEST(Simplex, DetectsUnbounded) {
   Model m;
-  const VarId x = m.add_continuous("x");
+  const VarId x = m.add_continuous();
   m.add_ge(LinearExpr().add(x, 1), 1);
-  m.set_objective(Direction::Maximize, LinearExpr().add(x, 1));
-  EXPECT_EQ(solve_lp(m).status, SolveStatus::Unbounded);
+  const Objective objective(Direction::Maximize, LinearExpr().add(x, 1));
+  EXPECT_EQ(solve_lp(m, objective).status, SolveStatus::Unbounded);
 }
 
 TEST(Simplex, RespectsVariableUpperBounds) {
   Model m;
-  const VarId x = m.add_continuous("x", 0.0, 3.5);
-  m.set_objective(Direction::Maximize, LinearExpr().add(x, 1));
-  const Solution s = solve_lp(m);
+  const VarId x = m.add_continuous(0.0, 3.5);
+  const Objective objective(Direction::Maximize, LinearExpr().add(x, 1));
+  const Solution s = solve_lp(m, objective);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
   EXPECT_NEAR(s.value(x), 3.5, 1e-6);
 }
@@ -89,11 +91,12 @@ TEST(Simplex, RespectsVariableUpperBounds) {
 TEST(Simplex, NegativeLowerBounds) {
   // min x + y with x in [-5, 5], y >= x + 2 -> x=-5, y=-3.
   Model m;
-  const VarId x = m.add_continuous("x", -5.0, 5.0);
-  const VarId y = m.add_continuous("y", -kInfinity, kInfinity);
+  const VarId x = m.add_continuous(-5.0, 5.0);
+  const VarId y = m.add_continuous(-kInfinity, kInfinity);
   m.add_ge(LinearExpr().add(y, 1).add(x, -1), 2);
-  m.set_objective(Direction::Minimize, LinearExpr().add(x, 1).add(y, 1));
-  const Solution s = solve_lp(m);
+  const Objective objective(Direction::Minimize,
+                            LinearExpr().add(x, 1).add(y, 1));
+  const Solution s = solve_lp(m, objective);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
   EXPECT_NEAR(s.value(x), -5.0, 1e-6);
   EXPECT_NEAR(s.value(y), -3.0, 1e-6);
@@ -103,12 +106,12 @@ TEST(Simplex, FreeVariableSplit) {
   // min |style| objective via free variable: min y s.t. y >= x - 3,
   // y >= 3 - x, x free -> x = 3, y = 0.
   Model m;
-  const VarId x = m.add_continuous("x", -kInfinity, kInfinity);
-  const VarId y = m.add_continuous("y", -kInfinity, kInfinity);
+  const VarId x = m.add_continuous(-kInfinity, kInfinity);
+  const VarId y = m.add_continuous(-kInfinity, kInfinity);
   m.add_ge(LinearExpr().add(y, 1).add(x, -1), -3);
   m.add_ge(LinearExpr().add(y, 1).add(x, 1), 3);
-  m.set_objective(Direction::Minimize, LinearExpr().add(y, 1));
-  const Solution s = solve_lp(m);
+  const Objective objective(Direction::Minimize, LinearExpr().add(y, 1));
+  const Solution s = solve_lp(m, objective);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
   EXPECT_NEAR(s.objective, 0.0, 1e-6);
   EXPECT_NEAR(s.value(x), 3.0, 1e-6);
@@ -116,11 +119,11 @@ TEST(Simplex, FreeVariableSplit) {
 
 TEST(Simplex, FixedVariablesAreSubstituted) {
   Model m;
-  const VarId x = m.add_continuous("x", 2.0, 2.0);
-  const VarId y = m.add_continuous("y");
+  const VarId x = m.add_continuous(2.0, 2.0);
+  const VarId y = m.add_continuous();
   m.add_le(LinearExpr().add(x, 1).add(y, 1), 10);
-  m.set_objective(Direction::Maximize, LinearExpr().add(y, 1));
-  const Solution s = solve_lp(m);
+  const Objective objective(Direction::Maximize, LinearExpr().add(y, 1));
+  const Solution s = solve_lp(m, objective);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
   EXPECT_NEAR(s.value(x), 2.0, 1e-12);
   EXPECT_NEAR(s.value(y), 8.0, 1e-6);
@@ -128,41 +131,44 @@ TEST(Simplex, FixedVariablesAreSubstituted) {
 
 TEST(Simplex, BoundsOverridesApply) {
   Model m;
-  const VarId x = m.add_continuous("x", 0.0, 10.0);
-  m.set_objective(Direction::Maximize, LinearExpr().add(x, 1));
+  const VarId x = m.add_continuous(0.0, 10.0);
+  const Objective objective(Direction::Maximize, LinearExpr().add(x, 1));
   const BoundsOverride o{x, 0.0, 4.0};
-  const Solution s = solve_lp(m, {}, std::span(&o, 1));
+  const Solution s = solve_lp(m, objective, {}, std::span(&o, 1));
   ASSERT_EQ(s.status, SolveStatus::Optimal);
   EXPECT_NEAR(s.value(x), 4.0, 1e-6);
 }
 
 TEST(Simplex, CrossedOverrideBoundsAreInfeasible) {
   Model m;
-  const VarId x = m.add_continuous("x", 0.0, 10.0);
-  m.set_objective(Direction::Minimize, LinearExpr().add(x, 1));
+  const VarId x = m.add_continuous(0.0, 10.0);
+  const Objective objective(Direction::Minimize, LinearExpr().add(x, 1));
   const BoundsOverride o{x, 5.0, 3.0};
-  EXPECT_EQ(solve_lp(m, {}, std::span(&o, 1)).status, SolveStatus::Infeasible);
+  EXPECT_EQ(solve_lp(m, objective, {}, std::span(&o, 1)).status,
+            SolveStatus::Infeasible);
 }
 
 TEST(Simplex, DegenerateProblemTerminates) {
   // Klee-Minty-ish degeneracy: many redundant constraints through a vertex.
   Model m;
-  const VarId x = m.add_continuous("x");
-  const VarId y = m.add_continuous("y");
+  const VarId x = m.add_continuous();
+  const VarId y = m.add_continuous();
   for (int i = 0; i < 20; ++i)
     m.add_le(LinearExpr().add(x, 1.0 + i * 1e-9).add(y, 1.0), 10.0);
   m.add_le(LinearExpr().add(x, 1), 10);
-  m.set_objective(Direction::Maximize, LinearExpr().add(x, 2).add(y, 1));
-  const Solution s = solve_lp(m);
+  const Objective objective(Direction::Maximize,
+                            LinearExpr().add(x, 2).add(y, 1));
+  const Solution s = solve_lp(m, objective);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
   EXPECT_NEAR(s.objective, 20.0, 1e-5);
 }
 
 TEST(Simplex, ObjectiveConstantIsIncluded) {
   Model m;
-  const VarId x = m.add_continuous("x", 0.0, 1.0);
-  m.set_objective(Direction::Maximize, LinearExpr().add(x, 2).add_constant(5));
-  const Solution s = solve_lp(m);
+  const VarId x = m.add_continuous(0.0, 1.0);
+  const Objective objective(Direction::Maximize,
+                            LinearExpr().add(x, 2).add_constant(5));
+  const Solution s = solve_lp(m, objective);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
   EXPECT_NEAR(s.objective, 7.0, 1e-6);
 }
@@ -175,7 +181,7 @@ TEST(Simplex, SolutionIsModelFeasible) {
     const int n = 8, rows = 12;
     std::vector<VarId> xs;
     for (int j = 0; j < n; ++j)
-      xs.push_back(m.add_continuous("x" + std::to_string(j), 0.0, 10.0));
+      xs.push_back(m.add_continuous(0.0, 10.0));
     for (int i = 0; i < rows; ++i) {
       LinearExpr e;
       double row_sum = 0;
@@ -189,14 +195,14 @@ TEST(Simplex, SolutionIsModelFeasible) {
     LinearExpr obj;
     for (int j = 0; j < n; ++j)
       obj.add(xs[static_cast<std::size_t>(j)], rng.next_double(-1, 1));
-    m.set_objective(Direction::Maximize, std::move(obj));
+    const Objective objective(Direction::Maximize, std::move(obj));
 
-    const Solution s = solve_lp(m);
+    const Solution s = solve_lp(m, objective);
     ASSERT_EQ(s.status, SolveStatus::Optimal) << "trial " << trial;
     EXPECT_TRUE(m.is_feasible(s.values, 1e-5)) << "trial " << trial;
     // x = 1 is feasible, so the max must be at least the objective there.
     std::vector<double> ones(static_cast<std::size_t>(n), 1.0);
-    EXPECT_GE(s.objective, m.objective_value(ones) - 1e-6);
+    EXPECT_GE(s.objective, objective.value(ones) - 1e-6);
   }
 }
 
@@ -206,21 +212,21 @@ TEST(Simplex, SolutionIsModelFeasible) {
 TEST(Simplex, BealeCyclingExampleTerminatesInBothCores) {
   for (const LpCore core : {LpCore::Dense, LpCore::Revised}) {
     Model m;
-    const VarId x4 = m.add_continuous("x4");
-    const VarId x5 = m.add_continuous("x5");
-    const VarId x6 = m.add_continuous("x6");
-    const VarId x7 = m.add_continuous("x7");
+    const VarId x4 = m.add_continuous();
+    const VarId x5 = m.add_continuous();
+    const VarId x6 = m.add_continuous();
+    const VarId x7 = m.add_continuous();
     m.add_le(LinearExpr().add(x4, 0.25).add(x5, -60.0).add(x6, -0.04).add(x7, 9.0), 0.0);
     m.add_le(LinearExpr().add(x4, 0.5).add(x5, -90.0).add(x6, -0.02).add(x7, 3.0), 0.0);
     m.add_le(LinearExpr().add(x6, 1.0), 1.0);
-    m.set_objective(Direction::Minimize, LinearExpr()
-                                             .add(x4, -0.75)
-                                             .add(x5, 150.0)
-                                             .add(x6, -0.02)
-                                             .add(x7, 6.0));
+    const Objective objective(Direction::Minimize, LinearExpr()
+                                                       .add(x4, -0.75)
+                                                       .add(x5, 150.0)
+                                                       .add(x6, -0.02)
+                                                       .add(x7, 6.0));
     SimplexOptions opt;
     opt.core = core;
-    const Solution s = solve_lp(m, opt);
+    const Solution s = solve_lp(m, objective, opt);
     ASSERT_EQ(s.status, SolveStatus::Optimal) << to_string(core);
     EXPECT_NEAR(s.objective, -0.05, 1e-9) << to_string(core);
   }
@@ -233,16 +239,17 @@ TEST(Simplex, BealeCyclingExampleTerminatesInBothCores) {
 TEST(Simplex, RedundantEqualityRowsAreHandled) {
   for (const LpCore core : {LpCore::Dense, LpCore::Revised}) {
     Model m;
-    const VarId x = m.add_continuous("x");
-    const VarId y = m.add_continuous("y");
+    const VarId x = m.add_continuous();
+    const VarId y = m.add_continuous();
     m.add_eq(LinearExpr().add(x, 1.0).add(y, 1.0), 4.0);
     m.add_eq(LinearExpr().add(x, 2.0).add(y, 2.0), 8.0); // 2x the first row
     m.add_eq(LinearExpr().add(x, 1.0).add(y, 1.0), 4.0); // exact duplicate
     m.add_le(LinearExpr().add(x, 1.0), 3.0);
-    m.set_objective(Direction::Maximize, LinearExpr().add(x, 2.0).add(y, 1.0));
+    const Objective objective(Direction::Maximize,
+                              LinearExpr().add(x, 2.0).add(y, 1.0));
     SimplexOptions opt;
     opt.core = core;
-    const Solution s = solve_lp(m, opt);
+    const Solution s = solve_lp(m, objective, opt);
     ASSERT_EQ(s.status, SolveStatus::Optimal) << to_string(core);
     EXPECT_NEAR(s.objective, 2.0 * 3.0 + 1.0, 1e-7) << to_string(core);
     EXPECT_TRUE(m.is_feasible(s.values, 1e-6)) << to_string(core);
@@ -254,14 +261,15 @@ TEST(Simplex, RedundantEqualityRowsAreHandled) {
 TEST(Simplex, InconsistentRedundantRowsAreInfeasible) {
   for (const LpCore core : {LpCore::Dense, LpCore::Revised}) {
     Model m;
-    const VarId x = m.add_continuous("x");
-    const VarId y = m.add_continuous("y");
+    const VarId x = m.add_continuous();
+    const VarId y = m.add_continuous();
     m.add_eq(LinearExpr().add(x, 1.0).add(y, 1.0), 4.0);
     m.add_eq(LinearExpr().add(x, 2.0).add(y, 2.0), 9.0); // contradicts 2x row 0
-    m.set_objective(Direction::Minimize, LinearExpr().add(x, 1.0));
+    const Objective objective(Direction::Minimize, LinearExpr().add(x, 1.0));
     SimplexOptions opt;
     opt.core = core;
-    EXPECT_EQ(solve_lp(m, opt).status, SolveStatus::Infeasible) << to_string(core);
+    EXPECT_EQ(solve_lp(m, objective, opt).status, SolveStatus::Infeasible)
+        << to_string(core);
   }
 }
 

@@ -29,31 +29,32 @@ TEST(DeriveSeed, IsDeterministicAndDecorrelated) {
 }
 
 TEST(EnumerationOracle, FindsAKnownOptimum) {
-  ilp::Model m;
-  const ilp::VarId x = m.add_integer("x", 0, 2);
-  const ilp::VarId y = m.add_integer("y", 0, 2);
-  m.add_le(ilp::LinearExpr().add(x, 1.0).add(y, 1.0), 3.0);
-  m.set_objective(ilp::Direction::Maximize,
-                  ilp::LinearExpr().add(x, 2.0).add(y, 1.0));
-  const EnumerationResult r = enumerate_optimum(m);
+  IlpInstance p;
+  const ilp::VarId x = p.model.add_integer(0, 2);
+  const ilp::VarId y = p.model.add_integer(0, 2);
+  p.model.add_le(ilp::LinearExpr().add(x, 1.0).add(y, 1.0), 3.0);
+  p.objective = ilp::Objective(ilp::Direction::Maximize,
+                               ilp::LinearExpr().add(x, 2.0).add(y, 1.0));
+  const EnumerationResult r = enumerate_optimum(p);
   ASSERT_TRUE(r.feasible);
   EXPECT_EQ(r.objective, 5.0); // x = 2, y = 1
   EXPECT_EQ(r.points, 9);      // the full 3 x 3 box was visited
-  EXPECT_TRUE(m.is_feasible(r.values));
+  EXPECT_TRUE(p.model.is_feasible(r.values));
 }
 
 TEST(EnumerationOracle, ProvesInfeasibility) {
-  ilp::Model m;
-  const ilp::VarId x = m.add_integer("x", 0, 2);
-  m.add_ge(ilp::LinearExpr().add(x, 1.0), 5.0);
-  m.set_objective(ilp::Direction::Minimize, ilp::LinearExpr().add(x, 1.0));
-  EXPECT_FALSE(enumerate_optimum(m).feasible);
+  IlpInstance p;
+  const ilp::VarId x = p.model.add_integer(0, 2);
+  p.model.add_ge(ilp::LinearExpr().add(x, 1.0), 5.0);
+  p.objective =
+      ilp::Objective(ilp::Direction::Minimize, ilp::LinearExpr().add(x, 1.0));
+  EXPECT_FALSE(enumerate_optimum(p).feasible);
 }
 
 TEST(IlpGenerator, KeepsTheEnumerableInvariants) {
   for (std::uint64_t trial = 0; trial < 200; ++trial) {
     Rng rng(derive_seed(0x6E17E2, trial));
-    const ilp::Model m = random_ilp_model(rng);
+    const ilp::Model m = random_ilp_instance(rng).model;
     ASSERT_GE(m.num_variables(), 1u);
     for (const ilp::Variable& v : m.variables()) {
       EXPECT_NE(v.kind, ilp::VarKind::Continuous);
@@ -69,10 +70,10 @@ TEST(IlpGenerator, KeepsTheEnumerableInvariants) {
 TEST(IlpOracles, TenThousandInstancesAgreeAcrossAllFourOracles) {
   for (long trial = 0; trial < 10000; ++trial) {
     Rng rng(derive_seed(0xACCE5501, static_cast<std::uint64_t>(trial)));
-    const ilp::Model m = random_ilp_model(rng);
-    const CheckResult r = check_ilp_instance(m);
+    const IlpInstance p = random_ilp_instance(rng);
+    const CheckResult r = check_ilp_instance(p);
     ASSERT_TRUE(r.ok) << "trial " << trial << ": " << r.message << "\n"
-                      << ilp::to_lp_format(m);
+                      << ilp::to_lp_format(p.model, p.objective);
   }
 }
 
@@ -81,17 +82,17 @@ TEST(IlpShrinker, IsGreedyMinimalUnderAStructuralPredicate) {
   IlpGenOptions gen;
   gen.max_variables = 8;
   gen.max_constraints = 8;
-  const ilp::Model m = random_ilp_model(rng, gen);
+  const IlpInstance p = random_ilp_instance(rng, gen);
   // "Fails" whenever at least three variables survive: the shrinker must
   // land on exactly three, with every other shrinkable piece removed.
-  const auto still_fails = [](const ilp::Model& c) {
-    return c.num_variables() >= 3;
+  const auto still_fails = [](const IlpInstance& c) {
+    return c.model.num_variables() >= 3;
   };
-  ASSERT_TRUE(still_fails(m));
-  const IlpShrinkResult shrunk = shrink_ilp_model(m, still_fails);
+  ASSERT_TRUE(still_fails(p));
+  const IlpInstance shrunk = shrink_ilp_instance(p, still_fails).instance;
   EXPECT_EQ(shrunk.model.num_variables(), 3u);
   EXPECT_EQ(shrunk.model.num_constraints(), 0u);
-  EXPECT_TRUE(shrunk.model.objective().terms().empty());
+  EXPECT_TRUE(shrunk.objective.expr.terms().empty());
   for (const ilp::Variable& v : shrunk.model.variables())
     EXPECT_EQ(v.lower, v.upper); // boxes narrowed to a point
 }
@@ -101,10 +102,11 @@ TEST(IlpShrinker, IsGreedyMinimalUnderAStructuralPredicate) {
 /// instance that needs real branching, its answer disagrees with the
 /// enumeration oracle.
 ilp::Solution lying_node_starved_solver(const ilp::Model& m,
+                                        const ilp::Objective& objective,
                                         const ilp::BranchAndBoundOptions& o) {
   ilp::BranchAndBoundOptions starved = o;
   starved.max_nodes = 1;
-  ilp::Solution s = ilp::solve_milp(m, starved);
+  ilp::Solution s = ilp::solve_milp(m, objective, starved);
   if (s.status == ilp::SolveStatus::NodeLimit)
     s.status = ilp::SolveStatus::Optimal;
   return s;
@@ -120,26 +122,27 @@ TEST(IlpShrinker, ReducesAnInjectedBranchAndBoundBugToAtMostFiveVariables) {
   gen.max_constraints = 8;
   gen.max_bound_span = 4;
 
-  std::optional<ilp::Model> failing;
+  std::optional<IlpInstance> failing;
   for (std::uint64_t trial = 0; trial < 500 && !failing; ++trial) {
     Rng rng(derive_seed(0xB4DB0B, trial));
-    ilp::Model m = random_ilp_model(rng, gen);
-    if (!check_ilp_instance(m, broken).ok) failing = std::move(m);
+    IlpInstance p = random_ilp_instance(rng, gen);
+    if (!check_ilp_instance(p, broken).ok) failing = std::move(p);
   }
   ASSERT_TRUE(failing.has_value())
       << "no instance exposed the injected bug in 500 trials";
 
-  const auto still_fails = [&broken](const ilp::Model& c) {
+  const auto still_fails = [&broken](const IlpInstance& c) {
     return !check_ilp_instance(c, broken).ok;
   };
-  const IlpShrinkResult shrunk = shrink_ilp_model(*failing, still_fails);
-  EXPECT_TRUE(still_fails(shrunk.model));
+  const IlpInstance shrunk =
+      shrink_ilp_instance(*failing, still_fails).instance;
+  EXPECT_TRUE(still_fails(shrunk));
   EXPECT_LE(shrunk.model.num_variables(), 5u)
-      << ilp::to_lp_format(shrunk.model);
+      << ilp::to_lp_format(shrunk.model, shrunk.objective);
   // The minimized repro is a genuine bug witness: the honest solver
   // passes every oracle on it.
-  EXPECT_TRUE(check_ilp_instance(shrunk.model).ok)
-      << ilp::to_lp_format(shrunk.model);
+  EXPECT_TRUE(check_ilp_instance(shrunk).ok)
+      << ilp::to_lp_format(shrunk.model, shrunk.objective);
 }
 
 TEST(IrGenerator, SatisfiesTheIrPropertySet) {

@@ -158,7 +158,9 @@ TEST_P(IntervalSoundness, SampledOperationsStayInside) {
       EXPECT_TRUE(iv_min(A, B).contains(std::min(x, y)));
       EXPECT_TRUE(iv_max(A, B).contains(std::max(x, y)));
       const Interval r = iv_rem(A, B);
-      if (y != 0.0) EXPECT_TRUE(r.contains(std::fmod(x, y)));
+      if (y != 0.0) {
+        EXPECT_TRUE(r.contains(std::fmod(x, y)));
+      }
     }
   }
 }

@@ -344,9 +344,13 @@ ir::Function* parse_and_verify_or_die(ir::Module& module,
 }
 
 /// Resolves --platform / --platform-file ("@path") / "host" to an op-time
-/// table, using `storage` for tables that have to be built on the fly.
+/// table, using `storage` for tables that have to be built on the fly. On
+/// failure prints a diagnostic, sets `exit_code` (1 for a malformed table
+/// file, 2 otherwise) and returns nullptr.
 const platform::OpTimeTable* resolve_platform(const std::string& platform_name,
-                                              platform::OpTimeTable& storage) {
+                                              platform::OpTimeTable& storage,
+                                              int& exit_code) {
+  exit_code = 2;
   const platform::OpTimeTable* table = platform::platform_by_name(platform_name);
   if (table) return table;
   if (platform_name == "host") {
@@ -360,12 +364,14 @@ const platform::OpTimeTable* resolve_platform(const std::string& platform_name,
       std::fprintf(stderr, "luis: cannot read %s\n", platform_name.c_str() + 1);
       return nullptr;
     }
-    const auto parsed_table = platform::parse_optime_table(*text);
-    if (!parsed_table) {
-      std::fprintf(stderr, "luis: malformed op-time table file\n");
+    platform::OpTimeParseResult parsed = platform::parse_optime_table(*text);
+    if (!parsed.ok()) {
+      std::fprintf(stderr, "luis: %s:%d:%d: %s\n", platform_name.c_str() + 1,
+                   parsed.line, parsed.column, parsed.error.c_str());
+      exit_code = 1;
       return nullptr;
     }
-    storage = *parsed_table;
+    storage = std::move(parsed.table);
     return &storage;
   }
   std::fprintf(stderr, "luis: unknown platform '%s'\n", platform_name.c_str());
@@ -375,25 +381,16 @@ const platform::OpTimeTable* resolve_platform(const std::string& platform_name,
 /// Applies a Table III preset by name, preserving flag-driven fields.
 bool apply_config_preset(const std::string& config_name,
                          core::TuningConfig& config) {
-  if (config_name == "Balanced") return true;
-  const bool literal = config.literal_model;
-  const auto types = config.types;
-  if (config_name == "Fast") {
-    config = core::TuningConfig::fast();
-  } else if (config_name == "Precise") {
-    config = core::TuningConfig::precise();
-  } else if (config_name == "Multi") {
-    // Multi's whole point is its registry-derived candidate set, so it
-    // overrides --types instead of preserving it.
-    config = core::TuningConfig::multi();
-    config.literal_model = literal;
-    return true;
-  } else {
+  std::optional<core::TuningConfig> preset = core::preset_by_name(config_name);
+  if (!preset) {
     std::fprintf(stderr, "luis: unknown config '%s'\n", config_name.c_str());
     return false;
   }
-  config.literal_model = literal;
-  config.types = types;
+  preset->literal_model = config.literal_model;
+  // Multi's whole point is its registry-derived candidate set, so it
+  // overrides --types instead of preserving it.
+  if (config_name != "Multi") preset->types = std::move(config.types);
+  config = std::move(*preset);
   return true;
 }
 
@@ -667,9 +664,10 @@ int cmd_tune(const std::vector<std::string>& args) {
   if (!apply_config_preset(tuning.config_name, config)) return 2;
 
   platform::OpTimeTable storage;
+  int exit_code = 0;
   const platform::OpTimeTable* table =
-      resolve_platform(tuning.platform, storage);
-  if (!table) return 2;
+      resolve_platform(tuning.platform, storage, exit_code);
+  if (!table) return exit_code;
 
   ir::Module module;
   ir::Function* f = parse_and_verify_or_die(module, cl->operands[0]);
@@ -785,9 +783,10 @@ int cmd_lint(const std::vector<std::string>& args) {
                                 &errors.errors);
   } else {
     platform::OpTimeTable storage;
+    int exit_code = 0;
     const platform::OpTimeTable* table =
-        resolve_platform(tuning.platform, storage);
-    if (!table) return 2;
+        resolve_platform(tuning.platform, storage, exit_code);
+    if (!table) return exit_code;
     options.materialize_casts = materialize;
     options.lint = core::LintMode::Error;
     options.lint_options = lint_options;
@@ -868,9 +867,10 @@ int cmd_check(const std::vector<std::string>& args) {
     errors = analysis::analyze_errors(*f, assignment, ranges);
   } else {
     platform::OpTimeTable storage;
+    int exit_code = 0;
     const platform::OpTimeTable* table =
-        resolve_platform(tuning.platform, storage);
-    if (!table) return 2;
+        resolve_platform(tuning.platform, storage, exit_code);
+    if (!table) return exit_code;
     options.analyze_errors = true;
     const core::PipelineResult tuned =
         core::tune_kernel(*f, *table, config, options);
@@ -1378,8 +1378,10 @@ int cmd_profile(const std::vector<std::string>& args) {
   }
 
   platform::OpTimeTable storage;
-  const platform::OpTimeTable* table = resolve_platform(platform_name, storage);
-  if (!table) return 2;
+  int platform_status = 0;
+  const platform::OpTimeTable* table =
+      resolve_platform(platform_name, storage, platform_status);
+  if (!table) return platform_status;
 
   ir::Module module;
   ir::Function* f = parse_and_verify_or_die(module, cl->operands[0]);
