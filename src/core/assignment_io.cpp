@@ -9,12 +9,15 @@
 namespace luis::core {
 namespace {
 
-/// Parses "fix32.27" / "binary32" / "posit16_1" into a ConcreteType.
-bool parse_concrete(const std::string& token, numrep::ConcreteType& out) {
+/// Parses "fix32.27" / "binary32" / "posit16_1" into a ConcreteType of a
+/// format that executes. A format name that does not parse or cannot
+/// execute leaves its diagnostic in `format_error`.
+bool parse_concrete(const std::string& token, numrep::ConcreteType& out,
+                    std::string* format_error) {
   const std::size_t dot = token.find('.');
   const std::string fmt_name =
       dot == std::string::npos ? token : token.substr(0, dot);
-  const auto fmt = numrep::parse_format(fmt_name);
+  const auto fmt = numrep::parse_executable_format(fmt_name, format_error);
   if (!fmt) return false;
   out.format = *fmt;
   out.frac_bits = 0;
@@ -67,9 +70,11 @@ AssignmentParseResult assignment_from_text(const ir::Function& f,
     std::string target, type_token;
     ls >> target >> type_token;
     numrep::ConcreteType type;
-    if (!parse_concrete(type_token, type)) {
-      out.error = "line " + std::to_string(line_no) + ": bad type '" +
-                  type_token + "'";
+    std::string format_error;
+    if (!parse_concrete(type_token, type, &format_error)) {
+      out.error = "line " + std::to_string(line_no) + ": " +
+                  (format_error.empty() ? "bad type '" + type_token + "'"
+                                        : format_error);
       return out;
     }
     if (target == "default") {

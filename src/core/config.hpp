@@ -9,7 +9,6 @@
 
 #include "ilp/branch_and_bound.hpp"
 #include "numrep/formats.hpp"
-#include "numrep/registry.hpp"
 #include "platform/energy.hpp"
 
 namespace luis::core {
@@ -75,19 +74,16 @@ struct TuningConfig {
     c.w2 = 1000.0;
     return c;
   }
-  /// Balanced weights over every executable format in the registry: the
-  /// candidate set grows automatically when a format is registered, which
-  /// is the point of the registry. Non-executable catalog entries
-  /// (binary128/256) are IEBW-metric-only and excluded.
+  /// Balanced weights over every executable catalog format, in catalog
+  /// order: a format added to the catalog becomes a candidate here.
+  /// Non-executable catalog entries (binary128/256) are IEBW-metric-only
+  /// and excluded.
   static TuningConfig multi() {
     TuningConfig c;
     c.name = "Multi";
     c.w1 = 50.0;
     c.w2 = 50.0;
-    c.types.clear();
-    const numrep::FormatRegistry& reg = numrep::FormatRegistry::instance();
-    for (const numrep::NumericFormat& f : reg.formats())
-      if (reg.ops(f.format_class()).executable(f)) c.types.push_back(f);
+    c.types = numrep::executable_formats();
     return c;
   }
 };

@@ -49,7 +49,7 @@ std::string class_of_format(const NumericFormat& fmt) {
 }
 
 /// True if `fmt` can hold every value of `range`, as judged by the
-/// format's registered policy (fixed point: a nonnegative fractional bit
+/// format's class policy (fixed point: a nonnegative fractional bit
 /// count exists; floats and fixed-posits: executable and within the
 /// finite range; posits: always, by saturation).
 bool format_feasible(const NumericFormat& fmt, const vra::Interval& range) {
@@ -230,6 +230,9 @@ IlpStructure build_ilp_structure(const ir::Function& f,
   const auto& types = s.types;
   const int ntypes = static_cast<int>(types.size());
   LUIS_ASSERT(ntypes > 0, "empty candidate type set");
+  for (const NumericFormat& t : types)
+    LUIS_ASSERT(numrep::format_ops(t).executable(t),
+                "candidate type cannot execute");
   const bool literal = s.literal_model;
 
   s.registers = classes.registers;

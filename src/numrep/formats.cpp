@@ -5,20 +5,7 @@
 
 namespace luis::numrep {
 
-std::string NumericFormat::name() const {
-  const FormatRegistry& reg = FormatRegistry::instance();
-  if (!reg.has_class(class_)) return "<unregistered>";
-  return reg.ops(class_).name(*this);
-}
-
-std::span<const NumericFormat> standard_formats() {
-  return FormatRegistry::instance().formats();
-}
-
-std::optional<NumericFormat> parse_format(std::string_view name,
-                                          std::string* error) {
-  return FormatRegistry::instance().parse(name, error);
-}
+std::string NumericFormat::name() const { return format_ops(*this).name(*this); }
 
 std::string ConcreteType::name() const {
   if (format.is_fixed())

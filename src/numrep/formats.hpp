@@ -3,9 +3,8 @@
 // A NumericFormat describes one representation system the tuner can assign
 // to a virtual register. The descriptor is pure data (bit geometry plus an
 // encoding variant); everything behavioral — quantization, IEBW, kernel
-// rows, cost classes, bit-level codecs — lives in the per-class policy
-// vtable registered with FormatRegistry (see registry.hpp). The built-in
-// classes are:
+// rows, cost classes, bit-level codecs — lives in the class's row of the
+// constant policy table (see registry.hpp). The set of classes is closed:
 //
 //   FixedPoint     signed/unsigned fixed point of a given width (the
 //                  fractional bit count is a per-variable decision, made by
@@ -20,10 +19,7 @@
 //   Posit          posit(w, es), Gustafson type III unums;
 //   FixedPosit     fixed-posit(w, es, rs) per Gohil et al. (arXiv
 //                  2104.04763): a posit whose regime field has a fixed
-//                  width rs instead of a run-length encoding;
-//   Ext0..Ext3     open slots for formats registered at run time through
-//                  FormatRegistry::register_class (pluggability tests and
-//                  downstream experiments claim these).
+//                  width rs instead of a run-length encoding.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +27,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace luis::numrep {
 
@@ -39,13 +36,9 @@ enum class FormatClass : std::uint8_t {
   FloatingPoint,
   Posit,
   FixedPosit,
-  Ext0,
-  Ext1,
-  Ext2,
-  Ext3,
 };
 
-inline constexpr int kNumFormatClasses = 8;
+inline constexpr int kNumFormatClasses = 4;
 
 /// Special-value layout of a floating point format. Only FloatingPoint
 /// formats carry a meaningful encoding; every other class stores Ieee.
@@ -109,19 +102,6 @@ public:
     return f;
   }
 
-  /// Descriptor for an extension class registered through FormatRegistry.
-  /// `param_a`/`param_b` are free per-class parameters (readable back
-  /// through precision() and es()).
-  static constexpr NumericFormat ext(FormatClass cls, int width,
-                                     int param_a = 0, int param_b = 0) {
-    NumericFormat f;
-    f.class_ = cls;
-    f.width_ = width;
-    f.precision_ = param_a;
-    f.es_ = param_b;
-    return f;
-  }
-
   constexpr FormatClass format_class() const { return class_; }
   constexpr bool is_fixed() const { return class_ == FormatClass::FixedPoint; }
   constexpr bool is_float() const { return class_ == FormatClass::FloatingPoint; }
@@ -171,9 +151,9 @@ private:
   FormatClass class_ = FormatClass::FloatingPoint;
   int width_ = 64;
   bool signed_ = true;    // fixed point only
-  int precision_ = 53;    // floating point only (param_a for ext classes)
+  int precision_ = 53;    // floating point only
   int max_exponent_ = 1023; // floating point only
-  int es_ = 2;            // posit / fixed-posit only (param_b for ext classes)
+  int es_ = 2;            // posit / fixed-posit only
   int regime_bits_ = 0;   // fixed-posit only
   FloatEncoding encoding_ = FloatEncoding::Ieee; // floating point only
 };
@@ -218,17 +198,27 @@ inline constexpr NumericFormat kFixedPosit8 = NumericFormat::fixed_posit(8, 0, 3
 inline constexpr NumericFormat kFixedPosit16 =
     NumericFormat::fixed_posit(16, 1, 4);
 
-/// All formats known by name (used by CLIs and the format parser). Backed
-/// by the FormatRegistry catalog; registering a format extends this list.
+/// The catalog: every format known by name (luis formats, the fuzz
+/// palettes, the Multi preset), in a fixed user-facing order.
 std::span<const NumericFormat> standard_formats();
 
+/// The catalog members an engine can execute, in catalog order: the
+/// Multi preset's candidates and the fuzz palettes.
+std::vector<NumericFormat> executable_formats();
+
 /// Parses a canonical format name; returns nullopt if unknown. Accepts the
-/// registry names plus the parametric spellings "fixN"/"ufixN",
+/// catalog names plus the parametric spellings "fixN"/"ufixN",
 /// "positW_ES", "fpositW_ES_RS", and "float_pP_EE" / "floatP_E" (arbitrary
-/// minifloats). When `error` is non-null and the spelling is recognized
-/// but malformed, a diagnostic is stored there.
+/// minifloats). When `error` is non-null and parsing fails, a diagnostic
+/// is stored there.
 std::optional<NumericFormat> parse_format(std::string_view name,
                                           std::string* error = nullptr);
+
+/// parse_format for input that will run: a name that parses but no engine
+/// can execute (binary128, float60_1023) is refused too, with a diagnostic
+/// naming it. --type, --types and assignment files read formats this way.
+std::optional<NumericFormat> parse_executable_format(
+    std::string_view name, std::string* error = nullptr);
 
 /// A fully concrete run-time type: a format plus, for fixed point, the
 /// number of fractional bits selected by the tuner.

@@ -25,11 +25,6 @@ double round_posit(const QuantSpec& s, double x) {
 double round_fposit(const QuantSpec& s, double x) {
   return quantize_fixed_posit(s.format, x);
 }
-// Extension classes registered at run time round through their policy;
-// same routine as quantize(), so bit-identity holds for them too.
-double round_generic(const QuantSpec& s, double x) {
-  return s.ops->quantize(ConcreteType{s.format, s.fixed.frac}, x);
-}
 
 // The binary64 operations, spelled with the same libm entry points the
 // reference interpreter uses.
@@ -57,60 +52,48 @@ double fused1(const QuantSpec& s, double a) {
   return Round(s, Op::eval(a));
 }
 
-// Table slot index for a format class: the built-in classes get fused
-// fast-path rounders, everything else the generic policy slot.
-int class_index(const ConcreteType& type) {
-  switch (type.format.format_class()) {
-  case FormatClass::FixedPoint: return 0;
-  case FormatClass::FloatingPoint: return 1;
-  case FormatClass::Posit: return 2;
-  case FormatClass::FixedPosit: return 3;
-  default: return 4;
+// One kernel per format class: the switches name every class, so a new
+// class without a rounder here is a -Wswitch warning.
+template <typename Op>
+Kernel2 row2(FormatClass cls) {
+  switch (cls) {
+  case FormatClass::FixedPoint: return &fused2<Op, round_fixed>;
+  case FormatClass::FloatingPoint: return &fused2<Op, round_float>;
+  case FormatClass::Posit: return &fused2<Op, round_posit>;
+  case FormatClass::FixedPosit: return &fused2<Op, round_fposit>;
   }
+  LUIS_UNREACHABLE("unknown format class");
 }
 
 template <typename Op>
-constexpr Kernel2 row2(int cls) {
-  return cls == 0   ? &fused2<Op, round_fixed>
-         : cls == 1 ? &fused2<Op, round_float>
-         : cls == 2 ? &fused2<Op, round_posit>
-         : cls == 3 ? &fused2<Op, round_fposit>
-                    : &fused2<Op, round_generic>;
-}
-
-template <typename Op>
-constexpr Kernel1 row1(int cls) {
-  return cls == 0   ? &fused1<Op, round_fixed>
-         : cls == 1 ? &fused1<Op, round_float>
-         : cls == 2 ? &fused1<Op, round_posit>
-         : cls == 3 ? &fused1<Op, round_fposit>
-                    : &fused1<Op, round_generic>;
+Kernel1 row1(FormatClass cls) {
+  switch (cls) {
+  case FormatClass::FixedPoint: return &fused1<Op, round_fixed>;
+  case FormatClass::FloatingPoint: return &fused1<Op, round_float>;
+  case FormatClass::Posit: return &fused1<Op, round_posit>;
+  case FormatClass::FixedPosit: return &fused1<Op, round_fposit>;
+  }
+  LUIS_UNREACHABLE("unknown format class");
 }
 
 } // namespace
 
 QuantSpec make_quant_spec(const ConcreteType& type) {
-  QuantSpec s;
-  s.format = type.format;
-  // FixedSpec doubles as the frac_bits carrier for the generic slot's
-  // ConcreteType reconstruction, so fill it for every class.
-  s.fixed = FixedSpec::from(type);
-  s.ops = &format_ops(type);
-  return s;
+  return {type.format, FixedSpec::from(type)};
 }
 
 QuantFn bind_quantizer(const ConcreteType& type) {
-  switch (class_index(type)) {
-  case 0: return &round_fixed;
-  case 1: return &round_float;
-  case 2: return &round_posit;
-  case 3: return &round_fposit;
-  default: return &round_generic;
+  switch (type.format.format_class()) {
+  case FormatClass::FixedPoint: return &round_fixed;
+  case FormatClass::FloatingPoint: return &round_float;
+  case FormatClass::Posit: return &round_posit;
+  case FormatClass::FixedPosit: return &round_fposit;
   }
+  LUIS_UNREACHABLE("unknown format class");
 }
 
 Kernel2 bind_kernel2(KernelOp2 op, const ConcreteType& result) {
-  const int cls = class_index(result);
+  const FormatClass cls = result.format.format_class();
   switch (op) {
   case KernelOp2::Add: return row2<OpAdd>(cls);
   case KernelOp2::Sub: return row2<OpSub>(cls);
@@ -125,7 +108,7 @@ Kernel2 bind_kernel2(KernelOp2 op, const ConcreteType& result) {
 }
 
 Kernel1 bind_kernel1(KernelOp1 op, const ConcreteType& result) {
-  const int cls = class_index(result);
+  const FormatClass cls = result.format.format_class();
   switch (op) {
   case KernelOp1::Neg: return row1<OpNeg>(cls);
   case KernelOp1::Abs: return row1<OpAbs>(cls);

@@ -7,26 +7,22 @@
 // interpreter computes: the operation in binary64 (using the same libm
 // entry points), then a rounding step through the same per-class routine
 // quantize() dispatches to (round_to_format / quantize_fixed /
-// quantize_posit / quantize_fixed_posit, or the registered policy's
-// quantize for extension classes). The only thing removed is the
+// quantize_posit / quantize_fixed_posit). The only thing removed is the
 // per-execution dispatch; the arithmetic is shared, so VM and reference
 // agree bit for bit.
 #pragma once
 
 #include "numrep/fixed_point.hpp"
 #include "numrep/formats.hpp"
-#include "numrep/registry.hpp"
 
 namespace luis::numrep {
 
 /// Quantization parameters resolved once per ConcreteType at compile time:
-/// the format for the float/posit rounders, the FixedSpec for the fixed
-/// point one (so quantize_fixed no longer rebuilds it per call), and the
-/// registry policy for extension classes bound through the generic slot.
+/// the format for the float/posit rounders, and the FixedSpec for the fixed
+/// point one (so quantize_fixed no longer rebuilds it per call).
 struct QuantSpec {
   NumericFormat format = kBinary64;
   FixedSpec fixed{};
-  const FormatClassOps* ops = nullptr;
 };
 
 QuantSpec make_quant_spec(const ConcreteType& type);

@@ -1,5 +1,6 @@
 #include "numrep/registry.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 
@@ -94,6 +95,13 @@ int float_iebw_fn(const ConcreteType& t, double x) {
 double float_max_fn(const ConcreteType& t) { return float_max_value(t.format); }
 double float_minpos_fn(const ConcreteType& t) {
   return float_min_subnormal(t.format);
+}
+// The table names only functions defined in this file: under UBSan's
+// -fno-delete-null-pointer-checks, GCC cannot test the address of a
+// function defined elsewhere against null in the static_assert below.
+bool float_exec(const NumericFormat& f) { return is_executable_float(f); }
+bool float_encodable(const NumericFormat& f) {
+  return is_minifloat_encodable(f);
 }
 bool float_feasible(const NumericFormat& f, double lo, double hi) {
   return is_executable_float(f) &&
@@ -192,6 +200,7 @@ bool fposit_feasible(const NumericFormat& f, double lo, double hi) {
          std::max(std::abs(lo), std::abs(hi)) <= fixed_posit_max_value(f);
 }
 std::string fposit_cost(const NumericFormat&) { return "fposit"; }
+bool fposit_exec(const NumericFormat& f) { return is_executable_fixed_posit(f); }
 bool fposit_encodable(const NumericFormat& f) {
   return is_executable_fixed_posit(f) && f.width() <= 16;
 }
@@ -334,154 +343,132 @@ bool minifloat_parser(std::string_view name, NumericFormat* out,
   return true;
 }
 
-void install_builtins(FormatRegistry& reg) {
-  FormatClassOps fixed_ops;
-  fixed_ops.class_label = "fixed point";
-  fixed_ops.name = &fixed_name;
-  fixed_ops.quantize = &fixed_quantize_fn;
-  fixed_ops.iebw = &fixed_iebw_fn;
-  fixed_ops.max_value = &fixed_max_fn;
-  fixed_ops.min_positive = &fixed_minpos_fn;
-  fixed_ops.executable = &fixed_exec;
-  fixed_ops.feasible = &fixed_feasible;
-  fixed_ops.cost_class = &fixed_cost;
-  fixed_ops.saturates = &always_true;
-  fixed_ops.never_underflows = &always_false;
-  fixed_ops.eps_is_half_step = &always_false;
-  fixed_ops.encodable = &fixed_encodable;
-  fixed_ops.encode = &fixed_encode_fn;
-  fixed_ops.decode = &fixed_decode_fn;
-  fixed_ops.ordering_key = &fixed_order_fn;
-  reg.register_class(FormatClass::FixedPoint, fixed_ops);
+// ---------------------------------------------------------------------------
+// The policy table, the catalog and the parsers
+// ---------------------------------------------------------------------------
 
-  FormatClassOps float_ops;
-  float_ops.class_label = "floating point";
-  float_ops.name = &float_name;
-  float_ops.quantize = &float_quantize_fn;
-  float_ops.iebw = &float_iebw_fn;
-  float_ops.max_value = &float_max_fn;
-  float_ops.min_positive = &float_minpos_fn;
-  float_ops.executable = &is_executable_float;
-  float_ops.feasible = &float_feasible;
-  float_ops.cost_class = &float_cost;
-  float_ops.saturates = &float_saturates;
-  float_ops.never_underflows = &always_false;
-  float_ops.eps_is_half_step = &always_true;
-  float_ops.encodable = &is_minifloat_encodable;
-  float_ops.encode = &float_encode_fn;
-  float_ops.decode = &float_decode_fn;
-  float_ops.ordering_key = &float_order_fn;
-  reg.register_class(FormatClass::FloatingPoint, float_ops);
-
-  FormatClassOps posit_ops;
-  posit_ops.class_label = "posit";
-  posit_ops.name = &posit_name;
-  posit_ops.quantize = &posit_quantize_fn;
-  posit_ops.iebw = &posit_iebw_fn;
-  posit_ops.max_value = &posit_max_fn;
-  posit_ops.min_positive = &posit_minpos_fn;
-  posit_ops.executable = &posit_exec;
-  posit_ops.feasible = &posit_feasible;
-  posit_ops.cost_class = &posit_cost;
-  posit_ops.saturates = &always_true;
-  posit_ops.never_underflows = &always_true;
-  posit_ops.eps_is_half_step = &always_false;
-  posit_ops.encodable = &posit_encodable;
-  posit_ops.encode = &posit_encode_fn;
-  posit_ops.decode = &posit_decode_fn;
-  posit_ops.ordering_key = &posit_order_fn;
-  reg.register_class(FormatClass::Posit, posit_ops);
-
-  FormatClassOps fposit_ops;
-  fposit_ops.class_label = "fixed-posit";
-  fposit_ops.name = &fposit_name;
-  fposit_ops.quantize = &fposit_quantize_fn;
-  fposit_ops.iebw = &fposit_iebw_fn;
-  fposit_ops.max_value = &fposit_max_fn;
-  fposit_ops.min_positive = &fposit_minpos_fn;
-  fposit_ops.executable = &is_executable_fixed_posit;
-  fposit_ops.feasible = &fposit_feasible;
-  fposit_ops.cost_class = &fposit_cost;
-  fposit_ops.saturates = &always_true;
-  fposit_ops.never_underflows = &always_true;
-  fposit_ops.eps_is_half_step = &always_false;
-  fposit_ops.encodable = &fposit_encodable;
-  fposit_ops.encode = &fposit_encode_fn;
-  fposit_ops.decode = &fposit_decode_fn;
-  fposit_ops.ordering_key = &fposit_order_fn;
-  reg.register_class(FormatClass::FixedPosit, fposit_ops);
-
-  // The catalog: Table I plus the formats this reproduction grew. Order
-  // is user-facing (luis formats, fuzz palettes), so keep it grouped.
-  for (const NumericFormat& fmt :
-       {kFixed16, kFixed32, kFixed64, kBinary16, kBinary32, kBinary64,
-        kBinary128, kBinary256, kBfloat16, kFp8E4M3, kFp8E5M2, kFp8E4M3Fnuz,
-        kFp8E5M2Fnuz, kPosit8, kPosit16, kPosit32, kFixedPosit8,
-        kFixedPosit16})
-    reg.add_format(fmt);
-
-  reg.add_parser(&alias_parser);
-  reg.add_parser(&fixed_parser);
-  reg.add_parser(&fposit_parser); // before posit: "fposit" is not a posit
-  reg.add_parser(&posit_parser);
-  reg.add_parser(&minifloat_parser);
+constexpr std::array<FormatClassOps, kNumFormatClasses> make_policy_table() {
+  std::array<FormatClassOps, kNumFormatClasses> table{};
+  table[static_cast<std::size_t>(FormatClass::FixedPoint)] = {
+      .name = &fixed_name,
+      .quantize = &fixed_quantize_fn,
+      .iebw = &fixed_iebw_fn,
+      .max_value = &fixed_max_fn,
+      .min_positive = &fixed_minpos_fn,
+      .executable = &fixed_exec,
+      .feasible = &fixed_feasible,
+      .cost_class = &fixed_cost,
+      .saturates = &always_true,
+      .never_underflows = &always_false,
+      .eps_is_half_step = &always_false,
+      .encodable = &fixed_encodable,
+      .encode = &fixed_encode_fn,
+      .decode = &fixed_decode_fn,
+      .ordering_key = &fixed_order_fn,
+  };
+  table[static_cast<std::size_t>(FormatClass::FloatingPoint)] = {
+      .name = &float_name,
+      .quantize = &float_quantize_fn,
+      .iebw = &float_iebw_fn,
+      .max_value = &float_max_fn,
+      .min_positive = &float_minpos_fn,
+      .executable = &float_exec,
+      .feasible = &float_feasible,
+      .cost_class = &float_cost,
+      .saturates = &float_saturates,
+      .never_underflows = &always_false,
+      .eps_is_half_step = &always_true,
+      .encodable = &float_encodable,
+      .encode = &float_encode_fn,
+      .decode = &float_decode_fn,
+      .ordering_key = &float_order_fn,
+  };
+  table[static_cast<std::size_t>(FormatClass::Posit)] = {
+      .name = &posit_name,
+      .quantize = &posit_quantize_fn,
+      .iebw = &posit_iebw_fn,
+      .max_value = &posit_max_fn,
+      .min_positive = &posit_minpos_fn,
+      .executable = &posit_exec,
+      .feasible = &posit_feasible,
+      .cost_class = &posit_cost,
+      .saturates = &always_true,
+      .never_underflows = &always_true,
+      .eps_is_half_step = &always_false,
+      .encodable = &posit_encodable,
+      .encode = &posit_encode_fn,
+      .decode = &posit_decode_fn,
+      .ordering_key = &posit_order_fn,
+  };
+  table[static_cast<std::size_t>(FormatClass::FixedPosit)] = {
+      .name = &fposit_name,
+      .quantize = &fposit_quantize_fn,
+      .iebw = &fposit_iebw_fn,
+      .max_value = &fposit_max_fn,
+      .min_positive = &fposit_minpos_fn,
+      .executable = &fposit_exec,
+      .feasible = &fposit_feasible,
+      .cost_class = &fposit_cost,
+      .saturates = &always_true,
+      .never_underflows = &always_true,
+      .eps_is_half_step = &always_false,
+      .encodable = &fposit_encodable,
+      .encode = &fposit_encode_fn,
+      .decode = &fposit_decode_fn,
+      .ordering_key = &fposit_order_fn,
+  };
+  return table;
 }
+
+/// The entries every consumer calls without a null check.
+constexpr bool has_required_entries(const FormatClassOps& ops) {
+  return ops.name && ops.quantize && ops.iebw && ops.max_value &&
+         ops.min_positive && ops.executable && ops.feasible &&
+         ops.cost_class && ops.saturates && ops.never_underflows &&
+         ops.eps_is_half_step && ops.encodable;
+}
+
+// The catalog: Table I plus the formats this reproduction grew. Order is
+// user-facing (luis formats, fuzz palettes, the Multi preset's candidate
+// order), so keep it grouped.
+constexpr NumericFormat kCatalog[] = {
+    kFixed16, kFixed32, kFixed64, kBinary16, kBinary32, kBinary64,
+    kBinary128, kBinary256, kBfloat16, kFp8E4M3, kFp8E5M2, kFp8E4M3Fnuz,
+    kFp8E5M2Fnuz, kPosit8, kPosit16, kPosit32, kFixedPosit8,
+    kFixedPosit16};
+
+/// A parametric spelling parser. Returns true and fills `out` on a match;
+/// returns false with a non-empty `error` for a recognized-but-malformed
+/// spelling (e.g. "posit99_1"); returns false with `error` untouched when
+/// the spelling is not this parser's.
+using ParserFn = bool (*)(std::string_view name, NumericFormat* out,
+                          std::string* error);
+constexpr ParserFn kParsers[] = {
+    &alias_parser, &fixed_parser,
+    &fposit_parser, // before posit: "fposit" is not a posit
+    &posit_parser, &minifloat_parser};
 
 } // namespace
 
-FormatRegistry& FormatRegistry::instance() {
-  static FormatRegistry* reg = [] {
-    auto* r = new FormatRegistry;
-    install_builtins(*r);
-    return r;
-  }();
-  return *reg;
+constexpr std::array<FormatClassOps, kNumFormatClasses> kFormatClassOps =
+    make_policy_table();
+static_assert(std::ranges::all_of(kFormatClassOps, has_required_entries),
+              "a format class policy is missing required entries");
+
+std::span<const NumericFormat> standard_formats() { return kCatalog; }
+
+std::vector<NumericFormat> executable_formats() {
+  std::vector<NumericFormat> out;
+  for (const NumericFormat& f : kCatalog)
+    if (format_ops(f).executable(f)) out.push_back(f);
+  return out;
 }
 
-const FormatClassOps& FormatRegistry::ops(FormatClass cls) const {
-  const auto i = static_cast<std::size_t>(cls);
-  LUIS_ASSERT(i < kNumFormatClasses && registered_[i],
-              "format class has no registered policy");
-  return ops_[i];
-}
-
-bool FormatRegistry::has_class(FormatClass cls) const {
-  const auto i = static_cast<std::size_t>(cls);
-  return i < kNumFormatClasses && registered_[i];
-}
-
-void FormatRegistry::register_class(FormatClass cls,
-                                    const FormatClassOps& ops) {
-  const auto i = static_cast<std::size_t>(cls);
-  LUIS_ASSERT(i < kNumFormatClasses, "format class out of range");
-  LUIS_ASSERT(ops.name && ops.quantize && ops.iebw && ops.max_value &&
-                  ops.min_positive && ops.executable && ops.feasible &&
-                  ops.cost_class && ops.saturates && ops.never_underflows &&
-                  ops.eps_is_half_step && ops.encodable,
-              "format policy is missing required entries");
-  ops_[i] = ops;
-  registered_[i] = true;
-}
-
-void FormatRegistry::add_format(const NumericFormat& fmt) {
-  LUIS_ASSERT(has_class(fmt.format_class()),
-              "register the format's class before cataloging it");
-  for (const NumericFormat& existing : catalog_)
-    if (existing == fmt) return;
-  catalog_.push_back(fmt);
-}
-
-void FormatRegistry::add_parser(ParserFn parser) { parsers_.push_back(parser); }
-
-std::span<const NumericFormat> FormatRegistry::formats() const {
-  return catalog_;
-}
-
-std::optional<NumericFormat> FormatRegistry::parse(std::string_view name,
-                                                   std::string* error) const {
-  for (const NumericFormat& fmt : catalog_)
-    if (ops(fmt.format_class()).name(fmt) == name) return fmt;
-  for (const ParserFn parser : parsers_) {
+std::optional<NumericFormat> parse_format(std::string_view name,
+                                          std::string* error) {
+  for (const NumericFormat& fmt : kCatalog)
+    if (fmt.name() == name) return fmt;
+  for (const ParserFn parser : kParsers) {
     NumericFormat out;
     std::string diag;
     if (parser(name, &out, &diag)) return out;
@@ -493,6 +480,17 @@ std::optional<NumericFormat> FormatRegistry::parse(std::string_view name,
   if (error)
     *error = "unknown format '" + std::string(name) +
              "'; see `luis formats` for the catalog and parametric spellings";
+  return std::nullopt;
+}
+
+std::optional<NumericFormat> parse_executable_format(std::string_view name,
+                                                     std::string* error) {
+  const std::optional<NumericFormat> fmt = parse_format(name, error);
+  if (!fmt || format_ops(*fmt).executable(*fmt)) return fmt;
+  if (error)
+    *error = "format '" + std::string(name) +
+             "' cannot execute: it describes IEBW only (see the exec column "
+             "of `luis formats`)";
   return std::nullopt;
 }
 

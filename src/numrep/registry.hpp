@@ -1,47 +1,33 @@
-// The pluggable format registry (ROADMAP item 1).
+// The closed set of representation systems: one constant policy table.
 //
-// A NumericFormat is pure data; the behavior of its class lives in a
-// FormatClassOps policy vtable registered here. Registering a class plus a
-// catalog entry is all it takes for a representation system to flow through
-// the whole pipeline: the quantize entry point and the VM's op x format
-// kernel table bind through ops.quantize, IEBW (and with it the ILP's Err
-// term and `luis check`'s certified bounds) through ops.iebw/min_positive/
-// max_value, candidate-type filtering through ops.feasible, platform
-// pricing through ops.cost_class, the name parser through the catalog and
-// parser hooks, and the fuzz palettes through formats() + ops.executable.
+// A NumericFormat is pure data; the behavior of its class lives in that
+// class's FormatClassOps row of kFormatClassOps, a table indexed by
+// FormatClass and fixed at compile time. Every consumer binds through it:
+// the quantize entry point and the VM's op x format kernel table through
+// ops.quantize, IEBW (and with it the ILP's Err term and `luis check`'s
+// certified bounds) through ops.iebw/min_positive/max_value, candidate-type
+// filtering through ops.feasible, platform pricing through ops.cost_class,
+// and the Multi preset, the fuzz palettes and the input checks through
+// ops.executable. The catalog and the name parser live beside the table
+// (standard_formats, executable_formats and parse_format in formats.hpp).
 //
-// The built-in classes (fixed point, floating point with Ieee/FiniteOnly/
-// Fnuz encodings, posit, fixed-posit) are registered on first use; the
-// Ext0..Ext3 FormatClass slots are free for run-time registration
-// (register_class), which is how the pluggability tests prove the axis is
-// actually open.
-//
-// Thread safety: instance() is safe to call concurrently (the built-ins
-// are installed under a function-local static); the register_* mutators
-// are not synchronized and must run before the registry is shared across
-// threads (in practice: at startup, or in single-threaded tests).
+// A new in-tree class is one FormatClass value plus one row here; a
+// static_assert refuses a row with a missing entry (docs/FORMATS.md).
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <optional>
-#include <span>
 #include <string>
-#include <string_view>
-#include <vector>
 
 #include "numrep/formats.hpp"
 
 namespace luis::numrep {
 
-/// Per-class policy vtable. Function pointers (not std::function) so a
-/// policy is trivially copyable and registrations cannot capture state
-/// that outlives the registry. Value-level entry points take a
-/// ConcreteType because fixed point behavior depends on the per-variable
-/// fractional bit count.
+/// Per-class policy vtable. Function pointers (not std::function) so the
+/// table is constant data. Value-level entry points take a ConcreteType
+/// because fixed point behavior depends on the per-variable fractional bit
+/// count.
 struct FormatClassOps {
-  /// Human label for reports ("fixed point", "floating point", ...).
-  const char* class_label = "";
-
   /// Canonical spelling; must round-trip through parse_format.
   std::string (*name)(const NumericFormat&) = nullptr;
 
@@ -83,7 +69,7 @@ struct FormatClassOps {
   bool (*eps_is_half_step)(const NumericFormat&) = nullptr;
 
   // --- Bit-level codec (exhaustive <=8-bit correctness proofs). ---
-  // Null/absent for value-only formats. The contract the exhaustive suite
+  // Null for value-only formats. The contract the exhaustive suite
   // enforces: decode is total over the 2^w patterns (NaN patterns decode
   // to NaN), encode(decode(bits)) == bits for every non-NaN pattern, and
   // decoded values are monotone in ordering_key.
@@ -98,58 +84,16 @@ struct FormatClassOps {
   std::int64_t (*ordering_key)(const ConcreteType&, std::uint64_t bits) = nullptr;
 };
 
-class FormatRegistry {
-public:
-  /// The process-wide registry, with the built-in classes and catalog
-  /// installed.
-  static FormatRegistry& instance();
+/// The policy of every FormatClass, indexed by its value. Constant-
+/// initialized, so it is safe to read from any thread at any time.
+extern const std::array<FormatClassOps, kNumFormatClasses> kFormatClassOps;
 
-  /// Policy for a class. Fatal if the class has not been registered.
-  const FormatClassOps& ops(FormatClass cls) const;
-  bool has_class(FormatClass cls) const;
-
-  /// Installs (or replaces) the policy for `cls`. Extension classes use
-  /// the Ext0..Ext3 slots; replacing a built-in is allowed but on your
-  /// head be it.
-  void register_class(FormatClass cls, const FormatClassOps& ops);
-
-  /// Adds a format to the catalog: it becomes a standard_formats() member
-  /// (hence an ILP candidate for the Multi preset, a fuzz palette member,
-  /// and a parse_format name). Its class must already be registered.
-  /// No-op if an equal format is already cataloged.
-  void add_format(const NumericFormat& fmt);
-
-  /// A parametric spelling hook. Returns true and fills `out` on a match;
-  /// returns false with a non-empty `error` for a recognized-but-malformed
-  /// spelling (e.g. "posit99_1"); returns false with `error` untouched
-  /// when the spelling is not this parser's.
-  using ParserFn = bool (*)(std::string_view name, NumericFormat* out,
-                            std::string* error);
-  void add_parser(ParserFn parser);
-
-  /// The catalog, in registration order. Invalidated by add_format.
-  std::span<const NumericFormat> formats() const;
-
-  /// Name lookup: catalog names and aliases first, then parametric
-  /// parsers. On failure, a diagnostic is stored in `error` if non-null.
-  std::optional<NumericFormat> parse(std::string_view name,
-                                     std::string* error = nullptr) const;
-
-private:
-  FormatRegistry() = default;
-
-  FormatClassOps ops_[kNumFormatClasses] = {};
-  bool registered_[kNumFormatClasses] = {};
-  std::vector<NumericFormat> catalog_;
-  std::vector<ParserFn> parsers_;
-};
-
-/// Policy of a format's class (shorthand for the common lookup).
+/// Policy of a format's class.
 inline const FormatClassOps& format_ops(const NumericFormat& fmt) {
-  return FormatRegistry::instance().ops(fmt.format_class());
+  return kFormatClassOps[static_cast<std::size_t>(fmt.format_class())];
 }
 inline const FormatClassOps& format_ops(const ConcreteType& type) {
-  return FormatRegistry::instance().ops(type.format.format_class());
+  return format_ops(type.format);
 }
 
 } // namespace luis::numrep

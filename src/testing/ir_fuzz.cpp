@@ -9,7 +9,7 @@
 #include "ir/parser.hpp"
 #include "ir/printer.hpp"
 #include "ir/verifier.hpp"
-#include "numrep/registry.hpp"
+#include "numrep/formats.hpp"
 #include "support/string_utils.hpp"
 
 namespace luis::testing {
@@ -103,16 +103,11 @@ interp::ArrayStore synth_ir_inputs(const ir::Function& f, std::uint64_t seed) {
 namespace {
 
 numrep::ConcreteType random_concrete_type(Rng& rng) {
-  // Every executable registry format is a candidate: differential runs
+  // Every executable catalog format is a candidate: differential runs
   // must agree between the VM and the reference interpreter for FP8 and
   // fixed-posit assignments exactly as they do for the classic trio.
-  static const std::vector<numrep::NumericFormat> kPool = [] {
-    std::vector<numrep::NumericFormat> out;
-    const numrep::FormatRegistry& reg = numrep::FormatRegistry::instance();
-    for (const numrep::NumericFormat& f : reg.formats())
-      if (reg.ops(f.format_class()).executable(f)) out.push_back(f);
-    return out;
-  }();
+  static const std::vector<numrep::NumericFormat> kPool =
+      numrep::executable_formats();
   const numrep::NumericFormat fmt = kPool[rng.next_below(kPool.size())];
   if (fmt.is_fixed()) {
     const int frac = static_cast<int>(rng.next_int(2, fmt.width() - 4));

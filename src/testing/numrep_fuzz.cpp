@@ -18,18 +18,15 @@ using numrep::ConcreteType;
 using numrep::NumericFormat;
 using numrep::quantize;
 
-/// The formats under test: every executable format the registry knows
-/// (FP8, fixed-posit, and any run-time registered class included), with a
-/// representative fixed point layout for the fixed family — half the word
-/// in fractional bits keeps moderate magnitudes in range.
+/// The formats under test: every executable catalog format (FP8 and
+/// fixed-posit included), with a representative fixed point layout for
+/// the fixed family — half the word in fractional bits keeps moderate
+/// magnitudes in range.
 const std::vector<ConcreteType>& palette() {
   static const std::vector<ConcreteType> kPalette = [] {
     std::vector<ConcreteType> out;
-    const numrep::FormatRegistry& reg = numrep::FormatRegistry::instance();
-    for (const NumericFormat& f : reg.formats()) {
-      if (!reg.ops(f.format_class()).executable(f)) continue;
+    for (const NumericFormat& f : numrep::executable_formats())
       out.push_back({f, f.is_fixed() ? f.width() / 2 : 0});
-    }
     return out;
   }();
   return kPalette;

@@ -101,6 +101,7 @@ TEST(AssignmentIo, RejectsBadInput) {
   EXPECT_FALSE(assignment_from_text(*kernel.function, "@L fix32.99").ok());
   EXPECT_FALSE(assignment_from_text(*kernel.function, "%9999 binary32").ok());
   EXPECT_FALSE(assignment_from_text(*kernel.function, "L binary32").ok());
+  EXPECT_FALSE(assignment_from_text(*kernel.function, "@L binary128").ok());
 }
 
 TEST(AssignmentIo, ReadsRegisterIdsAndFracBitsWhole) {

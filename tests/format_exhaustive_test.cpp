@@ -1,4 +1,4 @@
-// Exhaustive correctness proofs for every registered format narrow enough
+// Exhaustive correctness proofs for every format narrow enough
 // to enumerate: all 2^w encodings of each <= 8-bit encodable format are
 // decoded, re-encoded, ordered, re-quantized, and checked against a
 // brute-force nearest-neighbor resolution derived from the enumerated
@@ -27,15 +27,14 @@ struct Entry {
   std::int64_t key;
 };
 
-/// Every <= 8-bit encodable format: the registry catalog's narrow members
+/// Every <= 8-bit encodable format: the catalog's narrow members
 /// plus parametric spellings covering each class and encoding variant the
 /// catalog alone would miss (signed/unsigned fixed, a 6-bit Ieee float, a
 /// sub-byte fixed-posit, odd posit es).
 std::vector<ConcreteType> formats_under_test() {
   std::vector<ConcreteType> out;
-  const FormatRegistry& reg = FormatRegistry::instance();
-  for (const NumericFormat& f : reg.formats())
-    if (f.width() <= 8 && reg.ops(f.format_class()).encodable(f))
+  for (const NumericFormat& f : standard_formats())
+    if (f.width() <= 8 && format_ops(f).encodable(f))
       out.push_back({f, f.is_fixed() ? 3 : 0});
   // The minifloat extras use exponents whose bit layout is exact (Ieee and
   // Fnuz need E = 2^(eb-1) - 1, FiniteOnly needs E = 2^(eb-1)); other E
@@ -48,7 +47,7 @@ std::vector<ConcreteType> formats_under_test() {
       continue;
     }
     EXPECT_LE(fmt->width(), 8) << name;
-    EXPECT_TRUE(reg.ops(fmt->format_class()).encodable(*fmt)) << name;
+    EXPECT_TRUE(format_ops(*fmt).encodable(*fmt)) << name;
     out.push_back({*fmt, fmt->is_fixed() ? 3 : 0});
   }
   return out;

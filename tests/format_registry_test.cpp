@@ -1,17 +1,15 @@
-// The format registry's contracts: name <-> parse_format fixpoint over
-// everything the registry can reach, diagnostics for malformed spellings,
-// run-time pluggability of an extension class, and the end-to-end claim
-// that a registered format is automatically an ILP candidate whose tuned
-// assignment certifies finite error bounds.
+// The format catalog's contracts: name <-> parse_format fixpoint over
+// every format the catalog and the parsers reach, diagnostics for
+// malformed spellings, and the end-to-end claim that a catalog format is
+// an ILP candidate whose tuned assignment certifies finite error bounds.
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/pipeline.hpp"
 #include "ir/kernel_builder.hpp"
-#include "numrep/iebw.hpp"
-#include "numrep/quantize.hpp"
 #include "numrep/registry.hpp"
 #include "platform/optime.hpp"
 
@@ -19,7 +17,7 @@ namespace luis::numrep {
 namespace {
 
 TEST(FormatRegistry, CatalogNamesRoundTripThroughParse) {
-  for (const NumericFormat& f : FormatRegistry::instance().formats()) {
+  for (const NumericFormat& f : standard_formats()) {
     const std::string name = f.name();
     std::string error;
     const auto parsed = parse_format(name, &error);
@@ -85,68 +83,41 @@ TEST(FormatRegistry, MalformedSpellingsAreRejectedWithDiagnostics) {
   EXPECT_NE(error.find("luis formats"), std::string::npos) << error;
 }
 
-// --- Run-time pluggability: a from-scratch Ext0 class. ---
-// An "integer grid" toy format: values are integers in [-100, 100]. The
-// policy exists to prove the registration axis is open, not to be useful.
-
-double grid_quantize(const ConcreteType&, double x) {
-  if (std::isnan(x)) return x;
-  const double r = std::nearbyint(x);
-  return std::copysign(std::min(std::abs(r), 100.0), x);
-}
-int grid_iebw(const ConcreteType&, double) { return 0; }
-double grid_max(const ConcreteType&) { return 100.0; }
-double grid_minpos(const ConcreteType&) { return 1.0; }
-bool grid_exec(const NumericFormat&) { return true; }
-bool grid_feasible(const NumericFormat&, double lo, double hi) {
-  return std::max(std::abs(lo), std::abs(hi)) <= 100.0;
-}
-std::string grid_cost(const NumericFormat&) { return "fix"; }
-std::string grid_name(const NumericFormat&) { return "grid100"; }
-bool grid_true(const NumericFormat&) { return true; }
-bool grid_false(const NumericFormat&) { return false; }
-
-TEST(FormatRegistry, ExtensionClassIsPluggable) {
-  FormatRegistry& reg = FormatRegistry::instance();
-  FormatClassOps ops;
-  ops.class_label = "integer grid";
-  ops.name = &grid_name;
-  ops.quantize = &grid_quantize;
-  ops.iebw = &grid_iebw;
-  ops.max_value = &grid_max;
-  ops.min_positive = &grid_minpos;
-  ops.executable = &grid_exec;
-  ops.feasible = &grid_feasible;
-  ops.cost_class = &grid_cost;
-  ops.saturates = &grid_true;
-  ops.never_underflows = &grid_false;
-  ops.eps_is_half_step = &grid_false;
-  ops.encodable = &grid_false;
-  reg.register_class(FormatClass::Ext0, ops);
-  ASSERT_TRUE(reg.has_class(FormatClass::Ext0));
-
-  const NumericFormat grid = NumericFormat::ext(FormatClass::Ext0, 8);
-  reg.add_format(grid);
-
-  // The format flows through every registry-backed entry point.
-  EXPECT_EQ(grid.name(), "grid100");
-  const auto parsed = parse_format("grid100");
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(*parsed, grid);
-  bool in_catalog = false;
+TEST(FormatRegistry, ExecutableFormatsAreTheRunnableCatalogInOrder) {
+  std::vector<NumericFormat> runnable;
   for (const NumericFormat& f : standard_formats())
-    if (f == grid) in_catalog = true;
-  EXPECT_TRUE(in_catalog);
-
-  const ConcreteType t{grid, 0};
-  EXPECT_EQ(quantize(t, 2.4), 2.0);
-  EXPECT_EQ(quantize(t, 2.5), 2.0); // nearbyint ties-to-even
-  EXPECT_EQ(quantize(t, 1e9), 100.0);
-  EXPECT_EQ(quantize(t, -1e9), -100.0);
-  EXPECT_EQ(iebw_of_value(grid, 7.0), 0);
+    if (format_ops(f).executable(f)) runnable.push_back(f);
+  EXPECT_EQ(executable_formats(), runnable);
+  EXPECT_EQ(runnable.size() + 2, standard_formats().size())
+      << "only binary128 and binary256 are descriptors";
+  EXPECT_EQ(core::TuningConfig::multi().types, runnable);
 }
 
-// --- End-to-end: registered formats become ILP candidates and certify. ---
+TEST(FormatRegistry, InputRefusesFormatsThatCannotExecute) {
+  // Table I's wide floats parse, for the IEBW metric, but no engine runs
+  // them, so input that will execute refuses them by the name given.
+  for (const char* name : {"binary128", "binary256", "float60_1023",
+                           "float_p24_E2000"}) {
+    ASSERT_TRUE(parse_format(name).has_value()) << name;
+    std::string error;
+    EXPECT_FALSE(parse_executable_format(name, &error).has_value()) << name;
+    EXPECT_NE(error.find(std::string("format '") + name + "' cannot execute"),
+              std::string::npos)
+        << error;
+  }
+  for (const char* name : {"binary64", "e4m3", "fix12", "posit12_2",
+                           "fposit16_1_4", "float53_1023"}) {
+    std::string error;
+    EXPECT_EQ(parse_executable_format(name, &error), parse_format(name))
+        << name << ": " << error;
+  }
+  // A name that does not parse keeps the parser's diagnostic.
+  std::string error;
+  EXPECT_FALSE(parse_executable_format("posit99_1", &error).has_value());
+  EXPECT_NE(error.find("posit width must be in"), std::string::npos) << error;
+}
+
+// --- End-to-end: catalog formats become ILP candidates and certify. ---
 
 ir::Function* build_dot_kernel(ir::Module& m) {
   ir::KernelBuilder kb(m, "dot");

@@ -113,6 +113,14 @@ expect_refusal "non-Real register %2xyz" apply hostile_base.ir hostile_junk_regi
 printf '%%3 fix32.7x\n' > hostile_junk_frac.types
 expect_refusal "bad type 'fix32.7x'" apply hostile_base.ir hostile_junk_frac.types
 
+# A format that parses (Table I's binary128, for the IEBW metric) but that
+# no engine can execute is refused by name on every verb that loads a file.
+printf '@a binary128\n' > hostile_wide.types
+expect_refusal "line 1: format 'binary128' cannot execute" apply hostile_base.ir hostile_wide.types
+for verb in check lint profile; do
+  expect_refusal "line 1: format 'binary128' cannot execute" $verb hostile_base.ir --assignment hostile_wide.types
+done
+
 # Kernel language: number literals are read whole and in range, and a bad
 # one is reported at its file:line:col.
 cat > hostile_base.lk <<'EOF'
@@ -200,6 +208,11 @@ expect_refusal "hostile_no_div_float.optime:23:1: missing entry 'div float'" tun
 
 mutate_optime no_cast_fix_double '/^cast_fix double /d'
 expect_refusal "hostile_no_cast_fix_double.optime:23:1: missing entry 'cast_fix double'" tune hostile_base.ir --platform-file hostile_no_cast_fix_double.optime
+
+# A table file that cannot be read fails like an unreadable IR file.
+for verb in tune lint check profile; do
+  expect_refusal "cannot read hostile_missing.optime" $verb hostile_base.ir --platform-file hostile_missing.optime
+done
 
 # An unknown platform name is a usage error (2), not a malformed file.
 "$L" tune hostile_base.ir --platform Nowhere > /dev/null 2>&1

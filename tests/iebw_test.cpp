@@ -2,12 +2,15 @@
 
 #include <cmath>
 #include <functional>
+#include <string>
+#include <tuple>
 
 #include "numrep/fixed_point.hpp"
 #include "numrep/iebw.hpp"
 #include "numrep/posit.hpp"
 #include "numrep/soft_float.hpp"
 #include "support/rng.hpp"
+#include "format_param_names.hpp"
 
 namespace luis::numrep {
 namespace {
@@ -227,7 +230,12 @@ INSTANTIATE_TEST_SUITE_P(
     Grid, IebwFloatSweep,
     ::testing::Combine(::testing::Values(kBinary16, kBinary32, kBinary64,
                                          kBfloat16),
-                       ::testing::Values(-8, -2, 0, 1, 7)));
+                       ::testing::Values(-8, -2, 0, 1, 7)),
+    [](const auto& info) {
+      const int e = std::get<1>(info.param);
+      return test_case_name(std::get<0>(info.param)) +
+             (e < 0 ? "_em" : "_e") + std::to_string(std::abs(e));
+    });
 
 } // namespace
 } // namespace luis::numrep

@@ -4,6 +4,7 @@
 
 #include "numrep/posit.hpp"
 #include "support/rng.hpp"
+#include "format_param_names.hpp"
 
 namespace luis::numrep {
 namespace {
@@ -178,7 +179,10 @@ TEST_P(PositWidthSweep, QuantizationIdempotentAndBounded) {
 INSTANTIATE_TEST_SUITE_P(Widths, PositWidthSweep,
                          ::testing::Values(kPosit8, kPosit16, kPosit32,
                                            NumericFormat::posit(6, 0),
-                                           NumericFormat::posit(12, 2)));
+                                           NumericFormat::posit(12, 2)),
+                         [](const auto& info) {
+                           return test_case_name(info.param);
+                         });
 
 } // namespace
 } // namespace luis::numrep

@@ -5,6 +5,7 @@
 
 #include "numrep/soft_float.hpp"
 #include "support/rng.hpp"
+#include "format_param_names.hpp"
 
 namespace luis::numrep {
 namespace {
@@ -179,7 +180,10 @@ TEST_P(RoundingErrorSweep, HalfUlpBound) {
 INSTANTIATE_TEST_SUITE_P(Formats, RoundingErrorSweep,
                          ::testing::Values(kBinary16, kBfloat16, kBinary32,
                                            NumericFormat::floating(10, 63, 16),
-                                           NumericFormat::floating(30, 255, 32)));
+                                           NumericFormat::floating(30, 255, 32)),
+                         [](const auto& info) {
+                           return test_case_name(info.param);
+                         });
 
 } // namespace
 } // namespace luis::numrep

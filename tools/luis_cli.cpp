@@ -1,7 +1,7 @@
 // luis — command line driver for the LUIS precision tuner.
 //
 //   luis kernels                          list the bundled PolyBench kernels
-//   luis formats                          list every registered number
+//   luis formats                          list every catalog number
 //                                         format (name, class, width,
 //                                         executability, range)
 //   luis emit <kernel> [-o out.ir]        write a kernel's textual IR
@@ -89,7 +89,7 @@
 //   --kernels a,b,c       subset of PolyBench kernels (default: all 30)
 //   --configs a,b         subset of Precise,Balanced,Fast,Multi (default:
 //                         Precise,Balanced,Fast; Multi tunes over every
-//                         executable registry format)
+//                         executable catalog format)
 //   --platforms a,b       subset of Stm32,Raspberry,Intel,AMD (default: all)
 //   --threads N           worker threads (default: hardware concurrency;
 //                         1 = serial reference path, same results)
@@ -136,10 +136,10 @@
 //   --platform Stm32|Raspberry|Intel|AMD|host     (default Stm32)
 //   --config Fast|Balanced|Precise|Multi          (default Balanced; Multi
 //                                                 draws T from the format
-//                                                 registry and overrides
+//                                                 catalog and overrides
 //                                                 --types)
 //   --types fix32,binary32,binary64               candidate set T (any
-//                                                 `luis formats` name)
+//                                                 executable format name)
 //   --literal                                     paper-exact ILP model
 //   --optimize                                    IR cleanup passes first
 //   --lint=warn|error                             precision lint the result
@@ -286,12 +286,13 @@ bool write_output(const char* verb, const std::string& path,
   return false;
 }
 
-/// Parses a --type value: a registry format name, fixed point with its
-/// word split in half; reports and returns nullopt on junk.
+/// Parses a --type value: the name of a format that executes, fixed point
+/// with its word split in half; reports and returns nullopt otherwise.
 std::optional<numrep::ConcreteType> type_or_die(const std::string& name) {
-  const auto fmt = numrep::parse_format(name);
+  std::string error;
+  const auto fmt = numrep::parse_executable_format(name, &error);
   if (!fmt) {
-    std::fprintf(stderr, "luis: unknown format '%s'\n", name.c_str());
+    std::fprintf(stderr, "luis: %s\n", error.c_str());
     return std::nullopt;
   }
   return numrep::ConcreteType{*fmt, fmt->is_fixed() ? fmt->width() / 2 : 0};
@@ -329,6 +330,24 @@ ir::Function* parse_or_die(ir::Module& module, const std::string& path) {
   return parsed.function;
 }
 
+/// Reads a saved (possibly hand-edited) type assignment for `f`; returns
+/// nullopt (diagnostic printed, caller exits 1) when the file cannot be
+/// read or does not parse.
+std::optional<interp::TypeAssignment> assignment_or_die(
+    const ir::Function& f, const std::string& path) {
+  const auto text = read_file(path);
+  if (!text) {
+    std::fprintf(stderr, "luis: cannot read %s\n", path.c_str());
+    return std::nullopt;
+  }
+  core::AssignmentParseResult parsed = core::assignment_from_text(f, *text);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "luis: %s: %s\n", path.c_str(), parsed.error.c_str());
+    return std::nullopt;
+  }
+  return std::move(parsed.assignment);
+}
+
 /// Parses and verifies; returns nullptr (caller exits non-zero) when the
 /// file does not parse or the IR is structurally broken.
 ir::Function* parse_and_verify_or_die(ir::Module& module,
@@ -345,8 +364,9 @@ ir::Function* parse_and_verify_or_die(ir::Module& module,
 
 /// Resolves --platform / --platform-file ("@path") / "host" to an op-time
 /// table, using `storage` for tables that have to be built on the fly. On
-/// failure prints a diagnostic, sets `exit_code` (1 for a malformed table
-/// file, 2 otherwise) and returns nullptr.
+/// failure prints a diagnostic, sets `exit_code` (1 for a table file that
+/// cannot be read or is malformed, 2 for an unknown name) and returns
+/// nullptr.
 const platform::OpTimeTable* resolve_platform(const std::string& platform_name,
                                               platform::OpTimeTable& storage,
                                               int& exit_code) {
@@ -359,6 +379,7 @@ const platform::OpTimeTable* resolve_platform(const std::string& platform_name,
     return &storage;
   }
   if (!platform_name.empty() && platform_name[0] == '@') {
+    exit_code = 1;
     const auto text = read_file(platform_name.substr(1));
     if (!text) {
       std::fprintf(stderr, "luis: cannot read %s\n", platform_name.c_str() + 1);
@@ -368,7 +389,6 @@ const platform::OpTimeTable* resolve_platform(const std::string& platform_name,
     if (!parsed.ok()) {
       std::fprintf(stderr, "luis: %s:%d:%d: %s\n", platform_name.c_str() + 1,
                    parsed.line, parsed.column, parsed.error.c_str());
-      exit_code = 1;
       return nullptr;
     }
     storage = std::move(parsed.table);
@@ -387,7 +407,7 @@ bool apply_config_preset(const std::string& config_name,
     return false;
   }
   preset->literal_model = config.literal_model;
-  // Multi's whole point is its registry-derived candidate set, so it
+  // Multi's whole point is its catalog-derived candidate set, so it
   // overrides --types instead of preserving it.
   if (config_name != "Multi") preset->types = std::move(config.types);
   config = std::move(*preset);
@@ -442,14 +462,15 @@ bool set_vra_flag(const std::string& flag, const std::string& value,
   return v.has_value();
 }
 
-/// Parses a --types list into `config.types`; false on unknown formats
-/// (the registry's parser diagnostics name the offending token and point
-/// at `luis formats`) and on an empty list.
+/// Parses a --types list into `config.types`; false on a format that is
+/// unknown or cannot execute (the parser's diagnostics name the offending
+/// token and point at `luis formats`) and on an empty list.
 bool parse_types_list(const std::string& list, core::TuningConfig& config) {
   config.types.clear();
   for (const std::string& tok : split_fields(list, ',')) {
     std::string error;
-    const auto fmt = numrep::parse_format(std::string(trim(tok)), &error);
+    const auto fmt =
+        numrep::parse_executable_format(std::string(trim(tok)), &error);
     if (!fmt) {
       std::fprintf(stderr, "luis: %s\n", error.c_str());
       return false;
@@ -539,17 +560,16 @@ const char* format_class_label(numrep::FormatClass cls) {
   case numrep::FormatClass::FloatingPoint: return "float";
   case numrep::FormatClass::Posit: return "posit";
   case numrep::FormatClass::FixedPosit: return "fixed-posit";
-  default: return "ext";
   }
+  LUIS_UNREACHABLE("unknown format class");
 }
 
 int cmd_formats(const std::vector<std::string>& args) {
   if (!parse_command_line("formats", args, 0)) return 2;
-  const numrep::FormatRegistry& reg = numrep::FormatRegistry::instance();
   std::printf("%-16s %-11s %5s %4s %-8s %13s %13s\n", "name", "class", "width",
               "exec", "cost", "max", "minpos");
-  for (const numrep::NumericFormat& f : reg.formats()) {
-    const numrep::FormatClassOps& ops = reg.ops(f.format_class());
+  for (const numrep::NumericFormat& f : numrep::standard_formats()) {
+    const numrep::FormatClassOps& ops = numrep::format_ops(f);
     // Fixed point's range depends on the per-variable fractional split;
     // report the integer-only layout (frac = 0) for it.
     const numrep::ConcreteType t{f, 0};
@@ -764,22 +784,12 @@ int cmd_lint(const std::vector<std::string>& args) {
   analysis::DiagnosticEngine engine;
   if (!assignment_path.empty()) {
     // Lint a saved (possibly hand-edited) assignment against this IR.
-    const auto text = read_file(assignment_path);
-    if (!text) {
-      std::fprintf(stderr, "luis: cannot read %s\n", assignment_path.c_str());
-      return 1;
-    }
-    const core::AssignmentParseResult parsed =
-        core::assignment_from_text(*f, *text);
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "luis: %s: %s\n", assignment_path.c_str(),
-                   parsed.error.c_str());
-      return 1;
-    }
+    const auto assignment = assignment_or_die(*f, assignment_path);
+    if (!assignment) return 1;
     const vra::RangeMap ranges = vra::analyze_ranges(*f, options.vra);
     const analysis::ErrorAnalysisResult errors =
-        analysis::analyze_errors(*f, parsed.assignment, ranges);
-    engine = analysis::run_lint(*f, parsed.assignment, ranges, lint_options,
+        analysis::analyze_errors(*f, *assignment, ranges);
+    engine = analysis::run_lint(*f, *assignment, ranges, lint_options,
                                 &errors.errors);
   } else {
     platform::OpTimeTable storage;
@@ -850,19 +860,9 @@ int cmd_check(const std::vector<std::string>& args) {
   std::string source = "pipeline";
   if (!assignment_path.empty()) {
     source = "assignment";
-    const auto text = read_file(assignment_path);
-    if (!text) {
-      std::fprintf(stderr, "luis: cannot read %s\n", assignment_path.c_str());
-      return 1;
-    }
-    const core::AssignmentParseResult parsed =
-        core::assignment_from_text(*f, *text);
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "luis: %s: %s\n", assignment_path.c_str(),
-                   parsed.error.c_str());
-      return 1;
-    }
-    assignment = parsed.assignment;
+    auto loaded = assignment_or_die(*f, assignment_path);
+    if (!loaded) return 1;
+    assignment = std::move(*loaded);
     ranges = vra::analyze_ranges(*f, options.vra);
     errors = analysis::analyze_errors(*f, assignment, ranges);
   } else {
@@ -1039,21 +1039,11 @@ int cmd_apply(const std::vector<std::string>& args) {
   ir::Module module;
   ir::Function* f = parse_and_verify_or_die(module, cl->operands[0]);
   if (!f) return 1;
-  const auto text = read_file(types_path);
-  if (!text) {
-    std::fprintf(stderr, "luis: cannot read %s\n", types_path.c_str());
-    return 1;
-  }
-  const core::AssignmentParseResult parsed =
-      core::assignment_from_text(*f, *text);
-  if (!parsed.ok()) {
-    std::fprintf(stderr, "luis: %s: %s\n", types_path.c_str(),
-                 parsed.error.c_str());
-    return 1;
-  }
+  const auto assignment = assignment_or_die(*f, types_path);
+  if (!assignment) return 1;
   interp::ArrayStore store = synth_inputs(*f);
   const auto engine = interp::make_engine(engine_kind);
-  const interp::RunResult run = engine->run(*f, parsed.assignment, store);
+  const interp::RunResult run = engine->run(*f, *assignment, store);
   if (!run.ok) {
     std::fprintf(stderr, "luis: execution failed: %s\n", run.error.c_str());
     return 1;
@@ -1389,19 +1379,9 @@ int cmd_profile(const std::vector<std::string>& args) {
 
   interp::TypeAssignment types = interp::TypeAssignment::uniform(*f, type);
   if (!assignment_path.empty()) {
-    const auto text = read_file(assignment_path);
-    if (!text) {
-      std::fprintf(stderr, "luis: cannot read %s\n", assignment_path.c_str());
-      return 1;
-    }
-    const core::AssignmentParseResult parsed =
-        core::assignment_from_text(*f, *text);
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "luis: %s: %s\n", assignment_path.c_str(),
-                   parsed.error.c_str());
-      return 1;
-    }
-    types = parsed.assignment;
+    auto loaded = assignment_or_die(*f, assignment_path);
+    if (!loaded) return 1;
+    types = std::move(*loaded);
   }
 
   const interp::CompiledProgram program = interp::compile_program(*f, types, {});
