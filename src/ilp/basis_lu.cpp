@@ -10,71 +10,191 @@ constexpr double kPivotFloor = 1e-11; ///< singularity threshold
 constexpr double kUpdateFloor = 1e-9; ///< minimum stable eta pivot
 constexpr double kDropTol = 1e-14;    ///< entries below this are noise
 
+std::size_t sz(int i) { return static_cast<std::size_t>(i); }
+
 } // namespace
 
 bool BasisLu::factorize(const SparseColumns& cols, const std::vector<int>& basic) {
   const int m = static_cast<int>(basic.size());
+  ++factorizations_;
   m_ = m;
-  etas_.clear();
-  row_of_pos_.assign(static_cast<std::size_t>(m), -1);
-  pos_of_row_.assign(static_cast<std::size_t>(m), -1);
-  col_of_pos_.assign(static_cast<std::size_t>(m), -1);
-  udiag_.assign(static_cast<std::size_t>(m), 1.0);
-  lcol_.assign(static_cast<std::size_t>(m), {});
-  ucol_.assign(static_cast<std::size_t>(m), {});
-  if (m == 0) return true;
+  eta_row_.clear();
+  eta_pivot_.clear();
+  eta_idx_.clear();
+  eta_val_.clear();
+  eta_start_.assign(1, 0);
+  row_of_pos_.assign(sz(m), -1);
+  pos_of_row_.assign(sz(m), -1);
+  col_of_pos_.assign(sz(m), -1);
+  udiag_.assign(sz(m), 1.0);
+  lstart_.clear();
+  lidx_.clear();
+  lval_.clear();
+  ustart_.clear();
+  uidx_.clear();
+  uval_.clear();
+  lpos_.clear();
 
-  // Phase A: pivot every slack basic on its own row. A slack column is a
-  // unit vector, so these pivots are triangular by construction — no
-  // elimination work and no fill.
+  // Slack pass: pivot every slack basic on its own row. A slack column is
+  // a unit vector, so these pivots need no elimination and make no fill.
+  // col_count_ marks a pivoted basis column with -1.
+  col_count_.assign(sz(m), 0);
   int npos = 0;
   for (int c = 0; c < m; ++c) {
-    const int col = basic[static_cast<std::size_t>(c)];
+    const int col = basic[sz(c)];
     if (col < cols.cols) continue;
     const int r = col - cols.cols;
-    row_of_pos_[static_cast<std::size_t>(npos)] = r;
-    pos_of_row_[static_cast<std::size_t>(r)] = npos;
-    col_of_pos_[static_cast<std::size_t>(npos)] = c;
+    row_of_pos_[sz(npos)] = r;
+    pos_of_row_[sz(r)] = npos;
+    col_of_pos_[sz(npos)] = c;
+    lstart_.push_back(0);
+    ustart_.push_back(0);
+    col_count_[sz(c)] = -1;
     ++npos;
   }
-  const int s0 = npos; // bump starts here
-  const int s = m - s0;
+  nslack_ = npos;
 
-  // Remaining rows (in index order) host the bump.
-  for (int r = 0; r < m; ++r) {
-    if (pos_of_row_[static_cast<std::size_t>(r)] >= 0) continue;
-    row_of_pos_[static_cast<std::size_t>(npos)] = r;
-    pos_of_row_[static_cast<std::size_t>(r)] = npos;
-    ++npos;
-  }
-
-  // Phase B: scatter the structural basics. Entries landing on slack rows
-  // are finished U entries (those rows sit above every bump row); entries
-  // on bump rows form the dense s x s bump to eliminate.
-  std::vector<double> bump(static_cast<std::size_t>(s) * static_cast<std::size_t>(s), 0.0);
-  const auto at = [&](int br, int bc) -> double& {
-    return bump[static_cast<std::size_t>(br) * static_cast<std::size_t>(s) +
-                static_cast<std::size_t>(bc)];
-  };
-  int k = 0;
+  // Live counts over the unpivoted rows and columns, and a row-wise copy
+  // of the structural basics there (row r's columns ascending in
+  // row_col_/row_val_[row_start_[r], row_start_[r+1])).
+  row_start_.assign(sz(m) + 2, 0);
   for (int c = 0; c < m; ++c) {
-    const int col = basic[static_cast<std::size_t>(c)];
-    if (col >= cols.cols) continue;
-    const int p = s0 + k;
-    col_of_pos_[static_cast<std::size_t>(p)] = c;
-    cols.for_entries(col, [&](int r, double v) {
-      const int rp = pos_of_row_[static_cast<std::size_t>(r)];
-      if (rp < s0)
-        ucol_[static_cast<std::size_t>(p)].emplace_back(rp, v);
-      else
-        at(rp - s0, k) = v;
+    if (col_count_[sz(c)] < 0) continue;
+    cols.for_entries(basic[sz(c)], [&](int r, double) {
+      if (pos_of_row_[sz(r)] >= 0) return;
+      ++col_count_[sz(c)];
+      ++row_start_[sz(r) + 2];
     });
-    ++k;
+  }
+  for (int r = 2; r <= m + 1; ++r) row_start_[sz(r)] += row_start_[sz(r) - 1];
+  row_col_.resize(sz(row_start_[sz(m) + 1]));
+  row_val_.resize(row_col_.size());
+  for (int c = 0; c < m; ++c) {
+    if (col_count_[sz(c)] < 0) continue;
+    cols.for_entries(basic[sz(c)], [&](int r, double v) {
+      if (pos_of_row_[sz(r)] >= 0) return;
+      const int k = row_start_[sz(r) + 1]++;
+      row_col_[sz(k)] = c;
+      row_val_[sz(k)] = v;
+    });
+  }
+  row_count_.assign(sz(m), -1);
+  for (int r = 0; r < m; ++r)
+    if (pos_of_row_[sz(r)] < 0)
+      row_count_[sz(r)] = row_start_[sz(r) + 1] - row_start_[sz(r)];
+
+  // Triangular pass. A column singleton (one entry left in the unpivoted
+  // rows) pivots with no L entries; a row singleton (one entry left in the
+  // unpivoted columns) pivots with one L column and leaves the rest of the
+  // matrix untouched. Entries below the floor are left to the nucleus.
+  col_list_.clear();
+  row_list_.clear();
+  for (int c = 0; c < m; ++c)
+    if (col_count_[sz(c)] == 1) col_list_.push_back(c);
+  for (int r = 0; r < m; ++r)
+    if (row_count_[sz(r)] == 1) row_list_.push_back(r);
+  std::size_t next_col = 0, next_row = 0;
+  for (;;) {
+    int r = -1, c = -1;
+    double v = 0.0;
+    if (next_col < col_list_.size()) {
+      c = col_list_[next_col++];
+      if (col_count_[sz(c)] != 1) continue;
+      cols.for_entries(basic[sz(c)], [&](int rr, double vv) {
+        if (pos_of_row_[sz(rr)] < 0) {
+          r = rr;
+          v = vv;
+        }
+      });
+    } else if (next_row < row_list_.size()) {
+      r = row_list_[next_row++];
+      if (row_count_[sz(r)] != 1 || pos_of_row_[sz(r)] >= 0) continue;
+      for (int k = row_start_[sz(r)]; k < row_start_[sz(r) + 1]; ++k) {
+        if (col_count_[sz(row_col_[sz(k)])] < 0) continue;
+        c = row_col_[sz(k)];
+        v = row_val_[sz(k)];
+        break;
+      }
+    } else {
+      break;
+    }
+    if (std::abs(v) < kPivotFloor) continue;
+
+    const int p = npos++;
+    row_of_pos_[sz(p)] = r;
+    pos_of_row_[sz(r)] = p;
+    col_of_pos_[sz(p)] = c;
+    udiag_[sz(p)] = v;
+    col_count_[sz(c)] = -1;
+    lstart_.push_back(static_cast<int>(lidx_.size()));
+    ustart_.push_back(static_cast<int>(uidx_.size()));
+    // Entries on rows pivoted earlier are finished U entries; entries on
+    // unpivoted rows (row singletons only) are L multipliers, kept by row
+    // until every row has its position.
+    cols.for_entries(basic[sz(c)], [&](int rr, double vv) {
+      if (rr == r) return;
+      const int q = pos_of_row_[sz(rr)];
+      if (q >= 0) {
+        uidx_.push_back(q);
+        uval_.push_back(vv);
+      } else {
+        lidx_.push_back(rr);
+        lval_.push_back(vv / v);
+        if (--row_count_[sz(rr)] == 1) row_list_.push_back(rr);
+      }
+    });
+    for (int k = row_start_[sz(r)]; k < row_start_[sz(r) + 1]; ++k) {
+      const int c2 = row_col_[sz(k)];
+      if (col_count_[sz(c2)] > 0 && --col_count_[sz(c2)] == 1)
+        col_list_.push_back(c2);
+    }
   }
 
-  // Dense Gaussian elimination with partial pivoting on the bump. Row
-  // swaps permute row_of_pos_ within the bump region only; the inner
-  // updates skip zero multipliers, so sparse bumps stay cheap.
+  const std::size_t singleton_l = lidx_.size();
+  const int s0 = npos;
+  nucleus_columns_ += m - s0;
+  if (s0 < m && !eliminate_nucleus(cols, basic, s0)) {
+    m_ = -1;
+    return false; // singular basis
+  }
+  for (std::size_t k = 0; k < singleton_l; ++k)
+    lidx_[k] = pos_of_row_[sz(lidx_[k])];
+  lstart_.push_back(static_cast<int>(lidx_.size()));
+  ustart_.push_back(static_cast<int>(uidx_.size()));
+  for (int p = 0; p < m; ++p)
+    if (lstart_[sz(p)] < lstart_[sz(p) + 1]) lpos_.push_back(p);
+  return true;
+}
+
+bool BasisLu::eliminate_nucleus(const SparseColumns& cols,
+                                const std::vector<int>& basic, int s0) {
+  const int m = m_;
+  const int s = m - s0;
+  // The unpivoted rows host the nucleus in index order, the unpivoted
+  // columns in basis order.
+  for (int r = 0, p = s0; r < m; ++r) {
+    if (pos_of_row_[sz(r)] >= 0) continue;
+    row_of_pos_[sz(p)] = r;
+    pos_of_row_[sz(r)] = p;
+    ++p;
+  }
+  for (int c = 0, p = s0; c < m; ++c)
+    if (col_count_[sz(c)] >= 0) col_of_pos_[sz(p++)] = c;
+
+  nucleus_.assign(sz(s) * sz(s), 0.0);
+  const auto at = [&](int br, int bc) -> double& {
+    return nucleus_[sz(br) * sz(s) + sz(bc)];
+  };
+  for (int kk = 0; kk < s; ++kk) {
+    cols.for_entries(basic[sz(col_of_pos_[sz(s0 + kk)])], [&](int r, double v) {
+      const int rp = pos_of_row_[sz(r)];
+      if (rp >= s0) at(rp - s0, kk) = v;
+    });
+  }
+
+  // Dense Gaussian elimination with partial pivoting. Row swaps permute
+  // row_of_pos_ within the nucleus only; the inner updates skip zero
+  // multipliers, so sparse nuclei stay cheap.
   for (int kk = 0; kk < s; ++kk) {
     int piv = kk;
     double best = std::abs(at(kk, kk));
@@ -85,14 +205,10 @@ bool BasisLu::factorize(const SparseColumns& cols, const std::vector<int>& basic
         piv = r;
       }
     }
-    if (best < kPivotFloor) {
-      m_ = -1;
-      return false; // singular basis
-    }
+    if (best < kPivotFloor) return false;
     if (piv != kk) {
       for (int c = 0; c < s; ++c) std::swap(at(kk, c), at(piv, c));
-      std::swap(row_of_pos_[static_cast<std::size_t>(s0 + kk)],
-                row_of_pos_[static_cast<std::size_t>(s0 + piv)]);
+      std::swap(row_of_pos_[sz(s0 + kk)], row_of_pos_[sz(s0 + piv)]);
     }
     const double inv = 1.0 / at(kk, kk);
     for (int r = kk + 1; r < s; ++r) {
@@ -105,21 +221,34 @@ bool BasisLu::factorize(const SparseColumns& cols, const std::vector<int>& basic
       }
     }
   }
-  for (int p = s0; p < m; ++p)
-    pos_of_row_[static_cast<std::size_t>(row_of_pos_[static_cast<std::size_t>(p)])] = p;
+  for (int p = s0; p < m; ++p) pos_of_row_[sz(row_of_pos_[sz(p)])] = p;
 
-  // Extract the bump's triangles into the sparse column lists.
+  // A nucleus column's entries on rows pivoted before the nucleus are
+  // finished U entries; the rest come out of the eliminated block.
   for (int kk = 0; kk < s; ++kk) {
     const int p = s0 + kk;
-    udiag_[static_cast<std::size_t>(p)] = at(kk, kk);
+    ustart_.push_back(static_cast<int>(uidx_.size()));
+    cols.for_entries(basic[sz(col_of_pos_[sz(p)])], [&](int r, double v) {
+      const int rp = pos_of_row_[sz(r)];
+      if (rp < s0) {
+        uidx_.push_back(rp);
+        uval_.push_back(v);
+      }
+    });
     for (int r = 0; r < kk; ++r) {
       const double u = at(r, kk);
-      if (u != 0.0) ucol_[static_cast<std::size_t>(p)].emplace_back(s0 + r, u);
+      if (u == 0.0) continue;
+      uidx_.push_back(s0 + r);
+      uval_.push_back(u);
     }
+    lstart_.push_back(static_cast<int>(lidx_.size()));
     for (int r = kk + 1; r < s; ++r) {
       const double l = at(r, kk);
-      if (l != 0.0) lcol_[static_cast<std::size_t>(p)].emplace_back(s0 + r, l);
+      if (l == 0.0) continue;
+      lidx_.push_back(s0 + r);
+      lval_.push_back(l);
     }
+    udiag_[sz(p)] = at(kk, kk);
   }
   return true;
 }
@@ -128,36 +257,33 @@ void BasisLu::ftran(std::vector<double>& x) const {
   const int m = m_;
   if (m <= 0) return;
   std::vector<double>& t = scratch_;
-  t.resize(static_cast<std::size_t>(m));
-  for (int p = 0; p < m; ++p)
-    t[static_cast<std::size_t>(p)] =
-        x[static_cast<std::size_t>(row_of_pos_[static_cast<std::size_t>(p)])];
+  t.resize(sz(m));
+  for (int p = 0; p < m; ++p) t[sz(p)] = x[sz(row_of_pos_[sz(p)])];
   // L solve: forward column-oriented scatter, skipping zero positions.
-  for (int p = 0; p < m; ++p) {
-    const double tp = t[static_cast<std::size_t>(p)];
+  for (const int p : lpos_) {
+    const double tp = t[sz(p)];
     if (tp == 0.0) continue;
-    for (const auto& [q, v] : lcol_[static_cast<std::size_t>(p)])
-      t[static_cast<std::size_t>(q)] -= v * tp;
+    for (int k = lstart_[sz(p)]; k < lstart_[sz(p) + 1]; ++k)
+      t[sz(lidx_[sz(k)])] -= lval_[sz(k)] * tp;
   }
-  // U solve: backward column-oriented scatter.
-  for (int p = m - 1; p >= 0; --p) {
-    const double tp = t[static_cast<std::size_t>(p)] / udiag_[static_cast<std::size_t>(p)];
-    t[static_cast<std::size_t>(p)] = tp;
+  // U solve: backward column-oriented scatter (slack positions are unit).
+  for (int p = m - 1; p >= nslack_; --p) {
+    const double tp = t[sz(p)] / udiag_[sz(p)];
+    t[sz(p)] = tp;
     if (tp == 0.0) continue;
-    for (const auto& [q, v] : ucol_[static_cast<std::size_t>(p)])
-      t[static_cast<std::size_t>(q)] -= v * tp;
+    for (int k = ustart_[sz(p)]; k < ustart_[sz(p) + 1]; ++k)
+      t[sz(uidx_[sz(k)])] -= uval_[sz(k)] * tp;
   }
-  for (int p = 0; p < m; ++p)
-    x[static_cast<std::size_t>(col_of_pos_[static_cast<std::size_t>(p)])] =
-        t[static_cast<std::size_t>(p)];
+  for (int p = 0; p < m; ++p) x[sz(col_of_pos_[sz(p)])] = t[sz(p)];
   // E_i^{-1}: x[row] /= pivot; x[j] -= w[j] * x[row] for j != row.
-  for (const Eta& e : etas_) {
-    const double xr = x[static_cast<std::size_t>(e.row)] / e.pivot;
+  for (std::size_t e = 0; e < eta_row_.size(); ++e) {
+    const int row = eta_row_[e];
+    const double xr = x[sz(row)] / eta_pivot_[e];
     if (xr != 0.0) {
-      for (const auto& [r, v] : e.entries)
-        if (r != e.row) x[static_cast<std::size_t>(r)] -= v * xr;
+      for (int k = eta_start_[e]; k < eta_start_[e + 1]; ++k)
+        x[sz(eta_idx_[sz(k)])] -= eta_val_[sz(k)] * xr;
     }
-    x[static_cast<std::size_t>(e.row)] = xr;
+    x[sz(row)] = xr;
   }
 }
 
@@ -165,48 +291,46 @@ void BasisLu::btran(std::vector<double>& x) const {
   const int m = m_;
   if (m <= 0) return;
   // (E_k ... E_1)^T applied inverse in reverse order first.
-  for (auto it = etas_.rbegin(); it != etas_.rend(); ++it) {
-    const Eta& e = *it;
-    double acc = x[static_cast<std::size_t>(e.row)];
-    for (const auto& [r, v] : e.entries)
-      if (r != e.row) acc -= v * x[static_cast<std::size_t>(r)];
-    x[static_cast<std::size_t>(e.row)] = acc / e.pivot;
+  for (std::size_t e = eta_row_.size(); e-- > 0;) {
+    const int row = eta_row_[e];
+    double acc = x[sz(row)];
+    for (int k = eta_start_[e]; k < eta_start_[e + 1]; ++k)
+      acc -= eta_val_[sz(k)] * x[sz(eta_idx_[sz(k)])];
+    x[sz(row)] = acc / eta_pivot_[e];
   }
   std::vector<double>& t = scratch_;
-  t.resize(static_cast<std::size_t>(m));
-  for (int p = 0; p < m; ++p)
-    t[static_cast<std::size_t>(p)] =
-        x[static_cast<std::size_t>(col_of_pos_[static_cast<std::size_t>(p)])];
-  // U^T solve: forward gather over U's column lists.
-  for (int p = 0; p < m; ++p) {
-    double acc = t[static_cast<std::size_t>(p)];
-    for (const auto& [q, v] : ucol_[static_cast<std::size_t>(p)])
-      acc -= v * t[static_cast<std::size_t>(q)];
-    t[static_cast<std::size_t>(p)] = acc / udiag_[static_cast<std::size_t>(p)];
+  t.resize(sz(m));
+  for (int p = 0; p < m; ++p) t[sz(p)] = x[sz(col_of_pos_[sz(p)])];
+  // U^T solve: forward gather over U's columns (slack positions are unit).
+  for (int p = nslack_; p < m; ++p) {
+    double acc = t[sz(p)];
+    for (int k = ustart_[sz(p)]; k < ustart_[sz(p) + 1]; ++k)
+      acc -= uval_[sz(k)] * t[sz(uidx_[sz(k)])];
+    t[sz(p)] = acc / udiag_[sz(p)];
   }
-  // L^T solve: backward gather over L's column lists.
-  for (int p = m - 1; p >= 0; --p) {
-    double acc = t[static_cast<std::size_t>(p)];
-    for (const auto& [q, v] : lcol_[static_cast<std::size_t>(p)])
-      acc -= v * t[static_cast<std::size_t>(q)];
-    t[static_cast<std::size_t>(p)] = acc;
+  // L^T solve: backward gather over L's columns.
+  for (auto it = lpos_.rbegin(); it != lpos_.rend(); ++it) {
+    const int p = *it;
+    double acc = t[sz(p)];
+    for (int k = lstart_[sz(p)]; k < lstart_[sz(p) + 1]; ++k)
+      acc -= lval_[sz(k)] * t[sz(lidx_[sz(k)])];
+    t[sz(p)] = acc;
   }
-  for (int p = 0; p < m; ++p)
-    x[static_cast<std::size_t>(row_of_pos_[static_cast<std::size_t>(p)])] =
-        t[static_cast<std::size_t>(p)];
+  for (int p = 0; p < m; ++p) x[sz(row_of_pos_[sz(p)])] = t[sz(p)];
 }
 
 bool BasisLu::update(int row, const std::vector<double>& w) {
-  const double pivot = w[static_cast<std::size_t>(row)];
+  const double pivot = w[sz(row)];
   if (std::abs(pivot) < kUpdateFloor) return false;
-  Eta e;
-  e.row = row;
-  e.pivot = pivot;
+  eta_row_.push_back(row);
+  eta_pivot_.push_back(pivot);
   for (int r = 0; r < m_; ++r) {
-    const double v = w[static_cast<std::size_t>(r)];
-    if (std::abs(v) > kDropTol) e.entries.emplace_back(r, v);
+    const double v = w[sz(r)];
+    if (r == row || std::abs(v) <= kDropTol) continue;
+    eta_idx_.push_back(r);
+    eta_val_.push_back(v);
   }
-  etas_.push_back(std::move(e));
+  eta_start_.push_back(static_cast<int>(eta_idx_.size()));
   return true;
 }
 

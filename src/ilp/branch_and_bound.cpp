@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <queue>
 #include <vector>
 
@@ -74,7 +75,13 @@ Solution solve_milp_impl(const Model& model, const Objective& objective,
 
   const bool revised = opt.lp.core == LpCore::Revised;
   SparseColumns cols;
-  if (revised) cols = model.sparse_columns();
+  // One revised solver serves every node: its factorization and work
+  // vectors are allocated once per search.
+  std::optional<RevisedSolver> solver;
+  if (revised) {
+    cols = model.sparse_columns();
+    solver.emplace(model, cols, objective, opt.lp);
+  }
   // Structural basis pool: objective-free key, so presets that only differ
   // in objective weights land on the same entry.
   const std::string basis_key =
@@ -140,8 +147,8 @@ Solution solve_milp_impl(const Model& model, const Objective& objective,
 
     Solution lp;
     if (revised)
-      lp = solve_lp_revised(model, cols, objective, opt.lp, node->overrides,
-                            opt.warm_start ? &node->basis : nullptr);
+      lp = solver->solve(node->overrides,
+                         opt.warm_start ? &node->basis : nullptr);
     else
       lp = solve_lp(model, objective, opt.lp, node->overrides);
     iterations += lp.iterations;
@@ -223,6 +230,12 @@ Solution solve_milp_impl(const Model& model, const Objective& objective,
   incumbent.iterations = iterations;
   obs::metrics().counter("ilp.bnb.nodes").inc(nodes);
   obs::metrics().counter("ilp.bnb.lp_iterations").inc(iterations);
+  if (solver) {
+    obs::metrics().counter("ilp.lu.factorizations")
+        .inc(solver->factorizations());
+    obs::metrics().counter("ilp.lu.nucleus_columns")
+        .inc(solver->nucleus_columns());
+  }
   obs::metrics().histogram("ilp.bnb.nodes_per_solve")
       .observe(static_cast<double>(nodes));
   incumbent.best_bound = sign * std::min(best_open_bound, incumbent_cost);

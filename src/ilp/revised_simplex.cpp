@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
 
-#include "ilp/basis_lu.hpp"
 #include "support/diag.hpp"
 
 namespace luis::ilp {
@@ -14,93 +12,16 @@ constexpr double kPivotTol = 1e-9;  ///< minimum usable pivot magnitude
 constexpr double kRatioTie = 1e-12; ///< ratio-test tie window
 constexpr long kStallLimit = 500;   ///< non-improving pivots before Bland
 
-class RevisedSolver {
-public:
-  RevisedSolver(const Model& model, const SparseColumns& cols,
-                const Objective& objective, const SimplexOptions& opt)
-      : model_(model), cols_(cols), objective_(objective), opt_(opt),
-        m_(static_cast<int>(model.num_constraints())),
-        n_(static_cast<int>(model.num_variables())), ncols_(n_ + m_) {}
+} // namespace
 
-  Solution run(std::span<const BoundsOverride> overrides, Basis* basis);
-
-private:
-  enum class Step { Done, Infeasible, Unbounded, IterationLimit };
-
-  const Model& model_;
-  const SparseColumns& cols_;
-  const Objective& objective_;
-  SimplexOptions opt_;
-  int m_, n_, ncols_;
-
-  std::vector<double> lb_, ub_; ///< per column (structurals then slacks)
-  std::vector<double> b_;       ///< rhs per row
-  std::vector<double> cost_;    ///< minimization-sign objective per column
-
-  std::vector<std::uint8_t> status_; ///< Basis::Status per column
-  std::vector<int> basic_;           ///< per row
-  std::vector<double> xb_;           ///< basic values per row
-  BasisLu factor_;
-  long pivots_ = 0;
-  std::vector<char> banned_; ///< numerically rejected entering columns
-  std::vector<double> work_; ///< ftran scratch
-  std::vector<double> y_, rho_; ///< btran scratch (pricing / leaving row)
-
-  double ptol() const { return opt_.tolerance; }
-  double dtol() const { return opt_.tolerance; }
-
-  bool fixed_column(int j) const { return ub_[sz(j)] - lb_[sz(j)] < 1e-12; }
-  static std::size_t sz(int i) { return static_cast<std::size_t>(i); }
-
-  void load_column(int j, std::vector<double>& out) const {
-    out.assign(sz(m_), 0.0);
-    if (j >= n_)
-      out[sz(j - n_)] = 1.0;
-    else
-      cols_.for_entries(j, [&](int r, double v) { out[sz(r)] = v; });
-  }
-
-  double dot_column(int j, const std::vector<double>& y) const {
-    if (j >= n_) return y[sz(j - n_)];
-    double acc = 0.0;
-    cols_.for_entries(j, [&](int r, double v) { acc += v * y[sz(r)]; });
-    return acc;
-  }
-
-  double nonbasic_value(int j) const {
-    switch (status_[sz(j)]) {
-    case Basis::kAtLower: return lb_[sz(j)];
-    case Basis::kAtUpper: return ub_[sz(j)];
-    default: return 0.0; // kFree rests at zero
-    }
-  }
-
-  bool build(std::span<const BoundsOverride> overrides);
-  void cold_start();
-  bool adopt(const Basis& warm);
-  void refactorize();
-  void recompute_xb();
-  bool primal_infeasible() const;
-  bool dual_feasible();
-  double current_objective() const;
-
-  Step primal(bool phase1);
-  Step dual_reoptimize();
-};
-
-bool RevisedSolver::build(std::span<const BoundsOverride> overrides) {
+RevisedSolver::RevisedSolver(const Model& model, const SparseColumns& cols,
+                             const Objective& objective,
+                             const SimplexOptions& opt)
+    : model_(model), cols_(cols), objective_(objective), opt_(opt),
+      m_(static_cast<int>(model.num_constraints())),
+      n_(static_cast<int>(model.num_variables())), ncols_(n_ + m_) {
   lb_.resize(sz(ncols_));
   ub_.resize(sz(ncols_));
-  for (int j = 0; j < n_; ++j) {
-    lb_[sz(j)] = model_.variables()[sz(j)].lower;
-    ub_[sz(j)] = model_.variables()[sz(j)].upper;
-  }
-  for (const BoundsOverride& o : overrides) {
-    lb_[sz(o.var)] = o.lower;
-    ub_[sz(o.var)] = o.upper;
-  }
-  for (int j = 0; j < n_; ++j)
-    if (lb_[sz(j)] > ub_[sz(j)] + ptol()) return false;
   b_.resize(sz(m_));
   for (int i = 0; i < m_; ++i) {
     const Constraint& c = model_.constraints()[sz(i)];
@@ -127,6 +48,43 @@ bool RevisedSolver::build(std::span<const BoundsOverride> overrides) {
   for (const auto& [var, coeff] : objective_.expr.terms())
     cost_[sz(var)] = sign * coeff;
   banned_.assign(sz(ncols_), 0);
+  cb_.resize(sz(m_));
+}
+
+void RevisedSolver::load_column(int j, std::vector<double>& out) const {
+  out.assign(sz(m_), 0.0);
+  if (j >= n_)
+    out[sz(j - n_)] = 1.0;
+  else
+    cols_.for_entries(j, [&](int r, double v) { out[sz(r)] = v; });
+}
+
+double RevisedSolver::dot_column(int j, const std::vector<double>& y) const {
+  if (j >= n_) return y[sz(j - n_)];
+  double acc = 0.0;
+  cols_.for_entries(j, [&](int r, double v) { acc += v * y[sz(r)]; });
+  return acc;
+}
+
+double RevisedSolver::nonbasic_value(int j) const {
+  switch (status_[sz(j)]) {
+  case Basis::kAtLower: return lb_[sz(j)];
+  case Basis::kAtUpper: return ub_[sz(j)];
+  default: return 0.0; // kFree rests at zero
+  }
+}
+
+bool RevisedSolver::apply_bounds(std::span<const BoundsOverride> overrides) {
+  for (int j = 0; j < n_; ++j) {
+    lb_[sz(j)] = model_.variables()[sz(j)].lower;
+    ub_[sz(j)] = model_.variables()[sz(j)].upper;
+  }
+  for (const BoundsOverride& o : overrides) {
+    lb_[sz(o.var)] = o.lower;
+    ub_[sz(o.var)] = o.upper;
+  }
+  for (int j = 0; j < n_; ++j)
+    if (lb_[sz(j)] > ub_[sz(j)] + ptol()) return false;
   return true;
 }
 
@@ -151,19 +109,19 @@ bool RevisedSolver::adopt(const Basis& warm) {
   if (!warm.fits(sz(n_), sz(m_))) return false;
   status_ = warm.status;
   basic_ = warm.basic;
-  std::vector<char> seen(sz(ncols_), 0);
+  seen_.assign(sz(ncols_), 0);
   for (int i = 0; i < m_; ++i) {
     const int j = basic_[sz(i)];
-    if (j < 0 || j >= ncols_ || seen[sz(j)] ||
+    if (j < 0 || j >= ncols_ || seen_[sz(j)] ||
         status_[sz(j)] != Basis::kBasic)
       return false;
-    seen[sz(j)] = 1;
+    seen_[sz(j)] = 1;
   }
   int basics = 0;
   for (int j = 0; j < ncols_; ++j) {
     switch (status_[sz(j)]) {
     case Basis::kBasic:
-      if (!seen[sz(j)]) return false;
+      if (!seen_[sz(j)]) return false;
       ++basics;
       break;
     // Bounds may have changed since the basis was taken (branching
@@ -201,18 +159,17 @@ void RevisedSolver::refactorize() {
 }
 
 void RevisedSolver::recompute_xb() {
-  std::vector<double> rhs = b_;
+  xb_.assign(b_.begin(), b_.end());
   for (int j = 0; j < ncols_; ++j) {
     if (status_[sz(j)] == Basis::kBasic) continue;
     const double v = nonbasic_value(j);
     if (v == 0.0) continue;
     if (j >= n_)
-      rhs[sz(j - n_)] -= v;
+      xb_[sz(j - n_)] -= v;
     else
-      cols_.for_entries(j, [&](int r, double a) { rhs[sz(r)] -= a * v; });
+      cols_.for_entries(j, [&](int r, double a) { xb_[sz(r)] -= a * v; });
   }
-  factor_.ftran(rhs);
-  xb_ = std::move(rhs);
+  factor_.ftran(xb_);
 }
 
 bool RevisedSolver::primal_infeasible() const {
@@ -225,9 +182,10 @@ bool RevisedSolver::primal_infeasible() const {
 }
 
 bool RevisedSolver::dual_feasible() {
-  std::vector<double> y(sz(m_));
-  for (int i = 0; i < m_; ++i) y[sz(i)] = cost_[sz(basic_[sz(i)])];
-  factor_.btran(y);
+  y_.resize(sz(m_));
+  for (int i = 0; i < m_; ++i) y_[sz(i)] = cost_[sz(basic_[sz(i)])];
+  factor_.btran(y_);
+  const std::vector<double>& y = y_;
   const double slack = 10.0 * dtol();
   for (int j = 0; j < ncols_; ++j) {
     if (status_[sz(j)] == Basis::kBasic || fixed_column(j)) continue;
@@ -247,21 +205,15 @@ bool RevisedSolver::dual_feasible() {
   return true;
 }
 
-double RevisedSolver::current_objective() const {
-  double z = 0.0;
-  for (int j = 0; j < ncols_; ++j) {
-    if (status_[sz(j)] == Basis::kBasic) continue;
-    z += cost_[sz(j)] * nonbasic_value(j);
-  }
-  for (int i = 0; i < m_; ++i) z += cost_[sz(basic_[sz(i)])] * xb_[sz(i)];
-  return z;
-}
-
 RevisedSolver::Step RevisedSolver::primal(bool phase1) {
   long stall = 0;
   double last_obj = kInfinity;
+  // Phase 2 needs its objective only to detect stalls, so it tracks how
+  // far the pivots have lowered it (|d| * step each) instead of summing
+  // all n + m columns every iteration.
+  double descent = 0.0;
   std::fill(banned_.begin(), banned_.end(), 0);
-  std::vector<double> cb(sz(m_));
+  std::vector<double>& cb = cb_;
   for (;;) {
     if (pivots_ >= opt_.max_iterations) return Step::IterationLimit;
 
@@ -285,7 +237,7 @@ RevisedSolver::Step RevisedSolver::primal(bool phase1) {
       for (int i = 0; i < m_; ++i) cb[sz(i)] = cost_[sz(basic_[sz(i)])];
     }
 
-    const double obj = phase1 ? infeas : current_objective();
+    const double obj = phase1 ? infeas : descent;
     if (obj < last_obj - kRatioTie) {
       last_obj = obj;
       stall = 0;
@@ -301,7 +253,7 @@ RevisedSolver::Step RevisedSolver::primal(bool phase1) {
     // Entering column: Dantzig (most attractive reduced cost), Bland
     // (first eligible index) once the objective stalls.
     int enter = -1, dir = +1;
-    double best = 0.0;
+    double best = 0.0; // |d| of the entering column
     for (int j = 0; j < ncols_; ++j) {
       if (status_[sz(j)] == Basis::kBasic || banned_[sz(j)]) continue;
       if (fixed_column(j)) continue; // cannot move off its value
@@ -317,6 +269,7 @@ RevisedSolver::Step RevisedSolver::primal(bool phase1) {
       if (bland) {
         enter = j;
         dir = cand;
+        best = std::abs(d);
         break;
       }
       if (std::abs(d) > best) {
@@ -391,6 +344,7 @@ RevisedSolver::Step RevisedSolver::primal(bool phase1) {
       status_[sz(enter)] = status_[sz(enter)] == Basis::kAtLower
                                ? Basis::kAtUpper
                                : Basis::kAtLower;
+      descent -= best * t_flip;
       ++pivots_;
       continue;
     }
@@ -415,6 +369,7 @@ RevisedSolver::Step RevisedSolver::primal(bool phase1) {
     status_[sz(enter)] = Basis::kBasic;
     basic_[sz(leave)] = enter;
     xb_[sz(leave)] = enter_val;
+    descent -= best * t_best;
     if (!factor_.update(leave, work_)) {
       refactorize();
     }
@@ -431,7 +386,7 @@ RevisedSolver::Step RevisedSolver::dual_reoptimize() {
   // The dual simplex restores primal feasibility after bound changes
   // while keeping dual feasibility — the warm-start fast path. It is an
   // accelerator only: bailing out (Step::Done) is always sound because
-  // run() follows with the primal phases.
+  // solve() follows with the primal phases.
   const long cap = std::max<long>(500, 4L * m_ + 200);
   long iters = 0;
   int fumbles = 0;
@@ -530,10 +485,11 @@ RevisedSolver::Step RevisedSolver::dual_reoptimize() {
   }
 }
 
-Solution RevisedSolver::run(std::span<const BoundsOverride> overrides,
-                            Basis* basis) {
+Solution RevisedSolver::solve(std::span<const BoundsOverride> overrides,
+                              Basis* basis) {
   Solution sol;
-  if (!build(overrides)) {
+  pivots_ = 0;
+  if (!apply_bounds(overrides)) {
     sol.status = SolveStatus::Infeasible;
     return sol;
   }
@@ -584,15 +540,13 @@ Solution RevisedSolver::run(std::span<const BoundsOverride> overrides,
   return sol;
 }
 
-} // namespace
-
 Solution solve_lp_revised(const Model& model, const SparseColumns& cols,
                           const Objective& objective,
                           const SimplexOptions& options,
                           std::span<const BoundsOverride> overrides,
                           Basis* basis) {
   RevisedSolver solver(model, cols, objective, options);
-  return solver.run(overrides, basis);
+  return solver.solve(overrides, basis);
 }
 
 } // namespace luis::ilp

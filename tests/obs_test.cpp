@@ -427,6 +427,30 @@ TEST(Metrics, BuildInfoIsPopulated) {
             std::string::npos);
 }
 
+// Every branch & bound node factorizes its starting basis at least once,
+// so a sweep's ilp.lu.factorizations is at least its ilp.bnb.nodes; each
+// solve adds its counts once, next to ilp.bnb.lp_iterations.
+TEST(Metrics, SweepCountsAFactorizationPerNode) {
+  const auto count = [](const char* name) {
+    return metrics().counter(name).value();
+  };
+  const long nodes0 = count("ilp.bnb.nodes");
+  const long factorizations0 = count("ilp.lu.factorizations");
+  const long nucleus0 = count("ilp.lu.nucleus_columns");
+  core::SweepOptions opt;
+  opt.kernels = {"atax"};
+  opt.threads = 1;
+  opt.check_determinism = false;
+  opt.verbose = false;
+  const core::SweepResult result = core::run_sweep(opt);
+  EXPECT_EQ(result.stats.failed, 0);
+  const long nodes = count("ilp.bnb.nodes") - nodes0;
+  EXPECT_GT(nodes, 0);
+  EXPECT_EQ(nodes, result.stats.solver_nodes);
+  EXPECT_GE(count("ilp.lu.factorizations") - factorizations0, nodes);
+  EXPECT_GE(count("ilp.lu.nucleus_columns") - nucleus0, 0);
+}
+
 // ---------------------------------------------------------------------------
 // Hot-spot profiler: the attribution must be exact, not approximate.
 
