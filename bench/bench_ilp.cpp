@@ -1,37 +1,40 @@
-// Gate for the sparse revised simplex core: tunes PolyBench kernels with
-// the pre-existing solver configuration (dense tableau core, cold-started
-// B&B) and with the default (sparse revised core, warm-started B&B), then
-// compares answers — they must agree on the optimum, ideally on the exact
-// assignment — and work (nodes, simplex iterations, solve seconds). Both
-// sides branch on the most fractional variable, B&B's one rule, so the
-// node ratio isolates nothing but the LP core and the warm starts.
+// Gate for the LP and branch & bound core: solves the allocation ILP of
+// PolyBench kernels (Balanced, AMD) and checks every answer's certificate
+// with the independent checker (ilp/certificate.hpp). A cell's verdict is
+// its status, nodes and objective, and a certificate the checker accepts.
 //
 // Both the merged type-class formulation (the default) and the paper's
 // literal per-register formulation are measured; the literal models are an
 // order of magnitude larger and are where the solver work concentrates.
 //
-// Each cell's solve time is the fastest of kRepeats identical tunes, so a
-// median over cells is not one cold sample, and each run records it per
-// simplex pivot (`us_per_pivot`); the summary gives each core's median
-// pivot cost over the merged cells and over the literal cells.
+// Each cell prices its kernel's structure once, as a sweep job does, and
+// solves it kRepeats times without a certificate (the sweep's solve) and
+// once with one. The cell's solve time is the fastest of those kRepeats,
+// also given per simplex pivot (`us_per_pivot`); the summary gives the
+// median pivot cost over the merged cells and over the literal cells.
+// Recording a certificate must not change a pivot: the certified solve
+// must repeat the timed solves' status, nodes, iterations and objective
+// bits. Timing claims across commits belong to perfbench, which runs
+// paired A/B runs; this bench's timings are a trajectory only.
 //
 // Writes BENCH_ilp.json (machine-readable record, one entry per kernel and
-// shape) and exits nonzero on any optimum mismatch, so CI can run it as a
+// shape) and exits nonzero when a certificate fails, so CI can run it as a
 // smoke job.
 //
 // Usage: bench_ilp [--out FILE] [--merged-only] [kernel...]
 //        (no kernels = all 30)
 #include <algorithm>
-#include <cmath>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
-#include "core/assignment_io.hpp"
-#include "core/pipeline.hpp"
-#include "ilp/simplex.hpp"
+#include "core/ilp_allocator.hpp"
+#include "ilp/certificate.hpp"
+#include "obs/trace.hpp"
 #include "platform/optime.hpp"
 #include "polybench/polybench.hpp"
 #include "support/json.hpp"
@@ -40,10 +43,10 @@ using namespace luis;
 
 namespace {
 
-/// Tunes per cell and core; the cell keeps the fastest solve.
+/// Uncertified solves per cell; the cell keeps the fastest.
 constexpr int kRepeats = 5;
 
-struct CoreRun {
+struct Cell {
   ilp::SolveStatus status = ilp::SolveStatus::Optimal;
   long nodes = 0;
   long iterations = 0;
@@ -51,7 +54,10 @@ struct CoreRun {
   double objective = 0.0;
   std::size_t model_variables = 0;
   std::size_t model_constraints = 0;
-  std::string assignment_text;
+  std::size_t leaves = 0;
+  /// Empty when the certificate checks and the certified solve repeats
+  /// the timed one; otherwise why not.
+  std::string failure;
 
   double us_per_pivot() const {
     return iterations > 0 ? 1e6 * solve_seconds / static_cast<double>(iterations)
@@ -59,43 +65,50 @@ struct CoreRun {
   }
 };
 
-CoreRun run_once(const std::string& kernel, bool literal, bool baseline) {
+Cell run_cell(const std::string& kernel, bool literal) {
   ir::Module mod;
   const polybench::BuiltKernel k = polybench::build_kernel(kernel, mod);
   core::TuningConfig cfg = core::TuningConfig::balanced();
   cfg.literal_model = literal;
-  if (baseline) {
-    // The solver as it existed before the revised core landed.
-    cfg.solver.lp.core = ilp::LpCore::Dense;
-    cfg.solver.warm_start = false;
-  } else {
-    cfg.solver.lp.core = ilp::LpCore::Revised;
-    cfg.solver.warm_start = true;
+  const vra::RangeMap ranges = vra::analyze_ranges(*k.function);
+  const core::IlpStructure structure =
+      core::build_ilp_structure(*k.function, ranges, cfg);
+  const ilp::Objective objective =
+      core::price_objective(structure, platform::amd_table(), cfg);
+
+  Cell out;
+  out.model_variables = structure.model.num_variables();
+  out.model_constraints = structure.model.num_constraints();
+  ilp::Solution timed;
+  for (int i = 0; i < kRepeats; ++i) {
+    double seconds = 0.0;
+    {
+      obs::TraceSpan span("bench_ilp.solve", "bench", obs::TimeSink{&seconds});
+      timed = ilp::solve_milp(structure.model, objective, cfg.solver);
+    }
+    out.solve_seconds = i == 0 ? seconds : std::min(out.solve_seconds, seconds);
   }
-  const core::PipelineResult tuned =
-      core::tune_kernel(*k.function, platform::amd_table(), cfg);
+  out.status = timed.status;
+  out.nodes = timed.nodes;
+  out.iterations = timed.iterations;
+  out.objective = timed.objective;
 
-  CoreRun out;
-  out.status = tuned.allocation.stats.status;
-  out.nodes = tuned.allocation.stats.nodes;
-  out.iterations = tuned.allocation.stats.iterations;
-  out.solve_seconds = tuned.allocation.stats.solve_seconds;
-  out.objective = tuned.allocation.stats.objective;
-  out.model_variables = tuned.allocation.stats.model_variables;
-  out.model_constraints = tuned.allocation.stats.model_constraints;
-  out.assignment_text =
-      core::assignment_to_text(*k.function, tuned.allocation.assignment);
+  ilp::Certificate certificate;
+  const ilp::Solution certified =
+      ilp::solve_milp(structure.model, objective, cfg.solver, &certificate);
+  out.leaves = certificate.leaves.size();
+  const ilp::CertificateCheck check = ilp::check_certificate(
+      structure.model, objective, certified, certificate, cfg.solver);
+  if (!check.ok) {
+    out.failure = "certificate rejected: " + check.error;
+  } else if (certified.status != timed.status ||
+             certified.nodes != timed.nodes ||
+             certified.iterations != timed.iterations ||
+             std::bit_cast<std::uint64_t>(certified.objective) !=
+                 std::bit_cast<std::uint64_t>(timed.objective)) {
+    out.failure = "the certified solve differs from the timed one";
+  }
   return out;
-}
-
-/// The first tune's answer with the fastest of kRepeats solve times (every
-/// repeat solves the same model the same way).
-CoreRun run_config(const std::string& kernel, bool literal, bool baseline) {
-  CoreRun best = run_once(kernel, literal, baseline);
-  for (int i = 1; i < kRepeats; ++i)
-    best.solve_seconds = std::min(
-        best.solve_seconds, run_once(kernel, literal, baseline).solve_seconds);
-  return best;
 }
 
 double median(std::vector<double> v) {
@@ -104,25 +117,6 @@ double median(std::vector<double> v) {
   const std::size_t n = v.size();
   return n % 2 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
 }
-
-void write_run(JsonWriter& w, const CoreRun& r) {
-  w.begin_object();
-  w.key("status");
-  w.value(to_string(r.status));
-  w.key("nodes");
-  w.value(r.nodes);
-  w.key("iterations");
-  w.value(r.iterations);
-  w.key("solve_seconds");
-  w.value(r.solve_seconds, "%.6g");
-  w.key("us_per_pivot");
-  w.value(r.us_per_pivot(), "%.4g");
-  w.key("objective");
-  w.value(r.objective, "%.17g");
-  w.end_object();
-}
-
-double ratio(double a, double b) { return a / std::max(b, 1e-12); }
 
 } // namespace
 
@@ -144,12 +138,10 @@ int main(int argc, char** argv) {
     kernels.assign(all.begin(), all.end());
   }
 
-  std::printf("=== ILP solver gate: old (dense, cold) vs new (revised, "
-              "warm) ===\n\n");
-  std::printf("%-16s %-7s %6s %6s | %7s %8s %9s | %7s %8s %9s | %6s %6s %s\n",
-              "kernel", "shape", "vars", "rows", "o.nodes", "o.iters",
-              "o.sec", "n.nodes", "n.iters", "n.sec", "nodeX", "timeX",
-              "assign");
+  std::printf("=== ILP solver gate: every answer certified ===\n\n");
+  std::printf("%-16s %-7s %6s %6s | %-8s %6s %7s %9s %8s %6s | %s\n", "kernel",
+              "shape", "vars", "rows", "status", "nodes", "iters", "sec",
+              "us/pivot", "leaves", "certificate");
 
   JsonWriter w;
   w.begin_object();
@@ -162,53 +154,22 @@ int main(int argc, char** argv) {
   w.key("kernels");
   w.begin_array();
 
-  bool mismatch = false;
-  double node_sum = 0.0, time_sum = 0.0;
-  int cells = 0;
-  double largest_vars = 0.0, largest_node_ratio = 0.0,
-         largest_time_ratio = 0.0;
-  std::string largest_kernel;
-  // Per shape (merged, literal) and core (old, new): each cell's pivot cost.
-  std::vector<double> pivot_us[2][2];
+  int cells = 0, failed = 0;
+  std::vector<double> pivot_us[2]; // per shape: merged, literal
   for (const std::string& kernel : kernels) {
     for (const bool literal : {false, true}) {
       if (literal && merged_only) continue;
-      const CoreRun before = run_config(kernel, literal, /*baseline=*/true);
-      const CoreRun after = run_config(kernel, literal, /*baseline=*/false);
-
-      const bool status_ok = before.status == after.status;
-      const double scale = std::max(1.0, std::abs(before.objective));
-      const bool objective_ok =
-          status_ok && (before.status != ilp::SolveStatus::Optimal ||
-                        std::abs(before.objective - after.objective) <=
-                            1e-6 * scale);
-      const bool assignment_same =
-          before.assignment_text == after.assignment_text;
-      if (!objective_ok) mismatch = true;
-
-      const double nx = ratio(static_cast<double>(before.nodes),
-                              static_cast<double>(after.nodes));
-      const double tx = ratio(before.solve_seconds, after.solve_seconds);
-      node_sum += nx;
-      time_sum += tx;
+      const Cell c = run_cell(kernel, literal);
       ++cells;
-      pivot_us[literal][0].push_back(before.us_per_pivot());
-      pivot_us[literal][1].push_back(after.us_per_pivot());
-      if (static_cast<double>(before.model_variables) > largest_vars) {
-        largest_vars = static_cast<double>(before.model_variables);
-        largest_kernel = kernel + (literal ? " (literal)" : " (merged)");
-        largest_node_ratio = nx;
-        largest_time_ratio = tx;
-      }
+      failed += !c.failure.empty();
+      pivot_us[literal].push_back(c.us_per_pivot());
 
-      std::printf("%-16s %-7s %6zu %6zu | %7ld %8ld %9.4f | %7ld %8ld "
-                  "%9.4f | %5.1fx %5.1fx %s%s\n",
+      std::printf("%-16s %-7s %6zu %6zu | %-8s %6ld %7ld %9.4f %8.2f %6zu | "
+                  "%s\n",
                   kernel.c_str(), literal ? "literal" : "merged",
-                  before.model_variables, before.model_constraints,
-                  before.nodes, before.iterations, before.solve_seconds,
-                  after.nodes, after.iterations, after.solve_seconds, nx, tx,
-                  assignment_same ? "same" : "tied-alt",
-                  objective_ok ? "" : "  ** OPTIMUM MISMATCH **");
+                  c.model_variables, c.model_constraints, to_string(c.status),
+                  c.nodes, c.iterations, c.solve_seconds, c.us_per_pivot(),
+                  c.leaves, c.failure.empty() ? "ok" : c.failure.c_str());
 
       w.newline();
       w.begin_object();
@@ -217,21 +178,25 @@ int main(int argc, char** argv) {
       w.key("shape");
       w.value(literal ? "literal" : "merged");
       w.key("model_variables");
-      w.value(before.model_variables);
+      w.value(c.model_variables);
       w.key("model_constraints");
-      w.value(before.model_constraints);
-      w.key("old");
-      write_run(w, before);
-      w.key("new");
-      write_run(w, after);
-      w.key("node_ratio");
-      w.value(nx, "%.4g");
-      w.key("time_ratio");
-      w.value(tx, "%.4g");
-      w.key("objectives_match");
-      w.value(objective_ok);
-      w.key("assignments_identical");
-      w.value(assignment_same);
+      w.value(c.model_constraints);
+      w.key("status");
+      w.value(to_string(c.status));
+      w.key("nodes");
+      w.value(c.nodes);
+      w.key("iterations");
+      w.value(c.iterations);
+      w.key("solve_seconds");
+      w.value(c.solve_seconds, "%.6g");
+      w.key("us_per_pivot");
+      w.value(c.us_per_pivot(), "%.4g");
+      w.key("objective");
+      w.value(c.objective, "%.17g");
+      w.key("leaves");
+      w.value(c.leaves);
+      w.key("certified");
+      w.value(c.failure.empty());
       w.end_object();
     }
   }
@@ -242,49 +207,29 @@ int main(int argc, char** argv) {
   w.begin_object();
   w.key("cells");
   w.value(cells);
-  w.key("mean_node_ratio");
-  w.value(node_sum / cells, "%.4g");
-  w.key("mean_time_ratio");
-  w.value(time_sum / cells, "%.4g");
-  w.key("largest_model");
-  w.value(largest_kernel);
-  w.key("largest_node_ratio");
-  w.value(largest_node_ratio, "%.4g");
-  w.key("largest_time_ratio");
-  w.value(largest_time_ratio, "%.4g");
   w.key("median_us_per_pivot");
   w.begin_object();
   for (const bool literal : {false, true}) {
-    if (pivot_us[literal][0].empty()) continue;
+    if (pivot_us[literal].empty()) continue;
     w.key(literal ? "literal" : "merged");
-    w.begin_object();
-    w.key("old");
-    w.value(median(pivot_us[literal][0]), "%.4g");
-    w.key("new");
-    w.value(median(pivot_us[literal][1]), "%.4g");
-    w.end_object();
+    w.value(median(pivot_us[literal]), "%.4g");
   }
   w.end_object();
-  w.key("all_optima_match");
-  w.value(!mismatch);
+  w.key("all_certified");
+  w.value(failed == 0);
   w.end_object();
   w.end_object();
   w.newline();
 
   std::ofstream(out_path) << w.str();
-  std::printf("\nMean node ratio %.2fx, mean solve-time ratio %.2fx; "
-              "largest model (%s): %.2fx nodes, %.2fx time.\nWrote %s\n",
-              node_sum / cells, time_sum / cells, largest_kernel.c_str(),
-              largest_node_ratio, largest_time_ratio, out_path.c_str());
-  for (const bool literal : {false, true}) {
-    if (pivot_us[literal][0].empty()) continue;
-    std::printf("Median us per pivot, %s cells: old %.2f, new %.2f\n",
-                literal ? "literal" : "merged", median(pivot_us[literal][0]),
-                median(pivot_us[literal][1]));
-  }
-  if (mismatch) {
-    std::printf("FAIL: old and new solvers disagree on at least one "
-                "optimum.\n");
+  std::printf("\n%d cells, %d certified. Wrote %s\n", cells, cells - failed,
+              out_path.c_str());
+  for (const bool literal : {false, true})
+    if (!pivot_us[literal].empty())
+      std::printf("Median us per pivot, %s cells: %.2f\n",
+                  literal ? "literal" : "merged", median(pivot_us[literal]));
+  if (failed > 0) {
+    std::printf("FAIL: %d cell(s) without a verified certificate.\n", failed);
     return 1;
   }
   return 0;

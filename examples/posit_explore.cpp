@@ -31,10 +31,7 @@ int main() {
     ir::Module module;
     polybench::BuiltKernel kernel = polybench::build_kernel("jacobi-2d", module);
 
-    core::TuningConfig config;
-    if (preset[0] == 'P') config = core::TuningConfig::precise();
-    if (preset[0] == 'B') config = core::TuningConfig::balanced();
-    if (preset[0] == 'F') config = core::TuningConfig::fast();
+    core::TuningConfig config = *core::preset_by_name(preset);
     config.types = {kFixed32,  kBfloat16, kBinary16, kBinary32,
                     kBinary64, kPosit16,  kPosit32};
 

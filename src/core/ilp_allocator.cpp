@@ -72,24 +72,13 @@ bool same_ilp_structure(const TuningConfig& a, const TuningConfig& b) {
          a.err_zero_floor == b.err_zero_floor;
 }
 
-AllocationResult allocate_ilp(const IlpStructure& s,
+ilp::Objective price_objective(const IlpStructure& s,
                               const platform::OpTimeTable& table,
                               const TuningConfig& config) {
   LUIS_ASSERT(config.types == s.types &&
                   config.literal_model == s.literal_model &&
                   config.err_zero_floor == s.err_zero_floor,
-              "allocate_ilp: config builds a different structure");
-  AllocationResult out;
-  obs::TraceSpan build_span("ilp.build_model", "ilp",
-                            obs::TimeSink{&out.stats.model_build_seconds});
-  const ilp::Model& model = s.model;
-  const auto& types = s.types;
-  const int ntypes = static_cast<int>(types.size());
-  const int num_units = static_cast<int>(s.x.size());
-  out.stats.num_registers = static_cast<int>(s.registers.size());
-  out.stats.num_classes = s.num_classes;
-  out.stats.num_uses = s.num_uses;
-
+              "price_objective: config builds a different structure");
   // One lookup per distinct (op, type class); the sums below replay the
   // structure's terms in build order, so each coefficient adds the same
   // values in the same order as a one-pass build.
@@ -124,7 +113,7 @@ AllocationResult allocate_ilp(const IlpStructure& s,
   const double cn = config.w1 / std::max(cast_max, 1.0);
   const double fn = config.w1 / std::max(fix_max, 1.0);
   const double en = config.w2 / std::max(s.err_max, 1.0);
-  std::vector<double> coeff(model.num_variables(), 0.0);
+  std::vector<double> coeff(s.model.num_variables(), 0.0);
   auto add = [&](ilp::VarId var, double c) {
     coeff[static_cast<std::size_t>(var)] += c;
   };
@@ -142,7 +131,24 @@ AllocationResult allocate_ilp(const IlpStructure& s,
   ilp::Objective objective;
   for (std::size_t j = 0; j < coeff.size(); ++j)
     objective.expr.add(static_cast<ilp::VarId>(j), coeff[j]);
+  return objective;
+}
+
+AllocationResult allocate_ilp(const IlpStructure& s,
+                              const platform::OpTimeTable& table,
+                              const TuningConfig& config) {
+  AllocationResult out;
+  obs::TraceSpan build_span("ilp.build_model", "ilp",
+                            obs::TimeSink{&out.stats.model_build_seconds});
+  const ilp::Objective objective = price_objective(s, table, config);
   build_span.end();
+  const ilp::Model& model = s.model;
+  const auto& types = s.types;
+  const int ntypes = static_cast<int>(types.size());
+  const int num_units = static_cast<int>(s.x.size());
+  out.stats.num_registers = static_cast<int>(s.registers.size());
+  out.stats.num_classes = s.num_classes;
+  out.stats.num_uses = s.num_uses;
 
   out.stats.model_variables = model.num_variables();
   out.stats.model_constraints = model.num_constraints();

@@ -101,9 +101,15 @@ IlpStructure build_ilp_structure(const ir::Function& f,
                                  const vra::RangeMap& ranges,
                                  const TuningConfig& config);
 
-/// Prices an objective for `table` and `config`'s weights and metric,
-/// solves it over `structure.model` and extracts the assignment. `config`
-/// must build the same structure (same_ilp_structure).
+/// The objective of one job: `structure`'s Ex, C and Cfix terms priced
+/// for `table` and `config`'s metric, weighed against Err by `config`'s
+/// W1:W2. `config` must build the same structure (same_ilp_structure).
+ilp::Objective price_objective(const IlpStructure& structure,
+                               const platform::OpTimeTable& table,
+                               const TuningConfig& config);
+
+/// Prices an objective (price_objective), solves it over
+/// `structure.model` and extracts the assignment.
 /// `model_build_seconds` is the pricing only.
 AllocationResult allocate_ilp(const IlpStructure& structure,
                               const platform::OpTimeTable& table,

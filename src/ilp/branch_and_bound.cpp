@@ -1,5 +1,6 @@
 #include "ilp/branch_and_bound.hpp"
 
+#include "ilp/certificate.hpp"
 #include "ilp/revised_simplex.hpp"
 #include "ilp/solver_cache.hpp"
 
@@ -20,9 +21,13 @@ namespace {
 struct Node {
   std::vector<BoundsOverride> overrides;
   double bound = 0.0; // parent LP objective, in minimization sign
-  /// Parent's final LP basis (revised core): the child re-solve starts
-  /// dual feasible and typically finishes in a handful of pivots.
+  /// Parent's final LP basis: the child re-solve starts dual feasible and
+  /// typically finishes in a handful of pivots.
   Basis basis;
+  /// Certified searches only: the parent's LP duals, which still bound
+  /// this smaller box (a node pruned unsolved closes with them), then the
+  /// node's own once it is solved.
+  std::vector<double> duals;
 };
 
 struct NodeOrder {
@@ -54,7 +59,8 @@ int most_fractional(const Model& model, const std::vector<double>& values) {
 }
 
 Solution solve_milp_impl(const Model& model, const Objective& objective,
-                         const BranchAndBoundOptions& opt) {
+                         const BranchAndBoundOptions& opt,
+                         Certificate* certificate) {
   obs::TraceSpan bnb_span("ilp.bnb", "ilp", [&] {
     return obs::Args()
         .num("variables", model.num_variables())
@@ -73,20 +79,19 @@ Solution solve_milp_impl(const Model& model, const Objective& objective,
       opt.prune_tolerance >= 0.0 ? opt.prune_tolerance : opt.lp.tolerance;
   const double child_tol = std::max(1e-9, opt.lp.tolerance);
 
-  const bool revised = opt.lp.core == LpCore::Revised;
-  SparseColumns cols;
-  // One revised solver serves every node: its factorization and work
-  // vectors are allocated once per search.
-  std::optional<RevisedSolver> solver;
-  if (revised) {
-    cols = model.sparse_columns();
-    solver.emplace(model, cols, objective, opt.lp);
-  }
+  // One solver serves every node: its factorization and work vectors are
+  // allocated once per search.
+  const SparseColumns cols = model.sparse_columns();
+  RevisedSolver solver(model, cols, objective, opt.lp);
   // Structural basis pool: objective-free key, so presets that only differ
   // in objective weights land on the same entry.
-  const std::string basis_key =
-      (revised && opt.share_basis && opt.cache) ? structural_model_key(model)
-                                                : std::string();
+  const std::string basis_key = (opt.share_basis && opt.cache)
+                                    ? structural_model_key(model)
+                                    : std::string();
+  // Closes a node as a leaf of the certificate, if one is kept.
+  const auto close = [&](const Node& node, Certificate::Closed how) {
+    if (certificate) certificate->leaves.push_back({node.overrides, how, node.duals});
+  };
 
   Solution incumbent;
   incumbent.status = SolveStatus::Infeasible;
@@ -132,8 +137,10 @@ Solution solve_milp_impl(const Model& model, const Objective& objective,
         std::isfinite(incumbent_cost)
             ? opt.relative_gap * std::max(1.0, std::abs(incumbent_cost))
             : 0.0;
-    if (node->bound >= incumbent_cost - std::max(prune_tol, gap_slack))
+    if (node->bound >= incumbent_cost - std::max(prune_tol, gap_slack)) {
+      close(*node, Certificate::Closed::Pruned);
       continue;
+    }
     ++nodes;
     // Early nodes individually, later ones sampled: enough to see the
     // search shape in a trace without drowning big solves in events.
@@ -145,12 +152,8 @@ Solution solve_milp_impl(const Model& model, const Objective& objective,
                        .num("open", open.size())
                        .done());
 
-    Solution lp;
-    if (revised)
-      lp = solver->solve(node->overrides,
-                         opt.warm_start ? &node->basis : nullptr);
-    else
-      lp = solve_lp(model, objective, opt.lp, node->overrides);
+    const Solution lp = solver.solve(node->overrides, &node->basis);
+    if (certificate) solver.multipliers(node->duals);
     iterations += lp.iterations;
     if (nodes == 1 && !basis_key.empty() && lp.status == SolveStatus::Optimal)
       opt.cache->store_basis(basis_key, node->basis);
@@ -159,15 +162,23 @@ Solution solve_milp_impl(const Model& model, const Objective& objective,
       dropped_open_bound = std::min(dropped_open_bound, node->bound);
       continue;
     }
-    if (lp.status == SolveStatus::Infeasible) continue;
+    if (lp.status == SolveStatus::Infeasible) {
+      close(*node, Certificate::Closed::Infeasible);
+      continue;
+    }
     if (lp.status == SolveStatus::Unbounded) {
       // An unbounded relaxation at the root makes the MILP unbounded or
       // infeasible; report unbounded (LUIS models are always bounded).
+      if (certificate && !any_unbounded)
+        solver.unbounded_ray(certificate->point, certificate->ray);
       any_unbounded = true;
       continue;
     }
     const double cost = sign * lp.objective;
-    if (cost >= incumbent_cost - prune_tol) continue; // bound prune
+    if (cost >= incumbent_cost - prune_tol) { // bound prune
+      close(*node, Certificate::Closed::Pruned);
+      continue;
+    }
 
     const int branch_var = most_fractional(model, lp.values);
     if (branch_var < 0) {
@@ -176,6 +187,7 @@ Solution solve_milp_impl(const Model& model, const Objective& objective,
       incumbent.objective = lp.objective;
       incumbent.status = SolveStatus::Optimal;
       incumbent_cost = cost;
+      close(*node, Certificate::Closed::Integral);
       if (obs::tracing_enabled()) {
         // Gap against the best bound still open (in minimization sign).
         const double open_bound = open.empty() ? cost : open.top()->bound;
@@ -208,6 +220,7 @@ Solution solve_milp_impl(const Model& model, const Objective& objective,
       down->overrides.push_back({branch_var, cur_lo, floor_v});
       down->bound = cost;
       down->basis = node->basis;
+      down->duals = node->duals;
       open.push(std::move(down));
     }
     // Up child: x >= ceil(v).
@@ -217,6 +230,7 @@ Solution solve_milp_impl(const Model& model, const Objective& objective,
       up->overrides.push_back({branch_var, floor_v + 1.0, cur_hi});
       up->bound = cost;
       up->basis = std::move(node->basis);
+      up->duals = std::move(node->duals);
       open.push(std::move(up));
     }
   }
@@ -230,12 +244,9 @@ Solution solve_milp_impl(const Model& model, const Objective& objective,
   incumbent.iterations = iterations;
   obs::metrics().counter("ilp.bnb.nodes").inc(nodes);
   obs::metrics().counter("ilp.bnb.lp_iterations").inc(iterations);
-  if (solver) {
-    obs::metrics().counter("ilp.lu.factorizations")
-        .inc(solver->factorizations());
-    obs::metrics().counter("ilp.lu.nucleus_columns")
-        .inc(solver->nucleus_columns());
-  }
+  obs::metrics().counter("ilp.lu.factorizations").inc(solver.factorizations());
+  obs::metrics().counter("ilp.lu.nucleus_columns")
+      .inc(solver.nucleus_columns());
   obs::metrics().histogram("ilp.bnb.nodes_per_solve")
       .observe(static_cast<double>(nodes));
   incumbent.best_bound = sign * std::min(best_open_bound, incumbent_cost);
@@ -260,15 +271,18 @@ Solution solve_milp_impl(const Model& model, const Objective& objective,
 } // namespace
 
 Solution solve_milp(const Model& model, const Objective& objective,
-                    const BranchAndBoundOptions& opt) {
+                    const BranchAndBoundOptions& opt,
+                    Certificate* certificate) {
   obs::metrics().counter("ilp.solves").inc();
-  if (!opt.cache) return solve_milp_impl(model, objective, opt);
+  if (certificate) *certificate = {};
+  if (!opt.cache || certificate)
+    return solve_milp_impl(model, objective, opt, certificate);
   obs::TraceSpan cache_span("ilp.cache", "ilp");
   const std::string key = canonical_model_key(model, objective, opt);
   std::optional<Solution> hit = opt.cache->lookup(key);
   cache_span.end();
   if (hit) return *hit;
-  Solution sol = solve_milp_impl(model, objective, opt);
+  Solution sol = solve_milp_impl(model, objective, opt, nullptr);
   opt.cache->insert(key, sol);
   return sol;
 }

@@ -1,11 +1,11 @@
 // Branch & bound MILP driver on top of the simplex LP solver.
 //
 // Best-first search over LP relaxations with bound overrides (no model
-// copies). Branching picks the most fractional integer variable. With the
-// revised LP core each child node warm-starts from its parent's basis, so
-// a node re-solve is typically one dual-simplex pivot instead of a full
-// cold solve. The search is exact when it terminates with Optimal; node
-// and iteration limits degrade gracefully to the best incumbent found.
+// copies). Branching picks the most fractional integer variable. Each
+// child node warm-starts from its parent's basis, so a node re-solve is
+// typically one dual-simplex pivot instead of a full cold solve. The
+// search is exact when it terminates with Optimal; node and iteration
+// limits degrade gracefully to the best incumbent found.
 #pragma once
 
 #include "ilp/model.hpp"
@@ -25,8 +25,6 @@ struct BranchAndBoundOptions {
   /// lp.tolerance — pruning more finely than the LP's own accuracy just
   /// expands nodes chasing noise.
   double prune_tolerance = -1.0;
-  /// Revised core only: child nodes warm-start from the parent's basis.
-  bool warm_start = true;
   /// Reuse/store root bases in the SolverCache basis pool, keyed by the
   /// objective-free model structure, so neighboring sweep presets (same
   /// model, different objective weights) start from each other's optimal
@@ -43,8 +41,11 @@ struct BranchAndBoundOptions {
 /// configured limits). Continuous variables are left to the LP. Returns
 /// the incumbent and the proven bound; status NodeLimit means the
 /// incumbent may be suboptimal. The model is only read, so concurrent
-/// solves may share it.
+/// solves may share it. `certificate`, when non-null, receives every
+/// closed leaf of the search for check_certificate; such a solve skips
+/// `options.cache`, whose answers carry no evidence.
 Solution solve_milp(const Model& model, const Objective& objective,
-                    const BranchAndBoundOptions& options = {});
+                    const BranchAndBoundOptions& options = {},
+                    Certificate* certificate = nullptr);
 
 } // namespace luis::ilp

@@ -1,6 +1,7 @@
 #include "ilp/lp_reader.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <map>
 #include <set>
@@ -21,11 +22,6 @@ bool parse_full_number(const std::string& tok, double& out) {
   char* end = nullptr;
   out = std::strtod(tok.c_str(), &end);
   return end == tok.c_str() + tok.size();
-}
-
-bool is_number_token(const std::string& tok) {
-  double unused;
-  return parse_full_number(tok, unused);
 }
 
 /// Does the token look like it was meant to be a number? Decides whether a
@@ -151,14 +147,16 @@ public:
         return out;
       }
       const std::string rhs_tok{trim(body.substr(rel_at + rel_len))};
-      if (!parse_full_number(rhs_tok, row.rhs)) {
-        out.error = at(l, rhs_tok) + "malformed right-hand side '" + rhs_tok + "'";
+      if (!parse_full_number(rhs_tok, row.rhs) || !std::isfinite(row.rhs)) {
+        out.error = at(l, rhs_tok) +
+                    "right-hand side must be a finite number, got '" + rhs_tok + "'";
         return out;
       }
       rows.push_back(std::move(row));
     }
 
-    // Bounds: "lo <= name <= hi".
+    // Bounds: "lo <= name <= hi", either side infinite on its open end
+    // (strtod reads -inf, +inf, inf and infinity).
     for (const SrcLine& l : bounds_lines) {
       std::istringstream ls{std::string(trim(l.text))};
       std::string lo_tok, le1, name, le2, hi_tok, extra;
@@ -169,12 +167,19 @@ public:
         return out;
       }
       double lo, hi;
-      if (!parse_bound(lo_tok, lo)) {
-        out.error = at(l, lo_tok) + "malformed lower bound '" + lo_tok + "'";
+      if (!parse_full_number(lo_tok, lo) || std::isnan(lo) || lo == kInfinity) {
+        out.error = at(l, lo_tok) +
+                    "lower bound must be a number or -inf, got '" + lo_tok + "'";
         return out;
       }
-      if (!parse_bound(hi_tok, hi)) {
-        out.error = at(l, hi_tok) + "malformed upper bound '" + hi_tok + "'";
+      if (!parse_full_number(hi_tok, hi) || std::isnan(hi) || hi == -kInfinity) {
+        out.error = at(l, hi_tok) +
+                    "upper bound must be a number or +inf, got '" + hi_tok + "'";
+        return out;
+      }
+      if (lo > hi) {
+        out.error = at(l, lo_tok) + "crossed bounds: lower " + lo_tok +
+                    " is above upper " + hi_tok;
         return out;
       }
       bounds_[var(name)] = {lo, hi};
@@ -230,18 +235,6 @@ private:
     return colon == std::string::npos ? text : text.substr(colon + 1);
   }
 
-  static bool parse_bound(const std::string& tok, double& out) {
-    if (tok == "-inf") {
-      out = -kInfinity;
-      return true;
-    }
-    if (tok == "+inf" || tok == "inf") {
-      out = kInfinity;
-      return true;
-    }
-    return parse_full_number(tok, out);
-  }
-
   VarId var(const std::string& name) {
     return ids_.try_emplace(name, static_cast<VarId>(ids_.size())).first->second;
   }
@@ -270,12 +263,16 @@ private:
         have_coeff = false;
         continue;
       }
-      if (is_number_token(tok)) {
+      if (double number; parse_full_number(tok, number)) {
         if (have_coeff) {
           error_ = at(origin, tok) + "two consecutive numbers in expression: " + text;
           return false;
         }
-        parse_full_number(tok, pending_coeff);
+        pending_coeff = number;
+        if (!std::isfinite(pending_coeff)) {
+          error_ = at(origin, tok) + "coefficient must be finite, got '" + tok + "'";
+          return false;
+        }
         have_coeff = true;
         continue;
       }

@@ -6,7 +6,9 @@
 namespace luis::ilp {
 namespace {
 
-std::string var_name(VarId id) { return "x" + std::to_string(id); }
+std::string var_name(VarId id) {
+  return std::string("x").append(std::to_string(id));
+}
 
 void write_expr(std::ostream& os, const LinearExpr& expr) {
   os.precision(17);

@@ -89,32 +89,4 @@ SparseColumns Model::sparse_columns() const {
   return out;
 }
 
-bool Model::is_feasible(const std::vector<double>& values, double tol) const {
-  if (values.size() != variables_.size()) return false;
-  for (std::size_t i = 0; i < variables_.size(); ++i) {
-    const Variable& v = variables_[i];
-    if (values[i] < v.lower - tol || values[i] > v.upper + tol) return false;
-    if (v.kind != VarKind::Continuous &&
-        std::abs(values[i] - std::round(values[i])) > tol)
-      return false;
-  }
-  for (const Constraint& c : constraints_) {
-    double lhs = 0.0;
-    for (const auto& [var, coeff] : c.expr.terms())
-      lhs += coeff * values[static_cast<std::size_t>(var)];
-    switch (c.sense) {
-    case Sense::LE:
-      if (lhs > c.rhs + tol) return false;
-      break;
-    case Sense::GE:
-      if (lhs < c.rhs - tol) return false;
-      break;
-    case Sense::EQ:
-      if (std::abs(lhs - c.rhs) > tol) return false;
-      break;
-    }
-  }
-  return true;
-}
-
 } // namespace luis::ilp

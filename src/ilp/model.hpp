@@ -144,9 +144,6 @@ public:
   /// Duplicate terms are already combined by add_constraint's normalize.
   SparseColumns sparse_columns() const;
 
-  /// True if `values` satisfies every constraint and bound within `tol`,
-  /// including integrality of integer/binary variables.
-  bool is_feasible(const std::vector<double>& values, double tol = 1e-6) const;
 
 private:
   std::vector<Variable> variables_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "ilp/certificate.hpp"
 #include "support/diag.hpp"
 
 namespace luis::ilp {
@@ -348,7 +349,11 @@ RevisedSolver::Step RevisedSolver::primal(bool phase1) {
       ++pivots_;
       continue;
     }
-    if (leave < 0) return phase1 ? Step::Infeasible : Step::Unbounded;
+    if (leave < 0) {
+      ray_enter_ = enter;
+      ray_dir_ = dir;
+      return phase1 ? Step::Infeasible : Step::Unbounded;
+    }
     if (std::abs(work_[sz(leave)]) < kPivotTol) {
       // Unstable pivot: refresh the factorization (the ftran may be eta
       // drift) or, if already fresh, retire this column for the round.
@@ -450,7 +455,11 @@ RevisedSolver::Step RevisedSolver::dual_reoptimize() {
         best_alpha = alpha;
       }
     }
-    if (enter < 0) return Step::Infeasible; // dual unbounded
+    if (enter < 0) { // dual unbounded: rho_ is a Farkas ray
+      evidence_ = Evidence::DualRow;
+      evidence_below_ = below;
+      return Step::Infeasible;
+    }
 
     load_column(enter, work_);
     factor_.ftran(work_);
@@ -489,7 +498,9 @@ Solution RevisedSolver::solve(std::span<const BoundsOverride> overrides,
                               Basis* basis) {
   Solution sol;
   pivots_ = 0;
+  evidence_ = Evidence::Duals;
   if (!apply_bounds(overrides)) {
+    evidence_ = Evidence::CrossedBounds;
     sol.status = SolveStatus::Infeasible;
     return sol;
   }
@@ -540,13 +551,53 @@ Solution RevisedSolver::solve(std::span<const BoundsOverride> overrides,
   return sol;
 }
 
-Solution solve_lp_revised(const Model& model, const SparseColumns& cols,
-                          const Objective& objective,
-                          const SimplexOptions& options,
-                          std::span<const BoundsOverride> overrides,
-                          Basis* basis) {
+void RevisedSolver::multipliers(std::vector<double>& out) const {
+  switch (evidence_) {
+  case Evidence::Duals: out = y_; break;
+  case Evidence::CrossedBounds: out.clear(); break;
+  case Evidence::DualRow:
+    // Row r of B^-1 gives x_Br = rho.(b - N x_N). No nonbasic can push
+    // x_Br back into its bounds, so -rho (below) or rho (above) has a
+    // positive Farkas sum.
+    out = rho_;
+    if (evidence_below_)
+      for (double& v : out) v = -v;
+    break;
+  }
+}
+
+void RevisedSolver::unbounded_ray(std::vector<double>& point,
+                                  std::vector<double>& ray) const {
+  point.assign(sz(n_), 0.0);
+  ray.assign(sz(n_), 0.0);
+  for (int j = 0; j < n_; ++j)
+    if (status_[sz(j)] != Basis::kBasic) point[sz(j)] = nonbasic_value(j);
+  if (ray_enter_ < n_) ray[sz(ray_enter_)] = ray_dir_;
+  for (int i = 0; i < m_; ++i) {
+    if (basic_[sz(i)] >= n_) continue;
+    point[sz(basic_[sz(i)])] = xb_[sz(i)];
+    ray[sz(basic_[sz(i)])] = -ray_dir_ * work_[sz(i)];
+  }
+}
+
+Solution solve_lp(const Model& model, const Objective& objective,
+                  const SimplexOptions& options,
+                  std::span<const BoundsOverride> overrides,
+                  Certificate* certificate) {
+  const SparseColumns cols = model.sparse_columns();
   RevisedSolver solver(model, cols, objective, options);
-  return solver.solve(overrides, basis);
+  Solution sol = solver.solve(overrides, nullptr);
+  if (!certificate) return sol;
+  *certificate = {};
+  if (sol.status == SolveStatus::Unbounded) {
+    solver.unbounded_ray(certificate->point, certificate->ray);
+  } else if (sol.status != SolveStatus::IterationLimit) {
+    Certificate::Leaf& leaf = certificate->leaves.emplace_back();
+    if (sol.status == SolveStatus::Infeasible)
+      leaf.closed = Certificate::Closed::Infeasible;
+    solver.multipliers(leaf.duals);
+  }
+  return sol;
 }
 
 } // namespace luis::ilp

@@ -4,9 +4,10 @@
 // where one slack per row encodes the row sense (LE: s >= 0, GE: s <= 0,
 // EQ: s = 0). Nonbasic variables rest at a finite bound (or at zero when
 // free); only the m basic values are maintained, through an LU-factorized
-// basis with eta updates (basis_lu.hpp). There is no slack explosion for
-// bounded columns: a 0 <= x <= 1 SOS row costs one column, not a column
-// plus an upper-bound row as in the dense tableau.
+// basis with eta updates (basis_lu.hpp). A bounded column needs no
+// upper-bound row: a 0 <= x <= 1 column is one column and nothing more.
+// This is LUIS's one LP core; every answer it gives can be certified
+// (certificate.hpp).
 //
 // Three drivers share the machinery:
 //  - primal phase 1: minimizes the sum of bound violations with the
@@ -37,8 +38,19 @@ public:
   RevisedSolver(const Model& model, const SparseColumns& cols,
                 const Objective& objective, const SimplexOptions& options);
 
-  /// Solves the LP under `overrides`; see solve_lp_revised for `basis`.
+  /// Solves the LP under `overrides`. `basis`, when non-null and
+  /// compatible, seeds the solve (dual simplex if it is still dual
+  /// feasible, primal otherwise) and receives the final basis on any
+  /// return, so child and neighbor re-solves start a pivot or two away.
   Solution solve(std::span<const BoundsOverride> overrides, Basis* basis);
+
+  /// The multipliers that certify the last solve's answer, one per row,
+  /// for the minimization form: its duals when it was Optimal, a Farkas ray
+  /// when Infeasible (empty when an override crossed its bounds).
+  void multipliers(std::vector<double>& out) const;
+  /// After an Unbounded solve: a feasible point and an improving ray, one
+  /// entry per variable.
+  void unbounded_ray(std::vector<double>& point, std::vector<double>& ray) const;
 
   /// Basis factorizations over every solve so far (refactorizations
   /// included), and the columns they left to dense elimination.
@@ -69,6 +81,15 @@ private:
   std::vector<double> cb_;   ///< basic costs of the current phase
   std::vector<double> y_, rho_; ///< btran scratch (pricing / leaving row)
 
+  // The last answer's evidence: y_ (duals, or phase 1's Farkas ray), rho_
+  // (the dual simplex's unbounded row; its basic sat below its bound when
+  // evidence_below_) or none (crossed bounds); an unbounded ray's entering
+  // column and direction, with its ftran'd column in work_.
+  enum class Evidence : std::uint8_t { Duals, DualRow, CrossedBounds };
+  Evidence evidence_ = Evidence::Duals;
+  bool evidence_below_ = false;
+  int ray_enter_ = -1, ray_dir_ = 0;
+
   double ptol() const { return opt_.tolerance; }
   double dtol() const { return opt_.tolerance; }
 
@@ -90,18 +111,5 @@ private:
   Step primal(bool phase1);
   Step dual_reoptimize();
 };
-
-/// Solves the LP relaxation with the revised simplex: one RevisedSolver,
-/// one solve. `cols` must be `model.sparse_columns()` (hoisted out so
-/// callers solving one model many times build it once). `basis`, when
-/// non-null and compatible, seeds the solve (dual simplex if the basis is
-/// still dual feasible, primal otherwise) and receives the final basis on
-/// any return, making child / neighbor re-solves start one pivot away
-/// instead of from scratch.
-Solution solve_lp_revised(const Model& model, const SparseColumns& cols,
-                          const Objective& objective,
-                          const SimplexOptions& options,
-                          std::span<const BoundsOverride> overrides,
-                          Basis* basis);
 
 } // namespace luis::ilp

@@ -1,19 +1,7 @@
-// LP engines underneath the branch & bound MILP driver.
-//
-// Two cores share one entry point:
-//
-//  - LpCore::Revised (default): a bounded-variable sparse revised simplex —
-//    column-wise sparse constraint storage, an LU-factorized basis with
-//    eta-file updates and periodic refactorization, a primal phase 1/2 and
-//    a dual-simplex re-optimization path for warm starts (see
-//    revised_simplex.hpp and docs/SOLVER.md).
-//  - LpCore::Dense: the original dense two-phase tableau simplex, kept as
-//    the reference the tests, the ILP fuzz oracle and bench_ilp check the
-//    revised core against (selected through SimplexOptions::core).
-//
-// Both handle general variable bounds, detect infeasibility and
-// unboundedness, and guard against cycling by falling back to Bland's rule
-// when the objective stalls.
+// The LP entry point underneath the branch & bound MILP driver. One core
+// solves every LP, a bounded-variable sparse revised simplex
+// (revised_simplex.hpp, docs/SOLVER.md), and each answer can carry a
+// certificate that an independent checker verifies (certificate.hpp).
 #pragma once
 
 #include <cstdint>
@@ -30,17 +18,14 @@ struct BoundsOverride {
   double upper = kInfinity;
 };
 
-enum class LpCore { Revised, Dense };
-
-const char* to_string(LpCore core);
+struct Certificate;
 
 struct SimplexOptions {
   long max_iterations = 500000;
   double tolerance = 1e-7;
-  LpCore core = LpCore::Revised;
-  /// Revised core: pivots between basis refactorizations. Each pivot
-  /// appends one eta vector; refactorizing resets the eta file and
-  /// recomputes the basic solution from scratch, which bounds drift.
+  /// Pivots between basis refactorizations. Each pivot appends one eta
+  /// vector; refactorizing resets the eta file and recomputes the basic
+  /// solution from scratch, which bounds drift.
   int refactor_interval = 64;
 };
 
@@ -67,9 +52,11 @@ struct Basis {
 
 /// Solves the LP relaxation of `model` under `objective`. `overrides`
 /// replaces the bounds of selected variables, which is how branch & bound
-/// explores subproblems without copying the model.
+/// explores subproblems without copying the model. `certificate`, when
+/// non-null, receives the answer's evidence for check_lp_certificate.
 Solution solve_lp(const Model& model, const Objective& objective,
                   const SimplexOptions& options = {},
-                  std::span<const BoundsOverride> overrides = {});
+                  std::span<const BoundsOverride> overrides = {},
+                  Certificate* certificate = nullptr);
 
 } // namespace luis::ilp

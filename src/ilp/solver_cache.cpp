@@ -67,14 +67,11 @@ std::string canonical_model_key(const Model& model, const Objective& objective,
   out += ';';
   append_double(out, options.relative_gap);
   append_double(out, options.prune_tolerance);
-  out += options.warm_start ? '1' : '0';
   out += options.share_basis ? '1' : '0';
   out += ';';
   append_number(out, options.lp.max_iterations);
   out += ';';
   append_double(out, options.lp.tolerance);
-  out += to_string(options.lp.core);
-  out += ';';
   append_number(out, options.lp.refactor_interval);
   return out;
 }

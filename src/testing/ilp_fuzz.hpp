@@ -5,8 +5,9 @@
 // feasible set can be enumerated outright — the independent ground truth
 // every solver configuration is checked against. One instance is then
 // required to agree with itself across every code path that must not
-// change the answer: an lp_writer -> lp_reader round trip, a solver-cache
-// hit vs the fresh solve, and the dense vs the revised LP core.
+// change the answer (an lp_writer -> lp_reader round trip, a solver-cache
+// hit vs the fresh solve), and its answer must carry a certificate the
+// independent checker accepts.
 #pragma once
 
 #include <functional>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "ilp/branch_and_bound.hpp"
+#include "ilp/certificate.hpp"
 #include "ilp/model.hpp"
 #include "support/rng.hpp"
 #include "testing/fuzz.hpp"
@@ -56,10 +58,12 @@ struct EnumerationResult {
 /// integer/binary with finite bounds (what random_ilp_instance generates).
 EnumerationResult enumerate_optimum(const IlpInstance& instance);
 
-/// Solver under test. Tests substitute a deliberately broken solver to
-/// exercise the shrinker; the campaign uses ilp::solve_milp.
+/// Solver under test, with solve_milp's signature (the certificate may be
+/// null). Tests substitute a deliberately broken solver to exercise the
+/// shrinker; the campaign uses ilp::solve_milp.
 using MilpSolver = std::function<ilp::Solution(
-    const ilp::Model&, const ilp::Objective&, const ilp::BranchAndBoundOptions&)>;
+    const ilp::Model&, const ilp::Objective&, const ilp::BranchAndBoundOptions&,
+    ilp::Certificate*)>;
 
 struct IlpCheckOptions {
   MilpSolver solve;        ///< defaults to ilp::solve_milp
@@ -67,12 +71,12 @@ struct IlpCheckOptions {
 };
 
 /// The four-oracle differential property. Passes iff:
-///   1. solve (revised LP core) matches exhaustive enumeration in status
-///      and optimum, and its claimed solution is feasible and consistent;
+///   1. solve matches exhaustive enumeration in status and optimum;
 ///   2. the lp_writer -> lp_reader round trip solves to the same optimum;
 ///   3. re-solving through a SolverCache returns the first solution
 ///      bit-identically;
-///   4. the dense LP core agrees with the revised one.
+///   4. the first solve's certificate passes ilp::check_certificate, which
+///      also proves its solution feasible, integral and consistent.
 CheckResult check_ilp_instance(const IlpInstance& instance,
                                const IlpCheckOptions& options = {});
 

@@ -32,7 +32,8 @@ GeneratedIr generate_ir_kernel(ir::Module& module, Rng& rng,
     const bool two_d = opt.allow_2d && rng.next_bool(0.5);
     std::vector<std::int64_t> dims =
         two_d ? std::vector<std::int64_t>{n, n} : std::vector<std::int64_t>{n};
-    Array* arr = kb.array("A" + std::to_string(a), dims, 0.25, 8.0);
+    Array* arr =
+        kb.array(std::string("A").append(std::to_string(a)), dims, 0.25, 8.0);
     arrays.push_back(arr);
     auto& buf = out.inputs[arr->name()];
     for (std::int64_t i = 0; i < arr->element_count(); ++i)

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -8,12 +9,26 @@
 #include <vector>
 
 #include "ilp/branch_and_bound.hpp"
+#include "ilp/certificate.hpp"
 #include "ilp/lp_writer.hpp"
 #include "ilp/solver_cache.hpp"
 #include "support/rng.hpp"
 
 namespace luis::ilp {
 namespace {
+
+/// solve_milp with a certificate that check_certificate must accept.
+Solution certified(const Model& m, const Objective& objective,
+                   const BranchAndBoundOptions& options = {},
+                   Certificate* out = nullptr) {
+  Certificate certificate;
+  const Solution s = solve_milp(m, objective, options, &certificate);
+  const CertificateCheck check =
+      check_certificate(m, objective, s, certificate, options);
+  EXPECT_TRUE(check.ok) << to_string(s.status) << ": " << check.error;
+  if (out) *out = std::move(certificate);
+  return s;
+}
 
 TEST(BranchAndBound, SimpleIntegerRounding) {
   // max x + y s.t. 2x + 2y <= 7, integer -> x + y = 3 (not 3.5).
@@ -23,10 +38,9 @@ TEST(BranchAndBound, SimpleIntegerRounding) {
   m.add_le(LinearExpr().add(x, 2).add(y, 2), 7);
   const Objective objective(Direction::Maximize,
                             LinearExpr().add(x, 1).add(y, 1));
-  const Solution s = solve_milp(m, objective);
+  const Solution s = certified(m, objective);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
   EXPECT_NEAR(s.objective, 3.0, 1e-6);
-  EXPECT_TRUE(m.is_feasible(s.values));
 }
 
 TEST(BranchAndBound, KnapsackAgainstBruteForce) {
@@ -51,9 +65,8 @@ TEST(BranchAndBound, KnapsackAgainstBruteForce) {
     m.add_le(std::move(wsum), cap);
     const Objective objective(Direction::Maximize, std::move(vsum));
 
-    const Solution s = solve_milp(m, objective);
+    const Solution s = certified(m, objective);
     ASSERT_EQ(s.status, SolveStatus::Optimal) << "trial " << trial;
-    EXPECT_TRUE(m.is_feasible(s.values)) << "trial " << trial;
 
     // Brute force over 2^12 subsets.
     double best = 0.0;
@@ -95,7 +108,7 @@ TEST(BranchAndBound, AssignmentProblemIsIntegralAtRoot) {
     for (int j = 0; j < 4; ++j) obj.add(x[i][j], cost[i][j]);
   const Objective objective(Direction::Minimize, std::move(obj));
 
-  const Solution s = solve_milp(m, objective);
+  const Solution s = certified(m, objective);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
   EXPECT_NEAR(s.objective, 13.0, 1e-6); // 2 + 3 + 5 + 4 (hand-checked best)
   EXPECT_LE(s.nodes, 10);
@@ -110,7 +123,7 @@ TEST(BranchAndBound, MixedIntegerContinuous) {
   m.add_le(LinearExpr().add(x, 1), 2.3);
   const Objective objective(Direction::Maximize,
                             LinearExpr().add(x, 3).add(y, 2));
-  const Solution s = solve_milp(m, objective);
+  const Solution s = certified(m, objective);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
   EXPECT_NEAR(s.value(x), 2.0, 1e-6);
   EXPECT_NEAR(s.value(y), 2.5, 1e-6);
@@ -123,7 +136,7 @@ TEST(BranchAndBound, InfeasibleIntegerProblem) {
   const VarId x = m.add_integer(0, 10);
   m.add_eq(LinearExpr().add(x, 2), 3);
   const Objective objective(Direction::Minimize, LinearExpr().add(x, 1));
-  EXPECT_EQ(solve_milp(m, objective).status, SolveStatus::Infeasible);
+  EXPECT_EQ(certified(m, objective).status, SolveStatus::Infeasible);
 }
 
 TEST(BranchAndBound, BigMIndicatorConstraints) {
@@ -138,7 +151,7 @@ TEST(BranchAndBound, BigMIndicatorConstraints) {
   m.add_eq(LinearExpr().add(xa, 1), 1);
   m.add_eq(LinearExpr().add(xb, 1), 1);
   const Objective objective(Direction::Minimize, LinearExpr().add(cast, 5));
-  const Solution s = solve_milp(m, objective);
+  const Solution s = certified(m, objective);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
   EXPECT_NEAR(s.value(cast), 1.0, 1e-6);
   EXPECT_NEAR(s.objective, 5.0, 1e-6);
@@ -156,7 +169,7 @@ TEST(BranchAndBound, NodeLimitReportsIncumbent) {
                             LinearExpr().add(x, 1).add(y, 1));
   BranchAndBoundOptions opt;
   opt.max_nodes = 1;
-  const Solution s = solve_milp(m, objective, opt);
+  const Solution s = certified(m, objective, opt);
   EXPECT_EQ(s.status, SolveStatus::NodeLimit);
 }
 
@@ -178,7 +191,7 @@ TEST(BranchAndBound, NodeLimitBoundStaysBelowIncumbentObjective) {
 
     BranchAndBoundOptions opt;
     opt.max_nodes = 3; // forces an early stop on most trials
-    const Solution s = solve_milp(m, objective, opt);
+    const Solution s = certified(m, objective, opt);
     if (s.values.empty()) continue; // no incumbent: nothing to compare
     EXPECT_LE(s.best_bound, s.objective + 1e-9) << "trial " << trial;
   }
@@ -205,7 +218,7 @@ TEST(BranchAndBound, IterationLimitKeepsBoundSound) {
 
   BranchAndBoundOptions starved;
   starved.lp.max_iterations = 1;
-  const Solution s = solve_milp(m, objective, starved);
+  const Solution s = certified(m, objective, starved);
   EXPECT_EQ(s.status, SolveStatus::NodeLimit);
   // Nothing was proven, so the bound may be -inf — but it must not exceed
   // the true optimum (a bound above it would falsely tighten the gap).
@@ -343,7 +356,7 @@ TEST(BranchAndBound, RandomMilpsMatchBruteForce) {
     }
     const Objective objective(Direction::Maximize, std::move(obj));
 
-    const Solution s = solve_milp(m, objective);
+    const Solution s = certified(m, objective);
 
     double best = -1e300;
     for (unsigned mask = 0; mask < (1u << n); ++mask) {
@@ -365,7 +378,6 @@ TEST(BranchAndBound, RandomMilpsMatchBruteForce) {
     } else {
       ASSERT_EQ(s.status, SolveStatus::Optimal) << "trial " << trial;
       EXPECT_NEAR(s.objective, best, 1e-6) << "trial " << trial;
-      EXPECT_TRUE(m.is_feasible(s.values)) << "trial " << trial;
     }
   }
 }
@@ -387,18 +399,21 @@ TEST(BranchAndBound, NearTiePruningRespectsConfiguredTolerance) {
   BranchAndBoundOptions tight;
   tight.prune_tolerance = 1e-12;
   tight.relative_gap = 0.0;
-  const Solution s = solve_milp(m, objective, tight);
+  const Solution s = certified(m, objective, tight);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
   EXPECT_NEAR(s.value(a), 1.0, 1e-6); // the strictly better point
   EXPECT_NEAR(s.objective, 1.0, 1e-9);
 
   BranchAndBoundOptions loose;
   loose.prune_tolerance = 1e-3;
-  const Solution sl = solve_milp(m, objective, loose);
+  const Solution sl = certified(m, objective, loose);
   ASSERT_EQ(sl.status, SolveStatus::Optimal);
   EXPECT_LE(sl.objective, 1.0 + 1e-3);
 }
 
+// Every child warm-starts from its parent's basis. The warm search's
+// certificate must check, and a cold LP solve of the leaf that closed as
+// the incumbent must reach the same optimum.
 TEST(BranchAndBound, WarmStartOnAndOffAgreeOnOptimum) {
   Rng rng(23);
   for (int trial = 0; trial < 8; ++trial) {
@@ -413,43 +428,34 @@ TEST(BranchAndBound, WarmStartOnAndOffAgreeOnOptimum) {
     m.add_le(std::move(wsum), 25.0);
     const Objective objective(Direction::Maximize, std::move(vsum));
 
-    BranchAndBoundOptions warm;
-    warm.warm_start = true;
-    BranchAndBoundOptions cold;
-    cold.warm_start = false;
-    const Solution sw = solve_milp(m, objective, warm);
-    const Solution sc = solve_milp(m, objective, cold);
+    Certificate certificate;
+    const Solution sw = certified(m, objective, {}, &certificate);
     ASSERT_EQ(sw.status, SolveStatus::Optimal) << "trial " << trial;
-    ASSERT_EQ(sc.status, SolveStatus::Optimal) << "trial " << trial;
-    EXPECT_NEAR(sw.objective, sc.objective, 1e-6) << "trial " << trial;
-    EXPECT_TRUE(m.is_feasible(sw.values)) << "trial " << trial;
+    const auto last = std::find_if(
+        certificate.leaves.rbegin(), certificate.leaves.rend(),
+        [](const Certificate::Leaf& l) {
+          return l.closed == Certificate::Closed::Integral;
+        });
+    ASSERT_NE(last, certificate.leaves.rend()) << "trial " << trial;
+    const Solution cold = solve_lp(m, objective, {}, last->box);
+    ASSERT_EQ(cold.status, SolveStatus::Optimal) << "trial " << trial;
+    EXPECT_NEAR(cold.objective, sw.objective, 1e-6) << "trial " << trial;
   }
 }
 
 // Models with fixed variables, singleton rows and empty-after-fixing rows:
 // branch & bound must get their status, objective and bound right on the
-// model as given, on both LP cores.
-constexpr LpCore kCores[] = {LpCore::Revised, LpCore::Dense};
-
-Solution solve_on(const Model& m, const Objective& objective, LpCore core) {
-  BranchAndBoundOptions opt;
-  opt.lp.core = core;
-  return solve_milp(m, objective, opt);
-}
-
+// model as given, and certify them.
 TEST(BranchAndBound, FixedVariableCountsInObjectiveAndBound) {
   Model m;
   const VarId x = m.add_continuous(2.0, 2.0);
   const VarId y = m.add_continuous(0.0, 4.0);
   const Objective objective(Direction::Maximize,
                             LinearExpr().add(x, 10).add(y, 1));
-  for (const LpCore core : kCores) {
-    SCOPED_TRACE(to_string(core));
-    const Solution s = solve_on(m, objective, core);
-    ASSERT_EQ(s.status, SolveStatus::Optimal);
-    EXPECT_DOUBLE_EQ(s.objective, 24.0);
-    EXPECT_DOUBLE_EQ(s.best_bound, 24.0);
-  }
+  const Solution s = certified(m, objective);
+  ASSERT_EQ(s.status, SolveStatus::Optimal);
+  EXPECT_DOUBLE_EQ(s.objective, 24.0);
+  EXPECT_DOUBLE_EQ(s.best_bound, 24.0);
 }
 
 TEST(BranchAndBound, FixedIntegerKeepsBoundAboveObjective) {
@@ -460,14 +466,11 @@ TEST(BranchAndBound, FixedIntegerKeepsBoundAboveObjective) {
   m.add_le(LinearExpr().add(x, 2.0).add(y, 3.0), 12.0);
   const Objective objective(Direction::Maximize,
                             LinearExpr().add(f, 100).add(x, 4).add(y, 5));
-  for (const LpCore core : kCores) {
-    SCOPED_TRACE(to_string(core));
-    const Solution s = solve_on(m, objective, core);
-    ASSERT_EQ(s.status, SolveStatus::Optimal);
-    EXPECT_GT(s.objective, 700.0);
-    EXPECT_GE(s.best_bound, s.objective - 1e-9);
-    EXPECT_NEAR(s.best_bound, s.objective, 1e-6);
-  }
+  const Solution s = certified(m, objective);
+  ASSERT_EQ(s.status, SolveStatus::Optimal);
+  EXPECT_GT(s.objective, 700.0);
+  EXPECT_GE(s.best_bound, s.objective - 1e-9);
+  EXPECT_NEAR(s.best_bound, s.objective, 1e-6);
 }
 
 TEST(BranchAndBound, InfeasibleThroughRowsAndBounds) {
@@ -489,15 +492,12 @@ TEST(BranchAndBound, InfeasibleThroughRowsAndBounds) {
   fixed.add_le(LinearExpr().add(c, 1.0), 0.5);
   const Objective fixed_objective(Direction::Minimize, LinearExpr().add(c, 1));
 
-  for (const LpCore core : kCores) {
-    SCOPED_TRACE(to_string(core));
-    EXPECT_EQ(solve_on(contradictory, contradictory_objective, core).status,
-              SolveStatus::Infeasible);
-    EXPECT_EQ(solve_on(window, window_objective, core).status,
-              SolveStatus::Infeasible);
-    EXPECT_EQ(solve_on(fixed, fixed_objective, core).status,
-              SolveStatus::Infeasible);
-  }
+  EXPECT_EQ(certified(contradictory, contradictory_objective).status,
+            SolveStatus::Infeasible);
+  EXPECT_EQ(certified(window, window_objective).status,
+            SolveStatus::Infeasible);
+  EXPECT_EQ(certified(fixed, fixed_objective).status,
+            SolveStatus::Infeasible);
 }
 
 TEST(BranchAndBound, CascadingEqualitiesFixEveryVariable) {
@@ -507,13 +507,10 @@ TEST(BranchAndBound, CascadingEqualitiesFixEveryVariable) {
   m.add_eq(LinearExpr().add(x, 1.0), 4.0);              // x = 4
   m.add_eq(LinearExpr().add(x, 1.0).add(y, 1.0), 10.0); // then y = 6
   const Objective objective(Direction::Minimize, LinearExpr().add(y, 1));
-  for (const LpCore core : kCores) {
-    SCOPED_TRACE(to_string(core));
-    const Solution s = solve_on(m, objective, core);
-    ASSERT_EQ(s.status, SolveStatus::Optimal);
-    EXPECT_DOUBLE_EQ(s.values[static_cast<std::size_t>(x)], 4.0);
-    EXPECT_DOUBLE_EQ(s.values[static_cast<std::size_t>(y)], 6.0);
-  }
+  const Solution s = certified(m, objective);
+  ASSERT_EQ(s.status, SolveStatus::Optimal);
+  EXPECT_DOUBLE_EQ(s.values[static_cast<std::size_t>(x)], 4.0);
+  EXPECT_DOUBLE_EQ(s.values[static_cast<std::size_t>(y)], 6.0);
 }
 
 TEST(BranchAndBound, SingletonRowCapsIntegerMaximum) {
@@ -521,19 +518,17 @@ TEST(BranchAndBound, SingletonRowCapsIntegerMaximum) {
   const VarId x = m.add_integer(0, 10);
   m.add_le(LinearExpr().add(x, 2.0), 9.0); // x <= 4.5
   const Objective objective(Direction::Maximize, LinearExpr().add(x, 1));
-  for (const LpCore core : kCores) {
-    SCOPED_TRACE(to_string(core));
-    const Solution s = solve_on(m, objective, core);
-    ASSERT_EQ(s.status, SolveStatus::Optimal);
-    EXPECT_DOUBLE_EQ(s.objective, 4.0);
-  }
+  const Solution s = certified(m, objective);
+  ASSERT_EQ(s.status, SolveStatus::Optimal);
+  EXPECT_DOUBLE_EQ(s.objective, 4.0);
 }
 
 // Random integer models mixing fixed variables, narrow boxes and singleton
-// rows under one dense row: both cores reach the same status and optimum,
-// and the incumbent is feasible for the model as given.
-TEST(BranchAndBound, CoresAgreeOnFixedVariablesAndSingletonRows) {
+// rows under one dense row: every answer certifies, and the incumbent is
+// feasible for the model as given.
+TEST(BranchAndBound, FixedVariablesAndSingletonRowsCertify) {
   Rng rng(99);
+  int optimal = 0;
   for (int trial = 0; trial < 10; ++trial) {
     Model m;
     const int n = 8;
@@ -558,15 +553,13 @@ TEST(BranchAndBound, CoresAgreeOnFixedVariablesAndSingletonRows) {
               static_cast<double>(rng.next_int(-5, 5)));
     const Objective objective(Direction::Maximize, std::move(obj));
 
-    const Solution revised = solve_on(m, objective, LpCore::Revised);
-    const Solution dense = solve_on(m, objective, LpCore::Dense);
-    ASSERT_EQ(revised.status, dense.status) << "trial " << trial;
-    if (revised.status == SolveStatus::Optimal) {
-      EXPECT_NEAR(revised.objective, dense.objective, 1e-6) << "trial " << trial;
-      EXPECT_TRUE(m.is_feasible(revised.values)) << "trial " << trial;
-      EXPECT_TRUE(m.is_feasible(dense.values)) << "trial " << trial;
+    SCOPED_TRACE(testing::Message() << "trial " << trial);
+    const Solution s = certified(m, objective);
+    if (s.status == SolveStatus::Optimal) {
+      ++optimal;
     }
   }
+  EXPECT_GT(optimal, 3);
 }
 
 TEST(SolverCache, StructuralKeyIgnoresObjective) {
@@ -657,7 +650,6 @@ TEST(BranchAndBound, SharedBasisAcrossPresetsKeepsAnswersExact) {
     const Solution plain = solve_milp(m, objective);
     ASSERT_EQ(s.status, SolveStatus::Optimal);
     EXPECT_NEAR(s.objective, plain.objective, 1e-6);
-    EXPECT_TRUE(m.is_feasible(s.values));
   }
 }
 
@@ -730,14 +722,24 @@ TEST(LpWriter, ProducesParsableText) {
   EXPECT_NE(text.find("End"), std::string::npos);
 }
 
+// The certificate checker is the one feasibility check. A NodeLimit
+// answer claims no cover, so only its point is judged.
 TEST(Model, FeasibilityChecker) {
   Model m;
   const VarId x = m.add_integer(0, 5);
   m.add_le(LinearExpr().add(x, 1), 3);
-  EXPECT_TRUE(m.is_feasible({2.0}));
-  EXPECT_FALSE(m.is_feasible({2.5})); // fractional integer
-  EXPECT_FALSE(m.is_feasible({4.0})); // violates constraint
-  EXPECT_FALSE(m.is_feasible({-1.0})); // violates bound
+  const Objective objective(Direction::Minimize, LinearExpr().add(x, 1));
+  const auto feasible = [&](double v) {
+    Solution s;
+    s.status = SolveStatus::NodeLimit;
+    s.values = {v};
+    s.objective = v;
+    return check_certificate(m, objective, s, {}).ok;
+  };
+  EXPECT_TRUE(feasible(2.0));
+  EXPECT_FALSE(feasible(2.5)); // fractional integer
+  EXPECT_FALSE(feasible(4.0)); // violates constraint
+  EXPECT_FALSE(feasible(-1.0)); // violates bound
 }
 
 TEST(Model, NormalizeCombinesDuplicateTerms) {

@@ -214,6 +214,30 @@ for verb in tune lint check profile; do
   expect_refusal "cannot read hostile_missing.optime" $verb hostile_base.ir --platform-file hostile_missing.optime
 done
 
+# A replayed fuzz corpus whose .lp seed has crossed or NaN bounds, or a
+# non-finite coefficient or right-hand side: the replay names the file,
+# line and column on stdout and exits 1 instead of aborting.
+# expect_corpus_refusal NAME MESSAGE LP-TEXT (printf format)
+expect_corpus_refusal() {
+  mkdir -p "hostile_corpus_$1"
+  printf "$3" > "hostile_corpus_$1/seed.lp"
+  "$L" fuzz --corpus "hostile_corpus_$1" --trials 0 > hostile.out 2> hostile.err
+  status=$?
+  if [ "$status" -ne 1 ] || ! grep -q -- "$2" hostile.out; then
+    echo "luis fuzz --corpus hostile_corpus_$1 exited $status (want 1 and '$2'); stdout:"
+    cat hostile.out
+    failed=1
+  fi
+}
+expect_corpus_refusal crossed "line 6, column 2: crossed bounds: lower 3 is above upper 1" \
+  'Minimize\n obj: x\nSubject To\n c: x >= 0\nBounds\n 3 <= x <= 1\nGeneral\n x\nEnd\n'
+expect_corpus_refusal nan_bound "line 6, column 2: lower bound must be a number or -inf, got 'nan'" \
+  'Minimize\n obj: x\nSubject To\n c: x >= 0\nBounds\n nan <= x <= 1\nGeneral\n x\nEnd\n'
+expect_corpus_refusal nan_coefficient "line 2, column 7: coefficient must be finite, got 'nan'" \
+  'Minimize\n obj: nan x\nSubject To\n c: x >= 0\nBounds\n 0 <= x <= 1\nGeneral\n x\nEnd\n'
+expect_corpus_refusal inf_rhs "line 4, column 10: right-hand side must be a finite number, got 'inf'" \
+  'Minimize\n obj: x\nSubject To\n c: x >= inf\nBounds\n 0 <= x <= 1\nGeneral\n x\nEnd\n'
+
 # An unknown platform name is a usage error (2), not a malformed file.
 "$L" tune hostile_base.ir --platform Nowhere > /dev/null 2>&1
 status=$?

@@ -201,5 +201,50 @@ TEST(LpReader, MalformedNumbersAreRejectedWithLocation) {
   }
 }
 
+// Numbers that parse but cannot stand in a model: crossed or NaN bounds,
+// a lower bound of +inf or an upper bound of -inf, and non-finite
+// coefficients or right-hand sides. Each is refused at its line and
+// column instead of reaching Model::add_variable's assertion.
+TEST(LpReader, RefusesCrossedAndNonFiniteNumbers) {
+  struct Case {
+    const char* text;
+    const char* where;
+    const char* what;
+  };
+  const Case cases[] = {
+      {"Minimize\n obj: x\nBounds\n 3 <= x <= 1\nEnd\n", "line 4, column 2",
+       "crossed bounds: lower 3 is above upper 1"},
+      {"Minimize\n obj: x\nBounds\n nan <= x <= 1\nEnd\n",
+       "line 4, column 2", "lower bound must be a number or -inf, got 'nan'"},
+      {"Minimize\n obj: x\nBounds\n 0 <= x <= nan\nEnd\n",
+       "line 4, column 12", "upper bound must be a number or +inf, got 'nan'"},
+      {"Minimize\n obj: x\nBounds\n +inf <= x <= +inf\nEnd\n",
+       "line 4, column 2", "lower bound must be a number or -inf"},
+      {"Minimize\n obj: x\nBounds\n 0 <= x <= -inf\nEnd\n",
+       "line 4, column 12", "upper bound must be a number or +inf"},
+      {"Minimize\n obj: nan x\nEnd\n", "line 2, column 7",
+       "coefficient must be finite, got 'nan'"},
+      {"Minimize\n obj: x\nSubject To\n c: inf x <= 1\nEnd\n",
+       "line 4, column 5", "coefficient must be finite, got 'inf'"},
+      {"Minimize\n obj: x + 1e999\nEnd\n", "line 2, column 11",
+       "coefficient must be finite, got '1e999'"},
+      {"Minimize\n obj: x\nSubject To\n c: x <= nan\nEnd\n",
+       "line 4, column 10", "right-hand side must be a finite number, got 'nan'"},
+      {"Minimize\n obj: x\nSubject To\n c: x >= -inf\nEnd\n",
+       "line 4, column 10", "right-hand side must be a finite number, got '-inf'"},
+  };
+  for (const Case& c : cases) {
+    const LpParseResult r = parse_lp(c.text);
+    ASSERT_FALSE(r.ok()) << c.text;
+    EXPECT_NE(r.error.find(c.where), std::string::npos) << r.error;
+    EXPECT_NE(r.error.find(c.what), std::string::npos) << r.error;
+  }
+  // Equal bounds fix a variable; they do not cross.
+  const LpParseResult fixed =
+      parse_lp("Minimize\n obj: x\nBounds\n 2 <= x <= 2\nEnd\n");
+  ASSERT_TRUE(fixed.ok()) << fixed.error;
+  EXPECT_EQ(fixed.model.variables()[0].lower, 2.0);
+}
+
 } // namespace
 } // namespace luis::ilp

@@ -1,12 +1,13 @@
-// The sparse revised simplex core: warm starts, the dual-simplex
-// re-optimization path, LU/eta numerical stability, and the differential
-// guarantee against the dense tableau baseline.
+// The sparse revised simplex: warm starts, the dual-simplex
+// re-optimization path, LU/eta numerical stability, and answers whose
+// certificates the independent checker accepts.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <utility>
 #include <vector>
 
+#include "ilp/certificate.hpp"
 #include "ilp/revised_simplex.hpp"
 #include "ilp/simplex.hpp"
 #include "support/rng.hpp"
@@ -14,22 +15,20 @@
 namespace luis::ilp {
 namespace {
 
-SimplexOptions revised_options() {
-  SimplexOptions opt;
-  opt.core = LpCore::Revised;
-  return opt;
-}
+SimplexOptions revised_options() { return {}; }
 
-SimplexOptions dense_options() {
-  SimplexOptions opt;
-  opt.core = LpCore::Dense;
-  return opt;
+/// solve_lp with a certificate; the checker's verdict goes to `check`.
+Solution certified_lp(const Model& m, const Objective& objective,
+                      const SimplexOptions& options, CertificateCheck& check) {
+  Certificate certificate;
+  const Solution s = solve_lp(m, objective, options, {}, &certificate);
+  check = check_lp_certificate(m, objective, s, certificate);
+  return s;
 }
 
 /// The allocator's canonical shape: binary-like columns in [0, 1] with SOS
-/// rows, and the objective its tests minimize. The dense tableau pays one
-/// extra row per bounded column here; the revised core must handle it with
-/// plain bound flips.
+/// rows, and the objective its tests minimize. Bounded columns need no
+/// extra rows: the simplex handles them with plain bound flips.
 std::pair<Model, Objective> sos_model() {
   Model m;
   std::vector<VarId> xs;
@@ -50,14 +49,16 @@ std::pair<Model, Objective> sos_model() {
   return {std::move(m), std::move(objective)};
 }
 
-TEST(RevisedSimplex, MatchesDenseOnBoundedSosModel) {
+TEST(RevisedSimplex, CertifiesBoundedSosModel) {
   const auto [m, objective] = sos_model();
-  const Solution r = solve_lp(m, objective, revised_options());
-  const Solution d = solve_lp(m, objective, dense_options());
+  CertificateCheck check;
+  const Solution r = certified_lp(m, objective, revised_options(), check);
   ASSERT_EQ(r.status, SolveStatus::Optimal);
-  ASSERT_EQ(d.status, SolveStatus::Optimal);
-  EXPECT_NEAR(r.objective, d.objective, 1e-7);
-  EXPECT_TRUE(m.is_feasible(r.values, 1e-6));
+  EXPECT_TRUE(check.ok) << check.error;
+  // Each group's mass starts on its dearest column (x1, x5: cost 5) and
+  // the budget 3 x0 + 2 x3 + 5 x4 <= 4 buys savings where they are
+  // cheapest: x3 = 1 (1.5 for 2), then x0 = 2/3 (1 per 3). 5 - 1.5 - 2/3.
+  EXPECT_NEAR(r.objective, 17.0 / 6.0, 1e-9);
 }
 
 TEST(RevisedSimplex, WarmStartedResolveMatchesColdSolve) {
@@ -66,7 +67,7 @@ TEST(RevisedSimplex, WarmStartedResolveMatchesColdSolve) {
   const SimplexOptions opt = revised_options();
 
   Basis basis;
-  const Solution root = solve_lp_revised(m, cols, objective, opt, {}, &basis);
+  const Solution root = RevisedSolver(m, cols, objective, opt).solve({}, &basis);
   ASSERT_EQ(root.status, SolveStatus::Optimal);
   ASSERT_TRUE(basis.fits(m.num_variables(), m.num_constraints()));
 
@@ -74,14 +75,22 @@ TEST(RevisedSimplex, WarmStartedResolveMatchesColdSolve) {
   for (const VarId branched : {VarId{0}, VarId{3}, VarId{4}}) {
     const BoundsOverride o{branched, 0.0, 0.0};
     Basis warm = basis;
-    const Solution re =
-        solve_lp_revised(m, cols, objective, opt, std::span(&o, 1), &warm);
+    RevisedSolver solver(m, cols, objective, opt);
+    const Solution re = solver.solve(std::span(&o, 1), &warm);
     const Solution cold =
-        solve_lp_revised(m, cols, objective, opt, std::span(&o, 1), nullptr);
+        RevisedSolver(m, cols, objective, opt).solve(std::span(&o, 1), nullptr);
     ASSERT_EQ(re.status, cold.status) << "var " << branched;
+    // The warm answer certifies on its own.
+    Certificate certificate;
+    Certificate::Leaf& leaf = certificate.leaves.emplace_back();
+    if (re.status == SolveStatus::Infeasible)
+      leaf.closed = Certificate::Closed::Infeasible;
+    solver.multipliers(leaf.duals);
+    const CertificateCheck check = check_lp_certificate(
+        m, objective, re, certificate, std::span(&o, 1));
+    EXPECT_TRUE(check.ok) << "var " << branched << ": " << check.error;
     if (re.status == SolveStatus::Optimal) {
       EXPECT_NEAR(re.objective, cold.objective, 1e-7) << "var " << branched;
-      EXPECT_TRUE(m.is_feasible(re.values, 1e-6));
       // The whole point of warm starting: the re-solve is nearly free.
       EXPECT_LE(re.iterations, cold.iterations + 2) << "var " << branched;
     }
@@ -97,7 +106,7 @@ TEST(RevisedSimplex, WarmStartFromGarbageBasisFallsBackToColdSolve) {
                         Basis::kAtLower);
   garbage.basic.assign(m.num_constraints(), 0); // duplicate, inconsistent
   const Solution s =
-      solve_lp_revised(m, cols, objective, revised_options(), {}, &garbage);
+      RevisedSolver(m, cols, objective, revised_options()).solve({}, &garbage);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
   const Solution cold = solve_lp(m, objective, revised_options());
   EXPECT_NEAR(s.objective, cold.objective, 1e-9);
@@ -119,14 +128,13 @@ TEST(RevisedSimplex, WarmStartAfterBoundRelaxationReoptimizes) {
 
   Basis basis;
   const BoundsOverride tight{x, 0.0, 0.25};
-  const Solution first = solve_lp_revised(
-      m, cols, objective, revised_options(), std::span(&tight, 1), &basis);
+  RevisedSolver solver(m, cols, objective, revised_options());
+  const Solution first = solver.solve(std::span(&tight, 1), &basis);
   ASSERT_EQ(first.status, SolveStatus::Optimal);
   EXPECT_NEAR(first.objective, 3.0 * 0.25 + 2.0, 1e-7);
 
   const BoundsOverride relaxed{x, 0.0, 4.0};
-  const Solution second = solve_lp_revised(
-      m, cols, objective, revised_options(), std::span(&relaxed, 1), &basis);
+  const Solution second = solver.solve(std::span(&relaxed, 1), &basis);
   ASSERT_EQ(second.status, SolveStatus::Optimal);
   EXPECT_NEAR(second.objective, 3.0 * 4.0 + 2.0, 1e-7);
 }
@@ -151,8 +159,8 @@ TEST(RevisedSimplex, FrequentRefactorizationDoesNotChangeTheAnswer) {
 TEST(RevisedSimplex, IllConditionedModelStaysAccurate) {
   // Coefficients spanning ten orders of magnitude with nearly parallel
   // rows: eta-file drift would show up as a wrong objective or an
-  // infeasible "solution". Compare against the dense core, which performs
-  // full-tableau elimination with fresh arithmetic every pivot.
+  // infeasible "solution". The certificate's duals, summed in long double
+  // over the model as given, must bound the objective the solver reports.
   Model m;
   const VarId x = m.add_continuous(0.0, 1e6);
   const VarId y = m.add_continuous(0.0, 1e6);
@@ -166,19 +174,18 @@ TEST(RevisedSimplex, IllConditionedModelStaysAccurate) {
 
   SimplexOptions opt = revised_options();
   opt.refactor_interval = 4; // stress the refactorization path too
-  const Solution r = solve_lp(m, objective, opt);
-  const Solution d = solve_lp(m, objective, dense_options());
+  CertificateCheck check;
+  const Solution r = certified_lp(m, objective, opt, check);
   ASSERT_EQ(r.status, SolveStatus::Optimal);
-  ASSERT_EQ(d.status, SolveStatus::Optimal);
-  EXPECT_TRUE(m.is_feasible(r.values, 1e-4));
-  EXPECT_NEAR(r.objective / d.objective, 1.0, 1e-6);
+  EXPECT_TRUE(check.ok) << check.error;
 }
 
-TEST(RevisedSimplex, RandomDifferentialAgainstDenseCore) {
+TEST(RevisedSimplex, RandomLpsCertify) {
   // Random LPs across senses, bound shapes, and both objective
-  // directions: the two cores must agree on status and optimum.
+  // directions: every answer, whatever its status, carries a certificate
+  // the checker accepts.
   Rng rng(17);
-  int optimal = 0;
+  int optimal = 0, infeasible = 0, unbounded = 0;
   for (int trial = 0; trial < 60; ++trial) {
     Model m;
     const int n = static_cast<int>(rng.next_int(1, 6));
@@ -221,21 +228,18 @@ TEST(RevisedSimplex, RandomDifferentialAgainstDenseCore) {
                                                  : Direction::Maximize,
                               std::move(obj));
 
-    const Solution r = solve_lp(m, objective, revised_options());
-    const Solution d = solve_lp(m, objective, dense_options());
-    ASSERT_EQ(r.status, d.status) << "trial " << trial;
-    if (r.status == SolveStatus::Optimal) {
-      ++optimal;
-      EXPECT_NEAR(r.objective, d.objective, 1e-6) << "trial " << trial;
-      EXPECT_TRUE(m.is_feasible(r.values, 1e-5)) << "trial " << trial;
-    }
+    CertificateCheck check;
+    const Solution r = certified_lp(m, objective, revised_options(), check);
+    EXPECT_TRUE(check.ok) << "trial " << trial << " ("
+                          << to_string(r.status) << "): " << check.error;
+    optimal += r.status == SolveStatus::Optimal;
+    infeasible += r.status == SolveStatus::Infeasible;
+    unbounded += r.status == SolveStatus::Unbounded;
   }
-  EXPECT_GT(optimal, 10); // the grid must actually exercise the solvers
-}
-
-TEST(RevisedSimplex, LpCoreDefaultRoundTrips) {
-  EXPECT_STREQ(to_string(LpCore::Revised), "revised");
-  EXPECT_STREQ(to_string(LpCore::Dense), "dense");
+  // The grid must exercise every kind of certificate.
+  EXPECT_GT(optimal, 10);
+  EXPECT_GT(infeasible, 5);
+  EXPECT_GT(unbounded, 2);
 }
 
 } // namespace

@@ -1,12 +1,28 @@
+// The LP entry point: every answer these tests read is certified, so each
+// one also runs the independent checker on its duals, Farkas ray, or
+// unbounded point and ray.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "ilp/certificate.hpp"
 #include "ilp/simplex.hpp"
 #include "support/rng.hpp"
 
 namespace luis::ilp {
 namespace {
+
+/// solve_lp with a certificate that check_lp_certificate must accept.
+Solution certified_lp(const Model& m, const Objective& objective,
+                      const SimplexOptions& options = {},
+                      std::span<const BoundsOverride> overrides = {}) {
+  Certificate certificate;
+  const Solution s = solve_lp(m, objective, options, overrides, &certificate);
+  const CertificateCheck check =
+      check_lp_certificate(m, objective, s, certificate, overrides);
+  EXPECT_TRUE(check.ok) << to_string(s.status) << ": " << check.error;
+  return s;
+}
 
 TEST(Simplex, TextbookTwoVariableMax) {
   // max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18  -> (2, 6), obj 36.
@@ -19,7 +35,7 @@ TEST(Simplex, TextbookTwoVariableMax) {
   const Objective objective(Direction::Maximize,
                             LinearExpr().add(x, 3).add(y, 5));
 
-  const Solution s = solve_lp(m, objective);
+  const Solution s = certified_lp(m, objective);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
   EXPECT_NEAR(s.objective, 36.0, 1e-6);
   EXPECT_NEAR(s.value(x), 2.0, 1e-6);
@@ -35,7 +51,7 @@ TEST(Simplex, MinimizationWithGeConstraints) {
   const Objective objective(Direction::Minimize,
                             LinearExpr().add(x, 2).add(y, 3));
 
-  const Solution s = solve_lp(m, objective);
+  const Solution s = certified_lp(m, objective);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
   EXPECT_NEAR(s.objective, 23.0, 1e-6);
   EXPECT_NEAR(s.value(x), 7.0, 1e-6);
@@ -53,7 +69,7 @@ TEST(Simplex, EqualityConstraints) {
   const Objective objective(Direction::Minimize,
                             LinearExpr().add(x, 1).add(y, 2).add(z, 3));
 
-  const Solution s = solve_lp(m, objective);
+  const Solution s = certified_lp(m, objective);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
   // x - y = 1 and x + y = 6 - z; cost favours small z ... z=1, x=3, y=2.
   EXPECT_NEAR(s.value(z), 1.0, 1e-6);
@@ -68,7 +84,7 @@ TEST(Simplex, DetectsInfeasible) {
   m.add_le(LinearExpr().add(x, 1), 1);
   m.add_ge(LinearExpr().add(x, 1), 2);
   const Objective objective(Direction::Minimize, LinearExpr().add(x, 1));
-  EXPECT_EQ(solve_lp(m, objective).status, SolveStatus::Infeasible);
+  EXPECT_EQ(certified_lp(m, objective).status, SolveStatus::Infeasible);
 }
 
 TEST(Simplex, DetectsUnbounded) {
@@ -76,14 +92,14 @@ TEST(Simplex, DetectsUnbounded) {
   const VarId x = m.add_continuous();
   m.add_ge(LinearExpr().add(x, 1), 1);
   const Objective objective(Direction::Maximize, LinearExpr().add(x, 1));
-  EXPECT_EQ(solve_lp(m, objective).status, SolveStatus::Unbounded);
+  EXPECT_EQ(certified_lp(m, objective).status, SolveStatus::Unbounded);
 }
 
 TEST(Simplex, RespectsVariableUpperBounds) {
   Model m;
   const VarId x = m.add_continuous(0.0, 3.5);
   const Objective objective(Direction::Maximize, LinearExpr().add(x, 1));
-  const Solution s = solve_lp(m, objective);
+  const Solution s = certified_lp(m, objective);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
   EXPECT_NEAR(s.value(x), 3.5, 1e-6);
 }
@@ -96,7 +112,7 @@ TEST(Simplex, NegativeLowerBounds) {
   m.add_ge(LinearExpr().add(y, 1).add(x, -1), 2);
   const Objective objective(Direction::Minimize,
                             LinearExpr().add(x, 1).add(y, 1));
-  const Solution s = solve_lp(m, objective);
+  const Solution s = certified_lp(m, objective);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
   EXPECT_NEAR(s.value(x), -5.0, 1e-6);
   EXPECT_NEAR(s.value(y), -3.0, 1e-6);
@@ -111,7 +127,7 @@ TEST(Simplex, FreeVariableSplit) {
   m.add_ge(LinearExpr().add(y, 1).add(x, -1), -3);
   m.add_ge(LinearExpr().add(y, 1).add(x, 1), 3);
   const Objective objective(Direction::Minimize, LinearExpr().add(y, 1));
-  const Solution s = solve_lp(m, objective);
+  const Solution s = certified_lp(m, objective);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
   EXPECT_NEAR(s.objective, 0.0, 1e-6);
   EXPECT_NEAR(s.value(x), 3.0, 1e-6);
@@ -123,7 +139,7 @@ TEST(Simplex, FixedVariablesAreSubstituted) {
   const VarId y = m.add_continuous();
   m.add_le(LinearExpr().add(x, 1).add(y, 1), 10);
   const Objective objective(Direction::Maximize, LinearExpr().add(y, 1));
-  const Solution s = solve_lp(m, objective);
+  const Solution s = certified_lp(m, objective);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
   EXPECT_NEAR(s.value(x), 2.0, 1e-12);
   EXPECT_NEAR(s.value(y), 8.0, 1e-6);
@@ -134,7 +150,7 @@ TEST(Simplex, BoundsOverridesApply) {
   const VarId x = m.add_continuous(0.0, 10.0);
   const Objective objective(Direction::Maximize, LinearExpr().add(x, 1));
   const BoundsOverride o{x, 0.0, 4.0};
-  const Solution s = solve_lp(m, objective, {}, std::span(&o, 1));
+  const Solution s = certified_lp(m, objective, {}, std::span(&o, 1));
   ASSERT_EQ(s.status, SolveStatus::Optimal);
   EXPECT_NEAR(s.value(x), 4.0, 1e-6);
 }
@@ -144,7 +160,7 @@ TEST(Simplex, CrossedOverrideBoundsAreInfeasible) {
   const VarId x = m.add_continuous(0.0, 10.0);
   const Objective objective(Direction::Minimize, LinearExpr().add(x, 1));
   const BoundsOverride o{x, 5.0, 3.0};
-  EXPECT_EQ(solve_lp(m, objective, {}, std::span(&o, 1)).status,
+  EXPECT_EQ(certified_lp(m, objective, {}, std::span(&o, 1)).status,
             SolveStatus::Infeasible);
 }
 
@@ -158,7 +174,7 @@ TEST(Simplex, DegenerateProblemTerminates) {
   m.add_le(LinearExpr().add(x, 1), 10);
   const Objective objective(Direction::Maximize,
                             LinearExpr().add(x, 2).add(y, 1));
-  const Solution s = solve_lp(m, objective);
+  const Solution s = certified_lp(m, objective);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
   EXPECT_NEAR(s.objective, 20.0, 1e-5);
 }
@@ -168,7 +184,7 @@ TEST(Simplex, ObjectiveConstantIsIncluded) {
   const VarId x = m.add_continuous(0.0, 1.0);
   const Objective objective(Direction::Maximize,
                             LinearExpr().add(x, 2).add_constant(5));
-  const Solution s = solve_lp(m, objective);
+  const Solution s = certified_lp(m, objective);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
   EXPECT_NEAR(s.objective, 7.0, 1e-6);
 }
@@ -197,9 +213,8 @@ TEST(Simplex, SolutionIsModelFeasible) {
       obj.add(xs[static_cast<std::size_t>(j)], rng.next_double(-1, 1));
     const Objective objective(Direction::Maximize, std::move(obj));
 
-    const Solution s = solve_lp(m, objective);
+    const Solution s = certified_lp(m, objective);
     ASSERT_EQ(s.status, SolveStatus::Optimal) << "trial " << trial;
-    EXPECT_TRUE(m.is_feasible(s.values, 1e-5)) << "trial " << trial;
     // x = 1 is feasible, so the max must be at least the objective there.
     std::vector<double> ones(static_cast<std::size_t>(n), 1.0);
     EXPECT_GE(s.objective, objective.value(ones) - 1e-6);
@@ -207,70 +222,55 @@ TEST(Simplex, SolutionIsModelFeasible) {
 }
 
 // Beale's classic cycling example: Dantzig pricing with a naive tie-break
-// cycles forever on this LP. Both cores must terminate (via Bland's rule
-// anti-cycling) at the optimum -0.05.
-TEST(Simplex, BealeCyclingExampleTerminatesInBothCores) {
-  for (const LpCore core : {LpCore::Dense, LpCore::Revised}) {
-    Model m;
-    const VarId x4 = m.add_continuous();
-    const VarId x5 = m.add_continuous();
-    const VarId x6 = m.add_continuous();
-    const VarId x7 = m.add_continuous();
-    m.add_le(LinearExpr().add(x4, 0.25).add(x5, -60.0).add(x6, -0.04).add(x7, 9.0), 0.0);
-    m.add_le(LinearExpr().add(x4, 0.5).add(x5, -90.0).add(x6, -0.02).add(x7, 3.0), 0.0);
-    m.add_le(LinearExpr().add(x6, 1.0), 1.0);
-    const Objective objective(Direction::Minimize, LinearExpr()
-                                                       .add(x4, -0.75)
-                                                       .add(x5, 150.0)
-                                                       .add(x6, -0.02)
-                                                       .add(x7, 6.0));
-    SimplexOptions opt;
-    opt.core = core;
-    const Solution s = solve_lp(m, objective, opt);
-    ASSERT_EQ(s.status, SolveStatus::Optimal) << to_string(core);
-    EXPECT_NEAR(s.objective, -0.05, 1e-9) << to_string(core);
-  }
+// cycles forever on this LP. The simplex must terminate (via Bland's rule
+// anti-cycling) at the optimum -0.05, with duals that certify it.
+TEST(Simplex, BealeCyclingExampleTerminatesCertified) {
+  Model m;
+  const VarId x4 = m.add_continuous();
+  const VarId x5 = m.add_continuous();
+  const VarId x6 = m.add_continuous();
+  const VarId x7 = m.add_continuous();
+  m.add_le(LinearExpr().add(x4, 0.25).add(x5, -60.0).add(x6, -0.04).add(x7, 9.0), 0.0);
+  m.add_le(LinearExpr().add(x4, 0.5).add(x5, -90.0).add(x6, -0.02).add(x7, 3.0), 0.0);
+  m.add_le(LinearExpr().add(x6, 1.0), 1.0);
+  const Objective objective(Direction::Minimize, LinearExpr()
+                                                     .add(x4, -0.75)
+                                                     .add(x5, 150.0)
+                                                     .add(x6, -0.02)
+                                                     .add(x7, 6.0));
+  const Solution s = certified_lp(m, objective);
+  ASSERT_EQ(s.status, SolveStatus::Optimal);
+  EXPECT_NEAR(s.objective, -0.05, 1e-9);
 }
 
-// Redundant (linearly dependent) equality rows leave a phase-1 artificial
-// stuck in the basis at zero. The row must be neutralized, not left live
-// where a phase-2 pivot could resurrect the artificial and corrupt the
-// solution.
+// Redundant (linearly dependent) equality rows keep a slack basic at zero
+// after phase 1. No phase-2 pivot may move it off zero and so break the
+// equality it stands for.
 TEST(Simplex, RedundantEqualityRowsAreHandled) {
-  for (const LpCore core : {LpCore::Dense, LpCore::Revised}) {
-    Model m;
-    const VarId x = m.add_continuous();
-    const VarId y = m.add_continuous();
-    m.add_eq(LinearExpr().add(x, 1.0).add(y, 1.0), 4.0);
-    m.add_eq(LinearExpr().add(x, 2.0).add(y, 2.0), 8.0); // 2x the first row
-    m.add_eq(LinearExpr().add(x, 1.0).add(y, 1.0), 4.0); // exact duplicate
-    m.add_le(LinearExpr().add(x, 1.0), 3.0);
-    const Objective objective(Direction::Maximize,
-                              LinearExpr().add(x, 2.0).add(y, 1.0));
-    SimplexOptions opt;
-    opt.core = core;
-    const Solution s = solve_lp(m, objective, opt);
-    ASSERT_EQ(s.status, SolveStatus::Optimal) << to_string(core);
-    EXPECT_NEAR(s.objective, 2.0 * 3.0 + 1.0, 1e-7) << to_string(core);
-    EXPECT_TRUE(m.is_feasible(s.values, 1e-6)) << to_string(core);
-  }
+  Model m;
+  const VarId x = m.add_continuous();
+  const VarId y = m.add_continuous();
+  m.add_eq(LinearExpr().add(x, 1.0).add(y, 1.0), 4.0);
+  m.add_eq(LinearExpr().add(x, 2.0).add(y, 2.0), 8.0); // 2x the first row
+  m.add_eq(LinearExpr().add(x, 1.0).add(y, 1.0), 4.0); // exact duplicate
+  m.add_le(LinearExpr().add(x, 1.0), 3.0);
+  const Objective objective(Direction::Maximize,
+                            LinearExpr().add(x, 2.0).add(y, 1.0));
+  const Solution s = certified_lp(m, objective);
+  ASSERT_EQ(s.status, SolveStatus::Optimal);
+  EXPECT_NEAR(s.objective, 2.0 * 3.0 + 1.0, 1e-7);
 }
 
 // Redundant rows whose right-hand sides contradict each other must still
 // be reported infeasible, not silently dropped.
 TEST(Simplex, InconsistentRedundantRowsAreInfeasible) {
-  for (const LpCore core : {LpCore::Dense, LpCore::Revised}) {
-    Model m;
-    const VarId x = m.add_continuous();
-    const VarId y = m.add_continuous();
-    m.add_eq(LinearExpr().add(x, 1.0).add(y, 1.0), 4.0);
-    m.add_eq(LinearExpr().add(x, 2.0).add(y, 2.0), 9.0); // contradicts 2x row 0
-    const Objective objective(Direction::Minimize, LinearExpr().add(x, 1.0));
-    SimplexOptions opt;
-    opt.core = core;
-    EXPECT_EQ(solve_lp(m, objective, opt).status, SolveStatus::Infeasible)
-        << to_string(core);
-  }
+  Model m;
+  const VarId x = m.add_continuous();
+  const VarId y = m.add_continuous();
+  m.add_eq(LinearExpr().add(x, 1.0).add(y, 1.0), 4.0);
+  m.add_eq(LinearExpr().add(x, 2.0).add(y, 2.0), 9.0); // contradicts 2x row 0
+  const Objective objective(Direction::Minimize, LinearExpr().add(x, 1.0));
+  EXPECT_EQ(certified_lp(m, objective).status, SolveStatus::Infeasible);
 }
 
 } // namespace

@@ -12,7 +12,9 @@
 #include <vector>
 
 #include "core/assignment_io.hpp"
+#include "core/ilp_allocator.hpp"
 #include "core/sweep.hpp"
+#include "ilp/certificate.hpp"
 #include "interp/engine.hpp"
 #include "ir/parser.hpp"
 #include "ir/printer.hpp"
@@ -369,6 +371,65 @@ TEST(Sweep, StageTotalsReconcileWithTrace) {
   EXPECT_EQ(spans.count("polybench.profile"), 0);
   EXPECT_NEAR(execute_hist.snapshot().sum - hist_before,
               spans({"vm.execute"}), 1e-9);
+}
+
+// Every ILP solve of the default grid (30 kernels x Stm32, Raspberry,
+// Intel, AMD x Precise, Balanced, Fast; merged model, 3000 nodes) carries
+// a certificate the independent checker accepts, and solves to the
+// sweep's objective bit for bit. Each kernel is prepared like the
+// standalone pipeline above: built, printed, re-parsed, range-analyzed;
+// each job prices its structure and solves it with a certificate.
+TEST(Sweep, EveryGridSolveCertifies) {
+  SweepOptions grid;
+  grid.include_taffo = false;
+  grid.check_determinism = false;
+  const SweepResult swept = run_sweep(grid);
+  std::map<std::string, std::uint64_t> sweep_bits; // by kernel/config/platform
+  for (const SweepJobResult& job : swept.jobs)
+    sweep_bits[job.kernel + "/" + job.config + "/" + job.platform] =
+        std::bit_cast<std::uint64_t>(job.stats.objective);
+
+  std::size_t certified = 0, max_rows = 0;
+  long max_nodes = 0;
+  for (const std::string& kernel : polybench::kernel_names()) {
+    ir::Module built_module;
+    const polybench::BuiltKernel built =
+        polybench::build_kernel(kernel, built_module);
+    ir::Module module;
+    const ir::ParseResult parsed =
+        ir::parse_function(module, ir::print_function(*built.function));
+    ASSERT_TRUE(parsed.ok()) << parsed.error;
+    const vra::RangeMap ranges = vra::analyze_ranges(*parsed.function);
+    for (const char* config_name : {"Precise", "Balanced", "Fast"}) {
+      TuningConfig config = *preset_by_name(config_name);
+      config.solver.max_nodes = grid.solver_max_nodes;
+      const IlpStructure structure =
+          build_ilp_structure(*parsed.function, ranges, config);
+      for (const char* platform : {"Stm32", "Raspberry", "Intel", "AMD"}) {
+        const std::string cell = kernel + "/" + config_name + "/" + platform;
+        SCOPED_TRACE(cell);
+        const ilp::Objective objective = price_objective(
+            structure, *platform::platform_by_name(platform), config);
+        ilp::Certificate certificate;
+        const ilp::Solution s = ilp::solve_milp(structure.model, objective,
+                                                config.solver, &certificate);
+        ASSERT_EQ(s.status, ilp::SolveStatus::Optimal);
+        const ilp::CertificateCheck check = ilp::check_certificate(
+            structure.model, objective, s, certificate, config.solver);
+        EXPECT_TRUE(check.ok) << check.error;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(s.objective),
+                  sweep_bits.at(cell));
+        max_rows = std::max(max_rows, structure.model.num_constraints());
+        max_nodes = std::max(max_nodes, s.nodes);
+        ++certified;
+      }
+    }
+  }
+  EXPECT_EQ(certified, 360u);
+  EXPECT_EQ(sweep_bits.size(), 360u);
+  // The grid's size as the solver sees it.
+  EXPECT_LE(max_nodes, 7);
+  EXPECT_LE(max_rows, 313u);
 }
 
 TEST(Sweep, SharedKernelAnalysisMatchesStandaloneTune) {

@@ -39,7 +39,7 @@ TEST(EnumerationOracle, FindsAKnownOptimum) {
   ASSERT_TRUE(r.feasible);
   EXPECT_EQ(r.objective, 5.0); // x = 2, y = 1
   EXPECT_EQ(r.points, 9);      // the full 3 x 3 box was visited
-  EXPECT_TRUE(p.model.is_feasible(r.values));
+  EXPECT_EQ(r.values, (std::vector<double>{2.0, 1.0}));
 }
 
 TEST(EnumerationOracle, ProvesInfeasibility) {
@@ -65,8 +65,8 @@ TEST(IlpGenerator, KeepsTheEnumerableInvariants) {
 }
 
 // Acceptance bar: a large random campaign in the smoke suite, with every
-// instance agreeing across all four oracles (enumeration, LP-text round
-// trip, cache hit vs fresh solve, dense vs revised LP core).
+// instance passing all four oracles (enumeration, LP-text round trip,
+// cache hit vs fresh solve, the certificate check).
 TEST(IlpOracles, TenThousandInstancesAgreeAcrossAllFourOracles) {
   for (long trial = 0; trial < 10000; ++trial) {
     Rng rng(derive_seed(0xACCE5501, static_cast<std::uint64_t>(trial)));
@@ -103,10 +103,11 @@ TEST(IlpShrinker, IsGreedyMinimalUnderAStructuralPredicate) {
 /// enumeration oracle.
 ilp::Solution lying_node_starved_solver(const ilp::Model& m,
                                         const ilp::Objective& objective,
-                                        const ilp::BranchAndBoundOptions& o) {
+                                        const ilp::BranchAndBoundOptions& o,
+                                        ilp::Certificate* certificate) {
   ilp::BranchAndBoundOptions starved = o;
   starved.max_nodes = 1;
-  ilp::Solution s = ilp::solve_milp(m, objective, starved);
+  ilp::Solution s = ilp::solve_milp(m, objective, starved, certificate);
   if (s.status == ilp::SolveStatus::NodeLimit)
     s.status = ilp::SolveStatus::Optimal;
   return s;
@@ -143,6 +144,40 @@ TEST(IlpShrinker, ReducesAnInjectedBranchAndBoundBugToAtMostFiveVariables) {
   // passes every oracle on it.
   EXPECT_TRUE(check_ilp_instance(shrunk).ok)
       << ilp::to_lp_format(shrunk.model, shrunk.objective);
+}
+
+// The certificate alone catches the same lie: on a model whose root LP is
+// fractional the starved search ends with no incumbent, and even handed
+// the true optimum, its one solved node leaves the root box uncovered.
+TEST(IlpShrinker, CertificateAloneCatchesTheNodeStarvedSolver) {
+  IlpInstance p; // max x + y s.t. 2x + 2y <= 7: the root LP reads 3.5
+  const ilp::VarId x = p.model.add_integer(0, 3);
+  const ilp::VarId y = p.model.add_integer(0, 3);
+  p.model.add_le(ilp::LinearExpr().add(x, 2.0).add(y, 2.0), 7.0);
+  p.objective = ilp::Objective(ilp::Direction::Maximize,
+                               ilp::LinearExpr().add(x, 1.0).add(y, 1.0));
+  ilp::Certificate honest_certificate;
+  const ilp::Solution honest =
+      ilp::solve_milp(p.model, p.objective, {}, &honest_certificate);
+  ASSERT_GT(honest.nodes, 1); // the instance needs branching
+  EXPECT_TRUE(ilp::check_certificate(p.model, p.objective, honest,
+                                     honest_certificate)
+                  .ok);
+
+  ilp::Certificate certificate;
+  const ilp::Solution lie =
+      lying_node_starved_solver(p.model, p.objective, {}, &certificate);
+  ASSERT_EQ(lie.status, ilp::SolveStatus::Optimal);
+  EXPECT_FALSE(
+      ilp::check_certificate(p.model, p.objective, lie, certificate).ok);
+  ilp::Solution forged = lie;
+  forged.values = honest.values;
+  forged.objective = honest.objective;
+  const ilp::CertificateCheck check =
+      ilp::check_certificate(p.model, p.objective, forged, certificate);
+  EXPECT_FALSE(check.ok);
+  EXPECT_NE(check.error.find("no leaf covers"), std::string::npos)
+      << check.error;
 }
 
 TEST(IrGenerator, SatisfiesTheIrPropertySet) {
