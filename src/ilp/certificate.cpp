@@ -77,13 +77,12 @@ void add_min(Sum& sum, Real d, Real scale, double lo, double hi) {
     sum.value = -std::numeric_limits<Real>::infinity();
 }
 
-/// One answer's check: the model, its minimization-form costs, the root
-/// box and whether integrality is claimed.
+/// One answer's check: the model, its minimization-form costs and the
+/// root box.
 struct Check {
   const Model& m;
   std::vector<Real> cost;
   Box root;
-  bool integer;
 
   /// L(y) over `box`, slacks included; with `farkas`, for c = 0.
   Sum lagrangian(const std::vector<double>& y, const Box& box, bool farkas) const {
@@ -114,15 +113,16 @@ struct Check {
   }
 
   /// Empty when `x` lies in the root box, meets every row within kFeasTol
-  /// and is integral where claimed; otherwise what it violates.
-  std::string violation(const std::vector<double>& x) const {
+  /// and, when `integral`, is integral where the model says; otherwise what
+  /// it violates.
+  std::string violation(const std::vector<double>& x, bool integral) const {
     if (x.size() != cost.size()) return "a point of the wrong size";
     for (std::size_t j = 0; j < x.size(); ++j) {
       const double tol = kFeasTol * std::max(1.0, std::abs(x[j]));
       if (!(x[j] >= root.lo[j] - tol && x[j] <= root.hi[j] + tol))
         return format_string("x%zu = %.17g lies outside [%.17g, %.17g]", j, x[j],
                              root.lo[j], root.hi[j]);
-      if (integer && m.variables()[j].kind != VarKind::Continuous &&
+      if (integral && m.variables()[j].kind != VarKind::Continuous &&
           std::abs(x[j] - std::round(x[j])) > kFeasTol)
         return format_string("integer x%zu = %.17g is fractional", j, x[j]);
     }
@@ -138,9 +138,11 @@ struct Check {
     return {};
   }
 
-  /// Checks a feasible point and an improving ray of the root box.
+  /// Checks a feasible point and an improving ray of the root box's
+  /// relaxation: a MILP whose relaxation is unbounded is unbounded or
+  /// infeasible, and its point need not be integral.
   CertificateCheck unbounded(const Certificate& c) const {
-    if (std::string v = violation(c.point); !v.empty())
+    if (std::string v = violation(c.point, false); !v.empty())
       return fail("the unbounded answer's point: " + v);
     const std::vector<double>& ray = c.ray;
     Real norm = 0;
@@ -244,7 +246,7 @@ CertificateCheck check(const Model& m, const Objective& objective,
                        const Solution& answer, const Certificate& c,
                        std::span<const BoundsOverride> overrides, bool integer,
                        double abs_slack, double rel_slack) {
-  Check check{m, std::vector<Real>(m.num_variables(), 0), {}, integer};
+  Check check{m, std::vector<Real>(m.num_variables(), 0), {}};
   for (const Variable& v : m.variables()) {
     check.root.lo.push_back(v.lower);
     check.root.hi.push_back(v.upper);
@@ -261,7 +263,7 @@ CertificateCheck check(const Model& m, const Objective& objective,
   // The answer's point, and the bound every leaf must reach.
   Real threshold = std::numeric_limits<Real>::infinity();
   if (answer.status == SolveStatus::Optimal || !answer.values.empty()) {
-    if (std::string v = check.violation(answer.values); !v.empty())
+    if (std::string v = check.violation(answer.values, integer); !v.empty())
       return fail("the answer's point: " + v);
     Sum value;
     for (const auto& [var, coeff] : objective.expr.terms())
@@ -282,6 +284,12 @@ CertificateCheck check(const Model& m, const Objective& objective,
   if (answer.status != SolveStatus::Optimal &&
       answer.status != SolveStatus::Infeasible)
     return {};
+  // An LP is one leaf over its whole box: a split at x <= k | x >= k + 1
+  // would leave out the relaxation's points in between.
+  if (!integer)
+    return c.leaves.size() == 1 && c.leaves[0].box.empty()
+               ? CertificateCheck{}
+               : fail("an LP answer needs one leaf, with no branchings");
   if (c.leaves.empty()) return fail("no leaf covers the root box");
   std::vector<std::size_t> all(c.leaves.size());
   std::iota(all.begin(), all.end(), std::size_t{0});

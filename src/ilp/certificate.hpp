@@ -36,8 +36,8 @@ struct Certificate {
     std::vector<double> duals;
   };
   std::vector<Leaf> leaves;
-  /// An Unbounded answer: a feasible point and an improving ray, one entry
-  /// per variable.
+  /// An Unbounded answer: a point and an improving ray of the relaxation,
+  /// one entry per variable (a MILP's point need not be integral).
   std::vector<double> point, ray;
 };
 

@@ -144,7 +144,6 @@ public:
   /// Duplicate terms are already combined by add_constraint's normalize.
   SparseColumns sparse_columns() const;
 
-
 private:
   std::vector<Variable> variables_;
   std::vector<Constraint> constraints_;

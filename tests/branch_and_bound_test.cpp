@@ -624,7 +624,8 @@ TEST(SolverCache, BasisPoolRoundTrips) {
 TEST(BranchAndBound, SharedBasisAcrossPresetsKeepsAnswersExact) {
   // Same model, different objectives — the second solve warm starts
   // from the first's root basis and must land on the same optimum as a
-  // solve without any cache.
+  // solve without any cache. A certified solve skips only the result
+  // cache, so it still reads and writes the basis pool.
   Model m;
   LinearExpr wsum;
   std::vector<VarId> xs;
@@ -646,11 +647,28 @@ TEST(BranchAndBound, SharedBasisAcrossPresetsKeepsAnswersExact) {
   shared.share_basis = true;
   for (const auto& [w0, w1] : {std::pair{3.0, 5.0}, {4.0, 2.0}, {1.0, 9.0}}) {
     const Objective objective = preset(w0, w1);
-    const Solution s = solve_milp(m, objective, shared);
+    const Solution s = certified(m, objective, shared);
     const Solution plain = solve_milp(m, objective);
     ASSERT_EQ(s.status, SolveStatus::Optimal);
     EXPECT_NEAR(s.objective, plain.objective, 1e-6);
   }
+}
+
+// An unbounded root relaxation makes the MILP unbounded or infeasible, and
+// the answer certifies just that: its point is the relaxation's. Here
+// 2x - 2y = 1 holds at no integer point, so the point must be fractional.
+TEST(BranchAndBound, UnboundedRelaxationCertifies) {
+  Model m;
+  const VarId x = m.add_integer(0, kInfinity);
+  const VarId y = m.add_integer(0, kInfinity);
+  m.add_eq(LinearExpr().add(x, 2).add(y, -2), 1);
+  const Objective objective(Direction::Maximize, LinearExpr().add(x, 1));
+  Certificate certificate;
+  const Solution s = certified(m, objective, {}, &certificate);
+  ASSERT_EQ(s.status, SolveStatus::Unbounded);
+  ASSERT_EQ(certificate.point.size(), 2u);
+  EXPECT_NEAR(certificate.point[0] - certificate.point[1], 0.5, 1e-9);
+  EXPECT_GT(certificate.ray[0], 0.0);
 }
 
 // One model, many objectives: the sweep solves every job of a kernel over

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "ilp/branch_and_bound.hpp"
@@ -184,6 +185,33 @@ TEST(Certificate, RejectsFarkasRaysAndUnboundedRaysThatProveNothing) {
   Certificate bounded = u;
   bounded.ray[static_cast<std::size_t>(a)] = 1.0; // a has an upper bound
   EXPECT_FALSE(check_lp_certificate(open, max_b, su, bounded).ok);
+}
+
+// An LP is one leaf over its whole box. min -x s.t. 2x <= 1, x in [0, 1]
+// has its LP optimum -0.5 at x = 1/2; leaves x = 0 (bound 0) and x = 1
+// (empty) prove the integer optimum 0 but skip the points in between.
+TEST(Certificate, RejectsAnLpAnswerSplitIntoLeaves) {
+  Model m;
+  const VarId x = m.add_integer(0, 1);
+  m.add_le(LinearExpr().add(x, 2), 1);
+  const Objective min_neg_x(Direction::Minimize, LinearExpr().add(x, -1));
+  Solution zero;
+  zero.status = SolveStatus::Optimal;
+  zero.values = {0.0};
+  Certificate split;
+  split.leaves.push_back({{{x, 0.0, 0.0}}, Certificate::Closed::Pruned, {0.0}});
+  split.leaves.push_back(
+      {{{x, 1.0, 1.0}}, Certificate::Closed::Infeasible, {-1.0}});
+  EXPECT_TRUE(check_certificate(m, min_neg_x, zero, split).ok);
+  const CertificateCheck lp = check_lp_certificate(m, min_neg_x, zero, split);
+  EXPECT_FALSE(lp.ok);
+  EXPECT_NE(lp.error.find("one leaf"), std::string::npos) << lp.error;
+
+  Certificate c;
+  const Solution s = solve_lp(m, min_neg_x, {}, {}, &c);
+  ASSERT_EQ(s.status, SolveStatus::Optimal);
+  EXPECT_NEAR(s.objective, -0.5, 1e-12);
+  EXPECT_TRUE(check_lp_certificate(m, min_neg_x, s, c).ok);
 }
 
 TEST(Certificate, WarmDualSimplexAndCrossedBoundsCertifyInfeasibility) {

@@ -15,8 +15,6 @@
 namespace luis::ilp {
 namespace {
 
-SimplexOptions revised_options() { return {}; }
-
 /// solve_lp with a certificate; the checker's verdict goes to `check`.
 Solution certified_lp(const Model& m, const Objective& objective,
                       const SimplexOptions& options, CertificateCheck& check) {
@@ -52,7 +50,7 @@ std::pair<Model, Objective> sos_model() {
 TEST(RevisedSimplex, CertifiesBoundedSosModel) {
   const auto [m, objective] = sos_model();
   CertificateCheck check;
-  const Solution r = certified_lp(m, objective, revised_options(), check);
+  const Solution r = certified_lp(m, objective, {}, check);
   ASSERT_EQ(r.status, SolveStatus::Optimal);
   EXPECT_TRUE(check.ok) << check.error;
   // Each group's mass starts on its dearest column (x1, x5: cost 5) and
@@ -64,7 +62,7 @@ TEST(RevisedSimplex, CertifiesBoundedSosModel) {
 TEST(RevisedSimplex, WarmStartedResolveMatchesColdSolve) {
   const auto [m, objective] = sos_model();
   const SparseColumns cols = m.sparse_columns();
-  const SimplexOptions opt = revised_options();
+  const SimplexOptions opt;
 
   Basis basis;
   const Solution root = RevisedSolver(m, cols, objective, opt).solve({}, &basis);
@@ -106,9 +104,9 @@ TEST(RevisedSimplex, WarmStartFromGarbageBasisFallsBackToColdSolve) {
                         Basis::kAtLower);
   garbage.basic.assign(m.num_constraints(), 0); // duplicate, inconsistent
   const Solution s =
-      RevisedSolver(m, cols, objective, revised_options()).solve({}, &garbage);
+      RevisedSolver(m, cols, objective, {}).solve({}, &garbage);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
-  const Solution cold = solve_lp(m, objective, revised_options());
+  const Solution cold = solve_lp(m, objective);
   EXPECT_NEAR(s.objective, cold.objective, 1e-9);
   // The rejected basis was replaced by the final (valid) one.
   EXPECT_TRUE(garbage.fits(m.num_variables(), m.num_constraints()));
@@ -128,7 +126,7 @@ TEST(RevisedSimplex, WarmStartAfterBoundRelaxationReoptimizes) {
 
   Basis basis;
   const BoundsOverride tight{x, 0.0, 0.25};
-  RevisedSolver solver(m, cols, objective, revised_options());
+  RevisedSolver solver(m, cols, objective, {});
   const Solution first = solver.solve(std::span(&tight, 1), &basis);
   ASSERT_EQ(first.status, SolveStatus::Optimal);
   EXPECT_NEAR(first.objective, 3.0 * 0.25 + 2.0, 1e-7);
@@ -144,9 +142,9 @@ TEST(RevisedSimplex, FrequentRefactorizationDoesNotChangeTheAnswer) {
   // must match the long-eta-file run bit-for-bit in status and closely in
   // objective.
   const auto [m, objective] = sos_model();
-  SimplexOptions every_pivot = revised_options();
+  SimplexOptions every_pivot;
   every_pivot.refactor_interval = 1;
-  SimplexOptions rare = revised_options();
+  SimplexOptions rare;
   rare.refactor_interval = 1 << 20;
 
   const Solution a = solve_lp(m, objective, every_pivot);
@@ -172,7 +170,7 @@ TEST(RevisedSimplex, IllConditionedModelStaysAccurate) {
   const Objective objective(Direction::Maximize,
                             LinearExpr().add(x, 1.0).add(y, 1e-3).add(z, 10.0));
 
-  SimplexOptions opt = revised_options();
+  SimplexOptions opt;
   opt.refactor_interval = 4; // stress the refactorization path too
   CertificateCheck check;
   const Solution r = certified_lp(m, objective, opt, check);
@@ -229,7 +227,7 @@ TEST(RevisedSimplex, RandomLpsCertify) {
                               std::move(obj));
 
     CertificateCheck check;
-    const Solution r = certified_lp(m, objective, revised_options(), check);
+    const Solution r = certified_lp(m, objective, {}, check);
     EXPECT_TRUE(check.ok) << "trial " << trial << " ("
                           << to_string(r.status) << "): " << check.error;
     optimal += r.status == SolveStatus::Optimal;
