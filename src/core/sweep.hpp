@@ -19,8 +19,8 @@
 // materialization, no lint): allocate_ilp only reads its structure, and
 // allocate_greedy, assignment_to_text and the engines take a const
 // Function. The only mutable shared state is the solver result cache,
-// internally locked; by construction of its keys it cannot change what any
-// job computes (see ilp/solver_cache.hpp).
+// internally locked; its keys are exact bytes, so it cannot change what
+// any job computes (see ilp/solver_cache.hpp).
 //
 // Determinism. Job results are written into a preallocated slot vector in
 // a fixed (kernel-major) order, so the output is identical no matter which
@@ -28,8 +28,9 @@
 // every ILP job's tuning serially after the parallel phase and compares
 // status, objective bits, and the serialized assignment. The re-check
 // re-derives each kernel's parse, ranges and structures from its IR text
-// once, then re-prices and re-keys every job's model; the re-solves hit
-// the solver cache and skip branch & bound (cost: docs/SWEEP.md). It is
+// once, then re-prices every job's model and keys it again (the model's
+// interned structure, objective and options); the re-solves hit the
+// solver cache and skip branch & bound (cost: docs/SWEEP.md). It is
 // also the sweep's organic source of cache hits, since the grid's 360
 // models are pairwise distinct.
 #pragma once

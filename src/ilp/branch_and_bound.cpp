@@ -58,9 +58,11 @@ int most_fractional(const Model& model, const std::vector<double>& values) {
   return best;
 }
 
+/// `pool`, when non-null, is the cache's structure id whose pooled basis
+/// seeds the root and receives the root's optimal basis.
 Solution solve_milp_impl(const Model& model, const Objective& objective,
                          const BranchAndBoundOptions& opt,
-                         Certificate* certificate) {
+                         Certificate* certificate, const std::size_t* pool) {
   obs::TraceSpan bnb_span("ilp.bnb", "ilp", [&] {
     return obs::Args()
         .num("variables", model.num_variables())
@@ -83,11 +85,6 @@ Solution solve_milp_impl(const Model& model, const Objective& objective,
   // allocated once per search.
   const SparseColumns cols = model.sparse_columns();
   RevisedSolver solver(model, cols, objective, opt.lp);
-  // Structural basis pool: objective-free key, so presets that only differ
-  // in objective weights land on the same entry.
-  const std::string basis_key = (opt.share_basis && opt.cache)
-                                    ? structural_model_key(model)
-                                    : std::string();
   // Closes a node as a leaf of the certificate, if one is kept.
   const auto close = [&](const Node& node, Certificate::Closed how) {
     if (certificate) certificate->leaves.push_back({node.overrides, how, node.duals});
@@ -112,8 +109,8 @@ Solution solve_milp_impl(const Model& model, const Objective& objective,
       open;
   auto root = std::make_shared<Node>();
   root->bound = -kInfinity;
-  if (!basis_key.empty()) {
-    if (std::optional<Basis> warm = opt.cache->lookup_basis(basis_key))
+  if (pool) {
+    if (std::optional<Basis> warm = opt.cache->lookup_basis(*pool))
       root->basis = std::move(*warm);
   }
   open.push(std::move(root));
@@ -155,8 +152,8 @@ Solution solve_milp_impl(const Model& model, const Objective& objective,
     const Solution lp = solver.solve(node->overrides, &node->basis);
     if (certificate) solver.multipliers(node->duals);
     iterations += lp.iterations;
-    if (nodes == 1 && !basis_key.empty() && lp.status == SolveStatus::Optimal)
-      opt.cache->store_basis(basis_key, node->basis);
+    if (nodes == 1 && pool && lp.status == SolveStatus::Optimal)
+      opt.cache->store_basis(*pool, node->basis);
     if (lp.status == SolveStatus::IterationLimit) {
       hit_limit = true;
       dropped_open_bound = std::min(dropped_open_bound, node->bound);
@@ -275,14 +272,22 @@ Solution solve_milp(const Model& model, const Objective& objective,
                     Certificate* certificate) {
   obs::metrics().counter("ilp.solves").inc();
   if (certificate) *certificate = {};
-  if (!opt.cache || certificate)
-    return solve_milp_impl(model, objective, opt, certificate);
+  if (!opt.cache)
+    return solve_milp_impl(model, objective, opt, certificate, nullptr);
   obs::TraceSpan cache_span("ilp.cache", "ilp");
-  const std::string key = canonical_model_key(model, objective, opt);
+  // The structure keys the basis pool too: presets that differ only in
+  // their objective share its entry.
+  const std::size_t structure = opt.cache->structure(model);
+  const std::size_t* pool = opt.share_basis ? &structure : nullptr;
+  if (certificate) { // the cache keeps no evidence, so it is not probed
+    cache_span.end();
+    return solve_milp_impl(model, objective, opt, certificate, pool);
+  }
+  const std::string key = SolverCache::key(structure, objective, opt);
   std::optional<Solution> hit = opt.cache->lookup(key);
   cache_span.end();
   if (hit) return *hit;
-  Solution sol = solve_milp_impl(model, objective, opt, nullptr);
+  Solution sol = solve_milp_impl(model, objective, opt, nullptr, pool);
   opt.cache->insert(key, sol);
   return sol;
 }

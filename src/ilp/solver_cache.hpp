@@ -1,18 +1,22 @@
-// Thread-safe memoization of MILP solves keyed by the canonical problem.
+// Thread-safe memoization of MILP solves keyed by the exact problem.
 //
 // The cache lets a batch driver (the sweep orchestrator, repeated
 // determinism checks, preset re-runs) skip branch & bound entirely when it
-// meets a problem it has already solved. Correctness rests on the key being
-// a faithful canonicalization: two (model, objective) pairs share a key
-// only if they are the same optimization problem solved under the same
-// result-affecting solver options. The canonical form deliberately
-// preserves variable and constraint order — the solver is deterministic,
-// so order-identical models produce bit-identical solutions, and a cache
-// hit can never change what a sweep computes (it only skips recomputing
-// it). Reordering-insensitive keys would trade that guarantee away.
+// meets a problem it has already solved. Correctness rests on the key
+// being exact: every number of the model, the objective and the
+// result-affecting solver options enters it as its object bytes, and
+// every list with its length, in model order, so two keys are equal
+// exactly when every value is bit-identical. The solver is deterministic,
+// so a hit returns exactly what a fresh solve would, and it can never
+// change what a sweep computes (it only skips recomputing it).
+// Reordering-insensitive keys would trade that guarantee away.
+//
+// A model's structure (variables, bounds and rows) is interned once per
+// cache to a small id. A result key is that id, the objective and the
+// options; the basis pool is per-structure state under the same id.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -26,23 +30,6 @@ namespace luis::ilp {
 
 struct BranchAndBoundOptions;
 
-/// Serializes the objective, the model and the result-affecting solver
-/// options into a canonical string: order-preserving, every number in its
-/// shortest round-trip form (std::to_chars), so distinct values render
-/// distinctly. Equal strings imply identical solves.
-std::string canonical_model_key(const Model& model, const Objective& objective,
-                                const BranchAndBoundOptions& options);
-
-/// The model alone: variables, bounds and constraints. Two models share a
-/// structural key exactly when they describe the same feasible region in
-/// the same variable/constraint order — which is when a simplex basis from
-/// one warm-starts the other (sweep presets solve one model under
-/// different objectives). Keys the SolverCache basis pool.
-std::string structural_model_key(const Model& model);
-
-/// FNV-1a 64-bit hash of `key` (stable across platforms and runs).
-std::uint64_t fnv1a64(const std::string& key);
-
 class SolverCache {
 public:
   struct Stats {
@@ -54,6 +41,18 @@ public:
     }
   };
 
+  /// The id of `model`'s structure: its variables (kind, bounds) and rows
+  /// (sense, rhs, constant, terms), objective-free. Two models get the
+  /// same id exactly when these are bit-identical in the same order,
+  /// which is when a simplex basis from one warm-starts the other (sweep
+  /// presets solve one model under different objectives).
+  std::size_t structure(const Model& model);
+
+  /// The result key of solving structure `structure` under `objective`
+  /// and the result-affecting fields of `options`.
+  static std::string key(std::size_t structure, const Objective& objective,
+                         const BranchAndBoundOptions& options);
+
   /// Returns the cached solution for `key`, if any. Counts a lookup.
   std::optional<Solution> lookup(const std::string& key);
 
@@ -63,32 +62,22 @@ public:
   /// comment — but first-wins makes that independent of timing).
   void insert(const std::string& key, const Solution& solution);
 
-  /// Basis pool: the revised-simplex root basis of a past solve, keyed by
-  /// structural_model_key. Unlike the solution entries this is last-wins —
-  /// a basis is a hint, not a result, and the most recent neighbor is the
-  /// best available seed. Callers that need bit-reproducible results must
-  /// only consult the pool from a deterministic solve order (see
-  /// BranchAndBoundOptions::share_basis).
-  std::optional<Basis> lookup_basis(const std::string& key);
-  void store_basis(const std::string& key, const Basis& basis);
+  /// Basis pool: the revised-simplex root basis of a past solve of the
+  /// structure. Unlike the results this is last-wins — a basis is a hint,
+  /// not a result, and the most recent neighbor is the best available
+  /// seed; an empty basis is not stored. Callers that need
+  /// bit-reproducible results must only consult the pool from a
+  /// deterministic solve order (see BranchAndBoundOptions::share_basis).
+  std::optional<Basis> lookup_basis(std::size_t structure);
+  void store_basis(std::size_t structure, const Basis& basis);
 
   Stats stats() const;
-  std::size_t size() const;
-  void clear();
 
 private:
-  struct Entry {
-    std::string key; ///< full key, verified on hit (hash collisions)
-    Solution solution;
-  };
-  struct BasisEntry {
-    std::string key;
-    Basis basis;
-  };
-
   mutable std::mutex mutex_;
-  std::unordered_map<std::uint64_t, std::vector<Entry>> entries_;
-  std::unordered_map<std::uint64_t, std::vector<BasisEntry>> basis_entries_;
+  std::unordered_map<std::string, std::size_t> structures_;
+  std::vector<Basis> bases_; ///< per structure id; empty = none pooled
+  std::unordered_map<std::string, Solution> results_;
   Stats stats_;
 };
 

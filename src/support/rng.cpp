@@ -17,6 +17,15 @@ std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); 
 
 } // namespace
 
+std::uint64_t name_seed(std::string_view name) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const unsigned char c : name) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
 void Rng::reseed(std::uint64_t seed) {
   std::uint64_t s = seed;
   for (auto& word : state_) word = splitmix64(s);

@@ -6,8 +6,14 @@
 #pragma once
 
 #include <cstdint>
+#include <string_view>
 
 namespace luis {
+
+/// A seed drawn from `name`'s bytes (an xor-multiply hash, stable across
+/// platforms and runs), so a named input such as a corpus file draws the
+/// same stream wherever it is replayed.
+std::uint64_t name_seed(std::string_view name);
 
 /// xoshiro256** by Blackman & Vigna: small, fast, and high quality.
 /// Seeded through splitmix64 so that nearby seeds give unrelated streams.

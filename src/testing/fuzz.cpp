@@ -9,7 +9,6 @@
 
 #include "ilp/lp_reader.hpp"
 #include "ilp/lp_writer.hpp"
-#include "ilp/solver_cache.hpp"
 #include "ir/parser.hpp"
 #include "ir/printer.hpp"
 #include "support/string_utils.hpp"
@@ -63,10 +62,16 @@ bool is_enumerable(const ilp::Model& model) {
 CheckResult run_ilp_trial(std::uint64_t seed, std::string* repro) {
   Rng rng(seed);
   const IlpInstance instance = random_ilp_instance(rng);
-  const CheckResult result = check_ilp_instance(instance);
+  // The trial's stream goes on into the oracles' picks; each shrink
+  // candidate draws them from the same point.
+  const auto check = [rng](const IlpInstance& candidate) {
+    Rng picks = rng;
+    return check_ilp_instance(candidate, picks);
+  };
+  const CheckResult result = check(instance);
   if (!result.ok && repro) {
-    const auto still_fails = [](const IlpInstance& candidate) {
-      return !check_ilp_instance(candidate).ok;
+    const auto still_fails = [&check](const IlpInstance& candidate) {
+      return !check(candidate).ok;
     };
     const IlpInstance shrunk =
         shrink_ilp_instance(instance, still_fails).instance;
@@ -238,7 +243,9 @@ CorpusResult replay_corpus(const std::string& dir,
             "corpus model is not enumerable (needs small finite integer "
             "boxes)");
       } else {
-        entry.result = check_ilp_instance({parsed.model, parsed.objective});
+        Rng picks(name_seed(path.filename().string()));
+        entry.result =
+            check_ilp_instance({parsed.model, parsed.objective}, picks);
       }
     } else {
       ir::Module module;
@@ -247,7 +254,7 @@ CorpusResult replay_corpus(const std::string& dir,
         entry.result = CheckResult::fail("does not parse: " + parsed.error);
       } else {
         const interp::ArrayStore inputs = synth_ir_inputs(*parsed.function);
-        Rng type_rng(ilp::fnv1a64(path.filename().string()));
+        Rng type_rng(name_seed(path.filename().string()));
         entry.result =
             check_ir_instance(*parsed.function, inputs, type_rng, engine);
       }

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <optional>
 #include <utility>
 
 #include "ilp/lp_reader.hpp"
@@ -139,110 +140,6 @@ EnumerationResult enumerate_optimum(const IlpInstance& instance) {
 
 namespace {
 
-bool bits_equal(double a, double b) {
-  return std::memcmp(&a, &b, sizeof(double)) == 0;
-}
-
-/// Status + objective agreement between two solver configurations.
-CheckResult compare_solves(const char* what, const Solution& a,
-                           const Solution& b) {
-  if (a.status != b.status)
-    return CheckResult::fail(format_string("%s: status %s vs %s", what,
-                                           ilp::to_string(a.status),
-                                           ilp::to_string(b.status)));
-  if (a.status == SolveStatus::Optimal &&
-      std::abs(a.objective - b.objective) > 1e-6)
-    return CheckResult::fail(format_string("%s: objective %.17g vs %.17g",
-                                           what, a.objective, b.objective));
-  if (a.status == SolveStatus::Optimal &&
-      std::abs(a.best_bound - b.best_bound) > 1e-6)
-    return CheckResult::fail(format_string("%s: best_bound %.17g vs %.17g",
-                                           what, a.best_bound, b.best_bound));
-  return CheckResult::pass();
-}
-
-} // namespace
-
-CheckResult check_ilp_instance(const IlpInstance& instance,
-                               const IlpCheckOptions& options) {
-  const MilpSolver solve = options.solve ? options.solve : ilp::solve_milp;
-  const Model& model = instance.model;
-  const ilp::Objective& objective = instance.objective;
-  BranchAndBoundOptions base;
-  base.max_nodes = options.max_nodes;
-
-  // Oracle 1: exhaustive enumeration is ground truth.
-  const EnumerationResult truth = enumerate_optimum(instance);
-  ilp::Certificate certificate;
-  const Solution solved = solve(model, objective, base, &certificate);
-  if (solved.status == SolveStatus::NodeLimit ||
-      solved.status == SolveStatus::IterationLimit)
-    return CheckResult::fail(format_string(
-        "solver hit its %s on a %zu-variable instance",
-        ilp::to_string(solved.status), model.num_variables()));
-  if (!truth.feasible) {
-    if (solved.status != SolveStatus::Infeasible)
-      return CheckResult::fail(format_string(
-          "enumeration proves infeasibility but solver returned %s "
-          "(objective %.17g)",
-          ilp::to_string(solved.status), solved.objective));
-  } else {
-    if (solved.status != SolveStatus::Optimal)
-      return CheckResult::fail(format_string(
-          "enumeration found optimum %.17g but solver returned %s",
-          truth.objective, ilp::to_string(solved.status)));
-    if (std::abs(solved.objective - truth.objective) > 1e-6)
-      return CheckResult::fail(format_string(
-          "optimum mismatch: enumeration %.17g, solver %.17g",
-          truth.objective, solved.objective));
-  }
-
-  // Oracle 2: the LP text round trip is the same optimization problem.
-  // Variable order can change (the reader numbers by first use), so the
-  // comparison is status + optimum, not values.
-  const std::string lp_text = ilp::to_lp_format(model, objective);
-  const ilp::LpParseResult reparsed = ilp::parse_lp(lp_text);
-  if (!reparsed.ok())
-    return CheckResult::fail("lp_writer output does not re-parse: " +
-                             reparsed.error);
-  const CheckResult roundtrip_check =
-      compare_solves("LP round trip", solved,
-                     solve(reparsed.model, reparsed.objective, base, nullptr));
-  if (!roundtrip_check.ok) return roundtrip_check;
-
-  // Oracle 3: a cache hit returns the fresh solution bit-identically.
-  ilp::SolverCache cache;
-  BranchAndBoundOptions cached = base;
-  cached.cache = &cache;
-  const Solution fresh = solve(model, objective, cached, nullptr);
-  const Solution hit = solve(model, objective, cached, nullptr);
-  if (fresh.status != hit.status || !bits_equal(fresh.objective, hit.objective) ||
-      !bits_equal(fresh.best_bound, hit.best_bound) ||
-      fresh.values.size() != hit.values.size())
-    return CheckResult::fail("cache hit differs from the fresh solve");
-  for (std::size_t j = 0; j < fresh.values.size(); ++j)
-    if (!bits_equal(fresh.values[j], hit.values[j]))
-      return CheckResult::fail(format_string(
-          "cache hit value[%zu] differs from the fresh solve", j));
-  if (!options.solve && cache.stats().hits < 1)
-    return CheckResult::fail("second cached solve did not hit the cache");
-
-  // Oracle 4: the first solve's certificate convinces the independent
-  // checker: the incumbent is feasible, integral and has the claimed
-  // objective, and every leaf's duals or Farkas ray close it within a
-  // partition of the root box.
-  const ilp::CertificateCheck certified =
-      ilp::check_certificate(model, objective, solved, certificate, base);
-  if (!certified.ok)
-    return CheckResult::fail("certificate rejected: " + certified.error);
-
-  return CheckResult::pass();
-}
-
-// --- Shrinker ---
-
-namespace {
-
 /// Editable mirror of an instance (the Model API is append-only by design).
 struct ModelParts {
   struct Row {
@@ -308,7 +205,145 @@ struct ModelParts {
   }
 };
 
+/// A copy of `instance` with one number, picked by `rng`, moved one ulp:
+/// a row or objective coefficient, an rhs, the objective constant or a
+/// bound of a non-binary variable (moved outward, so the box stays valid).
+/// Only finite numbers are candidates; nullopt when there is none.
+std::optional<IlpInstance> one_ulp_neighbour(const IlpInstance& instance,
+                                             Rng& rng) {
+  ModelParts parts = ModelParts::of(instance);
+  std::vector<std::pair<double*, double>> numbers; // number, direction
+  for (ilp::Variable& v : parts.variables) {
+    if (v.kind == ilp::VarKind::Binary) continue;
+    numbers.emplace_back(&v.lower, -ilp::kInfinity);
+    numbers.emplace_back(&v.upper, ilp::kInfinity);
+  }
+  for (ModelParts::Row& row : parts.rows) {
+    numbers.emplace_back(&row.rhs, ilp::kInfinity);
+    for (auto& term : row.terms)
+      numbers.emplace_back(&term.second, ilp::kInfinity);
+  }
+  for (auto& term : parts.objective)
+    numbers.emplace_back(&term.second, ilp::kInfinity);
+  numbers.emplace_back(&parts.objective_constant, ilp::kInfinity);
+  std::erase_if(numbers,
+                [](const auto& n) { return !std::isfinite(*n.first); });
+  if (numbers.empty()) return std::nullopt;
+  auto& [number, direction] = numbers[rng.next_below(numbers.size())];
+  *number = std::nextafter(*number, direction);
+  return parts.build();
+}
+
+bool bits_equal(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// Status + objective agreement between two solver configurations.
+CheckResult compare_solves(const char* what, const Solution& a,
+                           const Solution& b) {
+  if (a.status != b.status)
+    return CheckResult::fail(format_string("%s: status %s vs %s", what,
+                                           ilp::to_string(a.status),
+                                           ilp::to_string(b.status)));
+  if (a.status == SolveStatus::Optimal &&
+      std::abs(a.objective - b.objective) > 1e-6)
+    return CheckResult::fail(format_string("%s: objective %.17g vs %.17g",
+                                           what, a.objective, b.objective));
+  if (a.status == SolveStatus::Optimal &&
+      std::abs(a.best_bound - b.best_bound) > 1e-6)
+    return CheckResult::fail(format_string("%s: best_bound %.17g vs %.17g",
+                                           what, a.best_bound, b.best_bound));
+  return CheckResult::pass();
+}
+
 } // namespace
+
+CheckResult check_ilp_instance(const IlpInstance& instance, Rng& rng,
+                               const IlpCheckOptions& options) {
+  const MilpSolver solve = options.solve ? options.solve : ilp::solve_milp;
+  const Model& model = instance.model;
+  const ilp::Objective& objective = instance.objective;
+  BranchAndBoundOptions base;
+  base.max_nodes = options.max_nodes;
+
+  // Oracle 1: exhaustive enumeration is ground truth.
+  const EnumerationResult truth = enumerate_optimum(instance);
+  ilp::Certificate certificate;
+  const Solution solved = solve(model, objective, base, &certificate);
+  if (solved.status == SolveStatus::NodeLimit ||
+      solved.status == SolveStatus::IterationLimit)
+    return CheckResult::fail(format_string(
+        "solver hit its %s on a %zu-variable instance",
+        ilp::to_string(solved.status), model.num_variables()));
+  if (!truth.feasible) {
+    if (solved.status != SolveStatus::Infeasible)
+      return CheckResult::fail(format_string(
+          "enumeration proves infeasibility but solver returned %s "
+          "(objective %.17g)",
+          ilp::to_string(solved.status), solved.objective));
+  } else {
+    if (solved.status != SolveStatus::Optimal)
+      return CheckResult::fail(format_string(
+          "enumeration found optimum %.17g but solver returned %s",
+          truth.objective, ilp::to_string(solved.status)));
+    if (std::abs(solved.objective - truth.objective) > 1e-6)
+      return CheckResult::fail(format_string(
+          "optimum mismatch: enumeration %.17g, solver %.17g",
+          truth.objective, solved.objective));
+  }
+
+  // Oracle 2: the LP text round trip is the same optimization problem.
+  // Variable order can change (the reader numbers by first use), so the
+  // comparison is status + optimum, not values.
+  const std::string lp_text = ilp::to_lp_format(model, objective);
+  const ilp::LpParseResult reparsed = ilp::parse_lp(lp_text);
+  if (!reparsed.ok())
+    return CheckResult::fail("lp_writer output does not re-parse: " +
+                             reparsed.error);
+  const CheckResult roundtrip_check =
+      compare_solves("LP round trip", solved,
+                     solve(reparsed.model, reparsed.objective, base, nullptr));
+  if (!roundtrip_check.ok) return roundtrip_check;
+
+  // Oracle 3: a cache hit returns the fresh solution bit-identically.
+  ilp::SolverCache cache;
+  BranchAndBoundOptions cached = base;
+  cached.cache = &cache;
+  const Solution fresh = solve(model, objective, cached, nullptr);
+  const Solution hit = solve(model, objective, cached, nullptr);
+  if (fresh.status != hit.status || !bits_equal(fresh.objective, hit.objective) ||
+      !bits_equal(fresh.best_bound, hit.best_bound) ||
+      fresh.values.size() != hit.values.size())
+    return CheckResult::fail("cache hit differs from the fresh solve");
+  for (std::size_t j = 0; j < fresh.values.size(); ++j)
+    if (!bits_equal(fresh.values[j], hit.values[j]))
+      return CheckResult::fail(format_string(
+          "cache hit value[%zu] differs from the fresh solve", j));
+  if (!options.solve && cache.stats().hits < 1)
+    return CheckResult::fail("second cached solve did not hit the cache");
+  // A copy with one number moved one ulp is another problem: it must miss.
+  const long hits = cache.stats().hits;
+  if (const std::optional<IlpInstance> neighbour =
+          one_ulp_neighbour(instance, rng)) {
+    solve(neighbour->model, neighbour->objective, cached, nullptr);
+    if (cache.stats().hits != hits)
+      return CheckResult::fail(
+          "a copy with one number moved one ulp hit the cache");
+  }
+
+  // Oracle 4: the first solve's certificate convinces the independent
+  // checker: the incumbent is feasible, integral and has the claimed
+  // objective, and every leaf's duals or Farkas ray close it within a
+  // partition of the root box.
+  const ilp::CertificateCheck certified =
+      ilp::check_certificate(model, objective, solved, certificate, base);
+  if (!certified.ok)
+    return CheckResult::fail("certificate rejected: " + certified.error);
+
+  return CheckResult::pass();
+}
+
+// --- Shrinker ---
 
 IlpShrinkResult shrink_ilp_instance(
     const IlpInstance& instance,

@@ -6,8 +6,9 @@
 // every solver configuration is checked against. One instance is then
 // required to agree with itself across every code path that must not
 // change the answer (an lp_writer -> lp_reader round trip, a solver-cache
-// hit vs the fresh solve), and its answer must carry a certificate the
-// independent checker accepts.
+// hit vs the fresh solve), a copy with one number moved one ulp must miss
+// that cache, and its answer must carry a certificate the independent
+// checker accepts.
 #pragma once
 
 #include <functional>
@@ -74,10 +75,12 @@ struct IlpCheckOptions {
 ///   1. solve matches exhaustive enumeration in status and optimum;
 ///   2. the lp_writer -> lp_reader round trip solves to the same optimum;
 ///   3. re-solving through a SolverCache returns the first solution
-///      bit-identically;
+///      bit-identically, and a copy of the instance with one number (a
+///      coefficient, a bound or an rhs, picked by `rng`) moved one ulp
+///      does not hit that cache;
 ///   4. the first solve's certificate passes ilp::check_certificate, which
 ///      also proves its solution feasible, integral and consistent.
-CheckResult check_ilp_instance(const IlpInstance& instance,
+CheckResult check_ilp_instance(const IlpInstance& instance, Rng& rng,
                                const IlpCheckOptions& options = {});
 
 struct IlpShrinkResult {

@@ -1,17 +1,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <latch>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "ilp/branch_and_bound.hpp"
 #include "ilp/certificate.hpp"
 #include "ilp/lp_writer.hpp"
 #include "ilp/solver_cache.hpp"
+#include "obs/metrics.hpp"
 #include "support/rng.hpp"
 
 namespace luis::ilp {
@@ -261,6 +265,11 @@ TEST(BranchAndBound, CachedSolutionEqualsFreshSolve) {
 }
 
 TEST(BranchAndBound, CacheKeySeparatesModelsAndOptions) {
+  SolverCache cache;
+  const auto key = [&cache](const Model& m, const Objective& objective,
+                            const BranchAndBoundOptions& options) {
+    return SolverCache::key(cache.structure(m), objective, options);
+  };
   Model a, b;
   const VarId xa = a.add_integer(0, 5);
   const Objective a_objective(Direction::Maximize, LinearExpr().add(xa, 1));
@@ -268,56 +277,134 @@ TEST(BranchAndBound, CacheKeySeparatesModelsAndOptions) {
   const Objective b_objective(Direction::Maximize, LinearExpr().add(xb, 1));
 
   BranchAndBoundOptions opt;
-  EXPECT_NE(canonical_model_key(a, a_objective, opt),
-            canonical_model_key(b, b_objective, opt));
+  EXPECT_NE(key(a, a_objective, opt), key(b, b_objective, opt));
   BranchAndBoundOptions other = opt;
   other.max_nodes = opt.max_nodes + 1;
-  EXPECT_NE(canonical_model_key(a, a_objective, opt),
-            canonical_model_key(a, a_objective, other));
+  EXPECT_NE(key(a, a_objective, opt), key(a, a_objective, other));
 
   // A separately built copy of the same problem shares the key.
   Model c;
   const VarId xc = c.add_integer(0, 5);
   const Objective c_objective(Direction::Maximize, LinearExpr().add(xc, 1));
-  EXPECT_EQ(canonical_model_key(a, a_objective, opt),
-            canonical_model_key(c, c_objective, opt));
+  EXPECT_EQ(key(a, a_objective, opt), key(c, c_objective, opt));
 
-  // Every number reaches the key exactly: one-ulp neighbours, the two
-  // zeros and the two infinities all split, and a model rebuilt from the
-  // same numbers keeps its key.
-  struct Numbers {
-    double coeff = 3.0, x_lower = 0.0, x_upper = 4.0, y_lower = -kInfinity;
-    double rhs = 10.0, constant = 0.5;
+  // Every field of the layout reaches the key exactly: each variant below
+  // changes one field of one problem and splits from the base, one-ulp
+  // neighbours, the two zeros, the two infinities and two NaN payloads
+  // included, while a problem rebuilt from the same fields keeps its key.
+  struct Problem {
+    VarKind x_kind = VarKind::Integer;
+    double x_lower = 0.0, x_upper = 4.0, y_lower = -kInfinity;
+    // Row 0 is coeff * x + 1 * term_var (+ row_constant) `sense` rhs; row 1
+    // is z <= 1. move_term moves row 0's second term to row 1, and
+    // swap_rows adds row 1 first.
+    Sense sense = Sense::LE;
+    double coeff = 3.0, rhs = 10.0, row_constant = 0.0;
+    VarId term_var = 1;
+    bool move_term = false, swap_rows = false;
+    // The objective is objective_coeff * objective_var + constant.
+    Direction direction = Direction::Maximize;
+    VarId objective_var = 0;
+    double objective_coeff = 1.0, constant = 0.5;
   };
-  const auto build = [](const Numbers& n) {
+  const auto build = [](const Problem& p) {
     Model m;
-    const VarId x = m.add_integer(n.x_lower, n.x_upper);
-    const VarId y = m.add_continuous(n.y_lower, kInfinity);
-    m.add_le(LinearExpr().add(x, n.coeff).add(y, 1.0), n.rhs);
-    Objective objective(Direction::Maximize,
-                        LinearExpr().add(x, 1.0).add_constant(n.constant));
+    const VarId x = m.add_variable(p.x_kind, p.x_lower, p.x_upper);
+    m.add_continuous(p.y_lower, kInfinity);
+    const VarId z = m.add_binary();
+    LinearExpr first =
+        LinearExpr().add(x, p.coeff).add_constant(p.row_constant);
+    LinearExpr second = LinearExpr().add(z, 1.0);
+    (p.move_term ? second : first).add(p.term_var, 1.0);
+    if (p.swap_rows) m.add_le(second, 1.0);
+    m.add_constraint(std::move(first), p.sense, p.rhs);
+    if (!p.swap_rows) m.add_le(std::move(second), 1.0);
+    Objective objective(p.direction,
+                        LinearExpr()
+                            .add(p.objective_var, p.objective_coeff)
+                            .add_constant(p.constant));
     return std::pair{std::move(m), std::move(objective)};
   };
-  const auto key = [&](const Numbers& n) {
-    const auto [m, objective] = build(n);
-    return canonical_model_key(m, objective, opt);
+  const auto problem_key = [&](const Problem& p) {
+    const auto [m, objective] = build(p);
+    return key(m, objective, opt);
   };
-  const std::string base = key({});
-  EXPECT_EQ(base, key({}));
-  EXPECT_EQ(structural_model_key(build({}).first),
-            structural_model_key(build({}).first));
-  std::vector<Numbers> variants(7);
-  variants[0].coeff = std::nextafter(3.0, kInfinity);
-  variants[1].x_upper = std::nextafter(4.0, 0.0);
-  variants[2].rhs = std::nextafter(10.0, kInfinity);
-  variants[3].constant = std::nextafter(0.5, 0.0);
-  variants[4].x_lower = -0.0;
-  variants[5].y_lower = kInfinity;
-  variants[6].y_lower = std::nextafter(-kInfinity, 0.0); // -DBL_MAX
-  for (std::size_t i = 0; i < variants.size(); ++i)
-    EXPECT_NE(base, key(variants[i])) << "variant " << i;
+  const std::string base = problem_key({});
+  EXPECT_EQ(base, problem_key({}));
+  EXPECT_EQ(cache.structure(build({}).first), cache.structure(build({}).first));
+  // NaN payloads split: quiet NaNs with payloads 1 and 2 reach the rhs
+  // through the constant folding's subtraction, which keeps payloads on
+  // x86-64 and AArch64, and give different keys.
+  const auto nan_rhs = [](std::uint64_t payload) {
+    Problem p;
+    p.rhs = std::bit_cast<double>(0x7ff8000000000000ull | payload);
+    return p;
+  };
 
-  SolverCache cache;
+  std::vector<std::pair<const char*, Problem>> variants;
+  const auto variant = [&variants](const char* name, auto&& change) {
+    Problem p;
+    change(p);
+    variants.emplace_back(name, p);
+  };
+  variant("variable kind", [](Problem& p) { p.x_kind = VarKind::Continuous; });
+  variant("lower bound -0", [](Problem& p) { p.x_lower = -0.0; });
+  variant("lower bound +inf", [](Problem& p) { p.y_lower = kInfinity; });
+  variant("lower bound -DBL_MAX",
+          [](Problem& p) { p.y_lower = std::nextafter(-kInfinity, 0.0); });
+  variant("upper bound",
+          [](Problem& p) { p.x_upper = std::nextafter(4.0, 0.0); });
+  variant("row sense", [](Problem& p) { p.sense = Sense::GE; });
+  variant("rhs", [](Problem& p) { p.rhs = std::nextafter(10.0, kInfinity); });
+  variant("row constant", [](Problem& p) { // same folded rhs
+    p.row_constant = 0.5;
+    p.rhs = 10.5;
+  });
+  variant("term variable", [](Problem& p) { p.term_var = 2; });
+  variant("coefficient",
+          [](Problem& p) { p.coeff = std::nextafter(3.0, kInfinity); });
+  variant("row order", [](Problem& p) { p.swap_rows = true; });
+  variant("term moved to the next row", [](Problem& p) { p.move_term = true; });
+  variant("objective direction",
+          [](Problem& p) { p.direction = Direction::Minimize; });
+  variant("objective constant",
+          [](Problem& p) { p.constant = std::nextafter(0.5, 0.0); });
+  variant("objective term variable", [](Problem& p) { p.objective_var = 2; });
+  variant("objective coefficient",
+          [](Problem& p) { p.objective_coeff = std::nextafter(1.0, 2.0); });
+  for (const auto& [name, p] : variants)
+    EXPECT_NE(base, problem_key(p)) << name;
+  EXPECT_NE(base, problem_key(nan_rhs(1)));
+  EXPECT_NE(problem_key(nan_rhs(1)), problem_key(nan_rhs(2)));
+
+  // A row's term count is what tells these two apart: without it, p's
+  // second term and second row's header have the bytes of q's second
+  // row's header and first term. Denormals keep the folded rhs exact.
+  const double t = std::bit_cast<double>(0x0000004024000000ull);
+  const double tiny = std::bit_cast<double>(0x1ull);
+  const double r = std::bit_cast<double>(0x0000000200000000ull);
+  Model p, q;
+  for (Model* pq : {&p, &q})
+    for (int j = 0; j < 4; ++j) pq->add_continuous();
+  p.add_le(LinearExpr().add(0, 1.0).add(1, t), 1.0);
+  p.add_le(LinearExpr().add(3, 1.0).add_constant(tiny), r + tiny);
+  q.add_le(LinearExpr().add(0, 1.0), 1.0);
+  q.add_ge(LinearExpr().add(2, tiny).add(3, 1.0), 10.0);
+  EXPECT_NE(cache.structure(p), cache.structure(q));
+
+  // Each result-affecting option.
+  const auto [m, objective] = build({});
+  std::vector<BranchAndBoundOptions> options(7, opt);
+  options[0].max_nodes += 1;
+  options[1].relative_gap = std::nextafter(opt.relative_gap, 1.0);
+  options[2].prune_tolerance = -0.5;
+  options[3].share_basis = true;
+  options[4].lp.max_iterations += 1;
+  options[5].lp.tolerance = std::nextafter(opt.lp.tolerance, 1.0);
+  options[6].lp.refactor_interval += 1;
+  for (std::size_t i = 0; i < options.size(); ++i)
+    EXPECT_NE(base, key(m, objective, options[i])) << "option " << i;
+
   BranchAndBoundOptions cached = opt;
   cached.cache = &cache;
   const Solution sa = solve_milp(a, a_objective, cached);
@@ -563,8 +650,8 @@ TEST(BranchAndBound, FixedVariablesAndSingletonRowsCertify) {
 }
 
 TEST(SolverCache, StructuralKeyIgnoresObjective) {
-  // The basis pool is keyed structurally: two sweep presets differing only
-  // in objective weights share warm starts, but any structural change
+  // The basis pool is per structure: two sweep presets differing only in
+  // objective weights share warm starts, but any structural change
   // (bounds, rows) must split them.
   Model a;
   const VarId xa = a.add_binary();
@@ -579,46 +666,134 @@ TEST(SolverCache, StructuralKeyIgnoresObjective) {
   Model c; // different bound: structurally distinct
   const VarId xc = c.add_integer(0, 2);
   c.add_le(LinearExpr().add(xc, 1), 1);
-  const Objective c_objective(Direction::Minimize, LinearExpr().add(xc, 2.0));
 
   Model d; // c with its upper bound one ulp higher
   const VarId xd = d.add_integer(0, std::nextafter(2.0, 3.0));
   d.add_le(LinearExpr().add(xd, 1), 1);
-  const Objective d_objective(Direction::Minimize, LinearExpr().add(xd, 2.0));
 
-  EXPECT_EQ(structural_model_key(a), structural_model_key(b));
+  SolverCache cache;
+  const std::size_t sa = cache.structure(a);
+  EXPECT_EQ(cache.structure(b), sa); // the same bytes, the same structure
+  EXPECT_EQ(cache.structure(a), sa); // and the same id on every call
   const BranchAndBoundOptions opt;
-  EXPECT_NE(canonical_model_key(a, a_objective, opt),
-            canonical_model_key(b, b_objective, opt));
-  EXPECT_NE(structural_model_key(a), structural_model_key(c));
-  EXPECT_NE(structural_model_key(c), structural_model_key(d));
+  EXPECT_NE(SolverCache::key(sa, a_objective, opt),
+            SolverCache::key(sa, b_objective, opt));
+  const std::size_t sc = cache.structure(c);
+  EXPECT_NE(sc, sa);
+  EXPECT_NE(cache.structure(d), sc);
+  EXPECT_NE(cache.structure(d), sa);
 }
 
 TEST(SolverCache, BasisPoolRoundTrips) {
+  Model a;
+  a.add_binary();
+  Model b;
+  b.add_integer(0, 2);
   SolverCache cache;
-  const std::string key = "struct|demo";
-  EXPECT_FALSE(cache.lookup_basis(key).has_value());
+  const std::size_t sa = cache.structure(a);
+  const std::size_t sb = cache.structure(b);
+  EXPECT_FALSE(cache.lookup_basis(sa).has_value());
 
   Basis basis;
   basis.status = {Basis::kAtLower, Basis::kBasic};
   basis.basic = {1};
-  cache.store_basis(key, basis);
-  const std::optional<Basis> got = cache.lookup_basis(key);
+  cache.store_basis(sa, basis);
+  const std::optional<Basis> got = cache.lookup_basis(sa);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->status, basis.status);
   EXPECT_EQ(got->basic, basis.basic);
+  // The pool is per structure.
+  EXPECT_FALSE(cache.lookup_basis(sb).has_value());
 
   // Empty bases are not stored; stores are last-wins.
-  cache.store_basis(key, Basis{});
-  ASSERT_TRUE(cache.lookup_basis(key).has_value());
+  cache.store_basis(sa, Basis{});
+  ASSERT_TRUE(cache.lookup_basis(sa).has_value());
+  EXPECT_EQ(cache.lookup_basis(sa)->basic, basis.basic);
   Basis other;
   other.status = {Basis::kBasic, Basis::kAtUpper};
   other.basic = {0};
-  cache.store_basis(key, other);
-  EXPECT_EQ(cache.lookup_basis(key)->basic, other.basic);
+  cache.store_basis(sa, other);
+  EXPECT_EQ(cache.lookup_basis(sa)->basic, other.basic);
+  cache.store_basis(sb, basis);
+  EXPECT_EQ(cache.lookup_basis(sa)->basic, other.basic);
+  EXPECT_EQ(cache.lookup_basis(sb)->basic, basis.basic);
+}
 
-  cache.clear();
-  EXPECT_FALSE(cache.lookup_basis(key).has_value());
+// One cache shared by four threads that solve the same problems at once,
+// each twice: every answer equals an uncached solve bit for bit, every
+// lookup either hits or runs one search, and each distinct problem is
+// stored once.
+TEST(SolverCache, ConcurrentSolvesAreExact) {
+  Model shared, distinct;
+  LinearExpr weights, tighter;
+  std::vector<VarId> xs;
+  for (int i = 0; i < 10; ++i) {
+    xs.push_back(shared.add_binary());
+    distinct.add_binary();
+    weights.add(xs.back(), static_cast<double>(3 + (i * 5) % 11));
+    tighter.add(xs.back(), static_cast<double>(3 + (i * 5) % 11));
+  }
+  shared.add_le(std::move(weights), 30.0);
+  distinct.add_le(std::move(tighter), 29.0);
+  std::vector<std::pair<const Model*, Objective>> problems;
+  for (int p = 0; p < 4; ++p) {
+    LinearExpr obj;
+    for (int i = 0; i < 10; ++i)
+      obj.add(xs[static_cast<std::size_t>(i)],
+              static_cast<double>(1 + (i * (7 + p)) % 13));
+    problems.emplace_back(&shared, Objective(Direction::Maximize, obj));
+    if (p == 0)
+      problems.emplace_back(&distinct, Objective(Direction::Maximize, obj));
+  }
+  std::vector<Solution> reference;
+  for (const auto& [model, objective] : problems)
+    reference.push_back(solve_milp(*model, objective));
+
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 2;
+  SolverCache cache;
+  BranchAndBoundOptions opt;
+  opt.cache = &cache;
+  obs::Histogram& searches =
+      obs::metrics().histogram("ilp.bnb.nodes_per_solve");
+  const long searches_before = searches.snapshot().count;
+  std::vector<std::vector<Solution>> answers(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (int round = 0; round < kRounds; ++round)
+        for (const auto& [model, objective] : problems)
+          answers[static_cast<std::size_t>(t)].push_back(
+              solve_milp(*model, objective, opt));
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const std::vector<Solution>& got : answers) {
+    ASSERT_EQ(got.size(), kRounds * problems.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      const Solution& want = reference[i % problems.size()];
+      EXPECT_EQ(got[i].status, want.status);
+      EXPECT_EQ(bits(got[i].objective), bits(want.objective));
+      EXPECT_EQ(bits(got[i].best_bound), bits(want.best_bound));
+      EXPECT_EQ(got[i].nodes, want.nodes);
+      EXPECT_EQ(got[i].iterations, want.iterations);
+      ASSERT_EQ(got[i].values.size(), want.values.size());
+      for (std::size_t j = 0; j < want.values.size(); ++j)
+        EXPECT_EQ(bits(got[i].values[j]), bits(want.values[j]));
+    }
+  }
+  const SolverCache::Stats stats = cache.stats();
+  const long runs = kThreads * kRounds * static_cast<long>(problems.size());
+  EXPECT_EQ(stats.lookups, runs);
+  EXPECT_EQ(stats.lookups,
+            stats.hits + (searches.snapshot().count - searches_before));
+  EXPECT_EQ(stats.insertions, static_cast<long>(problems.size()));
+  // A thread's second round finds its own first round's answers at least.
+  EXPECT_GE(stats.hits, runs / kRounds);
 }
 
 TEST(BranchAndBound, SharedBasisAcrossPresetsKeepsAnswersExact) {

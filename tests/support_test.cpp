@@ -62,6 +62,14 @@ TEST(Rng, NextDoubleRangeMeanIsCentered) {
   EXPECT_NEAR(sum / n, 15.0, 0.1);
 }
 
+// The corpus replay seeds each file's draws from its name, so these values
+// must never change.
+TEST(Rng, NameSeedIsPinned) {
+  EXPECT_EQ(name_seed(""), 0x14650fb0739d0383ull);
+  EXPECT_EQ(name_seed("a"), 0x44bd8ad473cd9906ull);
+  EXPECT_EQ(name_seed("foobar"), 0x88fad7c0a8ff07f2ull);
+}
+
 TEST(UnionFind, BasicMerging) {
   UnionFind uf(5);
   EXPECT_EQ(uf.component_count(), 5u);

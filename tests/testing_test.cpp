@@ -71,7 +71,7 @@ TEST(IlpOracles, TenThousandInstancesAgreeAcrossAllFourOracles) {
   for (long trial = 0; trial < 10000; ++trial) {
     Rng rng(derive_seed(0xACCE5501, static_cast<std::uint64_t>(trial)));
     const IlpInstance p = random_ilp_instance(rng);
-    const CheckResult r = check_ilp_instance(p);
+    const CheckResult r = check_ilp_instance(p, rng);
     ASSERT_TRUE(r.ok) << "trial " << trial << ": " << r.message << "\n"
                       << ilp::to_lp_format(p.model, p.objective);
   }
@@ -127,13 +127,14 @@ TEST(IlpShrinker, ReducesAnInjectedBranchAndBoundBugToAtMostFiveVariables) {
   for (std::uint64_t trial = 0; trial < 500 && !failing; ++trial) {
     Rng rng(derive_seed(0xB4DB0B, trial));
     IlpInstance p = random_ilp_instance(rng, gen);
-    if (!check_ilp_instance(p, broken).ok) failing = std::move(p);
+    if (!check_ilp_instance(p, rng, broken).ok) failing = std::move(p);
   }
   ASSERT_TRUE(failing.has_value())
       << "no instance exposed the injected bug in 500 trials";
 
   const auto still_fails = [&broken](const IlpInstance& c) {
-    return !check_ilp_instance(c, broken).ok;
+    Rng picks(0);
+    return !check_ilp_instance(c, picks, broken).ok;
   };
   const IlpInstance shrunk =
       shrink_ilp_instance(*failing, still_fails).instance;
@@ -142,7 +143,8 @@ TEST(IlpShrinker, ReducesAnInjectedBranchAndBoundBugToAtMostFiveVariables) {
       << ilp::to_lp_format(shrunk.model, shrunk.objective);
   // The minimized repro is a genuine bug witness: the honest solver
   // passes every oracle on it.
-  EXPECT_TRUE(check_ilp_instance(shrunk).ok)
+  Rng picks(0);
+  EXPECT_TRUE(check_ilp_instance(shrunk, picks).ok)
       << ilp::to_lp_format(shrunk.model, shrunk.objective);
 }
 
