@@ -1,46 +1,44 @@
-// Sweep interpretation throughput: the per-job scalar VM loop vs. the
-// sweep's deduplicated execution, on the exact workload the sweep driver
-// hands the engine.
+// Interpretation speed on the sweep's own workload: the tree-walking
+// reference interpreter against the bytecode VM, each running the
+// distinct assignments a sweep executes.
 //
 // Setup (untimed): every kernel's (config x platform) grid — the Multi
 // preset plus the three Table III presets over all four platforms — is
-// tuned via core::run_sweep, and each job's tuned assignment is reloaded
-// through assignment_io. That reproduces the sweep's interpretation
-// workload faithfully, duplicates included: distinct (config, platform)
-// jobs frequently tune to the same assignment, and core/sweep.cpp runs
-// each distinct assignment only once.
+// tuned via core::run_sweep, each job's tuned assignment is reloaded
+// through assignment_io, and the jobs are deduplicated to their distinct
+// assignments, as core/sweep.cpp does before it executes them.
 //
-// Timed, per kernel:
-//   scalar  one engine.run() per grid job, duplicates included;
-//   dedup   dedup the job assignments into unique lanes, then one
-//           engine.run() per unique lane (through run_batch, as the sweep
-//           does).
+// Before timing, every distinct assignment runs on both engines and the
+// two runs are compared bit for bit: verdict, error text, step count, cost
+// counters, and every output buffer. A mismatch exits 1: a wrong engine
+// must not report a speed.
 //
-// Before timing, every unique lane is checked bit-for-bit against the
-// tree-walking ReferenceEngine — verdict, error text, step count, cost
-// counters, and every output buffer. A mismatch aborts with exit 1: a
-// wrong engine must not report a throughput number. Both timed modes run
-// against the same warm ProgramCache (the verify pass fills it), so the
-// numbers isolate interpretation from compilation.
+// Timed, per kernel: `reps` rounds, each running every distinct
+// assignment once on each engine, as the sweep runs it: one
+// ExecutionEngine::run() per assignment, so the VM's time includes
+// compiling the program (there is no program cache). The engines
+// alternate within every round, so a drifting host slows both alike.
 //
 //   bench_engine [--kernels a,b,c] [--configs c1,c2] [--reps N]
 //                [--json PATH]
 //
-// Prints one line per kernel and an aggregate; the aggregate speedup is
-// recorded in BENCH_engine.json by the bench-engine-smoke CI job via
-// --json (docs/INTERP.md, "Deduplicated execution").
+// Prints one line per kernel and an aggregate; the bench-engine-smoke CI
+// job records the aggregate in BENCH_engine.json via --json
+// (docs/INTERP.md, "Deduplicated execution").
+#include <algorithm>
 #include <bit>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/assignment_io.hpp"
 #include "core/sweep.hpp"
 #include "interp/engine.hpp"
+#include "obs/trace.hpp"
 #include "polybench/polybench.hpp"
 #include "support/json.hpp"
 #include "support/string_utils.hpp"
@@ -49,24 +47,20 @@ using namespace luis;
 
 namespace {
 
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 struct Lane {
-  std::string label; ///< "config/platform" of the job that tuned it
+  std::string label; ///< "config/platform" of the first job that tuned it
   std::string text;  ///< canonical serialization, the dedup key
   interp::TypeAssignment types;
 };
 
-/// Tunes the kernel's whole grid and reloads every job's assignment
-/// against `f`. Aborts the bench if any tuning job failed — a partial
-/// grid would silently shrink the workload.
-std::vector<Lane> tuned_grid_lanes(const std::string& kernel,
-                                   const ir::Function& f,
-                                   const std::vector<std::string>& configs) {
+/// Tunes the kernel's whole grid, reloads every job's assignment against
+/// `f` and keeps the first job of each distinct assignment. `jobs` gets
+/// the grid's job count. Aborts the bench if any tuning job failed: a
+/// partial grid would silently shrink the workload.
+std::vector<Lane> distinct_tuned_lanes(const std::string& kernel,
+                                       const ir::Function& f,
+                                       const std::vector<std::string>& configs,
+                                       std::size_t& jobs) {
   core::SweepOptions opt;
   opt.kernels = {kernel};
   opt.configs = configs;
@@ -74,6 +68,7 @@ std::vector<Lane> tuned_grid_lanes(const std::string& kernel,
   opt.check_determinism = false;
   opt.threads = 1;
   const core::SweepResult sweep = core::run_sweep(opt);
+  jobs = sweep.jobs.size();
 
   std::vector<Lane> lanes;
   for (const core::SweepJobResult& job : sweep.jobs) {
@@ -83,6 +78,10 @@ std::vector<Lane> tuned_grid_lanes(const std::string& kernel,
                    job.platform.c_str(), job.error.c_str());
       std::exit(1);
     }
+    if (std::any_of(lanes.begin(), lanes.end(), [&](const Lane& lane) {
+          return lane.text == job.assignment_text;
+        }))
+      continue;
     const core::AssignmentParseResult parsed =
         core::assignment_from_text(f, job.assignment_text);
     if (!parsed.ok()) {
@@ -97,22 +96,6 @@ std::vector<Lane> tuned_grid_lanes(const std::string& kernel,
   return lanes;
 }
 
-/// Indices of the first occurrence of each distinct assignment text — the
-/// same dedup the sweep performs before run_batch().
-std::vector<std::size_t> unique_lane_indices(const std::vector<Lane>& lanes) {
-  std::vector<std::size_t> unique;
-  for (std::size_t i = 0; i < lanes.size(); ++i) {
-    bool seen = false;
-    for (const std::size_t u : unique)
-      if (lanes[u].text == lanes[i].text) {
-        seen = true;
-        break;
-      }
-    if (!seen) unique.push_back(i);
-  }
-  return unique;
-}
-
 bool buffers_bit_equal(const std::vector<double>& a,
                        const std::vector<double>& b) {
   if (a.size() != b.size()) return false;
@@ -123,35 +106,27 @@ bool buffers_bit_equal(const std::vector<double>& a,
   return true;
 }
 
-/// One run_batch over the unique lanes, checked bit-for-bit against a
-/// reference run per lane. Returns false (after printing the mismatch) on
-/// any divergence. Also the warm-up that fills the program cache.
-bool verify_lanes(const interp::VmEngine& vm, const ir::Function& f,
+/// Runs every lane on both engines and compares the runs bit for bit.
+/// Returns false (after printing the first mismatch) on any divergence.
+bool verify_lanes(const interp::ExecutionEngine& ref,
+                  const interp::ExecutionEngine& vm, const ir::Function& f,
                   const std::vector<Lane>& lanes,
-                  const std::vector<std::size_t>& unique,
                   const interp::ArrayStore& inputs) {
-  const interp::ReferenceEngine ref;
-  std::vector<interp::ArrayStore> stores(unique.size(), inputs);
-  std::vector<interp::BatchRequest> reqs(unique.size());
-  for (std::size_t i = 0; i < unique.size(); ++i)
-    reqs[i] = {&lanes[unique[i]].types, &stores[i], nullptr};
-  const std::vector<interp::RunResult> got = vm.run_batch(f, reqs);
-
-  for (std::size_t i = 0; i < unique.size(); ++i) {
-    const Lane& lane = lanes[unique[i]];
-    interp::ArrayStore ref_store = inputs;
-    const interp::RunResult want = ref.run(f, lane.types, ref_store);
+  for (const Lane& lane : lanes) {
+    interp::ArrayStore want_store = inputs, got_store = inputs;
+    const interp::RunResult want = ref.run(f, lane.types, want_store);
+    const interp::RunResult got = vm.run(f, lane.types, got_store);
     const char* field = nullptr;
-    if (want.ok != got[i].ok || want.error != got[i].error)
+    if (want.ok != got.ok || want.error != got.error)
       field = "verdict";
-    else if (want.steps != got[i].steps)
+    else if (want.steps != got.steps)
       field = "steps";
-    else if (want.counters.ops != got[i].counters.ops ||
-             want.counters.non_real_ops != got[i].counters.non_real_ops)
+    else if (want.counters.ops != got.counters.ops ||
+             want.counters.non_real_ops != got.counters.non_real_ops)
       field = "cost counters";
     else
-      for (const auto& [name, buf] : ref_store)
-        if (!buffers_bit_equal(buf, stores[i].at(name))) {
+      for (const auto& [name, buf] : want_store)
+        if (!buffers_bit_equal(buf, got_store.at(name))) {
           field = "output buffers";
           break;
         }
@@ -166,43 +141,29 @@ bool verify_lanes(const interp::VmEngine& vm, const ir::Function& f,
   return true;
 }
 
-/// `reps` scalar executions of every grid job: each job interpreted
-/// separately, duplicate assignments included.
-double time_scalar(const interp::VmEngine& vm, const ir::Function& f,
-                   const std::vector<Lane>& lanes,
-                   const interp::ArrayStore& inputs, int reps) {
-  const double t0 = now_seconds();
-  for (int r = 0; r < reps; ++r)
-    for (const Lane& lane : lanes) {
-      interp::ArrayStore store = inputs;
-      (void)vm.run(f, lane.types, store);
+/// Seconds `engine` spends in run() on one pass over the lanes.
+double time_runs(const interp::ExecutionEngine& engine, const ir::Function& f,
+                 const std::vector<Lane>& lanes,
+                 const interp::ArrayStore& inputs) {
+  double total = 0.0;
+  for (const Lane& lane : lanes) {
+    interp::ArrayStore store = inputs;
+    double seconds = 0.0;
+    {
+      obs::TraceSpan span("bench_engine.run", "bench", obs::TimeSink{&seconds});
+      (void)engine.run(f, lane.types, store);
     }
-  return now_seconds() - t0;
-}
-
-/// `reps` deduplicated executions of the same workload: dedup (timed —
-/// the sweep pays for it too) plus one run_batch over the unique lanes.
-double time_dedup(const interp::VmEngine& vm, const ir::Function& f,
-                  const std::vector<Lane>& lanes,
-                  const interp::ArrayStore& inputs, int reps) {
-  const double t0 = now_seconds();
-  for (int r = 0; r < reps; ++r) {
-    const std::vector<std::size_t> unique = unique_lane_indices(lanes);
-    std::vector<interp::ArrayStore> stores(unique.size(), inputs);
-    std::vector<interp::BatchRequest> reqs(unique.size());
-    for (std::size_t i = 0; i < unique.size(); ++i)
-      reqs[i] = {&lanes[unique[i]].types, &stores[i], nullptr};
-    (void)vm.run_batch(f, reqs);
+    total += seconds;
   }
-  return now_seconds() - t0;
+  return total;
 }
 
 struct KernelRow {
   std::string kernel;
   std::size_t jobs = 0;
-  std::size_t unique = 0;
-  double scalar_seconds = 0.0;
-  double dedup_seconds = 0.0;
+  std::size_t distinct = 0;
+  double ref_seconds = 0.0;
+  double vm_seconds = 0.0;
 };
 
 } // namespace
@@ -213,6 +174,11 @@ int main(int argc, char** argv) {
   std::vector<std::string> configs = {"Fast", "Balanced", "Precise", "Multi"};
   int reps = 5;
   std::string json_path;
+  const auto usage = [] {
+    std::fprintf(stderr, "usage: bench_engine [--kernels a,b,c] "
+                         "[--configs c1,c2] [--reps N] [--json PATH]\n");
+    return 2;
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--kernels" && i + 1 < argc) {
@@ -220,53 +186,65 @@ int main(int argc, char** argv) {
     } else if (a == "--configs" && i + 1 < argc) {
       configs = split_fields(argv[++i], ',');
     } else if (a == "--reps" && i + 1 < argc) {
-      reps = std::atoi(argv[++i]);
+      const std::optional<int> v = parse_number<int>(argv[++i]);
+      if (!v || *v < 1) {
+        std::fprintf(stderr, "bench_engine: --reps wants an integer >= 1, "
+                             "got '%s'\n", argv[i]);
+        return 2;
+      }
+      reps = *v;
     } else if (a == "--json" && i + 1 < argc) {
       json_path = argv[++i];
     } else {
-      std::fprintf(stderr, "usage: bench_engine [--kernels a,b,c] "
-                           "[--configs c1,c2] [--reps N] [--json PATH]\n");
-      return 2;
+      return usage();
     }
   }
+  if (kernels.empty() || configs.empty()) return usage();
+  core::SweepOptions names;
+  names.kernels = kernels;
+  names.configs = configs;
+  if (const std::string invalid = core::sweep_options_error(names);
+      !invalid.empty()) {
+    std::fprintf(stderr, "bench_engine: %s\n", invalid.c_str());
+    return 2;
+  }
 
-  interp::ProgramCache cache;
-  const interp::VmEngine vm(&cache);
+  const interp::ReferenceEngine ref;
+  const interp::VmEngine vm;
 
-  std::printf("%-14s %6s %8s %12s %12s %9s\n", "kernel", "jobs", "unique",
-              "scalar[ms]", "dedup[ms]", "speedup");
+  std::printf("%-14s %6s %8s %12s %12s %9s\n", "kernel", "jobs", "distinct",
+              "ref[ms]", "vm[ms]", "speedup");
   std::vector<KernelRow> rows;
-  double scalar_total = 0.0, dedup_total = 0.0;
+  double ref_total = 0.0, vm_total = 0.0;
   for (const std::string& name : kernels) {
     ir::Module module;
     const polybench::BuiltKernel kernel = polybench::build_kernel(name, module);
+    KernelRow row;
+    row.kernel = name;
     const std::vector<Lane> lanes =
-        tuned_grid_lanes(name, *kernel.function, configs);
-    const std::vector<std::size_t> unique = unique_lane_indices(lanes);
-    if (!verify_lanes(vm, *kernel.function, lanes, unique, kernel.inputs))
+        distinct_tuned_lanes(name, *kernel.function, configs, row.jobs);
+    row.distinct = lanes.size();
+    if (!verify_lanes(ref, vm, *kernel.function, lanes, kernel.inputs))
       return 1;
-    const double t_scalar =
-        time_scalar(vm, *kernel.function, lanes, kernel.inputs, reps);
-    const double t_dedup =
-        time_dedup(vm, *kernel.function, lanes, kernel.inputs, reps);
-    scalar_total += t_scalar;
-    dedup_total += t_dedup;
-    rows.push_back({name, lanes.size(), unique.size(), t_scalar, t_dedup});
+    for (int r = 0; r < reps; ++r) {
+      row.ref_seconds += time_runs(ref, *kernel.function, lanes, kernel.inputs);
+      row.vm_seconds += time_runs(vm, *kernel.function, lanes, kernel.inputs);
+    }
+    ref_total += row.ref_seconds;
+    vm_total += row.vm_seconds;
     std::printf("%-14s %6zu %8zu %12.2f %12.2f %8.2fx\n", name.c_str(),
-                lanes.size(), unique.size(), t_scalar * 1e3, t_dedup * 1e3,
-                t_scalar / t_dedup);
+                row.jobs, row.distinct, row.ref_seconds * 1e3,
+                row.vm_seconds * 1e3, row.ref_seconds / row.vm_seconds);
+    rows.push_back(row);
   }
-  const interp::ProgramCache::Stats stats = cache.stats();
-  std::printf("\nprogram cache: %ld lookups, %ld hits, %ld insertions\n",
-              stats.lookups, stats.hits, stats.insertions);
-  std::printf("aggregate: scalar %.2f s, dedup %.2f s, speedup %.2fx "
-              "(all lanes verified against the reference engine)\n",
-              scalar_total, dedup_total, scalar_total / dedup_total);
+  std::printf("\naggregate: ref %.3f s, vm %.3f s, speedup %.2fx "
+              "(every distinct assignment verified bit for bit)\n",
+              ref_total, vm_total, ref_total / vm_total);
 
   if (!json_path.empty()) {
     JsonWriter w;
     w.begin_object();
-    w.key("benchmark"), w.value("engine_dedup");
+    w.key("benchmark"), w.value("engine_vm_vs_ref");
     w.key("configs");
     w.begin_array();
     for (const std::string& c : configs) w.value(c);
@@ -280,11 +258,10 @@ int main(int argc, char** argv) {
       w.begin_object();
       w.key("kernel"), w.value(row.kernel);
       w.key("jobs"), w.value(row.jobs);
-      w.key("unique_lanes"), w.value(row.unique);
-      w.key("scalar_seconds"), w.value(row.scalar_seconds, "%.6g");
-      w.key("dedup_seconds"), w.value(row.dedup_seconds, "%.6g");
-      w.key("speedup"), w.value(row.scalar_seconds / row.dedup_seconds,
-                                "%.4g");
+      w.key("distinct_assignments"), w.value(row.distinct);
+      w.key("ref_seconds"), w.value(row.ref_seconds, "%.6g");
+      w.key("vm_seconds"), w.value(row.vm_seconds, "%.6g");
+      w.key("speedup"), w.value(row.ref_seconds / row.vm_seconds, "%.4g");
       w.end_object();
     }
     w.newline();
@@ -292,9 +269,9 @@ int main(int argc, char** argv) {
     w.newline();
     w.key("aggregate");
     w.begin_object();
-    w.key("scalar_seconds"), w.value(scalar_total, "%.6g");
-    w.key("dedup_seconds"), w.value(dedup_total, "%.6g");
-    w.key("speedup"), w.value(scalar_total / dedup_total, "%.4g");
+    w.key("ref_seconds"), w.value(ref_total, "%.6g");
+    w.key("vm_seconds"), w.value(vm_total, "%.6g");
+    w.key("speedup"), w.value(ref_total / vm_total, "%.4g");
     w.key("verified"), w.value(true);
     w.end_object();
     w.end_object();

@@ -26,24 +26,6 @@ namespace {
 /// widest supported fixed point word.
 constexpr double kBigM = 64.0;
 
-const char* model_op_name(ir::Opcode op) {
-  switch (op) {
-  case ir::Opcode::Add: return "add";
-  case ir::Opcode::Sub: return "sub";
-  case ir::Opcode::Mul: return "mul";
-  case ir::Opcode::Div: return "div";
-  case ir::Opcode::Rem: return "rem";
-  case ir::Opcode::Neg: return "neg";
-  case ir::Opcode::Abs: return "abs";
-  case ir::Opcode::Sqrt: return "sqrt";
-  case ir::Opcode::Exp: return "exp";
-  case ir::Opcode::Pow: return "pow";
-  case ir::Opcode::Min: return "min";
-  case ir::Opcode::Max: return "max";
-  default: LUIS_UNREACHABLE("not tunable arithmetic");
-  }
-}
-
 std::string class_of_format(const NumericFormat& fmt) {
   return cost_class(ConcreteType{fmt, 0});
 }
@@ -372,7 +354,8 @@ IlpStructure build_ilp_structure(const ir::Function& f,
     for (const auto& inst : bb->instructions()) {
       if (!inst->is_tunable_arithmetic()) continue;
       const int u = unit_of(inst.get());
-      const char* op = model_op_name(inst->opcode());
+      // The interpreters bill arithmetic under the same key.
+      const char* op = ir::opcode_name(inst->opcode());
       for (int ti = 0; ti < ntypes; ++ti) {
         const ilp::VarId xv =
             x[static_cast<std::size_t>(u)][static_cast<std::size_t>(ti)];

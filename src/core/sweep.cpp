@@ -172,12 +172,6 @@ void run_ilp_job(const IlpStructure& structure, double structure_share,
   TuningConfig config = preset;
   config.solver.max_nodes = opt.solver_max_nodes;
   config.solver.cache = cache;
-  // Neighboring presets (same kernel/platform structure, different
-  // objective weights) reuse each other's root bases — but only when the
-  // solve order is deterministic, i.e. an explicitly serial sweep. Under
-  // parallelism the pool's contents depend on job completion order, which
-  // would break the parallel == serial bit-identity guarantee.
-  config.solver.share_basis = cache != nullptr && opt.threads == 1;
   AllocationResult allocation;
   {
     obs::TraceSpan span("sweep.allocate", "sweep",
@@ -218,8 +212,13 @@ std::string sweep_options_error(const SweepOptions& options) {
   for (const std::string& p : options.platforms)
     if (!platform::platform_by_name(p))
       return "unknown platform '" + p + "' (want Stm32|Raspberry|Intel|AMD)";
-  if (!interp::parse_engine(options.engine))
+  const std::optional<interp::EngineKind> engine =
+      interp::parse_engine(options.engine);
+  if (!engine)
     return "unknown engine '" + options.engine + "' (want vm or ref)";
+  // Only the VM carries the shadow execution (RunOptions::error_profile).
+  if (options.errors && *engine != interp::EngineKind::Vm)
+    return "--errors needs the vm engine";
   return {};
 }
 
@@ -430,13 +429,11 @@ SweepResult run_sweep(const SweepOptions& options) {
 
       std::vector<interp::ArrayStore> stores(types.size(), ctx.inputs);
       std::vector<interp::ErrorProfile> profiles(types.size());
-      std::vector<interp::BatchRequest> requests(types.size());
-      for (std::size_t i = 0; i < types.size(); ++i)
-        requests[i] = {&types[i], &stores[i], nullptr,
-                       options.errors ? &profiles[i] : nullptr};
-      const std::vector<interp::RunResult> runs =
-          engine->run_batch(f, requests, {});
-      for (std::size_t i = 0; i < runs.size(); ++i) {
+      std::vector<interp::RunResult> runs(types.size());
+      for (std::size_t i = 0; i < types.size(); ++i) {
+        interp::RunOptions ro;
+        if (options.errors) ro.error_profile = &profiles[i];
+        runs[i] = engine->run(f, types[i], stores[i], ro);
         lanes[i + 1].run = &runs[i];
         lanes[i + 1].store = &stores[i];
         lanes[i + 1].errors = &profiles[i];

@@ -20,19 +20,22 @@
 // allocate_greedy, assignment_to_text and the engines take a const
 // Function. The only mutable shared state is the solver result cache,
 // internally locked; its keys are exact bytes, so it cannot change what
-// any job computes (see ilp/solver_cache.hpp).
+// any job computes (see ilp/solver_cache.hpp). The sweep leaves the
+// cache's basis pool off: every job solves from its own structure,
+// objective and options alone.
 //
 // Determinism. Job results are written into a preallocated slot vector in
-// a fixed (kernel-major) order, so the output is identical no matter which
-// thread runs which job. With `check_determinism` the driver re-runs
-// every ILP job's tuning serially after the parallel phase and compares
-// status, objective bits, and the serialized assignment. The re-check
-// re-derives each kernel's parse, ranges and structures from its IR text
-// once, then re-prices every job's model and keys it again (the model's
-// interned structure, objective and options); the re-solves hit the
-// solver cache and skip branch & bound (cost: docs/SWEEP.md). It is
-// also the sweep's organic source of cache hits, since the grid's 360
-// models are pairwise distinct.
+// a fixed (kernel-major) order, so the output is identical, iteration
+// counts included, no matter how many threads run which jobs. With
+// `check_determinism` the sweep re-runs every ILP job's tuning serially
+// after the parallel phase and compares status, objective bits, and the
+// serialized assignment. The re-check re-derives each kernel's parse,
+// ranges and structures from its IR text once, then re-prices every
+// job's model and keys it again (the model's interned structure,
+// objective and options); the re-solves hit the solver cache and skip
+// branch & bound (cost: docs/SWEEP.md). It is also the sweep's organic
+// source of cache hits, since the grid's 360 models are pairwise
+// distinct.
 #pragma once
 
 #include <string>
@@ -67,7 +70,7 @@ struct SweepOptions {
   /// shadow and each job's row gains the in-engine MPE, max abs/rel
   /// deviation, and control-divergence count (see docs/OBSERVABILITY.md,
   /// "Numerical-error profiling"). Quantized outputs are bit-identical
-  /// with this on.
+  /// with this on. Needs the "vm" engine: the tree-walker has no shadow.
   bool errors = false;
   /// VRA fixpoint knobs, applied to every kernel's range analysis and
   /// recorded in the JSON report (so a sweep is reproducible from its own
@@ -133,10 +136,11 @@ struct SweepResult {
 };
 
 /// Empty when every kernel, config, platform and engine name in `options`
-/// is known; otherwise a diagnostic naming the first unknown one.
+/// is known and `errors` runs on the VM; otherwise a diagnostic naming
+/// the first unknown name or the engine that cannot profile errors.
 std::string sweep_options_error(const SweepOptions& options);
 
-/// Runs the sweep. Aborts (LUIS_FATAL) on the names sweep_options_error
+/// Runs the sweep. Aborts (LUIS_FATAL) on the options sweep_options_error
 /// rejects; per-job execution failures are reported in the job result.
 SweepResult run_sweep(const SweepOptions& options = {});
 

@@ -26,10 +26,12 @@ struct BranchAndBoundOptions {
   /// expands nodes chasing noise.
   double prune_tolerance = -1.0;
   /// Reuse/store root bases in the SolverCache basis pool, keyed by the
-  /// objective-free model structure, so neighboring sweep presets (same
-  /// model, different objective weights) start from each other's optimal
-  /// bases. Off by default: pool contents depend on solve order, so only
-  /// drivers with a deterministic solve order (serial sweeps) enable it.
+  /// objective-free model structure, so solves of one model under
+  /// different objectives start from each other's optimal bases. Off by
+  /// default: pool contents depend on solve order, so iteration counts
+  /// depend on which solve came last. The sweep leaves it off, so its
+  /// rows are the same at every thread count; only perfbench's traced
+  /// replay of a serial sweep turns it on.
   bool share_basis = false;
   SimplexOptions lp;
   /// Optional shared memoization of whole-model solves (see

@@ -65,9 +65,9 @@ public:
   /// Basis pool: the revised-simplex root basis of a past solve of the
   /// structure. Unlike the results this is last-wins — a basis is a hint,
   /// not a result, and the most recent neighbor is the best available
-  /// seed; an empty basis is not stored. Callers that need
-  /// bit-reproducible results must only consult the pool from a
-  /// deterministic solve order (see BranchAndBoundOptions::share_basis).
+  /// seed; an empty basis is not stored. A pooled start changes iteration
+  /// counts with the solve order, so callers that need the same counts at
+  /// every thread count leave it off (see BranchAndBoundOptions::share_basis).
   std::optional<Basis> lookup_basis(std::size_t structure);
   void store_basis(std::size_t structure, const Basis& basis);
 

@@ -48,17 +48,6 @@ ProgramCache::Stats ProgramCache::stats() const {
   return stats_;
 }
 
-std::size_t ProgramCache::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
-}
-
-void ProgramCache::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  entries_.clear();
-  stats_ = Stats{};
-}
-
 std::vector<RunResult>
 ExecutionEngine::run_batch(const ir::Function& f,
                            std::span<const BatchRequest> lanes,

@@ -31,9 +31,10 @@ std::optional<EngineKind> parse_engine(std::string_view name);
 
 /// Thread-safe cache of compiled programs, keyed by program_cache_key()
 /// (printed IR + positional type serialization). Keys are pointer-free,
-/// so distinct Functions with the same printed IR share entries (the
-/// sweep's built kernel and its parsed copy do). First insert wins, like
-/// the solver cache.
+/// so distinct Functions with the same printed IR share entries. First
+/// insert wins, like the solver cache. The sweep runs each distinct
+/// assignment once and needs no cache; perfbench's traced replay is the
+/// one user left.
 class ProgramCache {
 public:
   struct Stats {
@@ -50,8 +51,6 @@ public:
               std::shared_ptr<const CompiledProgram> program);
 
   Stats stats() const;
-  std::size_t size() const;
-  void clear();
 
 private:
   mutable std::mutex mutex_;
@@ -90,7 +89,8 @@ public:
   /// results in lane order. `options` applies to every lane, except that
   /// each lane's own `profile` and `errors` replace
   /// RunOptions::vm_profile and ::error_profile. A lane that traps only
-  /// fails its own result.
+  /// fails its own result. The sweep calls run() directly; perfbench's
+  /// traced replay is the one caller left.
   std::vector<RunResult> run_batch(const ir::Function& f,
                                    std::span<const BatchRequest> lanes,
                                    const RunOptions& options = {}) const;

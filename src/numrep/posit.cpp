@@ -141,22 +141,6 @@ double Posit::to_double() const {
   return f.negative ? -magnitude : magnitude;
 }
 
-Posit operator+(const Posit& a, const Posit& b) {
-  return Posit::from_double(a.format(), a.to_double() + b.to_double());
-}
-Posit operator-(const Posit& a, const Posit& b) {
-  return Posit::from_double(a.format(), a.to_double() - b.to_double());
-}
-Posit operator*(const Posit& a, const Posit& b) {
-  return Posit::from_double(a.format(), a.to_double() * b.to_double());
-}
-Posit operator/(const Posit& a, const Posit& b) {
-  return Posit::from_double(a.format(), a.to_double() / b.to_double());
-}
-Posit Posit::negate() const {
-  return Posit{format_, (~bits_ + 1) & width_mask(format_.width())};
-}
-
 double posit_max_value(const NumericFormat& format) {
   check_format(format);
   return std::ldexp(1.0, (format.width() - 2) << format.es());

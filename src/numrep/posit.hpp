@@ -1,10 +1,12 @@
-// Posit (type III unum) arithmetic, parameterized by width and es.
+// Posit (type III unum) numbers, parameterized by width and es.
 //
 // Implements the encoding of Gustafson & Yonemoto ("Beating floating point
 // at its own game", 2017): sign bit, run-length-encoded regime, up to `es`
 // exponent bits, and the remaining bits of fraction. Encoding rounds to the
 // nearest posit (ties to even bit pattern) and saturates at +-maxpos /
 // +-minpos: posits never overflow to infinity or underflow to zero.
+// Posit arithmetic follows the one rule of every representation: the
+// operation in binary64, then one rounding through quantize_posit.
 //
 // Supported widths: 3..32 bits, es 0..4 — this covers posit8_0, posit16_1
 // and posit32_2, the configurations with adoption roadmaps cited by the
@@ -45,12 +47,6 @@ public:
 
   bool is_zero() const { return bits_ == 0; }
   bool is_nar() const;
-
-  friend Posit operator+(const Posit& a, const Posit& b);
-  friend Posit operator-(const Posit& a, const Posit& b);
-  friend Posit operator*(const Posit& a, const Posit& b);
-  friend Posit operator/(const Posit& a, const Posit& b);
-  Posit negate() const;
 
 private:
   NumericFormat format_ = kPosit32;

@@ -86,24 +86,9 @@ double float_max_value(const NumericFormat& f) {
                     f.max_exponent());
 }
 
-double float_min_normal(const NumericFormat& f) {
-  LUIS_ASSERT(f.is_float(), "float_min_normal requires a float format");
-  return std::ldexp(1.0, f.min_exponent());
-}
-
 double float_min_subnormal(const NumericFormat& f) {
   LUIS_ASSERT(f.is_float(), "float_min_subnormal requires a float format");
   return std::ldexp(1.0, f.min_exponent() - f.precision() + 1);
-}
-
-double soft_add(const NumericFormat& f, double a, double b) {
-  return round_to_format(f, a + b);
-}
-double soft_sub(const NumericFormat& f, double a, double b) {
-  return round_to_format(f, a - b);
-}
-double soft_mul(const NumericFormat& f, double a, double b) {
-  return round_to_format(f, a * b);
 }
 
 } // namespace luis::numrep

@@ -35,15 +35,7 @@ double round_to_format(const NumericFormat& format, double x);
 /// FiniteOnly where the all-ones pattern is NaN: (2 - 2^(2-p)) * 2^E.
 double float_max_value(const NumericFormat& format);
 
-/// Smallest positive normal value: 2^(1-E).
-double float_min_normal(const NumericFormat& format);
-
 /// Smallest positive subnormal value: 2^(1-E) * 2^(1-p) = 2^(2-E-p).
 double float_min_subnormal(const NumericFormat& format);
-
-// Convenience arithmetic wrappers (operate in binary64, then round).
-double soft_add(const NumericFormat& f, double a, double b);
-double soft_sub(const NumericFormat& f, double a, double b);
-double soft_mul(const NumericFormat& f, double a, double b);
 
 } // namespace luis::numrep

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <set>
 #include <tuple>
 #include <vector>
 
@@ -11,6 +13,7 @@
 #include "numrep/iebw.hpp"
 #include "core/pipeline.hpp"
 #include "core/type_classes.hpp"
+#include "interp/engine.hpp"
 #include "ir/kernel_builder.hpp"
 #include "ir/parser.hpp"
 #include "ir/printer.hpp"
@@ -251,6 +254,73 @@ TEST(IlpStructure, PricingMatchesTheOneShotBuild) {
                       allocate_ilp(structure, *jobs.back().first,
                                    jobs.back().second)),
               priced.front());
+  }
+}
+
+/// Every tunable arithmetic opcode (ir::Instruction::is_tunable_arithmetic)
+/// once per iteration, over operands in [1, 2].
+ir::Function* build_every_tunable_op(ir::Module& m) {
+  KernelBuilder kb(m, "every_tunable_op");
+  Array* A = kb.array("A", {8}, 1.0, 2.0);
+  Array* B = kb.array("B", {8}, 1.0, 2.0);
+  Array* C = kb.array("C", {8}, 0.0, 32.0);
+  kb.for_loop("i", 0, 8, [&](IVal i) {
+    const RVal a = kb.load(A, {i});
+    const RVal b = kb.load(B, {i});
+    const RVal s = (a + b) * (a - b) / b;
+    const RVal r = kb.rem(a, b) + kb.abs(kb.neg(s));
+    const RVal e = kb.sqrt(a) + kb.exp(b) + kb.pow(a, b);
+    kb.store(kb.fmin(r, e) + kb.fmax(r, e), C, {i});
+  });
+  return kb.finish();
+}
+
+TEST(IlpStructure, PricesEveryKeyTheInterpreterBills) {
+  // The ILP prices the (op, type class) keys the engines bill: both spell
+  // the op with ir::opcode_name and the class with interp::cost_class. A
+  // kernel using all 12 tunable opcodes, tuned under each preset, bills
+  // its arithmetic only under keys its structure prices.
+  ir::Module m;
+  const ir::Function* f = build_every_tunable_op(m);
+  ASSERT_TRUE(ir::verify(*f).ok());
+  std::set<std::string> tunable;
+  for (const auto& bb : f->blocks())
+    for (const auto& inst : bb->instructions())
+      if (inst->is_tunable_arithmetic())
+        tunable.insert(ir::opcode_name(inst->opcode()));
+  ASSERT_EQ(tunable.size(), 12u);
+
+  ArrayStore inputs;
+  Rng rng(9);
+  for (const char* name : {"A", "B"})
+    for (int i = 0; i < 8; ++i) inputs[name].push_back(rng.next_double(1, 2));
+  inputs["C"].assign(8, 0.0);
+  const vra::RangeMap ranges = vra::analyze_ranges(*f);
+  const interp::VmEngine vm;
+  for (const TuningConfig& preset :
+       {TuningConfig::precise(), TuningConfig::balanced(),
+        TuningConfig::fast(), TuningConfig::multi()}) {
+    const IlpStructure structure = build_ilp_structure(*f, ranges, preset);
+    for (const platform::OpTimeTable* table :
+         {&platform::stm32_table(), &platform::intel_table()}) {
+      SCOPED_TRACE(preset.name + "/" + table->machine());
+      const AllocationResult tuned = allocate_ilp(structure, *table, preset);
+      ASSERT_EQ(tuned.stats.status, ilp::SolveStatus::Optimal);
+      ArrayStore store = inputs;
+      const RunResult run = vm.run(*f, tuned.assignment, store);
+      ASSERT_TRUE(run.ok) << run.error;
+      std::set<std::string> billed;
+      for (const auto& [key, count] : run.counters.ops) {
+        if (!tunable.contains(key.first)) continue;
+        billed.insert(key.first);
+        EXPECT_NE(std::find(structure.prices.begin(), structure.prices.end(),
+                            key),
+                  structure.prices.end())
+            << "billed (" << key.first << ", " << key.second
+            << ") is not priced";
+      }
+      EXPECT_EQ(billed, tunable);
+    }
   }
 }
 

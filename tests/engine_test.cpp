@@ -266,28 +266,23 @@ TEST(Engine, ProgramCacheHitsOnSecondRun) {
   EXPECT_EQ(cache.stats().lookups, 2);
   EXPECT_EQ(cache.stats().hits, 1);
   EXPECT_EQ(cache.stats().insertions, 1);
-  EXPECT_EQ(cache.size(), 1u);
   EXPECT_TRUE(buffers_bit_equal(s1.at("A"), s2.at("A")));
 
   // A different assignment is a different program.
   const TypeAssignment b32 = TypeAssignment::uniform(*f, {numrep::kBinary32, 0});
   ASSERT_TRUE(vm.run(*f, b32, s3).ok);
   EXPECT_EQ(cache.stats().insertions, 2);
-  EXPECT_EQ(cache.size(), 2u);
 
   // Cached replay still matches the reference interpreter bit for bit.
   ArrayStore sr = inputs, sv = inputs;
   ASSERT_TRUE(ref.run(*f, b32, sr).ok);
   ASSERT_TRUE(vm.run(*f, b32, sv).ok);
   EXPECT_TRUE(buffers_bit_equal(sr.at("A"), sv.at("A")));
-
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.stats().lookups, 0);
+  EXPECT_EQ(cache.stats().hits, 2);
 }
 
 TEST(Engine, CacheKeySurvivesReparse) {
-  // Sweep jobs re-parse the same kernel text into private modules; the
+  // The same kernel text parsed into two modules shares one entry: the
   // cache key must not depend on object identity.
   const char* text = R"(func @twin {
   array @A[4] range [0.0, 1.0]
@@ -838,7 +833,7 @@ TEST(Engine, DisassembleSmoke) {
     kb.store(kb.load(A, {i}) + kb.real(1.0), A, {i});
   });
   ir::Function* f = kb.finish();
-  const CompiledProgram program = compile_program(*f, {}, {});
+  const CompiledProgram program = compile_program(*f, {});
   const std::string text = disassemble(program);
   EXPECT_NE(text.find("disasm"), std::string::npos);
   EXPECT_NE(text.find("ret"), std::string::npos);

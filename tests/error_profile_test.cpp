@@ -52,7 +52,7 @@ ProfiledRun profiled_run(const std::string& kernel, ir::Module& module,
   const interp::TypeAssignment types =
       interp::TypeAssignment::uniform(*built.function, type);
   ProfiledRun out;
-  out.program = interp::compile_program(*built.function, types, {});
+  out.program = interp::compile_program(*built.function, types);
   out.outputs = built.inputs;
   interp::RunOptions opt;
   opt.error_profile = &out.errors;
@@ -76,7 +76,7 @@ TEST(ErrorProfile, ShadowIsAPureObserver) {
         *plain.function, {numrep::kBinary32, 0});
     interp::ArrayStore unprofiled = plain.inputs;
     ASSERT_TRUE(interp::run_program(
-                    interp::compile_program(*plain.function, b32, {}),
+                    interp::compile_program(*plain.function, b32),
                     *plain.function, unprofiled, {})
                     .ok);
 
@@ -90,7 +90,7 @@ TEST(ErrorProfile, ShadowIsAPureObserver) {
     const polybench::BuiltKernel ref = polybench::build_kernel(kernel, m_ref);
     interp::ArrayStore binary64 = ref.inputs;
     ASSERT_TRUE(interp::run_program(
-                    interp::compile_program(*ref.function, {}, {}),
+                    interp::compile_program(*ref.function, {}),
                     *ref.function, binary64, {})
                     .ok);
     for (const auto& [name, buf] : binary64)
@@ -174,7 +174,7 @@ done:
   interp::RunOptions opt;
   opt.error_profile = &ep;
   const interp::CompiledProgram program =
-      interp::compile_program(*parsed.function, coarse, {});
+      interp::compile_program(*parsed.function, coarse);
   ASSERT_TRUE(
       interp::run_program(program, *parsed.function, store, opt).ok);
 

@@ -461,7 +461,7 @@ void expect_exact_attribution(const std::string& kernel,
   const interp::TypeAssignment types =
       interp::TypeAssignment::uniform(*built.function, type);
   const interp::CompiledProgram program =
-      interp::compile_program(*built.function, types, {});
+      interp::compile_program(*built.function, types);
 
   interp::VmProfile profile;
   interp::RunOptions opt;
@@ -523,7 +523,7 @@ TEST(Profile, AttributionIsExactUnderATunedMixedAssignment) {
       *built.function, table, core::TuningConfig::fast(), popt);
 
   const interp::CompiledProgram program = interp::compile_program(
-      *built.function, tuned.allocation.assignment, {});
+      *built.function, tuned.allocation.assignment);
   interp::VmProfile profile;
   interp::RunOptions opt;
   opt.vm_profile = &profile;
@@ -546,7 +546,7 @@ TEST(Profile, ReportRendersTextAndValidJson) {
   const interp::TypeAssignment types = interp::TypeAssignment::uniform(
       *built.function, {numrep::kBinary32, 0});
   const interp::CompiledProgram program =
-      interp::compile_program(*built.function, types, {});
+      interp::compile_program(*built.function, types);
   interp::VmProfile profile;
   interp::RunOptions opt;
   opt.vm_profile = &profile;

@@ -55,11 +55,15 @@ TEST(Posit, SaturationNeverOverflowsOrUnderflows) {
 }
 
 TEST(Posit, NegationIsExact) {
+  // Rounding is symmetric: the posit of -x is the exact negation of the
+  // posit of x, and its pattern is the two's complement of x's pattern.
   Rng rng(1);
   for (int i = 0; i < 500; ++i) {
     const double x = std::ldexp(rng.next_double(-2, 2), rng.next_int(-10, 10));
+    EXPECT_EQ(quantize_posit(kPosit16, -x), -quantize_posit(kPosit16, x));
     const auto p = Posit::from_double(kPosit16, x);
-    EXPECT_EQ(p.negate().to_double(), -p.to_double());
+    EXPECT_EQ(Posit::from_double(kPosit16, -x).bits(),
+              (~p.bits() + 1) & 0xFFFFu);
   }
 }
 
@@ -128,12 +132,16 @@ TEST(Posit, RoundsToNearest) {
 }
 
 TEST(Posit, ArithmeticBasics) {
-  const auto a = Posit::from_double(kPosit16, 1.5);
-  const auto b = Posit::from_double(kPosit16, 0.25);
-  EXPECT_EQ((a + b).to_double(), 1.75);
-  EXPECT_EQ((a - b).to_double(), 1.25);
-  EXPECT_EQ((a * b).to_double(), 0.375);
-  EXPECT_EQ((a / b).to_double(), 6.0);
+  // Posit arithmetic is a binary64 operation, then one rounding.
+  const double a = quantize_posit(kPosit16, 1.5);
+  const double b = quantize_posit(kPosit16, 0.25);
+  EXPECT_EQ(quantize_posit(kPosit16, a + b), 1.75);
+  EXPECT_EQ(quantize_posit(kPosit16, a - b), 1.25);
+  EXPECT_EQ(quantize_posit(kPosit16, a * b), 0.375);
+  EXPECT_EQ(quantize_posit(kPosit16, a / b), 6.0);
+  // A result between two posits rounds to one of them: posit16_1 has 12
+  // fraction bits at 1.0, so 1 + 2^-14 rounds back to 1.
+  EXPECT_EQ(quantize_posit(kPosit16, 1.0 + std::ldexp(1.0, -14)), 1.0);
 }
 
 TEST(Posit, FieldsOfOne) {

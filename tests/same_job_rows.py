@@ -6,7 +6,8 @@
 Rows are compared in order, field by field, apart from `engine` and
 `timings`, which differ between engines and between runs. Exits 0 when
 every row matches and 1, naming the first differing row, otherwise. The
-cli_sweep_ref_engine test runs it on one grid swept on both engines.
+cli_sweep_ref_engine test runs it on one grid swept on both engines, and
+cli_sweep_threads_agree on one grid swept at 1 and at 4 threads.
 """
 
 import json

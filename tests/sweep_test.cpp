@@ -44,9 +44,9 @@ SweepOptions small_grid() {
 TEST(Sweep, ParallelMatchesSerialBitIdentical) {
   // The sweep's central guarantee: neither the thread count nor the shared
   // cache changes what a sweep computes — same assignments, same
-  // objectives, bit for bit. Serial with the cache is the only setup where
-  // the basis pool runs, so simplex iteration counts are the one field
-  // allowed to differ.
+  // objectives, bit for bit, and the same search: every job solves from
+  // its own structure, objective and options, so node and simplex
+  // iteration counts match too.
   SweepOptions serial = small_grid();
   serial.threads = 1;
   serial.use_cache = false; // plain serial reference: no shared state at all
@@ -76,10 +76,23 @@ TEST(Sweep, ParallelMatchesSerialBitIdentical) {
       EXPECT_EQ(ja.stats.objective, jb.stats.objective);
       EXPECT_EQ(ja.stats.status, jb.stats.status);
       EXPECT_EQ(ja.stats.nodes, jb.stats.nodes);
+      EXPECT_EQ(ja.stats.iterations, jb.stats.iterations);
       EXPECT_EQ(ja.speedup_percent, jb.speedup_percent);
       EXPECT_EQ(ja.mpe, jb.mpe);
     }
   }
+}
+
+TEST(Sweep, ErrorProfilingNeedsTheVm) {
+  // The tree-walker has no shadow execution: a sweep with `errors` on it
+  // would drop every row's error fields, so its options are refused.
+  SweepOptions opt = small_grid();
+  opt.errors = true;
+  EXPECT_EQ(sweep_options_error(opt), "");
+  opt.engine = "ref";
+  EXPECT_EQ(sweep_options_error(opt), "--errors needs the vm engine");
+  opt.errors = false;
+  EXPECT_EQ(sweep_options_error(opt), "");
 }
 
 TEST(Sweep, DeterminismCheckPassesAndCacheHits) {

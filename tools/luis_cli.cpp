@@ -1099,8 +1099,7 @@ int cmd_disasm(const std::vector<std::string>& args) {
   ir::Function* f = parse_and_verify_or_die(module, cl->operands[0]);
   if (!f) return 1;
   const interp::TypeAssignment types = interp::TypeAssignment::uniform(*f, type);
-  const interp::CompiledProgram program =
-      interp::compile_program(*f, types, {});
+  const interp::CompiledProgram program = interp::compile_program(*f, types);
   std::fputs(interp::disassemble(program).c_str(), stdout);
   return 0;
 }
@@ -1384,7 +1383,7 @@ int cmd_profile(const std::vector<std::string>& args) {
     types = std::move(*loaded);
   }
 
-  const interp::CompiledProgram program = interp::compile_program(*f, types, {});
+  const interp::CompiledProgram program = interp::compile_program(*f, types);
   interp::ArrayStore store = synth_inputs(*f);
   interp::VmProfile profile;
   interp::ErrorProfile errors;
