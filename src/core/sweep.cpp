@@ -80,7 +80,7 @@ analyze_kernel(const std::string& name, const std::string& ir_text,
 }
 
 /// Everything a kernel's rows need, produced once per kernel and
-/// read-only afterwards.
+/// read-only until the kernel is executed (release_kernel).
 struct KernelContext {
   std::string name;
   bool ok = false;
@@ -89,9 +89,9 @@ struct KernelContext {
   KernelAnalysis analysis; ///< `ir_text` parsed and range-analyzed
   interp::ArrayStore inputs;
   std::vector<std::string> outputs;
-  /// The kernel's one binary64 run, lane 0 of the execution phase: its
-  /// observed array ranges annotate the kernel, its outputs and counters
-  /// are every row's reference, and its time goes to the stage totals only.
+  /// The kernel's one binary64 run, lane 0 of its execution: its observed
+  /// array ranges annotate the kernel, its outputs and counters are every
+  /// row's reference, and its time goes to the stage totals only.
   interp::RunResult base;
   interp::ArrayStore reference;     ///< its outputs
   interp::ErrorProfile base_errors; ///< its shadow profile (with `errors`)
@@ -158,6 +158,105 @@ void fold_error_profile(const interp::ErrorProfile& ep, SweepJobResult& out) {
   };
   for (const interp::ErrorCell& c : ep.instr) fold(c);
   for (const interp::ErrorCell& c : ep.moves) fold(c);
+}
+
+/// Executes the ok rows among one kernel's `kernel_rows` (indices into
+/// `jobs`), ILP and TAFFO alike, one engine run per distinct assignment,
+/// and returns {runs, rows served, distinct assignments}. Duplicates
+/// (presets that converged to the same allocation, the same preset across
+/// platforms, TAFFO agreeing with a preset) collapse into one lane; every
+/// row sharing a lane reads that lane's counters, store and shadow
+/// profile, which is exact because the assignment fully determines the
+/// execution. Lane 0 is the all-binary64 assignment, served by the
+/// kernel's prepare run and never run again.
+std::array<long, 3>
+execute_kernel(const KernelContext& ctx,
+               const std::vector<std::size_t>& kernel_rows,
+               const std::vector<const platform::OpTimeTable*>& table_of,
+               const interp::ExecutionEngine& engine, bool errors,
+               std::vector<SweepJobResult>& jobs) {
+  const ir::Function& f = *ctx.analysis.function;
+
+  // Dedup the rows' assignments into lanes. Lane 0 reads the prepare run;
+  // every other lane runs once below.
+  struct Lane {
+    std::string text;
+    int rows = 0;
+    const interp::RunResult* run = nullptr;
+    const interp::ArrayStore* store = nullptr;
+    const interp::ErrorProfile* errors = nullptr;
+  };
+  std::vector<Lane> lanes = {{assignment_to_text(f, interp::TypeAssignment()),
+                              0, &ctx.base, &ctx.reference, &ctx.base_errors}};
+  std::vector<interp::TypeAssignment> types; // of lanes 1, 2, ...
+  std::vector<std::size_t> rows, lane_of;
+  for (const std::size_t j : kernel_rows) {
+    if (!jobs[j].ok) continue;
+    rows.push_back(j);
+    const std::string& text = jobs[j].assignment_text;
+    const auto it =
+        std::find_if(lanes.begin(), lanes.end(),
+                     [&](const Lane& lane) { return lane.text == text; });
+    lane_of.push_back(static_cast<std::size_t>(it - lanes.begin()));
+    if (it == lanes.end()) {
+      const AssignmentParseResult reloaded = assignment_from_text(f, text);
+      LUIS_ASSERT(
+          reloaded.ok(),
+          ("sweep: tuned assignment does not reload: " + reloaded.error).c_str());
+      lanes.push_back({text});
+      types.push_back(reloaded.assignment);
+    }
+    ++lanes[lane_of.back()].rows;
+  }
+
+  std::vector<interp::ArrayStore> stores(types.size(), ctx.inputs);
+  std::vector<interp::ErrorProfile> profiles(types.size());
+  std::vector<interp::RunResult> runs(types.size());
+  for (std::size_t i = 0; i < types.size(); ++i) {
+    interp::RunOptions ro;
+    if (errors) ro.error_profile = &profiles[i];
+    runs[i] = engine.run(f, types[i], stores[i], ro);
+    lanes[i + 1].run = &runs[i];
+    lanes[i + 1].store = &stores[i];
+    lanes[i + 1].errors = &profiles[i];
+  }
+
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    SweepJobResult& job = jobs[rows[k]];
+    const Lane& lane = lanes[lane_of[k]];
+    const interp::RunResult& run = *lane.run;
+    if (lane_of[k] > 0) {
+      // A lane's cost is shared by every row it serves, so the stage
+      // totals still sum to the wall-clock actually spent.
+      job.timings.interp_compile_seconds = run.compile_seconds / lane.rows;
+      job.timings.interp_execute_seconds = run.execute_seconds / lane.rows;
+    }
+    if (!run.ok) {
+      job.ok = false;
+      job.error = ctx.name + "/" + job.config + " run failed: " + run.error;
+      continue;
+    }
+    const platform::OpTimeTable& table = *table_of[rows[k]];
+    job.speedup_percent = platform::speedup_percent(
+        platform::simulated_time(ctx.base.counters, table),
+        platform::simulated_time(run.counters, table));
+    job.mpe = kernel_mpe(ctx.outputs, ctx.reference, *lane.store);
+    if (lane.errors->finalized) fold_error_profile(*lane.errors, job);
+  }
+  return {1, static_cast<long>(rows.size()), static_cast<long>(lanes.size())};
+}
+
+/// Frees an executed kernel's state. What the sweep still reads stays: the
+/// kernel's name, status and IR text (the re-check re-derives the kernel
+/// from the text) and its binary64 run's times (the stage totals).
+void release_kernel(KernelContext& ctx) {
+  ctx.analysis = KernelAnalysis();
+  ctx.inputs = {};
+  ctx.reference = {};
+  ctx.base_errors = {};
+  ctx.base.counters = {};
+  ctx.base.array_ranges = {};
+  ctx.base.register_ranges = {};
 }
 
 /// Tunes one (kernel, config, platform) job by pricing its kernel's
@@ -339,180 +438,131 @@ SweepResult run_sweep(const SweepOptions& options) {
     }
   }
 
+  // Set once a kernel's last ILP job is done: its rows' tuning fields and
+  // its cache entries are then complete.
+  const std::size_t jobs_per_kernel = platforms.size() * configs.size();
+  std::vector<std::atomic<bool>> tuned(kernels.size());
+
+  // Determinism check: serially re-tune every ILP job and compare. Each
+  // kernel's parse, ranges and structures are re-derived from its IR text
+  // once, then every job's model is re-priced and re-solved; the re-solves
+  // hit the shared cache (same model bytes, objective and options) and
+  // skip branch & bound. The check is what proves a parallel sweep computed
+  // exactly what the serial path would have. It takes the kernels in order,
+  // each once its last ILP job is done, and opens its span only then: with
+  // more than one thread on its own thread beside the jobs, on one thread
+  // after all of them.
+  const auto recheck = [&] {
+    int mismatches = 0;
+    for (std::size_t ki = 0; ki < kernels.size(); ++ki) {
+      const KernelContext& ctx = contexts[ki];
+      if (!ctx.ok) continue; // its rows carry the kernel's error
+      tuned[ki].wait(false);
+      obs::TraceSpan span("sweep.determinism_check", "sweep", [&] {
+        return obs::Args().str("kernel", ctx.name).done();
+      });
+      const KernelAnalysis redo_kernel =
+          analyze_kernel(ctx.name, ctx.ir_text, options.vra, structure_inputs);
+      for (std::size_t i = ki * jobs_per_kernel; i < (ki + 1) * jobs_per_kernel;
+           ++i) {
+        const auto [j, p] = ilp_jobs[i]; // ilp_jobs is kernel-major
+        const SweepJobResult& job = result.jobs[j];
+        SweepJobResult redo;
+        redo.kernel = job.kernel;
+        redo.config = job.config;
+        redo.platform = job.platform;
+        run_ilp_job(redo_kernel.structures[structure_of[p]], 0.0, *table_of[j],
+                    presets[p], options, cache_ptr, redo);
+        const bool same = redo.assignment_text == job.assignment_text &&
+                          redo.stats.objective == job.stats.objective &&
+                          redo.stats.status == job.stats.status;
+        if (!same) {
+          ++mismatches;
+          // A mismatch is a real defect, not progress chatter: always warn.
+          LUIS_LOG_WARN("[sweep] determinism MISMATCH " + job.kernel + "/" +
+                        job.config + "/" + job.platform);
+        }
+      }
+    }
+    return mismatches;
+  };
+
   // Phase 2: the ILP jobs, parallel over (kernel x platform x config),
-  // each pricing its kernel's shared structure. Jobs only tune here; the
-  // interpretation runs in the phase below. A kernel's last job to finish
-  // releases its structures, so they do not all stay resident.
+  // each pricing its kernel's shared structure. Each kernel counts its ILP
+  // jobs down on an atomic. The job that reaches zero releases the
+  // kernel's structures, marks the kernel tuned, executes its rows and
+  // frees the rest of its state. So no barrier waits for the grid's slowest
+  // job before a kernel executes, and kernels do not all stay resident.
+  int mismatches = 0;
+  std::thread checker;
   {
     obs::TraceSpan phase("sweep.jobs", "sweep", [&] {
       return obs::Args().num("jobs", ilp_jobs.size()).done();
     });
+    if (options.check_determinism && threads > 1)
+      checker = std::thread([&] { mismatches = recheck(); });
     std::vector<std::atomic<int>> jobs_left(kernels.size());
     for (std::atomic<int>& left : jobs_left)
-      left = static_cast<int>(platforms.size() * configs.size());
+      left = static_cast<int>(jobs_per_kernel);
+    std::vector<std::array<long, 3>> executed(kernels.size(),
+                                              {0, 0, 0}); // runs/lanes/unique
     support::parallel_for(ilp_jobs.size(), threads, [&](std::size_t i) {
       const auto [j, p] = ilp_jobs[i];
+      const std::size_t ki = kernel_of[j];
       SweepJobResult& job = result.jobs[j];
-      KernelContext& ctx = contexts[kernel_of[j]];
+      KernelContext& ctx = contexts[ki];
       if (!ctx.ok) return; // the row already carries the kernel's error
-      obs::TraceSpan span("sweep.job", "sweep", [&] {
-        return obs::Args()
-            .str("kernel", job.kernel)
-            .str("config", job.config)
-            .str("platform", job.platform)
-            .done();
+      bool last = false;
+      {
+        obs::TraceSpan span("sweep.job", "sweep", [&] {
+          return obs::Args()
+              .str("kernel", job.kernel)
+              .str("config", job.config)
+              .str("platform", job.platform)
+              .done();
+        });
+        const std::size_t si = structure_of[p];
+        const IlpStructure& structure = ctx.analysis.structures[si];
+        run_ilp_job(structure,
+                    structure.build_seconds /
+                        static_cast<double>(structure_rows[si]),
+                    *table_of[j], presets[p], options, cache_ptr, job);
+        LUIS_LOG(progress_level, "[sweep] " + job.kernel + "/" + job.config +
+                                     "/" + job.platform +
+                                     (job.ok ? " ok" : " FAILED"));
+        // Past the countdown the row belongs to the kernel's execution.
+        last = --jobs_left[ki] == 0;
+        if (last) ctx.analysis.structures = {};
+      }
+      if (!last) return;
+      tuned[ki] = true;
+      tuned[ki].notify_one();
+      obs::TraceSpan span("sweep.execute_kernel", "sweep", [&] {
+        return obs::Args().str("kernel", ctx.name).done();
       });
-      const std::size_t si = structure_of[p];
-      const IlpStructure& structure = ctx.analysis.structures[si];
-      run_ilp_job(structure,
-                  structure.build_seconds /
-                      static_cast<double>(structure_rows[si]),
-                  *table_of[j], presets[p], options, cache_ptr, job);
-      if (--jobs_left[kernel_of[j]] == 0) ctx.analysis.structures = {};
-      LUIS_LOG(progress_level, "[sweep] " + job.kernel + "/" + job.config +
-                                   "/" + job.platform +
-                                   (job.ok ? " ok" : " FAILED"));
-    });
-  }
-
-  // Phase 3: execute each kernel's rows, ILP and TAFFO alike, one engine
-  // run per distinct assignment. Duplicates (presets that converged to the
-  // same allocation, the same preset across platforms, TAFFO agreeing with
-  // a preset) collapse into one lane; every row sharing a lane reads that
-  // lane's counters, store and shadow profile, which is exact because the
-  // assignment fully determines the execution. Lane 0 is the all-binary64
-  // assignment, served by the kernel's prepare run and never run again.
-  {
-    obs::TraceSpan phase("sweep.batch_execute", "sweep", [&] {
-      return obs::Args().num("kernels", kernels.size()).done();
-    });
-    std::vector<std::array<long, 3>> per_kernel(kernels.size(),
-                                                {0, 0, 0}); // runs/lanes/unique
-    support::parallel_for(kernels.size(), threads, [&](std::size_t ki) {
-      const KernelContext& ctx = contexts[ki];
-      if (!ctx.ok) return;
-      const ir::Function& f = *ctx.analysis.function;
-
-      // Dedup the rows' assignments into lanes. Lane 0 reads the prepare
-      // run; every other lane runs once below.
-      struct Lane {
-        std::string text;
-        int rows = 0;
-        const interp::RunResult* run = nullptr;
-        const interp::ArrayStore* store = nullptr;
-        const interp::ErrorProfile* errors = nullptr;
-      };
-      std::vector<Lane> lanes = {
-          {assignment_to_text(f, interp::TypeAssignment()), 0, &ctx.base,
-           &ctx.reference, &ctx.base_errors}};
-      std::vector<interp::TypeAssignment> types; // of lanes 1, 2, ...
-      std::vector<std::size_t> rows, lane_of;
-      for (const std::size_t j : kernel_rows[ki]) {
-        if (!result.jobs[j].ok) continue;
-        rows.push_back(j);
-        const std::string& text = result.jobs[j].assignment_text;
-        const auto it = std::find_if(
-            lanes.begin(), lanes.end(),
-            [&](const Lane& lane) { return lane.text == text; });
-        lane_of.push_back(static_cast<std::size_t>(it - lanes.begin()));
-        if (it == lanes.end()) {
-          const AssignmentParseResult reloaded = assignment_from_text(f, text);
-          LUIS_ASSERT(reloaded.ok(),
-                      ("sweep: tuned assignment does not reload: " +
-                       reloaded.error)
-                          .c_str());
-          lanes.push_back({text});
-          types.push_back(reloaded.assignment);
-        }
-        ++lanes[lane_of.back()].rows;
-      }
-
-      std::vector<interp::ArrayStore> stores(types.size(), ctx.inputs);
-      std::vector<interp::ErrorProfile> profiles(types.size());
-      std::vector<interp::RunResult> runs(types.size());
-      for (std::size_t i = 0; i < types.size(); ++i) {
-        interp::RunOptions ro;
-        if (options.errors) ro.error_profile = &profiles[i];
-        runs[i] = engine->run(f, types[i], stores[i], ro);
-        lanes[i + 1].run = &runs[i];
-        lanes[i + 1].store = &stores[i];
-        lanes[i + 1].errors = &profiles[i];
-      }
-      per_kernel[ki] = {1, static_cast<long>(rows.size()),
-                        static_cast<long>(lanes.size())};
-
-      for (std::size_t k = 0; k < rows.size(); ++k) {
-        SweepJobResult& job = result.jobs[rows[k]];
-        const Lane& lane = lanes[lane_of[k]];
-        const interp::RunResult& run = *lane.run;
-        if (lane_of[k] > 0) {
-          // A lane's cost is shared by every row it serves, so the stage
-          // totals still sum to the wall-clock actually spent.
-          job.timings.interp_compile_seconds = run.compile_seconds / lane.rows;
-          job.timings.interp_execute_seconds = run.execute_seconds / lane.rows;
-        }
-        if (!run.ok) {
-          job.ok = false;
-          job.error =
-              ctx.name + "/" + job.config + " run failed: " + run.error;
-          continue;
-        }
-        const platform::OpTimeTable& table = *table_of[rows[k]];
-        job.speedup_percent = platform::speedup_percent(
-            platform::simulated_time(ctx.base.counters, table),
-            platform::simulated_time(run.counters, table));
-        job.mpe = kernel_mpe(ctx.outputs, ctx.reference, *lane.store);
-        if (lane.errors->finalized) fold_error_profile(*lane.errors, job);
-      }
+      executed[ki] = execute_kernel(ctx, kernel_rows[ki], table_of, *engine,
+                                    options.errors, result.jobs);
+      release_kernel(ctx);
       LUIS_LOG(progress_level,
                "[sweep] " + ctx.name + " executed " +
-                   std::to_string(types.size()) + " lanes for " +
-                   std::to_string(rows.size()) + " rows");
+                   std::to_string(executed[ki][2] - 1) + " lanes for " +
+                   std::to_string(executed[ki][1]) + " rows");
     });
-    for (const auto& [r, l, u] : per_kernel) {
+    for (const auto& [r, l, u] : executed) {
       result.stats.batch_runs += r;
       result.stats.batch_lanes += l;
       result.stats.batch_unique_lanes += u;
     }
   }
 
-  // Determinism check: serially re-tune every ILP job and compare. Each
-  // kernel's parse, ranges and structures are re-derived from its IR text
-  // once, then every job's model is re-priced and re-solved; the re-solves
-  // hit the shared cache (same canonical model) and skip branch & bound.
-  // The check is what proves a parallel sweep computed exactly what the
-  // serial path would have.
-  if (options.check_determinism) {
-    obs::TraceSpan phase("sweep.determinism_check", "sweep");
-    int mismatches = 0;
-    KernelAnalysis redo_kernel;
-    std::size_t redo_of = kernels.size(); // the kernel redo_kernel holds
-    for (const auto& [j, p] : ilp_jobs) {
-      const KernelContext& ctx = contexts[kernel_of[j]];
-      if (!ctx.ok) continue;
-      if (kernel_of[j] != redo_of) { // ilp_jobs is kernel-major
-        redo_kernel = analyze_kernel(ctx.name, ctx.ir_text, options.vra,
-                                     structure_inputs);
-        redo_of = kernel_of[j];
-      }
-      const SweepJobResult& job = result.jobs[j];
-      SweepJobResult redo;
-      redo.kernel = job.kernel;
-      redo.config = job.config;
-      redo.platform = job.platform;
-      run_ilp_job(redo_kernel.structures[structure_of[p]], 0.0, *table_of[j],
-                  presets[p], options, cache_ptr, redo);
-      const bool same = redo.assignment_text == job.assignment_text &&
-                        redo.stats.objective == job.stats.objective &&
-                        redo.stats.status == job.stats.status;
-      if (!same) {
-        ++mismatches;
-        // A mismatch is a real defect, not progress chatter: always warn.
-        LUIS_LOG_WARN("[sweep] determinism MISMATCH " + job.kernel + "/" +
-                      job.config + "/" + job.platform);
-      }
-    }
+  if (checker.joinable()) {
+    // The re-check's last kernels may still run after the jobs: the time
+    // this thread waits for them.
+    obs::TraceSpan tail("sweep.determinism_tail", "sweep");
+    checker.join();
     result.stats.determinism_mismatches = mismatches;
+  } else if (options.check_determinism) {
+    result.stats.determinism_mismatches = recheck();
   }
 
   result.stats.jobs = static_cast<int>(result.jobs.size());

@@ -9,10 +9,12 @@
 // structure is built once per distinct candidate set among the presets
 // (core::build_ilp_structure). Every ILP job of the kernel only prices
 // its preset's structure for its platform, and the TAFFO greedy
-// allocation is made once on the same analysis. A kernel's structures are
-// released after its last ILP job. The execution phase then runs each
-// kernel's distinct row assignments once, ILP and TAFFO alike; the
-// all-binary64 assignment is served by the reference run.
+// allocation is made once on the same analysis. The job that finishes a
+// kernel's last ILP job releases its structures, then runs the kernel's
+// distinct row assignments once, ILP and TAFFO alike (the all-binary64
+// assignment is served by the reference run), and frees the kernel's
+// state. No barrier waits for the grid's slowest job before a kernel
+// executes.
 //
 // Isolation model. Sharing a kernel's analysis is safe because the sweep
 // runs only the read-only stages of the pipeline (no IR cleanup, no cast
@@ -22,20 +24,25 @@
 // internally locked; its keys are exact bytes, so it cannot change what
 // any job computes (see ilp/solver_cache.hpp). The sweep leaves the
 // cache's basis pool off: every job solves from its own structure,
-// objective and options alone.
+// objective and options alone. Two atomics per kernel order the hand-offs:
+// each job decrements the kernel's countdown after its last use of the
+// structures and after writing its row, so the job that reaches zero runs
+// after all of them; it then sets the kernel's flag, which the re-check
+// waits on before it reads the kernel's rows and cache entries.
 //
 // Determinism. Job results are written into a preallocated slot vector in
 // a fixed (kernel-major) order, so the output is identical, iteration
 // counts included, no matter how many threads run which jobs. With
 // `check_determinism` the sweep re-runs every ILP job's tuning serially
-// after the parallel phase and compares status, objective bits, and the
-// serialized assignment. The re-check re-derives each kernel's parse,
-// ranges and structures from its IR text once, then re-prices every
-// job's model and keys it again (the model's interned structure,
-// objective and options); the re-solves hit the solver cache and skip
-// branch & bound (cost: docs/SWEEP.md). It is also the sweep's organic
-// source of cache hits, since the grid's 360 models are pairwise
-// distinct.
+// and compares status, objective bits, and the serialized assignment:
+// with more than one thread on one more thread beside the jobs, taking
+// each kernel once its flag is set, and with one thread after all the
+// jobs. The re-check re-derives each kernel's parse, ranges and
+// structures from its IR text once, then re-prices every job's model and
+// keys it again (the model's interned structure, objective and options);
+// the re-solves hit the solver cache and skip branch & bound (cost:
+// docs/SWEEP.md). It is also the sweep's organic source of cache hits,
+// since the grid's 360 models are pairwise distinct.
 #pragma once
 
 #include <string>
@@ -55,6 +62,8 @@ struct SweepOptions {
   bool include_taffo = true;
   long solver_max_nodes = 3000;
   /// Worker threads; 0 = hardware concurrency, 1 = serial reference path.
+  /// With `check_determinism` and more than one, the re-check runs on one
+  /// more thread beside them.
   int threads = 0;
   /// Share one solver result cache across all jobs (off = jobs share only
   /// read-only inputs: their kernel's parsed IR, ranges and structures).
@@ -63,7 +72,7 @@ struct SweepOptions {
   /// bytecode engine, default) or "ref" (the tree-walking reference).
   /// Results are bit-identical either way.
   std::string engine = "vm";
-  /// After the (possibly parallel) sweep, serially re-tune every ILP job
+  /// Serially re-tune every ILP job, each kernel once its jobs are done,
   /// and verify it reproduces the same assignment and objective.
   bool check_determinism = true;
   /// Shadow-execute every tuned job: the VM carries a lockstep binary64

@@ -14,13 +14,14 @@ void parallel_for(std::size_t n, int threads,
     return;
   }
   std::atomic<std::size_t> next{0};
-  const auto worker = [&] {
+  const auto claim = [&] {
     for (std::size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1))
       fn(i);
   };
   std::vector<std::thread> workers(
-      std::min(static_cast<std::size_t>(threads), n));
-  for (std::thread& w : workers) w = std::thread(worker);
+      std::min(static_cast<std::size_t>(threads), n) - 1);
+  for (std::thread& w : workers) w = std::thread(claim);
+  claim();
   for (std::thread& w : workers) w.join();
 }
 

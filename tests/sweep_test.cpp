@@ -2,12 +2,16 @@
 
 #include <algorithm>
 #include <atomic>
+#include <barrier>
 #include <bit>
 #include <cstdint>
 #include <fstream>
 #include <iterator>
 #include <map>
+#include <mutex>
+#include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -80,6 +84,103 @@ TEST(Sweep, ParallelMatchesSerialBitIdentical) {
       EXPECT_EQ(ja.speedup_percent, jb.speedup_percent);
       EXPECT_EQ(ja.mpe, jb.mpe);
     }
+  }
+}
+
+/// One closed span of a recorded trace.
+struct RecordedSpan {
+  std::string name;
+  std::string kernel; ///< its `kernel` arg, or empty
+  std::uint32_t tid = 0;
+  double begin = 0.0, end = 0.0; ///< microseconds
+};
+
+std::vector<RecordedSpan>
+recorded_spans(const std::vector<obs::TraceEvent>& events) {
+  std::vector<RecordedSpan> spans;
+  std::map<std::uint32_t, std::vector<RecordedSpan>> open;
+  for (const obs::TraceEvent& ev : events) {
+    if (ev.phase == 'B') {
+      RecordedSpan span{ev.name, "", ev.tid, ev.ts_micros, 0.0};
+      const std::string key = "\"kernel\":\"";
+      const std::size_t at = ev.args_json.find(key);
+      if (at != std::string::npos) {
+        const std::size_t from = at + key.size();
+        span.kernel =
+            ev.args_json.substr(from, ev.args_json.find('"', from) - from);
+      }
+      open[ev.tid].push_back(span);
+    } else if (ev.phase == 'E') {
+      spans.push_back(open[ev.tid].back());
+      spans.back().end = ev.ts_micros;
+      open[ev.tid].pop_back();
+    }
+  }
+  return spans;
+}
+
+TEST(Sweep, RecheckFollowsItsKernelsJobs) {
+  // With more than one thread the determinism re-check runs on its own
+  // thread beside the jobs and takes each kernel only once that kernel's
+  // last ILP job is done, so it never compares a row or reads a cache
+  // entry that a job is still writing, and no re-check span covers a wait.
+  SweepOptions opt = small_grid();
+  opt.threads = 4;
+  opt.check_determinism = true;
+  obs::trace().start();
+  const SweepResult r = run_sweep(opt);
+  obs::trace().stop();
+  const std::vector<RecordedSpan> spans =
+      recorded_spans(obs::trace().snapshot());
+  obs::trace().clear();
+
+  std::map<std::string, double> last_job_end; // by kernel
+  std::set<std::uint32_t> job_threads;
+  std::set<std::uint32_t> recheck_threads;
+  for (const RecordedSpan& s : spans) {
+    if (s.name == "sweep.job") {
+      last_job_end[s.kernel] = std::max(last_job_end[s.kernel], s.end);
+      job_threads.insert(s.tid);
+    }
+    if (s.name == "sweep.determinism_check") recheck_threads.insert(s.tid);
+  }
+  ASSERT_EQ(last_job_end.size(), opt.kernels.size());
+  ASSERT_EQ(recheck_threads.size(), 1u);
+  EXPECT_EQ(job_threads.count(*recheck_threads.begin()), 0u);
+
+  std::map<std::string, int> rechecked, reanalyzed; // by kernel
+  for (const RecordedSpan& s : spans) {
+    if (!recheck_threads.count(s.tid) || s.kernel.empty()) continue;
+    SCOPED_TRACE(s.name + " " + s.kernel);
+    EXPECT_GE(s.begin, last_job_end.at(s.kernel));
+    if (s.name == "sweep.determinism_check") ++rechecked[s.kernel];
+    if (s.name == "sweep.analyze_kernel") ++reanalyzed[s.kernel];
+  }
+  for (const std::string& kernel : opt.kernels) {
+    EXPECT_EQ(rechecked[kernel], 1) << kernel;
+    EXPECT_EQ(reanalyzed[kernel], 1) << kernel;
+  }
+  EXPECT_EQ(r.stats.determinism_mismatches, 0);
+
+  SweepOptions serial = small_grid();
+  serial.threads = 1;
+  const SweepResult a = run_sweep(serial);
+  ASSERT_EQ(a.jobs.size(), r.jobs.size());
+  for (std::size_t i = 0; i < a.jobs.size(); ++i) {
+    const SweepJobResult& ja = a.jobs[i];
+    const SweepJobResult& jb = r.jobs[i];
+    SCOPED_TRACE(ja.kernel + "/" + ja.config + "/" + ja.platform);
+    EXPECT_EQ(ja.kernel, jb.kernel);
+    EXPECT_EQ(ja.config, jb.config);
+    EXPECT_EQ(ja.platform, jb.platform);
+    EXPECT_TRUE(jb.ok) << jb.error;
+    EXPECT_EQ(ja.assignment_text, jb.assignment_text);
+    EXPECT_EQ(ja.stats.objective, jb.stats.objective);
+    EXPECT_EQ(ja.stats.status, jb.stats.status);
+    EXPECT_EQ(ja.stats.nodes, jb.stats.nodes);
+    EXPECT_EQ(ja.stats.iterations, jb.stats.iterations);
+    EXPECT_EQ(ja.speedup_percent, jb.speedup_percent);
+    EXPECT_EQ(ja.mpe, jb.mpe);
   }
 }
 
@@ -564,6 +665,31 @@ TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
   std::vector<std::size_t> order;
   support::parallel_for(5, 1, [&](std::size_t i) { order.push_back(i); });
   EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+}
+
+TEST(ThreadPool, CallerClaimsIndicesWithinTheThreadBudget) {
+  // The calling thread claims indices beside the workers instead of idling
+  // in join: two indices held at a two-party barrier must run on two
+  // threads at once, and one of them is the caller.
+  std::barrier both(2);
+  std::vector<std::thread::id> ran_on(2);
+  support::parallel_for(2, 2, [&](std::size_t i) {
+    ran_on[i] = std::this_thread::get_id();
+    both.arrive_and_wait();
+  });
+  EXPECT_NE(ran_on[0], ran_on[1]);
+  EXPECT_EQ(
+      std::count(ran_on.begin(), ran_on.end(), std::this_thread::get_id()), 1);
+
+  // So a call never runs on more than `threads` threads.
+  std::mutex m;
+  std::set<std::thread::id> ids;
+  support::parallel_for(256, 4, [&](std::size_t) {
+    const std::lock_guard<std::mutex> lock(m);
+    ids.insert(std::this_thread::get_id());
+  });
+  EXPECT_GE(ids.size(), 1u);
+  EXPECT_LE(ids.size(), 4u);
 }
 
 TEST(ThreadPool, MoreThreadsThanIndicesRunsEachOnce) {

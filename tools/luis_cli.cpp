@@ -92,7 +92,8 @@
 //                         executable catalog format)
 //   --platforms a,b       subset of Stm32,Raspberry,Intel,AMD (default: all)
 //   --threads N           worker threads (default: hardware concurrency;
-//                         1 = serial reference path, same results)
+//                         1 = serial reference path, same results), plus
+//                         one re-check thread unless --no-check (none at 1)
 //   --max-nodes N         branch & bound node limit per solve (default 3000)
 //   --no-taffo            skip the greedy TAFFO baseline rows
 //   --errors              shadow-execute every tuned job: per-job rows

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Summarizes a LUIS Chrome trace-event file by span name.
 
-    python3 tools/trace_summary.py TRACE.json
+    python3 tools/trace_summary.py TRACE.json [--max-unattributed PCT]
 
 Pairs every duration begin (B) with its end (E) on the same thread and
 prints, per span name, the number of spans, their total time and their
@@ -10,9 +10,15 @@ in milliseconds, sorted by self time. Self times over all names add up to
 the time some span covers, so the table shows where a run spent its time
 without double counting nested spans.
 
-Exit status 0 on success, 1 when the file cannot be read or its B/E events
+With --max-unattributed PCT it also prints the self time of the longest
+top-level span (one with no open parent on its thread, such as sweep.run)
+as a share of that span's duration: the time the run spent that no named
+span inside it accounts for.
+
+Exit status 0 on success, 1 when the file cannot be read, its B/E events
 do not balance on some thread (an E without an open B, an E whose name
-differs from the open B's, or a B never closed).
+differs from the open B's, or a B never closed), or that share exceeds
+PCT percent.
 """
 
 import argparse
@@ -26,8 +32,10 @@ def fail(msg):
     sys.exit(1)
 
 
-def summarize(events):
-    """Returns {name: [count, total_us, self_us]} over the B/E pairs."""
+def summarize(events, roots=None):
+    """Returns {name: [count, total_us, self_us]} over the B/E pairs, and
+    appends (name, duration_us, self_us) of every top-level span to the
+    list `roots` when one is given."""
     rows = defaultdict(lambda: [0, 0.0, 0.0])
     stacks = defaultdict(list)  # tid -> [name, begin_us, child_us] frames
     for i, ev in enumerate(events):
@@ -54,6 +62,8 @@ def summarize(events):
         row[2] += duration - child
         if stack:
             stack[-1][2] += duration
+        elif roots is not None:
+            roots.append((name, duration, duration - child))
     for tid, stack in stacks.items():
         if stack:
             fail("tid %r ends with unclosed spans: %s"
@@ -65,6 +75,9 @@ def main():
     ap = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
     ap.add_argument("trace", help="trace JSON file (luis --trace-out)")
+    ap.add_argument("--max-unattributed", type=float, metavar="PCT",
+                    help="fail when the longest top-level span's self time "
+                         "exceeds PCT%% of its duration")
     args = ap.parse_args()
 
     try:
@@ -75,13 +88,25 @@ def main():
     if not isinstance(doc, dict) or not isinstance(doc.get("traceEvents"), list):
         fail("top level must be an object with a traceEvents array")
 
-    rows = summarize(doc["traceEvents"])
+    roots = []
+    rows = summarize(doc["traceEvents"], roots)
     width = max([len("span")] + [len(name) for name in rows])
     print("%-*s %8s %12s %12s" % (width, "span", "count", "total_ms", "self_ms"))
     for name, (count, total, self_) in sorted(
             rows.items(), key=lambda kv: (-kv[1][2], kv[0])):
         print("%-*s %8d %12.3f %12.3f"
               % (width, name, count, total / 1e3, self_ / 1e3))
+    if args.max_unattributed is None:
+        return 0
+    if not roots:
+        fail("no span to attribute time in")
+    name, duration, self_ = max(roots, key=lambda root: root[1])
+    pct = 100.0 * self_ / duration if duration > 0 else 0.0
+    print("unattributed: %.3f of %.3f ms of %s (%.2f%%, limit %g%%)"
+          % (self_ / 1e3, duration / 1e3, name, pct, args.max_unattributed))
+    if pct > args.max_unattributed:
+        fail("%s leaves %.2f%% of its time to no span inside it (limit %g%%)"
+             % (name, pct, args.max_unattributed))
     return 0
 
 
