@@ -59,6 +59,8 @@ AssignmentParseResult assignment_from_text(const ir::Function& f,
   std::map<int, const ir::Instruction*> by_id;
   for (const auto& [inst, id] : ids) by_id[id] = inst;
 
+  // The line that assigned each value; `default` is the null value.
+  std::map<const ir::Value*, int> assigned_on;
   std::istringstream is{std::string(text)};
   std::string line;
   int line_no = 0;
@@ -66,50 +68,57 @@ AssignmentParseResult assignment_from_text(const ir::Function& f,
     ++line_no;
     const std::string t{trim(line)};
     if (t.empty() || t[0] == '#') continue;
+    const std::string at = "line " + std::to_string(line_no) + ": ";
     std::istringstream ls(t);
-    std::string target, type_token;
+    std::string target, type_token, extra;
     ls >> target >> type_token;
     numrep::ConcreteType type;
     std::string format_error;
     if (!parse_concrete(type_token, type, &format_error)) {
-      out.error = "line " + std::to_string(line_no) + ": " +
-                  (format_error.empty() ? "bad type '" + type_token + "'"
-                                        : format_error);
+      out.error = at + (format_error.empty() ? "bad type '" + type_token + "'"
+                                             : format_error);
       return out;
     }
-    if (target == "default") {
-      // Rebase the fallback, keeping entries parsed so far.
-      interp::TypeAssignment rebased(type);
-      for (const auto& [value, entry] : out.assignment.entries())
-        rebased.set(value, entry);
-      out.assignment = std::move(rebased);
-      continue;
+    if (ls >> extra) {
+      out.error = at + "unexpected '" + extra + "' after the type";
+      return out;
     }
+    const ir::Value* value = nullptr;
     if (target.size() > 1 && target[0] == '@') {
       const auto it = by_name.find(target);
       if (it == by_name.end()) {
-        out.error = "line " + std::to_string(line_no) + ": unknown array " +
-                    target;
+        out.error = at + "unknown array " + target;
         return out;
       }
-      out.assignment.set(it->second, type);
-      continue;
-    }
-    if (target.size() > 1 && target[0] == '%') {
+      value = it->second;
+    } else if (target.size() > 1 && target[0] == '%') {
       const auto id = parse_number<int>(std::string_view(target).substr(1));
       const auto it = id ? by_id.find(*id) : by_id.end();
       if (it == by_id.end() ||
           it->second->type() != ir::ScalarType::Real) {
-        out.error = "line " + std::to_string(line_no) +
-                    ": unknown or non-Real register " + target;
+        out.error = at + "unknown or non-Real register " + target;
         return out;
       }
-      out.assignment.set(it->second, type);
+      value = it->second;
+    } else if (target != "default") {
+      out.error = at + "bad target '" + target + "'";
+      return out;
+    }
+    const auto [first, fresh] = assigned_on.emplace(value, line_no);
+    if (!fresh) {
+      out.error = at + target + " is already assigned on line " +
+                  std::to_string(first->second);
+      return out;
+    }
+    if (value) {
+      out.assignment.set(value, type);
       continue;
     }
-    out.error = "line " + std::to_string(line_no) + ": bad target '" +
-                target + "'";
-    return out;
+    // Rebase the fallback, keeping entries parsed so far.
+    interp::TypeAssignment rebased(type);
+    for (const auto& [assigned, entry] : out.assignment.entries())
+      rebased.set(assigned, entry);
+    out.assignment = std::move(rebased);
   }
   return out;
 }

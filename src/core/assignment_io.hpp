@@ -3,11 +3,16 @@
 // A tuned assignment is the valuable artifact of the (potentially slow)
 // ILP step; serializing it lets a build system cache and re-apply
 // decisions without re-solving, and lets humans inspect or hand-edit the
-// chosen types. The text format is one line per value:
+// chosen types. The text format is one `TARGET TYPE` line per value, a
+// target being an array by name, an instruction by printer id, or the
+// optional fallback:
 //
-//   @A fix32.27          # array by name
-//   %12 binary32         # instruction by printer id
-//   default binary64     # optional fallback line
+//   @A fix32.27
+//   %12 binary32
+//   default binary64
+//
+// Blank lines and lines starting with '#' are skipped. A token after the
+// type, or a target assigned twice, is refused with the line number.
 //
 // Instruction ids use ir::number_instructions, so a saved assignment is
 // valid for the exact IR it was produced from (the printer/parser round

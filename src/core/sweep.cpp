@@ -364,8 +364,12 @@ SweepResult run_sweep(const SweepOptions& options) {
   if (threads <= 0)
     threads = std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
 
-  ilp::SolverCache cache;
-  ilp::SolverCache* cache_ptr = options.use_cache ? &cache : nullptr;
+  // The cache serves the re-check only: its re-solves read back what the
+  // jobs stored. The grid's models are pairwise distinct, so without the
+  // re-check a cache would only intern and key them.
+  std::optional<ilp::SolverCache> cache;
+  if (options.check_determinism) cache.emplace();
+  ilp::SolverCache* const cache_ptr = cache ? &*cache : nullptr;
   const std::unique_ptr<interp::ExecutionEngine> engine =
       interp::make_engine(*interp::parse_engine(options.engine));
 
@@ -438,50 +442,39 @@ SweepResult run_sweep(const SweepOptions& options) {
     }
   }
 
-  // Set once a kernel's last ILP job is done: its rows' tuning fields and
-  // its cache entries are then complete.
+  // Determinism check: re-tune one kernel's ILP jobs and compare. The
+  // kernel's parse, ranges and structures are re-derived from its IR text,
+  // then every job's model is re-priced and re-solved; the re-solves hit
+  // the cache (same model bytes, objective and options) and skip branch &
+  // bound. The check is what proves a parallel sweep computed exactly what
+  // the serial path would have. Returns the kernel's mismatching jobs.
   const std::size_t jobs_per_kernel = platforms.size() * configs.size();
-  std::vector<std::atomic<bool>> tuned(kernels.size());
-
-  // Determinism check: serially re-tune every ILP job and compare. Each
-  // kernel's parse, ranges and structures are re-derived from its IR text
-  // once, then every job's model is re-priced and re-solved; the re-solves
-  // hit the shared cache (same model bytes, objective and options) and
-  // skip branch & bound. The check is what proves a parallel sweep computed
-  // exactly what the serial path would have. It takes the kernels in order,
-  // each once its last ILP job is done, and opens its span only then: with
-  // more than one thread on its own thread beside the jobs, on one thread
-  // after all of them.
-  const auto recheck = [&] {
+  const auto recheck = [&](std::size_t ki) {
+    const KernelContext& ctx = contexts[ki];
+    obs::TraceSpan span("sweep.determinism_check", "sweep", [&] {
+      return obs::Args().str("kernel", ctx.name).done();
+    });
+    const KernelAnalysis redo_kernel =
+        analyze_kernel(ctx.name, ctx.ir_text, options.vra, structure_inputs);
     int mismatches = 0;
-    for (std::size_t ki = 0; ki < kernels.size(); ++ki) {
-      const KernelContext& ctx = contexts[ki];
-      if (!ctx.ok) continue; // its rows carry the kernel's error
-      tuned[ki].wait(false);
-      obs::TraceSpan span("sweep.determinism_check", "sweep", [&] {
-        return obs::Args().str("kernel", ctx.name).done();
-      });
-      const KernelAnalysis redo_kernel =
-          analyze_kernel(ctx.name, ctx.ir_text, options.vra, structure_inputs);
-      for (std::size_t i = ki * jobs_per_kernel; i < (ki + 1) * jobs_per_kernel;
-           ++i) {
-        const auto [j, p] = ilp_jobs[i]; // ilp_jobs is kernel-major
-        const SweepJobResult& job = result.jobs[j];
-        SweepJobResult redo;
-        redo.kernel = job.kernel;
-        redo.config = job.config;
-        redo.platform = job.platform;
-        run_ilp_job(redo_kernel.structures[structure_of[p]], 0.0, *table_of[j],
-                    presets[p], options, cache_ptr, redo);
-        const bool same = redo.assignment_text == job.assignment_text &&
-                          redo.stats.objective == job.stats.objective &&
-                          redo.stats.status == job.stats.status;
-        if (!same) {
-          ++mismatches;
-          // A mismatch is a real defect, not progress chatter: always warn.
-          LUIS_LOG_WARN("[sweep] determinism MISMATCH " + job.kernel + "/" +
-                        job.config + "/" + job.platform);
-        }
+    for (std::size_t i = ki * jobs_per_kernel; i < (ki + 1) * jobs_per_kernel;
+         ++i) {
+      const auto [j, p] = ilp_jobs[i]; // ilp_jobs is kernel-major
+      const SweepJobResult& job = result.jobs[j];
+      SweepJobResult redo;
+      redo.kernel = job.kernel;
+      redo.config = job.config;
+      redo.platform = job.platform;
+      run_ilp_job(redo_kernel.structures[structure_of[p]], 0.0, *table_of[j],
+                  presets[p], options, cache_ptr, redo);
+      const bool same = redo.assignment_text == job.assignment_text &&
+                        redo.stats.objective == job.stats.objective &&
+                        redo.stats.status == job.stats.status;
+      if (!same) {
+        ++mismatches;
+        // A mismatch is a real defect, not progress chatter: always warn.
+        LUIS_LOG_WARN("[sweep] determinism MISMATCH " + job.kernel + "/" +
+                      job.config + "/" + job.platform);
       }
     }
     return mismatches;
@@ -490,17 +483,15 @@ SweepResult run_sweep(const SweepOptions& options) {
   // Phase 2: the ILP jobs, parallel over (kernel x platform x config),
   // each pricing its kernel's shared structure. Each kernel counts its ILP
   // jobs down on an atomic. The job that reaches zero releases the
-  // kernel's structures, marks the kernel tuned, executes its rows and
-  // frees the rest of its state. So no barrier waits for the grid's slowest
-  // job before a kernel executes, and kernels do not all stay resident.
-  int mismatches = 0;
-  std::thread checker;
+  // kernel's structures, executes its rows, frees the rest of its state
+  // and, with the check on, re-checks the kernel. So no barrier waits for
+  // the grid's slowest job before a kernel executes, and kernels do not all
+  // stay resident.
+  std::atomic<int> mismatches{0};
   {
     obs::TraceSpan phase("sweep.jobs", "sweep", [&] {
       return obs::Args().num("jobs", ilp_jobs.size()).done();
     });
-    if (options.check_determinism && threads > 1)
-      checker = std::thread([&] { mismatches = recheck(); });
     std::vector<std::atomic<int>> jobs_left(kernels.size());
     for (std::atomic<int>& left : jobs_left)
       left = static_cast<int>(jobs_per_kernel);
@@ -535,18 +526,19 @@ SweepResult run_sweep(const SweepOptions& options) {
         if (last) ctx.analysis.structures = {};
       }
       if (!last) return;
-      tuned[ki] = true;
-      tuned[ki].notify_one();
-      obs::TraceSpan span("sweep.execute_kernel", "sweep", [&] {
-        return obs::Args().str("kernel", ctx.name).done();
-      });
-      executed[ki] = execute_kernel(ctx, kernel_rows[ki], table_of, *engine,
-                                    options.errors, result.jobs);
-      release_kernel(ctx);
-      LUIS_LOG(progress_level,
-               "[sweep] " + ctx.name + " executed " +
-                   std::to_string(executed[ki][2] - 1) + " lanes for " +
-                   std::to_string(executed[ki][1]) + " rows");
+      {
+        obs::TraceSpan span("sweep.execute_kernel", "sweep", [&] {
+          return obs::Args().str("kernel", ctx.name).done();
+        });
+        executed[ki] = execute_kernel(ctx, kernel_rows[ki], table_of, *engine,
+                                      options.errors, result.jobs);
+        release_kernel(ctx);
+        LUIS_LOG(progress_level,
+                 "[sweep] " + ctx.name + " executed " +
+                     std::to_string(executed[ki][2] - 1) + " lanes for " +
+                     std::to_string(executed[ki][1]) + " rows");
+      }
+      if (options.check_determinism) mismatches += recheck(ki);
     });
     for (const auto& [r, l, u] : executed) {
       result.stats.batch_runs += r;
@@ -554,16 +546,8 @@ SweepResult run_sweep(const SweepOptions& options) {
       result.stats.batch_unique_lanes += u;
     }
   }
-
-  if (checker.joinable()) {
-    // The re-check's last kernels may still run after the jobs: the time
-    // this thread waits for them.
-    obs::TraceSpan tail("sweep.determinism_tail", "sweep");
-    checker.join();
+  if (options.check_determinism)
     result.stats.determinism_mismatches = mismatches;
-  } else if (options.check_determinism) {
-    result.stats.determinism_mismatches = recheck();
-  }
 
   result.stats.jobs = static_cast<int>(result.jobs.size());
   result.stats.threads = threads;
@@ -580,7 +564,7 @@ SweepResult run_sweep(const SweepOptions& options) {
   }
   result.stats.engine = engine->name();
   result.stats.vra = options.vra;
-  if (cache_ptr) result.stats.cache = cache_ptr->stats();
+  if (cache) result.stats.cache = cache->stats();
   sweep_span.end();
   obs::metrics().counter("sweep.runs").inc();
   obs::metrics().counter("sweep.jobs").inc(result.stats.jobs);
@@ -649,7 +633,7 @@ std::string sweep_summary_text(const SweepResult& result) {
   if (s.determinism_mismatches < 0)
     out += "determinism check: skipped\n";
   else if (s.determinism_mismatches == 0)
-    out += "determinism check: PASS (serial re-tune reproduced every job)\n";
+    out += "determinism check: PASS (re-tune reproduced every job)\n";
   else
     out += format_string("determinism check: FAIL (%d mismatching jobs)\n",
                          s.determinism_mismatches);

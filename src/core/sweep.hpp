@@ -21,28 +21,28 @@
 // materialization, no lint): allocate_ilp only reads its structure, and
 // allocate_greedy, assignment_to_text and the engines take a const
 // Function. The only mutable shared state is the solver result cache,
-// internally locked; its keys are exact bytes, so it cannot change what
-// any job computes (see ilp/solver_cache.hpp). The sweep leaves the
-// cache's basis pool off: every job solves from its own structure,
-// objective and options alone. Two atomics per kernel order the hand-offs:
-// each job decrements the kernel's countdown after its last use of the
-// structures and after writing its row, so the job that reaches zero runs
-// after all of them; it then sets the kernel's flag, which the re-check
-// waits on before it reads the kernel's rows and cache entries.
+// present only with the re-check and internally locked; its keys are
+// exact bytes, so it cannot change what any job computes (see
+// ilp/solver_cache.hpp). The sweep leaves the cache's basis pool off:
+// every job solves from its own structure, objective and options alone.
+// One atomic per kernel orders the hand-off: each job decrements the
+// kernel's countdown after its last use of the structures and after
+// writing its row, so the job that reaches zero runs after all of them,
+// and it alone then reads the kernel's rows.
 //
 // Determinism. Job results are written into a preallocated slot vector in
 // a fixed (kernel-major) order, so the output is identical, iteration
 // counts included, no matter how many threads run which jobs. With
-// `check_determinism` the sweep re-runs every ILP job's tuning serially
-// and compares status, objective bits, and the serialized assignment:
-// with more than one thread on one more thread beside the jobs, taking
-// each kernel once its flag is set, and with one thread after all the
-// jobs. The re-check re-derives each kernel's parse, ranges and
-// structures from its IR text once, then re-prices every job's model and
-// keys it again (the model's interned structure, objective and options);
-// the re-solves hit the solver cache and skip branch & bound (cost:
-// docs/SWEEP.md). It is also the sweep's organic source of cache hits,
-// since the grid's 360 models are pairwise distinct.
+// `check_determinism` the job that finishes a kernel, once it has executed
+// the kernel, re-tunes the kernel's ILP jobs and compares status,
+// objective bits, and the serialized assignment, so one path runs at every
+// thread count. The re-check re-derives the kernel's parse, ranges and
+// structures from its IR text, then re-prices every job's model and keys
+// it again (the model's interned structure, objective and options); the
+// re-solves hit the solver cache and skip branch & bound (cost:
+// docs/SWEEP.md). The cache exists only with the check: it is the sweep's
+// only source of cache hits, since the grid's 360 models are pairwise
+// distinct.
 #pragma once
 
 #include <string>
@@ -61,19 +61,16 @@ struct SweepOptions {
   /// kernel, one row per platform).
   bool include_taffo = true;
   long solver_max_nodes = 3000;
-  /// Worker threads; 0 = hardware concurrency, 1 = serial reference path.
-  /// With `check_determinism` and more than one, the re-check runs on one
-  /// more thread beside them.
+  /// Threads, the calling one included; 0 = hardware concurrency, 1 =
+  /// serial reference path. The sweep never runs on more.
   int threads = 0;
-  /// Share one solver result cache across all jobs (off = jobs share only
-  /// read-only inputs: their kernel's parsed IR, ranges and structures).
-  bool use_cache = true;
   /// Execution engine for every interpretation in the sweep: "vm" (the
   /// bytecode engine, default) or "ref" (the tree-walking reference).
   /// Results are bit-identical either way.
   std::string engine = "vm";
-  /// Serially re-tune every ILP job, each kernel once its jobs are done,
-  /// and verify it reproduces the same assignment and objective.
+  /// Re-tune every kernel's ILP jobs once they are done, in the job that
+  /// finishes the kernel, and verify each reproduces the same assignment
+  /// and objective. Also the only user of the solver result cache.
   bool check_determinism = true;
   /// Shadow-execute every tuned job: the VM carries a lockstep binary64
   /// shadow and each job's row gains the in-engine MPE, max abs/rel
@@ -121,10 +118,10 @@ struct SweepStats {
   StageTimings stage_totals; ///< summed over all jobs
   long solver_nodes = 0;
   long solver_iterations = 0;
-  ilp::SolverCache::Stats cache; ///< zeros when the cache is disabled
+  ilp::SolverCache::Stats cache; ///< zeros without the determinism check
   std::string engine; ///< resolved engine name ("vm" or "ref")
   /// -1 when the check is disabled; otherwise the number of jobs whose
-  /// serial re-tune disagreed with the sweep result (0 = proven).
+  /// re-tune disagreed with the sweep result (0 = proven).
   int determinism_mismatches = -1;
   /// Deduplicated-execution stats: one "run" per prepared kernel, `lanes`
   /// the rows served and `unique_lanes` the distinct assignments

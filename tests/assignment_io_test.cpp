@@ -138,5 +138,41 @@ TEST(AssignmentIo, ReadsRegisterIdsAndFracBitsWhole) {
   }
 }
 
+TEST(AssignmentIo, RefusesTrailingTokensAndRepeatedTargets) {
+  ir::Module m;
+  polybench::BuiltKernel kernel = polybench::build_kernel("trisolv", m);
+  const ir::Function& f = *kernel.function;
+  int real_id = -1;
+  for (const auto& [inst, id] : ir::number_instructions(f))
+    if (inst->type() == ir::ScalarType::Real && (real_id < 0 || id < real_id))
+      real_id = id;
+  ASSERT_GE(real_id, 0);
+  const std::string reg = "%" + std::to_string(real_id);
+
+  // A line is exactly `TARGET TYPE`: a token after the type is refused, a
+  // trailing comment included.
+  EXPECT_EQ(assignment_from_text(f, "@L fix32.20 junk").error,
+            "line 1: unexpected 'junk' after the type");
+  EXPECT_EQ(assignment_from_text(f, "# note\n" + reg + " binary32 # f32").error,
+            "line 2: unexpected '#' after the type");
+
+  // A target assigned twice is refused, naming the line that assigned it
+  // first: an array, a register, and the fallback alike.
+  EXPECT_EQ(assignment_from_text(f, "@L fix32.20\n@L binary32").error,
+            "line 2: @L is already assigned on line 1");
+  EXPECT_EQ(
+      assignment_from_text(f, reg + " fix32.7\n\n" + reg + " binary32").error,
+      "line 3: " + reg + " is already assigned on line 1");
+  EXPECT_EQ(
+      assignment_from_text(f, "default binary32\n@L fix32.20\ndefault binary64")
+          .error,
+      "line 3: default is already assigned on line 1");
+
+  // Distinct targets on their own lines still load.
+  EXPECT_TRUE(
+      assignment_from_text(f, "@L fix32.20\n@x fix32.18\n" + reg + " binary32")
+          .ok());
+}
+
 } // namespace
 } // namespace luis::core

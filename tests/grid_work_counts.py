@@ -6,9 +6,10 @@
 
 Prints one line per span name with its count (as tools/trace_summary.py
 pairs the spans), then the solver, execution and cache counters of the
-report's summary. On one thread these counts are identical run to run,
-unlike wall time, so the cli_grid_work_counts test diffs them against
-tests/golden/grid_work_counts.txt. A change that alters the work on
+report's summary. These counts are identical run to run and at every
+thread count, unlike wall time, so the cli_grid_work_counts test (one
+thread) and cli_grid_work_counts_threads4 (four) diff them against the
+same tests/golden/grid_work_counts.txt. A change that alters the work on
 purpose regenerates that file with the two commands above on the full grid
 and says why in CHANGES.md.
 """

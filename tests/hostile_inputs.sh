@@ -113,6 +113,15 @@ expect_refusal "non-Real register %2xyz" apply hostile_base.ir hostile_junk_regi
 printf '%%3 fix32.7x\n' > hostile_junk_frac.types
 expect_refusal "bad type 'fix32.7x'" apply hostile_base.ir hostile_junk_frac.types
 
+# Assignment text: a line is exactly `TARGET TYPE`, and each target is
+# assigned once.
+printf '@a fix32.27 junk\n' > hostile_trailing.types
+printf '@a fix32.27\n@a binary32\n' > hostile_repeated.types
+expect_refusal "line 1: unexpected 'junk' after the type" apply hostile_base.ir hostile_trailing.types
+expect_refusal "line 1: unexpected 'junk' after the type" check hostile_base.ir --assignment hostile_trailing.types
+expect_refusal "line 2: @a is already assigned on line 1" apply hostile_base.ir hostile_repeated.types
+expect_refusal "line 2: @a is already assigned on line 1" check hostile_base.ir --assignment hostile_repeated.types
+
 # A format that parses (Table I's binary128, for the IEBW metric) but that
 # no engine can execute is refused by name on every verb that loads a file.
 printf '@a binary128\n' > hostile_wide.types

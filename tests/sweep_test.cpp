@@ -46,24 +46,24 @@ SweepOptions small_grid() {
 }
 
 TEST(Sweep, ParallelMatchesSerialBitIdentical) {
-  // The sweep's central guarantee: neither the thread count nor the shared
-  // cache changes what a sweep computes — same assignments, same
-  // objectives, bit for bit, and the same search: every job solves from
-  // its own structure, objective and options, so node and simplex
-  // iteration counts match too.
-  SweepOptions serial = small_grid();
+  // The sweep's central guarantee: neither the thread count nor the
+  // determinism re-check (with the cache it brings) changes what a sweep
+  // computes — same assignments, same objectives, bit for bit, and the
+  // same search: every job solves from its own structure, objective and
+  // options, so node and simplex iteration counts match too.
+  SweepOptions serial = small_grid(); // no re-check, so no cache either
   serial.threads = 1;
-  serial.use_cache = false; // plain serial reference: no shared state at all
   const SweepResult a = run_sweep(serial);
 
-  for (const auto& [threads, use_cache] :
+  for (const auto& [threads, check] :
        {std::pair{1, true}, std::pair{4, false}, std::pair{4, true}}) {
     SCOPED_TRACE(testing::Message()
-                 << threads << " threads, cache " << (use_cache ? "on" : "off"));
+                 << threads << " threads, check " << (check ? "on" : "off"));
     SweepOptions other = small_grid();
     other.threads = threads;
-    other.use_cache = use_cache;
+    other.check_determinism = check;
     const SweepResult b = run_sweep(other);
+    EXPECT_EQ(b.stats.determinism_mismatches, check ? 0 : -1);
 
     ASSERT_EQ(a.jobs.size(), b.jobs.size());
     for (std::size_t i = 0; i < a.jobs.size(); ++i) {
@@ -120,10 +120,12 @@ recorded_spans(const std::vector<obs::TraceEvent>& events) {
 }
 
 TEST(Sweep, RecheckFollowsItsKernelsJobs) {
-  // With more than one thread the determinism re-check runs on its own
-  // thread beside the jobs and takes each kernel only once that kernel's
-  // last ILP job is done, so it never compares a row or reads a cache
-  // entry that a job is still writing, and no re-check span covers a wait.
+  // Each kernel's determinism re-check is the last step of the job that
+  // finishes the kernel: it follows the kernel's execution on the same
+  // thread, and the execution follows the kernel's last ILP job. So the
+  // re-check never compares a row or reads a cache entry that a job is
+  // still writing, one path runs at every thread count, and the sweep
+  // never runs on more threads than it was given.
   SweepOptions opt = small_grid();
   opt.threads = 4;
   opt.check_determinism = true;
@@ -136,31 +138,45 @@ TEST(Sweep, RecheckFollowsItsKernelsJobs) {
 
   std::map<std::string, double> last_job_end; // by kernel
   std::set<std::uint32_t> job_threads;
-  std::set<std::uint32_t> recheck_threads;
+  std::map<std::string, std::vector<const RecordedSpan*>> executed, rechecked;
+  const RecordedSpan* jobs_phase = nullptr;
   for (const RecordedSpan& s : spans) {
     if (s.name == "sweep.job") {
       last_job_end[s.kernel] = std::max(last_job_end[s.kernel], s.end);
       job_threads.insert(s.tid);
     }
-    if (s.name == "sweep.determinism_check") recheck_threads.insert(s.tid);
+    if (s.name == "sweep.execute_kernel") executed[s.kernel].push_back(&s);
+    if (s.name == "sweep.determinism_check") rechecked[s.kernel].push_back(&s);
+    if (s.name == "sweep.jobs") jobs_phase = &s;
   }
+  ASSERT_NE(jobs_phase, nullptr);
   ASSERT_EQ(last_job_end.size(), opt.kernels.size());
-  ASSERT_EQ(recheck_threads.size(), 1u);
-  EXPECT_EQ(job_threads.count(*recheck_threads.begin()), 0u);
 
-  std::map<std::string, int> rechecked, reanalyzed; // by kernel
-  for (const RecordedSpan& s : spans) {
-    if (!recheck_threads.count(s.tid) || s.kernel.empty()) continue;
-    SCOPED_TRACE(s.name + " " + s.kernel);
-    EXPECT_GE(s.begin, last_job_end.at(s.kernel));
-    if (s.name == "sweep.determinism_check") ++rechecked[s.kernel];
-    if (s.name == "sweep.analyze_kernel") ++reanalyzed[s.kernel];
-  }
   for (const std::string& kernel : opt.kernels) {
-    EXPECT_EQ(rechecked[kernel], 1) << kernel;
-    EXPECT_EQ(reanalyzed[kernel], 1) << kernel;
+    SCOPED_TRACE(kernel);
+    ASSERT_EQ(executed[kernel].size(), 1u);
+    ASSERT_EQ(rechecked[kernel].size(), 1u);
+    const RecordedSpan& execution = *executed[kernel][0];
+    const RecordedSpan& check = *rechecked[kernel][0];
+    EXPECT_GE(execution.begin, last_job_end.at(kernel));
+    EXPECT_EQ(job_threads.count(execution.tid), 1u);
+    EXPECT_EQ(check.tid, execution.tid);
+    EXPECT_GE(check.begin, execution.end);
+    int reanalyzed = 0; // the re-check's own parse, VRA and structures
+    for (const RecordedSpan& s : spans)
+      if (s.name == "sweep.analyze_kernel" && s.kernel == kernel &&
+          s.tid == check.tid && s.begin >= check.begin && s.end <= check.end)
+        ++reanalyzed;
+    EXPECT_EQ(reanalyzed, 1);
   }
   EXPECT_EQ(r.stats.determinism_mismatches, 0);
+
+  // The calling thread and three workers: no thread beside the budget.
+  std::set<std::uint32_t> busy;
+  for (const RecordedSpan& s : spans)
+    if (s.begin < jobs_phase->end && s.end > jobs_phase->begin)
+      busy.insert(s.tid);
+  EXPECT_LE(busy.size(), 4u);
 
   SweepOptions serial = small_grid();
   serial.threads = 1;
@@ -204,8 +220,8 @@ TEST(Sweep, DeterminismCheckPassesAndCacheHits) {
 
   EXPECT_EQ(r.stats.failed, 0);
   EXPECT_EQ(r.stats.determinism_mismatches, 0);
-  // The serial re-check re-solves every ILP model, and every re-solve must
-  // hit the cache filled by the sweep itself.
+  // The re-check re-solves every ILP model, and every re-solve must hit the
+  // cache filled by the sweep itself.
   EXPECT_GT(r.stats.cache.hits, 0);
   EXPECT_GT(r.stats.cache.hit_rate(), 0.0);
   const long ilp_jobs =
@@ -213,6 +229,10 @@ TEST(Sweep, DeterminismCheckPassesAndCacheHits) {
                         opt.platforms.size());
   EXPECT_EQ(r.stats.cache.hits, ilp_jobs);
   EXPECT_EQ(r.stats.cache.lookups, 2 * ilp_jobs);
+
+  // The cache serves only the re-check, so without it there is none.
+  opt.check_determinism = false;
+  EXPECT_EQ(run_sweep(opt).stats.cache.lookups, 0);
 }
 
 /// Masks every JSON value with '#' while keeping keys, field order, and
@@ -552,8 +572,8 @@ TEST(Sweep, SharedKernelAnalysisMatchesStandaloneTune) {
   // kernel carries two structures (two candidate sets). Each job must
   // equal the standalone pipeline — tune_kernel on a fresh parse of the
   // kernel's printed IR, without a cache — in its assignment text,
-  // objective bits, status and node count, at any thread count, cache on
-  // or off.
+  // objective bits, status and node count, at any thread count, with the
+  // re-check and its cache on or off.
   struct Standalone {
     std::string assignment_text;
     std::uint64_t objective_bits;
@@ -587,12 +607,12 @@ TEST(Sweep, SharedKernelAnalysisMatchesStandaloneTune) {
   }
 
   for (const int threads : {1, 4})
-    for (const bool use_cache : {false, true}) {
-      SCOPED_TRACE(testing::Message() << threads << " threads, cache "
-                                      << (use_cache ? "on" : "off"));
+    for (const bool check : {false, true}) {
+      SCOPED_TRACE(testing::Message() << threads << " threads, check "
+                                      << (check ? "on" : "off"));
       SweepOptions opt = grid;
       opt.threads = threads;
-      opt.use_cache = use_cache;
+      opt.check_determinism = check;
       const SweepResult r = run_sweep(opt);
       std::size_t checked = 0;
       for (const SweepJobResult& job : r.jobs) {

@@ -91,9 +91,9 @@
 //                         Precise,Balanced,Fast; Multi tunes over every
 //                         executable catalog format)
 //   --platforms a,b       subset of Stm32,Raspberry,Intel,AMD (default: all)
-//   --threads N           worker threads (default: hardware concurrency;
-//                         1 = serial reference path, same results), plus
-//                         one re-check thread unless --no-check (none at 1)
+//   --threads N           threads, never more (default: hardware
+//                         concurrency; 1 = serial reference path, same
+//                         results)
 //   --max-nodes N         branch & bound node limit per solve (default 3000)
 //   --no-taffo            skip the greedy TAFFO baseline rows
 //   --errors              shadow-execute every tuned job: per-job rows
@@ -103,8 +103,8 @@
 //   --engine vm|ref       execution engine for every interpretation
 //                         (default vm); either way each distinct
 //                         (kernel, assignment) runs once
-//   --no-cache            disable the shared solver result cache
-//   --no-check            skip the serial determinism re-check
+//   --no-check            skip the determinism re-check (and the solver
+//                         result cache, which serves only the re-check)
 //   --json <path>         also write the full per-job report as JSON
 //   --quiet               suppress per-kernel progress on stderr
 // Exits non-zero if any job fails or the determinism check finds a
@@ -1163,17 +1163,21 @@ int cmd_sweep(const std::vector<std::string>& args) {
       "sweep", args, 0,
       kVraFlags + Flags{"--kernels", "--configs", "--platforms", "--threads",
                         "--max-nodes", "--engine", "--json"},
-      {"--no-taffo", "--no-cache", "--no-check", "--errors", "--join-stores",
-       "--quiet"});
+      {"--no-taffo", "--no-check", "--errors", "--join-stores", "--quiet"});
   if (!cl) return 2;
   std::string json_path;
   for (const auto& [a, value] : cl->options) {
-    if (a == "--kernels") {
-      opt.kernels = split_fields(value, ',');
-    } else if (a == "--configs") {
-      opt.configs = split_fields(value, ',');
-    } else if (a == "--platforms") {
-      opt.platforms = split_fields(value, ',');
+    if (a == "--kernels" || a == "--configs" || a == "--platforms") {
+      std::vector<std::string>& names = a == "--kernels"   ? opt.kernels
+                                        : a == "--configs" ? opt.configs
+                                                           : opt.platforms;
+      names = split_fields(value, ',');
+      // An empty list would silently select the whole default set.
+      if (names.empty()) {
+        std::fprintf(stderr, "luis sweep: %s wants at least one name\n",
+                     a.c_str());
+        return 2;
+      }
     } else if (a == "--threads") {
       const auto v = parse_number_flag(a, value, 0,
                                        std::numeric_limits<int>::max(),
@@ -1191,8 +1195,6 @@ int cmd_sweep(const std::vector<std::string>& args) {
     } else if (a == "--engine") {
       opt.engine = value;
       if (!engine_or_die(opt.engine)) return 2;
-    } else if (a == "--no-cache") {
-      opt.use_cache = false;
     } else if (a == "--no-check") {
       opt.check_determinism = false;
     } else if (a == "--errors") {
