@@ -46,6 +46,13 @@ numrep::KernelOp1 kernel_op1(Opcode op) {
   }
 }
 
+/// The conversion a fetch into `target` applies; null for binary64, whose
+/// rounder is the identity.
+numrep::QuantFn conversion_to(const ConcreteType& target) {
+  return target.format == numrep::kBinary64 ? nullptr
+                                            : numrep::bind_quantizer(target);
+}
+
 double const_real_value(const ir::Value* v) {
   return static_cast<const ir::ConstReal*>(v)->value();
 }
@@ -75,7 +82,7 @@ public:
       ab.element_count = arr->element_count();
       const ConcreteType at = types_.of(arr.get());
       ab.spec = spec_id(at);
-      ab.init_conv = numrep::bind_quantizer(at);
+      ab.init_conv = conversion_to(at);
       p_.arrays.push_back(std::move(ab));
     }
 
@@ -151,7 +158,7 @@ private:
       a.cast_counter =
           counter_id("cast_" + cost_class(from), cost_class(target));
     if (align) {
-      a.conv = numrep::bind_quantizer(target);
+      a.conv = conversion_to(target);
       a.spec = spec_id(target);
     }
     return a;
@@ -205,7 +212,7 @@ private:
             if (!(from_ty == to_ty)) {
               m.rsrc.cast_counter =
                   counter_id("cast_" + cost_class(from_ty), cost_class(to_ty));
-              m.rsrc.conv = numrep::bind_quantizer(to_ty);
+              m.rsrc.conv = conversion_to(to_ty);
               m.rsrc.spec = spec_id(to_ty);
             }
           }
@@ -325,7 +332,7 @@ private:
       if (!(at == ty)) {
         bi.a.cast_counter =
             counter_id("cast_" + cost_class(at), cost_class(ty));
-        bi.a.conv = numrep::bind_quantizer(ty);
+        bi.a.conv = conversion_to(ty);
         bi.a.spec = spec_id(ty);
       }
       break;
@@ -538,7 +545,7 @@ RunResult run_program(const CompiledProgram& p, const ir::Function& f,
     if (ep) shadow_bufs.push_back(buf);
     const numrep::QuantSpec& spec = p.specs[static_cast<std::size_t>(ab.spec)];
     for (double& v : buf) {
-      v = ab.init_conv(spec, v);
+      if (ab.init_conv) v = ab.init_conv(spec, v);
       if (track_arrays) observe_array(ab.name, v);
     }
     buffers.push_back(&buf);

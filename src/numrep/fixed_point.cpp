@@ -1,5 +1,6 @@
 #include "numrep/fixed_point.hpp"
 
+#include <bit>
 #include <cmath>
 
 #include "support/diag.hpp"
@@ -37,6 +38,11 @@ __int128 shift_right_rounded(__int128 v, int n) {
   return -((-v + half) >> n);
 }
 
+/// 2^k, k in [-1022, 1023].
+double pow2(int k) {
+  return std::bit_cast<double>(static_cast<std::uint64_t>(k + 1023) << 52);
+}
+
 void check_spec(const FixedSpec& s) {
   LUIS_ASSERT(s.width >= 2 && s.width <= 64, "fixed width must be in [2, 64]");
   LUIS_ASSERT(s.frac >= 0 && s.frac < s.width, "frac bits must be in [0, width)");
@@ -58,16 +64,20 @@ std::string FixedSpec::name() const {
   return format_string("%sfix%d.%d", is_signed ? "" : "u", width, frac);
 }
 
-FixedValue FixedValue::from_double(FixedSpec spec, double x) {
+FixedRounder FixedRounder::of(const FixedSpec& spec) {
   check_spec(spec);
-  if (std::isnan(x)) return FixedValue{spec, 0};
-  const double scaled = std::ldexp(x, spec.frac);
-  // Saturate on overflow, including +-inf inputs.
-  if (scaled >= static_cast<double>(raw_max(spec)))
-    return FixedValue{spec, raw_max(spec)};
-  if (scaled <= static_cast<double>(raw_min(spec)))
-    return FixedValue{spec, raw_min(spec)};
-  return FixedValue{spec, static_cast<std::int64_t>(std::llround(scaled))};
+  FixedRounder r;
+  r.scale = pow2(spec.frac);
+  r.unscale = pow2(-spec.frac);
+  r.raw_hi = raw_max(spec);
+  r.raw_lo = raw_min(spec);
+  r.hi = static_cast<double>(r.raw_hi);
+  r.lo = static_cast<double>(r.raw_lo);
+  return r;
+}
+
+FixedValue FixedValue::from_double(FixedSpec spec, double x) {
+  return FixedValue{spec, FixedRounder::of(spec).raw(x)};
 }
 
 double FixedValue::to_double() const {
@@ -129,7 +139,7 @@ FixedValue FixedValue::negate() const {
 }
 
 double quantize_fixed(const FixedSpec& spec, double x) {
-  return FixedValue::from_double(spec, x).to_double();
+  return FixedRounder::of(spec).round(x);
 }
 
 FixedValue fixed_add_mixed(const FixedValue& a, const FixedValue& b,

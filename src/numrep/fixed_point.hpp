@@ -6,8 +6,16 @@
 // (matching the behaviour of TAFFO's generated code) and rounds to nearest
 // with ties away from zero on precision loss, which is what LLVM emits for
 // float-to-fixed conversion sequences.
+//
+// The rounding step is FixedRounder: a layout's scale and saturation
+// limits are resolved once (FixedRounder::of, or numrep::make_quant_spec
+// for the VM), and each rounding is a multiply by 2^f, two compares and a
+// truncate-and-correct round half away from zero — no libm call.
+// FixedValue::from_double and quantize_fixed go through it, so it is the
+// only fixed point rounding in src/.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 
@@ -33,6 +41,36 @@ struct FixedSpec {
 
   std::string name() const;
   friend bool operator==(const FixedSpec&, const FixedSpec&) = default;
+};
+
+/// The rounding constants of one fixed point layout.
+struct FixedRounder {
+  double scale = 1.0;   ///< 2^f
+  double unscale = 1.0; ///< 2^-f
+  double hi = 0.0;      ///< raw_hi as a double: scaled values at or above saturate
+  double lo = 0.0;      ///< raw_lo as a double: scaled values at or below saturate
+  std::int64_t raw_hi = 0, raw_lo = 0;
+
+  /// Resolves the constants of `spec` (width in [2, 64], f in [0, width)).
+  static FixedRounder of(const FixedSpec& spec);
+
+  /// Round to nearest, ties away from zero, saturating at the raw limits
+  /// (+-inf included); NaN becomes 0.
+  std::int64_t raw(double x) const {
+    if (std::isnan(x)) return 0;
+    const double scaled = x * scale; // exact: a power-of-two scale
+    if (scaled >= hi) return raw_hi;
+    if (scaled <= lo) return raw_lo;
+    // |scaled| < 2^63 here, so the truncation is defined, and the
+    // remainder scaled - t is exact.
+    const auto t = static_cast<std::int64_t>(scaled);
+    const double rest = scaled - static_cast<double>(t);
+    return t + (rest >= 0.5 ? 1 : 0) - (rest <= -0.5 ? 1 : 0);
+  }
+
+  double round(double x) const {
+    return static_cast<double>(raw(x)) * unscale;
+  }
 };
 
 /// A fixed point value: raw integer plus its layout.

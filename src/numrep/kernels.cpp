@@ -4,21 +4,17 @@
 
 #include "numrep/fixed_posit.hpp"
 #include "numrep/posit.hpp"
-#include "numrep/soft_float.hpp"
 #include "support/diag.hpp"
 
 namespace luis::numrep {
 namespace {
 
-// Rounding steps, one per format class. These call the exact routines
-// quantize() dispatches to, so a kernel result is bit-identical to
-// "compute in binary64, then numrep::quantize".
-double round_float(const QuantSpec& s, double x) {
-  return round_to_format(s.format, x);
-}
-double round_fixed(const QuantSpec& s, double x) {
-  return quantize_fixed(s.fixed, x);
-}
+// Rounding steps, one per format class. These run the rounders
+// quantize() reaches, on constants resolved once, so a kernel result is
+// bit-identical to "compute in binary64, then numrep::quantize".
+double round_none(const QuantSpec&, double x) { return x; } // binary64
+double round_float(const QuantSpec& s, double x) { return s.flt.round(x); }
+double round_fixed(const QuantSpec& s, double x) { return s.fix.round(x); }
 double round_posit(const QuantSpec& s, double x) {
   return quantize_posit(s.format, x);
 }
@@ -53,10 +49,12 @@ double fused1(const QuantSpec& s, double a) {
 }
 
 // One kernel per format class: the switches name every class, so a new
-// class without a rounder here is a -Wswitch warning.
+// class without a rounder here is a -Wswitch warning. binary64 results
+// skip the rounding step.
 template <typename Op>
-Kernel2 row2(FormatClass cls) {
-  switch (cls) {
+Kernel2 row2(const NumericFormat& f) {
+  if (f == kBinary64) return &fused2<Op, round_none>;
+  switch (f.format_class()) {
   case FormatClass::FixedPoint: return &fused2<Op, round_fixed>;
   case FormatClass::FloatingPoint: return &fused2<Op, round_float>;
   case FormatClass::Posit: return &fused2<Op, round_posit>;
@@ -66,8 +64,9 @@ Kernel2 row2(FormatClass cls) {
 }
 
 template <typename Op>
-Kernel1 row1(FormatClass cls) {
-  switch (cls) {
+Kernel1 row1(const NumericFormat& f) {
+  if (f == kBinary64) return &fused1<Op, round_none>;
+  switch (f.format_class()) {
   case FormatClass::FixedPoint: return &fused1<Op, round_fixed>;
   case FormatClass::FloatingPoint: return &fused1<Op, round_float>;
   case FormatClass::Posit: return &fused1<Op, round_posit>;
@@ -79,10 +78,15 @@ Kernel1 row1(FormatClass cls) {
 } // namespace
 
 QuantSpec make_quant_spec(const ConcreteType& type) {
-  return {type.format, FixedSpec::from(type)};
+  QuantSpec s;
+  s.format = type.format;
+  if (type.format.is_float()) s.flt = FloatRounder::of(type.format);
+  if (type.format.is_fixed()) s.fix = FixedRounder::of(FixedSpec::from(type));
+  return s;
 }
 
 QuantFn bind_quantizer(const ConcreteType& type) {
+  if (type.format == kBinary64) return &round_none;
   switch (type.format.format_class()) {
   case FormatClass::FixedPoint: return &round_fixed;
   case FormatClass::FloatingPoint: return &round_float;
@@ -93,27 +97,27 @@ QuantFn bind_quantizer(const ConcreteType& type) {
 }
 
 Kernel2 bind_kernel2(KernelOp2 op, const ConcreteType& result) {
-  const FormatClass cls = result.format.format_class();
+  const NumericFormat& fmt = result.format;
   switch (op) {
-  case KernelOp2::Add: return row2<OpAdd>(cls);
-  case KernelOp2::Sub: return row2<OpSub>(cls);
-  case KernelOp2::Mul: return row2<OpMul>(cls);
-  case KernelOp2::Div: return row2<OpDiv>(cls);
-  case KernelOp2::Rem: return row2<OpRem>(cls);
-  case KernelOp2::Pow: return row2<OpPow>(cls);
-  case KernelOp2::Min: return row2<OpMin>(cls);
-  case KernelOp2::Max: return row2<OpMax>(cls);
+  case KernelOp2::Add: return row2<OpAdd>(fmt);
+  case KernelOp2::Sub: return row2<OpSub>(fmt);
+  case KernelOp2::Mul: return row2<OpMul>(fmt);
+  case KernelOp2::Div: return row2<OpDiv>(fmt);
+  case KernelOp2::Rem: return row2<OpRem>(fmt);
+  case KernelOp2::Pow: return row2<OpPow>(fmt);
+  case KernelOp2::Min: return row2<OpMin>(fmt);
+  case KernelOp2::Max: return row2<OpMax>(fmt);
   }
   LUIS_UNREACHABLE("unknown binary kernel op");
 }
 
 Kernel1 bind_kernel1(KernelOp1 op, const ConcreteType& result) {
-  const FormatClass cls = result.format.format_class();
+  const NumericFormat& fmt = result.format;
   switch (op) {
-  case KernelOp1::Neg: return row1<OpNeg>(cls);
-  case KernelOp1::Abs: return row1<OpAbs>(cls);
-  case KernelOp1::Sqrt: return row1<OpSqrt>(cls);
-  case KernelOp1::Exp: return row1<OpExp>(cls);
+  case KernelOp1::Neg: return row1<OpNeg>(fmt);
+  case KernelOp1::Abs: return row1<OpAbs>(fmt);
+  case KernelOp1::Sqrt: return row1<OpSqrt>(fmt);
+  case KernelOp1::Exp: return row1<OpExp>(fmt);
   }
   LUIS_UNREACHABLE("unknown unary kernel op");
 }

@@ -1,5 +1,7 @@
 #include "numrep/soft_float.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "support/diag.hpp"
@@ -15,13 +17,10 @@ void check_executable(const NumericFormat& f) {
               "executable float max exponent must be in [1, 1023]");
 }
 
-/// Rounds x to an integral multiple of 2^q, round to nearest even.
-/// Exact because |x / 2^q| < 2^53 at every call site.
-double round_to_quantum(double x, int q) {
-  const double scaled = std::ldexp(x, -q);
-  // nearbyint honours the current rounding mode; the default mode is
-  // round-to-nearest-even, which is what every format here uses.
-  return std::ldexp(std::nearbyint(scaled), q);
+/// Bit pattern of 2^k, k in [-1074, 1023].
+std::uint64_t pow2_bits(int k) {
+  if (k >= -1022) return static_cast<std::uint64_t>(k + 1023) << 52;
+  return std::uint64_t{1} << (k + 1074);
 }
 
 } // namespace
@@ -32,49 +31,29 @@ bool is_executable_float(const NumericFormat& format) {
          format.max_exponent() <= 1023;
 }
 
+FloatRounder FloatRounder::of(const NumericFormat& f) {
+  check_executable(f);
+  const int p = f.precision();
+  const int emin = f.min_exponent();
+  FloatRounder r;
+  r.sub_limit = pow2_bits(std::max(emin, -1022));
+  r.sub_bias = std::bit_cast<double>(pow2_bits(emin - p + 53));
+  r.shift = 53 - p;
+  r.half_m1 = p < 53 ? (std::uint64_t{1} << (52 - p)) - 1 : 0;
+  r.tie_bit = p < 53 ? 1 : 0;
+  r.keep = ~((std::uint64_t{1} << r.shift) - 1);
+  // (2 - 2^(top-p)) * 2^E: FiniteOnly spends its all-ones pattern on NaN.
+  const int top = f.encoding() == FloatEncoding::FiniteOnly ? 2 : 1;
+  r.max_bits = (static_cast<std::uint64_t>(f.max_exponent() + 1023) << 52) |
+               ((std::uint64_t{1} << 52) - (std::uint64_t{1} << (52 + top - p)));
+  r.overflow_bits = f.encoding() == FloatEncoding::Ieee
+                        ? std::uint64_t{0x7ff} << 52
+                        : r.max_bits;
+  return r;
+}
+
 double round_to_format(const NumericFormat& format, double x) {
-  check_executable(format);
-  if (format == kBinary64) return x; // identity: the host format
-  // The FiniteOnly and Fnuz encodings have no infinity pattern: out-of-range
-  // values saturate at the largest finite magnitude (OCP FP8 saturating
-  // conversion), and an infinite input clamps the same way.
-  const bool saturating = format.encoding() != FloatEncoding::Ieee;
-  if (!std::isfinite(x)) {
-    if (std::isnan(x) || !saturating) return x;
-    return std::copysign(float_max_value(format), x);
-  }
-  if (x == 0.0) return x;
-
-  const int p = format.precision();
-  const int emax = format.max_exponent();
-  const int emin = format.min_exponent();
-
-  const int e = std::ilogb(x); // floor(log2 |x|), exact for finite x
-  double rounded;
-  if (e < emin) {
-    // Subnormal range: fixed quantum 2^(emin - p + 1).
-    rounded = round_to_quantum(x, emin - p + 1);
-  } else {
-    // Normal range: quantum is one ULP, 2^(e - p + 1). Rounding can bump
-    // the exponent (e.g. 1.111..1 -> 10.0), which the overflow check below
-    // picks up because it looks at the rounded value.
-    rounded = round_to_quantum(x, e - p + 1);
-  }
-
-  if (saturating) {
-    const double maxv = float_max_value(format);
-    if (std::abs(rounded) > maxv) return std::copysign(maxv, x);
-    return rounded;
-  }
-  // Overflow: values that round to or beyond 2^(emax+1) - for IEEE round to
-  // nearest even, anything >= (2 - 2^-p) * 2^emax becomes infinity.
-  const double threshold =
-      std::ldexp(2.0 - std::ldexp(1.0, -p), emax); // halfway to 2^(emax+1)
-  if (std::abs(rounded) >= threshold)
-    return std::copysign(HUGE_VAL, x);
-  if (std::abs(rounded) > float_max_value(format))
-    return std::copysign(float_max_value(format), x);
-  return rounded;
+  return FloatRounder::of(format).round(x);
 }
 
 double float_max_value(const NumericFormat& f) {
