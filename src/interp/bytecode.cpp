@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <map>
 #include <utility>
@@ -53,6 +54,46 @@ numrep::QuantFn conversion_to(const ConcreteType& target) {
                                             : numrep::bind_quantizer(target);
 }
 
+/// AddF64..DivF64 for those ops with a binary64 result, else Arith2.
+BInst::Kind binary64_kind(Opcode op, const ConcreteType& result) {
+  if (!(result.format == numrep::kBinary64)) return BInst::Kind::Arith2;
+  switch (op) {
+  case Opcode::Add: return BInst::Kind::AddF64;
+  case Opcode::Sub: return BInst::Kind::SubF64;
+  case Opcode::Mul: return BInst::Kind::MulF64;
+  case Opcode::Div: return BInst::Kind::DivF64;
+  default: return BInst::Kind::Arith2;
+  }
+}
+
+BInst::Kind int_kind(Opcode op) {
+  switch (op) {
+  case Opcode::IAdd: return BInst::Kind::IAdd;
+  case Opcode::ISub: return BInst::Kind::ISub;
+  case Opcode::IMul: return BInst::Kind::IMul;
+  case Opcode::IDiv: return BInst::Kind::IDiv;
+  case Opcode::IRem: return BInst::Kind::IRem;
+  case Opcode::IMin: return BInst::Kind::IMin;
+  case Opcode::IMax: return BInst::Kind::IMax;
+  default: LUIS_UNREACHABLE("not an int op");
+  }
+}
+
+/// The compare kind for `pred` in the family starting at `eq` (the six
+/// predicates are in CmpPred order in both families).
+BInst::Kind compare_kind(BInst::Kind eq, ir::CmpPred pred) {
+  int offset = 0;
+  switch (pred) {
+  case ir::CmpPred::EQ: offset = 0; break;
+  case ir::CmpPred::NE: offset = 1; break;
+  case ir::CmpPred::LT: offset = 2; break;
+  case ir::CmpPred::LE: offset = 3; break;
+  case ir::CmpPred::GT: offset = 4; break;
+  case ir::CmpPred::GE: offset = 5; break;
+  }
+  return static_cast<BInst::Kind>(static_cast<int>(eq) + offset);
+}
+
 double const_real_value(const ir::Value* v) {
   return static_cast<const ir::ConstReal*>(v)->value();
 }
@@ -78,7 +119,6 @@ public:
       array_id_[arr.get()] = static_cast<std::int32_t>(p_.arrays.size());
       ArrayBinding ab;
       ab.name = arr->name();
-      ab.dims.assign(arr->dims().begin(), arr->dims().end());
       ab.element_count = arr->element_count();
       const ConcreteType at = types_.of(arr.get());
       ab.spec = spec_id(at);
@@ -94,6 +134,9 @@ public:
       compile_block(static_cast<std::int32_t>(i), *f_.blocks()[i]);
 
     if (!f_.blocks().empty()) p_.entry_edge = edge_id(f_.entry(), nullptr);
+    for (std::size_t e = 0; e < p_.edges.size(); ++e)
+      p_.edges[e].target_pc =
+          p_.blocks[static_cast<std::size_t>(block_id_.at(edge_target_[e]))].entry;
     return std::move(p_);
   }
 
@@ -125,12 +168,23 @@ private:
     return static_cast<std::int32_t>(p_.messages.size() - 1);
   }
 
+  /// A register slot that holds a constant operand: `value` in the
+  /// quantized run, `raw` in the shadow.
+  std::int32_t constant_slot(Reg value, double raw) {
+    p_.constants.push_back(value);
+    p_.shadow_constants.push_back(raw);
+    return p_.num_regs + static_cast<std::int32_t>(p_.constants.size() - 1);
+  }
+
   IntArg int_arg(const ir::Value* v) {
     IntArg a;
-    if (v->kind() == ir::Value::Kind::ConstInt)
-      a.imm = static_cast<const ir::ConstInt*>(v)->value();
-    else
+    if (v->kind() == ir::Value::Kind::ConstInt) {
+      Reg c;
+      c.integer = static_cast<const ir::ConstInt*>(v)->value();
+      a.reg = constant_slot(c, 0.0);
+    } else {
       a.reg = reg(v);
+    }
     return a;
   }
 
@@ -145,8 +199,9 @@ private:
     RealArg a;
     if (v->is_constant()) {
       const double raw = const_real_value(v);
-      a.imm = align ? numrep::quantize(target, raw) : raw;
-      a.shadow_imm = raw;
+      Reg c;
+      c.real = align ? numrep::quantize(target, raw) : raw;
+      a.reg = constant_slot(c, raw);
       return a;
     }
     a.reg = reg(v);
@@ -204,8 +259,9 @@ private:
           m.is_real = true;
           const ConcreteType to_ty = types_.of(phi);
           if (in->is_constant()) {
-            m.rsrc.imm = numrep::quantize(to_ty, const_real_value(in));
-            m.rsrc.shadow_imm = const_real_value(in);
+            Reg c;
+            c.real = numrep::quantize(to_ty, const_real_value(in));
+            m.rsrc.reg = constant_slot(c, const_real_value(in));
           } else {
             m.rsrc.reg = reg(in);
             const ConcreteType& from_ty = types_.of(in);
@@ -220,9 +276,19 @@ private:
         p_.moves.push_back(m);
         ++e.count;
       }
+      // Committing in order is exact unless a move reads a register an
+      // earlier move of the edge writes.
+      for (std::int32_t i = 0; i < e.count; ++i) {
+        const PhiMove& m = p_.moves[static_cast<std::size_t>(e.start + i)];
+        const std::int32_t src = m.is_real ? m.rsrc.reg : m.isrc.reg;
+        for (std::int32_t j = 0; j < i; ++j)
+          if (p_.moves[static_cast<std::size_t>(e.start + j)].dst == src)
+            e.staged = true;
+      }
     }
     const auto id = static_cast<std::int32_t>(p_.edges.size());
     p_.edges.push_back(e);
+    edge_target_.push_back(to);
     edge_ids_.emplace(key, id);
     return id;
   }
@@ -297,7 +363,7 @@ private:
       bi.b = real_arg(inst->operand(1), ty, align);
       bi.op_counter =
           counter_id(ir::opcode_name(inst->opcode()), cost_class(ty));
-      bi.kind = BInst::Kind::Arith2;
+      bi.kind = binary64_kind(inst->opcode(), ty);
       bi.kernel2 = numrep::bind_kernel2(kernel_op2(inst->opcode()), ty);
       bi.spec = spec_id(ty);
       break;
@@ -319,7 +385,7 @@ private:
     case Opcode::IntToReal:
       bi.kind = BInst::Kind::IntToReal;
       bi.ia = int_arg(inst->operand(0));
-      bi.a.conv = numrep::bind_quantizer(ty);
+      bi.a.conv = conversion_to(ty);
       bi.a.spec = spec_id(ty);
       bi.op_counter = counter_id("cast_fix", cost_class(ty));
       break;
@@ -348,19 +414,19 @@ private:
     case Opcode::IAdd: case Opcode::ISub: case Opcode::IMul:
     case Opcode::IDiv: case Opcode::IRem: case Opcode::IMin:
     case Opcode::IMax:
-      bi.kind = BInst::Kind::IntArith;
+      bi.kind = int_kind(inst->opcode());
       bi.ia = int_arg(inst->operand(0));
       bi.ib = int_arg(inst->operand(1));
       break;
     case Opcode::ICmp:
-      bi.kind = BInst::Kind::IntCmp;
+      bi.kind = compare_kind(BInst::Kind::ICmpEQ, inst->predicate());
       bi.pred = inst->predicate();
       bi.ia = int_arg(inst->operand(0));
       bi.ib = int_arg(inst->operand(1));
       break;
     case Opcode::FCmp:
       // Comparison happens on the stored representations directly.
-      bi.kind = BInst::Kind::RealCmp;
+      bi.kind = compare_kind(BInst::Kind::FCmpEQ, inst->predicate());
       bi.pred = inst->predicate();
       bi.a = real_arg(inst->operand(0), ty, /*align=*/false);
       bi.b = real_arg(inst->operand(1), ty, /*align=*/false);
@@ -389,7 +455,8 @@ private:
     bi.index_start = static_cast<std::int32_t>(p_.index_args.size());
     bi.index_count = static_cast<std::int32_t>(arr->dims().size());
     for (std::size_t d = 0; d < arr->dims().size(); ++d)
-      p_.index_args.push_back(int_arg(inst->operand(first_operand + d)));
+      p_.index_args.push_back(
+          {int_arg(inst->operand(first_operand + d)), arr->dims()[d]});
   }
 
   const ir::Function& f_;
@@ -403,27 +470,8 @@ private:
   std::map<std::pair<const ir::BasicBlock*, const ir::BasicBlock*>,
            std::int32_t>
       edge_ids_;
+  std::vector<const ir::BasicBlock*> edge_target_; ///< parallel to p_.edges
 };
-
-/// Register file of the VM (same layout as the reference interpreter's
-/// slots).
-struct Reg {
-  double real = 0.0;
-  std::int64_t integer = 0;
-  bool boolean = false;
-};
-
-template <typename T> bool compare(ir::CmpPred pred, T a, T b) {
-  switch (pred) {
-  case ir::CmpPred::EQ: return a == b;
-  case ir::CmpPred::NE: return a != b;
-  case ir::CmpPred::LT: return a < b;
-  case ir::CmpPred::LE: return a <= b;
-  case ir::CmpPred::GT: return a > b;
-  case ir::CmpPred::GE: return a >= b;
-  }
-  LUIS_UNREACHABLE("unknown predicate");
-}
 
 /// flat_index's result for a load/store whose index is out of bounds.
 constexpr std::size_t kOutOfBounds = std::numeric_limits<std::size_t>::max();
@@ -434,6 +482,424 @@ constexpr std::size_t kOutOfBounds = std::numeric_limits<std::size_t>::max();
                                                      const std::string& array) {
   result.error = "array index out of bounds on " + array;
 }
+
+/// An observed value range, empty until its first non-NaN value. The
+/// first value sets both ends, later ones widen them with std::min and
+/// std::max: the map-based observers this replaced did the same.
+struct Range {
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -std::numeric_limits<double>::infinity();
+  void observe(double v) {
+    if (std::isnan(v)) return;
+    lo = std::min(lo, v);
+    hi = std::max(hi, v);
+  }
+  bool empty() const { return lo > hi; }
+};
+
+struct Frame;
+void observe_array(Frame& fr, const std::string& name, double v);
+
+/// The state of one run of a compiled program.
+struct Frame {
+  /// The register file, one array per field of Reg (instruction slots,
+  /// then constants), so a slot is an 8-byte (or 1-byte) stride away.
+  std::vector<double> reals;
+  std::vector<std::int64_t> ints;
+  std::vector<std::uint8_t> bools;
+  std::vector<long> counts;        ///< dense cost counters
+  std::vector<double*> arrays;     ///< buffer data, in binding order
+  /// Observed range per array name, when tracked.
+  std::map<std::string, std::pair<double, double>> array_ranges;
+  std::vector<double> scratch_reals; ///< staged phi moves
+  std::vector<std::int64_t> scratch_ints;
+  long non_real = 0;
+  // Instrumented runs only.
+  std::vector<double> shadow;                   ///< per register slot
+  std::vector<std::vector<double>> shadow_bufs; ///< per binding
+  std::vector<double> shadow_scratch;
+  std::vector<Range> reg_ranges;                ///< per instruction slot
+};
+
+void observe_array(Frame& fr, const std::string& name, double v) {
+  if (std::isnan(v)) return;
+  auto [it, fresh] = fr.array_ranges.try_emplace(name, v, v);
+  if (!fresh) {
+    it->second.first = std::min(it->second.first, v);
+    it->second.second = std::max(it->second.second, v);
+  }
+}
+
+#define LUIS_VM_INLINE __attribute__((always_inline))
+
+/// The dispatch loop, from the entry edge to Ret (result.ok set) or a trap
+/// (result.error set). The plain instantiation is what a run asks for when
+/// it wants no shadow, no VM profile and no register ranges; the
+/// instrumented one adds each of them behind its own run-time test.
+template <bool Instrumented>
+void dispatch(const CompiledProgram& p, const RunOptions& opt, Frame& fr,
+              RunResult& result) {
+  using K = BInst::Kind;
+  double* const RR = fr.reals.data();
+  std::int64_t* const RI = fr.ints.data();
+  std::uint8_t* const RB = fr.bools.data();
+  long* const C = fr.counts.data();
+  const numrep::QuantSpec* const S = p.specs.data();
+  const BInst* const code = p.code.data();
+  const IndexArg* const IX = p.index_args.data();
+  const EdgeMoves* const E = p.edges.data();
+  const PhiMove* const MV = p.moves.data();
+  double* const* const A = fr.arrays.data();
+  const bool track_arrays = opt.track_array_ranges;
+  ErrorProfile* const ep = Instrumented ? opt.error_profile : nullptr;
+  VmProfile* const prof = Instrumented ? opt.vm_profile : nullptr;
+  const bool track_regs = Instrumented && opt.track_register_ranges;
+  double* const SH = fr.shadow.data();
+  const long max_steps = opt.max_steps;
+  long steps = 0;
+  long non_real = 0;
+
+  const auto finish = [&] {
+    result.steps = steps;
+    fr.non_real = non_real;
+  };
+  const auto convert = [&](const RealArg& a, double v) LUIS_VM_INLINE {
+    if (a.cast_counter >= 0) ++C[a.cast_counter];
+    if (a.conv) v = a.conv(S[a.spec], v);
+    return v;
+  };
+  const auto fetch = [&](const RealArg& a) LUIS_VM_INLINE {
+    return convert(a, RR[a.reg]);
+  };
+  const auto ival = [&](IntArg a) LUIS_VM_INLINE { return RI[a.reg]; };
+
+  // Records the deviation of one quantized real write against its shadow
+  // value. `pc` is -1 for phi moves (they have no program counter; their
+  // spikes carry the move's destination register instead).
+  const auto record = [&](ErrorCell& cell, double q, double s,
+                          std::int32_t at_pc, std::int32_t at_src) {
+    double abs_err = std::fabs(q - s);
+    if (std::isnan(abs_err)) abs_err = std::numeric_limits<double>::infinity();
+    double rel_err;
+    if (std::fabs(s) > 0.0)
+      rel_err = abs_err / std::fabs(s);
+    else
+      rel_err = abs_err > 0.0 ? std::numeric_limits<double>::infinity() : 0.0;
+    const bool spike = rel_err > ep->spike_rel_threshold &&
+                       cell.max_rel <= ep->spike_rel_threshold;
+    cell.observe(abs_err, rel_err);
+    if (spike) {
+      if (ep->first_spike_step < 0) {
+        ep->first_spike_step = steps;
+        ep->first_spike_pc = at_pc;
+        ep->first_spike_src = at_src;
+        ep->first_spike_rel = rel_err;
+      }
+      obs::instant("vm.error_spike", "vm", obs::Args()
+                                               .str("function", p.function_name)
+                                               .num("pc", at_pc)
+                                               .num("src", at_src)
+                                               .num("rel", rel_err)
+                                               .num("step", steps)
+                                               .done());
+    }
+  };
+  // The shadow and register-range side of a real write of `r` to
+  // bi.dst; `shadow_value` computes the shadow's value of the write.
+  const auto written = [&](std::int32_t pc, const BInst& bi, double r,
+                           auto shadow_value) LUIS_VM_INLINE {
+    if constexpr (Instrumented) {
+      if (ep) {
+        const double s = shadow_value();
+        SH[bi.dst] = s;
+        record(ep->instr[static_cast<std::size_t>(pc)], r, s, pc, bi.src);
+      }
+      if (track_regs) fr.reg_ranges[static_cast<std::size_t>(bi.dst)].observe(r);
+    }
+  };
+  // The same for phi move `ordinal` committing `q` (shadow value `s`).
+  const auto moved = [&](std::int32_t ordinal, const PhiMove& m, double q,
+                         double s) LUIS_VM_INLINE {
+    if constexpr (Instrumented) {
+      if (ep) {
+        SH[m.dst] = s;
+        record(ep->moves[static_cast<std::size_t>(ordinal)], q, s, -1, m.dst);
+      }
+      if (track_regs) fr.reg_ranges[static_cast<std::size_t>(m.dst)].observe(q);
+    }
+  };
+
+  // Row-major cell of a load/store, or kOutOfBounds (with result.error
+  // set) when an index is out of bounds.
+  const auto flat_index = [&](const BInst& bi) LUIS_VM_INLINE {
+    const IndexArg* const ix = IX + bi.index_start;
+    std::size_t flat = 0;
+    for (std::int32_t d = 0; d < bi.index_count; ++d) {
+      const std::int64_t idx = ival(ix[d].arg);
+      // One unsigned compare also catches a negative index.
+      if (static_cast<std::uint64_t>(idx) >=
+          static_cast<std::uint64_t>(ix[d].extent)) [[unlikely]] {
+        trap_out_of_bounds(result, p.arrays[static_cast<std::size_t>(bi.array)].name);
+        return kOutOfBounds;
+      }
+      flat = flat * static_cast<std::size_t>(ix[d].extent) +
+             static_cast<std::size_t>(idx);
+    }
+    return flat;
+  };
+
+  // Applies the phi moves of edge `id` and returns the pc it enters, or
+  // -1 when the edge traps (sets result.error). A staged edge reads every source before it writes a
+  // destination (simultaneous-read semantics); any other edge commits its
+  // moves in order, which reads the same values.
+  const auto apply_edge = [&](std::int32_t id) LUIS_VM_INLINE {
+    const EdgeMoves& e = E[id];
+    if (e.trap_msg >= 0) [[unlikely]] {
+      result.error = p.messages[static_cast<std::size_t>(e.trap_msg)];
+      return -1;
+    }
+    if constexpr (Instrumented)
+      if (prof) ++prof->edge_applications[static_cast<std::size_t>(id)];
+    const PhiMove* const mv = MV + e.start;
+    if (!e.staged) {
+      for (std::int32_t i = 0; i < e.count; ++i) {
+        const PhiMove& m = mv[i];
+        if (m.is_real) {
+          const double v = fetch(m.rsrc);
+          RR[m.dst] = v;
+          moved(e.start + i, m, v, Instrumented && ep ? SH[m.rsrc.reg] : 0.0);
+        } else {
+          RI[m.dst] = ival(m.isrc);
+        }
+      }
+    } else {
+      double* const TR = fr.scratch_reals.data();
+      std::int64_t* const TI = fr.scratch_ints.data();
+      double* const ST = fr.shadow_scratch.data();
+      for (std::int32_t i = 0; i < e.count; ++i) {
+        const PhiMove& m = mv[i];
+        if (m.is_real) {
+          TR[i] = fetch(m.rsrc);
+          if (Instrumented && ep) ST[i] = SH[m.rsrc.reg];
+        } else {
+          TI[i] = ival(m.isrc);
+        }
+      }
+      for (std::int32_t i = 0; i < e.count; ++i) {
+        const PhiMove& m = mv[i];
+        if (m.is_real) {
+          RR[m.dst] = TR[i];
+          moved(e.start + i, m, TR[i], Instrumented && ep ? ST[i] : 0.0);
+        } else {
+          RI[m.dst] = TI[i];
+        }
+      }
+    }
+    steps += e.count;
+    return e.target_pc;
+  };
+
+  const auto binary64 = [&](std::int32_t pc, const BInst& bi,
+                            auto op) LUIS_VM_INLINE {
+    const double a = fetch(bi.a);
+    const double b = fetch(bi.b);
+    const double r = op(a, b);
+    RR[bi.dst] = r;
+    ++C[bi.op_counter];
+    written(pc, bi, r, [&] { return op(SH[bi.a.reg], SH[bi.b.reg]); });
+  };
+  const auto int_op = [&](const BInst& bi, auto op) LUIS_VM_INLINE {
+    RI[bi.dst] = op(ival(bi.ia), ival(bi.ib));
+    ++non_real;
+  };
+  const auto int_cmp = [&](const BInst& bi, auto holds) LUIS_VM_INLINE {
+    RB[bi.dst] = holds(ival(bi.ia), ival(bi.ib));
+    ++non_real;
+  };
+  const auto real_cmp = [&](const BInst& bi, auto holds) LUIS_VM_INLINE {
+    const bool c = holds(RR[bi.a.reg], RR[bi.b.reg]);
+    RB[bi.dst] = c;
+    if constexpr (Instrumented) {
+      // Control stays lockstep on the quantized outcome; a disagreement
+      // with the shadow values means an independent binary64 run could
+      // take a different path from here on.
+      if (ep && holds(SH[bi.a.reg], SH[bi.b.reg]) != c) {
+        if (ep->control_divergences == 0)
+          ep->first_control_divergence_step = steps;
+        ++ep->control_divergences;
+      }
+    }
+    ++non_real;
+  };
+
+  const std::int32_t entry = apply_edge(p.entry_edge);
+  if (entry < 0) return finish();
+  const BInst* ip = code + entry;
+
+  for (;;) {
+    const BInst& bi = *ip;
+    const auto pc = static_cast<std::int32_t>(ip - code); // instrumented only
+    if (++steps > max_steps) [[unlikely]] {
+      // A trap does not count a step, so it wins at the limit.
+      if (bi.kind == K::Trap) {
+        --steps;
+        result.error = p.messages[static_cast<std::size_t>(bi.trap_msg)];
+      } else {
+        result.error = "step limit exceeded";
+      }
+      return finish();
+    }
+    if constexpr (Instrumented)
+      if (prof && bi.kind != K::Trap)
+        ++prof->instr_executions[static_cast<std::size_t>(pc)];
+    switch (bi.kind) {
+    case K::Arith2: {
+      const double a = fetch(bi.a);
+      const double b = fetch(bi.b);
+      const double r = bi.kernel2(S[bi.spec], a, b);
+      RR[bi.dst] = r;
+      ++C[bi.op_counter];
+      written(pc, bi, r,
+              [&] { return shadow_op2(bi.op, SH[bi.a.reg], SH[bi.b.reg]); });
+      ++ip;
+      break;
+    }
+    case K::AddF64: binary64(pc, bi, std::plus<>()); ++ip; break;
+    case K::SubF64: binary64(pc, bi, std::minus<>()); ++ip; break;
+    case K::MulF64: binary64(pc, bi, std::multiplies<>()); ++ip; break;
+    case K::DivF64: binary64(pc, bi, std::divides<>()); ++ip; break;
+    case K::Arith1: {
+      const double r = bi.kernel1(S[bi.spec], fetch(bi.a));
+      RR[bi.dst] = r;
+      ++C[bi.op_counter];
+      written(pc, bi, r, [&] { return shadow_op1(bi.op, SH[bi.a.reg]); });
+      ++ip;
+      break;
+    }
+    case K::CastReal: {
+      // Representation change only: the shadow value passes through.
+      const double r = fetch(bi.a);
+      RR[bi.dst] = r;
+      written(pc, bi, r, [&] { return SH[bi.a.reg]; });
+      ++ip;
+      break;
+    }
+    case K::IntToReal: {
+      const std::int64_t iv = ival(bi.ia);
+      double r = static_cast<double>(iv);
+      if (bi.a.conv) r = bi.a.conv(S[bi.a.spec], r);
+      RR[bi.dst] = r;
+      ++C[bi.op_counter];
+      written(pc, bi, r, [&] { return static_cast<double>(iv); });
+      ++ip;
+      break;
+    }
+    case K::Load: {
+      const std::size_t ix = flat_index(bi);
+      if (ix == kOutOfBounds) [[unlikely]] return finish();
+      const double v = convert(bi.a, A[bi.array][ix]);
+      RR[bi.dst] = v;
+      ++non_real;
+      written(pc, bi, v, [&] {
+        return fr.shadow_bufs[static_cast<std::size_t>(bi.array)][ix];
+      });
+      ++ip;
+      break;
+    }
+    case K::Store: {
+      const std::size_t ix = flat_index(bi);
+      if (ix == kOutOfBounds) [[unlikely]] return finish();
+      const double v = fetch(bi.a);
+      A[bi.array][ix] = v;
+      if constexpr (Instrumented) {
+        if (ep) {
+          const double s = SH[bi.a.reg];
+          fr.shadow_bufs[static_cast<std::size_t>(bi.array)][ix] = s;
+          record(ep->instr[static_cast<std::size_t>(pc)], v, s, pc, bi.src);
+        }
+      }
+      if (track_arrays)
+        observe_array(fr, p.arrays[static_cast<std::size_t>(bi.array)].name, v);
+      ++non_real;
+      ++ip;
+      break;
+    }
+    case K::IAdd: int_op(bi, std::plus<>()); ++ip; break;
+    case K::ISub: int_op(bi, std::minus<>()); ++ip; break;
+    case K::IMul: int_op(bi, std::multiplies<>()); ++ip; break;
+    case K::IDiv:
+      int_op(bi, [](std::int64_t a, std::int64_t b) { return b == 0 ? 0 : a / b; });
+      ++ip;
+      break;
+    case K::IRem:
+      int_op(bi, [](std::int64_t a, std::int64_t b) { return b == 0 ? 0 : a % b; });
+      ++ip;
+      break;
+    case K::IMin:
+      int_op(bi, [](std::int64_t a, std::int64_t b) { return std::min(a, b); });
+      ++ip;
+      break;
+    case K::IMax:
+      int_op(bi, [](std::int64_t a, std::int64_t b) { return std::max(a, b); });
+      ++ip;
+      break;
+    case K::ICmpEQ: int_cmp(bi, std::equal_to<>()); ++ip; break;
+    case K::ICmpNE: int_cmp(bi, std::not_equal_to<>()); ++ip; break;
+    case K::ICmpLT: int_cmp(bi, std::less<>()); ++ip; break;
+    case K::ICmpLE: int_cmp(bi, std::less_equal<>()); ++ip; break;
+    case K::ICmpGT: int_cmp(bi, std::greater<>()); ++ip; break;
+    case K::ICmpGE: int_cmp(bi, std::greater_equal<>()); ++ip; break;
+    case K::FCmpEQ: real_cmp(bi, std::equal_to<>()); ++ip; break;
+    case K::FCmpNE: real_cmp(bi, std::not_equal_to<>()); ++ip; break;
+    case K::FCmpLT: real_cmp(bi, std::less<>()); ++ip; break;
+    case K::FCmpLE: real_cmp(bi, std::less_equal<>()); ++ip; break;
+    case K::FCmpGT: real_cmp(bi, std::greater<>()); ++ip; break;
+    case K::FCmpGE: real_cmp(bi, std::greater_equal<>()); ++ip; break;
+    case K::SelectReal: {
+      const bool c = RB[bi.cond];
+      if constexpr (Instrumented)
+        if (prof && c) ++prof->select_real_first[static_cast<std::size_t>(pc)];
+      // The shadow takes the side the quantized condition chose.
+      const RealArg& side = c ? bi.a : bi.b;
+      const double v = fetch(side);
+      RR[bi.dst] = v;
+      ++non_real;
+      written(pc, bi, v, [&] { return SH[side.reg]; });
+      ++ip;
+      break;
+    }
+    case K::SelectInt:
+      RI[bi.dst] = ival(RB[bi.cond] ? bi.ia : bi.ib);
+      ++non_real;
+      ++ip;
+      break;
+    case K::Br: {
+      ++non_real;
+      const std::int32_t target = apply_edge(bi.edge0);
+      if (target < 0) return finish();
+      ip = code + target;
+      break;
+    }
+    case K::CondBr: {
+      ++non_real;
+      const std::int32_t target =
+          apply_edge(RB[bi.cond] ? bi.edge0 : bi.edge1);
+      if (target < 0) return finish();
+      ip = code + target;
+      break;
+    }
+    case K::Ret:
+      result.ok = true;
+      return finish();
+    case K::Trap:
+      --steps;
+      result.error = p.messages[static_cast<std::size_t>(bi.trap_msg)];
+      return finish();
+    }
+  }
+}
+
+#undef LUIS_VM_INLINE
 
 } // namespace
 
@@ -497,26 +963,12 @@ RunResult run_program(const CompiledProgram& p, const ir::Function& f,
   LUIS_ASSERT(f.arrays().size() == p.arrays.size(),
               "compiled program does not match the function arrays");
 
-  const bool track_regs = opt.track_register_ranges;
-  const bool track_arrays = opt.track_array_ranges;
-
-  std::map<std::string, std::pair<double, double>> array_ranges;
-  const auto observe_array = [&](const std::string& name, double v) {
-    if (std::isnan(v)) return;
-    auto [it, fresh] = array_ranges.try_emplace(name, v, v);
-    if (!fresh) {
-      it->second.first = std::min(it->second.first, v);
-      it->second.second = std::max(it->second.second, v);
-    }
-  };
-
   // Shadow execution (RunOptions::error_profile): a lockstep binary64
   // value per real register and array slot, following the quantized run's
-  // control flow. Everything below is gated on `ep` so shadow-off runs
-  // stay bit-identical (and nearly free).
+  // control flow. Only the instrumented loop touches it, so shadow-off
+  // runs stay bit-identical (and pay nothing for it).
   ErrorProfile* const ep = opt.error_profile;
-  std::vector<double> shadow;
-  std::vector<std::vector<double>> shadow_bufs;
+  Frame fr;
   if (ep) {
     ep->instr.assign(p.code.size(), ErrorCell{});
     ep->moves.assign(p.moves.size(), ErrorCell{});
@@ -530,24 +982,26 @@ RunResult run_program(const CompiledProgram& p, const ir::Function& f,
     ep->program_mpe = 0.0;
     ep->finalized = false;
     ep->shadow_arrays.clear();
-    shadow.assign(static_cast<std::size_t>(p.num_regs), 0.0);
-    shadow_bufs.reserve(p.arrays.size());
+    fr.shadow_bufs.reserve(p.arrays.size());
   }
 
   // Bind array buffers by name and quantize their initial contents. The
   // shadow buffers capture the raw (pre-quantization) contents — the
   // shadow world never quantizes, including at initialization.
+  const bool track_arrays = opt.track_array_ranges;
   std::vector<std::vector<double>*> buffers;
   buffers.reserve(p.arrays.size());
-  for (const ArrayBinding& ab : p.arrays) {
+  for (std::size_t ai = 0; ai < p.arrays.size(); ++ai) {
+    const ArrayBinding& ab = p.arrays[ai];
     auto& buf = store[ab.name];
     buf.resize(static_cast<std::size_t>(ab.element_count), 0.0);
-    if (ep) shadow_bufs.push_back(buf);
-    const numrep::QuantSpec& spec = p.specs[static_cast<std::size_t>(ab.spec)];
-    for (double& v : buf) {
-      if (ab.init_conv) v = ab.init_conv(spec, v);
-      if (track_arrays) observe_array(ab.name, v);
+    if (ep) fr.shadow_bufs.push_back(buf);
+    if (ab.init_conv) {
+      const numrep::QuantSpec& spec = p.specs[static_cast<std::size_t>(ab.spec)];
+      for (double& v : buf) v = ab.init_conv(spec, v);
     }
+    if (track_arrays)
+      for (double v : buf) observe_array(fr, ab.name, v);
     buffers.push_back(&buf);
   }
 
@@ -556,357 +1010,69 @@ RunResult run_program(const CompiledProgram& p, const ir::Function& f,
     return result;
   }
 
-  // Register ordinal -> Instruction*, only needed to attribute observed
-  // register ranges back to the source IR.
-  std::vector<const Instruction*> inst_of;
-  std::map<const Instruction*, std::pair<double, double>> register_ranges;
-  if (track_regs) {
-    inst_of.reserve(static_cast<std::size_t>(p.num_regs));
-    for (const auto& bb : f.blocks())
-      for (const auto& inst : bb->instructions()) inst_of.push_back(inst.get());
+  // Buffers are not resized from here on, so their data pointers hold.
+  for (std::vector<double>* buf : buffers) fr.arrays.push_back(buf->data());
+  const auto slots = static_cast<std::size_t>(p.num_regs) + p.constants.size();
+  fr.reals.assign(slots, 0.0);
+  fr.ints.assign(slots, 0);
+  fr.bools.assign(slots, 0);
+  for (std::size_t k = 0; k < p.constants.size(); ++k) {
+    const std::size_t slot = static_cast<std::size_t>(p.num_regs) + k;
+    fr.reals[slot] = p.constants[k].real;
+    fr.ints[slot] = p.constants[k].integer;
   }
-  const auto observe_reg = [&](std::int32_t r, double v) {
-    if (std::isnan(v)) return;
-    auto [it, fresh] =
-        register_ranges.try_emplace(inst_of[static_cast<std::size_t>(r)], v, v);
-    if (!fresh) {
-      it->second.first = std::min(it->second.first, v);
-      it->second.second = std::max(it->second.second, v);
-    }
-  };
-
-  std::vector<Reg> regs(static_cast<std::size_t>(p.num_regs));
-  std::vector<long> counts(p.counter_keys.size(), 0);
-  long non_real = 0;
-
+  fr.counts.assign(p.counter_keys.size(), 0);
+  std::size_t max_moves = 0;
+  for (const EdgeMoves& e : p.edges)
+    if (e.staged) max_moves = std::max(max_moves, static_cast<std::size_t>(e.count));
+  fr.scratch_reals.resize(max_moves);
+  fr.scratch_ints.resize(max_moves);
+  if (ep) {
+    fr.shadow.assign(static_cast<std::size_t>(p.num_regs), 0.0);
+    fr.shadow.insert(fr.shadow.end(), p.shadow_constants.begin(),
+                     p.shadow_constants.end());
+    fr.shadow_scratch.resize(max_moves);
+  }
   // Per-pc execution profile (hot-spot attribution, see obs/profile.hpp).
-  VmProfile* const prof = opt.vm_profile;
-  if (prof) {
+  if (VmProfile* const prof = opt.vm_profile) {
     prof->instr_executions.assign(p.code.size(), 0);
     prof->edge_applications.assign(p.edges.size(), 0);
     prof->select_real_first.assign(p.code.size(), 0);
   }
+  const bool track_regs = opt.track_register_ranges;
+  if (track_regs) fr.reg_ranges.resize(static_cast<std::size_t>(p.num_regs));
 
-  const auto fetch_real = [&](const RealArg& a) {
-    double v = a.reg >= 0 ? regs[static_cast<std::size_t>(a.reg)].real : a.imm;
-    if (a.cast_counter >= 0) ++counts[static_cast<std::size_t>(a.cast_counter)];
-    if (a.conv) v = a.conv(p.specs[static_cast<std::size_t>(a.spec)], v);
-    return v;
-  };
-  const auto fetch_int = [&](const IntArg& a) {
-    return a.reg >= 0 ? regs[static_cast<std::size_t>(a.reg)].integer : a.imm;
-  };
-  // Shadow operand fetch: raw register or raw constant, never converted.
-  const auto fetch_shadow = [&](const RealArg& a) {
-    return a.reg >= 0 ? shadow[static_cast<std::size_t>(a.reg)] : a.shadow_imm;
-  };
-  // Records the deviation of one quantized real write against its shadow
-  // value. `pc` is -1 for phi moves (they have no program counter; their
-  // spikes carry the move's destination register instead).
-  const auto record = [&](ErrorCell& cell, double q, double s,
-                          std::int32_t at_pc, std::int32_t at_src) {
-    double abs_err = std::fabs(q - s);
-    if (std::isnan(abs_err)) abs_err = std::numeric_limits<double>::infinity();
-    double rel_err;
-    if (std::fabs(s) > 0.0)
-      rel_err = abs_err / std::fabs(s);
-    else
-      rel_err = abs_err > 0.0 ? std::numeric_limits<double>::infinity() : 0.0;
-    const bool spike = rel_err > ep->spike_rel_threshold &&
-                       cell.max_rel <= ep->spike_rel_threshold;
-    cell.observe(abs_err, rel_err);
-    if (spike) {
-      if (ep->first_spike_step < 0) {
-        ep->first_spike_step = result.steps;
-        ep->first_spike_pc = at_pc;
-        ep->first_spike_src = at_src;
-        ep->first_spike_rel = rel_err;
-      }
-      obs::instant("vm.error_spike", "vm", obs::Args()
-                                               .str("function", p.function_name)
-                                               .num("pc", at_pc)
-                                               .num("src", at_src)
-                                               .num("rel", rel_err)
-                                               .num("step", result.steps)
-                                               .done());
-    }
-  };
-  // Row-major cell of a load/store, or kOutOfBounds (with result.error
-  // set) when an index is out of bounds.
-  const auto flat_index = [&](const BInst& bi) {
-    const ArrayBinding& ab = p.arrays[static_cast<std::size_t>(bi.array)];
-    std::size_t flat = 0;
-    for (std::int32_t d = 0; d < bi.index_count; ++d) {
-      const std::int64_t idx =
-          fetch_int(p.index_args[static_cast<std::size_t>(bi.index_start + d)]);
-      if (idx < 0 || idx >= ab.dims[static_cast<std::size_t>(d)]) [[unlikely]] {
-        trap_out_of_bounds(result, ab.name);
-        return kOutOfBounds;
-      }
-      flat = flat * static_cast<std::size_t>(ab.dims[static_cast<std::size_t>(d)]) +
-             static_cast<std::size_t>(idx);
-    }
-    return flat;
-  };
+  if (ep || opt.vm_profile || track_regs)
+    dispatch<true>(p, opt, fr, result);
+  else
+    dispatch<false>(p, opt, fr, result);
+  if (!result.ok) return result;
 
-  // Phi batches commit through a scratch buffer so every move reads the
-  // pre-edge register values (simultaneous-read semantics).
-  std::size_t max_moves = 0;
-  for (const EdgeMoves& e : p.edges)
-    max_moves = std::max(max_moves, static_cast<std::size_t>(e.count));
-  std::vector<Reg> scratch(max_moves);
-  std::vector<double> shadow_scratch(ep ? max_moves : 0);
-
-  // Returns false when the edge traps (sets result.error).
-  const auto apply_edge = [&](std::int32_t id) {
-    const EdgeMoves& e = p.edges[static_cast<std::size_t>(id)];
-    if (e.trap_msg >= 0) {
-      result.error = p.messages[static_cast<std::size_t>(e.trap_msg)];
-      return false;
-    }
-    if (prof) ++prof->edge_applications[static_cast<std::size_t>(id)];
-    for (std::int32_t i = 0; i < e.count; ++i) {
-      const PhiMove& m = p.moves[static_cast<std::size_t>(e.start + i)];
-      if (m.is_real) {
-        scratch[static_cast<std::size_t>(i)].real = fetch_real(m.rsrc);
-        if (ep)
-          shadow_scratch[static_cast<std::size_t>(i)] = fetch_shadow(m.rsrc);
-      } else {
-        scratch[static_cast<std::size_t>(i)].integer = fetch_int(m.isrc);
-      }
-    }
-    for (std::int32_t i = 0; i < e.count; ++i) {
-      const PhiMove& m = p.moves[static_cast<std::size_t>(e.start + i)];
-      if (m.is_real) {
-        regs[static_cast<std::size_t>(m.dst)].real =
-            scratch[static_cast<std::size_t>(i)].real;
-        if (ep) {
-          shadow[static_cast<std::size_t>(m.dst)] =
-              shadow_scratch[static_cast<std::size_t>(i)];
-          record(ep->moves[static_cast<std::size_t>(e.start + i)],
-                 scratch[static_cast<std::size_t>(i)].real,
-                 shadow_scratch[static_cast<std::size_t>(i)], -1, m.dst);
-        }
-        if (track_regs)
-          observe_reg(m.dst, scratch[static_cast<std::size_t>(i)].real);
-      } else {
-        regs[static_cast<std::size_t>(m.dst)].integer =
-            scratch[static_cast<std::size_t>(i)].integer;
-      }
-    }
-    result.steps += e.count;
-    return true;
-  };
-
-  if (!apply_edge(p.entry_edge)) return result;
-  std::int32_t pc = p.blocks[0].entry;
-
-  for (;;) {
-    const BInst& bi = p.code[static_cast<std::size_t>(pc)];
-    if (bi.kind == BInst::Kind::Trap) {
-      result.error = p.messages[static_cast<std::size_t>(bi.trap_msg)];
-      return result;
-    }
-    if (++result.steps > opt.max_steps) {
-      result.error = "step limit exceeded";
-      return result;
-    }
-    if (prof) ++prof->instr_executions[static_cast<std::size_t>(pc)];
-    switch (bi.kind) {
-    case BInst::Kind::Arith2: {
-      const double a = fetch_real(bi.a);
-      const double b = fetch_real(bi.b);
-      const double r = bi.kernel2(p.specs[static_cast<std::size_t>(bi.spec)], a, b);
-      regs[static_cast<std::size_t>(bi.dst)].real = r;
-      ++counts[static_cast<std::size_t>(bi.op_counter)];
-      if (ep) {
-        const double s =
-            shadow_op2(bi.op, fetch_shadow(bi.a), fetch_shadow(bi.b));
-        shadow[static_cast<std::size_t>(bi.dst)] = s;
-        record(ep->instr[static_cast<std::size_t>(pc)], r, s, pc, bi.src);
-      }
-      if (track_regs) observe_reg(bi.dst, r);
-      ++pc;
-      break;
-    }
-    case BInst::Kind::Arith1: {
-      const double a = fetch_real(bi.a);
-      const double r = bi.kernel1(p.specs[static_cast<std::size_t>(bi.spec)], a);
-      regs[static_cast<std::size_t>(bi.dst)].real = r;
-      ++counts[static_cast<std::size_t>(bi.op_counter)];
-      if (ep) {
-        const double s = shadow_op1(bi.op, fetch_shadow(bi.a));
-        shadow[static_cast<std::size_t>(bi.dst)] = s;
-        record(ep->instr[static_cast<std::size_t>(pc)], r, s, pc, bi.src);
-      }
-      if (track_regs) observe_reg(bi.dst, r);
-      ++pc;
-      break;
-    }
-    case BInst::Kind::CastReal: {
-      const double r = fetch_real(bi.a);
-      regs[static_cast<std::size_t>(bi.dst)].real = r;
-      if (ep) {
-        // Representation change only: the shadow value passes through.
-        const double s = fetch_shadow(bi.a);
-        shadow[static_cast<std::size_t>(bi.dst)] = s;
-        record(ep->instr[static_cast<std::size_t>(pc)], r, s, pc, bi.src);
-      }
-      if (track_regs) observe_reg(bi.dst, r);
-      ++pc;
-      break;
-    }
-    case BInst::Kind::IntToReal: {
-      const std::int64_t iv = fetch_int(bi.ia);
-      const double r = bi.a.conv(p.specs[static_cast<std::size_t>(bi.a.spec)],
-                                 static_cast<double>(iv));
-      regs[static_cast<std::size_t>(bi.dst)].real = r;
-      ++counts[static_cast<std::size_t>(bi.op_counter)];
-      if (ep) {
-        const double s = static_cast<double>(iv);
-        shadow[static_cast<std::size_t>(bi.dst)] = s;
-        record(ep->instr[static_cast<std::size_t>(pc)], r, s, pc, bi.src);
-      }
-      if (track_regs) observe_reg(bi.dst, r);
-      ++pc;
-      break;
-    }
-    case BInst::Kind::Load: {
-      const std::size_t ix = flat_index(bi);
-      if (ix == kOutOfBounds) [[unlikely]] return result;
-      double v = (*buffers[static_cast<std::size_t>(bi.array)])[ix];
-      if (bi.a.cast_counter >= 0)
-        ++counts[static_cast<std::size_t>(bi.a.cast_counter)];
-      if (bi.a.conv) v = bi.a.conv(p.specs[static_cast<std::size_t>(bi.a.spec)], v);
-      regs[static_cast<std::size_t>(bi.dst)].real = v;
-      ++non_real;
-      if (ep) {
-        const double s = shadow_bufs[static_cast<std::size_t>(bi.array)][ix];
-        shadow[static_cast<std::size_t>(bi.dst)] = s;
-        record(ep->instr[static_cast<std::size_t>(pc)], v, s, pc, bi.src);
-      }
-      if (track_regs) observe_reg(bi.dst, v);
-      ++pc;
-      break;
-    }
-    case BInst::Kind::Store: {
-      const std::size_t ix = flat_index(bi);
-      if (ix == kOutOfBounds) [[unlikely]] return result;
-      const double v = fetch_real(bi.a);
-      (*buffers[static_cast<std::size_t>(bi.array)])[ix] = v;
-      if (ep) {
-        const double s = fetch_shadow(bi.a);
-        shadow_bufs[static_cast<std::size_t>(bi.array)][ix] = s;
-        record(ep->instr[static_cast<std::size_t>(pc)], v, s, pc, bi.src);
-      }
-      if (track_arrays)
-        observe_array(p.arrays[static_cast<std::size_t>(bi.array)].name, v);
-      ++non_real;
-      ++pc;
-      break;
-    }
-    case BInst::Kind::IntArith: {
-      const std::int64_t a = fetch_int(bi.ia);
-      const std::int64_t b = fetch_int(bi.ib);
-      std::int64_t r = 0;
-      switch (bi.op) {
-      case Opcode::IAdd: r = a + b; break;
-      case Opcode::ISub: r = a - b; break;
-      case Opcode::IMul: r = a * b; break;
-      case Opcode::IDiv: r = b == 0 ? 0 : a / b; break;
-      case Opcode::IRem: r = b == 0 ? 0 : a % b; break;
-      case Opcode::IMin: r = std::min(a, b); break;
-      case Opcode::IMax: r = std::max(a, b); break;
-      default: LUIS_UNREACHABLE("not an int op");
-      }
-      regs[static_cast<std::size_t>(bi.dst)].integer = r;
-      ++non_real;
-      ++pc;
-      break;
-    }
-    case BInst::Kind::IntCmp:
-      regs[static_cast<std::size_t>(bi.dst)].boolean =
-          compare(bi.pred, fetch_int(bi.ia), fetch_int(bi.ib));
-      ++non_real;
-      ++pc;
-      break;
-    case BInst::Kind::RealCmp: {
-      const bool c = compare(bi.pred, fetch_real(bi.a), fetch_real(bi.b));
-      regs[static_cast<std::size_t>(bi.dst)].boolean = c;
-      if (ep) {
-        // Control stays lockstep on the quantized outcome; a disagreement
-        // with the shadow values means an independent binary64 run could
-        // take a different path from here on.
-        const bool sc =
-            compare(bi.pred, fetch_shadow(bi.a), fetch_shadow(bi.b));
-        if (sc != c) {
-          if (ep->control_divergences == 0)
-            ep->first_control_divergence_step = result.steps;
-          ++ep->control_divergences;
-        }
-      }
-      ++non_real;
-      ++pc;
-      break;
-    }
-    case BInst::Kind::SelectReal: {
-      const bool c = regs[static_cast<std::size_t>(bi.cond)].boolean;
-      if (prof && c) ++prof->select_real_first[static_cast<std::size_t>(pc)];
-      const double v = fetch_real(c ? bi.a : bi.b);
-      regs[static_cast<std::size_t>(bi.dst)].real = v;
-      ++non_real;
-      if (ep) {
-        // The shadow takes the side the quantized condition chose.
-        const double s = fetch_shadow(c ? bi.a : bi.b);
-        shadow[static_cast<std::size_t>(bi.dst)] = s;
-        record(ep->instr[static_cast<std::size_t>(pc)], v, s, pc, bi.src);
-      }
-      if (track_regs) observe_reg(bi.dst, v);
-      ++pc;
-      break;
-    }
-    case BInst::Kind::SelectInt: {
-      const bool c = regs[static_cast<std::size_t>(bi.cond)].boolean;
-      regs[static_cast<std::size_t>(bi.dst)].integer =
-          fetch_int(c ? bi.ia : bi.ib);
-      ++non_real;
-      ++pc;
-      break;
-    }
-    case BInst::Kind::Br:
-      ++non_real;
-      if (!apply_edge(bi.edge0)) return result;
-      pc = p.blocks[static_cast<std::size_t>(bi.target0)].entry;
-      break;
-    case BInst::Kind::CondBr: {
-      ++non_real;
-      const bool c = regs[static_cast<std::size_t>(bi.cond)].boolean;
-      if (!apply_edge(c ? bi.edge0 : bi.edge1)) return result;
-      pc = p.blocks[static_cast<std::size_t>(c ? bi.target0 : bi.target1)].entry;
-      break;
-    }
-    case BInst::Kind::Ret:
-      result.ok = true;
-      if (opt.count_costs) {
-        for (std::size_t i = 0; i < counts.size(); ++i)
-          if (counts[i] > 0) result.counters.ops[p.counter_keys[i]] = counts[i];
-        result.counters.non_real_ops = non_real;
-      }
-      if (ep) {
-        std::vector<const std::vector<double>*> qp(buffers.begin(),
-                                                   buffers.end());
-        std::vector<const std::vector<double>*> sp;
-        sp.reserve(shadow_bufs.size());
-        for (const auto& b : shadow_bufs) sp.push_back(&b);
-        finalize_error_profile(*ep, p, qp, sp);
-      }
-      result.array_ranges = std::move(array_ranges);
-      result.register_ranges = std::move(register_ranges);
-      return result;
-    case BInst::Kind::Trap:
-      LUIS_UNREACHABLE("handled before the step check");
-    }
+  if (opt.count_costs) {
+    for (std::size_t i = 0; i < fr.counts.size(); ++i)
+      if (fr.counts[i] > 0) result.counters.ops[p.counter_keys[i]] = fr.counts[i];
+    result.counters.non_real_ops = fr.non_real;
   }
+  if (ep) {
+    std::vector<const std::vector<double>*> qp(buffers.begin(), buffers.end());
+    std::vector<const std::vector<double>*> sp;
+    sp.reserve(fr.shadow_bufs.size());
+    for (const auto& b : fr.shadow_bufs) sp.push_back(&b);
+    finalize_error_profile(*ep, p, qp, sp);
+  }
+  result.array_ranges = std::move(fr.array_ranges);
+  if (track_regs) {
+    // Register ordinal -> Instruction*, to attribute the ranges back to
+    // the source IR.
+    std::size_t r = 0;
+    for (const auto& bb : f.blocks())
+      for (const auto& inst : bb->instructions()) {
+        const Range& range = fr.reg_ranges[r++];
+        if (!range.empty())
+          result.register_ranges.emplace(inst.get(), std::make_pair(range.lo, range.hi));
+      }
+  }
+  return result;
 }
 
 std::string disassemble(const CompiledProgram& p) {
@@ -914,16 +1080,23 @@ std::string disassemble(const CompiledProgram& p) {
                     format_string(": %d regs, %zu blocks, %zu counters\n",
                                   p.num_regs, p.blocks.size(),
                                   p.counter_keys.size());
-  const auto real_arg_text = [](const RealArg& a) {
-    std::string s = a.reg >= 0 ? format_string("r%d", a.reg)
-                               : format_string("#%g", a.imm);
+  const auto constant = [&p](std::int32_t reg) -> const Reg* {
+    return reg >= p.num_regs
+               ? &p.constants[static_cast<std::size_t>(reg - p.num_regs)]
+               : nullptr;
+  };
+  const auto real_arg_text = [&](const RealArg& a) {
+    const Reg* c = constant(a.reg);
+    std::string s = c ? format_string("#%g", c->real)
+                      : format_string("r%d", a.reg);
     if (a.conv) s += "!";             // aligned into the result format
     if (a.cast_counter >= 0) s += "$"; // fetch bills a cast
     return s;
   };
-  const auto int_arg_text = [](const IntArg& a) {
-    return a.reg >= 0 ? format_string("r%d", a.reg)
-                      : format_string("#%lld", static_cast<long long>(a.imm));
+  const auto int_arg_text = [&](const IntArg& a) {
+    const Reg* c = constant(a.reg);
+    return c ? format_string("#%lld", static_cast<long long>(c->integer))
+             : format_string("r%d", a.reg);
   };
   for (std::size_t b = 0; b < p.blocks.size(); ++b) {
     out += format_string("b%zu:\n", b);
@@ -934,7 +1107,9 @@ std::string disassemble(const CompiledProgram& p) {
       const BInst& bi = p.code[static_cast<std::size_t>(pc)];
       out += format_string("  %4d: ", pc);
       switch (bi.kind) {
-      case BInst::Kind::Arith2:
+      case BInst::Kind::Arith2: case BInst::Kind::AddF64:
+      case BInst::Kind::SubF64: case BInst::Kind::MulF64:
+      case BInst::Kind::DivF64:
         out += format_string("r%d = %s %s, %s", bi.dst, ir::opcode_name(bi.op),
                              real_arg_text(bi.a).c_str(),
                              real_arg_text(bi.b).c_str());
@@ -957,7 +1132,7 @@ std::string disassemble(const CompiledProgram& p) {
         for (std::int32_t d = 0; d < bi.index_count; ++d) {
           if (d) idx += ", ";
           idx += int_arg_text(
-              p.index_args[static_cast<std::size_t>(bi.index_start + d)]);
+              p.index_args[static_cast<std::size_t>(bi.index_start + d)].arg);
         }
         const std::string& arr =
             p.arrays[static_cast<std::size_t>(bi.array)].name;
@@ -970,18 +1145,24 @@ std::string disassemble(const CompiledProgram& p) {
                                idx.c_str());
         break;
       }
-      case BInst::Kind::IntArith:
+      case BInst::Kind::IAdd: case BInst::Kind::ISub: case BInst::Kind::IMul:
+      case BInst::Kind::IDiv: case BInst::Kind::IRem: case BInst::Kind::IMin:
+      case BInst::Kind::IMax:
         out += format_string("r%d = %s %s, %s", bi.dst, ir::opcode_name(bi.op),
                              int_arg_text(bi.ia).c_str(),
                              int_arg_text(bi.ib).c_str());
         break;
-      case BInst::Kind::IntCmp:
+      case BInst::Kind::ICmpEQ: case BInst::Kind::ICmpNE:
+      case BInst::Kind::ICmpLT: case BInst::Kind::ICmpLE:
+      case BInst::Kind::ICmpGT: case BInst::Kind::ICmpGE:
         out += format_string("r%d = icmp %s %s, %s", bi.dst,
                              ir::to_string(bi.pred),
                              int_arg_text(bi.ia).c_str(),
                              int_arg_text(bi.ib).c_str());
         break;
-      case BInst::Kind::RealCmp:
+      case BInst::Kind::FCmpEQ: case BInst::Kind::FCmpNE:
+      case BInst::Kind::FCmpLT: case BInst::Kind::FCmpLE:
+      case BInst::Kind::FCmpGT: case BInst::Kind::FCmpGE:
         out += format_string("r%d = fcmp %s %s, %s", bi.dst,
                              ir::to_string(bi.pred),
                              real_arg_text(bi.a).c_str(),

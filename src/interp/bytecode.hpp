@@ -36,21 +36,25 @@ namespace luis::interp {
 struct CompileOptions {};
 
 /// A real operand resolved at compile time. Fetch order matches the
-/// reference interpreter's real_operand(): read raw value (register or
-/// pre-quantized immediate), count the cast if one is billed, then apply
-/// the conversion if the operand is numerically aligned.
+/// reference interpreter's real_operand(): read the raw value from its
+/// register slot (an instruction's, or a constant's), count the cast if
+/// one is billed, then apply the conversion if the operand is numerically
+/// aligned.
 struct RealArg {
-  std::int32_t reg = -1;          ///< register index; -1 = immediate
+  std::int32_t reg = -1;          ///< register slot
   std::int32_t spec = -1;         ///< index into CompiledProgram::specs
   std::int32_t cast_counter = -1; ///< counter slot billed on fetch; -1 = none
   numrep::QuantFn conv = nullptr; ///< alignment conversion; null = raw
-  double imm = 0.0;               ///< immediate (quantized per align rules)
-  double shadow_imm = 0.0;        ///< raw source constant (shadow execution)
 };
 
 struct IntArg {
-  std::int32_t reg = -1; ///< register index; -1 = immediate
-  std::int64_t imm = 0;
+  std::int32_t reg = -1; ///< register slot
+};
+
+/// One index of a load or store, with the extent it is checked against.
+struct IndexArg {
+  IntArg arg;
+  std::int64_t extent = 0;
 };
 
 /// One phi assignment performed when control crosses a CFG edge.
@@ -63,47 +67,55 @@ struct PhiMove {
 
 /// The phi moves of one (target block, predecessor) edge. All moves of an
 /// edge read their sources before any destination is written (the
-/// simultaneous-read semantics of a phi batch).
+/// simultaneous-read semantics of a phi batch); an edge on which no move
+/// reads a register an earlier move writes commits its moves in order.
 struct EdgeMoves {
   std::int32_t start = 0; ///< slice into CompiledProgram::moves
   std::int32_t count = 0;
   std::int32_t trap_msg = -1; ///< >=0: taking this edge raises messages[i]
+  std::int32_t target_pc = 0; ///< entry pc of the block the edge enters
+  bool staged = false;        ///< the moves go through a scratch buffer
 };
 
 struct BInst {
+  /// The dispatch tag. Integer operations and comparison predicates are
+  /// resolved here at compile time, so the loop switches once per step.
   enum class Kind : std::uint8_t {
     Arith2,      ///< kernel2(a, b) -> dst
+    /// binary64 a op b -> dst, inline: binary64 rounds to itself
+    AddF64, SubF64, MulF64, DivF64,
     Arith1,      ///< kernel1(a) -> dst
     CastReal,    ///< fetch(a) -> dst (conversion folded into the fetch)
     IntToReal,   ///< conv(int ia) -> dst
     Load,        ///< array[indices] converted to dst's format
     Store,       ///< fetch(a) -> array[indices]
-    IntArith,    ///< op(ia, ib) -> dst
-    IntCmp,      ///< pred(ia, ib) -> dst
-    RealCmp,     ///< pred(a, b) on raw stored representations -> dst
+    IAdd, ISub, IMul, IDiv, IRem, IMin, IMax, ///< op(ia, ib) -> dst
+    ICmpEQ, ICmpNE, ICmpLT, ICmpLE, ICmpGT, ICmpGE, ///< pred(ia, ib) -> dst
+    /// pred(a, b) on raw stored representations -> dst
+    FCmpEQ, FCmpNE, FCmpLT, FCmpLE, FCmpGT, FCmpGE,
     SelectReal,  ///< cond ? fetch(a) : fetch(b) -> dst
     SelectInt,   ///< cond ? ia : ib -> dst
-    Br,          ///< apply edge0, jump target0
-    CondBr,      ///< cond ? (edge0, target0) : (edge1, target1)
+    Br,          ///< apply edge0, jump to its target
+    CondBr,      ///< apply cond ? edge0 : edge1, jump to its target
     Ret,         ///< successful termination
     Trap,        ///< raise messages[trap_msg] (does not count a step)
   };
 
   Kind kind = Kind::Trap;
-  ir::Opcode op = ir::Opcode::Ret;       ///< source opcode (disassembly, int sub-op)
-  ir::CmpPred pred = ir::CmpPred::EQ;
+  ir::Opcode op = ir::Opcode::Ret;       ///< source opcode (disassembly, shadow)
+  ir::CmpPred pred = ir::CmpPred::EQ;    ///< source predicate (disassembly)
   std::int32_t dst = -1;
   RealArg a, b;
   IntArg ia, ib;
   std::int32_t cond = -1;                ///< boolean register (CondBr, selects)
   numrep::Kernel2 kernel2 = nullptr;
   numrep::Kernel1 kernel1 = nullptr;
-  std::int32_t spec = -1;                ///< result QuantSpec (Arith*, IntToReal)
+  std::int32_t spec = -1;                ///< result QuantSpec (Arith*)
   std::int32_t op_counter = -1;          ///< counter slot for the operation
   std::int32_t array = -1;               ///< index into arrays (Load/Store)
   std::int32_t index_start = 0;          ///< slice into index_args
   std::int32_t index_count = 0;
-  std::int32_t target0 = -1, target1 = -1; ///< block ids
+  std::int32_t target0 = -1, target1 = -1; ///< block ids (disassembly)
   std::int32_t edge0 = -1, edge1 = -1;     ///< indices into edges
   std::int32_t trap_msg = -1;
   /// Source instruction ordinal (block order, phis and terminators
@@ -121,10 +133,16 @@ struct BlockInfo {
 /// order. Buffers are looked up by name in the ArrayStore.
 struct ArrayBinding {
   std::string name;
-  std::vector<std::int64_t> dims;
   std::int64_t element_count = 0;
   std::int32_t spec = -1;               ///< array's own representation
-  numrep::QuantFn init_conv = nullptr;  ///< quantizes initial contents
+  numrep::QuantFn init_conv = nullptr;  ///< quantizes initial contents; null = binary64
+};
+
+/// One register slot of the VM (the reference interpreter's slot layout).
+struct Reg {
+  double real = 0.0;
+  std::int64_t integer = 0;
+  bool boolean = false;
 };
 
 struct CompiledProgram {
@@ -134,14 +152,23 @@ struct CompiledProgram {
   std::vector<PhiMove> moves;
   std::vector<EdgeMoves> edges;
   std::int32_t entry_edge = -1;        ///< edge applied before the entry block
-  std::vector<IntArg> index_args;
+  std::vector<IndexArg> index_args;
   std::vector<numrep::QuantSpec> specs;
   std::vector<ArrayBinding> arrays;
   /// Dense cost counters: slot i accumulates counter_keys[i]. Only nonzero
   /// slots are materialized into CostCounters at the end of a run.
   std::vector<std::pair<std::string, std::string>> counter_keys;
   std::vector<std::string> messages;   ///< trap diagnostics
+  /// Register slots 0..num_regs-1 belong to the source instructions (the
+  /// slot is the instruction's ordinal).
   std::int32_t num_regs = 0;
+  /// Constant operands, one slot each after the instruction slots: slot
+  /// num_regs + k starts every run holding constants[k], so a fetch reads
+  /// a register whatever the operand. A real constant is quantized into
+  /// its use format when the use aligns; shadow_constants[k] keeps the raw
+  /// source value the shadow reads.
+  std::vector<Reg> constants;
+  std::vector<double> shadow_constants;
   std::size_t source_instruction_count = 0; ///< shape check at bind time
 };
 

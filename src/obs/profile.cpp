@@ -70,7 +70,8 @@ HotSpotReport build_hotspot_report(const interp::CompiledProgram& p,
     double per = 0.0;   // billed on every execution
     double extra = 0.0; // data-dependent (select side)
     switch (bi.kind) {
-    case Kind::Arith2:
+    case Kind::Arith2: case Kind::AddF64: case Kind::SubF64:
+    case Kind::MulF64: case Kind::DivF64:
       per = billed(bi.op_counter) + billed(bi.a.cast_counter) +
             billed(bi.b.cast_counter);
       break;
@@ -87,12 +88,16 @@ HotSpotReport build_hotspot_report(const interp::CompiledProgram& p,
     case Kind::Store:
       per = opt.non_real_op_cost + billed(bi.a.cast_counter);
       break;
-    case Kind::RealCmp: // operand casts are compiled out (raw reads)
+    case Kind::FCmpEQ: case Kind::FCmpNE: case Kind::FCmpLT:
+    case Kind::FCmpLE: case Kind::FCmpGT: case Kind::FCmpGE:
+      // operand casts are compiled out (raw reads)
       per = opt.non_real_op_cost + billed(bi.a.cast_counter) +
             billed(bi.b.cast_counter);
       break;
-    case Kind::IntArith:
-    case Kind::IntCmp:
+    case Kind::IAdd: case Kind::ISub: case Kind::IMul: case Kind::IDiv:
+    case Kind::IRem: case Kind::IMin: case Kind::IMax:
+    case Kind::ICmpEQ: case Kind::ICmpNE: case Kind::ICmpLT:
+    case Kind::ICmpLE: case Kind::ICmpGT: case Kind::ICmpGE:
     case Kind::SelectInt:
     case Kind::Br:
     case Kind::CondBr:
