@@ -497,9 +497,6 @@ struct Range {
   bool empty() const { return lo > hi; }
 };
 
-struct Frame;
-void observe_array(Frame& fr, const std::string& name, double v);
-
 /// The state of one run of a compiled program.
 struct Frame {
   /// The register file, one array per field of Reg (instruction slots,
@@ -509,8 +506,7 @@ struct Frame {
   std::vector<std::uint8_t> bools;
   std::vector<long> counts;        ///< dense cost counters
   std::vector<double*> arrays;     ///< buffer data, in binding order
-  /// Observed range per array name, when tracked.
-  std::map<std::string, std::pair<double, double>> array_ranges;
+  std::vector<Range> array_ranges; ///< per binding, when tracked
   std::vector<double> scratch_reals; ///< staged phi moves
   std::vector<std::int64_t> scratch_ints;
   long non_real = 0;
@@ -520,15 +516,6 @@ struct Frame {
   std::vector<double> shadow_scratch;
   std::vector<Range> reg_ranges;                ///< per instruction slot
 };
-
-void observe_array(Frame& fr, const std::string& name, double v) {
-  if (std::isnan(v)) return;
-  auto [it, fresh] = fr.array_ranges.try_emplace(name, v, v);
-  if (!fresh) {
-    it->second.first = std::min(it->second.first, v);
-    it->second.second = std::max(it->second.second, v);
-  }
-}
 
 #define LUIS_VM_INLINE __attribute__((always_inline))
 
@@ -550,7 +537,7 @@ void dispatch(const CompiledProgram& p, const RunOptions& opt, Frame& fr,
   const EdgeMoves* const E = p.edges.data();
   const PhiMove* const MV = p.moves.data();
   double* const* const A = fr.arrays.data();
-  const bool track_arrays = opt.track_array_ranges;
+  Range* const AR = opt.track_array_ranges ? fr.array_ranges.data() : nullptr;
   ErrorProfile* const ep = Instrumented ? opt.error_profile : nullptr;
   VmProfile* const prof = Instrumented ? opt.vm_profile : nullptr;
   const bool track_regs = Instrumented && opt.track_register_ranges;
@@ -818,8 +805,7 @@ void dispatch(const CompiledProgram& p, const RunOptions& opt, Frame& fr,
           record(ep->instr[static_cast<std::size_t>(pc)], v, s, pc, bi.src);
         }
       }
-      if (track_arrays)
-        observe_array(fr, p.arrays[static_cast<std::size_t>(bi.array)].name, v);
+      if (AR) AR[bi.array].observe(v);
       ++non_real;
       ++ip;
       break;
@@ -989,6 +975,7 @@ RunResult run_program(const CompiledProgram& p, const ir::Function& f,
   // shadow buffers capture the raw (pre-quantization) contents — the
   // shadow world never quantizes, including at initialization.
   const bool track_arrays = opt.track_array_ranges;
+  if (track_arrays) fr.array_ranges.resize(p.arrays.size());
   std::vector<std::vector<double>*> buffers;
   buffers.reserve(p.arrays.size());
   for (std::size_t ai = 0; ai < p.arrays.size(); ++ai) {
@@ -1001,7 +988,7 @@ RunResult run_program(const CompiledProgram& p, const ir::Function& f,
       for (double& v : buf) v = ab.init_conv(spec, v);
     }
     if (track_arrays)
-      for (double v : buf) observe_array(fr, ab.name, v);
+      for (double v : buf) fr.array_ranges[ai].observe(v);
     buffers.push_back(&buf);
   }
 
@@ -1060,7 +1047,17 @@ RunResult run_program(const CompiledProgram& p, const ir::Function& f,
     for (const auto& b : fr.shadow_bufs) sp.push_back(&b);
     finalize_error_profile(*ep, p, qp, sp);
   }
-  result.array_ranges = std::move(fr.array_ranges);
+  if (track_arrays) {
+    for (std::size_t ai = 0; ai < p.arrays.size(); ++ai) {
+      const Range& r = fr.array_ranges[ai];
+      if (r.empty()) continue;
+      auto [it, fresh] = result.array_ranges.try_emplace(p.arrays[ai].name, r.lo, r.hi);
+      if (!fresh) { // two bindings of one name share a buffer
+        it->second.first = std::min(it->second.first, r.lo);
+        it->second.second = std::max(it->second.second, r.hi);
+      }
+    }
+  }
   if (track_regs) {
     // Register ordinal -> Instruction*, to attribute the ranges back to
     // the source IR.
