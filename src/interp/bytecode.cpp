@@ -5,6 +5,8 @@
 #include <functional>
 #include <limits>
 #include <map>
+#include <tuple>
+#include <unordered_map>
 #include <utility>
 
 #include "ir/printer.hpp"
@@ -107,9 +109,12 @@ public:
   CompiledProgram compile() {
     // Dense register slots: one per instruction, in block order (the same
     // ordinal the reference interpreter's slot map uses).
+    reg_.reserve(f_.instruction_count());
     std::int32_t n = 0;
     for (const auto& bb : f_.blocks())
-      for (const auto& inst : bb->instructions()) reg_[inst.get()] = n++;
+      for (const auto& inst : bb->instructions())
+        reg_[inst.get()] = {n++, &types_.of(inst.get())};
+    p_.code.reserve(static_cast<std::size_t>(n));
 
     p_.function_name = f_.name();
     p_.num_regs = n;
@@ -141,16 +146,49 @@ public:
   }
 
 private:
-  std::int32_t reg(const ir::Value* v) const { return reg_.at(v); }
+  std::int32_t reg(const ir::Value* v) const { return reg_.at(v).reg; }
+  /// An instruction's type, looked up in the assignment once.
+  const ConcreteType& type_of(const ir::Value* v) const {
+    return *reg_.at(v).type;
+  }
 
-  std::int32_t counter_id(const std::string& op, const std::string& type) {
-    const auto key = std::make_pair(op, type);
+  /// The counter slot of `op` on `type`.
+  std::int32_t op_counter(const char* op, const ConcreteType& type) {
+    return counter_id(op, type_id(type), -1);
+  }
+  /// The counter slot of a cast from `from` to `to`.
+  std::int32_t cast_counter(const ConcreteType& from, const ConcreteType& to) {
+    return counter_id(nullptr, type_id(from), type_id(to));
+  }
+  /// A counter slot is one (op, type class) key of the platform tables.
+  /// Lookups are cached by (opcode name, type, type), with the types as
+  /// indices into types_seen_, so a hit builds no string; a miss builds
+  /// the key and reuses the slot of an equal one (an int-to-real
+  /// conversion and a cast from fixed point share "cast_fix").
+  std::int32_t counter_id(const char* op, std::int32_t a, std::int32_t b) {
+    const auto key = std::make_tuple(op, a, b);
     const auto it = counter_ids_.find(key);
     if (it != counter_ids_.end()) return it->second;
-    const auto id = static_cast<std::int32_t>(p_.counter_keys.size());
-    p_.counter_keys.push_back(key);
+    const std::string& cls_a = cost_classes_[static_cast<std::size_t>(a)];
+    const std::pair<std::string, std::string> names =
+        op != nullptr ? std::make_pair(std::string(op), cls_a)
+                      : std::make_pair("cast_" + cls_a,
+                                       cost_classes_[static_cast<std::size_t>(b)]);
+    auto slot = std::find(p_.counter_keys.begin(), p_.counter_keys.end(), names);
+    if (slot == p_.counter_keys.end())
+      slot = p_.counter_keys.insert(slot, names);
+    const auto id = static_cast<std::int32_t>(slot - p_.counter_keys.begin());
     counter_ids_.emplace(key, id);
     return id;
+  }
+
+  /// Index of `type` in types_seen_ (with its cost class beside it).
+  std::int32_t type_id(const ConcreteType& type) {
+    for (std::size_t i = 0; i < types_seen_.size(); ++i)
+      if (types_seen_[i] == type) return static_cast<std::int32_t>(i);
+    types_seen_.push_back(type);
+    cost_classes_.push_back(cost_class(type));
+    return static_cast<std::int32_t>(types_seen_.size() - 1);
   }
 
   std::int32_t spec_id(const ConcreteType& type) {
@@ -205,13 +243,12 @@ private:
       return a;
     }
     a.reg = reg(v);
-    const ConcreteType& from = types_.of(v);
+    const ConcreteType& from = type_of(v);
     if (from == target) return a;
     const bool folded_shift =
         !align && from.format.is_fixed() && target.format.is_fixed();
     if (!folded_shift)
-      a.cast_counter =
-          counter_id("cast_" + cost_class(from), cost_class(target));
+      a.cast_counter = cast_counter(from, target);
     if (align) {
       a.conv = conversion_to(target);
       a.spec = spec_id(target);
@@ -257,17 +294,16 @@ private:
           m.isrc = int_arg(in);
         } else {
           m.is_real = true;
-          const ConcreteType to_ty = types_.of(phi);
+          const ConcreteType& to_ty = type_of(phi);
           if (in->is_constant()) {
             Reg c;
             c.real = numrep::quantize(to_ty, const_real_value(in));
             m.rsrc.reg = constant_slot(c, const_real_value(in));
           } else {
             m.rsrc.reg = reg(in);
-            const ConcreteType& from_ty = types_.of(in);
+            const ConcreteType& from_ty = type_of(in);
             if (!(from_ty == to_ty)) {
-              m.rsrc.cast_counter =
-                  counter_id("cast_" + cost_class(from_ty), cost_class(to_ty));
+              m.rsrc.cast_counter = cast_counter(from_ty, to_ty);
               m.rsrc.conv = conversion_to(to_ty);
               m.rsrc.spec = spec_id(to_ty);
             }
@@ -349,7 +385,7 @@ private:
     bi.op = inst->opcode();
     bi.dst = reg(inst);
     bi.src = bi.dst;
-    const ConcreteType ty = types_.of(inst);
+    const ConcreteType& ty = type_of(inst);
     switch (inst->opcode()) {
     case Opcode::Add: case Opcode::Sub: case Opcode::Mul: case Opcode::Div:
     case Opcode::Rem: case Opcode::Pow: case Opcode::Min: case Opcode::Max: {
@@ -361,8 +397,7 @@ private:
                          inst->opcode() == Opcode::Max;
       bi.a = real_arg(inst->operand(0), ty, align);
       bi.b = real_arg(inst->operand(1), ty, align);
-      bi.op_counter =
-          counter_id(ir::opcode_name(inst->opcode()), cost_class(ty));
+      bi.op_counter = op_counter(ir::opcode_name(inst->opcode()), ty);
       bi.kind = binary64_kind(inst->opcode(), ty);
       bi.kernel2 = numrep::bind_kernel2(kernel_op2(inst->opcode()), ty);
       bi.spec = spec_id(ty);
@@ -373,8 +408,7 @@ private:
       bi.a = real_arg(inst->operand(0), ty, /*align=*/false);
       bi.kernel1 = numrep::bind_kernel1(kernel_op1(inst->opcode()), ty);
       bi.spec = spec_id(ty);
-      bi.op_counter =
-          counter_id(ir::opcode_name(inst->opcode()), cost_class(ty));
+      bi.op_counter = op_counter(ir::opcode_name(inst->opcode()), ty);
       break;
     case Opcode::Cast:
       // Explicit representation change: the conversion cost is carried by
@@ -387,7 +421,7 @@ private:
       bi.ia = int_arg(inst->operand(0));
       bi.a.conv = conversion_to(ty);
       bi.a.spec = spec_id(ty);
-      bi.op_counter = counter_id("cast_fix", cost_class(ty));
+      bi.op_counter = op_counter("cast_fix", ty);
       break;
     case Opcode::Load: {
       const auto* arr = static_cast<const ir::Array*>(inst->operand(0));
@@ -396,8 +430,7 @@ private:
       compile_indices(bi, inst, 1, arr);
       const ConcreteType at = types_.of(arr);
       if (!(at == ty)) {
-        bi.a.cast_counter =
-            counter_id("cast_" + cost_class(at), cost_class(ty));
+        bi.a.cast_counter = cast_counter(at, ty);
         bi.a.conv = conversion_to(ty);
         bi.a.spec = spec_id(ty);
       }
@@ -462,10 +495,18 @@ private:
   const ir::Function& f_;
   const TypeAssignment& types_;
   CompiledProgram p_;
-  std::map<std::pair<std::string, std::string>, std::int32_t> counter_ids_;
+  std::map<std::tuple<const char*, std::int32_t, std::int32_t>, std::int32_t>
+      counter_ids_;
+  std::vector<ConcreteType> types_seen_;
+  std::vector<std::string> cost_classes_; ///< parallel to types_seen_
   std::vector<ConcreteType> spec_types_; ///< parallel to p_.specs
-  std::map<const ir::Value*, std::int32_t> reg_;
-  std::map<const ir::BasicBlock*, std::int32_t> block_id_;
+  /// Each instruction's register slot and assigned type.
+  struct Slot {
+    std::int32_t reg;
+    const ConcreteType* type;
+  };
+  std::unordered_map<const ir::Value*, Slot> reg_;
+  std::unordered_map<const ir::BasicBlock*, std::int32_t> block_id_;
   std::map<const ir::Array*, std::int32_t> array_id_;
   std::map<std::pair<const ir::BasicBlock*, const ir::BasicBlock*>,
            std::int32_t>
