@@ -1,6 +1,7 @@
 #include "core/assignment_io.hpp"
 
 #include <map>
+#include <optional>
 #include <sstream>
 
 #include "ir/printer.hpp"
@@ -8,6 +9,15 @@
 
 namespace luis::core {
 namespace {
+
+/// A register id or fractional bit count as assignment_to_text writes it:
+/// decimal digits with no sign and no leading zero. parse_number alone
+/// would read "07" and "-0" too.
+std::optional<int> parse_canonical_count(std::string_view text) {
+  if (text.empty() || text[0] == '-' || (text.size() > 1 && text[0] == '0'))
+    return std::nullopt;
+  return parse_number<int>(text);
+}
 
 /// Parses "fix32.27" / "binary32" / "posit16_1" into a ConcreteType of a
 /// format that executes. A format name that does not parse or cannot
@@ -22,7 +32,8 @@ bool parse_concrete(const std::string& token, numrep::ConcreteType& out,
   out.format = *fmt;
   out.frac_bits = 0;
   if (dot != std::string::npos) {
-    const auto frac = parse_number<int>(std::string_view(token).substr(dot + 1));
+    const auto frac =
+        parse_canonical_count(std::string_view(token).substr(dot + 1));
     if (!frac) return false;
     out.frac_bits = *frac;
   }
@@ -92,7 +103,7 @@ AssignmentParseResult assignment_from_text(const ir::Function& f,
       }
       value = it->second;
     } else if (target.size() > 1 && target[0] == '%') {
-      const auto id = parse_number<int>(std::string_view(target).substr(1));
+      const auto id = parse_canonical_count(std::string_view(target).substr(1));
       const auto it = id ? by_id.find(*id) : by_id.end();
       if (it == by_id.end() ||
           it->second->type() != ir::ScalarType::Real) {

@@ -129,8 +129,20 @@ TEST(AssignmentIo, ReadsRegisterIdsAndFracBitsWhole) {
   EXPECT_FALSE(junk_reg.ok());
   EXPECT_EQ(junk_reg.error,
             "line 1: unknown or non-Real register " + reg + "xyz");
+  // Only the canonical spelling assignment_to_text writes names a
+  // register: a leading zero or a sign is refused, not read as the id.
+  for (const std::string& id : {"%0" + reg.substr(1), "%00" + reg.substr(1),
+                               "%-" + reg.substr(1), "%+" + reg.substr(1)}) {
+    const AssignmentParseResult spelled =
+        assignment_from_text(*kernel.function, id + " binary64");
+    EXPECT_FALSE(spelled.ok()) << id;
+    EXPECT_EQ(spelled.error, "line 1: unknown or non-Real register " + id);
+  }
+  // "0" itself is canonical.
+  EXPECT_TRUE(assignment_from_text(*kernel.function, reg + " fix32.0").ok());
   for (const std::string frac :
-       {"fix32.7x", "fix32.", "fix32.+7", "fix32.7.0"}) {
+       {"fix32.7x", "fix32.", "fix32.+7", "fix32.7.0", "fix32.07",
+        "fix32.-0", "fix32.00"}) {
     const AssignmentParseResult junk_frac = assignment_from_text(
         *kernel.function, "# comment\n" + reg + " " + frac);
     EXPECT_FALSE(junk_frac.ok()) << frac;

@@ -113,6 +113,19 @@ expect_refusal "non-Real register %2xyz" apply hostile_base.ir hostile_junk_regi
 printf '%%3 fix32.7x\n' > hostile_junk_frac.types
 expect_refusal "bad type 'fix32.7x'" apply hostile_base.ir hostile_junk_frac.types
 
+# Assignment text: only the canonical spellings assignment_to_text writes
+# are read, so a leading zero or a sign on an id or on fractional bits is
+# refused rather than read as the number.
+printf '%%02 binary64\n' > hostile_zero_register.types
+printf '@a fix32.07\n' > hostile_zero_frac.types
+printf '%%2 fix32.-0\n' > hostile_signed_frac.types
+expect_refusal "line 1: unknown or non-Real register %02" apply hostile_base.ir hostile_zero_register.types
+expect_refusal "line 1: unknown or non-Real register %02" check hostile_base.ir --assignment hostile_zero_register.types
+expect_refusal "line 1: bad type 'fix32.07'" apply hostile_base.ir hostile_zero_frac.types
+expect_refusal "line 1: bad type 'fix32.07'" check hostile_base.ir --assignment hostile_zero_frac.types
+expect_refusal "line 1: bad type 'fix32.-0'" apply hostile_base.ir hostile_signed_frac.types
+expect_refusal "line 1: bad type 'fix32.-0'" check hostile_base.ir --assignment hostile_signed_frac.types
+
 # Assignment text: a line is exactly `TARGET TYPE`, and each target is
 # assigned once.
 printf '@a fix32.27 junk\n' > hostile_trailing.types
