@@ -22,9 +22,10 @@
 //   bench_engine [--kernels a,b,c] [--configs c1,c2] [--reps N]
 //                [--json PATH]
 //
-// Prints one line per kernel and an aggregate; the bench-engine-smoke CI
-// job records the aggregate in BENCH_engine.json via --json
-// (docs/INTERP.md, "Deduplicated execution").
+// The default kernel set is all 30 PolyBench kernels. Prints one line per
+// kernel and an aggregate; the bench-engine-smoke CI job runs the default
+// set with --reps 1 and records the aggregate in BENCH_engine.json via
+// --json (docs/INTERP.md, "Deduplicated execution").
 #include <algorithm>
 #include <bit>
 #include <cstdint>
@@ -169,8 +170,8 @@ struct KernelRow {
 } // namespace
 
 int main(int argc, char** argv) {
-  std::vector<std::string> kernels = {"gemm", "atax", "bicg",
-                                      "mvt",  "syrk", "jacobi-2d"};
+  const auto all = polybench::kernel_names();
+  std::vector<std::string> kernels(all.begin(), all.end());
   std::vector<std::string> configs = {"Fast", "Balanced", "Precise", "Multi"};
   int reps = 5;
   std::string json_path;
