@@ -20,6 +20,7 @@
 #include "core/pipeline.hpp"
 #include "core/sweep.hpp"
 #include "interp/bytecode.hpp"
+#include "interp/engine.hpp"
 #include "obs/build_info.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
@@ -449,6 +450,33 @@ TEST(Metrics, SweepCountsAFactorizationPerNode) {
   EXPECT_EQ(nodes, result.stats.solver_nodes);
   EXPECT_GE(count("ilp.lu.factorizations") - factorizations0, nodes);
   EXPECT_GE(count("ilp.lu.nucleus_columns") - nucleus0, 0);
+}
+
+// engine.vm.steps is the work count behind engine.vm.execute_seconds: every
+// VM run adds its steps, a trapped one included.
+TEST(Metrics, VmStepsCountEveryRunsSteps) {
+  const auto count = [](const char* name) {
+    return metrics().counter(name).value();
+  };
+  ir::Module module;
+  const polybench::BuiltKernel built = polybench::build_kernel("atax", module);
+  const interp::VmEngine vm;
+  const long runs0 = count("engine.vm.runs");
+  const long steps0 = count("engine.vm.steps");
+  interp::ArrayStore store = built.inputs;
+  const interp::RunResult ok =
+      vm.run(*built.function, interp::TypeAssignment{}, store);
+  ASSERT_TRUE(ok.ok) << ok.error;
+  EXPECT_GT(ok.steps, 0);
+  EXPECT_EQ(count("engine.vm.steps") - steps0, ok.steps);
+  interp::RunOptions short_run;
+  short_run.max_steps = 100;
+  store = built.inputs;
+  const interp::RunResult trapped =
+      vm.run(*built.function, interp::TypeAssignment{}, store, short_run);
+  ASSERT_FALSE(trapped.ok);
+  EXPECT_EQ(count("engine.vm.steps") - steps0, ok.steps + trapped.steps);
+  EXPECT_EQ(count("engine.vm.runs") - runs0, 2);
 }
 
 // ---------------------------------------------------------------------------
