@@ -364,15 +364,12 @@ private:
       break;
     case Opcode::Br:
       bi.kind = BInst::Kind::Br;
-      bi.target0 = block_id_.at(inst->target(0));
       bi.edge0 = edge_id(inst->target(0), from);
       break;
     case Opcode::CondBr:
       bi.kind = BInst::Kind::CondBr;
       bi.cond = reg(inst->operand(0));
-      bi.target0 = block_id_.at(inst->target(0));
       bi.edge0 = edge_id(inst->target(0), from);
-      bi.target1 = block_id_.at(inst->target(1));
       bi.edge1 = edge_id(inst->target(1), from);
       break;
     default: LUIS_UNREACHABLE("not a terminator");
@@ -1131,6 +1128,13 @@ std::string disassemble(const CompiledProgram& p) {
     if (a.cast_counter >= 0) s += "$"; // fetch bills a cast
     return s;
   };
+  // The block an edge enters: the one whose entry is the edge's target.
+  const auto block_of = [&p](std::int32_t edge) {
+    const std::int32_t pc = p.edges[static_cast<std::size_t>(edge)].target_pc;
+    for (std::size_t b = 0; b < p.blocks.size(); ++b)
+      if (p.blocks[b].entry == pc) return static_cast<int>(b);
+    return -1;
+  };
   const auto int_arg_text = [&](const IntArg& a) {
     const Reg* c = constant(a.reg);
     return c ? format_string("#%lld", static_cast<long long>(c->integer))
@@ -1217,11 +1221,11 @@ std::string disassemble(const CompiledProgram& p) {
                              int_arg_text(bi.ib).c_str());
         break;
       case BInst::Kind::Br:
-        out += format_string("br b%d", bi.target0);
+        out += format_string("br b%d", block_of(bi.edge0));
         break;
       case BInst::Kind::CondBr:
-        out += format_string("condbr r%d, b%d, b%d", bi.cond, bi.target0,
-                             bi.target1);
+        out += format_string("condbr r%d, b%d, b%d", bi.cond,
+                             block_of(bi.edge0), block_of(bi.edge1));
         break;
       case BInst::Kind::Ret:
         out += "ret";

@@ -115,7 +115,6 @@ struct BInst {
   std::int32_t array = -1;               ///< index into arrays (Load/Store)
   std::int32_t index_start = 0;          ///< slice into index_args
   std::int32_t index_count = 0;
-  std::int32_t target0 = -1, target1 = -1; ///< block ids (disassembly)
   std::int32_t edge0 = -1, edge1 = -1;     ///< indices into edges
   std::int32_t trap_msg = -1;
   /// Source instruction ordinal (block order, phis and terminators
