@@ -664,7 +664,8 @@ void dispatch(const CompiledProgram& p, const RunOptions& opt, Frame& fr,
       // One unsigned compare also catches a negative index.
       if (static_cast<std::uint64_t>(idx) >=
           static_cast<std::uint64_t>(ix[d].extent)) [[unlikely]] {
-        trap_out_of_bounds(result, p.arrays[static_cast<std::size_t>(bi.array)].name);
+        trap_out_of_bounds(result,
+                           p.arrays[static_cast<std::size_t>(bi.array)].name);
         return kOutOfBounds;
       }
       flat = flat * static_cast<std::size_t>(ix[d].extent) +
@@ -674,9 +675,10 @@ void dispatch(const CompiledProgram& p, const RunOptions& opt, Frame& fr,
   };
 
   // Applies the phi moves of edge `id` and returns the pc it enters, or
-  // -1 when the edge traps (sets result.error). A staged edge reads every source before it writes a
-  // destination (simultaneous-read semantics); any other edge commits its
-  // moves in order, which reads the same values.
+  // -1 when the edge traps (sets result.error). A staged edge reads every
+  // source before it writes a destination (simultaneous-read semantics);
+  // any other edge commits its moves in order, which reads the same
+  // values.
   const auto apply_edge = [&](std::int32_t id) LUIS_VM_INLINE {
     const EdgeMoves& e = E[id];
     if (e.trap_msg >= 0) [[unlikely]] {
@@ -852,11 +854,13 @@ void dispatch(const CompiledProgram& p, const RunOptions& opt, Frame& fr,
     case K::ISub: int_op(bi, std::minus<>()); ++ip; break;
     case K::IMul: int_op(bi, std::multiplies<>()); ++ip; break;
     case K::IDiv:
-      int_op(bi, [](std::int64_t a, std::int64_t b) { return b == 0 ? 0 : a / b; });
+      int_op(bi,
+             [](std::int64_t a, std::int64_t b) { return b == 0 ? 0 : a / b; });
       ++ip;
       break;
     case K::IRem:
-      int_op(bi, [](std::int64_t a, std::int64_t b) { return b == 0 ? 0 : a % b; });
+      int_op(bi,
+             [](std::int64_t a, std::int64_t b) { return b == 0 ? 0 : a % b; });
       ++ip;
       break;
     case K::IMin:
@@ -1049,7 +1053,8 @@ RunResult run_program(const CompiledProgram& p, const ir::Function& f,
   fr.counts.assign(p.counter_keys.size(), 0);
   std::size_t max_moves = 0;
   for (const EdgeMoves& e : p.edges)
-    if (e.staged) max_moves = std::max(max_moves, static_cast<std::size_t>(e.count));
+    if (e.staged)
+      max_moves = std::max(max_moves, static_cast<std::size_t>(e.count));
   fr.scratch_reals.resize(max_moves);
   fr.scratch_ints.resize(max_moves);
   if (ep) {
@@ -1089,7 +1094,8 @@ RunResult run_program(const CompiledProgram& p, const ir::Function& f,
     for (std::size_t ai = 0; ai < p.arrays.size(); ++ai) {
       const Range& r = fr.array_ranges[ai];
       if (r.empty()) continue;
-      auto [it, fresh] = result.array_ranges.try_emplace(p.arrays[ai].name, r.lo, r.hi);
+      auto [it, fresh] =
+          result.array_ranges.try_emplace(p.arrays[ai].name, r.lo, r.hi);
       if (!fresh) { // two bindings of one name share a buffer
         it->second.first = std::min(it->second.first, r.lo);
         it->second.second = std::max(it->second.second, r.hi);
@@ -1104,7 +1110,8 @@ RunResult run_program(const CompiledProgram& p, const ir::Function& f,
       for (const auto& inst : bb->instructions()) {
         const Range& range = fr.reg_ranges[r++];
         if (!range.empty())
-          result.register_ranges.emplace(inst.get(), std::make_pair(range.lo, range.hi));
+          result.register_ranges.emplace(inst.get(),
+                                         std::make_pair(range.lo, range.hi));
       }
   }
   return result;

@@ -134,7 +134,8 @@ struct ArrayBinding {
   std::string name;
   std::int64_t element_count = 0;
   std::int32_t spec = -1;               ///< array's own representation
-  numrep::QuantFn init_conv = nullptr;  ///< quantizes initial contents; null = binary64
+  /// Quantizes initial contents; null for binary64, which needs nothing.
+  numrep::QuantFn init_conv = nullptr;
 };
 
 /// One register slot of the VM (the reference interpreter's slot layout).
