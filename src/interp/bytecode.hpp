@@ -2,15 +2,21 @@
 //
 // compile_program() lowers a (Function, TypeAssignment) pair once into a
 // flat program: blocks linearized with resolved branch targets, dense
-// register slots instead of value-map lookups, constants pre-quantized
-// into their use format, and every real operation carrying a pre-bound
-// kernel function pointer from the numrep kernel table — the fixed /
-// posit / float dispatch and the operand-alignment decision are made here,
-// not per execution.
+// register slots instead of value-map lookups, constants in register slots
+// of their own, pre-quantized into their use format, integer operations
+// and compare predicates resolved into the instruction kind, binary64
+// add/sub/mul/div executed inline, and every other real operation carrying
+// a pre-bound kernel function pointer from the numrep kernel table — the
+// fixed / posit / float dispatch and the operand-alignment decision are
+// made here, not per execution.
+//
+// run_program() executes a plain dispatch loop unless the run asks for a
+// shadow, a VM profile or register ranges, which an instrumented copy of
+// the same loop adds (docs/INTERP.md, "Dispatch loop").
 //
 // The program is pointer-free with respect to its source Function: it
 // refers to registers by dense index, arrays by position (bound by name at
-// run time), and blocks by id. A program compiled from one Function
+// run time), and blocks by pc. A program compiled from one Function
 // therefore runs against any Function with identical printed IR — which is
 // what lets a ProgramCache serve one Function's runs from entries compiled
 // on another.
